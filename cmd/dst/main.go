@@ -1,14 +1,16 @@
 // Command dst runs the deterministic simulation harness: a seeded fault
 // schedule (drop/dup/reorder/partition/crash-restart, composite partition
-// shapes, crash waves, storage-fault bursts) against the bank or airline
-// workload — single-group or a sharded many-guardian topology — with
+// shapes, crash waves, storage-fault bursts) against the airline workload
+// or the bank workload — whose world is shaped by -shards and -replfactor
+// alone, from one branch on one node to 67 replica groups — with
 // invariant checkers for conservation of money, exactly-once application,
 // no-overbooking, and recovery-equals-replay (see DESIGN.md §7, §13).
 //
 // Usage:
 //
-//	dst -seed 42                          # one bank run under the mixed profile
+//	dst -seed 42                          # one bank run (one plain branch) under the mixed profile
 //	dst -seeds 100 -par 4                 # parallel sweep of seeds 1..100
+//	dst -profile replica -shards 1 -replfactor 3               # one replica group, primary killed
 //	dst -profile combined -shards 67 -replfactor 3 -cpevery 4  # 200-node run
 //	dst -profile combined -ring 4,2,1     # consistent-hash ring, live join/leave rebalancing
 //	dst -bug disable-dedup                # inject the control-arm bug
@@ -80,8 +82,7 @@ func main() {
 		clients    = flag.Int("clients", 0, "concurrent clients (default 3)")
 		ops        = flag.Int("ops", 0, "operations per client (default 12)")
 		bug        = flag.String("bug", "", "inject a known bug (disable-dedup) as a harness check")
-		repl       = flag.Bool("repl", false, "run the replicated-guardian workload")
-		shards     = flag.Int("shards", 0, "sharded topology: number of independent guardian groups")
+		shards     = flag.Int("shards", 0, "bank topology: number of independent branches (default 1)")
 		ringTopo   = flag.String("ring", "", "consistent-hash ring with live rebalancing: shards,joins,leaves")
 		replfactor = flag.Int("replfactor", 0, "replicas per shard (0/1 plain, odd >=3 replicated)")
 		cpevery    = flag.Int("cpevery", 0, "checkpoint the branch every N mutations")
@@ -103,12 +104,11 @@ func main() {
 	}
 
 	opts := dst.Options{
-		Workload:          *workload,
-		Clients:           *clients,
-		OpsPerClient:      *ops,
-		Bug:               *bug,
-		ReplicationFaults: *repl,
-		CheckpointEvery:   *cpevery,
+		Workload:        *workload,
+		Clients:         *clients,
+		OpsPerClient:    *ops,
+		Bug:             *bug,
+		CheckpointEvery: *cpevery,
 	}
 	if *profile != "" {
 		p, err := dst.ProfileByName(*profile)
@@ -121,8 +121,8 @@ func main() {
 	if *horizon > 0 {
 		opts.Profile.Horizon = *horizon
 	}
-	if *shards > 0 {
-		opts.Topology = &dst.Topology{Shards: *shards, ReplFactor: *replfactor}
+	if *shards > 0 || *replfactor > 0 {
+		opts.Topology = &dst.Topology{Shards: max(*shards, 1), ReplFactor: *replfactor}
 	}
 	if *ringTopo != "" {
 		topo, err := parseRing(*ringTopo)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
 	"repro/internal/airline"
 	"repro/internal/amo"
@@ -48,7 +47,6 @@ func newAirlineWorkload(opts Options) *airlineWorkload {
 }
 
 func (a *airlineWorkload) crashNodes() []string { return []string{serverNode} }
-func (a *airlineWorkload) allNodes() []string   { return []string{serverNode, clientsNode} }
 func (a *airlineWorkload) killNodes() []string  { return nil }
 
 func (a *airlineWorkload) setup(w *guardian.World) error {
@@ -74,13 +72,7 @@ func (a *airlineWorkload) client(i int, crng *rand.Rand) {
 	if err != nil {
 		return
 	}
-	caller, err := amo.NewCaller(pr, amo.CallerOptions{
-		Timeout: a.opts.AttemptTimeout,
-		Retries: a.opts.Retries,
-		Backoff: amo.BackoffPolicy{Base: 2 * time.Millisecond, Jitter: 0.5},
-		Seed:    crng.Int63(),
-		Metrics: a.met,
-	})
+	caller, err := amo.NewCaller(pr, callerOptions(a.opts, a.met, crng.Int63()))
 	if err != nil {
 		return
 	}
@@ -113,18 +105,14 @@ func (a *airlineWorkload) note(f func()) {
 	a.mu.Unlock()
 }
 
-// ping performs a synchronizing list_passengers call: the reply proves the
-// flight's receiver loop is running, which in turn proves any recovery
-// replay has completed — only then is it safe to read the guardian's state
-// directly.
-func (a *airlineWorkload) ping(pr *guardian.Process) error {
-	_, err := sendprim.Call(pr, a.created.Ports[0], airline.ClientReplyType,
-		sendprim.CallOptions{
-			Timeout: a.opts.AttemptTimeout,
-			Retries: 20,
-			Backoff: 2 * time.Millisecond,
-		}, "list_passengers", int64(flightNo), flightDates[0])
-	return err
+// flight returns the flight guardian once it provably serves (see
+// serving); the synchronizing call is a list_passengers request.
+func (a *airlineWorkload) flight(w *guardian.World, rep *Report, pr *guardian.Process) *guardian.Guardian {
+	return serving(w, rep, serverNode, a.created.GuardianID, func() error {
+		_, err := sendprim.Call(pr, a.created.Ports[0], airline.ClientReplyType,
+			auditCallOptions(a.opts), "list_passengers", int64(flightNo), flightDates[0])
+		return err
+	})
 }
 
 func (a *airlineWorkload) check(w *guardian.World, rep *Report, crashed bool) {
@@ -133,34 +121,12 @@ func (a *airlineWorkload) check(w *guardian.World, rep *Report, crashed bool) {
 	a.mu.Unlock()
 	rep.Retries = a.met.Retries.Load()
 
-	node, err := w.Node(serverNode)
-	if err != nil {
-		rep.addViolation("recovery", "server node missing: %v", err)
+	pr := checker(w, rep, "airline-checker")
+	if pr == nil {
 		return
 	}
-	if !node.Alive() {
-		if err := node.Restart(); err != nil {
-			rep.addViolation("recovery", "restart failed: %v", err)
-			return
-		}
-	}
-	cnode, err := w.Node(clientsNode)
-	if err != nil {
-		rep.addViolation("recovery", "clients node missing: %v", err)
-		return
-	}
-	_, pr, err := cnode.NewDriver("airline-checker")
-	if err != nil {
-		rep.addViolation("recovery", "checker driver: %v", err)
-		return
-	}
-	if err := a.ping(pr); err != nil {
-		rep.addViolation("recovery", "flight unreachable after run: %v", err)
-		return
-	}
-	g, ok := node.GuardianByID(a.created.GuardianID)
-	if !ok {
-		rep.addViolation("recovery", "flight guardian %d missing after run", a.created.GuardianID)
+	g := a.flight(w, rep, pr)
+	if g == nil {
 		return
 	}
 	pre, ok := airline.SnapshotAllDates(g)
@@ -178,21 +144,12 @@ func (a *airlineWorkload) check(w *guardian.World, rep *Report, crashed bool) {
 
 	// Recovery: the flight logs every completed reserve/cancel before
 	// replying, so a crash+restart must reproduce the same seat data.
+	node, _ := w.Node(serverNode)
 	node.Crash()
-	if err := node.Restart(); err != nil {
-		rep.addViolation("recovery", "final restart: %v", err)
+	if g = a.flight(w, rep, pr); g == nil {
 		return
 	}
-	if err := a.ping(pr); err != nil {
-		rep.addViolation("recovery", "flight unreachable after final restart: %v", err)
-		return
-	}
-	g2, ok := node.GuardianByID(a.created.GuardianID)
-	if !ok {
-		rep.addViolation("recovery", "flight guardian %d not recovered", a.created.GuardianID)
-		return
-	}
-	post, ok := airline.SnapshotAllDates(g2)
+	post, ok := airline.SnapshotAllDates(g)
 	if !ok {
 		rep.addViolation("recovery", "post-restart snapshot failed")
 		return

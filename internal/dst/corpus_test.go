@@ -13,8 +13,8 @@ import (
 
 // parseCorpusLine builds the Options for one seeds.txt entry:
 //
-//	<seed> <workload> <profile> [repl] [cpevery=N] [shards=N]
-//	[replfactor=N] [storage=syncfail,shortwrite,corrupttail]
+//	<seed> <workload> <profile> [cpevery=N] [shards=N] [replfactor=N]
+//	[storage=syncfail,shortwrite,corrupttail]
 func parseCorpusLine(line string) (Options, error) {
 	fields := strings.Fields(line)
 	if len(fields) < 3 {
@@ -34,7 +34,7 @@ func parseCorpusLine(line string) (Options, error) {
 		key, val, _ := strings.Cut(f, "=")
 		switch key {
 		case "repl":
-			opts.ReplicationFaults = true
+			return Options{}, fmt.Errorf("corpus flag %q is retired: write \"shards=1 replfactor=3\"", f)
 		case "cpevery":
 			if opts.CheckpointEvery, err = strconv.Atoi(val); err != nil {
 				return Options{}, fmt.Errorf("bad cpevery %q: %v", val, err)
@@ -67,6 +67,15 @@ func parseCorpusLine(line string) (Options, error) {
 		opts.Topology = &topo
 	}
 	return opts, nil
+}
+
+// TestCorpusRetiredToken: a corpus line still carrying the retired "repl"
+// token is rejected with the spelling that replaced it, not skipped.
+func TestCorpusRetiredToken(t *testing.T) {
+	_, err := parseCorpusLine("1 bank replica repl")
+	if err == nil || !strings.Contains(err.Error(), "shards=1 replfactor=3") {
+		t.Fatalf("retired token: got %v, want an error naming shards=1 replfactor=3", err)
+	}
 }
 
 // TestSeedCorpus replays testdata/seeds.txt: every corpus entry runs to
@@ -109,7 +118,7 @@ func TestSeedCorpus(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatalf("reading corpus: %v", err)
 	}
-	if entries < 10 {
+	if entries < 15 {
 		t.Fatalf("corpus has only %d entries — the standing sweep has been gutted", entries)
 	}
 }

@@ -17,9 +17,10 @@
 //
 // A failed run prints its seed, its fault schedule (minimized by Shrink),
 // and the violated invariants; re-running the same seed regenerates the
-// identical schedule and workload, so red runs reproduce with
+// identical schedule and workload, so red runs reproduce by pasting the
+// report's "reproduce:" line (Report.Repro):
 //
-//	go test ./internal/dst -run 'TestSeed$' -dst.seed=N [-dst.bug=...]
+//	go run ./cmd/dst -seed N -workload bank -profile mixed [-shards ...]
 //
 // What is and is not deterministic here — virtual time is driven by
 // vtime.Sim.Drive, but goroutine interleaving within one virtual instant
@@ -39,7 +40,6 @@ import (
 	"repro/internal/durable"
 	"repro/internal/guardian"
 	"repro/internal/netsim"
-	"repro/internal/stable"
 	"repro/internal/vtime"
 )
 
@@ -65,15 +65,15 @@ type Profile struct {
 	Latency time.Duration
 	Jitter  time.Duration
 
-	// Crashes is the number of crash→restart windows of the workload's
-	// server node.
+	// Crashes is the number of crash→restart windows over the workload's
+	// crashable nodes.
 	Crashes int
 	// Partitions is the number of partition→heal windows.
 	Partitions int
 	// Kills is the number of permanent node kills, placed over the
-	// workload's kill-eligible nodes (the replica workload's initial
-	// primary). A killed node is never restarted; only Options.
-	// ReplicationFaults workloads survive one.
+	// workload's kill-eligible nodes (each replicated shard's initial
+	// primary). A killed node is never restarted; only a replicated
+	// Topology survives one.
 	Kills int
 	// Isolations is the number of partition→heal windows that cut exactly
 	// the first kill-eligible node off from the rest of the world — the
@@ -145,8 +145,8 @@ func MixedProfile() Profile {
 }
 
 // ReplicaProfile is the failover gate: a lossy network plus one permanent
-// kill of the initial primary mid-transfer. Only meaningful with
-// Options.ReplicationFaults — a single-node workload cannot survive it.
+// kill of the initial primary mid-transfer. Only meaningful on a
+// replicated Topology — a plain shard cannot survive it.
 func ReplicaProfile() Profile {
 	return Profile{Name: "replica", Loss: 0.05, Dup: 0.05,
 		Jitter: 300 * time.Microsecond, Kills: 1}.withDefaults()
@@ -164,8 +164,8 @@ func SplitBrainProfile() Profile {
 // keeps client traffic flowing into the isolated primary while the
 // majority elects past it, so the primary's log truly forks; after the
 // heal the deposed member must quarantine itself and then heal via
-// checkpoint supersession from the new leader. Meaningful with
-// Options.ReplicationFaults and a checkpointing branch
+// checkpoint supersession from the new leader. Meaningful on a
+// replicated Topology with a checkpointing branch
 // (Options.CheckpointEvery > 0). The longer horizon leaves room for the
 // post-heal traffic that ships the superseding checkpoint.
 func ForkHealProfile() Profile {
@@ -223,18 +223,9 @@ type Options struct {
 	// Bug optionally disables a protection (see the Bug* constants), as a
 	// harness self-test: the checkers must catch it.
 	Bug string
-	// ReplicationFaults replaces the bank workload's single server node
-	// with a three-member quorum replica group (m1 initial primary) whose
-	// service name clients re-resolve through a name service on the
-	// clients node. Schedules may then contain EvKill (permanent primary
-	// loss → failover must preserve acknowledged effects) and split-brain
-	// isolation windows (stale-term traffic must be fenced). Bank-only.
-	ReplicationFaults bool
-	// Topology, when non-nil, replaces the workload's fixed node set with
-	// a generated sharded topology: Shards bank branches, each on its own
-	// node (ReplFactor ≤ 1) or behind its own quorum replica group
-	// (ReplFactor ≥ 3), plus the shared clients node. Bank-only;
-	// exclusive with ReplicationFaults and Bug.
+	// Topology is the shape of the bank world (see Topology). Nil means
+	// Topology{Shards: 1}: one branch on one crashable node. Bank-only;
+	// Bug needs a plain topology.
 	Topology *Topology
 	// Ring, when non-nil, replaces the workload's fixed node set with a
 	// consistent-hash ring of shard-mode bank branches behind a
@@ -242,7 +233,7 @@ type Options struct {
 	// rebalance driver (bootstrap, then live joins and leaves mid-run)
 	// while the rest route traffic through bank.Router, with cross-shard
 	// transfers on a 2PC coordinator node. Bank-only; exclusive with
-	// Topology, ReplicationFaults, and Bug; needs Clients >= 2.
+	// Topology and Bug; needs Clients >= 2.
 	Ring *RingTopology
 	// CheckpointEvery, when positive, makes every bank branch checkpoint
 	// its state each N mutating operations — exercising the
@@ -306,7 +297,7 @@ func Schedule(opts Options) []Event {
 	master := rand.New(rand.NewSource(opts.Seed))
 	_ = master.Int63() // network seed draw; keep the stream aligned with run()
 	schedRng := rand.New(rand.NewSource(master.Int63()))
-	return genSchedule(schedRng, opts.Profile, wl.crashNodes(), wl.allNodes(), wl.killNodes())
+	return genSchedule(schedRng, opts.Profile, wl.crashNodes(), allNodes(wl), wl.killNodes())
 }
 
 // Run executes one simulated run: schedule generation, then
@@ -322,13 +313,19 @@ func Run(opts Options) *Report {
 // Run, so removing a schedule event is the ONLY difference between the
 // two runs.
 func RunWithSchedule(opts Options, schedule []Event) *Report {
+	return run(opts, schedule, workload.check)
+}
+
+// run is RunWithSchedule with the audit phase as a parameter, so a test
+// can doctor the finished workload's books before auditing it.
+func run(opts Options, schedule []Event, audit func(workload, *guardian.World, *Report, bool)) *Report {
 	opts = opts.withDefaults()
 	rep := &Report{
 		Seed:       opts.Seed,
 		Workload:   opts.Workload,
 		Profile:    opts.Profile.Name,
 		Bug:        opts.Bug,
-		Replicated: opts.ReplicationFaults || (opts.Topology != nil && opts.Topology.ReplFactor > 1),
+		Replicated: opts.Topology != nil && opts.Topology.replicated(),
 		Schedule:   schedule,
 		opts:       opts,
 	}
@@ -337,7 +334,7 @@ func RunWithSchedule(opts Options, schedule []Event) *Report {
 		rep.addViolation("setup", err.Error())
 		return rep
 	}
-	rep.Nodes = len(wl.allNodes())
+	rep.Nodes = len(allNodes(wl))
 
 	master := rand.New(rand.NewSource(opts.Seed))
 	netSeed := master.Int63()
@@ -371,36 +368,34 @@ func RunWithSchedule(opts Options, schedule []Event) *Report {
 		wrappers = make(map[string]*durable.Wrapper)
 	)
 	sw, wrapsStores := wl.(storeWrapper)
-	if opts.StorageFaults != nil || wrapsStores {
-		cfg.Store = func(node string) (durable.Store, error) {
-			var inner durable.Store = durable.NewSim(stable.NewDisk(clock, stable.DiskConfig{}))
-			if sf := opts.StorageFaults; sf != nil {
-				wcfg := *sf
-				wcfg.Seed = opts.Seed ^ fnv64a(node)
-				wcfg.OnFault = func(log, fault string) {
-					n, err := w.Node(node)
-					if err != nil || !n.Alive() {
-						return
-					}
-					n.Crash()
-					go func() {
-						clock.Sleep(15 * time.Millisecond)
-						if !n.Alive() {
-							_ = n.Restart()
-						}
-					}()
+	cfg.Store = func(node string) (durable.Store, error) {
+		var inner durable.Store = durable.NewSimDisk(clock, 0)
+		if sf := opts.StorageFaults; sf != nil {
+			wcfg := *sf
+			wcfg.Seed = opts.Seed ^ fnv64a(node)
+			wcfg.OnFault = func(log, fault string) {
+				n, err := w.Node(node)
+				if err != nil || !n.Alive() {
+					return
 				}
-				wr := durable.Wrap(inner, wcfg)
-				storeMu.Lock()
-				wrappers[node] = wr
-				storeMu.Unlock()
-				inner = wr
+				n.Crash()
+				go func() {
+					clock.Sleep(15 * time.Millisecond)
+					if !n.Alive() {
+						_ = n.Restart()
+					}
+				}()
 			}
-			if wrapsStores {
-				return sw.wrapStore(node, inner)
-			}
-			return inner, nil
+			wr := durable.Wrap(inner, wcfg)
+			storeMu.Lock()
+			wrappers[node] = wr
+			storeMu.Unlock()
+			inner = wr
 		}
+		if wrapsStores {
+			return sw.wrapStore(node, inner)
+		}
+		return inner, nil
 	}
 	w = guardian.NewWorld(cfg)
 
@@ -494,7 +489,7 @@ func RunWithSchedule(opts Options, schedule []Event) *Report {
 		if rep.Storage.SyncsFailed+rep.Storage.ShortWrites+rep.Storage.CorruptedTails > 0 {
 			crashed = true
 		}
-		wl.check(w, rep, crashed)
+		audit(wl, w, rep, crashed)
 	}()
 	clock.Drive(done.Load, vtime.DriveOptions{Settle: opts.Settle})
 	rep.RealElapsed = time.Since(realStart)

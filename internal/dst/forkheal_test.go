@@ -15,14 +15,15 @@ import "testing"
 // forked records must never surface as acknowledged state.
 func TestForkHealLifecycle(t *testing.T) {
 	rep := Run(Options{
-		Seed:              1,
-		Profile:           ForkHealProfile(),
-		ReplicationFaults: true,
-		CheckpointEvery:   2,
+		Seed:            1,
+		Profile:         ForkHealProfile(),
+		Topology:        oneGroup(),
+		CheckpointEvery: 2,
 	})
 	if rep.Failed() {
 		t.Fatalf("fork-heal run failed:\n%s", rep)
 	}
+	requireAudited(t, rep)
 	if rep.Repl.ForksDetected == 0 {
 		t.Fatalf("fork window forced no fork:\n%s", rep)
 	}
@@ -44,13 +45,14 @@ func TestForkHealLifecycle(t *testing.T) {
 // permanence of the quarantine is the documented availability cost.
 func TestForkWithoutCheckpointsStaysQuarantined(t *testing.T) {
 	rep := Run(Options{
-		Seed:              1,
-		Profile:           ForkHealProfile(),
-		ReplicationFaults: true,
+		Seed:     1,
+		Profile:  ForkHealProfile(),
+		Topology: oneGroup(),
 	})
 	if rep.Failed() {
 		t.Fatalf("fork run failed:\n%s", rep)
 	}
+	requireAudited(t, rep)
 	if rep.Repl.ForksDetected == 0 {
 		t.Fatalf("fork window forced no fork:\n%s", rep)
 	}

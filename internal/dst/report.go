@@ -13,7 +13,8 @@ import (
 // Violation is one invariant breach found by a checker.
 type Violation struct {
 	// Invariant names the checker: "conservation", "exactly-once",
-	// "balance", "no-overbooking", "recovery", "setup".
+	// "balance", "no-overbooking", "recovery", "failover", "replication",
+	// "single-owner", "rebalance", "drain", "setup".
 	Invariant string
 	// Detail is the human-readable evidence.
 	Detail string
@@ -58,12 +59,18 @@ type Report struct {
 	// Storage aggregates injected storage-fault counters across all
 	// nodes; zero unless Options.StorageFaults was set.
 	Storage durable.WrapperStats
-	// Replicated marks a replica-group run (Options.ReplicationFaults);
+	// Replicated marks a replica-group run (Topology.ReplFactor >= 3);
 	// Repl then aggregates the members' replication counters and Leader
-	// names the member serving at the end of the run.
-	Replicated     bool
-	Repl           replica.Stats
-	Leader         string
+	// names the member serving shard 0 at the end of the run.
+	Replicated bool
+	Repl       replica.Stats
+	Leader     string
+	// Exemptions counts the shards the auditor had to skip because their
+	// clean (undiverged) members no longer formed a majority — the
+	// documented availability cost of fork quarantine, unauditable rather
+	// than in violation. A test whose schedule cannot produce one asserts
+	// zero.
+	Exemptions     int
 	VirtualElapsed time.Duration
 	RealElapsed    time.Duration
 }
@@ -102,10 +109,10 @@ func (r *Report) String() string {
 		fmt.Fprintf(&b, "  ring: epoch=%d rebalances=%d\n", r.RingEpoch, r.Rebalances)
 	}
 	if r.Replicated {
-		fmt.Fprintf(&b, "  repl: leader=%s shipped=%d applied=%d checkpoints=%d fenced=%d elections=%d takeovers=%d forks=%d heals=%d\n",
+		fmt.Fprintf(&b, "  repl: leader=%s shipped=%d applied=%d checkpoints=%d fenced=%d elections=%d takeovers=%d forks=%d heals=%d exempt=%d\n",
 			r.Leader, r.Repl.ShippedRecords, r.Repl.AppliedRecords, r.Repl.CheckpointsShipped,
 			r.Repl.FencedStale, r.Repl.Elections, r.Repl.Takeovers,
-			r.Repl.ForksDetected, r.Repl.Heals)
+			r.Repl.ForksDetected, r.Repl.Heals, r.Exemptions)
 	}
 	fmt.Fprintf(&b, "  time: %v virtual in %v real\n",
 		r.VirtualElapsed.Round(time.Millisecond), r.RealElapsed.Round(time.Millisecond))
@@ -149,9 +156,6 @@ func (r *Report) Repro() string {
 	}
 	if r.Bug != "" {
 		fmt.Fprintf(&b, " -bug %s", r.Bug)
-	}
-	if o.ReplicationFaults {
-		b.WriteString(" -repl")
 	}
 	if t := o.Topology; t != nil {
 		fmt.Fprintf(&b, " -shards %d", t.Shards)

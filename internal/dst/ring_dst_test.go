@@ -41,7 +41,6 @@ func TestRingValidation(t *testing.T) {
 		{"one client", Options{Ring: &RingTopology{Shards: 2}, Clients: 1}},
 		{"with bug", Options{Ring: &RingTopology{Shards: 2}, Bug: BugDisableDedup}},
 		{"with topology", Options{Ring: &RingTopology{Shards: 2}, Topology: &Topology{Shards: 2}}},
-		{"with replication faults", Options{Ring: &RingTopology{Shards: 2}, ReplicationFaults: true}},
 		{"airline", Options{Workload: "airline", Ring: &RingTopology{Shards: 2}}},
 	}
 	for _, tc := range cases {

@@ -1,7 +1,6 @@
 package dst
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -13,7 +12,6 @@ import (
 	"repro/internal/nameserv"
 	"repro/internal/ring"
 	"repro/internal/sendprim"
-	"repro/internal/stable"
 	"repro/internal/tpc"
 	"repro/internal/xrep"
 )
@@ -49,23 +47,16 @@ const (
 func ringMemberNode(i int) string { return fmt.Sprintf("r%d", i) }
 func ringJoinerNode(i int) string { return fmt.Sprintf("j%d", i) }
 
-// ringSums is the cluster-wide conservation bookkeeping. Unlike the
-// static topology, money here DOES move between shards — by migration and
-// by cross-shard 2PC — so the bound is global: Σ all balances ∈
-// [ackedDep−issuedWd, issuedDep−ackedWd]. Transfers conserve and never
-// enter the bound.
-type ringSums struct {
-	issuedDep, ackedDep int64
-	issuedWd, ackedWd   int64
-}
-
 // ringWorkload drives client traffic through bank.Router (ring-resolved
 // at-most-once calls, 2PC fallback for split transfers) while session 0 —
-// the rebalancer — grows and shrinks the ring underneath it. Invariants:
+// the rebalancer — grows and shrinks the ring underneath it. Unlike the
+// static topology, money here DOES move between shards — by migration and
+// by cross-shard 2PC — so the bank.go account invariants are cluster-wide,
+// over the merged accounts and one tally. Invariants:
 //
 //	conservation:  global balance total within the acked/issued bounds —
 //	               a migration that minted or dropped an account breaks it.
-//	exactly-once:  exact balances for every client whose calls were all
+//	balance:       exact balances for every client whose calls were all
 //	               acked, across however many epoch flips re-routed them.
 //	single-owner:  after the drain, every account lives on exactly the
 //	               member the committed ring names, and every branch has
@@ -86,15 +77,13 @@ type ringWorkload struct {
 	coordID     uint64
 	created     map[string]*guardian.Created // branch per member node
 
+	books   bankBooks      // one cluster-wide tally
+	ledgers []clientLedger // traffic session i uses ledgers[i-1]
+
 	mu         sync.Mutex
-	sums       ringSums
-	ledgers    []clientLedger // traffic session i uses ledgers[i-1]
-	pending    *ring.Ring     // staged epoch the rebalancer did not finish
+	pending    *ring.Ring // staged epoch the rebalancer did not finish
 	rebalances int
 	ringEpoch  int64
-	opsIssued  int64
-	opsAcked   int64
-	opsFailed  int64
 }
 
 func newRingWorkload(opts Options) (*ringWorkload, error) {
@@ -110,6 +99,7 @@ func newRingWorkload(opts Options) (*ringWorkload, error) {
 		topo:    t,
 		met:     &amo.Metrics{},
 		created: make(map[string]*guardian.Created),
+		books:   bankBooks{tallies: make([]bankTally, 1)},
 		ledgers: make([]clientLedger, opts.Clients-1),
 	}
 	for i := 0; i < t.Shards; i++ {
@@ -123,10 +113,6 @@ func newRingWorkload(opts Options) (*ringWorkload, error) {
 
 func (s *ringWorkload) crashNodes() []string {
 	return append(append([]string{}, s.memberNodes...), ringCoordNode)
-}
-
-func (s *ringWorkload) allNodes() []string {
-	return append(s.crashNodes(), clientsNode)
 }
 
 // killNodes: a plain shard cannot survive permanent loss of its node.
@@ -198,18 +184,12 @@ func (s *ringWorkload) rebalanceOpts(ns *nameserv.Client) bank.RebalanceOptions 
 
 // ringGetRetry wraps the single-attempt nameserv client: under
 // simulation a same-node call can miss its virtual-clock timeout window,
-// so a fetch that matters is retried.
-func ringGetRetry(pr *guardian.Process, ns *nameserv.Client, timeout time.Duration, attempts int) (nameserv.RingState, error) {
-	var rs nameserv.RingState
-	var err error
-	for i := 0; i < attempts; i++ {
-		if rs, err = ns.RingGet(ringName, timeout); err == nil {
-			return rs, nil
-		}
-		if !pr.Pause(5 * time.Millisecond) {
-			return rs, err
-		}
-	}
+// so a fetch that matters is retried, 5 ms apart.
+func (s *ringWorkload) ringGetRetry(ns *nameserv.Client, timeout time.Duration, attempts int) (rs nameserv.RingState, err error) {
+	waitUntil(s.w.Clock(), time.Duration(attempts)*5*time.Millisecond, func() bool {
+		rs, err = ns.RingGet(ringName, timeout)
+		return err == nil
+	})
 	return rs, err
 }
 
@@ -275,7 +255,7 @@ func (s *ringWorkload) rebalancer(pr *guardian.Process, ns *nameserv.Client, crn
 		if gap > 0 {
 			pr.Pause(time.Duration(float64(gap) * (0.5 + crng.Float64())))
 		}
-		rs, err := ringGetRetry(pr, ns, ropts.Timeout, 8)
+		rs, err := s.ringGetRetry(ns, ropts.Timeout, 8)
 		if err != nil || rs.CommittedEpoch == 0 {
 			return
 		}
@@ -306,172 +286,53 @@ func (s *ringWorkload) rebalancer(pr *guardian.Process, ns *nameserv.Client, crn
 func (s *ringWorkload) traffic(i int, pr *guardian.Process, ns *nameserv.Client, crng *rand.Rand) {
 	led := &s.ledgers[i-1]
 	led.acctA, led.acctB = fmt.Sprintf("rc%da", i), fmt.Sprintf("rc%db", i)
-	led.certain = true
 
 	// Wait out the bootstrap: no committed ring, no routing.
-	ready := false
-	for try := 0; try < 400 && !ready; try++ {
-		if rs, err := ns.RingGet(ringName, s.opts.AttemptTimeout); err == nil && rs.CommittedEpoch > 0 {
-			ready = true
-			break
-		}
-		pr.Pause(5 * time.Millisecond)
-	}
-	if !ready {
-		led.certain = false
+	if !waitUntil(s.w.Clock(), 2*time.Second, func() bool {
+		rs, err := ns.RingGet(ringName, s.opts.AttemptTimeout)
+		return err == nil && rs.CommittedEpoch > 0
+	}) {
 		return
 	}
 	rt, err := bank.NewRouter(pr, bank.RouterOptions{
 		NS:          ns,
 		RingName:    ringName,
 		Coordinator: s.coordPort,
-		Call: amo.CallerOptions{
-			Timeout: s.opts.AttemptTimeout,
-			Retries: s.opts.Retries,
-			Backoff: amo.BackoffPolicy{Base: 2 * time.Millisecond, Jitter: 0.5},
-			Seed:    crng.Int63(),
-			Metrics: s.met,
-		},
+		Call:        callerOptions(s.opts, s.met, crng.Int63()),
 	})
 	if err != nil {
-		led.certain = false
 		return
 	}
 	defer rt.Close()
 
-	open := func(acct string) bool {
-		s.note(func() { s.opsIssued++ })
-		rep, err := rt.Call(acct, "open", acct)
-		if err != nil || (rep.Command != bank.OutcomeOK && rep.Command != bank.OutcomeExists) {
-			s.note(func() { s.opsFailed++ })
-			led.certain = false
-			return false
-		}
-		s.note(func() { s.opsAcked++ })
-		return true
-	}
-	if !open(led.acctA) || !open(led.acctB) {
-		return
-	}
-	s.note(func() { s.opsIssued++; s.sums.issuedDep += seedFunds })
-	rep, err := rt.Call(led.acctA, "deposit", led.acctA, int64(seedFunds))
-	if err != nil || rep.Command != bank.OutcomeOK {
-		s.note(func() { s.opsFailed++ })
-		led.certain = false
-		return
-	}
-	s.note(func() { s.opsAcked++; s.sums.ackedDep += seedFunds })
-	led.funded = true
-	led.expA = seedFunds
-
+	link := routerLink(rt)
+	s.books.fund(led, 0, link)
 	for op := 0; op < s.opts.OpsPerClient; op++ {
 		pace(pr, crng, s.opts)
-		acct, exp := led.acctA, &led.expA
-		if crng.Intn(2) == 1 {
-			acct, exp = led.acctB, &led.expB
-		}
-		pick := crng.Intn(10)
-		amt := 1 + crng.Int63n(9)
-		switch {
-		case pick < 4: // deposit
-			s.note(func() { s.opsIssued++; s.sums.issuedDep += amt })
-			rep, err := rt.Call(acct, "deposit", acct, amt)
-			if err != nil {
-				s.note(func() { s.opsFailed++ })
-				led.certain = false
-				continue
-			}
-			s.note(func() { s.opsAcked++ })
-			if rep.Command == bank.OutcomeOK {
-				s.note(func() { s.sums.ackedDep += amt })
-				*exp += amt
-			}
-		case pick < 7: // withdraw
-			s.note(func() { s.opsIssued++; s.sums.issuedWd += amt })
-			rep, err := rt.Call(acct, "withdraw", acct, amt)
-			if err != nil {
-				s.note(func() { s.opsFailed++ })
-				led.certain = false
-				continue
-			}
-			s.note(func() { s.opsAcked++ })
-			if rep.Command == bank.OutcomeOK {
-				s.note(func() { s.sums.ackedWd += amt })
-				*exp -= amt
-			}
-		default: // transfer a→b or b→a; split pairs ride 2PC inside Router
-			from, to := led.acctA, led.acctB
-			fexp, texp := &led.expA, &led.expB
-			if crng.Intn(2) == 1 {
-				from, to, fexp, texp = to, from, texp, fexp
-			}
-			s.note(func() { s.opsIssued++ })
-			out, err := rt.Transfer(from, to, amt)
-			if err != nil {
-				s.note(func() { s.opsFailed++ })
-				led.certain = false
-				continue
-			}
-			s.note(func() { s.opsAcked++ })
-			if out == bank.OutcomeOK {
-				*fexp -= amt
-				*texp += amt
-			}
-		}
+		s.books.op(led, 0, link, crng)
 	}
 }
 
 func (s *ringWorkload) check(w *guardian.World, rep *Report, crashed bool) {
+	tally := s.books.close(rep)[0]
 	s.mu.Lock()
-	rep.OpsIssued, rep.OpsAcked, rep.OpsFailed = s.opsIssued, s.opsAcked, s.opsFailed
 	rep.Rebalances, rep.RingEpoch = s.rebalances, s.ringEpoch
-	sums := s.sums
 	pending := s.pending
 	s.mu.Unlock()
 	rep.Retries = s.met.Retries.Load()
 
-	clock := w.Clock()
-	waitUntil := func(limit time.Duration, cond func() bool) bool {
-		for waited := time.Duration(0); waited < limit; waited += 5 * time.Millisecond {
-			if cond() {
-				return true
-			}
-			clock.Sleep(5 * time.Millisecond)
-		}
-		return cond()
-	}
-
 	// Bring every crashed node back and prove each branch serves.
 	for _, node := range s.crashNodes() {
-		n, err := w.Node(node)
-		if err != nil {
-			rep.addViolation("recovery", "node %s missing: %v", node, err)
+		if revive(w, rep, node) == nil {
 			return
 		}
-		if !n.Alive() {
-			if err := n.Restart(); err != nil {
-				rep.addViolation("recovery", "restart %s: %v", node, err)
-				return
-			}
-		}
 	}
-	cnode, err := w.Node(clientsNode)
-	if err != nil {
-		rep.addViolation("setup", "clients node missing: %v", err)
+	pr := checker(w, rep, "ring-checker")
+	if pr == nil {
 		return
-	}
-	_, pr, err := cnode.NewDriver("ring-checker")
-	if err != nil {
-		rep.addViolation("setup", "checker driver: %v", err)
-		return
-	}
-	callOpts := sendprim.CallOptions{
-		Timeout: s.opts.AttemptTimeout,
-		Retries: 30,
-		Backoff: 2 * time.Millisecond,
 	}
 	for _, node := range s.memberNodes {
-		if _, err := sendprim.Call(pr, s.member(node).Native, bank.ClientReplyType, callOpts, "audit"); err != nil {
+		if err := pingBranch(pr, s.member(node).Native, s.opts); err != nil {
 			rep.addViolation("recovery", "branch %s unreachable after restart: %v", node, err)
 			return
 		}
@@ -499,7 +360,7 @@ func (s *ringWorkload) check(w *guardian.World, rep *Report, crashed bool) {
 		}
 		rep.Rebalances++
 	}
-	rs, err := ringGetRetry(pr, ns, ropts.Timeout, 40)
+	rs, err := s.ringGetRetry(ns, ropts.Timeout, 40)
 	if err != nil || rs.CommittedEpoch == 0 {
 		rep.addViolation("rebalance", "no committed ring after run: %v", err)
 		return
@@ -513,7 +374,7 @@ func (s *ringWorkload) check(w *guardian.World, rep *Report, crashed bool) {
 
 	// Converge adoption: a broadcast the schedule ate is regenerable.
 	for _, node := range s.memberNodes {
-		if _, err := sendprim.Call(pr, s.member(node).Native, bank.MigrateReplyType, callOpts,
+		if _, err := sendprim.Call(pr, s.member(node).Native, bank.MigrateReplyType, auditCallOptions(s.opts),
 			"ring_update", string(committed.Marshal())); err != nil {
 			rep.addViolation("rebalance", "branch %s rejected ring broadcast: %v", node, err)
 			return
@@ -530,7 +391,7 @@ func (s *ringWorkload) check(w *guardian.World, rep *Report, crashed bool) {
 			rep.addViolation("drain", "coordinator restart: %v", err)
 			return
 		}
-		drained := waitUntil(3*time.Second, func() bool {
+		drained := waitUntil(w.Clock(), 3*time.Second, func() bool {
 			g, ok := coordNode.GuardianByID(s.coordID)
 			if !ok {
 				return false
@@ -548,27 +409,18 @@ func (s *ringWorkload) check(w *guardian.World, rep *Report, crashed bool) {
 	// Single-owner-per-epoch and conservation, from the branches' own
 	// state. The audit pings above ordered these reads after everything
 	// each branch wrote.
-	var accountNames []string
-	for i := range s.ledgers {
-		accountNames = append(accountNames, s.ledgers[i].acctA, s.ledgers[i].acctB)
-	}
 	memberSet := make(map[string]bool, len(committed.Members))
 	for _, m := range committed.Members {
 		memberSet[m.Name] = true
 	}
 	merged := make(map[string]int64)
 	where := make(map[string]string)
-	var total int64
 	for _, node := range s.memberNodes {
-		if _, err := sendprim.Call(pr, s.member(node).Native, bank.ClientReplyType, callOpts, "audit"); err != nil {
-			rep.addViolation("recovery", "branch %s unreachable for audit: %v", node, err)
+		native := s.member(node).Native
+		g := serving(w, rep, node, s.created[node].GuardianID,
+			func() error { return pingBranch(pr, native, s.opts) })
+		if g == nil {
 			return
-		}
-		n, _ := w.Node(node)
-		g, ok := n.GuardianByID(s.created[node].GuardianID)
-		if !ok {
-			rep.addViolation("recovery", "branch %s guardian missing", node)
-			continue
 		}
 		member, epoch, accts, ok := bank.ShardSnapshot(g)
 		if !ok || member != node {
@@ -587,23 +439,9 @@ func (s *ringWorkload) check(w *guardian.World, rep *Report, crashed bool) {
 			}
 			where[a] = node
 			merged[a] = bal
-			total += bal
 		}
-
-		// Recovery-equals-replay, migration records included.
-		cp, recs, err := g.Log().Recover()
-		if err != nil && !errors.Is(err, stable.ErrNoCheckpoint) {
-			rep.addViolation("recovery", "branch %s log recover: %v", node, err)
-			continue
-		}
-		replay, err := bank.ReplayAccountsFrom(cp, recs)
-		if err != nil {
-			rep.addViolation("recovery", "branch %s checkpoint decode: %v", node, err)
-			continue
-		}
-		if !equalAccounts(accts, replay) {
-			rep.addViolation("recovery", "branch %s accounts %v != log replay %v", node, accts, replay)
-		}
+		// Migration records included.
+		auditReplay(rep, "branch "+node, g, accts)
 	}
 	for a, node := range where {
 		owner, ok := committed.Owner(a)
@@ -616,24 +454,11 @@ func (s *ringWorkload) check(w *guardian.World, rep *Report, crashed bool) {
 		}
 	}
 
-	lo := sums.ackedDep - sums.issuedWd
-	hi := sums.issuedDep - sums.ackedWd
-	if total < lo || total > hi {
-		rep.addViolation("conservation",
-			"cluster total %d outside [%d,%d] (acked/issued deposit and withdrawal bounds)", total, lo, hi)
-	}
-
-	// Exactly-once: exact balances for all-acked clients, across every
+	// Conservation, and exact balances for all-acked clients across every
 	// epoch flip their retries crossed.
+	ledgers := make([]*clientLedger, len(s.ledgers))
 	for i := range s.ledgers {
-		led := &s.ledgers[i]
-		if !led.funded || !led.certain {
-			continue
-		}
-		if merged[led.acctA] != led.expA || merged[led.acctB] != led.expB {
-			rep.addViolation("exactly-once",
-				"client %d (all calls acked): got %s=%d %s=%d, want %d/%d",
-				i+1, led.acctA, merged[led.acctA], led.acctB, merged[led.acctB], led.expA, led.expB)
-		}
+		ledgers[i] = &s.ledgers[i]
 	}
+	auditAccounts(rep, "cluster", merged, tally, ledgers)
 }

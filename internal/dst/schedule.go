@@ -27,7 +27,7 @@ const (
 	EvHeal
 	// EvKill kills a node permanently: like EvCrash, but the node is never
 	// restarted — the run engine suppresses any later EvRestart of it. This
-	// is the replica workload's fault: permanent loss of the primary, which
+	// is the replicated topology's fault: permanent loss of a primary, which
 	// only failover (not recovery) can survive.
 	EvKill
 	// EvCutLink severs the single directed link Node→Peer (the asymmetric
@@ -138,7 +138,7 @@ func sameSchedule(a, b []Event) bool {
 // Crashes crash→restart windows over the crashable nodes, Partitions
 // partition→heal windows over all nodes, Kills permanent kills of the
 // killable nodes, and Isolations partition→heal windows that cut exactly
-// the first killable node (the replica workload's initial primary) off
+// the first killable node (shard 0's initial primary) off
 // from everyone else — the split-brain shape. All are placed inside the
 // profile's horizon and sorted by offset. Windows may overlap;
 // application order at equal times follows schedule order, and
@@ -306,8 +306,8 @@ func genSchedule(rng *rand.Rand, p Profile, crashable, all, killable []string) [
 		pair++
 	}
 
-	// Fork windows: the first kill-eligible node (the replica workload's
-	// initial primary) is partitioned TOGETHER WITH the never-crashing
+	// Fork windows: the first kill-eligible node (shard 0's initial
+	// primary) is partitioned TOGETHER WITH the never-crashing
 	// nodes (the clients and their name service) away from the rest of
 	// its group. Client traffic keeps landing on the old primary, whose
 	// appends become locally durable but can never reach a quorum, while

@@ -67,8 +67,7 @@ func TestTopologyValidation(t *testing.T) {
 	}{
 		{"zero shards", Options{Topology: &Topology{Shards: 0}}},
 		{"even repl factor", Options{Topology: &Topology{Shards: 2, ReplFactor: 2}}},
-		{"with bug", Options{Topology: &Topology{Shards: 2}, Bug: BugDisableDedup}},
-		{"with replication faults", Options{Topology: &Topology{Shards: 2}, ReplicationFaults: true}},
+		{"with bug", Options{Topology: &Topology{Shards: 2, ReplFactor: 3}, Bug: BugDisableDedup}},
 		{"airline", Options{Workload: "airline", Topology: &Topology{Shards: 2}}},
 	}
 	for _, tc := range cases {

@@ -28,10 +28,6 @@ func NewSimDisk(clock vtime.Clock, syncDelay time.Duration) *Sim {
 	return NewSim(stable.NewDisk(clock, stable.DiskConfig{SyncDelay: syncDelay}))
 }
 
-// Disk unwraps to the simulated device, for tests and experiments that
-// reach past the seam (mirroring transport.Sim's Network unwrap).
-func (s *Sim) Disk() *stable.Disk { return s.disk }
-
 // OpenLog implements Store. The simulated log is the interface's
 // reference implementation; opening cannot fail.
 func (s *Sim) OpenLog(name string) (Log, error) { return s.disk.OpenLog(name), nil }

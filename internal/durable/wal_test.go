@@ -533,8 +533,7 @@ func TestLogNameEscapeRoundTrip(t *testing.T) {
 }
 
 func TestSimStoreSeam(t *testing.T) {
-	// The simulated disk satisfies the seam unchanged, and the adapter
-	// unwraps for tests that reach past it.
+	// The simulated disk satisfies the seam unchanged.
 	s := NewSim(newTestDisk())
 	if s.Persistent() {
 		t.Fatal("simulated storage must not claim persistence")
@@ -553,8 +552,8 @@ func TestSimStoreSeam(t *testing.T) {
 	if len(recs) != 1 {
 		t.Fatalf("records = %v", recs)
 	}
-	if s.Disk() == nil {
-		t.Fatal("Disk unwrap returned nil")
+	if names := s.LogNames(); len(names) != 1 || names[0] != "x" {
+		t.Fatalf("LogNames = %v", names)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

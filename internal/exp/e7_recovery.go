@@ -287,7 +287,10 @@ func runE7Cell(ops, cpEvery int, timeout time.Duration) (replayLen int, recTime 
 		}
 	}
 	// Replay length = durable records not folded into the checkpoint.
-	glog := srv.Disk().OpenLog(fmt.Sprintf("e7_ledger-%d", created.GuardianID))
+	glog, err := srv.Store().OpenLog(fmt.Sprintf("e7_ledger-%d", created.GuardianID))
+	if err != nil {
+		return 0, 0, false, err
+	}
 	replayLen = glog.DurableLen()
 
 	clock := w.Clock()

@@ -42,7 +42,7 @@ func TestNodeAccessors(t *testing.T) {
 	if n.Name() != "n" || n.World() != w {
 		t.Fatal("identity accessors")
 	}
-	if n.Disk() == nil || n.Registry() == nil {
+	if n.Store() == nil || n.Registry() == nil {
 		t.Fatal("nil substrate accessors")
 	}
 	if !n.Alive() {

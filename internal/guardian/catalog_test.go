@@ -31,8 +31,8 @@ func TestCatalogRecoversGuardianAcrossProcessDeath(t *testing.T) {
 	w1.MustRegister(counterDef)
 	a1 := w1.MustAddNode("alpha")
 	b1 := w1.MustAddNode("beta")
-	if a1.Disk() != nil {
-		t.Fatal("WAL-backed node claims a simulated disk")
+	if !a1.Store().Persistent() {
+		t.Fatal("WAL-backed node's store does not claim persistence")
 	}
 	created, err := a1.Bootstrap("counter")
 	if err != nil {

@@ -91,17 +91,6 @@ func (n *Node) World() *World { return n.world }
 // Store returns the node's crash-surviving storage backend.
 func (n *Node) Store() durable.Store { return n.store }
 
-// Disk unwraps the node's storage to the simulated disk, for tests and
-// experiments that reach past the seam (fault schedules, direct log
-// inspection). It is nil when the node runs on a non-simulated backend
-// (e.g. an on-disk WAL); such nodes are inspected through Store.
-func (n *Node) Disk() *stable.Disk {
-	if s, ok := n.store.(interface{ Disk() *stable.Disk }); ok {
-		return s.Disk()
-	}
-	return nil
-}
-
 // Registry returns the node's decode registry for abstract types. Nodes
 // may register different representations of the same type (§3.3).
 func (n *Node) Registry() *xrep.Registry { return n.reg }

@@ -10,29 +10,30 @@
 //     to globally named ports, best-effort delivery, system failure
 //     messages, and user-controlled transmission of abstract values.
 //
-// This package re-exports the core API from the internal packages so that
-// a downstream user needs a single import:
+// This package re-exports the guardian, send/receive and at-most-once API
+// from the internal packages so that a downstream user needs a single
+// import:
 //
 //	w := repro.NewWorld(repro.Config{})
 //	n := w.MustAddNode("alpha")
 //	pt := repro.NewPortType("echo_port").Msg("echo", repro.KindString)
 //	w.MustRegister(&repro.GuardianDef{ ... })
 //
-// The examples/ directory holds complete programs; internal/exp holds the
-// experiment harness that regenerates every figure-level claim of the
-// paper (see DESIGN.md and EXPERIMENTS.md).
+// The facade is deliberately only that: every name here is used by
+// example_test.go, examples/quickstart, examples/primitives, a README
+// snippet, or the guardianlint facade table. The substrates and harnesses
+// built around the primitives — transports, the WAL, replication, the
+// simulator — are reached through cmd/* and examples/*, which import
+// internal/… directly. internal/exp holds the experiment harness that
+// regenerates every figure-level claim of the paper (see DESIGN.md and
+// EXPERIMENTS.md).
 package repro
 
 import (
 	"repro/internal/amo"
-	"repro/internal/dst"
-	"repro/internal/durable"
 	"repro/internal/guardian"
 	"repro/internal/netsim"
-	"repro/internal/replica"
 	"repro/internal/sendprim"
-	"repro/internal/transport"
-	"repro/internal/vtime"
 	"repro/internal/xrep"
 )
 
@@ -62,93 +63,18 @@ type (
 	Receiver = guardian.Receiver
 	// Created reports the result of guardian creation.
 	Created = guardian.Created
-	// ACL is the access-control helper of §2.3.
-	ACL = guardian.ACL
-	// Principal identifies a requester for access control.
-	Principal = guardian.Principal
 	// RecvStatus reports how a receive ended.
 	RecvStatus = guardian.RecvStatus
-	// Event is one traced runtime occurrence.
-	Event = guardian.Event
-	// Tracer consumes runtime events.
-	Tracer = guardian.Tracer
-	// RingTracer retains the most recent events.
+	// RingTracer retains the most recent runtime events.
 	RingTracer = guardian.RingTracer
 
 	// NetConfig is the network fault/delay model.
 	NetConfig = netsim.Config
-	// Clock abstracts time (real or simulated).
-	Clock = vtime.Clock
-
-	// Transport carries a world's packets between nodes.
-	Transport = transport.Transport
-	// TransportAddr is a node's transport-level name.
-	TransportAddr = transport.Addr
-	// TransportStats is a transport's delivery accounting.
-	TransportStats = transport.Stats
-	// UDPTransport carries packets over real UDP sockets.
-	UDPTransport = transport.UDP
-	// UDPConfig configures a UDPTransport.
-	UDPConfig = transport.UDPConfig
-	// SimTransport adapts the in-memory simulator to the Transport seam.
-	SimTransport = transport.Sim
-	// TCPTransport carries frames over persistent TCP connections.
-	TCPTransport = transport.TCP
-	// TCPConfig configures a TCPTransport.
-	TCPConfig = transport.TCPConfig
-	// TCPConnStats is one peer connection's state-machine accounting.
-	TCPConnStats = transport.ConnStats
-	// TCPDialer is the dial seam a TCPTransport uses (TLS-ready).
-	TCPDialer = transport.Dialer
-	// FaultWrapper injects loss/duplication/delay around any Transport —
-	// and connection resets and write stalls around a stream transport.
-	FaultWrapper = transport.Wrapper
-	// FaultWrapperConfig is the injected fault model.
-	FaultWrapperConfig = transport.WrapperConfig
-	// FaultWrapperStats counts the faults a FaultWrapper injected.
-	FaultWrapperStats = transport.WrapperStats
-
-	// Store is a node's crash-surviving storage backend (§2.2).
-	Store = durable.Store
-	// DurableLog is one guardian's append-only recovery log.
-	DurableLog = durable.Log
-	// WAL is the on-disk write-ahead log that survives kill -9.
-	WAL = durable.WAL
-	// WALConfig tunes a WAL (segment size, group commit, crash hooks).
-	WALConfig = durable.WALConfig
-	// WALHooks expose the WAL's crash windows to fault injection.
-	WALHooks = durable.WALHooks
-	// SimStore adapts the in-memory simulated disk to the Store seam.
-	SimStore = durable.Sim
-	// StoreFaultWrapper injects seeded storage faults around any Store.
-	StoreFaultWrapper = durable.Wrapper
-	// StoreFaultConfig is the injected storage-fault model.
-	StoreFaultConfig = durable.WrapperConfig
-	// StoreFaultStats counts the storage faults a wrapper injected.
-	StoreFaultStats = durable.WrapperStats
-	// RecoveryReport describes what recovery found in one log.
-	RecoveryReport = durable.RecoveryReport
 
 	// Value is a node of the external representation model (§3.3).
 	Value = xrep.Value
-	// Seq is a sequence value of the external model.
-	Seq = xrep.Seq
-	// Int is an integer value of the external model.
-	Int = xrep.Int
-	// Str is a string value of the external model.
-	Str = xrep.Str
-	// Bool is a boolean value of the external model.
-	Bool = xrep.Bool
 	// PortName is the global name of a port.
 	PortName = xrep.PortName
-	// Token is a sealed capability (§2.1).
-	Token = xrep.Token
-	// Limits carries system-wide type invariants.
-	Limits = xrep.Limits
-	// Transmittable is the interface of transmittable abstract types.
-	Transmittable = xrep.Transmittable
-	// Registry holds a node's decode operations.
-	Registry = xrep.Registry
 	// CallOptions tunes a remote transaction send.
 	CallOptions = sendprim.CallOptions
 
@@ -166,36 +92,6 @@ type (
 	AMORequest = amo.Request
 	// AMOReply is the decoded reply of an at-most-once call.
 	AMOReply = amo.Reply
-	// AMOHealth tracks watchdog liveness events as a circuit breaker.
-	AMOHealth = amo.Health
-
-	// ReplicaStore replicates a durable Store across a member group (§12).
-	ReplicaStore = replica.Store
-	// ReplicaConfig names the group, its members, and the ack mode.
-	ReplicaConfig = replica.Config
-	// ReplicaMode selects quorum-gated or asynchronous replication acks.
-	ReplicaMode = replica.Mode
-	// ReplicaStats counts shipped/applied records, elections, takeovers.
-	ReplicaStats = replica.Stats
-	// ReplicaHooks expose the replication windows to fault injection.
-	ReplicaHooks = replica.Hooks
-
-	// DSTOptions configures one deterministic simulation run.
-	DSTOptions = dst.Options
-	// DSTProfile is a named fault-injection profile.
-	DSTProfile = dst.Profile
-	// DSTReport is one run's verdict: violations, counters, schedule.
-	DSTReport = dst.Report
-	// DSTEvent is one scheduled fault (crash/restart/partition/heal).
-	DSTEvent = dst.Event
-	// DSTViolation is one invariant breach found by a checker.
-	DSTViolation = dst.Violation
-	// DSTTopology shapes a run as many independent guardian groups.
-	DSTTopology = dst.Topology
-	// DSTSweepOptions configures a parallel multi-seed sweep.
-	DSTSweepOptions = dst.SweepOptions
-	// DSTSweepResult aggregates a sweep's verdicts, timing, and repros.
-	DSTSweepResult = dst.SweepResult
 )
 
 // Constructors and helpers.
@@ -206,12 +102,10 @@ var (
 	NewPortType = guardian.NewPortType
 	// NewReceiver starts a receive statement over ports.
 	NewReceiver = guardian.NewReceiver
-	// NewACL returns an empty (deny-all) access control list.
-	NewACL = guardian.NewACL
 	// PrimordialPort names a node's primordial guardian port.
 	PrimordialPort = guardian.PrimordialPort
-	// NewRegistry returns an empty decode registry.
-	NewRegistry = xrep.NewRegistry
+	// NewRingTracer creates a bounded event tracer.
+	NewRingTracer = guardian.NewRingTracer
 	// Encode converts a Go value to the external value model.
 	Encode = xrep.Encode
 	// SyncSend is the synchronization send built on the no-wait send.
@@ -224,63 +118,8 @@ var (
 	NewAMOCaller = amo.NewCaller
 	// NewAMODedup creates a server-side at-most-once filter.
 	NewAMODedup = amo.NewDedup
-	// NewAMOHealth creates a watchdog-fed circuit breaker.
-	NewAMOHealth = amo.NewHealth
 	// AMOReqType is the port type a guardian provides to accept amo calls.
 	AMOReqType = amo.ReqType
-	// AMOErrTimeout: the retry budget was exhausted without a reply.
-	AMOErrTimeout = amo.ErrTimeout
-	// AMOErrCircuitOpen: the target node is reported down; failed fast.
-	AMOErrCircuitOpen = amo.ErrCircuitOpen
-	// AMOErrFailed: the runtime returned a failure message for the call.
-	AMOErrFailed = amo.ErrFailed
-	// AMOErrBusy: a Caller carries one call at a time.
-	AMOErrBusy = amo.ErrBusy
-	// OpenWAL opens (or recovers) an on-disk write-ahead log store.
-	OpenWAL = durable.OpenWAL
-	// NewSimStore adapts a simulated disk to the Store seam.
-	NewSimStore = durable.NewSim
-	// NewSimDiskStore builds the default simulated Store on a clock.
-	NewSimDiskStore = durable.NewSimDisk
-	// WrapStore composes a seeded storage-fault model around any Store.
-	WrapStore = durable.Wrap
-	// NewUDPTransport creates a real-socket transport for a world.
-	NewUDPTransport = transport.NewUDP
-	// NewTCPTransport creates a stream transport: framed persistent
-	// connections with heartbeats, reconnect, and multiplexing.
-	NewTCPTransport = transport.NewTCP
-	// NewSimTransport adapts a simulator network to the Transport seam.
-	NewSimTransport = transport.NewSim
-	// WrapTransport composes a fault model around any transport.
-	WrapTransport = transport.Wrap
-	// NewRealClock returns the wall clock.
-	NewRealClock = vtime.NewReal
-	// NewSimClock returns a deterministic simulated clock.
-	NewSimClock = vtime.NewSim
-	// NewRingTracer creates a bounded event tracer.
-	NewRingTracer = guardian.NewRingTracer
-	// NewReplicaStore wraps a durable Store in primary/backup replication.
-	NewReplicaStore = replica.NewStore
-	// ReplicaDef is the replicator guardian every member bootstraps first.
-	ReplicaDef = replica.Def
-	// ReplicaPortAt names a member's replicator control port a priori.
-	ReplicaPortAt = replica.PortAt
-	// DSTRun executes one seeded simulation and checks its invariants.
-	DSTRun = dst.Run
-	// DSTSchedule derives the fault schedule a seed will execute.
-	DSTSchedule = dst.Schedule
-	// DSTShrink minimizes a failing run's fault schedule.
-	DSTShrink = dst.Shrink
-	// DSTProfiles lists the built-in fault profiles.
-	DSTProfiles = dst.Profiles
-	// DSTProfileByName resolves a fault profile by name.
-	DSTProfileByName = dst.ProfileByName
-	// DSTSweep runs many seeds in parallel, each fully isolated.
-	DSTSweep = dst.Sweep
-	// DSTCombinedProfile composes network, crash, and storage faults.
-	DSTCombinedProfile = dst.CombinedProfile
-	// DSTForkHealProfile forces a replication fork and its heal window.
-	DSTForkHealProfile = dst.ForkHealProfile
 )
 
 // Receive statuses.
@@ -295,20 +134,8 @@ const (
 	Infinite = guardian.Infinite
 	// FailureCommand is the implicit system failure message.
 	FailureCommand = guardian.FailureCommand
-	// AMOReqCommand is the envelope command of at-most-once requests.
-	AMOReqCommand = amo.ReqCommand
-	// DSTBugDisableDedup injects the known dedup-off bug as a harness check.
-	DSTBugDisableDedup = dst.BugDisableDedup
 	// AnyKind is the wildcard argument kind in message specs.
 	AnyKind = guardian.AnyKind
-	// ReplicaModeQuorum gates each ack on majority durability.
-	ReplicaModeQuorum = replica.ModeQuorum
-	// ReplicaModeAsync ships replication behind local acks.
-	ReplicaModeAsync = replica.ModeAsync
-	// ReplicaDefName is the replicator guardian every member bootstraps.
-	ReplicaDefName = replica.DefName
-	// DefaultTCPMaxFrame is a TCPTransport's default frame-size bound.
-	DefaultTCPMaxFrame = transport.DefaultTCPMaxFrame
 )
 
 // Value kinds for port type declarations.
