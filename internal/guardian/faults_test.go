@@ -1,6 +1,8 @@
 package guardian
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -261,5 +263,91 @@ func TestReceiveWakesOnArrivalUnderSimClock(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("arrival did not wake the receiver under the simulated clock")
+	}
+}
+
+// TestConcurrentSendsKeepTheirBytes: every send builds its packets in a
+// pooled buffer that the next send overwrites. With many processes sending
+// at once — one- and many-fragment messages, every packet duplicated and
+// delayed in the network — each message must still arrive exactly once
+// with the bytes its sender gave it.
+func TestConcurrentSendsKeepTheirBytes(t *testing.T) {
+	type blob struct {
+		sender, seq int64
+		ok          bool
+	}
+	got := make(chan blob, 4096)
+	w := NewWorld(Config{
+		FragmentMTU: 512,
+		Net:         netsim.Config{Seed: 9, DupRate: 1, BaseLatency: 50 * time.Microsecond, Jitter: 200 * time.Microsecond},
+	})
+	sinkPort := NewPortType("blobs").Msg("blob", xrep.KindInt, xrep.KindInt, xrep.KindBytes)
+	w.MustRegister(&GuardianDef{
+		TypeName:     "blobcheck",
+		Provides:     []*PortType{sinkPort},
+		PortCapacity: 4096,
+		Init: func(ctx *Ctx) {
+			NewReceiver(ctx.Ports[0]).
+				WhenFailure(func(pr *Process, text string, m *Message) { t.Errorf("failure(%q)", text) }).
+				When("blob", func(pr *Process, m *Message) {
+					b := blob{sender: m.Int(0), seq: m.Int(1), ok: true}
+					data, _ := m.Args[2].(xrep.Bytes)
+					b.ok = len(data) >= 20
+					for _, x := range data {
+						b.ok = b.ok && x == byte(b.sender*16+b.seq%16)
+					}
+					got <- b
+				}).
+				Loop(ctx.Proc, nil)
+		},
+	})
+	created, err := w.MustAddNode("srv").Bootstrap("blobcheck")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := w.MustAddNode("cli")
+	const senders, each = 8, 40
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		_, drv, err := cli.NewDriver(fmt.Sprintf("d%d", s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				data := make([]byte, 20+(i%4)*700) // 1 to 5 fragments
+				for j := range data {
+					data[j] = byte(s*16 + i%16)
+				}
+				if err := drv.Send(created.Ports[0], "blob", s, i, data); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	w.Quiesce()
+	seen := make(map[[2]int64]bool)
+	for len(seen) < senders*each {
+		select {
+		case b := <-got:
+			if !b.ok {
+				t.Fatalf("message %d of sender %d arrived with another message's bytes", b.seq, b.sender)
+			}
+			if seen[[2]int64{b.sender, b.seq}] {
+				t.Fatalf("message %d of sender %d delivered twice", b.seq, b.sender)
+			}
+			seen[[2]int64{b.sender, b.seq}] = true
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d messages arrived", len(seen), senders*each)
+		}
+	}
+	select {
+	case b := <-got:
+		t.Fatalf("message %d of sender %d delivered twice", b.seq, b.sender)
+	case <-time.After(20 * time.Millisecond):
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/durable"
 	"repro/internal/stable"
@@ -41,9 +40,7 @@ type Node struct {
 	// everything.
 	allowCreate func(srcNode string, srcGuardian uint64, defName string) bool
 
-	reasm     *wire.Reassembler
-	lastSweep time.Time
-	sweepMu   sync.Mutex
+	reasm *wire.Reassembler
 }
 
 // guardianMeta is the catalog record for one guardian.
@@ -71,6 +68,8 @@ func newNode(w *World, name string) (*Node, error) {
 	if store == nil {
 		store = durable.NewSim(stable.NewDisk(w.clock, stable.DiskConfig{}))
 	}
+	reasm := wire.NewReassembler()
+	reasm.MaxAge = w.cfg.ReassemblyAge
 	return &Node{
 		world:     w,
 		name:      name,
@@ -78,7 +77,7 @@ func newNode(w *World, name string) (*Node, error) {
 		reg:       xrep.NewRegistry(),
 		guardians: make(map[uint64]*Guardian),
 		meta:      make(map[uint64]*guardianMeta),
-		reasm:     wire.NewReassembler(),
+		reasm:     reasm,
 	}, nil
 }
 
@@ -388,20 +387,14 @@ func (n *Node) Takeover(defName, logName string, args ...any) (*Created, error) 
 // dispatch. Runs on the transport's delivery (or socket receive-loop)
 // goroutines. from is the transport-level source — the logical node name
 // on the simulator, an observed "ip:port" on UDP — used only to key
-// fragment reassembly; everything else comes from the frame.
+// fragment reassembly; everything else comes from the frame. The payload
+// is the node's to keep (transport.Handler): the reassembler holds
+// fragments by reference, and decoding copies every value out of them.
 func (n *Node) handlePacket(from transport.Addr, payload []byte) {
 	if !n.Alive() {
 		return
 	}
-	now := n.world.clock.Now()
-	n.sweepMu.Lock()
-	if now.Sub(n.lastSweep) > n.world.cfg.ReassemblyAge {
-		n.lastSweep = now
-		n.reasm.Sweep(now, n.world.cfg.ReassemblyAge)
-	}
-	n.sweepMu.Unlock()
-
-	frameBytes, err := n.reasm.Add(string(from), payload, now)
+	frameBytes, err := n.reasm.Add(string(from), payload, n.world.clock.Now())
 	if err != nil {
 		n.world.stats.DiscardBadFrame.Add(1)
 		return
@@ -461,8 +454,7 @@ func (n *Node) dispatchFrame(f *wire.Frame) {
 		return
 	}
 	st.MessagesDelivered.Add(1)
-	n.world.trace(EvDeliver, n.name, "%s(..) from %s/%d to guardian %d port %d",
-		f.Command, f.SrcNode, f.SrcGuardian, f.Dest.Guardian, f.Dest.Port)
+	n.world.traceDeliver(n.name, f)
 }
 
 // failureReply sends the system failure message to a discarded message's
@@ -485,16 +477,25 @@ func (n *Node) failureReply(f *wire.Frame, text string) {
 	n.routeFrame(reply)
 }
 
+// sendBuf is the scratch a send builds its frame and packets in.
+type sendBuf struct{ frame, pkt []byte }
+
+// sendBufs recycles them across sends. A packet may be overwritten the
+// moment Send returns because every Transport copies or consumes the
+// payload before then (transport.Transport.Send).
+var sendBufs = sync.Pool{New: func() any { return new(sendBuf) }}
+
 // routeFrame marshals, fragments and transmits a frame toward its
 // destination node. Local destinations bypass the network but keep the
 // marshal/unmarshal round trip, preserving value-copy semantics while
 // making intra-node communication cheap (§2.1).
 func (n *Node) routeFrame(f *wire.Frame) error {
-	raw, err := f.Marshal()
-	if err != nil {
-		return err
-	}
 	if f.Dest.Node == n.name {
+		// The frame outlives this call, so it gets a buffer of its own.
+		raw, err := f.Marshal()
+		if err != nil {
+			return err
+		}
 		if !n.Alive() {
 			return ErrNodeDown
 		}
@@ -511,14 +512,22 @@ func (n *Node) routeFrame(f *wire.Frame) error {
 		}()
 		return nil
 	}
-	pkts, err := wire.Fragment(f.MsgID, raw, n.world.cfg.FragmentMTU)
+	sb := sendBufs.Get().(*sendBuf)
+	defer sendBufs.Put(sb)
+	frame, err := wire.AppendFrame(sb.frame[:0], f)
 	if err != nil {
 		return err
 	}
-	for _, pkt := range pkts {
+	sb.frame = frame
+	chunk, count, err := wire.Packets(len(frame), n.world.cfg.FragmentMTU)
+	if err != nil {
+		return err
+	}
+	for i := 0; i < count; i++ {
+		sb.pkt = wire.AppendPacket(sb.pkt[:0], f.MsgID, i, count, frame[i*chunk:min((i+1)*chunk, len(frame))])
 		// Best-effort: transport errors below MTU level mean the node is
 		// detached; the message is simply lost, as the paper allows.
-		if err := n.world.tr.Send(transport.Addr(n.name), transport.Addr(f.Dest.Node), pkt); err != nil {
+		if err := n.world.tr.Send(transport.Addr(n.name), transport.Addr(f.Dest.Node), sb.pkt); err != nil {
 			return nil
 		}
 	}

@@ -18,13 +18,64 @@ type Port struct {
 	capacity int
 
 	mu      sync.Mutex
-	queue   []*Message
-	waiters []*waiter
+	queue   fifo[*Message]
+	waiters fifo[*waiter]
 	closed  bool
 
 	// accounting
 	enqueued  atomic.Int64
 	discarded atomic.Int64
+}
+
+// fifo is a queue over a slice that keeps its backing array: pop advances
+// a head index instead of re-slicing the front away (which would make
+// every later append reallocate), and the array is reused from the start
+// once the queue drains or, under a standing backlog, when it fills.
+type fifo[T comparable] struct {
+	items []T
+	head  int
+}
+
+func (q *fifo[T]) len() int { return len(q.items) - q.head }
+
+func (q *fifo[T]) push(v T) {
+	if q.head > 0 && len(q.items) == cap(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
+	q.items = append(q.items, v)
+}
+
+// pop removes and returns the oldest element; the queue must not be empty.
+func (q *fifo[T]) pop() T {
+	v := q.items[q.head]
+	var zero T
+	q.items[q.head] = zero
+	q.head++
+	q.rewindIfEmpty()
+	return v
+}
+
+// remove deletes the first element equal to v, if there is one.
+func (q *fifo[T]) remove(v T) {
+	for i := q.head; i < len(q.items); i++ {
+		if q.items[i] == v {
+			last := len(q.items) - 1
+			copy(q.items[i:], q.items[i+1:])
+			var zero T
+			q.items[last] = zero
+			q.items = q.items[:last]
+			q.rewindIfEmpty()
+			return
+		}
+	}
+}
+
+func (q *fifo[T]) rewindIfEmpty() {
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
 }
 
 // waiter is one blocked Receive. The first port to deliver claims it.
@@ -46,7 +97,7 @@ func (p *Port) Guardian() *Guardian { return p.guardian }
 func (p *Port) Len() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.queue)
+	return p.queue.len()
 }
 
 // Capacity returns the port's buffer space.
@@ -71,9 +122,8 @@ func (p *Port) deliver(m *Message) bool {
 	}
 	// Hand to the oldest waiter that has not been claimed by another port
 	// or by its timeout.
-	for len(p.waiters) > 0 {
-		w := p.waiters[0]
-		p.waiters = p.waiters[1:]
+	for p.waiters.len() > 0 {
+		w := p.waiters.pop()
 		if w.claimed.CompareAndSwap(false, true) {
 			p.mu.Unlock()
 			w.ch <- m
@@ -81,12 +131,12 @@ func (p *Port) deliver(m *Message) bool {
 			return true
 		}
 	}
-	if len(p.queue) >= p.capacity {
+	if p.queue.len() >= p.capacity {
 		p.mu.Unlock()
 		p.discarded.Add(1)
 		return false
 	}
-	p.queue = append(p.queue, m)
+	p.queue.push(m)
 	p.mu.Unlock()
 	p.enqueued.Add(1)
 	return true
@@ -98,34 +148,30 @@ func (p *Port) deliver(m *Message) bool {
 func (p *Port) claimQueued(w *waiter) *Message {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.queue) == 0 {
+	if p.queue.len() == 0 {
 		return nil
 	}
 	if !w.claimed.CompareAndSwap(false, true) {
 		return nil
 	}
-	m := p.queue[0]
-	p.queue = p.queue[1:]
-	return m
+	return p.queue.pop()
 }
 
 // tryDequeue pops the oldest queued message, if any.
 func (p *Port) tryDequeue() *Message {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.queue) == 0 {
+	if p.queue.len() == 0 {
 		return nil
 	}
-	m := p.queue[0]
-	p.queue = p.queue[1:]
-	return m
+	return p.queue.pop()
 }
 
 // addWaiter registers a blocked receiver.
 func (p *Port) addWaiter(w *waiter) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.waiters = append(p.waiters, w)
+	p.waiters.push(w)
 }
 
 // removeWaiter drops w from the wait list (after a timeout or a win on
@@ -133,12 +179,7 @@ func (p *Port) addWaiter(w *waiter) {
 func (p *Port) removeWaiter(w *waiter) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for i, x := range p.waiters {
-		if x == w {
-			p.waiters = append(p.waiters[:i], p.waiters[i+1:]...)
-			return
-		}
-	}
+	p.waiters.remove(w)
 }
 
 // close marks the port dead (guardian crash or self-destruct); queued
@@ -147,6 +188,6 @@ func (p *Port) close() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.closed = true
-	p.queue = nil
-	p.waiters = nil
+	p.queue = fifo[*Message]{}
+	p.waiters = fifo[*waiter]{}
 }

@@ -120,8 +120,7 @@ func (pr *Process) send(to, replyTo xrep.PortName, pt *PortType, command string,
 		return err
 	}
 	pr.g.node.world.stats.MessagesSent.Add(1)
-	pr.g.node.world.trace(EvSend, pr.g.node.name, "%s(..) guardian %d -> %s/%d/%d",
-		command, pr.g.id, to.Node, to.Guardian, to.Port)
+	pr.g.node.world.traceSend(pr.g.node.name, command, pr.g.id, to)
 	return nil
 }
 

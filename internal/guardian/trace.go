@@ -5,6 +5,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/wire"
+	"repro/internal/xrep"
 )
 
 // Event is one runtime occurrence: a message milestone or a lifecycle
@@ -65,6 +68,24 @@ func (w *World) trace(kind, node, format string, args ...any) {
 		Node:   node,
 		Detail: fmt.Sprintf(format, args...),
 	})
+}
+
+// traceSend and traceDeliver are the two per-message events. Each checks
+// for a tracer before building its arguments: passing them to trace boxes
+// every one, which with no tracer installed is garbage on every message.
+func (w *World) traceSend(node, command string, gid uint64, to xrep.PortName) {
+	if w.tracer.Load() == nil {
+		return
+	}
+	w.trace(EvSend, node, "%s(..) guardian %d -> %s/%d/%d", command, gid, to.Node, to.Guardian, to.Port)
+}
+
+func (w *World) traceDeliver(node string, f *wire.Frame) {
+	if w.tracer.Load() == nil {
+		return
+	}
+	w.trace(EvDeliver, node, "%s(..) from %s/%d to guardian %d port %d",
+		f.Command, f.SrcNode, f.SrcGuardian, f.Dest.Guardian, f.Dest.Port)
 }
 
 // RingTracer keeps the most recent events in a fixed-size ring.

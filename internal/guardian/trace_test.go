@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/wire"
+	"repro/internal/xrep"
 )
 
 func TestTracerRecordsMessageLifecycle(t *testing.T) {
@@ -132,5 +135,30 @@ func TestSetTracerNilDisables(t *testing.T) {
 	}
 	if tr.Total() != 0 {
 		t.Fatalf("disabled tracer received %d events", tr.Total())
+	}
+}
+
+// TestTraceOffAllocatesNothing: the two per-message events must not build
+// (and box) their arguments when no tracer is installed.
+func TestTraceOffAllocatesNothing(t *testing.T) {
+	w, _, _ := newWorld(t, Config{})
+	to := xrep.PortName{Node: "server", Guardian: 1 << 20, Port: 1 << 20}
+	f := &wire.Frame{Dest: to, SrcNode: "client", SrcGuardian: 1 << 20, Command: "echo"}
+	events := func() {
+		w.traceSend("client", "echo", 1<<20, to)
+		w.traceDeliver("server", f)
+	}
+	if n := testing.AllocsPerRun(100, events); n != 0 {
+		t.Fatalf("send+deliver events with no tracer allocate %v times", n)
+	}
+	tr := NewRingTracer(4)
+	w.SetTracer(tr)
+	events()
+	if tr.Total() != 2 {
+		t.Fatalf("installed tracer saw %d events, want 2", tr.Total())
+	}
+	w.SetTracer(nil)
+	if n := testing.AllocsPerRun(100, events); n != 0 {
+		t.Fatalf("send+deliver events after the tracer was removed allocate %v times", n)
 	}
 }

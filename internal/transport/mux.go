@@ -80,13 +80,17 @@ func encodeString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// encodeData builds one data frame carrying payload from src to dst.
+// encodeData builds one data frame carrying payload from src to dst, in a
+// buffer of its own: the connection's writer consumes it after Send has
+// returned, when the caller's payload is no longer the transport's to read.
 func encodeData(src, dst Addr, payload []byte) []byte {
-	body := make([]byte, 0, len(payload)+2*(5+len(src)+len(dst)))
-	body = encodeString(body, string(src))
-	body = encodeString(body, string(dst))
-	body = append(body, payload...)
-	return appendFrame(make([]byte, 0, 5+len(body)), frameData, body)
+	buf := make([]byte, 4, 4+1+2*binary.MaxVarintLen32+len(src)+len(dst)+len(payload))
+	buf = append(buf, frameData)
+	buf = encodeString(buf, string(src))
+	buf = encodeString(buf, string(dst))
+	buf = append(buf, payload...)
+	binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
+	return buf
 }
 
 // encodeControl builds a control frame with an optional string body

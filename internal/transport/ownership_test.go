@@ -1,0 +1,129 @@
+package transport
+
+import (
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/netsim"
+	"repro/internal/vtime"
+)
+
+// TestBufferOwnership pins the two-sided buffer contract on every
+// transport: Send has copied or consumed the payload by the time it
+// returns, so the sender may overwrite its buffer at once; and a handler
+// owns each payload it is given, so one that keeps them all never sees a
+// later delivery (or a duplicate's) change an earlier one.
+func TestBufferOwnership(t *testing.T) {
+	sim := func(cfg netsim.Config) *Sim { return NewSim(netsim.New(vtime.NewReal(), cfg)) }
+	cases := []struct {
+		name   string
+		copies int // deliveries per send
+		build  func(t *testing.T) (send, recv Transport)
+	}{
+		{"sim", 1, func(t *testing.T) (Transport, Transport) {
+			s := sim(netsim.Config{})
+			return s, s
+		}},
+		{"sim-dup", 2, func(t *testing.T) (Transport, Transport) {
+			s := sim(netsim.Config{Seed: 1, DupRate: 1})
+			return s, s
+		}},
+		{"udp", 1, func(t *testing.T) (Transport, Transport) {
+			u, err := NewUDP(UDPConfig{Peers: map[Addr]string{"a": "127.0.0.1:0", "b": "127.0.0.1:0"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = u.Close() })
+			return u, u
+		}},
+		{"tcp", 1, func(t *testing.T) (Transport, Transport) {
+			return tcpPair(t, nil, []Addr{"a"}, []Addr{"b"})
+		}},
+		{"tcp-local", 1, func(t *testing.T) (Transport, Transport) {
+			a, _ := tcpPair(t, nil, nil, nil)
+			return a, a
+		}},
+		{"wrapper-dup", 2, func(t *testing.T) (Transport, Transport) {
+			w := Wrap(sim(netsim.Config{}), WrapperConfig{Seed: 1, DupRate: 1})
+			return w, w
+		}},
+		{"wrapper-dup-delayed", 2, func(t *testing.T) (Transport, Transport) {
+			w := Wrap(sim(netsim.Config{}), WrapperConfig{Seed: 1, DupRate: 1, Delay: time.Millisecond, Jitter: time.Millisecond})
+			return w, w
+		}},
+	}
+	const sends, size = 40, 300
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			send, recv := c.build(t)
+			var mu sync.Mutex
+			var kept [][]byte
+			arrived := make(chan struct{}, sends*c.copies)
+			if err := send.Attach("a", func(Addr, []byte) {}); err != nil {
+				t.Fatal(err)
+			}
+			if err := recv.Attach("b", func(_ Addr, p []byte) {
+				mu.Lock()
+				kept = append(kept, p) // by reference: the handler owns p
+				mu.Unlock()
+				arrived <- struct{}{}
+			}); err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, size)
+			for i := 1; i <= sends; i++ {
+				for j := range buf {
+					buf[j] = byte(i)
+				}
+				if err := send.Send("a", "b", buf); err != nil {
+					t.Fatal(err)
+				}
+				for j := range buf {
+					buf[j] = 0xEE // the sender's buffer is its own again
+				}
+			}
+			deadline := time.After(10 * time.Second)
+			for i := 0; i < sends*c.copies; i++ {
+				select {
+				case <-arrived:
+				case <-deadline:
+					t.Fatalf("timed out after %d of %d deliveries", i, sends*c.copies)
+				}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			seen := make(map[byte]int)
+			for _, p := range kept {
+				if len(p) != size {
+					t.Fatalf("delivered %d bytes, want %d", len(p), size)
+				}
+				for j, b := range p {
+					if b != p[0] || b == 0xEE {
+						t.Fatalf("payload of send %d changed after delivery: byte %d is %#x", p[0], j, b)
+					}
+				}
+				seen[p[0]]++
+			}
+			for i := 1; i <= sends; i++ {
+				if seen[byte(i)] != c.copies {
+					t.Fatalf("send %d delivered %d times, want %d", i, seen[byte(i)], c.copies)
+				}
+			}
+		})
+	}
+}
+
+// TestEncodeDataLayout checks the one-buffer data frame against the
+// general frame builder, and that it is the frame's only allocation.
+func TestEncodeDataLayout(t *testing.T) {
+	payload := []byte("payload bytes")
+	body := encodeString(encodeString(nil, "source"), "destination")
+	want := appendFrame(nil, frameData, body, payload)
+	if got := encodeData("source", "destination", payload); string(got) != string(want) {
+		t.Fatalf("encodeData = %x, want %x", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = encodeData("source", "destination", payload) }); n != 1 {
+		t.Fatalf("encodeData allocates %v times, want 1", n)
+	}
+}

@@ -34,6 +34,10 @@ type Addr string
 // Handler receives a datagram. Handlers are invoked on the transport's
 // delivery or receive-loop goroutines and must return promptly; a blocking
 // handler stalls only the goroutine that called it.
+//
+// The handler owns payload: every delivery, a duplicate included, hands
+// over a slice nothing else reads or writes afterwards, so a handler may
+// keep it without copying — the guardian runtime's reassembler does.
 type Handler func(from Addr, payload []byte)
 
 // Transport carries best-effort datagrams between named nodes. Messages
@@ -53,7 +57,10 @@ type Transport interface {
 	Attached(a Addr) bool
 	// Send submits one datagram from the attached address from to to. It
 	// returns once the datagram's local fate is decided; delivery is
-	// best-effort and errors beyond local ones are never reported.
+	// best-effort and errors beyond local ones are never reported. By the
+	// time it returns the transport has copied payload or is done with
+	// it: the caller may overwrite the buffer at once, and the guardian
+	// runtime reuses one buffer for every packet it sends.
 	Send(from, to Addr, payload []byte) error
 	// Learn tells the transport that the node named name was observed
 	// sending from the transport-level address via, so later Sends to

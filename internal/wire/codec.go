@@ -69,15 +69,7 @@ func AppendValue(dst []byte, v xrep.Value) ([]byte, error) {
 		dst = binary.AppendUvarint(dst, uint64(len(x)))
 		return append(dst, x...), nil
 	case xrep.Seq:
-		dst = append(dst, tagSeq)
-		dst = binary.AppendUvarint(dst, uint64(len(x)))
-		var err error
-		for _, e := range x {
-			if dst, err = AppendValue(dst, e); err != nil {
-				return nil, err
-			}
-		}
-		return dst, nil
+		return appendSeq(dst, x)
 	case xrep.Rec:
 		dst = append(dst, tagRec)
 		dst = binary.AppendUvarint(dst, uint64(len(x.Name)))
@@ -91,11 +83,7 @@ func AppendValue(dst []byte, v xrep.Value) ([]byte, error) {
 		}
 		return dst, nil
 	case xrep.PortName:
-		dst = append(dst, tagPort)
-		dst = binary.AppendUvarint(dst, uint64(len(x.Node)))
-		dst = append(dst, x.Node...)
-		dst = binary.AppendUvarint(dst, x.Guardian)
-		return binary.AppendUvarint(dst, x.Port), nil
+		return appendPortName(dst, x), nil
 	case xrep.Token:
 		dst = append(dst, tagToken)
 		dst = binary.AppendUvarint(dst, x.Issuer)
@@ -108,6 +96,29 @@ func AppendValue(dst []byte, v xrep.Value) ([]byte, error) {
 	}
 }
 
+// appendSeq and appendPortName are AppendValue's sequence and port-name
+// cases under their static types, so a frame's Args, Dest and ReplyTo are
+// written without first being boxed into an xrep.Value.
+func appendSeq(dst []byte, x xrep.Seq) ([]byte, error) {
+	dst = append(dst, tagSeq)
+	dst = binary.AppendUvarint(dst, uint64(len(x)))
+	var err error
+	for _, e := range x {
+		if dst, err = AppendValue(dst, e); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
+}
+
+func appendPortName(dst []byte, x xrep.PortName) []byte {
+	dst = append(dst, tagPort)
+	dst = binary.AppendUvarint(dst, uint64(len(x.Node)))
+	dst = append(dst, x.Node...)
+	dst = binary.AppendUvarint(dst, x.Guardian)
+	return binary.AppendUvarint(dst, x.Port)
+}
+
 // MarshalValue returns the wire encoding of v.
 func MarshalValue(v xrep.Value) ([]byte, error) {
 	return AppendValue(nil, v)
@@ -117,6 +128,12 @@ func MarshalValue(v xrep.Value) ([]byte, error) {
 type reader struct {
 	buf []byte
 	off int
+	// elems is the sequence elements promised so far, at every nesting
+	// level. Each owns at least its tag byte, so an honest encoding never
+	// promises more than len(buf); holding every sequence to that keeps
+	// what a decode allocates proportional to its input however the
+	// length fields nest.
+	elems uint64
 }
 
 func (r *reader) remaining() int { return len(r.buf) - r.off }
@@ -208,18 +225,9 @@ func (r *reader) value(depth int) (xrep.Value, error) {
 		copy(out, b)
 		return xrep.Bytes(out), nil
 	case tagSeq:
-		n, err := r.uvarint()
+		seq, err := r.seq(depth)
 		if err != nil {
 			return nil, err
-		}
-		if n > uint64(r.remaining()) {
-			return nil, ErrOversize // each element needs ≥1 byte
-		}
-		seq := make(xrep.Seq, n)
-		for i := range seq {
-			if seq[i], err = r.value(depth + 1); err != nil {
-				return nil, err
-			}
 		}
 		return seq, nil
 	case tagRec:
@@ -231,38 +239,17 @@ func (r *reader) value(depth int) (xrep.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		cnt, err := r.uvarint()
+		fields, err := r.seq(depth)
 		if err != nil {
 			return nil, err
-		}
-		if cnt > uint64(r.remaining()) {
-			return nil, ErrOversize
-		}
-		fields := make(xrep.Seq, cnt)
-		for i := range fields {
-			if fields[i], err = r.value(depth + 1); err != nil {
-				return nil, err
-			}
 		}
 		return xrep.Rec{Name: string(name), Fields: fields}, nil
 	case tagPort:
-		n, err := r.uvarint()
+		p, err := r.portName()
 		if err != nil {
 			return nil, err
 		}
-		node, err := r.take(n)
-		if err != nil {
-			return nil, err
-		}
-		g, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		p, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		return xrep.PortName{Node: string(node), Guardian: g, Port: p}, nil
+		return p, nil
 	case tagToken:
 		issuer, err := r.uvarint()
 		if err != nil {
@@ -294,10 +281,51 @@ func (r *reader) value(depth int) (xrep.Value, error) {
 	}
 }
 
+// seq decodes a sequence's count and elements — what follows tagSeq, and a
+// record's fields. depth is the sequence's own nesting level.
+func (r *reader) seq(depth int) (xrep.Seq, error) {
+	n, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(r.remaining()) || r.elems+n > uint64(len(r.buf)) {
+		return nil, ErrOversize // each element needs ≥1 byte
+	}
+	r.elems += n
+	seq := make(xrep.Seq, n)
+	for i := range seq {
+		if seq[i], err = r.value(depth + 1); err != nil {
+			return nil, err
+		}
+	}
+	return seq, nil
+}
+
+// portName decodes what follows tagPort.
+func (r *reader) portName() (xrep.PortName, error) {
+	n, err := r.uvarint()
+	if err != nil {
+		return xrep.PortName{}, err
+	}
+	node, err := r.take(n)
+	if err != nil {
+		return xrep.PortName{}, err
+	}
+	g, err := r.uvarint()
+	if err != nil {
+		return xrep.PortName{}, err
+	}
+	p, err := r.uvarint()
+	if err != nil {
+		return xrep.PortName{}, err
+	}
+	return xrep.PortName{Node: string(node), Guardian: g, Port: p}, nil
+}
+
 // UnmarshalValue decodes a single value, requiring the buffer to be fully
 // consumed.
 func UnmarshalValue(buf []byte) (xrep.Value, error) {
-	r := &reader{buf: buf}
+	r := reader{buf: buf}
 	v, err := r.value(0)
 	if err != nil {
 		return nil, err

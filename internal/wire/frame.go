@@ -52,42 +52,47 @@ var (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Marshal encodes the frame, appending a CRC-32C of the body — the
-// "redundant information for error detection" the paper assigns to the
-// system.
-func (f *Frame) Marshal() ([]byte, error) {
-	buf := make([]byte, 0, 64+len(f.Command))
-	buf = binary.BigEndian.AppendUint32(buf, frameMagic)
-	buf = append(buf, frameVersion)
+// AppendFrame appends f's wire encoding to dst and returns the extended
+// slice: header, the typed destination, source and command fields, the
+// arguments, the optional replyto port, and last a CRC-32C of all of it —
+// the "redundant information for error detection" the paper assigns to the
+// system. A sender that reuses dst across frames encodes without
+// allocating.
+func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
+	start := len(dst)
+	dst = binary.BigEndian.AppendUint32(dst, frameMagic)
+	dst = append(dst, frameVersion)
 	flags := byte(0)
 	if !f.ReplyTo.IsZero() {
 		flags |= flagHasReply
 	}
-	buf = append(buf, flags)
-	var err error
-	if buf, err = AppendValue(buf, f.Dest); err != nil {
-		return nil, err
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(f.SrcNode)))
-	buf = append(buf, f.SrcNode...)
-	buf = binary.AppendUvarint(buf, f.MsgID)
-	buf = binary.AppendUvarint(buf, f.SrcGuardian)
-	buf = binary.AppendUvarint(buf, uint64(len(f.Command)))
-	buf = append(buf, f.Command...)
-	if buf, err = AppendValue(buf, f.Args); err != nil {
+	dst = append(dst, flags)
+	dst = appendPortName(dst, f.Dest)
+	dst = binary.AppendUvarint(dst, uint64(len(f.SrcNode)))
+	dst = append(dst, f.SrcNode...)
+	dst = binary.AppendUvarint(dst, f.MsgID)
+	dst = binary.AppendUvarint(dst, f.SrcGuardian)
+	dst = binary.AppendUvarint(dst, uint64(len(f.Command)))
+	dst = append(dst, f.Command...)
+	dst, err := appendSeq(dst, f.Args)
+	if err != nil {
 		return nil, err
 	}
 	if flags&flagHasReply != 0 {
-		if buf, err = AppendValue(buf, f.ReplyTo); err != nil {
-			return nil, err
-		}
+		dst = appendPortName(dst, f.ReplyTo)
 	}
-	return binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable)), nil
+	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(dst[start:], crcTable)), nil
+}
+
+// Marshal returns the frame's wire encoding in a buffer of its own.
+func (f *Frame) Marshal() ([]byte, error) {
+	return AppendFrame(make([]byte, 0, 64+len(f.Command)), f)
 }
 
 // UnmarshalFrame verifies the checksum and decodes a frame. A checksum
 // mismatch returns ErrBadChecksum; the runtime discards such messages, so a
-// corrupted message is never forwarded to its target port.
+// corrupted message is never forwarded to its target port. The frame shares
+// no memory with buf: every string and byte value is copied out of it.
 func UnmarshalFrame(buf []byte) (*Frame, error) {
 	if len(buf) < 10 {
 		return nil, ErrFrameShort
@@ -96,7 +101,7 @@ func UnmarshalFrame(buf []byte) (*Frame, error) {
 	if crc32.Checksum(body, crcTable) != sum {
 		return nil, ErrBadChecksum
 	}
-	r := &reader{buf: body}
+	r := reader{buf: body}
 	magic, err := r.take(4)
 	if err != nil {
 		return nil, err
@@ -116,15 +121,9 @@ func UnmarshalFrame(buf []byte) (*Frame, error) {
 		return nil, err
 	}
 	f := &Frame{}
-	destV, err := r.value(0)
-	if err != nil {
-		return nil, fmt.Errorf("wire: frame dest: %w", err)
+	if f.Dest, err = r.taggedPortName("dest"); err != nil {
+		return nil, err
 	}
-	dest, ok := destV.(xrep.PortName)
-	if !ok {
-		return nil, errors.New("wire: frame dest is not a port name")
-	}
-	f.Dest = dest
 	n, err := r.uvarint()
 	if err != nil {
 		return nil, err
@@ -149,28 +148,38 @@ func UnmarshalFrame(buf []byte) (*Frame, error) {
 		return nil, err
 	}
 	f.Command = string(cmd)
-	argsV, err := r.value(0)
-	if err != nil {
+	if tag, err := r.byte(); err != nil {
 		return nil, fmt.Errorf("wire: frame args: %w", err)
-	}
-	args, ok := argsV.(xrep.Seq)
-	if !ok {
+	} else if tag != tagSeq {
 		return nil, errors.New("wire: frame args are not a sequence")
 	}
-	f.Args = args
+	if f.Args, err = r.seq(0); err != nil {
+		return nil, fmt.Errorf("wire: frame args: %w", err)
+	}
 	if flags&flagHasReply != 0 {
-		rv, err := r.value(0)
-		if err != nil {
-			return nil, fmt.Errorf("wire: frame replyto: %w", err)
+		if f.ReplyTo, err = r.taggedPortName("replyto"); err != nil {
+			return nil, err
 		}
-		rp, ok := rv.(xrep.PortName)
-		if !ok {
-			return nil, errors.New("wire: frame replyto is not a port name")
-		}
-		f.ReplyTo = rp
 	}
 	if r.remaining() != 0 {
 		return nil, fmt.Errorf("wire: %d trailing bytes in frame", r.remaining())
 	}
 	return f, nil
+}
+
+// taggedPortName decodes a port-name value straight into its static type;
+// field names the frame field in errors.
+func (r *reader) taggedPortName(field string) (xrep.PortName, error) {
+	tag, err := r.byte()
+	if err != nil {
+		return xrep.PortName{}, fmt.Errorf("wire: frame %s: %w", field, err)
+	}
+	if tag != tagPort {
+		return xrep.PortName{}, fmt.Errorf("wire: frame %s is not a port name", field)
+	}
+	p, err := r.portName()
+	if err != nil {
+		return xrep.PortName{}, fmt.Errorf("wire: frame %s: %w", field, err)
+	}
+	return p, nil
 }
