@@ -10,8 +10,10 @@
 //	bench -list                # list experiments
 //	bench -csv                 # also emit tables as CSV
 //	bench -json BENCH_E14.json # also record results as JSON
-//	bench -compare BENCH_E14.json            # re-run and gate vs baseline
-//	bench -compare BENCH_E14.json -candidate new.json  # offline compare
+//
+// The tables are paper-shape recordings (who wins, where crossovers
+// fall), not a regression gate: timing on a shared host spreads too
+// widely to bound. Regression gating is guardianbench's job (benchmark/).
 package main
 
 import (
@@ -62,15 +64,8 @@ func main() {
 		list       = flag.Bool("list", false, "list experiments and exit")
 		csv        = flag.Bool("csv", false, "also print tables as CSV")
 		jsonPath   = flag.String("json", "", "also record results as JSON to this file")
-		compare    = flag.String("compare", "", "baseline JSON to gate against (exit 1 on regression)")
-		candidate  = flag.String("candidate", "", "candidate JSON for -compare (default: re-run the baseline's experiments)")
-		tolerance  = flag.Float64("tolerance", 0.15, "allowed fractional slowdown for -compare")
 	)
 	flag.Parse()
-
-	if *compare != "" {
-		os.Exit(runCompare(*compare, *candidate, *tolerance))
-	}
 
 	if *list {
 		fmt.Println("Experiments (DESIGN.md §3):")

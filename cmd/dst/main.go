@@ -55,12 +55,12 @@ func parseRing(s string) (*dst.RingTopology, error) {
 
 // parseStorage turns "syncfail,shortwrite,corrupttail" into a fault
 // config — the same triple Repro() prints.
-func parseStorage(s string) (*durable.WrapperConfig, error) {
+func parseStorage(s string) (*durable.FaultConfig, error) {
 	rates := strings.Split(s, ",")
 	if len(rates) != 3 {
 		return nil, fmt.Errorf("-storage wants syncfail,shortwrite,corrupttail, got %q", s)
 	}
-	var cfg durable.WrapperConfig
+	var cfg durable.FaultConfig
 	for i, dst := range []*float64{&cfg.SyncFailRate, &cfg.ShortWriteRate, &cfg.CorruptTailRate} {
 		v, err := strconv.ParseFloat(rates[i], 64)
 		if err != nil {

@@ -22,8 +22,6 @@ type BackoffPolicy struct {
 	Base time.Duration
 	// Cap bounds the grown delay. Zero means 32×Base.
 	Cap time.Duration
-	// Multiplier grows the delay per attempt. Zero means 2.
-	Multiplier float64
 	// Jitter is the fraction of each delay drawn uniformly at random
 	// (equal jitter: delay = d·(1-Jitter) + rand(d·Jitter)). Zero means
 	// no jitter; 0.5 is the usual choice.
@@ -36,17 +34,13 @@ func (b BackoffPolicy) delay(attempt int, rng *rand.Rand) time.Duration {
 	if b.Base <= 0 {
 		return 0
 	}
-	mult := b.Multiplier
-	if mult <= 1 {
-		mult = 2
-	}
 	cap := b.Cap
 	if cap <= 0 {
 		cap = 32 * b.Base
 	}
 	d := float64(b.Base)
 	for i := 0; i < attempt && d < float64(cap); i++ {
-		d *= mult
+		d *= 2
 	}
 	if d > float64(cap) {
 		d = float64(cap)
@@ -72,8 +66,6 @@ type CallerOptions struct {
 	// Health, when non-nil, is the circuit breaker: calls to a node it
 	// reports down fail fast with ErrCircuitOpen.
 	Health *Health
-	// ReplyCapacity sizes the caller's reply port. Zero means 16.
-	ReplyCapacity int
 	// Metrics receives the caller's counters. Nil means Default.
 	Metrics *Metrics
 	// Seed makes the jitter reproducible. Zero derives a seed from the
@@ -109,6 +101,9 @@ type Caller struct {
 	rng    *rand.Rand
 }
 
+// replyCapacity sizes a Caller's reply port.
+const replyCapacity = 16
+
 // NewCaller builds an at-most-once session for the given process. The
 // client id is derived from the process's guardian and a fresh reply port,
 // so every Caller is a distinct dedup session even on a shared guardian.
@@ -116,14 +111,11 @@ func NewCaller(pr *guardian.Process, opts CallerOptions) (*Caller, error) {
 	if opts.Timeout <= 0 {
 		opts.Timeout = 100 * time.Millisecond
 	}
-	if opts.ReplyCapacity <= 0 {
-		opts.ReplyCapacity = 16
-	}
 	if opts.Backoff.Cap <= 0 {
 		// World-wide tuning, not a package constant: DST shrinks it.
 		opts.Backoff.Cap = pr.Guardian().Node().World().Tuning().BackoffCap
 	}
-	reply, err := pr.Guardian().NewPort(ReplyType, opts.ReplyCapacity)
+	reply, err := pr.Guardian().NewPort(ReplyType, replyCapacity)
 	if err != nil {
 		return nil, err
 	}

@@ -35,12 +35,12 @@ type Handler func(pr *guardian.Process, req *Request) (outcome string, args xrep
 // request's cached reply.
 const dedupLogRec = "amo/dedup"
 
+// maxPerClient bounds the cached replies kept per client beyond the
+// ack-watermark pruning (a safety net against a client that never acks).
+const maxPerClient = 128
+
 // DedupOptions tunes a Dedup filter.
 type DedupOptions struct {
-	// MaxPerClient bounds the cached replies kept per client beyond the
-	// ack-watermark pruning (a safety net against a client that never
-	// acks). Zero means 128.
-	MaxPerClient int
 	// Log, when non-nil, persists every executed request's reply — the
 	// §2.2 log-then-reply protocol — so Recover can rebuild the table and
 	// at-most-once survives a crash.
@@ -80,9 +80,6 @@ type Dedup struct {
 
 // NewDedup builds an empty filter.
 func NewDedup(opts DedupOptions) *Dedup {
-	if opts.MaxPerClient <= 0 {
-		opts.MaxPerClient = 128
-	}
 	return &Dedup{opts: opts, sessions: make(map[string]*session)}
 }
 
@@ -208,7 +205,7 @@ func (d *Dedup) handle(pr *guardian.Process, m *guardian.Message, h Handler) {
 	delete(s.executing, req.Seq)
 	s.replies[req.Seq] = c
 	s.prune(ack)
-	s.bound(d.opts.MaxPerClient)
+	s.bound(maxPerClient)
 	d.mu.Unlock()
 
 	d.reply(pr, m, req.Seq, c)
@@ -332,7 +329,7 @@ func (d *Dedup) Recover() (int, error) {
 			s.replies[seq] = c
 		}
 		s.prune(ack)
-		s.bound(d.opts.MaxPerClient)
+		s.bound(maxPerClient)
 		n++
 	}
 	return n, nil
@@ -456,7 +453,7 @@ func (d *Dedup) MergeSnapshot(v xrep.Value) error {
 			}
 		}
 		s.prune(in.pruned)
-		s.bound(d.opts.MaxPerClient)
+		s.bound(maxPerClient)
 	}
 	return nil
 }

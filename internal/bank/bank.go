@@ -20,7 +20,6 @@ import (
 	"repro/internal/amo"
 	"repro/internal/durable"
 	"repro/internal/guardian"
-	"repro/internal/stable"
 	"repro/internal/wire"
 	"repro/internal/xrep"
 )
@@ -281,7 +280,7 @@ func decodeCheckpoint(data []byte, st *branchState) (dedupSnap, shardState xrep.
 // reference a recovery checker compares a restarted branch against: if the
 // live recovery path and this pure replay disagree, recovery lost or
 // invented an effect.
-func ReplayAccounts(records []stable.Record) map[string]int64 {
+func ReplayAccounts(records []durable.Record) map[string]int64 {
 	st := &branchState{accounts: make(map[string]int64), applied: make(map[string]string)}
 	replayInto(st, newShardCore(""), records)
 	return st.accounts
@@ -291,7 +290,7 @@ func ReplayAccounts(records []stable.Record) map[string]int64 {
 // flips, seeds, migrations, escrow) through the deterministic shard fold,
 // everything else through the op-record apply. Foreign records (dedup
 // table entries) are skipped by both decoders.
-func replayInto(st *branchState, core *shardCore, records []stable.Record) {
+func replayInto(st *branchState, core *shardCore, records []durable.Record) {
 	for _, r := range records {
 		if v, err := wire.UnmarshalValue(r.Data); err == nil {
 			if _, ok := core.fold(st, v); ok {
@@ -308,7 +307,7 @@ func replayInto(st *branchState, core *shardCore, records []stable.Record) {
 // account table and shard state are seeded from the checkpoint (nil means
 // none) and the post-checkpoint records are replayed on top — the exact
 // reconstruction a recovery or a replica takeover performs.
-func ReplayAccountsFrom(checkpoint []byte, records []stable.Record) (map[string]int64, error) {
+func ReplayAccountsFrom(checkpoint []byte, records []durable.Record) (map[string]int64, error) {
 	st := &branchState{accounts: make(map[string]int64), applied: make(map[string]string)}
 	core := newShardCore("")
 	if len(checkpoint) > 0 {

@@ -27,7 +27,6 @@ import (
 	"repro/internal/nameserv"
 	"repro/internal/ring"
 	"repro/internal/sendprim"
-	"repro/internal/xrep"
 )
 
 // RebalanceOptions tunes the driver.
@@ -43,11 +42,6 @@ type RebalanceOptions struct {
 	PollInterval time.Duration
 	// PollBudget bounds the status polls per move. Zero means 400.
 	PollBudget int
-	// NSAttempts is the retry budget per nameserver interaction: the
-	// nameserv client is single-attempt (one send, one receive), so the
-	// driver owns resilience against a lost request or reply. Zero
-	// means 5.
-	NSAttempts int
 }
 
 func (o RebalanceOptions) withDefaults(pr *guardian.Process) RebalanceOptions {
@@ -70,11 +64,13 @@ func (o RebalanceOptions) withDefaults(pr *guardian.Process) RebalanceOptions {
 	if o.PollBudget <= 0 {
 		o.PollBudget = 400
 	}
-	if o.NSAttempts <= 0 {
-		o.NSAttempts = 5
-	}
 	return o
 }
+
+// nsAttempts is the retry budget per nameserver interaction: the
+// nameserv client is single-attempt (one send, one receive), so the
+// driver owns resilience against a lost request or reply.
+const nsAttempts = 5
 
 // nsTry retries one nameserver interaction. Every ring operation is
 // idempotent at the service, so re-sending after a timeout converges; a
@@ -83,7 +79,7 @@ func (o RebalanceOptions) withDefaults(pr *guardian.Process) RebalanceOptions {
 // not transient, and passes straight through.
 func nsTry(pr *guardian.Process, opts RebalanceOptions, f func() error) error {
 	var err error
-	for i := 0; i < opts.NSAttempts; i++ {
+	for i := 0; i < nsAttempts; i++ {
 		if err = f(); err == nil || err == nameserv.ErrRingStale {
 			return err
 		}
@@ -271,7 +267,3 @@ func broadcastRing(pr *guardian.Process, r *ring.Ring, opts RebalanceOptions) er
 	}
 	return firstErr
 }
-
-// Marshal helper kept close to the driver: the zero value has no members
-// and cannot be marshaled, so guard misuse loudly.
-var _ = xrep.Str("")

@@ -8,9 +8,9 @@ import (
 
 	"repro/internal/amo"
 	"repro/internal/bank"
+	"repro/internal/durable"
 	"repro/internal/guardian"
 	"repro/internal/sendprim"
-	"repro/internal/stable"
 	"repro/internal/xrep"
 )
 
@@ -253,7 +253,7 @@ func auditReplay(rep *Report, scope string, g *guardian.Guardian, accts map[stri
 	// checkpointed yet; the records are still complete. When a checkpoint
 	// exists (CheckpointEvery), the replay starts from it.
 	cp, recs, err := g.Log().Recover()
-	if err != nil && !errors.Is(err, stable.ErrNoCheckpoint) {
+	if err != nil && !errors.Is(err, durable.ErrNoCheckpoint) {
 		rep.addViolation("recovery", "%s: log recover: %v", scope, err)
 		return
 	}

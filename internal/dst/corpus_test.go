@@ -52,7 +52,7 @@ func parseCorpusLine(line string) (Options, error) {
 			if len(rates) != 3 {
 				return Options{}, fmt.Errorf("storage wants 3 rates, got %q", val)
 			}
-			var cfg durable.WrapperConfig
+			var cfg durable.FaultConfig
 			for i, dst := range []*float64{&cfg.SyncFailRate, &cfg.ShortWriteRate, &cfg.CorruptTailRate} {
 				if *dst, err = strconv.ParseFloat(rates[i], 64); err != nil {
 					return Options{}, fmt.Errorf("bad storage rate %q: %v", rates[i], err)

@@ -241,16 +241,15 @@ type Options struct {
 	// layer, and log compaction everywhere else.
 	CheckpointEvery int
 	// StorageFaults, when non-nil, injects storage faults under every
-	// node: each node's simulated disk is wrapped in a durable.Wrapper
-	// with the given rates. Each node's fate stream is seeded by
-	// Seed^hash(node) — derived, not drawn from the master stream, so
-	// enabling storage faults does not perturb the network or workload
-	// streams of the same seed. A faulted node is fail-stopped before
-	// the sync returns (no acknowledgment of unsynced state can escape)
-	// and restarted a moment later, driving the recovery path through
-	// the damage. The config's Seed and OnFault fields are owned by the
-	// harness and overwritten.
-	StorageFaults *durable.WrapperConfig
+	// node: each node's in-memory disk draws fates at the given rates.
+	// Each node's fate stream is seeded by Seed^hash(node) — derived,
+	// not drawn from the master stream, so enabling storage faults does
+	// not perturb the network or workload streams of the same seed. A
+	// faulted node is fail-stopped before the sync returns (no
+	// acknowledgment of unsynced state can escape) and restarted a moment
+	// later, driving the recovery path through the damage. The config's
+	// Seed and OnFault fields are owned by the harness and overwritten.
+	StorageFaults *durable.FaultConfig
 	// AttemptTimeout bounds each call attempt (virtual time). Zero means
 	// 25ms.
 	AttemptTimeout time.Duration
@@ -355,25 +354,25 @@ func run(opts Options, schedule []Event, audit func(workload, *guardian.World, *
 		},
 	}
 
-	// Storage fault injection: every node's simulated disk goes behind a
-	// seeded durable.Wrapper. A fault fail-stops the node before its Sync
+	// Storage fault injection: every node's in-memory disk draws seeded
+	// fates at Sync. A fault fail-stops the node before its Sync
 	// returns — no acknowledgment of unsynced state can escape — and a
 	// restart a moment later forces recovery through the damage. The
 	// per-node fate seed is derived (Seed^hash(node)), never drawn from
 	// the master stream, so the network and workload streams of a seed
 	// are identical with and without storage faults.
 	var (
-		w        *guardian.World
-		storeMu  sync.Mutex
-		wrappers = make(map[string]*durable.Wrapper)
+		w       *guardian.World
+		storeMu sync.Mutex
+		faulty  []*durable.Mem
 	)
 	sw, wrapsStores := wl.(storeWrapper)
 	cfg.Store = func(node string) (durable.Store, error) {
-		var inner durable.Store = durable.NewSimDisk(clock, 0)
+		var mcfg durable.MemConfig
 		if sf := opts.StorageFaults; sf != nil {
-			wcfg := *sf
-			wcfg.Seed = opts.Seed ^ fnv64a(node)
-			wcfg.OnFault = func(log, fault string) {
+			mcfg.FaultConfig = *sf
+			mcfg.Seed = opts.Seed ^ fnv64a(node)
+			mcfg.OnFault = func(log, fault string) {
 				n, err := w.Node(node)
 				if err != nil || !n.Alive() {
 					return
@@ -386,16 +385,17 @@ func run(opts Options, schedule []Event, audit func(workload, *guardian.World, *
 					}
 				}()
 			}
-			wr := durable.Wrap(inner, wcfg)
+		}
+		mem := durable.NewMem(clock, mcfg)
+		if opts.StorageFaults != nil {
 			storeMu.Lock()
-			wrappers[node] = wr
+			faulty = append(faulty, mem)
 			storeMu.Unlock()
-			inner = wr
 		}
 		if wrapsStores {
-			return sw.wrapStore(node, inner)
+			return sw.wrapStore(node, mem)
 		}
-		return inner, nil
+		return mem, nil
 	}
 	w = guardian.NewWorld(cfg)
 
@@ -420,11 +420,11 @@ func run(opts Options, schedule []Event, audit func(workload, *guardian.World, *
 	}
 
 	// Storage bursts scale every node's injected fault rates for a
-	// window; a no-op when no wrapper exists (StorageFaults unset).
+	// window; a no-op when StorageFaults is unset.
 	setStorageScale := func(f float64) {
 		storeMu.Lock()
 		defer storeMu.Unlock()
-		for _, wr := range wrappers {
+		for _, wr := range faulty {
 			wr.SetFaultScale(f)
 		}
 	}
@@ -475,7 +475,7 @@ func run(opts Options, schedule []Event, audit func(workload, *guardian.World, *
 		rep.VirtualElapsed = clock.Since(start)
 		rep.Net = w.Net().Stats()
 		storeMu.Lock()
-		for _, wr := range wrappers {
+		for _, wr := range faulty {
 			s := wr.InjectedStats()
 			rep.Storage.Syncs += s.Syncs
 			rep.Storage.SyncsFailed += s.SyncsFailed

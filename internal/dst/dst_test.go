@@ -148,7 +148,7 @@ func TestStorageFaults(t *testing.T) {
 			// Quiet network: failures come from the disk, not the wire,
 			// so a violation here indicts the recovery path specifically.
 			Profile: QuietProfile(),
-			StorageFaults: &durable.WrapperConfig{
+			StorageFaults: &durable.FaultConfig{
 				SyncFailRate:    0.05,
 				ShortWriteRate:  0.03,
 				CorruptTailRate: 0.03,
@@ -181,7 +181,7 @@ func TestStorageFaultsReproducible(t *testing.T) {
 		Seed:     24,
 		Workload: "bank",
 		Profile:  QuietProfile(),
-		StorageFaults: &durable.WrapperConfig{
+		StorageFaults: &durable.FaultConfig{
 			SyncFailRate:    0.08,
 			ShortWriteRate:  0.04,
 			CorruptTailRate: 0.04,

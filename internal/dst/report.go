@@ -58,7 +58,7 @@ type Report struct {
 	Net netsim.Stats
 	// Storage aggregates injected storage-fault counters across all
 	// nodes; zero unless Options.StorageFaults was set.
-	Storage durable.WrapperStats
+	Storage durable.FaultStats
 	// Replicated marks a replica-group run (Topology.ReplFactor >= 3);
 	// Repl then aggregates the members' replication counters and Leader
 	// names the member serving shard 0 at the end of the run.

@@ -113,7 +113,7 @@ func TestRingRebalanceSweep(t *testing.T) {
 		Ring:          &RingTopology{Shards: 4, Joins: 2, Leaves: 1},
 		Clients:       4,
 		OpsPerClient:  6,
-		StorageFaults: &durable.WrapperConfig{SyncFailRate: 0.001},
+		StorageFaults: &durable.FaultConfig{SyncFailRate: 0.001},
 	}
 	res := Sweep(SweepOptions{Opts: opts, StartSeed: 1, Count: 20})
 	if res.Failed() {

@@ -26,9 +26,8 @@ type SweepOptions struct {
 	// Parallelism is the number of concurrent runs; 0 means GOMAXPROCS.
 	Parallelism int
 	// Shrink minimizes each failing run's schedule before reporting it,
-	// re-running within ShrinkBudget (0 = one re-run per fault window).
-	Shrink       bool
-	ShrinkBudget int
+	// with one re-run per fault window.
+	Shrink bool
 	// Progress, when set, is called after each seed completes (from the
 	// finishing worker's goroutine, serialized by the sweep's lock).
 	Progress func(done, total int, rep *Report)
@@ -154,7 +153,7 @@ func Sweep(sw SweepOptions) *SweepResult {
 				opts.Seed = seeds[i]
 				rep := Run(opts)
 				if rep.Failed() && sw.Shrink {
-					rep = Shrink(opts, rep, sw.ShrinkBudget)
+					rep = Shrink(opts, rep, 0)
 				}
 				reports[i] = rep
 				if sw.Progress != nil {

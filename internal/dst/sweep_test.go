@@ -128,7 +128,7 @@ func TestScaleSweep(t *testing.T) {
 		Clients:         4,
 		OpsPerClient:    6,
 		CheckpointEvery: 4,
-		StorageFaults:   &durable.WrapperConfig{SyncFailRate: 0.001},
+		StorageFaults:   &durable.FaultConfig{SyncFailRate: 0.001},
 	}
 	res := Sweep(SweepOptions{Opts: opts, StartSeed: 1, Count: 2})
 	if res.Failed() {

@@ -40,7 +40,7 @@ func TestShardedReplicatedTopology(t *testing.T) {
 		Topology:        &Topology{Shards: 3, ReplFactor: 3},
 		Clients:         3,
 		CheckpointEvery: 4,
-		StorageFaults: &durable.WrapperConfig{
+		StorageFaults: &durable.FaultConfig{
 			SyncFailRate: 0.002,
 		},
 	})

@@ -1,0 +1,220 @@
+package durable_test
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/durable"
+	"repro/internal/replica"
+	"repro/internal/vtime"
+)
+
+// backend is one Log implementation under the shared contract. open
+// returns a fresh store whose mid-checkpoint crash window calls mid (may
+// be nil), plus restart: the store a process restarted after a crash
+// sees — volatile state gone, whatever reached the device intact.
+type backend struct {
+	name string
+	open func(t *testing.T, mid func(log string)) (st durable.Store, restart func() durable.Store)
+}
+
+func newMem(mid func(string)) *durable.Mem {
+	return durable.NewMem(vtime.NewReal(), durable.MemConfig{MidCheckpoint: mid})
+}
+
+var backends = []backend{
+	{"Mem", func(t *testing.T, mid func(string)) (durable.Store, func() durable.Store) {
+		m := newMem(mid)
+		return m, func() durable.Store { m.Crash(); return m }
+	}},
+	// A WAL restart is kill -9: the old handle is abandoned unclosed and
+	// a new one scans the directory.
+	{"WAL", func(t *testing.T, mid func(string)) (durable.Store, func() durable.Store) {
+		dir := t.TempDir()
+		open := func(cfg durable.WALConfig) durable.Store {
+			w, err := durable.OpenWAL(dir, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return w
+		}
+		return open(durable.WALConfig{Hooks: durable.WALHooks{MidCheckpoint: mid}}),
+			func() durable.Store { return open(durable.WALConfig{}) }
+	}},
+	// An unattached replica member: repLog stages, forces and passes
+	// through with nobody to ship to.
+	{"repLog", func(t *testing.T, mid func(string)) (durable.Store, func() durable.Store) {
+		st, err := replica.NewStore(newMem(mid), replica.Config{Group: "g", Self: "m1", Members: []string{"m1", "m2", "m3"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, func() durable.Store { st.Crash(); return st }
+	}},
+}
+
+func openLog(t *testing.T, st durable.Store, name string) durable.Log {
+	t.Helper()
+	l, err := st.OpenLog(name)
+	if err != nil {
+		t.Fatalf("OpenLog(%s): %v", name, err)
+	}
+	return l
+}
+
+// wantRecovered asserts what Recover returns: the checkpoint ("" means
+// ErrNoCheckpoint) and the records as "seq:data".
+func wantRecovered(t *testing.T, l durable.Log, cp string, recs ...string) {
+	t.Helper()
+	gotCP, gotRecs, err := l.Recover()
+	if cp == "" && err != durable.ErrNoCheckpoint {
+		t.Fatalf("Recover err = %v, want ErrNoCheckpoint", err)
+	}
+	if cp != "" && (err != nil || string(gotCP) != cp) {
+		t.Fatalf("Recover checkpoint = %q, %v; want %q", gotCP, err, cp)
+	}
+	got := make([]string, len(gotRecs))
+	for i, r := range gotRecs {
+		got[i] = fmt.Sprintf("%d:%s", r.Seq, r.Data)
+	}
+	if strings.Join(got, " ") != strings.Join(recs, " ") {
+		t.Fatalf("Recover records = %v, want %v", got, recs)
+	}
+}
+
+// logContract is the Log contract every backend answers to, one case per
+// clause. Each case gets a fresh store and a log named "app" on it.
+var logContract = []struct {
+	name string
+	run  func(t *testing.T, st durable.Store, l durable.Log, restart func() durable.Store)
+}{
+	{"append is volatile until sync", func(t *testing.T, st durable.Store, l durable.Log, restart func() durable.Store) {
+		if seq := l.Append([]byte("op1")); seq != 1 {
+			t.Fatalf("first Append = %d, want 1", seq)
+		}
+		if l.VolatileLen() != 1 || l.DurableLen() != 0 || l.LastDurableSeq() != 0 {
+			t.Fatalf("volatile=%d durable=%d last=%d, want 1/0/0", l.VolatileLen(), l.DurableLen(), l.LastDurableSeq())
+		}
+		wantRecovered(t, openLog(t, restart(), "app"), "")
+	}},
+	{"sync makes the batch durable", func(t *testing.T, st durable.Store, l durable.Log, restart func() durable.Store) {
+		l.Append([]byte("op1"))
+		l.Append([]byte("op2"))
+		l.Sync()
+		if l.VolatileLen() != 0 || l.DurableLen() != 2 || l.LastDurableSeq() != 2 {
+			t.Fatalf("volatile=%d durable=%d last=%d, want 0/2/2", l.VolatileLen(), l.DurableLen(), l.LastDurableSeq())
+		}
+		if seq := l.AppendSync([]byte("op3")); seq != 3 || l.DurableLen() != 3 {
+			t.Fatalf("AppendSync = %d with %d durable, want 3 and 3", seq, l.DurableLen())
+		}
+		wantRecovered(t, openLog(t, restart(), "app"), "", "1:op1", "2:op2", "3:op3")
+	}},
+	{"crash drops only the volatile tail and gives its numbers back", func(t *testing.T, st durable.Store, l durable.Log, _ func() durable.Store) {
+		l.AppendSync([]byte("kept1"))
+		l.AppendSync([]byte("kept2"))
+		l.Append([]byte("lost"))
+		st.Crash()
+		if l.VolatileLen() != 0 {
+			t.Fatalf("VolatileLen after crash = %d", l.VolatileLen())
+		}
+		if seq := l.AppendSync([]byte("next")); seq != 3 {
+			t.Fatalf("post-crash seq = %d, want 3 (continue from the durable tail)", seq)
+		}
+		wantRecovered(t, l, "", "1:kept1", "2:kept2", "3:next")
+	}},
+	{"neither append nor recover aliases a buffer", func(t *testing.T, st durable.Store, l durable.Log, _ func() durable.Store) {
+		buf := []byte("orig")
+		l.AppendSync(buf)
+		buf[0] = 'X'
+		l.Checkpoint([]byte("cp"), 0)
+		cp, recs, _ := l.Recover()
+		cp[0], recs[0].Data[0] = 'X', 'X'
+		wantRecovered(t, l, "cp", "1:orig")
+	}},
+	{"checkpoint folds records at or below its watermark", func(t *testing.T, st durable.Store, l durable.Log, restart func() durable.Store) {
+		for i := 1; i <= 10; i++ {
+			l.AppendSync([]byte{'a' + byte(i)})
+		}
+		l.Checkpoint([]byte("state@7"), 7)
+		if l.DurableLen() != 3 || l.LastDurableSeq() != 10 {
+			t.Fatalf("durable=%d last=%d after checkpoint, want 3/10", l.DurableLen(), l.LastDurableSeq())
+		}
+		l.Checkpoint([]byte("state@10"), 10)
+		if l.DurableLen() != 0 || l.LastDurableSeq() != 10 {
+			t.Fatalf("durable=%d last=%d after a covering checkpoint, want 0 and the watermark", l.DurableLen(), l.LastDurableSeq())
+		}
+		l = openLog(t, restart(), "app")
+		wantRecovered(t, l, "state@10")
+		if seq := l.AppendSync([]byte("k")); seq != 11 {
+			t.Fatalf("seq after a covering checkpoint and restart = %d, want 11", seq)
+		}
+	}},
+	{"skip raises the counter and never lowers it", func(t *testing.T, st durable.Store, l durable.Log, _ func() durable.Store) {
+		l.AppendSync([]byte("a"))
+		l.Checkpoint([]byte("shipped@40"), 40) // a replica installing a shipped checkpoint
+		l.SkipTo(40)
+		l.SkipTo(7)
+		if seq := l.AppendSync([]byte("b")); seq != 41 {
+			t.Fatalf("Append after SkipTo(40) = %d, want 41", seq)
+		}
+		wantRecovered(t, l, "shipped@40", "41:b")
+	}},
+	{"logs are independent and reopen to the same log", func(t *testing.T, st durable.Store, l durable.Log, _ func() durable.Store) {
+		other := openLog(t, st, "another")
+		l.AppendSync([]byte("a"))
+		other.AppendSync([]byte("b"))
+		wantRecovered(t, openLog(t, st, "app"), "", "1:a")
+		wantRecovered(t, openLog(t, st, "another"), "", "1:b")
+		var names []string
+		for _, n := range st.LogNames() {
+			if !strings.HasPrefix(n, "_") { // a replica member keeps bookkeeping logs of its own
+				names = append(names, n)
+			}
+		}
+		if strings.Join(names, ",") != "another,app" {
+			t.Fatalf("LogNames = %v, want [another app]", names)
+		}
+	}},
+}
+
+func TestLogContract(t *testing.T) {
+	for _, b := range backends {
+		for _, c := range logContract {
+			b, c := b, c
+			t.Run(b.name+"/"+c.name, func(t *testing.T) {
+				st, restart := b.open(t, nil)
+				c.run(t, st, openLog(t, st, "app"), restart)
+			})
+		}
+	}
+}
+
+// TestLogContractMidCheckpointCrash covers the window every
+// write-new-then-rename checkpoint has: the process dies after the new
+// checkpoint is installed but before the records it folded in are
+// truncated. A restart then finds both on the device and must filter the
+// stale records out, or their effects apply twice.
+func TestLogContractMidCheckpointCrash(t *testing.T) {
+	for _, b := range backends {
+		b := b
+		t.Run(b.name, func(t *testing.T) {
+			died := ""
+			st, restart := b.open(t, func(log string) {
+				died = log
+				panic("crash between checkpoint install and truncation")
+			})
+			l := openLog(t, st, "app")
+			for i := 1; i <= 5; i++ {
+				l.AppendSync([]byte(fmt.Sprintf("rec%d", i)))
+			}
+			func() {
+				defer func() { recover() }() // the modeled process death
+				l.Checkpoint([]byte("state@3"), 3)
+			}()
+			if died != "app" {
+				t.Fatalf("mid-checkpoint hook fired for %q, want app", died)
+			}
+			wantRecovered(t, openLog(t, restart(), "app"), "state@3", "4:rec4", "5:rec5")
+		})
+	}
+}

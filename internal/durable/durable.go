@@ -1,40 +1,43 @@
 // Package durable is the storage seam: the interface between the
-// guardian runtime and whatever device provides the paper's stable
-// storage that "will survive a node crash" (§2.2). It mirrors the
-// transport seam exactly — transport.Transport made the network
-// pluggable (simulator for tests, UDP for real processes, a fault
-// wrapper for soak tests); durable.Store does the same for storage:
+// guardian runtime and the per-node storage that "will survive a node
+// crash" (§2.2). The paper requires that each guardian provide
+// permanence of effect for the resource it guards by logging recovery
+// data in such storage and interpreting it from a recovery process
+// started after the crash. The seam mirrors the transport seam —
+// transport.Transport made the network pluggable, durable.Store does the
+// same for storage — and has exactly two backends:
 //
-//   - Sim adapts the in-memory stable.Disk — the default, so every
-//     existing in-process test keeps its instant, deterministic disk;
+//   - Mem is the in-memory device — the default, so every in-process
+//     test keeps its instant, deterministic disk. It also owns the seeded
+//     storage-fault model (failed syncs, short writes, corrupted tails),
+//     so recovery paths can be exercised in dst and unit tests;
 //   - WAL is a real on-disk write-ahead log (segmented, checksummed,
 //     fsync-backed) that makes permanence of effect survive kill -9 of
-//     the hosting OS process;
-//   - Wrapper injects storage faults (failed syncs, short writes,
-//     corrupted tails) deterministically from a seed, so recovery paths
-//     can be exercised in dst and unit tests.
+//     the hosting OS process.
 //
-// The Log interface is extracted from *stable.Log without changing a
-// signature, so the simulated log satisfies it unchanged and all
-// guardian code is oblivious to which device is underneath.
+// A Store belongs to one node and survives Node crashes (but not node
+// destruction). Each guardian opens named Logs on its node's store. An
+// appended record is volatile until Sync is called: a crash between
+// Append and Sync loses the record, exactly like a real buffered disk
+// write. This distinction is load-bearing — experiment E7 shows that a
+// guardian which acknowledges an atomic operation before syncing its log
+// record violates permanence, while the paper's log-then-ack protocol
+// survives every crash point.
 package durable
 
 import (
 	"errors"
 	"sync"
-
-	"repro/internal/stable"
 )
 
-// Record is one durable log entry. It is exactly the simulated disk's
-// record type, so replay helpers written against stable records (e.g.
-// bank.ReplayAccounts) work on any backend.
-type Record = stable.Record
+// Record is one durable log entry.
+type Record struct {
+	Seq  uint64
+	Data []byte
+}
 
 // ErrNoCheckpoint is returned by Recover when the log has no checkpoint.
-// It aliases the simulated disk's sentinel so existing comparisons keep
-// working whichever backend produced it.
-var ErrNoCheckpoint = stable.ErrNoCheckpoint
+var ErrNoCheckpoint = errors.New("durable: no checkpoint")
 
 // ErrCorrupt reports storage damage recovery must not silently repair: a
 // checksum failure in the interior of a log (not the final, possibly
@@ -78,11 +81,16 @@ type Log interface {
 	// LastDurableSeq returns the highest durable sequence number,
 	// counting the checkpoint watermark.
 	LastDurableSeq() uint64
+	// SkipTo raises the sequence counter (never lowers it) so the next
+	// Append returns seq+1, without writing anything. A replica
+	// installing a shipped checkpoint at watermark W calls SkipTo(W) so
+	// records applied after it continue the primary's numbering.
+	SkipTo(seq uint64)
 }
 
 // Store is one node's storage device: a namespace of Logs that survives
 // whatever "crash" means for the backend — a simulated Node.Crash for
-// Sim, SIGKILL of the OS process for WAL.
+// Mem, SIGKILL of the OS process for WAL.
 type Store interface {
 	// OpenLog returns the named log, creating it if absent. Opening an
 	// existing log performs recovery scanning on backends that need it,
@@ -107,8 +115,8 @@ type Store interface {
 }
 
 // RecoveryReport describes what open-time scanning of one log found.
-// Reporter is implemented by backends that scan (WAL, Wrapper); the
-// simulated disk never has anything to report.
+// Reporter is implemented by both backends; Mem has something to report
+// only after an injected fault.
 type RecoveryReport struct {
 	// Records is the number of live records recovered (after the
 	// checkpoint watermark).
@@ -167,21 +175,9 @@ func (l *nullLog) SkipTo(seq uint64) {
 	}
 }
 
-// Skipper is the optional catch-up extension of Log: SkipTo raises the
-// log's sequence counter (never lowers it) so the next Append continues
-// from seq+1. A replica installing a shipped checkpoint at watermark W
-// calls SkipTo(W) so locally applied records keep the primary's
-// numbering. All backends in this package implement it.
-type Skipper interface {
-	SkipTo(seq uint64)
-}
-
-// SkipTo raises log's sequence counter when the backend supports it and
-// reports whether it did.
+// SkipTo calls log.SkipTo(seq). It predates SkipTo joining the Log
+// interface and stays because the benchmark calls it.
 func SkipTo(log Log, seq uint64) bool {
-	s, ok := log.(Skipper)
-	if ok {
-		s.SkipTo(seq)
-	}
-	return ok
+	log.SkipTo(seq)
+	return true
 }

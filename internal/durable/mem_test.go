@@ -4,19 +4,24 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/stable"
 	"repro/internal/vtime"
 )
 
-func newTestDisk() *stable.Disk {
-	return stable.NewDisk(vtime.NewReal(), stable.DiskConfig{})
+// The TestWrapper* names predate the merge — the fault model used to be
+// a Wrapper around the in-memory store — and are kept because the test
+// floor pins them.
+
+func newTestDisk() *Mem { return newFaultyMem(FaultConfig{}) }
+
+func newFaultyMem(f FaultConfig) *Mem {
+	return NewMem(vtime.NewReal(), MemConfig{FaultConfig: f})
 }
 
 // faultAt walks the seeded fate sequence until each fault kind has
 // fired at least once, so the assertions below are deterministic
 // without hard-coding rng draws.
 func TestWrapperInjectsEveryFaultKind(t *testing.T) {
-	w := Wrap(NewSim(newTestDisk()), WrapperConfig{
+	w := newFaultyMem(FaultConfig{
 		Seed:            7,
 		SyncFailRate:    0.2,
 		ShortWriteRate:  0.2,
@@ -54,8 +59,8 @@ func TestWrapperInjectsEveryFaultKind(t *testing.T) {
 }
 
 func TestWrapperDeterministicAcrossRuns(t *testing.T) {
-	run := func() WrapperStats {
-		w := Wrap(NewSim(newTestDisk()), WrapperConfig{
+	run := func() FaultStats {
+		w := newFaultyMem(FaultConfig{
 			Seed:            42,
 			SyncFailRate:    0.3,
 			ShortWriteRate:  0.1,
@@ -77,7 +82,7 @@ func TestWrapperShortWriteDropsBatchWhole(t *testing.T) {
 	// batch WHOLE — the surviving prefix must not replay alone, or a
 	// transfer's withdraw leg could outlive its deposit leg.
 	var fired []string
-	w := Wrap(NewSim(newTestDisk()), WrapperConfig{
+	w := newFaultyMem(FaultConfig{
 		Seed:           1,
 		ShortWriteRate: 1.0, // every sync tears
 		OnFault: func(log, fault string) {
@@ -102,8 +107,8 @@ func TestWrapperShortWriteDropsBatchWhole(t *testing.T) {
 }
 
 func TestWrapperCleanPathUnchanged(t *testing.T) {
-	// Zero rates: the wrapper is a transparent shim.
-	w := Wrap(NewSim(newTestDisk()), WrapperConfig{Seed: 1})
+	// Zero rates: every fate drawn is clean.
+	w := newFaultyMem(FaultConfig{Seed: 1})
 	l, _ := w.OpenLog("log")
 	for i := 0; i < 5; i++ {
 		l.AppendSync([]byte(fmt.Sprintf("op-%d", i)))
@@ -120,12 +125,12 @@ func TestWrapperCleanPathUnchanged(t *testing.T) {
 		t.Fatalf("LastDurableSeq = %d", got)
 	}
 	if w.Persistent() {
-		t.Fatal("Persistent must follow the inner store")
+		t.Fatal("simulated storage must not claim persistence")
 	}
 }
 
 func TestWrapperCrashDropsPending(t *testing.T) {
-	w := Wrap(NewSim(newTestDisk()), WrapperConfig{Seed: 1})
+	w := newFaultyMem(FaultConfig{Seed: 1})
 	l, _ := w.OpenLog("log")
 	l.AppendSync([]byte("durable"))
 	l.Append([]byte("pending"))
@@ -143,7 +148,7 @@ func TestWrapperCrashDropsPending(t *testing.T) {
 }
 
 func TestWrapperCheckpointForgetsFoldedTaint(t *testing.T) {
-	w := Wrap(NewSim(newTestDisk()), WrapperConfig{Seed: 3, CorruptTailRate: 1.0})
+	w := newFaultyMem(FaultConfig{Seed: 3, CorruptTailRate: 1.0})
 	l, _ := w.OpenLog("log")
 	l.AppendSync([]byte("damaged")) // committed then tainted
 	// Checkpoint over the tainted record; the torn-tail report clears.

@@ -592,7 +592,7 @@ func (l *walLog) LastDurableSeq() uint64 {
 	return l.cpAt
 }
 
-// SkipTo implements Skipper: it raises the sequence counter (never
+// SkipTo implements Log: it raises the sequence counter (never
 // lowering it) so records applied after an installed replica checkpoint
 // continue the primary's numbering. Only the counter moves; nothing is
 // written until the next Append/Sync.

@@ -14,7 +14,6 @@ import (
 	"repro/internal/nameserv"
 	"repro/internal/netsim"
 	"repro/internal/replica"
-	"repro/internal/stable"
 	"repro/internal/vtime"
 	"repro/internal/xrep"
 )
@@ -139,9 +138,7 @@ func runE14Cell(p E14Params, mode string) (e14Row, error) {
 	stores := make(map[string]*replica.Store)
 	cfg := guardian.Config{Net: netsim.Config{Seed: 14, BaseLatency: p.NetLatency}}
 	cfg.Store = func(node string) (durable.Store, error) {
-		var inner durable.Store = durable.NewSim(stable.NewDisk(vtime.NewReal(), stable.DiskConfig{
-			SyncDelay: p.SyncDelay,
-		}))
+		var inner durable.Store = durable.NewMem(vtime.NewReal(), durable.MemConfig{SyncDelay: p.SyncDelay})
 		member := false
 		for _, m := range e14Members {
 			member = member || m == node

@@ -12,8 +12,8 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.Clock == nil {
 		t.Fatal("no default clock")
 	}
-	if cfg.DefaultPortCapacity != 64 {
-		t.Fatalf("DefaultPortCapacity = %d", cfg.DefaultPortCapacity)
+	if cfg.Tuning.HeartbeatInterval != 100*time.Millisecond {
+		t.Fatalf("Tuning.HeartbeatInterval = %v", cfg.Tuning.HeartbeatInterval)
 	}
 	if cfg.FragmentMTU != 16*1024 {
 		t.Fatalf("FragmentMTU = %d", cfg.FragmentMTU)

@@ -175,7 +175,7 @@ func (g *Guardian) NewPort(pt *PortType, capacity int) (*Port, error) {
 		capacity = g.def.PortCapacity
 	}
 	if capacity == 0 {
-		capacity = g.node.world.cfg.DefaultPortCapacity
+		capacity = defaultPortCapacity
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/durable"
-	"repro/internal/stable"
 	"repro/internal/transport"
 	"repro/internal/wire"
 	"repro/internal/xrep"
@@ -66,7 +65,7 @@ func newNode(w *World, name string) (*Node, error) {
 		store = s
 	}
 	if store == nil {
-		store = durable.NewSim(stable.NewDisk(w.clock, stable.DiskConfig{}))
+		store = durable.NewMem(w.clock, durable.MemConfig{})
 	}
 	reasm := wire.NewReassembler()
 	reasm.MaxAge = w.cfg.ReassemblyAge
@@ -272,7 +271,7 @@ func (n *Node) instantiate(def *GuardianDef, args xrep.Seq, meta *guardianMeta, 
 	}
 	capacity := def.PortCapacity
 	if capacity == 0 {
-		capacity = n.world.cfg.DefaultPortCapacity
+		capacity = defaultPortCapacity
 	}
 	ports := make([]*Port, len(def.Provides))
 	var portIDs []uint64

@@ -29,9 +29,9 @@ type Config struct {
 	Transport transport.Transport
 	// Store, when non-nil, builds each node's stable storage — e.g.
 	// durable.OpenWAL for a node that must survive process death, or a
-	// durable.Wrapper injecting storage faults. Nil (or a factory
-	// returning a nil Store for some node) means a fresh simulated disk
-	// per node, as always. The world takes ownership:
+	// durable.NewMem with a FaultConfig injecting storage faults. Nil (or
+	// a factory returning a nil Store for some node) means a fresh
+	// in-memory disk per node, as always. The world takes ownership:
 	// Close closes every node's store. When the store reports
 	// Persistent(), node startup replays the on-disk catalog, recovering
 	// guardians created by a previous OS process.
@@ -39,9 +39,6 @@ type Config struct {
 	// Limits are the system-wide type invariants enforced at send time.
 	// The zero value means DefaultLimits.
 	Limits xrep.Limits
-	// DefaultPortCapacity is the buffer space of ports created without an
-	// explicit capacity. Zero means 64.
-	DefaultPortCapacity int
 	// FragmentMTU is the maximum packet size handed to the network; larger
 	// frames are split and reassembled. Zero means 16 KiB.
 	FragmentMTU int
@@ -49,8 +46,8 @@ type Config struct {
 	// 30 s.
 	ReassemblyAge time.Duration
 	// Tuning holds the world-wide liveness knobs (heartbeat intervals,
-	// failure thresholds, retry backoff caps) that infrastructure
-	// guardians consult when they are created without explicit values.
+	// retry backoff caps) that infrastructure guardians consult when
+	// they are created without explicit values.
 	// DST shrinks them deterministically; real deployments keep the
 	// defaults. Zero fields take their documented defaults.
 	Tuning Tuning
@@ -64,20 +61,22 @@ type Tuning struct {
 	// HeartbeatInterval is the default probe/heartbeat period. Zero
 	// means 100ms.
 	HeartbeatInterval time.Duration
-	// FailureThreshold is how many consecutive missed heartbeats declare
-	// a peer dead. Zero means 2.
-	FailureThreshold int
 	// BackoffCap bounds grown retry backoffs when the caller sets none.
 	// Zero means 32× the base backoff.
 	BackoffCap time.Duration
 }
 
+// FailureThreshold is how many consecutive missed heartbeats declare a
+// peer dead, for infrastructure created without a threshold of its own.
+const FailureThreshold = 2
+
+// defaultPortCapacity is the buffer space of ports created without an
+// explicit capacity.
+const defaultPortCapacity = 64
+
 func (t Tuning) withDefaults() Tuning {
 	if t.HeartbeatInterval <= 0 {
 		t.HeartbeatInterval = 100 * time.Millisecond
-	}
-	if t.FailureThreshold <= 0 {
-		t.FailureThreshold = 2
 	}
 	return t
 }
@@ -88,9 +87,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Limits == (xrep.Limits{}) {
 		c.Limits = xrep.DefaultLimits
-	}
-	if c.DefaultPortCapacity == 0 {
-		c.DefaultPortCapacity = 64
 	}
 	if c.FragmentMTU == 0 {
 		c.FragmentMTU = 16 * 1024

@@ -8,7 +8,6 @@ import (
 	"repro/internal/guardian"
 	"repro/internal/netsim"
 	"repro/internal/replica"
-	"repro/internal/stable"
 	"repro/internal/vtime"
 	"repro/internal/xrep"
 )
@@ -18,7 +17,7 @@ import (
 // test can model kill -9 by re-running NewStore over the same disk).
 func soloWorld(t *testing.T, mode replica.Mode) (*guardian.World, *replica.Store, durable.Store, replica.Config) {
 	t.Helper()
-	inner := durable.NewSim(stable.NewDisk(vtime.NewReal(), stable.DiskConfig{}))
+	inner := durable.NewMem(vtime.NewReal(), durable.MemConfig{})
 	cfg := replica.Config{
 		Group:   "gq",
 		Self:    "m1",

@@ -12,7 +12,6 @@ import (
 	"repro/internal/guardian"
 	"repro/internal/nameserv"
 	"repro/internal/replica"
-	"repro/internal/stable"
 	"repro/internal/vtime"
 	"repro/internal/xrep"
 )
@@ -58,7 +57,7 @@ func deploy(t *testing.T, mode replica.Mode, branchArgs ...any) *harness {
 				return nil, nil
 			}
 			st, err := replica.NewStore(
-				durable.NewSim(stable.NewDisk(vtime.NewReal(), stable.DiskConfig{})),
+				durable.NewMem(vtime.NewReal(), durable.MemConfig{}),
 				replica.Config{
 					Group:       "g1",
 					Self:        node,

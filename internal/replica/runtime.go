@@ -389,7 +389,7 @@ func (rt *Runtime) attach(ctx *guardian.Ctx) {
 	}
 	rt.threshold = rt.cfg.Threshold
 	if rt.threshold <= 0 {
-		rt.threshold = t.FailureThreshold
+		rt.threshold = guardian.FailureThreshold
 	}
 	rt.lastHB = rt.clock.Now()
 	initial := rt.cfg.Self == rt.cfg.Members[0] && rt.term == 0
@@ -1374,7 +1374,7 @@ func (rt *Runtime) onCheckpoint(pr *guardian.Process, m *guardian.Message) {
 	}
 	if upTo > l.LastDurableSeq() {
 		l.Checkpoint([]byte(state), upTo)
-		durable.SkipTo(l, upTo)
+		l.SkipTo(upTo)
 		rt.mu.Lock()
 		// The install replaced every local record of this log: re-seed
 		// its term attribution from the leader's stamp and mark the log

@@ -4,14 +4,13 @@ import (
 	"testing"
 
 	"repro/internal/durable"
-	"repro/internal/stable"
 	"repro/internal/vtime"
 )
 
 // newTestStore builds a member store over a fresh in-memory sim disk.
 func newTestStore(t *testing.T, cfg Config) *Store {
 	t.Helper()
-	inner := durable.NewSim(stable.NewDisk(vtime.NewReal(), stable.DiskConfig{}))
+	inner := durable.NewMem(vtime.NewReal(), durable.MemConfig{})
 	st, err := NewStore(inner, cfg)
 	if err != nil {
 		t.Fatal(err)

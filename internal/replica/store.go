@@ -15,7 +15,7 @@ import (
 // guardian.Config.Store:
 //
 //	cfg.Store = func(node string) (durable.Store, error) {
-//		inner := durable.NewSim(stable.NewDisk(...))
+//		inner := durable.NewMem(...)
 //		if rc, ok := groups[node]; ok {
 //			return replica.NewStore(inner, rc)
 //		}
@@ -241,8 +241,8 @@ func (l *repLog) VolatileLen() int { return l.inner.VolatileLen() }
 // LastDurableSeq passes through to the wrapped log.
 func (l *repLog) LastDurableSeq() uint64 { return l.inner.LastDurableSeq() }
 
-// SkipTo passes through to the wrapped log's Skipper, if any.
-func (l *repLog) SkipTo(seq uint64) { durable.SkipTo(l.inner, seq) }
+// SkipTo passes through to the wrapped log.
+func (l *repLog) SkipTo(seq uint64) { l.inner.SkipTo(seq) }
 
 // crashReset drops the volatile pending batch, mirroring the wrapped
 // log's loss of its volatile tail.

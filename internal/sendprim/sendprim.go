@@ -128,8 +128,6 @@ type CallOptions struct {
 	// and cancel are designed to be exactly that (§3.5) — or when the
 	// receiver runs an at-most-once filter (package amo).
 	Retries int
-	// ReplyCapacity sizes the ephemeral reply port. Zero means 4.
-	ReplyCapacity int
 	// Backoff is the delay inserted before the first re-send; each further
 	// re-send doubles it, capped at BackoffCap. Zero keeps the historical
 	// behavior: immediate blind re-send.
@@ -201,6 +199,9 @@ func (e *CallError) Error() string {
 // Unwrap lets errors.Is(err, ErrCallTimeout) succeed.
 func (e *CallError) Unwrap() error { return ErrCallTimeout }
 
+// replyCapacity sizes the ephemeral reply port of one Call.
+const replyCapacity = 4
+
 // Call is the remote transaction send: "the sending process waits for a
 // response from the receiving process that the command has been carried
 // out." It sends the request with an ephemeral reply port, waits for the
@@ -210,11 +211,7 @@ func (e *CallError) Unwrap() error { return ErrCallTimeout }
 // uncertainty §3.5 describes, and the returned CallError carries the
 // per-attempt timing so the caller can see how the budget was spent).
 func Call(pr *guardian.Process, to xrep.PortName, replyType *guardian.PortType, opts CallOptions, command string, args ...any) (*guardian.Message, error) {
-	capacity := opts.ReplyCapacity
-	if capacity == 0 {
-		capacity = 4
-	}
-	reply, err := pr.Guardian().NewPort(replyType, capacity)
+	reply, err := pr.Guardian().NewPort(replyType, replyCapacity)
 	if err != nil {
 		return nil, err
 	}

@@ -1,269 +1,20 @@
-// Package stable models the per-node storage that "will survive a node
-// crash" (§2.2). The paper requires that each guardian provide permanence
-// of effect for the resource it guards by logging recovery data in such
-// storage and interpreting it from a recovery process started after the
-// crash.
-//
-// A Disk belongs to one node and survives Node crashes (but not node
-// destruction). Each guardian opens named Logs on its node's disk. An
-// appended record is volatile until Sync is called: a crash between Append
-// and Sync loses the record, exactly like a real buffered disk write. This
-// distinction is load-bearing — experiment E7 shows that a guardian which
-// acknowledges an atomic operation before syncing its log record violates
-// permanence, while the paper's log-then-ack protocol survives every crash
-// point.
+// Package stable is the old name of the in-memory disk, now durable.Mem.
+// It holds aliases only, because the benchmark (which this repo's PRs
+// may not edit) constructs durable.NewSim(stable.NewDisk(clock,
+// stable.DiskConfig{})). New code imports durable.
 package stable
 
 import (
-	"errors"
-	"sort"
-	"sync"
-	"time"
-
+	"repro/internal/durable"
 	"repro/internal/vtime"
 )
 
-// DiskConfig tunes the simulated device.
-type DiskConfig struct {
-	// SyncDelay is charged (by sleeping on the clock) per Sync call,
-	// modeling the latency of a forced write. Zero means instant.
-	SyncDelay time.Duration
-	// MidCheckpoint, when set, is called during Checkpoint after the new
-	// checkpoint is durably installed but before the records it
-	// supersedes are truncated — the crash window every
-	// write-new-then-rename implementation has. A hook that panics
-	// models dying inside that window: the checkpoint is on disk, the
-	// stale records are too.
-	MidCheckpoint func(log string)
-}
+type (
+	Disk       = durable.Mem
+	DiskConfig = durable.MemConfig
+	Record     = durable.Record
+)
 
-// Disk is one node's crash-surviving storage device.
-type Disk struct {
-	clock vtime.Clock
-	cfg   DiskConfig
+var ErrNoCheckpoint = durable.ErrNoCheckpoint
 
-	mu   sync.Mutex
-	logs map[string]*Log
-
-	syncCount int64
-}
-
-// NewDisk creates an empty disk using the given clock for write-latency
-// accounting.
-func NewDisk(clock vtime.Clock, cfg DiskConfig) *Disk {
-	return &Disk{clock: clock, cfg: cfg, logs: make(map[string]*Log)}
-}
-
-// OpenLog returns the named log, creating it if absent. Logs persist
-// across crashes, so a recovery process re-opening its guardian's log sees
-// every record that was durable at the crash.
-func (d *Disk) OpenLog(name string) *Log {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	l, ok := d.logs[name]
-	if !ok {
-		l = &Log{disk: d, name: name}
-		d.logs[name] = l
-	}
-	return l
-}
-
-// LogNames returns the names of all logs on the disk, sorted.
-func (d *Disk) LogNames() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	names := make([]string, 0, len(d.logs))
-	for n := range d.logs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Crash simulates the node failing: every log's volatile tail is lost;
-// durable records and checkpoints survive. The next sequence number falls
-// back to the last durable one, exactly as a real log reopened after a
-// crash would continue from its durable tail — replication peers depend on
-// the two sides agreeing about sequence numbering after a crash.
-func (d *Disk) Crash() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, l := range d.logs {
-		l.mu.Lock()
-		l.volatileRecs = nil
-		if n := len(l.durableRecs); n > 0 {
-			l.nextSeq = l.durableRecs[n-1].Seq
-		} else {
-			l.nextSeq = l.checkpointAt
-		}
-		l.mu.Unlock()
-	}
-}
-
-// SyncCount reports how many forced writes the disk has performed —
-// the cost metric for checkpoint-interval ablations.
-func (d *Disk) SyncCount() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.syncCount
-}
-
-// Record is one durable log entry.
-type Record struct {
-	Seq  uint64
-	Data []byte
-}
-
-// Log is an append-only record log with an optional checkpoint. The
-// checkpoint write is atomic (a real implementation would write-new-then-
-// rename); records with Seq <= the checkpoint's watermark are discarded.
-type Log struct {
-	disk *Disk
-	name string
-
-	mu           sync.Mutex
-	nextSeq      uint64
-	durableRecs  []Record
-	volatileRecs []Record
-	checkpoint   []byte
-	checkpointAt uint64 // watermark: highest seq folded into the checkpoint
-	hasCP        bool
-}
-
-// ErrNoCheckpoint is returned by Recover when no checkpoint exists.
-var ErrNoCheckpoint = errors.New("stable: no checkpoint")
-
-// Append adds a record to the volatile tail and returns its sequence
-// number. The record becomes durable only on the next Sync.
-func (l *Log) Append(data []byte) uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.nextSeq++
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	l.volatileRecs = append(l.volatileRecs, Record{Seq: l.nextSeq, Data: buf})
-	return l.nextSeq
-}
-
-// Sync forces every appended record to durable storage, charging the
-// configured write latency.
-func (l *Log) Sync() {
-	l.mu.Lock()
-	l.durableRecs = append(l.durableRecs, l.volatileRecs...)
-	l.volatileRecs = nil
-	l.mu.Unlock()
-
-	l.disk.mu.Lock()
-	l.disk.syncCount++
-	delay := l.disk.cfg.SyncDelay
-	clock := l.disk.clock
-	l.disk.mu.Unlock()
-	if delay > 0 {
-		clock.Sleep(delay)
-	}
-}
-
-// AppendSync appends and immediately syncs — the paper's log-then-ack
-// protocol in one call.
-func (l *Log) AppendSync(data []byte) uint64 {
-	seq := l.Append(data)
-	l.Sync()
-	return seq
-}
-
-// Checkpoint atomically replaces the log's checkpoint with state, folding
-// in every durable record with Seq <= upTo; those records are discarded.
-func (l *Log) Checkpoint(state []byte, upTo uint64) {
-	l.mu.Lock()
-	buf := make([]byte, len(state))
-	copy(buf, state)
-	l.checkpoint = buf
-	l.checkpointAt = upTo
-	l.hasCP = true
-	if hook := l.disk.cfg.MidCheckpoint; hook != nil {
-		l.mu.Unlock()
-		hook(l.name)
-		l.mu.Lock()
-	}
-	kept := l.durableRecs[:0]
-	for _, r := range l.durableRecs {
-		if r.Seq > upTo {
-			kept = append(kept, r)
-		}
-	}
-	l.durableRecs = kept
-	l.mu.Unlock()
-
-	l.disk.mu.Lock()
-	l.disk.syncCount++
-	delay := l.disk.cfg.SyncDelay
-	clock := l.disk.clock
-	l.disk.mu.Unlock()
-	if delay > 0 {
-		clock.Sleep(delay)
-	}
-}
-
-// Recover returns the checkpoint (or ErrNoCheckpoint) and every durable
-// record after it, in sequence order. This is what a guardian's recovery
-// process reads after a crash. Records at or below the checkpoint's
-// watermark are filtered out: a crash between checkpoint install and log
-// truncation leaves such records on disk, and replaying them on top of
-// the checkpoint that already contains their effects would double-apply.
-func (l *Log) Recover() (checkpoint []byte, records []Record, err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	records = make([]Record, 0, len(l.durableRecs))
-	for _, r := range l.durableRecs {
-		if l.hasCP && r.Seq <= l.checkpointAt {
-			continue
-		}
-		data := make([]byte, len(r.Data))
-		copy(data, r.Data)
-		records = append(records, Record{Seq: r.Seq, Data: data})
-	}
-	if !l.hasCP {
-		return nil, records, ErrNoCheckpoint
-	}
-	cp := make([]byte, len(l.checkpoint))
-	copy(cp, l.checkpoint)
-	return cp, records, nil
-}
-
-// DurableLen reports the number of durable records not yet folded into the
-// checkpoint.
-func (l *Log) DurableLen() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.durableRecs)
-}
-
-// VolatileLen reports the number of appended-but-unsynced records.
-func (l *Log) VolatileLen() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.volatileRecs)
-}
-
-// SkipTo raises the log's sequence counter so the next Append returns
-// seq+1, without writing anything. It never lowers the counter. A replica
-// that installs a checkpoint at watermark W calls SkipTo(W) so records
-// applied after it continue the primary's numbering.
-func (l *Log) SkipTo(seq uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if seq > l.nextSeq {
-		l.nextSeq = seq
-	}
-}
-
-// LastDurableSeq returns the highest durable sequence number, counting the
-// checkpoint watermark.
-func (l *Log) LastDurableSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if n := len(l.durableRecs); n > 0 {
-		return l.durableRecs[n-1].Seq
-	}
-	return l.checkpointAt
-}
+func NewDisk(clock vtime.Clock, cfg DiskConfig) *Disk { return durable.NewMem(clock, cfg) }

@@ -6,14 +6,23 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/vtime"
 )
 
+// These tests drive durable.Mem through the alias names the benchmark
+// imports; the cross-backend contract lives in internal/durable.
+
 func newDisk() *Disk { return NewDisk(vtime.NewReal(), DiskConfig{}) }
+
+func openLog(d *Disk, name string) durable.Log {
+	l, _ := d.OpenLog(name) // cannot fail on the in-memory disk
+	return l
+}
 
 func TestAppendIsVolatileUntilSync(t *testing.T) {
 	d := newDisk()
-	l := d.OpenLog("g1")
+	l := openLog(d, "g1")
 	l.Append([]byte("op1"))
 	if l.VolatileLen() != 1 || l.DurableLen() != 0 {
 		t.Fatalf("volatile=%d durable=%d, want 1/0", l.VolatileLen(), l.DurableLen())
@@ -27,7 +36,7 @@ func TestAppendIsVolatileUntilSync(t *testing.T) {
 
 func TestSyncMakesDurable(t *testing.T) {
 	d := newDisk()
-	l := d.OpenLog("g1")
+	l := openLog(d, "g1")
 	l.Append([]byte("op1"))
 	l.Sync()
 	d.Crash()
@@ -42,7 +51,7 @@ func TestSyncMakesDurable(t *testing.T) {
 
 func TestAppendSyncShorthand(t *testing.T) {
 	d := newDisk()
-	l := d.OpenLog("g")
+	l := openLog(d, "g")
 	seq := l.AppendSync([]byte("x"))
 	if seq != 1 {
 		t.Fatalf("seq = %d, want 1", seq)
@@ -54,7 +63,7 @@ func TestAppendSyncShorthand(t *testing.T) {
 
 func TestSequenceNumbersMonotonic(t *testing.T) {
 	d := newDisk()
-	l := d.OpenLog("g")
+	l := openLog(d, "g")
 	var last uint64
 	for i := 0; i < 100; i++ {
 		seq := l.Append([]byte{byte(i)})
@@ -67,7 +76,7 @@ func TestSequenceNumbersMonotonic(t *testing.T) {
 
 func TestCrashDropsOnlyVolatileTail(t *testing.T) {
 	d := newDisk()
-	l := d.OpenLog("g")
+	l := openLog(d, "g")
 	l.AppendSync([]byte("durable1"))
 	l.AppendSync([]byte("durable2"))
 	l.Append([]byte("lost"))
@@ -83,7 +92,7 @@ func TestCrashDropsOnlyVolatileTail(t *testing.T) {
 
 func TestRecordDataIsCopied(t *testing.T) {
 	d := newDisk()
-	l := d.OpenLog("g")
+	l := openLog(d, "g")
 	buf := []byte("abc")
 	l.AppendSync(buf)
 	buf[0] = 'z'
@@ -95,7 +104,7 @@ func TestRecordDataIsCopied(t *testing.T) {
 
 func TestCheckpointDiscardsFoldedRecords(t *testing.T) {
 	d := newDisk()
-	l := d.OpenLog("g")
+	l := openLog(d, "g")
 	for i := 0; i < 10; i++ {
 		l.AppendSync([]byte{byte(i)})
 	}
@@ -117,7 +126,7 @@ func TestCheckpointDiscardsFoldedRecords(t *testing.T) {
 
 func TestCheckpointSurvivesCrash(t *testing.T) {
 	d := newDisk()
-	l := d.OpenLog("g")
+	l := openLog(d, "g")
 	l.AppendSync([]byte("a"))
 	l.Checkpoint([]byte("cp"), 1)
 	d.Crash()
@@ -129,7 +138,7 @@ func TestCheckpointSurvivesCrash(t *testing.T) {
 
 func TestRecoverReturnsCopies(t *testing.T) {
 	d := newDisk()
-	l := d.OpenLog("g")
+	l := openLog(d, "g")
 	l.AppendSync([]byte("orig"))
 	l.Checkpoint([]byte("cp"), 0)
 	cp, recs, _ := l.Recover()
@@ -143,8 +152,8 @@ func TestRecoverReturnsCopies(t *testing.T) {
 
 func TestLogsIndependentPerGuardian(t *testing.T) {
 	d := newDisk()
-	l1 := d.OpenLog("guardian-a")
-	l2 := d.OpenLog("guardian-b")
+	l1 := openLog(d, "guardian-a")
+	l2 := openLog(d, "guardian-b")
 	l1.AppendSync([]byte("a"))
 	l2.AppendSync([]byte("b"))
 	if _, recs, _ := l1.Recover(); len(recs) != 1 || string(recs[0].Data) != "a" {
@@ -161,9 +170,9 @@ func TestLogsIndependentPerGuardian(t *testing.T) {
 
 func TestOpenLogIdempotent(t *testing.T) {
 	d := newDisk()
-	l1 := d.OpenLog("g")
+	l1 := openLog(d, "g")
 	l1.AppendSync([]byte("x"))
-	l2 := d.OpenLog("g")
+	l2 := openLog(d, "g")
 	if l2.DurableLen() != 1 {
 		t.Fatal("re-opened log lost records")
 	}
@@ -171,7 +180,7 @@ func TestOpenLogIdempotent(t *testing.T) {
 
 func TestLastDurableSeq(t *testing.T) {
 	d := newDisk()
-	l := d.OpenLog("g")
+	l := openLog(d, "g")
 	if l.LastDurableSeq() != 0 {
 		t.Fatal("empty log LastDurableSeq != 0")
 	}
@@ -189,7 +198,7 @@ func TestLastDurableSeq(t *testing.T) {
 func TestSyncDelayCharged(t *testing.T) {
 	clock := vtime.NewSim(time.Unix(0, 0))
 	d := NewDisk(clock, DiskConfig{SyncDelay: 5 * time.Millisecond})
-	l := d.OpenLog("g")
+	l := openLog(d, "g")
 	done := make(chan struct{})
 	go func() {
 		l.AppendSync([]byte("x"))
@@ -211,7 +220,7 @@ func TestSyncDelayCharged(t *testing.T) {
 
 func TestConcurrentAppends(t *testing.T) {
 	d := newDisk()
-	l := d.OpenLog("g")
+	l := openLog(d, "g")
 	var wg sync.WaitGroup
 	const n = 50
 	for i := 0; i < n; i++ {
@@ -241,7 +250,7 @@ func TestConcurrentAppends(t *testing.T) {
 func TestPermanenceAcrossEveryCrashPoint(t *testing.T) {
 	for crashAt := 0; crashAt < 3; crashAt++ {
 		d := newDisk()
-		l := d.OpenLog("flight")
+		l := openLog(d, "flight")
 		acked := false
 		// Protocol: append, sync, ack. Crash injected at each step.
 		l.Append([]byte("reserve f22"))
@@ -287,7 +296,7 @@ func TestRecoverAfterMidCheckpointCrash(t *testing.T) {
 			panic("crash between checkpoint install and truncation")
 		},
 	})
-	l := d.OpenLog("acct")
+	l := openLog(d, "acct")
 	for i := 1; i <= 5; i++ {
 		l.AppendSync([]byte(fmt.Sprintf("rec%d", i)))
 	}

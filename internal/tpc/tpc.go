@@ -14,7 +14,6 @@
 package tpc
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/guardian"
@@ -279,6 +278,3 @@ func ParticipantResource(g *guardian.Guardian) (Resource, bool) {
 	}
 	return st.res, true
 }
-
-// fmt is used by coordinator.go too; keep the import anchored here.
-var _ = fmt.Sprintf

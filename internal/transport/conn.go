@@ -133,7 +133,7 @@ func (pc *peer) enqueue(frame []byte) {
 		pc.t.dropped.Add(1)
 		return
 	}
-	if len(pc.outq) >= pc.t.cfg.MaxSendQueue || pc.qbytes+len(frame) > pc.t.cfg.maxQueueBytes() {
+	if len(pc.outq) >= tcpMaxSendQueue || pc.qbytes+len(frame) > tcpMaxSendQueueBytes {
 		pc.stats.QueueDrops++
 		pc.mu.Unlock()
 		pc.t.dropped.Add(1)
@@ -201,7 +201,7 @@ func (pc *peer) dialLoop() {
 		if pc.t.closed.Load() {
 			return
 		}
-		conn, err := pc.t.dialer.Dial("tcp", pc.addr)
+		conn, err := net.DialTimeout("tcp", pc.addr, tcpDialTimeout)
 		if err != nil {
 			continue
 		}
@@ -238,7 +238,7 @@ func (pc *peer) handshakeOut(conn net.Conn) (*bufio.Reader, bool) {
 		pc.state = stSelecting
 	}
 	pc.mu.Unlock()
-	deadline := time.Now().Add(pc.t.cfg.DialTimeout)
+	deadline := time.Now().Add(tcpDialTimeout)
 	_ = conn.SetDeadline(deadline)
 	if _, err := conn.Write(encodeControl(frameSelect, pc.t.advertised)); err != nil {
 		return nil, false
@@ -439,7 +439,7 @@ func (pc *peer) writer(g uint64, conn net.Conn) {
 		for _, f := range batch {
 			n += int64(len(f))
 		}
-		_ = conn.SetWriteDeadline(time.Now().Add(pc.t.cfg.WriteTimeout))
+		_ = conn.SetWriteDeadline(time.Now().Add(tcpWriteTimeout))
 		for _, f := range batch {
 			if _, err := bw.Write(f); err != nil {
 				pc.teardown(g, false)

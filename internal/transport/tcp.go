@@ -17,13 +17,21 @@ import (
 // length prefix cannot ask for unbounded memory.
 const DefaultTCPMaxFrame = 64 << 20
 
-// Dialer is the seam through which the TCP transport opens outbound
-// connections. *net.Dialer is the default; a *tls.Dialer (or anything
-// else satisfying the same one-method contract) drops in without the
-// state machine noticing — that is the whole point of the seam.
-type Dialer interface {
-	Dial(network, address string) (net.Conn, error)
-}
+// Fixed bounds of the stream transport.
+const (
+	// tcpDialTimeout bounds one dial attempt and each handshake
+	// read/write.
+	tcpDialTimeout = 2 * time.Second
+	// tcpWriteTimeout bounds one write batch; an overrun resets the
+	// connection (a peer that cannot drain is indistinguishable from a
+	// dead one).
+	tcpWriteTimeout = 10 * time.Second
+	// tcpMaxSendQueue and tcpMaxSendQueueBytes bound what is queued per
+	// peer while its link is down; overflow drops frames (counted),
+	// because best-effort means the backlog must not grow without bound.
+	tcpMaxSendQueue      = 256
+	tcpMaxSendQueueBytes = 128 << 20
+)
 
 // TCPConfig tunes a TCP transport.
 type TCPConfig struct {
@@ -32,11 +40,6 @@ type TCPConfig struct {
 	// every attached logical name: streams multiplex, they do not bind
 	// per-name sockets the way UDP does.
 	Listen string
-	// Advertise is the address the select handshake announces to peers —
-	// the address they should dial (and key their connection tables) by.
-	// Empty means the listener's own address, which is right except when
-	// binding a wildcard like "0.0.0.0:9001".
-	Advertise string
 	// Peers maps logical node names to remote listener addresses, seeding
 	// the routing table; peers not listed are learned from inbound
 	// traffic via Learn, exactly as for UDP.
@@ -45,17 +48,6 @@ type TCPConfig struct {
 	// with ErrTooLarge. Zero means DefaultTCPMaxFrame. This is the bound
 	// the stream removes the MTU in favor of: megabytes, not 1400 bytes.
 	MaxFrame int
-	// Dialer opens outbound connections. Nil means a *net.Dialer with
-	// DialTimeout; a *tls.Dialer makes every link TLS without further
-	// changes.
-	Dialer Dialer
-	// DialTimeout bounds one dial attempt and each handshake read/write.
-	// Zero means 2s.
-	DialTimeout time.Duration
-	// WriteTimeout bounds one write batch; an overrun resets the
-	// connection (a peer that cannot drain is indistinguishable from a
-	// dead one). Zero means 10s.
-	WriteTimeout time.Duration
 	// Heartbeat is the linktest interval: each tick without inbound
 	// traffic sends a linktest and counts a miss. Zero means 2s.
 	Heartbeat time.Duration
@@ -70,12 +62,6 @@ type TCPConfig struct {
 	// between reconnect attempts. Zero means 50ms / 3s.
 	ReconnectBase time.Duration
 	ReconnectCap  time.Duration
-	// MaxSendQueue bounds the frames queued per peer while its link is
-	// down; overflow drops frames (counted), because best-effort means
-	// the backlog must not grow without bound. Zero means 256.
-	MaxSendQueue int
-	// MaxSendQueueBytes is the matching byte bound. Zero means 128 MiB.
-	MaxSendQueueBytes int
 	// Seed makes reconnect jitter deterministic for tests.
 	Seed int64
 }
@@ -83,12 +69,6 @@ type TCPConfig struct {
 func (c TCPConfig) withDefaults() TCPConfig {
 	if c.MaxFrame == 0 {
 		c.MaxFrame = DefaultTCPMaxFrame
-	}
-	if c.DialTimeout == 0 {
-		c.DialTimeout = 2 * time.Second
-	}
-	if c.WriteTimeout == 0 {
-		c.WriteTimeout = 10 * time.Second
 	}
 	if c.Heartbeat == 0 {
 		c.Heartbeat = 2 * time.Second
@@ -108,16 +88,8 @@ func (c TCPConfig) withDefaults() TCPConfig {
 	if c.ReconnectCap == 0 {
 		c.ReconnectCap = 3 * time.Second
 	}
-	if c.MaxSendQueue == 0 {
-		c.MaxSendQueue = 256
-	}
-	if c.MaxSendQueueBytes == 0 {
-		c.MaxSendQueueBytes = 128 << 20
-	}
 	return c
 }
-
-func (c TCPConfig) maxQueueBytes() int { return c.MaxSendQueueBytes }
 
 // TCP is a Transport over persistent TCP connections: one shared listener,
 // one connection per peer pair regardless of how many logical names ride
@@ -129,8 +101,7 @@ func (c TCPConfig) maxQueueBytes() int { return c.MaxSendQueueBytes }
 // loss.
 type TCP struct {
 	cfg        TCPConfig
-	advertised string
-	dialer     Dialer
+	advertised string // the listener's address, announced in the select handshake
 	listener   net.Listener
 	done       chan struct{}
 
@@ -173,16 +144,9 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 		handlers: make(map[Addr]Handler),
 		routes:   make(map[Addr]string, len(cfg.Peers)),
 		peers:    make(map[string]*peer),
-		dialer:   cfg.Dialer,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 	}
-	if t.dialer == nil {
-		t.dialer = &net.Dialer{Timeout: cfg.DialTimeout}
-	}
-	t.advertised = cfg.Advertise
-	if t.advertised == "" {
-		t.advertised = ln.Addr().String()
-	}
+	t.advertised = ln.Addr().String()
 	for name, hostport := range cfg.Peers {
 		if err := t.SetPeer(name, hostport); err != nil {
 			_ = ln.Close()
@@ -384,7 +348,7 @@ func (t *TCP) acceptLoop() {
 // identity everything is keyed by), break simultaneous-dial ties
 // deterministically, ack, and install the connection on the peer machine.
 func (t *TCP) handshakeIncoming(conn net.Conn) {
-	_ = conn.SetDeadline(time.Now().Add(t.cfg.DialTimeout))
+	_ = conn.SetDeadline(time.Now().Add(tcpDialTimeout))
 	br := bufio.NewReaderSize(conn, 64<<10)
 	typ, body, err := readFrame(br, 4096)
 	if err != nil || typ != frameSelect {

@@ -35,10 +35,6 @@ type UDPConfig struct {
 	// (fragment trains are the common case); lost bursts are legal but
 	// wasteful.
 	PaceMinGap time.Duration
-	// ReadBuffer / WriteBuffer, when positive, request OS socket buffer
-	// sizes in bytes.
-	ReadBuffer  int
-	WriteBuffer int
 }
 
 func (c UDPConfig) withDefaults() UDPConfig {
@@ -177,12 +173,6 @@ func (u *UDP) Attach(a Addr, h Handler) error {
 	if err != nil {
 		u.mu.Unlock()
 		return fmt.Errorf("transport: bind %s: %w", a, err)
-	}
-	if u.cfg.ReadBuffer > 0 {
-		_ = conn.SetReadBuffer(u.cfg.ReadBuffer)
-	}
-	if u.cfg.WriteBuffer > 0 {
-		_ = conn.SetWriteBuffer(u.cfg.WriteBuffer)
 	}
 	// An ephemeral bind (port 0) resolves here; record the real address
 	// so sends from co-located peers in the same process route correctly.

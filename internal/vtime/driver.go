@@ -10,18 +10,11 @@ type DriveOptions struct {
 	// timer not yet created when the caller's timeout fires); too large and
 	// the simulation just runs slower. Zero means 200µs.
 	Settle time.Duration
-	// Idle is the real-time pause taken when no timers are pending but
-	// done() is still false — goroutines are en route to their blocking
-	// points. Zero means Settle.
-	Idle time.Duration
 }
 
 func (o DriveOptions) withDefaults() DriveOptions {
 	if o.Settle <= 0 {
 		o.Settle = 200 * time.Microsecond
-	}
-	if o.Idle <= 0 {
-		o.Idle = o.Settle
 	}
 	return o
 }
@@ -30,7 +23,8 @@ func (o DriveOptions) withDefaults() DriveOptions {
 // advances virtual time to the earliest pending deadline (firing the
 // timers there), then yields a settle window of real time so the woken
 // goroutines can run and install their next timers before the clock moves
-// again. When no timers are pending it idles briefly and re-checks.
+// again. When no timers are pending — goroutines are en route to their
+// blocking points — it pauses one settle window and re-checks.
 //
 // This is the virtual-time event scheduler the deterministic simulation
 // harness (internal/dst) runs on: every component blocks only on this
@@ -50,6 +44,6 @@ func (s *Sim) Drive(done func() bool, opts DriveOptions) {
 			time.Sleep(opts.Settle)
 			continue
 		}
-		time.Sleep(opts.Idle)
+		time.Sleep(opts.Settle)
 	}
 }

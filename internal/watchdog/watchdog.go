@@ -85,7 +85,7 @@ func watchdogMain(ctx *guardian.Ctx) {
 	tuning := ctx.G.Node().World().Tuning()
 	st := &state{
 		interval:  tuning.HeartbeatInterval,
-		threshold: tuning.FailureThreshold,
+		threshold: guardian.FailureThreshold,
 		watched:   make(map[string]*nodeHealth),
 	}
 	if len(ctx.Args) == 2 {
