@@ -505,6 +505,7 @@ func BenchmarkE10AtMostOnceCall(b *testing.B) {
 	if _, err := caller.Call(created.Ports[1], "open", "acct"); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rep, err := caller.Call(created.Ports[1], "deposit", "acct", int64(1))
@@ -578,6 +579,7 @@ func BenchmarkTransportLoopback(b *testing.B) {
 		// learning out of the measured loop: the steady state is what the
 		// arms are being compared on.
 		roundTrip(-1)
+		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			roundTrip(i)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/amo"
 	"repro/internal/guardian"
 	"repro/internal/netsim"
+	"repro/internal/vtime"
 	"repro/internal/watchdog"
 	"repro/internal/xrep"
 )
@@ -457,5 +458,53 @@ func TestMovedRedirectExhaustion(t *testing.T) {
 	}
 	if n := met.Redirects.Load(); n < amo.MaxRedirects {
 		t.Fatalf("Redirects = %d, want the full budget of %d burnt", n, amo.MaxRedirects)
+	}
+}
+
+// TestCallErrorWaitedIsElapsedPerAttempt: Waited reports how long each
+// failed attempt actually waited on the clock, not the configured timeout.
+// The first attempt reaches a node that answers at once with a failure
+// (no such guardian) and ends after one round trip; the re-resolved second
+// goes to a node that is not there and runs out its timeout.
+func TestCallErrorWaitedIsElapsedPerAttempt(t *testing.T) {
+	const latency, timeout = time.Millisecond, 10 * time.Second
+	clock := vtime.NewSim(time.Unix(0, 0))
+	w := guardian.NewWorld(guardian.Config{Clock: clock, Net: netsim.Config{BaseLatency: latency}})
+	defer w.Close()
+	w.MustAddNode("srv")
+	_, proc, err := w.MustAddNode("cli").NewDriver("op")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := xrep.PortName{Node: "srv", Guardian: 99, Port: 1}
+	c, err := amo.NewCaller(proc, amo.CallerOptions{
+		Timeout: timeout,
+		Retries: 1,
+		Metrics: &amo.Metrics{},
+		Resolve: func() (xrep.PortName, bool) { return xrep.PortName{Node: "nowhere", Guardian: 1, Port: 1}, true },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() {
+		_, err := c.Call(dead, "add", int64(1))
+		errc <- err
+	}()
+	var callErr error
+	clock.Drive(func() bool {
+		select {
+		case callErr = <-errc:
+			return true
+		default:
+			return false
+		}
+	}, vtime.DriveOptions{})
+	var ce *amo.CallError
+	if !errors.As(callErr, &ce) {
+		t.Fatalf("err = %v, want a *CallError", callErr)
+	}
+	if len(ce.Waited) != 2 || ce.Waited[0] != 2*latency || ce.Waited[1] != timeout {
+		t.Fatalf("Waited = %v, want [%v %v]: one round trip to the failure reply, then a full timeout", ce.Waited, 2*latency, timeout)
 	}
 }

@@ -92,7 +92,9 @@ type Caller struct {
 	pr     *guardian.Process
 	reply  *guardian.Port
 	client string
-	opts   CallerOptions
+	// clientArg is client boxed once, as every envelope's first argument.
+	clientArg xrep.Value
+	opts      CallerOptions
 
 	mu     sync.Mutex
 	inCall bool
@@ -128,11 +130,12 @@ func NewCaller(pr *guardian.Process, opts CallerOptions) (*Caller, error) {
 		seed = int64(h.Sum64())
 	}
 	return &Caller{
-		pr:     pr,
-		reply:  reply,
-		client: client,
-		opts:   opts,
-		rng:    rand.New(rand.NewSource(seed)),
+		pr:        pr,
+		reply:     reply,
+		client:    client,
+		clientArg: xrep.Str(client),
+		opts:      opts,
+		rng:       rand.New(rand.NewSource(seed)),
 	}, nil
 }
 
@@ -174,8 +177,11 @@ type CallError struct {
 	Client   string
 	Seq      int64
 	Attempts int
-	Waited   []time.Duration
-	Backoff  time.Duration // total backoff slept
+	// Waited is, for each attempt, the clock time from its send to the
+	// moment it was given up: the timeout, or less when a failure message
+	// ended it early.
+	Waited  []time.Duration
+	Backoff time.Duration // total backoff slept
 }
 
 // Error implements error.
@@ -228,7 +234,10 @@ func (c *Caller) Call(to xrep.PortName, command string, args ...any) (*Reply, er
 
 	clock := c.pr.Guardian().Node().World().Clock()
 	attempts := c.opts.Retries + 1
-	waited := make([]time.Duration, 0, attempts)
+	// The envelope is built once, already in external-rep form, and every
+	// attempt and redirect re-sends it.
+	envelope := xrep.Seq{c.clientArg, xrep.Int(seq), xrep.Int(ack), xrep.Str(command), encoded}
+	var waited []time.Duration // one entry per failed attempt
 	var backoffTotal time.Duration
 	redirects := 0
 	followingMove := false
@@ -263,11 +272,11 @@ attempt:
 		if i > 0 {
 			m.Retries.Inc()
 		}
-		if err := c.pr.SendReplyTo(to, c.reply.Name(), ReqCommand,
-			c.client, seq, ack, command, encoded); err != nil {
+		if err := c.pr.SendSeq(to, c.reply.Name(), ReqCommand, envelope); err != nil {
 			return nil, err
 		}
-		deadline := clock.Now().Add(c.opts.Timeout)
+		sent := clock.Now()
+		deadline := sent.Add(c.opts.Timeout)
 		for {
 			remain := deadline.Sub(clock.Now())
 			if remain <= 0 {
@@ -325,7 +334,7 @@ attempt:
 			}
 			break
 		}
-		waited = append(waited, c.opts.Timeout)
+		waited = append(waited, clock.Now().Sub(sent))
 		if i < attempts-1 {
 			c.mu.Lock()
 			d := c.opts.Backoff.delay(i, c.rng)

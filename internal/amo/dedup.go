@@ -76,6 +76,10 @@ type Dedup struct {
 
 	mu       sync.Mutex
 	sessions map[string]*session
+	// scratch is the buffer dedup records are encoded in; handle takes it
+	// (leaving nil) while it executes, so two processes sharing a filter
+	// never write one buffer.
+	scratch []byte
 }
 
 // NewDedup builds an empty filter.
@@ -132,14 +136,27 @@ func ParseRequest(m *guardian.Message) (req *Request, ack int64) {
 // SendReply answers an envelope directly — the reply path Dedup uses,
 // exported for the same no-dedup control-arm use as ParseRequest.
 func SendReply(pr *guardian.Process, m *guardian.Message, outcome string, args xrep.Seq) {
-	if m.ReplyTo == (xrep.PortName{}) {
+	sendReply(pr, m, m.Int(1), outcome, args)
+}
+
+// sendReply builds the reply envelope once, in external-rep form, and
+// sends it to the request's reply port, if it named one. Best-effort, like
+// any no-wait send: a lost reply is the client's retry's problem.
+func sendReply(pr *guardian.Process, m *guardian.Message, seq int64, outcome string, args xrep.Seq) {
+	if m.ReplyTo.IsZero() {
 		return
 	}
-	if args == nil {
-		args = xrep.Seq{}
+	outArgs := noArgs
+	if len(args) > 0 {
+		outArgs = args
 	}
-	_ = pr.Send(m.ReplyTo, ReplyCommand, m.Int(1), outcome, args)
+	_ = pr.SendSeq(m.ReplyTo, xrep.PortName{}, ReplyCommand,
+		xrep.Seq{xrep.Int(seq), xrep.Str(outcome), outArgs})
 }
+
+// noArgs is the empty argument sequence, boxed once: most replies carry
+// no arguments.
+var noArgs xrep.Value = xrep.Seq{}
 
 // SendMoved answers an envelope with the OutcomeMoved routing redirect:
 // the key's range is owned by the guardian behind owner, as of the given
@@ -184,11 +201,15 @@ func (d *Dedup) handle(pr *guardian.Process, m *guardian.Message, h Handler) {
 			d.mu.Unlock()
 			met.CallsDeduped.Inc()
 			met.RepliesReplayed.Inc()
-			d.reply(pr, m, req.Seq, c)
+			sendReply(pr, m, req.Seq, c.outcome, c.args)
 			return
 		}
 	}
 	s.executing[req.Seq] = true
+	// Take the record scratch for this execution; a second process in the
+	// filter meanwhile finds nil and grows its own.
+	buf := d.scratch
+	d.scratch = nil
 	d.mu.Unlock()
 
 	outcome, outArgs := h(pr, req)
@@ -198,31 +219,21 @@ func (d *Dedup) handle(pr *guardian.Process, m *guardian.Message, h Handler) {
 	// can observe it, or a crash between reply and log would let a replay
 	// after recovery re-execute the handler.
 	if d.opts.Log != nil {
-		d.opts.Log.AppendSync(marshalDedupRec(req.Client, req.Seq, ack, c))
+		// Append copies the record, so the scratch is free again as soon
+		// as AppendSync returns.
+		buf = appendDedupRec(buf[:0], req.Client, req.Seq, ack, c)
+		d.opts.Log.AppendSync(buf)
 	}
 
 	d.mu.Lock()
+	d.scratch = buf
 	delete(s.executing, req.Seq)
 	s.replies[req.Seq] = c
 	s.prune(ack)
 	s.bound(maxPerClient)
 	d.mu.Unlock()
 
-	d.reply(pr, m, req.Seq, c)
-}
-
-// reply sends (or re-sends) a cached reply to the envelope's reply port.
-func (d *Dedup) reply(pr *guardian.Process, m *guardian.Message, seq int64, c cached) {
-	if m.ReplyTo == (xrep.PortName{}) {
-		return
-	}
-	args := c.args
-	if args == nil {
-		args = xrep.Seq{}
-	}
-	// Best-effort, like any no-wait send: a lost reply is the client's
-	// retry's problem.
-	_ = pr.Send(m.ReplyTo, ReplyCommand, seq, c.outcome, args)
+	sendReply(pr, m, req.Seq, c.outcome, c.args)
 }
 
 // prune applies the client's ack watermark: every cached reply at or below
@@ -272,20 +283,20 @@ func (d *Dedup) Cached(client string) int {
 	return len(s.replies)
 }
 
-// marshalDedupRec encodes one executed request for the stable log.
-func marshalDedupRec(client string, seq, ack int64, c cached) []byte {
-	args := c.args
-	if args == nil {
-		args = xrep.Seq{}
-	}
-	rec := xrep.Rec{Name: dedupLogRec, Fields: xrep.Seq{
-		xrep.Str(client), xrep.Int(seq), xrep.Int(ack), xrep.Str(c.outcome), args,
-	}}
-	buf, err := wire.MarshalValue(rec)
+// appendDedupRec appends one executed request's stable-log record to dst:
+// the record amo/dedup(client, seq, ack, outcome, args), a nil args
+// written as the empty sequence.
+func appendDedupRec(dst []byte, client string, seq, ack int64, c cached) []byte {
+	dst = wire.AppendRecHeader(dst, dedupLogRec, 5)
+	dst = wire.AppendStr(dst, client)
+	dst = wire.AppendInt(dst, seq)
+	dst = wire.AppendInt(dst, ack)
+	dst = wire.AppendStr(dst, c.outcome)
+	dst, err := wire.AppendSeq(dst, c.args)
 	if err != nil {
 		panic(fmt.Sprintf("amo: marshal dedup record: %v", err))
 	}
-	return buf
+	return dst
 }
 
 // Recover rebuilds the dedup table from the stable log, re-applying each
@@ -313,22 +324,25 @@ func (d *Dedup) Recover() (int, error) {
 		if !ok || rec.Name != dedupLogRec || len(rec.Fields) != 5 {
 			continue // not ours; the log may be shared
 		}
-		client := string(rec.Fields[0].(xrep.Str))
-		seq := int64(rec.Fields[1].(xrep.Int))
-		ack := int64(rec.Fields[2].(xrep.Int))
-		c := cached{
-			outcome: string(rec.Fields[3].(xrep.Str)),
-			args:    rec.Fields[4].(xrep.Seq),
+		client, ok0 := rec.Fields[0].(xrep.Str)
+		seq, ok1 := rec.Fields[1].(xrep.Int)
+		ack, ok2 := rec.Fields[2].(xrep.Int)
+		outcome, ok3 := rec.Fields[3].(xrep.Str)
+		args, ok4 := rec.Fields[4].(xrep.Seq)
+		if !ok0 || !ok1 || !ok2 || !ok3 || !ok4 {
+			// It carries our name and our arity, so it is not a neighbour's
+			// record to skip: the log holds something we did not write.
+			return n, fmt.Errorf("amo: recover dedup record %d: malformed %s record", r.Seq, dedupLogRec)
 		}
-		s, ok := d.sessions[client]
+		s, ok := d.sessions[string(client)]
 		if !ok {
 			s = &session{replies: make(map[int64]cached), executing: make(map[int64]bool)}
-			d.sessions[client] = s
+			d.sessions[string(client)] = s
 		}
-		if seq > s.pruned {
-			s.replies[seq] = c
+		if int64(seq) > s.pruned {
+			s.replies[int64(seq)] = cached{outcome: string(outcome), args: args}
 		}
-		s.prune(ack)
+		s.prune(int64(ack))
 		s.bound(maxPerClient)
 		n++
 	}

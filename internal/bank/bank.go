@@ -156,18 +156,19 @@ func Applies(g *guardian.Guardian) (int64, error) {
 	return st.applies.Load(), nil
 }
 
-// opRecord encodes one durable operation.
-func opRecord(kind, acct string, amount int64, opID string) []byte {
-	b, err := wire.MarshalValue(xrep.Seq{xrep.Str(kind), xrep.Str(acct), xrep.Int(amount), xrep.Str(opID)})
-	if err != nil {
-		panic(err)
-	}
-	return b
+// appendOpRecord appends one durable operation's record to dst: the
+// sequence (kind, account, amount, op id).
+func appendOpRecord(dst []byte, kind, acct string, amount int64, opID string) []byte {
+	dst = wire.AppendSeqHeader(dst, 4)
+	dst = wire.AppendStr(dst, kind)
+	dst = wire.AppendStr(dst, acct)
+	dst = wire.AppendInt(dst, amount)
+	return wire.AppendStr(dst, opID)
 }
 
-// decodeOpRecord is opRecord's inverse. ok is false for foreign records —
-// the branch's log is shared with its dedup filter, whose records are
-// xrep.Rec values and simply skipped here.
+// decodeOpRecord is appendOpRecord's inverse. ok is false for foreign
+// records — the branch's log is shared with its dedup filter, whose records
+// are xrep.Rec values and simply skipped here.
 func decodeOpRecord(data []byte) (kind, acct string, amount int64, opID string, ok bool) {
 	v, err := wire.UnmarshalValue(data)
 	if err != nil {
@@ -194,32 +195,43 @@ const checkpointRec = "bank/checkpoint"
 // the applied-op table, the dedup filter's snapshot, and the shard core
 // (adopted ring, handoffs, escrow) — so the log records it folds in can
 // be compacted away. Maps are emitted in sorted order: the same state
-// always checkpoints to the same bytes.
+// always checkpoints to the same bytes. The two tables that grow with the
+// branch go from the maps to bytes; the dedup snapshot and the shard core
+// stay values their owners render.
 func encodeCheckpoint(st *branchState, dedup *amo.Dedup, core *shardCore) []byte {
-	accts := make([]string, 0, len(st.accounts))
+	names := make([]string, 0, max(len(st.accounts), len(st.applied)))
+	size := 64
 	for a := range st.accounts {
-		accts = append(accts, a)
+		names = append(names, a)
+		size += len(a) + 16
 	}
-	sort.Strings(accts)
-	accounts := make(xrep.Seq, 0, len(accts))
-	for _, a := range accts {
-		accounts = append(accounts, xrep.Seq{xrep.Str(a), xrep.Int(st.accounts[a])})
+	sort.Strings(names)
+	buf := wire.AppendRecHeader(make([]byte, 0, size), checkpointRec, 4)
+	buf = wire.AppendSeqHeader(buf, len(names))
+	for _, a := range names {
+		buf = wire.AppendSeqHeader(buf, 2)
+		buf = wire.AppendStr(buf, a)
+		buf = wire.AppendInt(buf, st.accounts[a])
 	}
-	ops := make([]string, 0, len(st.applied))
+	names = names[:0]
 	for id := range st.applied {
-		ops = append(ops, id)
+		names = append(names, id)
 	}
-	sort.Strings(ops)
-	applied := make(xrep.Seq, 0, len(ops))
-	for _, id := range ops {
-		applied = append(applied, xrep.Seq{xrep.Str(id), xrep.Str(st.applied[id])})
+	sort.Strings(names)
+	buf = wire.AppendSeqHeader(buf, len(names))
+	for _, id := range names {
+		buf = wire.AppendSeqHeader(buf, 2)
+		buf = wire.AppendStr(buf, id)
+		buf = wire.AppendStr(buf, st.applied[id])
 	}
 	var dsnap xrep.Value = xrep.Seq{}
 	if dedup != nil {
 		dsnap = dedup.Snapshot()
 	}
-	rec := xrep.Rec{Name: checkpointRec, Fields: xrep.Seq{accounts, applied, dsnap, core.checkpointField()}}
-	buf, err := wire.MarshalValue(rec)
+	buf, err := wire.AppendValue(buf, dsnap)
+	if err == nil {
+		buf, err = wire.AppendValue(buf, core.checkpointField())
+	}
 	if err != nil {
 		panic(fmt.Errorf("bank: marshal checkpoint: %v", err))
 	}
@@ -455,6 +467,15 @@ func branchMain(ctx *guardian.Ctx) {
 		// Merge the dedup snapshots replayed install records carried, after
 		// Restore/Recover so the merge lands on the rebuilt table.
 		sh.afterRecover()
+	}
+
+	// opRecord encodes into the branch's record scratch. Only this process
+	// writes it, and the log copies each record as it is appended, so the
+	// scratch is free for the next record the moment Append returns.
+	var scratch []byte
+	opRecord := func(kind, acct string, amount int64, opID string) []byte {
+		scratch = appendOpRecord(scratch[:0], kind, acct, amount, opID)
+		return scratch
 	}
 
 	// maybeCheckpoint folds the branch's whole state into a checkpoint

@@ -1,0 +1,200 @@
+package bank
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"runtime"
+	"sort"
+	"strings"
+	"testing"
+	"testing/quick"
+
+	"repro/internal/amo"
+	"repro/internal/guardian"
+	"repro/internal/ring"
+	"repro/internal/wire"
+	"repro/internal/xrep"
+)
+
+// opRecordTree and encodeCheckpointTree are the encoders this package had
+// before records were written field by field: build the value tree, flatten
+// it. They stay here as the reference the append encoders are held to.
+func opRecordTree(t testing.TB, kind, acct string, amount int64, opID string) []byte {
+	t.Helper()
+	b, err := wire.MarshalValue(xrep.Seq{xrep.Str(kind), xrep.Str(acct), xrep.Int(amount), xrep.Str(opID)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func encodeCheckpointTree(t testing.TB, st *branchState, dedup *amo.Dedup, core *shardCore) []byte {
+	t.Helper()
+	accts := make([]string, 0, len(st.accounts))
+	for a := range st.accounts {
+		accts = append(accts, a)
+	}
+	sort.Strings(accts)
+	accounts := make(xrep.Seq, 0, len(accts))
+	for _, a := range accts {
+		accounts = append(accounts, xrep.Seq{xrep.Str(a), xrep.Int(st.accounts[a])})
+	}
+	ops := make([]string, 0, len(st.applied))
+	for id := range st.applied {
+		ops = append(ops, id)
+	}
+	sort.Strings(ops)
+	applied := make(xrep.Seq, 0, len(ops))
+	for _, id := range ops {
+		applied = append(applied, xrep.Seq{xrep.Str(id), xrep.Str(st.applied[id])})
+	}
+	var dsnap xrep.Value = xrep.Seq{}
+	if dedup != nil {
+		dsnap = dedup.Snapshot()
+	}
+	buf, err := wire.MarshalValue(xrep.Rec{Name: checkpointRec, Fields: xrep.Seq{accounts, applied, dsnap, core.checkpointField()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+func TestOpRecordMatchesTree(t *testing.T) {
+	long := strings.Repeat("k", 64<<10)
+	cases := []struct {
+		kind, acct string
+		amount     int64
+		opID       string
+	}{
+		{"open", "alice", 0, ""},
+		{"deposit", "a0000001", 1, ""},
+		{"withdraw", "bob", -7, "w-1"},
+		{"deposit", "carol", 1 << 40, "d/in"},
+		{"transfer_out", "", math.MaxInt64, ""},
+		{"transfer_in", "dave", math.MinInt64, "x"},
+		{"", "", 0, ""},
+		{long, long, 1<<32 + 1, long},
+	}
+	for _, tc := range cases {
+		want := opRecordTree(t, tc.kind, tc.acct, tc.amount, tc.opID)
+		if got := appendOpRecord(nil, tc.kind, tc.acct, tc.amount, tc.opID); !bytes.Equal(got, want) {
+			t.Errorf("appendOpRecord(%.10q, %.10q, %d, %.10q) differs from the tree encoding", tc.kind, tc.acct, tc.amount, tc.opID)
+		}
+		kind, acct, amount, opID, ok := decodeOpRecord(want)
+		if !ok || kind != tc.kind || acct != tc.acct || amount != tc.amount || opID != tc.opID {
+			t.Errorf("decodeOpRecord did not return what was encoded for %.10q", tc.kind)
+		}
+	}
+	prop := func(kind, acct, opID string, amount int64) bool {
+		return bytes.Equal(appendOpRecord([]byte{1, 2}, kind, acct, amount, opID)[2:], opRecordTree(t, kind, acct, amount, opID))
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestCheckpointMatchesTree(t *testing.T) {
+	r := ring.New("accounts", 0, ring.Member{Name: "s1"}, ring.Member{Name: "s2"})
+	shard := newShardCore("s1")
+	shard.adopt(r)
+	shard.installed["accounts/1/s2->s1"] = true
+	shard.out["accounts/2/s1->s2"] = &outboundHandoff{
+		hid: "accounts/2/s1->s2", dest: "s2", ring: r, blob: r.Marshal(), cut: true,
+		final: map[string]int64{"a": 57, "b": -3}, finalOrd: []string{"a", "b"},
+	}
+	shard.txns["cli/tx1"] = &shardTxn{phase: "prepared", kind: "debit", acct: "d", amount: 25}
+
+	dedup := amo.NewDedup(amo.DedupOptions{})
+	hook := dedup.Hook(func(_ *guardian.Process, req *amo.Request) (string, xrep.Seq) {
+		if req.Seq%2 == 0 {
+			return "balance_is", xrep.Seq{xrep.Int(req.Seq << 33)}
+		}
+		return OutcomeOK, nil
+	})
+	for seq := int64(1); seq <= 4; seq++ {
+		for _, client := range []string{"cli/2/1", "cli/1/1"} {
+			hook(nil, &guardian.Message{Command: amo.ReqCommand, Args: xrep.Seq{
+				xrep.Str(client), xrep.Int(seq), xrep.Int(seq - 2), xrep.Str("op"), xrep.Seq{},
+			}})
+		}
+	}
+
+	big := &branchState{accounts: make(map[string]int64, 50000), applied: make(map[string]string)}
+	for i := 0; i < 50000; i++ {
+		big.accounts[fmt.Sprintf("a%07d", i)] = int64(i)*1_000_003 - 1<<34
+	}
+	cases := []struct {
+		name  string
+		st    *branchState
+		dedup *amo.Dedup
+		core  *shardCore
+	}{
+		{"empty", &branchState{}, nil, newShardCore("")},
+		{"plain branch", &branchState{
+			accounts: map[string]int64{"alice": 550, "": 0, "bob": -1, "wide": 1 << 40},
+			applied:  map[string]string{"d1": OutcomeOK, "w-big": OutcomeInsufficient, "": ""},
+		}, dedup, newShardCore("")},
+		{"shard state", &branchState{accounts: map[string]int64{"d": 100}, applied: map[string]string{}}, nil, shard},
+		{"50000 accounts", big, dedup, shard},
+	}
+	for _, tc := range cases {
+		want := encodeCheckpointTree(t, tc.st, tc.dedup, tc.core)
+		got := encodeCheckpoint(tc.st, tc.dedup, tc.core)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: encodeCheckpoint wrote %d bytes that differ from the tree's %d", tc.name, len(got), len(want))
+			continue
+		}
+		st := &branchState{accounts: make(map[string]int64), applied: make(map[string]string)}
+		if _, _, err := decodeCheckpoint(got, st); err != nil || len(st.accounts) != len(tc.st.accounts) || len(st.applied) != len(tc.st.applied) {
+			t.Errorf("%s: decodeCheckpoint: %v (%d accounts, %d applied ops)", tc.name, err, len(st.accounts), len(st.applied))
+		}
+	}
+	prop := func(accounts map[string]int64, applied map[string]string) bool {
+		st := &branchState{accounts: accounts, applied: applied}
+		return bytes.Equal(encodeCheckpoint(st, nil, newShardCore("")), encodeCheckpointTree(t, st, nil, newShardCore("")))
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestRecordEncodersAllocateNothing: an op record encoded into a scratch
+// that has grown to its size allocates nothing; the log's own copy in
+// Append is the only one left.
+func TestRecordEncodersAllocateNothing(t *testing.T) {
+	scratch := appendOpRecord(nil, "deposit", "a0000001", 1<<40, "op-17")
+	if n := testing.AllocsPerRun(200, func() {
+		scratch = appendOpRecord(scratch[:0], "deposit", "a0000001", 1<<40, "op-17")
+	}); n != 0 {
+		t.Errorf("encoding an op record into a warm scratch allocates %v times, want 0", n)
+	}
+}
+
+// FuzzBankRecords feeds hostile bytes to the two decoders that read a
+// branch's log on recovery. Neither may panic, and neither may allocate
+// beyond a bound set by the input's length (wire's decoder holds value
+// trees to that; the tables filled from them add a map entry per decoded
+// pair).
+func FuzzBankRecords(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		kind, acct, amount, opID, ok := decodeOpRecord(data)
+		st := &branchState{accounts: make(map[string]int64), applied: make(map[string]string)}
+		_, _, err := decodeCheckpoint(data, st)
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10+256*uint64(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), n)
+		}
+		if ok {
+			k, a, n, id, ok2 := decodeOpRecord(appendOpRecord(nil, kind, acct, amount, opID))
+			if !ok2 || k != kind || a != acct || n != amount || id != opID {
+				t.Fatal("an accepted op record does not survive encode → decode")
+			}
+		}
+		if ok && err == nil {
+			t.Fatal("the same bytes decoded as an op record and as a checkpoint")
+		}
+	})
+}

@@ -131,6 +131,20 @@ var logContract = []struct {
 		cp[0], recs[0].Data[0] = 'X', 'X'
 		wantRecovered(t, l, "cp", "1:orig")
 	}},
+	{"a record scratch may be overwritten as soon as append returns", func(t *testing.T, st durable.Store, l durable.Log, restart func() durable.Store) {
+		// How guardians log: every record is encoded into one reused
+		// buffer, the next one over the last before anything is synced.
+		scratch := append(make([]byte, 0, 16), "first"...)
+		l.Append(scratch)
+		scratch = append(scratch[:0], "second"...)
+		l.Append(scratch)
+		for i := range scratch[:cap(scratch)] {
+			scratch[:cap(scratch)][i] = 'X'
+		}
+		l.Sync()
+		wantRecovered(t, l, "", "1:first", "2:second")
+		wantRecovered(t, openLog(t, restart(), "app"), "", "1:first", "2:second")
+	}},
 	{"checkpoint folds records at or below its watermark", func(t *testing.T, st durable.Store, l durable.Log, restart func() durable.Store) {
 		for i := 1; i <= 10; i++ {
 			l.AppendSync([]byte{'a' + byte(i)})

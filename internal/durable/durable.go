@@ -61,7 +61,9 @@ var ErrCorrupt = errors.New("durable: log corrupt")
 // make permanent.
 type Log interface {
 	// Append adds a record to the volatile tail and returns its sequence
-	// number. The record becomes durable only on the next Sync.
+	// number. The record becomes durable only on the next Sync. The log
+	// copies data before returning, so a caller may encode every record
+	// into one reused buffer.
 	Append(data []byte) uint64
 	// Sync forces every appended record to durable storage.
 	Sync()

@@ -242,6 +242,15 @@ func TestSendFromDeadGuardianFails(t *testing.T) {
 	if err := drv.Send(to, "ping"); err != ErrKilled {
 		t.Fatalf("send from destroyed guardian = %v, want ErrKilled", err)
 	}
+	// The liveness check comes before step 1 (argument encoding), so
+	// ErrKilled wins over an encode exception.
+	var untransmittable any = struct{}{}
+	if err := drv.Send(to, "ping", untransmittable); err != ErrKilled {
+		t.Fatalf("send of an untransmittable value from a destroyed guardian = %v, want ErrKilled", err)
+	}
+	if err := drv.SendSeq(to, xrep.PortName{}, "ping", xrep.Seq{xrep.Int(1)}); err != ErrKilled {
+		t.Fatalf("SendSeq from destroyed guardian = %v, want ErrKilled", err)
+	}
 }
 
 func TestPortQueueLostAtCrash(t *testing.T) {

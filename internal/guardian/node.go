@@ -401,15 +401,16 @@ func (n *Node) handlePacket(from transport.Addr, payload []byte) {
 	if frameBytes == nil {
 		return // waiting for more fragments
 	}
-	f, err := wire.UnmarshalFrame(frameBytes)
-	if err != nil {
+	// The frame lives only until dispatchFrame has made it a Message.
+	var f wire.Frame
+	if err := wire.UnmarshalFrameInto(&f, frameBytes); err != nil {
 		n.world.stats.DiscardBadFrame.Add(1)
 		return
 	}
 	// A verified frame names its sender; teach the transport where that
 	// name was observed so replies route without static configuration.
 	n.world.tr.Learn(transport.Addr(f.SrcNode), from)
-	n.dispatchFrame(f)
+	n.dispatchFrame(&f)
 }
 
 // dispatchFrame routes a complete, verified frame to its target port,
@@ -499,15 +500,15 @@ func (n *Node) routeFrame(f *wire.Frame) error {
 			return ErrNodeDown
 		}
 		go func() {
-			f2, err := wire.UnmarshalFrame(raw)
-			if err != nil {
+			var f2 wire.Frame
+			if err := wire.UnmarshalFrameInto(&f2, raw); err != nil {
 				n.world.stats.DiscardBadFrame.Add(1)
 				return
 			}
 			if !n.Alive() {
 				return
 			}
-			n.dispatchFrame(f2)
+			n.dispatchFrame(&f2)
 		}()
 		return nil
 	}

@@ -1,6 +1,7 @@
 package guardian
 
 import (
+	"sync/atomic"
 	"time"
 
 	"repro/internal/wire"
@@ -13,6 +14,11 @@ import (
 type Process struct {
 	g    *Guardian
 	name string
+	// idle is the waiter the process's last blocking Receive finished
+	// with, kept for its next one. Receive takes it with a swap, so a
+	// second goroutine receiving on the same Process finds nil and
+	// allocates its own.
+	idle atomic.Pointer[waiter]
 }
 
 // Guardian returns the process's guardian.
@@ -85,7 +91,17 @@ func (pr *Process) SendCheckedReplyTo(pt *PortType, to, replyTo xrep.PortName, c
 	return pr.send(to, replyTo, pt, command, args...)
 }
 
+// SendSeq is the send for a caller that already holds its arguments in
+// external-rep form (a session layer's envelope, a relayed message): step
+// 1's encoding is skipped, every other step of Send — the system-wide type
+// bounds included — is the same. A zero replyTo means none.
+func (pr *Process) SendSeq(to, replyTo xrep.PortName, command string, args xrep.Seq) error {
+	return pr.sendSeq(to, replyTo, nil, command, args)
+}
+
 func (pr *Process) send(to, replyTo xrep.PortName, pt *PortType, command string, args ...any) error {
+	// Checked before step 1: a dead guardian's process runs no user encode
+	// code. sendSeq checks again for the callers that arrive already encoded.
 	if !pr.g.Alive() {
 		return ErrKilled
 	}
@@ -94,6 +110,13 @@ func (pr *Process) send(to, replyTo xrep.PortName, pt *PortType, command string,
 	enc, err := xrep.EncodeAll(args...)
 	if err != nil {
 		return err
+	}
+	return pr.sendSeq(to, replyTo, pt, command, enc)
+}
+
+func (pr *Process) sendSeq(to, replyTo xrep.PortName, pt *PortType, command string, enc xrep.Seq) error {
+	if !pr.g.Alive() {
+		return ErrKilled
 	}
 	limits := pr.g.node.world.cfg.Limits
 	if err := limits.Validate(enc); err != nil {
@@ -104,7 +127,7 @@ func (pr *Process) send(to, replyTo xrep.PortName, pt *PortType, command string,
 			return err
 		}
 	}
-	f := &wire.Frame{
+	f := wire.Frame{
 		Dest:        to,
 		SrcNode:     pr.g.node.name,
 		SrcGuardian: pr.g.id,
@@ -116,7 +139,7 @@ func (pr *Process) send(to, replyTo xrep.PortName, pt *PortType, command string,
 	// §3.4 steps 2 and 3: construct the message and transmit. The process
 	// continues once the frame is built; delivery is the system's
 	// best-effort job.
-	if err := pr.g.node.routeFrame(f); err != nil {
+	if err := pr.g.node.routeFrame(&f); err != nil {
 		return err
 	}
 	pr.g.node.world.stats.MessagesSent.Add(1)
@@ -150,7 +173,10 @@ func (pr *Process) Receive(timeout time.Duration, ports ...*Port) (*Message, Rec
 		return nil, RecvTimeout
 	}
 
-	w := &waiter{ch: make(chan *Message, 1)}
+	w := pr.idle.Swap(nil)
+	if w == nil {
+		w = &waiter{ch: make(chan *Message, 1)}
+	}
 	for _, p := range ports {
 		p.addWaiter(w)
 	}
@@ -158,6 +184,12 @@ func (pr *Process) Receive(timeout time.Duration, ports ...*Port) (*Message, Rec
 		for _, p := range ports {
 			p.removeWaiter(w)
 		}
+		// Every return below leaves w claimed with its channel drained,
+		// and a deliver claims only under the port lock removeWaiter just
+		// took on every port — so nothing can still reach w, and it may
+		// serve the next Receive.
+		w.claimed.Store(false)
+		pr.idle.Store(w)
 	}()
 	// Re-scan after registering: a message delivered between the fast-path
 	// scan and addWaiter saw no waiters and went to the buffer, where it

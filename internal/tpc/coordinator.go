@@ -64,18 +64,24 @@ func (st *coordState) markSettled(d *decision) {
 	d.settled = true
 }
 
-func decisionRecord(kind string, d *decision) []byte {
-	ops := make(xrep.Seq, len(d.ops))
-	for i, o := range d.ops {
-		ops[i] = xrep.Seq{o.participant, o.op}
+// appendDecisionRecord appends one coordinator log record to dst: the
+// sequence (kind, txid, commit, ops), ops a sequence of (participant, op)
+// pairs.
+func appendDecisionRecord(dst []byte, kind string, d *decision) []byte {
+	dst = wire.AppendSeqHeader(dst, 4)
+	dst = wire.AppendStr(dst, kind)
+	dst = wire.AppendStr(dst, d.txid)
+	dst = wire.AppendBool(dst, d.commit)
+	dst = wire.AppendSeqHeader(dst, len(d.ops))
+	for _, o := range d.ops {
+		dst = wire.AppendSeqHeader(dst, 2)
+		dst = wire.AppendPortName(dst, o.participant)
+		var err error
+		if dst, err = wire.AppendValue(dst, o.op); err != nil {
+			panic(err)
+		}
 	}
-	b, err := wire.MarshalValue(xrep.Seq{
-		xrep.Str(kind), xrep.Str(d.txid), xrep.Bool(d.commit), ops,
-	})
-	if err != nil {
-		panic(err)
-	}
-	return b
+	return dst
 }
 
 func parseDecisionRecord(data []byte) (kind string, d *decision, ok bool) {
@@ -273,7 +279,7 @@ vote:
 	d.commit = commit
 
 	// The commit point: log the decision durably before telling anyone.
-	log.AppendSync(decisionRecord("decided", d))
+	log.AppendSync(appendDecisionRecord(nil, "decided", d))
 	st.record(d)
 
 	settle(pr, log, st, d)
@@ -332,7 +338,7 @@ func settle(pr *guardian.Process, log logAppender, st *coordState, d *decision) 
 	}
 	if len(pending) == 0 {
 		st.markSettled(d)
-		log.AppendSync(decisionRecord("settled", d))
+		log.AppendSync(appendDecisionRecord(nil, "settled", d))
 	}
 }
 

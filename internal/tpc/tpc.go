@@ -98,15 +98,17 @@ func (st *participantState) phase(txid string) txPhase {
 	return st.phases[txid]
 }
 
-func participantRecord(kind, txid string, op xrep.Value) []byte {
-	if op == nil {
-		op = xrep.Null{}
-	}
-	b, err := wire.MarshalValue(xrep.Seq{xrep.Str(kind), xrep.Str(txid), op})
+// appendParticipantRecord appends one participant log record to dst: the
+// sequence (kind, txid, op), a nil op written as null.
+func appendParticipantRecord(dst []byte, kind, txid string, op xrep.Value) []byte {
+	dst = wire.AppendSeqHeader(dst, 3)
+	dst = wire.AppendStr(dst, kind)
+	dst = wire.AppendStr(dst, txid)
+	dst, err := wire.AppendValue(dst, op)
 	if err != nil {
 		panic(err)
 	}
-	return b
+	return dst
 }
 
 // apply performs one logged step against the state; used both live and in
@@ -166,6 +168,13 @@ func NewParticipantDef(typeName string, factory func() Resource) *guardian.Guard
 			}
 		}
 
+		// Only this process writes the record scratch, and the log copies
+		// each record as it is appended.
+		var scratch []byte
+		participantRecord := func(kind, txid string, op xrep.Value) []byte {
+			scratch = appendParticipantRecord(scratch[:0], kind, txid, op)
+			return scratch
+		}
 		reply := func(pr *guardian.Process, m *guardian.Message, cmd, txid string) {
 			if !m.ReplyTo.IsZero() {
 				_ = pr.Send(m.ReplyTo, cmd, txid)

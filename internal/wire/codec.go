@@ -50,40 +50,24 @@ func AppendValue(dst []byte, v xrep.Value) ([]byte, error) {
 	case nil, xrep.Null:
 		return append(dst, tagNull), nil
 	case xrep.Bool:
-		if x {
-			return append(dst, tagTrue), nil
-		}
-		return append(dst, tagFalse), nil
+		return AppendBool(dst, bool(x)), nil
 	case xrep.Int:
-		dst = append(dst, tagInt)
-		return binary.AppendVarint(dst, int64(x)), nil
+		return AppendInt(dst, int64(x)), nil
 	case xrep.Real:
 		dst = append(dst, tagReal)
 		return binary.BigEndian.AppendUint64(dst, math.Float64bits(float64(x))), nil
 	case xrep.Str:
-		dst = append(dst, tagStr)
-		dst = binary.AppendUvarint(dst, uint64(len(x)))
-		return append(dst, x...), nil
+		return AppendStr(dst, string(x)), nil
 	case xrep.Bytes:
 		dst = append(dst, tagBytes)
 		dst = binary.AppendUvarint(dst, uint64(len(x)))
 		return append(dst, x...), nil
 	case xrep.Seq:
-		return appendSeq(dst, x)
+		return AppendSeq(dst, x)
 	case xrep.Rec:
-		dst = append(dst, tagRec)
-		dst = binary.AppendUvarint(dst, uint64(len(x.Name)))
-		dst = append(dst, x.Name...)
-		dst = binary.AppendUvarint(dst, uint64(len(x.Fields)))
-		var err error
-		for _, f := range x.Fields {
-			if dst, err = AppendValue(dst, f); err != nil {
-				return nil, err
-			}
-		}
-		return dst, nil
+		return appendElems(AppendRecHeader(dst, x.Name, len(x.Fields)), x.Fields)
 	case xrep.PortName:
-		return appendPortName(dst, x), nil
+		return AppendPortName(dst, x), nil
 	case xrep.Token:
 		dst = append(dst, tagToken)
 		dst = binary.AppendUvarint(dst, x.Issuer)
@@ -96,12 +80,61 @@ func AppendValue(dst []byte, v xrep.Value) ([]byte, error) {
 	}
 }
 
-// appendSeq and appendPortName are AppendValue's sequence and port-name
-// cases under their static types, so a frame's Args, Dest and ReplyTo are
-// written without first being boxed into an xrep.Value.
-func appendSeq(dst []byte, x xrep.Seq) ([]byte, error) {
-	dst = append(dst, tagSeq)
-	dst = binary.AppendUvarint(dst, uint64(len(x)))
+// The typed append vocabulary: each function writes exactly the bytes
+// AppendValue writes for the corresponding xrep value, from a Go value, so
+// an encoder that knows its record's shape (a log record, a call envelope)
+// goes from its fields to bytes without building the tree. A header
+// promises n elements; the caller appends exactly n values after it.
+
+// AppendStr appends s as AppendValue appends xrep.Str(s).
+func AppendStr(dst []byte, s string) []byte {
+	dst = append(dst, tagStr)
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+// AppendBool appends b as AppendValue appends xrep.Bool(b).
+func AppendBool(dst []byte, b bool) []byte {
+	if b {
+		return append(dst, tagTrue)
+	}
+	return append(dst, tagFalse)
+}
+
+// AppendInt appends v as AppendValue appends xrep.Int(v).
+func AppendInt(dst []byte, v int64) []byte {
+	return binary.AppendVarint(append(dst, tagInt), v)
+}
+
+// AppendPortName appends p as AppendValue appends it.
+func AppendPortName(dst []byte, p xrep.PortName) []byte {
+	dst = append(dst, tagPort)
+	dst = binary.AppendUvarint(dst, uint64(len(p.Node)))
+	dst = append(dst, p.Node...)
+	dst = binary.AppendUvarint(dst, p.Guardian)
+	return binary.AppendUvarint(dst, p.Port)
+}
+
+// AppendSeqHeader opens a sequence of n elements.
+func AppendSeqHeader(dst []byte, n int) []byte {
+	return binary.AppendUvarint(append(dst, tagSeq), uint64(n))
+}
+
+// AppendRecHeader opens a record of the named type with n fields.
+func AppendRecHeader(dst []byte, name string, n int) []byte {
+	dst = append(dst, tagRec)
+	dst = binary.AppendUvarint(dst, uint64(len(name)))
+	dst = append(dst, name...)
+	return binary.AppendUvarint(dst, uint64(n))
+}
+
+// AppendSeq appends x under its static type: AppendValue's sequence case
+// without first boxing the slice into an xrep.Value.
+func AppendSeq(dst []byte, x xrep.Seq) ([]byte, error) {
+	return appendElems(AppendSeqHeader(dst, len(x)), x)
+}
+
+func appendElems(dst []byte, x xrep.Seq) ([]byte, error) {
 	var err error
 	for _, e := range x {
 		if dst, err = AppendValue(dst, e); err != nil {
@@ -109,14 +142,6 @@ func appendSeq(dst []byte, x xrep.Seq) ([]byte, error) {
 		}
 	}
 	return dst, nil
-}
-
-func appendPortName(dst []byte, x xrep.PortName) []byte {
-	dst = append(dst, tagPort)
-	dst = binary.AppendUvarint(dst, uint64(len(x.Node)))
-	dst = append(dst, x.Node...)
-	dst = binary.AppendUvarint(dst, x.Guardian)
-	return binary.AppendUvarint(dst, x.Port)
 }
 
 // MarshalValue returns the wire encoding of v.
@@ -174,7 +199,7 @@ func (r *reader) take(n uint64) ([]byte, error) {
 	return b, nil
 }
 
-// DecodeValue decodes one value from r.
+// value decodes one value at the cursor; depth is its nesting level.
 func (r *reader) value(depth int) (xrep.Value, error) {
 	if depth > maxWireDepth {
 		return nil, ErrValueDepth
@@ -303,23 +328,29 @@ func (r *reader) seq(depth int) (xrep.Seq, error) {
 
 // portName decodes what follows tagPort.
 func (r *reader) portName() (xrep.PortName, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return xrep.PortName{}, err
-	}
-	node, err := r.take(n)
-	if err != nil {
-		return xrep.PortName{}, err
-	}
-	g, err := r.uvarint()
-	if err != nil {
-		return xrep.PortName{}, err
-	}
-	p, err := r.uvarint()
+	node, g, p, err := r.portNameParts()
 	if err != nil {
 		return xrep.PortName{}, err
 	}
 	return xrep.PortName{Node: string(node), Guardian: g, Port: p}, nil
+}
+
+// portNameParts is portName without copying the node name out of the input.
+func (r *reader) portNameParts() (node []byte, guardian, port uint64, err error) {
+	n, err := r.uvarint()
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	if node, err = r.take(n); err != nil {
+		return nil, 0, 0, err
+	}
+	if guardian, err = r.uvarint(); err != nil {
+		return nil, 0, 0, err
+	}
+	if port, err = r.uvarint(); err != nil {
+		return nil, 0, 0, err
+	}
+	return node, guardian, port, nil
 }
 
 // UnmarshalValue decodes a single value, requiring the buffer to be fully

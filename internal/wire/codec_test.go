@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/xrep"
 )
@@ -217,5 +218,53 @@ func TestEncodingDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatal("same value produced different encodings")
+	}
+}
+
+// TestAppendVocabularyMatchesAppendValue: each typed append helper writes
+// the bytes AppendValue writes for the value it stands for, after whatever
+// dst already holds — so an encoder built from the helpers and one that
+// builds the tree produce the same record.
+func TestAppendVocabularyMatchesAppendValue(t *testing.T) {
+	same := func(got []byte, v xrep.Value) bool {
+		want, err := AppendValue([]byte("pre"), v)
+		return err == nil && bytes.Equal(got, want)
+	}
+	pre := func() []byte { return []byte("pre") }
+	long := strings.Repeat("s", 64<<10)
+	for _, s := range []string{"", "ok", "cli/1/1", long} {
+		if !same(AppendStr(pre(), s), xrep.Str(s)) {
+			t.Errorf("AppendStr(%.10q) differs", s)
+		}
+		if !same(AppendRecHeader(pre(), s, 0), xrep.Rec{Name: s}) {
+			t.Errorf("AppendRecHeader(%.10q, 0) differs", s)
+		}
+		if p := (xrep.PortName{Node: s, Guardian: 1 << 40, Port: math.MaxUint64}); !same(AppendPortName(pre(), p), p) {
+			t.Errorf("AppendPortName(%.10q) differs", s)
+		}
+	}
+	for _, n := range []int64{0, 1, -1, 255, 256, 1 << 32, 1<<32 + 1, -(1 << 40), math.MaxInt64, math.MinInt64} {
+		if !same(AppendInt(pre(), n), xrep.Int(n)) {
+			t.Errorf("AppendInt(%d) differs", n)
+		}
+	}
+	for _, b := range []bool{false, true} {
+		if !same(AppendBool(pre(), b), xrep.Bool(b)) {
+			t.Errorf("AppendBool(%v) differs", b)
+		}
+	}
+	prop := func(name, s string, n int64, b bool, g, p uint64) bool {
+		port := xrep.PortName{Node: s, Guardian: g, Port: p}
+		elems := xrep.Seq{xrep.Str(s), xrep.Int(n), xrep.Bool(b), port}
+		// A header followed by exactly the values it promises is the
+		// sequence, or the record, of those values.
+		body := AppendPortName(AppendBool(AppendInt(AppendStr(nil, s), n), b), port)
+		seq, err := AppendSeq(pre(), elems)
+		return err == nil && same(seq, elems) &&
+			same(append(AppendSeqHeader(pre(), len(elems)), body...), elems) &&
+			same(append(AppendRecHeader(pre(), name, len(elems)), body...), xrep.Rec{Name: name, Fields: elems})
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Error(err)
 	}
 }

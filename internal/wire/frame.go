@@ -67,19 +67,19 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 		flags |= flagHasReply
 	}
 	dst = append(dst, flags)
-	dst = appendPortName(dst, f.Dest)
+	dst = AppendPortName(dst, f.Dest)
 	dst = binary.AppendUvarint(dst, uint64(len(f.SrcNode)))
 	dst = append(dst, f.SrcNode...)
 	dst = binary.AppendUvarint(dst, f.MsgID)
 	dst = binary.AppendUvarint(dst, f.SrcGuardian)
 	dst = binary.AppendUvarint(dst, uint64(len(f.Command)))
 	dst = append(dst, f.Command...)
-	dst, err := appendSeq(dst, f.Args)
+	dst, err := AppendSeq(dst, f.Args)
 	if err != nil {
 		return nil, err
 	}
 	if flags&flagHasReply != 0 {
-		dst = appendPortName(dst, f.ReplyTo)
+		dst = AppendPortName(dst, f.ReplyTo)
 	}
 	return binary.BigEndian.AppendUint32(dst, crc32.Checksum(dst[start:], crcTable)), nil
 }
@@ -94,92 +94,107 @@ func (f *Frame) Marshal() ([]byte, error) {
 // corrupted message is never forwarded to its target port. The frame shares
 // no memory with buf: every string and byte value is copied out of it.
 func UnmarshalFrame(buf []byte) (*Frame, error) {
-	if len(buf) < 10 {
-		return nil, ErrFrameShort
-	}
-	body, sum := buf[:len(buf)-4], binary.BigEndian.Uint32(buf[len(buf)-4:])
-	if crc32.Checksum(body, crcTable) != sum {
-		return nil, ErrBadChecksum
-	}
-	r := reader{buf: body}
-	magic, err := r.take(4)
-	if err != nil {
+	f := new(Frame)
+	if err := UnmarshalFrameInto(f, buf); err != nil {
 		return nil, err
-	}
-	if binary.BigEndian.Uint32(magic) != frameMagic {
-		return nil, ErrBadMagic
-	}
-	ver, err := r.byte()
-	if err != nil {
-		return nil, err
-	}
-	if ver != frameVersion {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, ver)
-	}
-	flags, err := r.byte()
-	if err != nil {
-		return nil, err
-	}
-	f := &Frame{}
-	if f.Dest, err = r.taggedPortName("dest"); err != nil {
-		return nil, err
-	}
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	src, err := r.take(n)
-	if err != nil {
-		return nil, err
-	}
-	f.SrcNode = string(src)
-	if f.MsgID, err = r.uvarint(); err != nil {
-		return nil, err
-	}
-	if f.SrcGuardian, err = r.uvarint(); err != nil {
-		return nil, err
-	}
-	cn, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	cmd, err := r.take(cn)
-	if err != nil {
-		return nil, err
-	}
-	f.Command = string(cmd)
-	if tag, err := r.byte(); err != nil {
-		return nil, fmt.Errorf("wire: frame args: %w", err)
-	} else if tag != tagSeq {
-		return nil, errors.New("wire: frame args are not a sequence")
-	}
-	if f.Args, err = r.seq(0); err != nil {
-		return nil, fmt.Errorf("wire: frame args: %w", err)
-	}
-	if flags&flagHasReply != 0 {
-		if f.ReplyTo, err = r.taggedPortName("replyto"); err != nil {
-			return nil, err
-		}
-	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes in frame", r.remaining())
 	}
 	return f, nil
 }
 
-// taggedPortName decodes a port-name value straight into its static type;
-// field names the frame field in errors.
-func (r *reader) taggedPortName(field string) (xrep.PortName, error) {
+// UnmarshalFrameInto is UnmarshalFrame into a Frame the caller owns, so a
+// receiver that turns the frame into something else at once need not
+// allocate it. On error f's contents are unspecified. The four header
+// strings (Dest.Node, SrcNode, Command, ReplyTo.Node) are slices of one
+// allocation; argument values each own their memory, because receivers
+// retain them individually.
+func UnmarshalFrameInto(f *Frame, buf []byte) error {
+	if len(buf) < 10 {
+		return ErrFrameShort
+	}
+	body, sum := buf[:len(buf)-4], binary.BigEndian.Uint32(buf[len(buf)-4:])
+	if crc32.Checksum(body, crcTable) != sum {
+		return ErrBadChecksum
+	}
+	r := reader{buf: body}
+	magic, err := r.take(4)
+	if err != nil {
+		return err
+	}
+	if binary.BigEndian.Uint32(magic) != frameMagic {
+		return ErrBadMagic
+	}
+	ver, err := r.byte()
+	if err != nil {
+		return err
+	}
+	if ver != frameVersion {
+		return fmt.Errorf("%w: %d", ErrBadVersion, ver)
+	}
+	flags, err := r.byte()
+	if err != nil {
+		return err
+	}
+	*f = Frame{}
+	var destNode, src, cmd, replyNode []byte
+	if destNode, f.Dest.Guardian, f.Dest.Port, err = r.taggedPortName("dest"); err != nil {
+		return err
+	}
+	n, err := r.uvarint()
+	if err != nil {
+		return err
+	}
+	if src, err = r.take(n); err != nil {
+		return err
+	}
+	if f.MsgID, err = r.uvarint(); err != nil {
+		return err
+	}
+	if f.SrcGuardian, err = r.uvarint(); err != nil {
+		return err
+	}
+	cn, err := r.uvarint()
+	if err != nil {
+		return err
+	}
+	if cmd, err = r.take(cn); err != nil {
+		return err
+	}
+	if tag, err := r.byte(); err != nil {
+		return fmt.Errorf("wire: frame args: %w", err)
+	} else if tag != tagSeq {
+		return errors.New("wire: frame args are not a sequence")
+	}
+	if f.Args, err = r.seq(0); err != nil {
+		return fmt.Errorf("wire: frame args: %w", err)
+	}
+	if flags&flagHasReply != 0 {
+		if replyNode, f.ReplyTo.Guardian, f.ReplyTo.Port, err = r.taggedPortName("replyto"); err != nil {
+			return err
+		}
+	}
+	if r.remaining() != 0 {
+		return fmt.Errorf("wire: %d trailing bytes in frame", r.remaining())
+	}
+	// One allocation: the conversions are temporaries of the concatenation.
+	s := string(destNode) + string(src) + string(cmd) + string(replyNode)
+	f.Dest.Node, s = s[:len(destNode)], s[len(destNode):]
+	f.SrcNode, s = s[:len(src)], s[len(src):]
+	f.Command, f.ReplyTo.Node = s[:len(cmd)], s[len(cmd):]
+	return nil
+}
+
+// taggedPortName decodes a port-name value's parts; node aliases the
+// input. field names the frame field in errors.
+func (r *reader) taggedPortName(field string) (node []byte, guardian, port uint64, err error) {
 	tag, err := r.byte()
 	if err != nil {
-		return xrep.PortName{}, fmt.Errorf("wire: frame %s: %w", field, err)
+		return nil, 0, 0, fmt.Errorf("wire: frame %s: %w", field, err)
 	}
 	if tag != tagPort {
-		return xrep.PortName{}, fmt.Errorf("wire: frame %s is not a port name", field)
+		return nil, 0, 0, fmt.Errorf("wire: frame %s is not a port name", field)
 	}
-	p, err := r.portName()
-	if err != nil {
-		return xrep.PortName{}, fmt.Errorf("wire: frame %s: %w", field, err)
+	if node, guardian, port, err = r.portNameParts(); err != nil {
+		return nil, 0, 0, fmt.Errorf("wire: frame %s: %w", field, err)
 	}
-	return p, nil
+	return node, guardian, port, nil
 }

@@ -309,3 +309,27 @@ func TestFragmentEndToEndWithFrame(t *testing.T) {
 		t.Fatal("frame did not survive fragmentation round trip")
 	}
 }
+
+// TestUnmarshalFrameIntoOverwritesTheFrame: decoding into a Frame that
+// already holds another message leaves nothing of it behind.
+func TestUnmarshalFrameIntoOverwritesTheFrame(t *testing.T) {
+	withReply, err := sampleFrame().Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := &Frame{Dest: xrep.PortName{Node: "n", Guardian: 1, Port: 1}, SrcNode: "s", MsgID: 1, Command: "c"}
+	bareRaw, err := bare.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f Frame
+	if err := UnmarshalFrameInto(&f, withReply); err != nil {
+		t.Fatal(err)
+	}
+	if err := UnmarshalFrameInto(&f, bareRaw); err != nil {
+		t.Fatal(err)
+	}
+	if f.Dest != bare.Dest || f.SrcNode != "s" || f.Command != "c" || !f.ReplyTo.IsZero() || len(f.Args) != 0 || f.SrcGuardian != 0 {
+		t.Fatalf("second decode left %+v", f)
+	}
+}
