@@ -432,7 +432,7 @@ func BenchmarkNetsimSend(b *testing.B) {
 
 func BenchmarkExperimentHarness(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := exp.RunE8ExternalRep(exp.E8Defaults, exp.Scale(0.05)); err != nil {
+		if _, err := exp.RunE8ExternalRep(exp.Scale(0.05)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/amo"
@@ -13,32 +12,18 @@ import (
 	"repro/internal/sendprim"
 )
 
-// E10Params configures the at-most-once experiment.
-type E10Params struct {
-	// Transfers is the total workload size across all clients.
-	Transfers int
-	// Clients run concurrently, each owning a disjoint account pair.
-	Clients int
-	// LossRate and DupRate are applied to every packet both ways.
-	LossRate float64
-	DupRate  float64
-	// NetLatency is the one-way base latency.
-	NetLatency time.Duration
-	// AttemptTimeout bounds each call attempt; Retries re-sends follow.
-	AttemptTimeout time.Duration
-	Retries        int
-}
-
-// E10Defaults is the full-size configuration.
-var E10Defaults = E10Params{
-	Transfers:      500,
-	Clients:        10,
-	LossRate:       0.20,
-	DupRate:        0.20,
-	NetLatency:     300 * time.Microsecond,
-	AttemptTimeout: 25 * time.Millisecond,
-	Retries:        20,
-}
+// The at-most-once experiment at full size.
+const (
+	e10Transfers = 500 // across all clients
+	e10Clients   = 10  // concurrent, each owning a disjoint account pair
+	// e10LossRate and e10DupRate are applied to every packet both ways.
+	e10LossRate   = 0.20
+	e10DupRate    = 0.20
+	e10NetLatency = 300 * time.Microsecond // one-way
+	// e10AttemptTimeout bounds each call attempt; e10Retries re-sends follow.
+	e10AttemptTimeout = 25 * time.Millisecond
+	e10Retries        = 20
+)
 
 // RunE10AMO measures what the at-most-once layer buys back from the §3.5
 // concession that a retried remote transaction send "may be performed any
@@ -48,43 +33,40 @@ var E10Defaults = E10Params{
 // The layer must yield exactly-once application (executions == logical
 // calls, every balance as the replies implied); the bare arm must
 // demonstrably over-apply.
-func RunE10AMO(p E10Params, scale Scale) (*Result, error) {
-	p.Transfers = scale.N(p.Transfers, 40)
-	if p.Clients > p.Transfers {
-		p.Clients = p.Transfers
-	}
+func RunE10AMO(scale Scale) (*Result, error) {
+	transfers := scale.N(e10Transfers, 40)
 	res := &Result{ID: "E10 (extension: at-most-once on the no-wait send)"}
 	tab := metrics.NewTable(
 		fmt.Sprintf("At-most-once vs bare calls: %d transfers, %.0f%% loss + %.0f%% dup",
-			p.Transfers, p.LossRate*100, p.DupRate*100),
+			transfers, e10LossRate*100, e10DupRate*100),
 		"mode", "ok", "applies", "double-applied", "deviating-accts", "retries", "deduped", "replayed", "backoff")
 	res.Tables = append(res.Tables, tab)
 
 	for _, mode := range []string{"amo", "bare"} {
-		row, err := runE10Cell(p, mode == "bare")
+		row, err := runE10Cell(transfers, mode == "bare")
 		if err != nil {
 			return nil, err
 		}
 		tab.AddRow(mode, row.ok, row.applies, row.applies-row.ok, row.deviating,
 			row.retries, row.deduped, row.replayed, row.backoff.Round(time.Millisecond).String())
 		if row.failed > 0 {
-			res.Notef("DEVIATES: %s arm had %d calls exhaust %d retries", mode, row.failed, p.Retries)
+			res.Deviatesf("%s arm had %d calls exhaust %d retries", mode, row.failed, e10Retries)
 			continue
 		}
 		if mode == "amo" {
 			if row.applies == row.ok && row.deviating == 0 {
-				res.Notef("HOLDS: at-most-once layer applied %d/%d transfers exactly once (suppressed %d duplicates, replayed %d cached replies)",
+				res.Holdsf("at-most-once layer applied %d/%d transfers exactly once (suppressed %d duplicates, replayed %d cached replies)",
 					row.applies, row.ok, row.deduped, row.replayed)
 			} else {
-				res.Notef("DEVIATES: amo arm executed %d transfers for %d calls with %d deviating accounts",
+				res.Deviatesf("amo arm executed %d transfers for %d calls with %d deviating accounts",
 					row.applies, row.ok, row.deviating)
 			}
 		} else {
 			if row.applies > row.ok && row.deviating > 0 {
-				res.Notef("HOLDS: bare calls double-applied %d of %d transfers (%d accounts wrong) — the §3.5 hazard the layer removes",
+				res.Holdsf("bare calls double-applied %d of %d transfers (%d accounts wrong) — the §3.5 hazard the layer removes",
 					row.applies-row.ok, row.ok, row.deviating)
 			} else {
-				res.Notef("DEVIATES: bare arm showed no over-application under %.0f%% duplication", p.DupRate*100)
+				res.Deviatesf("bare arm showed no over-application under %.0f%% duplication", e10DupRate*100)
 			}
 		}
 	}
@@ -102,23 +84,21 @@ type e10Row struct {
 	backoff   time.Duration
 }
 
-func runE10Cell(p E10Params, raw bool) (e10Row, error) {
+func runE10Cell(transfers int, raw bool) (e10Row, error) {
 	var row e10Row
 	w := guardian.NewWorld(guardian.Config{Net: netsim.Config{
 		Seed:        10,
-		LossRate:    p.LossRate,
-		DupRate:     p.DupRate,
-		BaseLatency: p.NetLatency,
+		LossRate:    e10LossRate,
+		DupRate:     e10DupRate,
+		BaseLatency: e10NetLatency,
 	}})
 	w.MustRegister(bank.BranchDef())
 	branchNode := w.MustAddNode("branch")
-	var created *guardian.Created
-	var err error
+	var args []any
 	if raw {
-		created, err = branchNode.Bootstrap(bank.BranchDefName, "raw")
-	} else {
-		created, err = branchNode.Bootstrap(bank.BranchDefName)
+		args = []any{"raw"}
 	}
+	created, err := branchNode.Bootstrap(bank.BranchDefName, args...)
 	if err != nil {
 		return row, err
 	}
@@ -127,89 +107,67 @@ func runE10Cell(p E10Params, raw bool) (e10Row, error) {
 	met := &amo.Metrics{}
 	dedup0, replay0 := amo.Default.CallsDeduped.Load(), amo.Default.RepliesReplayed.Load()
 
-	perClient := p.Transfers / p.Clients
-	extra := p.Transfers % p.Clients
-	type clientResult struct {
-		ok, failed int64
-		expA, expB int64
-		acctA      string
-		acctB      string
-		err        error
+	// Each client tracks the balances its acknowledged transfers imply.
+	type expectation struct {
+		acctA, acctB string
+		expA, expB   int64
 	}
-	results := make([]clientResult, p.Clients)
-	var wg sync.WaitGroup
-	for i := 0; i < p.Clients; i++ {
+	expected := make([]expectation, e10Clients)
+	f, err := runFleet(w.Clock(), e10Clients, transfers, func(i int) (func(int) error, error) {
 		_, proc, err := tellers.NewDriver(fmt.Sprintf("teller-%d", i))
 		if err != nil {
-			return row, err
+			return nil, err
 		}
-		calls := perClient
-		if i < extra {
-			calls++
+		// Account setup goes over the NATIVE idempotent port (op_id
+		// deduplication), so both arms start from identical, exact
+		// balances and the amo port carries only the audited transfers.
+		callOpts := sendprim.CallOptions{
+			Timeout: 2 * e10AttemptTimeout,
+			Retries: e10Retries,
+			Backoff: 2 * time.Millisecond,
 		}
-		wg.Add(1)
-		go func(i, calls int, proc *guardian.Process) {
-			defer wg.Done()
-			r := &results[i]
-			r.acctA, r.acctB = fmt.Sprintf("c%d-a", i), fmt.Sprintf("c%d-b", i)
-			// Account setup goes over the NATIVE idempotent port (op_id
-			// deduplication), so both arms start from identical, exact
-			// balances and the amo port carries only the audited transfers.
-			const seedFunds = int64(1_000_000)
-			callOpts := sendprim.CallOptions{
-				Timeout: 2 * p.AttemptTimeout,
-				Retries: p.Retries,
-				Backoff: 2 * time.Millisecond,
+		e := &expected[i]
+		e.acctA, e.acctB, err = fundedPair(i, func(cmd string, args ...any) error {
+			if cmd == "deposit" {
+				args = append(args, fmt.Sprintf("fund-%d", i)) // the native port's op_id
 			}
-			for _, acct := range []string{r.acctA, r.acctB} {
-				m, err := sendprim.Call(proc, nativePort, bank.ClientReplyType, callOpts, "open", acct)
-				if err != nil {
-					r.err = err
-					return
-				}
-				if m.Command != bank.OutcomeOK && m.Command != bank.OutcomeExists {
-					r.err = fmt.Errorf("exp: open %s: %s", acct, m.Command)
-					return
-				}
-			}
-			m, err := sendprim.Call(proc, nativePort, bank.ClientReplyType, callOpts,
-				"deposit", r.acctA, seedFunds, fmt.Sprintf("fund-%d", i))
+			m, err := sendprim.Call(proc, nativePort, bank.ClientReplyType, callOpts, cmd, args...)
 			if err != nil {
-				r.err = err
-				return
+				return err
 			}
-			if m.Command != bank.OutcomeOK {
-				r.err = fmt.Errorf("exp: funding %s: %s", r.acctA, m.Command)
-				return
-			}
-			r.expA, r.expB = seedFunds, 0
+			return fundingOutcome(cmd, m.Command)
+		})
+		if err != nil {
+			return nil, err
+		}
+		e.expA = seedFunds
 
-			caller, err := amo.NewCaller(proc, amo.CallerOptions{
-				Timeout: p.AttemptTimeout,
-				Retries: p.Retries,
-				Backoff: amo.BackoffPolicy{Base: 2 * time.Millisecond, Jitter: 0.5},
-				Metrics: met,
-			})
+		caller, err := amo.NewCaller(proc, amo.CallerOptions{
+			Timeout: e10AttemptTimeout,
+			Retries: e10Retries,
+			Backoff: amo.BackoffPolicy{Base: 2 * time.Millisecond, Jitter: 0.5},
+			Metrics: met,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return func(j int) error {
+			amount := int64(1 + j%7)
+			rep, err := caller.Call(amoPort, "transfer", e.acctA, e.acctB, amount)
 			if err != nil {
-				r.err = err
-				return
+				return err
 			}
-			for j := 0; j < calls; j++ {
-				amount := int64(1 + j%7)
-				rep, err := caller.Call(amoPort, "transfer", r.acctA, r.acctB, amount)
-				if err != nil {
-					r.failed++
-					continue
-				}
-				if rep.Command == bank.OutcomeOK {
-					r.ok++
-					r.expA -= amount
-					r.expB += amount
-				}
+			if rep.Command != bank.OutcomeOK {
+				return fmt.Errorf("exp: transfer answered %s", rep.Command)
 			}
-		}(i, calls, proc)
+			e.expA -= amount
+			e.expB += amount
+			return nil
+		}, nil
+	})
+	if err != nil {
+		return row, err
 	}
-	wg.Wait()
 	waitQuiesce(w)
 	time.Sleep(20 * time.Millisecond)
 
@@ -225,17 +183,12 @@ func runE10Cell(p E10Params, raw bool) (e10Row, error) {
 	if err != nil {
 		return row, err
 	}
-	for i := range results {
-		r := &results[i]
-		if r.err != nil {
-			return row, r.err
-		}
-		row.ok += r.ok
-		row.failed += r.failed
-		if balances[r.acctA] != r.expA {
+	row.ok, row.failed = f.OK, f.Failed
+	for _, e := range expected {
+		if balances[e.acctA] != e.expA {
 			row.deviating++
 		}
-		if balances[r.acctB] != r.expB {
+		if balances[e.acctB] != e.expB {
 			row.deviating++
 		}
 	}

@@ -7,21 +7,13 @@ import (
 	"repro/internal/metrics"
 )
 
-// E11Params configures the deterministic-simulation sweep.
-type E11Params struct {
-	// SeedsPerCell is how many seeds each (profile, workload) cell runs.
-	SeedsPerCell int
-	// Clients and OpsPerClient size each simulated run.
-	Clients      int
-	OpsPerClient int
-}
-
-// E11Defaults is the full-size configuration.
-var E11Defaults = E11Params{
-	SeedsPerCell: 6,
-	Clients:      3,
-	OpsPerClient: 12,
-}
+// The deterministic-simulation sweep at full size.
+const (
+	e11SeedsPerCell = 6 // seeds each (profile, workload) cell runs
+	// e11Clients and e11OpsPerClient size each simulated run.
+	e11Clients      = 3
+	e11OpsPerClient = 12
+)
 
 // RunE11DST sweeps the deterministic simulation harness across every fault
 // profile and both workloads, checking the invariants the paper states only
@@ -30,12 +22,12 @@ var E11Defaults = E11Params{
 // recovery-equals-replay for both (§2.2). A control arm re-runs the lossy
 // profile with the at-most-once filter deliberately disabled; the sweep
 // must catch that injected bug, or the harness is not discriminating.
-func RunE11DST(p E11Params, scale Scale) (*Result, error) {
-	p.SeedsPerCell = scale.N(p.SeedsPerCell, 2)
+func RunE11DST(scale Scale) (*Result, error) {
+	seeds := scale.N(e11SeedsPerCell, 2)
 	res := &Result{ID: "E11 (extension: deterministic simulation of the failure model)"}
 	tab := metrics.NewTable(
 		fmt.Sprintf("Seed sweep: %d seeds per cell, %d clients x %d ops",
-			p.SeedsPerCell, p.Clients, p.OpsPerClient),
+			seeds, e11Clients, e11OpsPerClient),
 		"profile", "workload", "seeds", "pass", "fail", "acked", "retries", "lost", "dup", "partition")
 	res.Tables = append(res.Tables, tab)
 
@@ -58,13 +50,13 @@ func RunE11DST(p E11Params, scale Scale) (*Result, error) {
 	var firstClean *dst.Report
 	for _, c := range cells {
 		var pass, fail, acked, retries, lost, dup, part int64
-		for seed := int64(1); seed <= int64(p.SeedsPerCell); seed++ {
+		for seed := int64(1); seed <= int64(seeds); seed++ {
 			rep := dst.Run(dst.Options{
 				Seed:         seed,
 				Workload:     c.workload,
 				Profile:      c.profile,
-				Clients:      p.Clients,
-				OpsPerClient: p.OpsPerClient,
+				Clients:      e11Clients,
+				OpsPerClient: e11OpsPerClient,
 				Bug:          c.bug,
 			})
 			acked += rep.OpsAcked
@@ -88,24 +80,24 @@ func RunE11DST(p E11Params, scale Scale) (*Result, error) {
 		} else {
 			cleanFailures += int(fail)
 		}
-		tab.AddRow(label, c.workload, int64(p.SeedsPerCell), pass, fail,
+		tab.AddRow(label, c.workload, int64(seeds), pass, fail,
 			acked, retries, lost, dup, part)
 	}
 
 	if cleanFailures == 0 {
-		res.Notef("HOLDS: all invariants (conservation, exactly-once, no-overbooking, recovery==replay) held over %d simulated runs across %d fault profiles",
-			p.SeedsPerCell*2*len(dst.Profiles()), len(dst.Profiles()))
+		res.Holdsf("all invariants (conservation, exactly-once, no-overbooking, recovery==replay) held over %d simulated runs across %d fault profiles",
+			seeds*2*len(dst.Profiles()), len(dst.Profiles()))
 	} else {
-		res.Notef("DEVIATES: %d clean runs violated an invariant; first: seed %d (%s/%s): %s",
+		res.Deviatesf("%d clean runs violated an invariant; first: seed %d (%s/%s): %s",
 			cleanFailures, firstClean.Seed, firstClean.Workload, firstClean.Profile,
 			firstClean.Violations[0].Invariant)
 	}
 	if bugCaught > 0 {
-		res.Notef("HOLDS: the sweep is discriminating — the injected %s bug was caught in %d/%d control runs",
-			dst.BugDisableDedup, bugCaught, p.SeedsPerCell)
+		res.Holdsf("the sweep is discriminating — the injected %s bug was caught in %d/%d control runs",
+			dst.BugDisableDedup, bugCaught, seeds)
 	} else {
-		res.Notef("DEVIATES: injected %s bug escaped all %d control runs",
-			dst.BugDisableDedup, p.SeedsPerCell)
+		res.Deviatesf("injected %s bug escaped all %d control runs",
+			dst.BugDisableDedup, seeds)
 	}
 	return res, nil
 }

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -18,38 +17,24 @@ import (
 	"repro/internal/xrep"
 )
 
-// E14Params configures the replication experiment.
-type E14Params struct {
-	// Transfers is the timed workload size across all clients, per arm.
-	Transfers int
-	// Clients run concurrently, each owning a disjoint account pair.
-	Clients int
-	// NetLatency is the one-way base latency; it is what a quorum ack
+// The replication experiment at full size.
+const (
+	e14Transfers = 240 // timed workload across all clients, per arm
+	e14Clients   = 6   // concurrent, each owning a disjoint account pair
+	// e14NetLatency is the one-way base latency; it is what a quorum ack
 	// round costs on the wire.
-	NetLatency time.Duration
-	// SyncDelay models one forced write: the primary pays it on commit,
+	e14NetLatency = 300 * time.Microsecond
+	// e14SyncDelay models one forced write: the primary pays it on commit,
 	// followers pay it again before acking.
-	SyncDelay time.Duration
-	// AttemptTimeout and Retries shape the at-most-once calls.
-	AttemptTimeout time.Duration
-	Retries        int
-	// Heartbeat and Threshold shape failure detection: silence for about
-	// Heartbeat×(Threshold+1) starts an election.
-	Heartbeat time.Duration
-	Threshold int
-}
-
-// E14Defaults is the full-size configuration.
-var E14Defaults = E14Params{
-	Transfers:      240,
-	Clients:        6,
-	NetLatency:     300 * time.Microsecond,
-	SyncDelay:      200 * time.Microsecond,
-	AttemptTimeout: 50 * time.Millisecond,
-	Retries:        40,
-	Heartbeat:      5 * time.Millisecond,
-	Threshold:      2,
-}
+	e14SyncDelay = 200 * time.Microsecond
+	// e14AttemptTimeout and e14Retries shape the at-most-once calls.
+	e14AttemptTimeout = 50 * time.Millisecond
+	e14Retries        = 40
+	// e14Heartbeat and e14Threshold shape failure detection: silence for
+	// about Heartbeat×(Threshold+1) starts an election.
+	e14Heartbeat = 5 * time.Millisecond
+	e14Threshold = 2
+)
 
 // RunE14Replica prices what replication adds to the paper's "permanence
 // of effect" (§2.2). The same concurrent transfer workload runs against
@@ -61,21 +46,18 @@ var E14Defaults = E14Params{
 // not a restart — and the time until a client, re-resolving the
 // well-known name, gets its next reply is the failover cost. Money must
 // be conserved across the takeover.
-func RunE14Replica(p E14Params, scale Scale) (*Result, error) {
-	p.Transfers = scale.N(p.Transfers, 30)
-	if p.Clients > p.Transfers {
-		p.Clients = p.Transfers
-	}
+func RunE14Replica(scale Scale) (*Result, error) {
+	transfers := scale.N(e14Transfers, 30)
 	res := &Result{ID: "E14 (extension: replicated guardians with automatic failover)"}
 	tab := metrics.NewTable(
 		fmt.Sprintf("Replication arms: %d transfers, %v net latency, %v fsync",
-			p.Transfers, p.NetLatency, p.SyncDelay),
+			transfers, e14NetLatency, e14SyncDelay),
 		"mode", "ok", "failed", "commit-mean", "commit-p99", "shipped", "applied", "takeovers", "failover")
 	res.Tables = append(res.Tables, tab)
 
 	var single, quorum time.Duration
 	for _, mode := range []string{"single", "async", "quorum"} {
-		row, err := runE14Cell(p, mode)
+		row, err := runE14Cell(transfers, mode)
 		if err != nil {
 			return nil, fmt.Errorf("exp: %s arm: %w", mode, err)
 		}
@@ -93,15 +75,15 @@ func RunE14Replica(p E14Params, scale Scale) (*Result, error) {
 			quorum = row.mean
 		}
 		if !row.conserved {
-			res.Notef("DEVIATES: %s arm lost money across the run (%d != %d)", mode, row.total, row.expected)
+			res.Deviatesf("%s arm lost money across the run (%d != %d)", mode, row.total, row.expected)
 			continue
 		}
 		if mode != "single" {
 			if row.takeovers >= 1 && row.afterOK {
-				res.Notef("HOLDS: %s arm survived permanent primary death — takeover in %v, money conserved, client resumed via re-resolution",
+				res.Holdsf("%s arm survived permanent primary death — takeover in %v, money conserved, client resumed via re-resolution",
 					mode, row.failover.Round(time.Millisecond))
 			} else {
-				res.Notef("DEVIATES: %s arm did not fail over (takeovers=%d, resumed=%v)", mode, row.takeovers, row.afterOK)
+				res.Deviatesf("%s arm did not fail over (takeovers=%d, resumed=%v)", mode, row.takeovers, row.afterOK)
 			}
 		}
 	}
@@ -129,16 +111,16 @@ const e14Service = "bank/main"
 
 var e14Members = []string{"m1", "m2", "m3"}
 
-func runE14Cell(p E14Params, mode string) (e14Row, error) {
+func runE14Cell(transfers int, mode string) (e14Row, error) {
 	var row e14Row
 	replicated := mode != "single"
 	nsPort := xrep.PortName{Node: "clients", Guardian: 2, Port: 1}
 
 	var storesMu sync.Mutex
 	stores := make(map[string]*replica.Store)
-	cfg := guardian.Config{Net: netsim.Config{Seed: 14, BaseLatency: p.NetLatency}}
+	cfg := guardian.Config{Net: netsim.Config{Seed: 14, BaseLatency: e14NetLatency}}
 	cfg.Store = func(node string) (durable.Store, error) {
-		var inner durable.Store = durable.NewMem(vtime.NewReal(), durable.MemConfig{SyncDelay: p.SyncDelay})
+		var inner durable.Store = durable.NewMem(vtime.NewReal(), durable.MemConfig{SyncDelay: e14SyncDelay})
 		member := false
 		for _, m := range e14Members {
 			member = member || m == node
@@ -155,8 +137,8 @@ func runE14Cell(p E14Params, mode string) (e14Row, error) {
 			Self:        node,
 			Members:     e14Members,
 			Mode:        rm,
-			Heartbeat:   p.Heartbeat,
-			Threshold:   p.Threshold,
+			Heartbeat:   e14Heartbeat,
+			Threshold:   e14Threshold,
 			AppDef:      bank.BranchDefName,
 			Service:     e14Service,
 			NS:          nsPort,
@@ -209,105 +191,67 @@ func runE14Cell(p E14Params, mode string) (e14Row, error) {
 		st.Adopt(primary, created)
 	}
 
-	newCaller := func(name string) (*amo.Caller, *guardian.Process, error) {
+	newCaller := func(name string) (*amo.Caller, error) {
 		_, pr, err := clients.NewDriver(name)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		opts := amo.CallerOptions{
-			Timeout: p.AttemptTimeout,
-			Retries: p.Retries,
+			Timeout: e14AttemptTimeout,
+			Retries: e14Retries,
 			Backoff: amo.BackoffPolicy{Base: 2 * time.Millisecond, Jitter: 0.5},
 		}
 		if replicated {
 			nc, err := nameserv.NewClient(pr, nsPort)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			opts.Resolve = func() (xrep.PortName, bool) {
-				port, _, err := nc.Lookup(e14Service, p.AttemptTimeout)
+				port, _, err := nc.Lookup(e14Service, e14AttemptTimeout)
 				return port, err == nil
 			}
 		}
-		c, err := amo.NewCaller(pr, opts)
-		return c, pr, err
+		return amo.NewCaller(pr, opts)
 	}
 	// All arms call the same port name the service would resolve to; the
 	// replica arms re-resolve on retries, which is what carries a client
 	// across the failover below.
 	svc := created.Ports[1]
 
-	const seedFunds = int64(1_000_000)
-	perClient := p.Transfers / p.Clients
-	extra := p.Transfers % p.Clients
-	type clientResult struct {
-		ok, failed int64
-		durs       []time.Duration
-		err        error
-	}
-	results := make([]clientResult, p.Clients)
-	var wg sync.WaitGroup
-	for i := 0; i < p.Clients; i++ {
-		caller, _, err := newCaller(fmt.Sprintf("teller-%d", i))
+	// The tellers' reply ports go with the world (w.Close above).
+	f, err := runFleet(w.Clock(), e14Clients, transfers, func(i int) (func(int) error, error) {
+		caller, err := newCaller(fmt.Sprintf("teller-%d", i))
 		if err != nil {
-			return row, err
+			return nil, err
 		}
-		calls := perClient
-		if i < extra {
-			calls++
-		}
-		wg.Add(1)
-		go func(i, calls int, caller *amo.Caller) {
-			defer wg.Done()
-			defer caller.Close()
-			r := &results[i]
-			a, b := fmt.Sprintf("c%d-a", i), fmt.Sprintf("c%d-b", i)
-			for _, op := range [][]any{{"open", a}, {"open", b}, {"deposit", a, seedFunds}} {
-				if _, err := caller.Call(svc, op[0].(string), op[1:]...); err != nil {
-					r.err = err
-					return
-				}
+		a, b, err := fundedPair(i, func(cmd string, args ...any) error {
+			rep, err := caller.Call(svc, cmd, args...)
+			if err != nil {
+				return err
 			}
-			for j := 0; j < calls; j++ {
-				start := time.Now()
-				rep, err := caller.Call(svc, "transfer", a, b, int64(1+j%7))
-				if err != nil {
-					r.failed++
-					continue
-				}
-				if rep.Command == bank.OutcomeOK {
-					r.ok++
-					r.durs = append(r.durs, time.Since(start))
-				}
+			return fundingOutcome(cmd, rep.Command)
+		})
+		if err != nil {
+			return nil, err
+		}
+		return func(j int) error {
+			rep, err := caller.Call(svc, "transfer", a, b, int64(1+j%7))
+			if err == nil && rep.Command != bank.OutcomeOK {
+				err = fmt.Errorf("exp: transfer answered %s", rep.Command)
 			}
-		}(i, calls, caller)
+			return err
+		}, nil
+	})
+	if err != nil {
+		return row, err
 	}
-	wg.Wait()
-
-	var durs []time.Duration
-	for i := range results {
-		r := &results[i]
-		if r.err != nil {
-			return row, r.err
-		}
-		row.ok += r.ok
-		row.failed += r.failed
-		durs = append(durs, r.durs...)
-	}
-	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-	if n := len(durs); n > 0 {
-		var sum time.Duration
-		for _, d := range durs {
-			sum += d
-		}
-		row.mean = sum / time.Duration(n)
-		row.p99 = durs[n*99/100]
-	}
+	row.ok, row.failed = f.OK, f.Failed
+	row.mean, row.p99 = f.Latency.Mean, f.Latency.P99
 
 	// Failover: kill the primary permanently — no restart is coming — and
 	// clock how long until a re-resolving client gets its next reply.
 	if replicated {
-		probe, _, err := newCaller("probe")
+		probe, err := newCaller("probe")
 		if err != nil {
 			return row, err
 		}
@@ -332,8 +276,15 @@ func runE14Cell(p E14Params, mode string) (e14Row, error) {
 
 	// Audit on whatever member now serves the branch: every seeded pot is
 	// intact — transfers move money, the takeover must not mint or burn it.
-	row.expected = seedFunds * int64(p.Clients)
-	serving, err := e14ServingGuardian(w, replicated, created, stores)
+	row.expected = seedFunds * e14Clients
+	var serving *guardian.Guardian
+	if replicated {
+		serving, err = e14Leader(w, stores)
+	} else if g, ok := primary.GuardianByID(created.GuardianID); ok {
+		serving = g
+	} else {
+		err = fmt.Errorf("exp: branch guardian vanished")
+	}
 	if err != nil {
 		return row, err
 	}
@@ -341,9 +292,7 @@ func runE14Cell(p E14Params, mode string) (e14Row, error) {
 	if err != nil {
 		return row, err
 	}
-	for i := 0; i < p.Clients; i++ {
-		row.total += balances[fmt.Sprintf("c%d-a", i)] + balances[fmt.Sprintf("c%d-b", i)]
-	}
+	row.total = sumBalances(balances)
 	row.conserved = row.total == row.expected
 	storesMu.Lock()
 	for _, st := range stores {
@@ -356,21 +305,9 @@ func runE14Cell(p E14Params, mode string) (e14Row, error) {
 	return row, nil
 }
 
-// e14ServingGuardian locates the branch: the bootstrapped guardian in the
-// single arm, the elected leader's takeover instance after the failover.
-func e14ServingGuardian(w *guardian.World, replicated bool, created *guardian.Created,
-	stores map[string]*replica.Store) (*guardian.Guardian, error) {
-	if !replicated {
-		n, err := w.Node(e14Members[0])
-		if err != nil {
-			return nil, err
-		}
-		g, ok := n.GuardianByID(created.GuardianID)
-		if !ok {
-			return nil, fmt.Errorf("exp: branch guardian vanished")
-		}
-		return g, nil
-	}
+// e14Leader locates the branch after the failover: the elected leader's
+// takeover instance.
+func e14Leader(w *guardian.World, stores map[string]*replica.Store) (*guardian.Guardian, error) {
 	for _, m := range e14Members {
 		n, err := w.Node(m)
 		if err != nil || !n.Alive() {

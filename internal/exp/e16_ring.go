@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/amo"
@@ -17,43 +16,26 @@ import (
 	"repro/internal/workload"
 )
 
-// E16Params configures the consistent-hash scale-out experiment.
-type E16Params struct {
-	// Accounts is the keyspace size tellers draw from (the generator
-	// derives ids, so a million-account keyspace is free).
-	Accounts int
-	// Ops is the total operation count across all tellers, per cell.
-	Ops int
-	// Tellers run concurrently, each with its own ring Router.
-	Tellers int
-	// ShardCounts are the ring sizes of the scaling table.
-	ShardCounts []int
-	// SkewOps is the per-cell operation count of the skew ablation.
-	SkewOps int
-	// DepositFrac and WithdrawFrac set the mix; the rest are transfers
-	// (cross-shard pairs ride 2PC).
-	DepositFrac, WithdrawFrac float64
-	// NetLatency is the simulated one-way latency.
-	NetLatency time.Duration
-	// AttemptTimeout and Retries tune each teller call.
-	AttemptTimeout time.Duration
-	Retries        int
-}
+// The consistent-hash scale-out experiment at full size: a million-account
+// keyspace hammered by concurrent tellers against growing rings.
+const (
+	// e16Accounts is the keyspace tellers draw from (the generator derives
+	// ids, so a million-account keyspace is free).
+	e16Accounts = 1_000_000
+	e16Ops      = 24_000 // across all tellers, per scaling cell
+	e16SkewOps  = 8_000  // per cell of the skew ablation
+	e16Tellers  = 24     // concurrent, each with its own ring Router
+	// e16DepositFrac and e16WithdrawFrac set the mix; the rest are
+	// transfers (cross-shard pairs ride 2PC).
+	e16DepositFrac, e16WithdrawFrac = 0.45, 0.35
+	e16NetLatency                   = 50 * time.Microsecond // one-way
+	// e16AttemptTimeout and e16Retries tune each teller call.
+	e16AttemptTimeout = 100 * time.Millisecond
+	e16Retries        = 10
+)
 
-// E16Defaults is the full-size configuration: a million-account keyspace
-// hammered by concurrent tellers against growing rings.
-var E16Defaults = E16Params{
-	Accounts:       1_000_000,
-	Ops:            24_000,
-	Tellers:        24,
-	ShardCounts:    []int{1, 2, 4},
-	SkewOps:        8_000,
-	DepositFrac:    0.45,
-	WithdrawFrac:   0.35,
-	NetLatency:     50 * time.Microsecond,
-	AttemptTimeout: 100 * time.Millisecond,
-	Retries:        10,
-}
+// e16ShardCounts are the ring sizes of the scaling table.
+var e16ShardCounts = []int{1, 2, 4}
 
 // RunE16Ring runs the same high-concurrency bank workload against rings
 // of growing size and audits every cell for exact conservation: the
@@ -68,68 +50,55 @@ var E16Defaults = E16Params{
 // uniform draws over a million-account keyspace pay first-touch opens on
 // nearly every op, zipf amortizes them over a hot set, and single-key
 // collapses every op onto one guardian.
-func RunE16Ring(p E16Params, scale Scale) (*Result, error) {
-	p.Ops = scale.N(p.Ops, 400)
-	p.SkewOps = scale.N(p.SkewOps, 200)
-	p.Accounts = scale.N(p.Accounts, 1_000)
-	if p.Tellers > p.Ops/10 && p.Ops >= 10 {
-		p.Tellers = p.Ops / 10
-	}
+func RunE16Ring(scale Scale) (*Result, error) {
+	ops, skewOps, accounts := scale.N(e16Ops, 400), scale.N(e16SkewOps, 200), scale.N(e16Accounts, 1_000)
 	res := &Result{ID: "E16 (extension: consistent-hash scale-out)"}
+	// The conservation claim is earned cell by cell, over both tables.
+	var broke []string
 
 	scaleTab := metrics.NewTable(
 		fmt.Sprintf("Ring scale-out: %d ops, %d tellers, %d-account keyspace, uniform skew",
-			p.Ops, p.Tellers, p.Accounts),
+			ops, e16Tellers, accounts),
 		"shards", "ok", "failed", "transfers", "opens", "ops/sec", "relative", "accts-touched")
 	res.Tables = append(res.Tables, scaleTab)
-
-	var base float64
-	for _, shards := range p.ShardCounts {
-		cell, err := runE16Cell(p, shards, p.Ops, workload.SkewUniform)
+	var base, relative float64
+	for _, shards := range e16ShardCounts {
+		cell, err := runE16Cell(shards, ops, accounts, workload.SkewUniform)
 		if err != nil {
 			return nil, err
 		}
 		if base == 0 {
 			base = cell.opsPerSec
 		}
+		relative = cell.opsPerSec / base
 		scaleTab.AddRow(shards, cell.ok, cell.failed, cell.split, cell.opens,
-			fmt.Sprintf("%.0f", cell.opsPerSec),
-			fmt.Sprintf("%.2fx", cell.opsPerSec/base),
-			cell.touched)
+			fmt.Sprintf("%.0f", cell.opsPerSec), fmt.Sprintf("%.2fx", relative), cell.touched)
 		if cell.conservationErr != nil {
-			res.Notef("DEVIATES: %d-shard ring broke conservation: %v", shards, cell.conservationErr)
+			broke = append(broke, fmt.Sprintf("%d-shard ring: %v", shards, cell.conservationErr))
 		}
 	}
-	last := p.ShardCounts[len(p.ShardCounts)-1]
-	res.Notef("HOLDS: every ring size conserved money exactly across shards, split 2PC transfers included")
+	last := e16ShardCounts[len(e16ShardCounts)-1]
 	res.Notef("shape: throughput is bound by the in-process network, so growing the ring surfaces the 2PC surcharge on split transfers rather than a CPU speedup (%d-shard at %.2fx of single-shard)",
-		last, lastRowRelative(scaleTab))
+		last, relative)
 
 	skewTab := metrics.NewTable(
-		fmt.Sprintf("Skew ablation on the %d-shard ring: %d ops", last, p.SkewOps),
+		fmt.Sprintf("Skew ablation on the %d-shard ring: %d ops", last, skewOps),
 		"skew", "ok", "failed", "transfers", "opens", "ops/sec", "accts-touched")
 	res.Tables = append(res.Tables, skewTab)
 	for _, skew := range []workload.Skew{workload.SkewUniform, workload.SkewZipf, workload.SkewSingle} {
-		cell, err := runE16Cell(p, last, p.SkewOps, skew)
+		cell, err := runE16Cell(last, skewOps, accounts, skew)
 		if err != nil {
 			return nil, err
 		}
 		skewTab.AddRow(string(skew), cell.ok, cell.failed, cell.split, cell.opens,
 			fmt.Sprintf("%.0f", cell.opsPerSec), cell.touched)
 		if cell.conservationErr != nil {
-			res.Notef("DEVIATES: %s-skew cell broke conservation: %v", skew, cell.conservationErr)
+			broke = append(broke, fmt.Sprintf("%s-skew cell: %v", skew, cell.conservationErr))
 		}
 	}
+	res.HoldsUnless(broke, "every ring size conserved money exactly across shards, split 2PC transfers included")
 	res.Notef("shape: uniform draws pay a first-touch open on most ops; zipf amortizes opens over its hot set; single-key degenerates transfers (from==to) to nothing")
 	return res, nil
-}
-
-// lastRowRelative re-reads the relative-throughput column of the last
-// scaling row.
-func lastRowRelative(t *metrics.Table) float64 {
-	var f float64
-	fmt.Sscanf(t.Cell(t.Rows()-1, 6), "%f", &f)
-	return f
 }
 
 type e16Cell struct {
@@ -140,9 +109,9 @@ type e16Cell struct {
 	conservationErr error
 }
 
-func runE16Cell(p E16Params, shards, totalOps int, skew workload.Skew) (e16Cell, error) {
+func runE16Cell(shards, totalOps, accounts int, skew workload.Skew) (e16Cell, error) {
 	var cell e16Cell
-	w := guardian.NewWorld(guardian.Config{Net: netsim.Config{Seed: 16, BaseLatency: p.NetLatency}})
+	w := guardian.NewWorld(guardian.Config{Net: netsim.Config{Seed: 16, BaseLatency: e16NetLatency}})
 	w.MustRegister(bank.BranchDef())
 	w.MustRegister(nameserv.Def())
 	w.MustRegister(tpc.CoordinatorDef())
@@ -186,115 +155,92 @@ func runE16Cell(p E16Params, shards, totalOps int, skew workload.Skew) (e16Cell,
 		return cell, err
 	}
 
-	type tellerResult struct {
-		ok, failed, split, opens int64
-		depSum, wdSum            int64
-		touched                  map[string]bool
-		err                      error
+	// Each teller keeps its own tallies; the audit merges them.
+	type tally struct {
+		skipped, split, opens int64
+		depSum, wdSum         int64
+		touched               map[string]bool
 	}
-	results := make([]tellerResult, p.Tellers)
-	perTeller := totalOps / p.Tellers
-	extra := totalOps % p.Tellers
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < p.Tellers; i++ {
+	tallies := make([]tally, e16Tellers)
+	f, err := runFleet(w.Clock(), e16Tellers, totalOps, func(i int) (func(int) error, error) {
 		_, proc, err := tellers.NewDriver(fmt.Sprintf("teller-%d", i))
 		if err != nil {
-			return cell, err
+			return nil, err
 		}
 		ns, err := nameserv.NewClient(proc, nsCr.Ports[0])
 		if err != nil {
-			return cell, err
+			return nil, err
 		}
-		ops := perTeller
-		if i < extra {
-			ops++
+		rt, err := bank.NewRouter(proc, bank.RouterOptions{
+			NS:          ns,
+			RingName:    "accounts",
+			Coordinator: coCr.Ports[0],
+			Call: amo.CallerOptions{
+				Timeout: e16AttemptTimeout,
+				Retries: e16Retries,
+				Backoff: amo.BackoffPolicy{Base: time.Millisecond, Jitter: 0.5},
+			},
+		})
+		if err != nil {
+			return nil, err
 		}
-		wg.Add(1)
-		go func(i, ops int, proc *guardian.Process, ns *nameserv.Client) {
-			defer wg.Done()
-			r := &results[i]
-			r.touched = make(map[string]bool)
-			rt, err := bank.NewRouter(proc, bank.RouterOptions{
-				NS:          ns,
-				RingName:    "accounts",
-				Coordinator: coCr.Ports[0],
-				Call: amo.CallerOptions{
-					Timeout: p.AttemptTimeout,
-					Retries: p.Retries,
-					Backoff: amo.BackoffPolicy{Base: time.Millisecond, Jitter: 0.5},
-				},
-			})
-			if err != nil {
-				r.err = err
-				return
-			}
-			defer rt.Close()
-			gen := workload.NewAccountGen(1000+int64(i), skew, p.Accounts)
-			mix := workload.NewBankMix(2000+int64(i), p.DepositFrac, p.WithdrawFrac)
+		r := &tallies[i]
+		r.touched = make(map[string]bool)
+		gen := workload.NewAccountGen(1000+int64(i), skew, accounts)
+		mix := workload.NewBankMix(2000+int64(i), e16DepositFrac, e16WithdrawFrac)
 
-			// ensure opens the account so the operation can be re-run; the
-			// open and the retry are calls the keyspace's size forces, so
-			// they depress ops/sec (wall clock) without inflating ok.
-			ensure := func(acct string) bool {
-				r.opens++
-				rep, err := rt.Call(acct, "open", acct)
-				return err == nil && (rep.Command == bank.OutcomeOK || rep.Command == bank.OutcomeExists)
+		// ensure opens the account so the operation can be re-run; the
+		// open and the retry are calls the keyspace's size forces, so
+		// they depress ops/sec (wall clock) without inflating ok.
+		ensure := func(acct string) bool {
+			r.opens++
+			rep, err := rt.Call(acct, "open", acct)
+			return err == nil && (rep.Command == bank.OutcomeOK || rep.Command == bank.OutcomeExists)
+		}
+		return func(int) error {
+			amt := mix.Amount(50)
+			op := mix.Next()
+			if op != workload.OpDeposit && op != workload.OpWithdraw { // transfer
+				from, to := gen.Next(), gen.Next()
+				if from == to {
+					r.skipped++ // nothing to move: neither ok nor failed
+					return nil
+				}
+				r.touched[from], r.touched[to] = true, true
+				r.split++
+				_, err := rt.Transfer(from, to, amt) // any definite outcome conserves
+				return err
 			}
-			for j := 0; j < ops; j++ {
-				amt := mix.Amount(50)
-				switch op := mix.Next(); op {
-				case workload.OpDeposit, workload.OpWithdraw:
-					acct := gen.Next()
-					r.touched[acct] = true
-					rep, err := rt.Call(acct, op, acct, amt)
-					if err == nil && rep.Command == bank.OutcomeNoAccount && ensure(acct) {
-						rep, err = rt.Call(acct, op, acct, amt)
-					}
-					if err != nil {
-						r.failed++
-						continue
-					}
-					r.ok++
-					if rep.Command == bank.OutcomeOK {
-						if op == workload.OpDeposit {
-							r.depSum += amt
-						} else {
-							r.wdSum += amt
-						}
-					}
-				default: // transfer
-					from, to := gen.Next(), gen.Next()
-					if from == to {
-						continue
-					}
-					r.touched[from], r.touched[to] = true, true
-					r.split++
-					out, err := rt.Transfer(from, to, amt)
-					if err != nil {
-						r.failed++
-						continue
-					}
-					r.ok++
-					_ = out // any definite outcome conserves
+			acct := gen.Next()
+			r.touched[acct] = true
+			rep, err := rt.Call(acct, op, acct, amt)
+			if err == nil && rep.Command == bank.OutcomeNoAccount && ensure(acct) {
+				rep, err = rt.Call(acct, op, acct, amt)
+			}
+			if err != nil {
+				return err
+			}
+			if rep.Command == bank.OutcomeOK {
+				if op == workload.OpDeposit {
+					r.depSum += amt
+				} else {
+					r.wdSum += amt
 				}
 			}
-		}(i, ops, proc, ns)
+			return nil
+		}, nil
+	})
+	if err != nil {
+		return cell, err
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
 	waitQuiesce(w)
 
 	touched := make(map[string]bool)
 	var expected int64
-	for i := range results {
-		r := &results[i]
-		if r.err != nil {
-			return cell, r.err
-		}
-		cell.ok += r.ok
-		cell.failed += r.failed
+	cell.ok, cell.failed = f.OK, f.Failed
+	for i := range tallies {
+		r := &tallies[i]
+		cell.ok -= r.skipped
 		cell.split += r.split
 		cell.opens += r.opens
 		expected += r.depSum - r.wdSum
@@ -303,8 +249,8 @@ func runE16Cell(p E16Params, shards, totalOps int, skew workload.Skew) (e16Cell,
 		}
 	}
 	cell.touched = len(touched)
-	if elapsed > 0 {
-		cell.opsPerSec = float64(cell.ok) / elapsed.Seconds()
+	if f.Elapsed > 0 {
+		cell.opsPerSec = float64(cell.ok) / f.Elapsed.Seconds()
 	}
 
 	// Conservation audit: ping each shard (ordering the snapshot read
@@ -314,7 +260,7 @@ func runE16Cell(p E16Params, shards, totalOps int, skew workload.Skew) (e16Cell,
 	if err != nil {
 		return cell, err
 	}
-	pingOpts := sendprim.CallOptions{Timeout: p.AttemptTimeout, Retries: p.Retries, Backoff: time.Millisecond}
+	pingOpts := sendprim.CallOptions{Timeout: e16AttemptTimeout, Retries: e16Retries, Backoff: time.Millisecond}
 	var total int64
 	for i, m := range members {
 		if _, err := sendprim.Call(audit, m.Native, bank.ClientReplyType, pingOpts, "audit"); err != nil {
@@ -328,9 +274,7 @@ func runE16Cell(p E16Params, shards, totalOps int, skew workload.Skew) (e16Cell,
 		if !ok {
 			return cell, fmt.Errorf("exp: shard %s is not in shard mode", m.Name)
 		}
-		for _, bal := range accts {
-			total += bal
-		}
+		total += sumBalances(accts)
 	}
 	if total != expected {
 		cell.conservationErr = fmt.Errorf("merged total %d != acked deposits-withdrawals %d", total, expected)

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -13,26 +12,17 @@ import (
 	"repro/internal/xrep"
 )
 
-// E17Params configures the transport-comparison experiment.
-type E17Params struct {
-	// Rounds is the number of timed guardian-level round trips per arm.
-	Rounds int
-	// Warmup round trips run before timing starts, so connection dialing
+// The transport comparison at full size.
+const (
+	e17Rounds = 3_000 // timed guardian-level round trips per arm
+	// e17Warmup round trips run before timing starts, so connection dialing
 	// (TCP) and route learning stay out of the measured distribution.
-	Warmup int
-	// RepSizes are the external-rep payload sizes of the ceiling table.
-	RepSizes []int
-	// Timeout bounds each round trip.
-	Timeout time.Duration
-}
+	e17Warmup  = 50
+	e17Timeout = 10 * time.Second // per round trip
+)
 
-// E17Defaults is the full-size configuration.
-var E17Defaults = E17Params{
-	Rounds:   3_000,
-	Warmup:   50,
-	RepSizes: []int{1 << 10, 64 << 10, 1 << 20, 4 << 20},
-	Timeout:  10 * time.Second,
-}
+// e17RepSizes are the external-rep payload sizes of the ceiling table.
+var e17RepSizes = []int{1 << 10, 64 << 10, 1 << 20, 4 << 20}
 
 // RunE17Transport compares one guardian-level round trip — no-wait ping
 // out, echoed pong back — across the three Transport implementations: the
@@ -45,12 +35,12 @@ var E17Defaults = E17Params{
 // bigger than ~64 KiB can never cross UDP no matter how the runtime
 // fragments; over TCP the same rep rides a single frame and round-trips
 // intact.
-func RunE17Transport(p E17Params, scale Scale) (*Result, error) {
-	p.Rounds = scale.N(p.Rounds, 200)
+func RunE17Transport(scale Scale) (*Result, error) {
+	rounds := scale.N(e17Rounds, 200)
 	res := &Result{ID: "E17 (extension: stream transport)"}
 
 	latTab := metrics.NewTable(
-		fmt.Sprintf("Guardian round trip by transport: %d rounds, 64-byte payload", p.Rounds),
+		fmt.Sprintf("Guardian round trip by transport: %d rounds, 64-byte payload", rounds),
 		"transport", "p50", "p99", "avg", "rt/sec")
 	res.Tables = append(res.Tables, latTab)
 
@@ -75,12 +65,13 @@ func RunE17Transport(p E17Params, scale Scale) (*Result, error) {
 		}},
 		{"tcp", e17TCPWorlds},
 	}
+	const tick = 100 * time.Nanosecond
 	for _, arm := range arms {
 		wSrv, wCli, err := arm.build()
 		if err != nil {
 			return nil, fmt.Errorf("exp: %s arm: %w", arm.name, err)
 		}
-		cell, err := runE17RoundTrips(wSrv, wCli, p, payload)
+		f, err := runE17RoundTrips(wSrv, wCli, rounds, payload)
 		wSrv.Close()
 		if wCli != wSrv {
 			wCli.Close()
@@ -88,7 +79,8 @@ func RunE17Transport(p E17Params, scale Scale) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("exp: %s arm: %w", arm.name, err)
 		}
-		latTab.AddRow(arm.name, cell.p50, cell.p99, cell.avg, fmt.Sprintf("%.0f", cell.perSec))
+		latTab.AddRow(arm.name, f.Latency.P50.Round(tick), f.Latency.P99.Round(tick),
+			(f.Elapsed / time.Duration(rounds)).Round(tick), fmt.Sprintf("%.0f", f.PerSecond()))
 	}
 	res.Notef("shape: the simulator dispatches in-process, UDP pays syscalls and copies, TCP adds stream framing on the same loopback — all three agree on the guardian semantics above them")
 
@@ -125,13 +117,13 @@ func RunE17Transport(p E17Params, scale Scale) (*Result, error) {
 		return nil, err
 	}
 	allCarried := true
-	for _, size := range p.RepSizes {
+	for _, size := range e17RepSizes {
 		verdict := "carried"
 		if err := udp.Send("a", "b", make([]byte, size)); err != nil {
 			verdict = fmt.Sprintf("refused (%v)", err)
 		}
 		start := time.Now()
-		if err := e17RoundTrip(drv, echo, reply, strings.Repeat("y", size), p.Timeout); err != nil {
+		if err := e17RoundTrip(drv, echo, reply, strings.Repeat("y", size)); err != nil {
 			allCarried = false
 			repTab.AddRow(size, verdict, fmt.Sprintf("FAILED: %v", err))
 			continue
@@ -140,9 +132,9 @@ func RunE17Transport(p E17Params, scale Scale) (*Result, error) {
 	}
 	udp.Close()
 	if allCarried {
-		res.Notef("HOLDS: every rep, including those far past the 65507-byte datagram maximum, round-tripped intact over one TCP frame")
+		res.Holdsf("every rep, including those far past the 65507-byte datagram maximum, round-tripped intact over one TCP frame")
 	} else {
-		res.Notef("DEVIATES: a rep failed to round-trip over TCP; the stream transport did not remove the ceiling")
+		res.Deviatesf("a rep failed to round-trip over TCP; the stream transport did not remove the ceiling")
 	}
 	return res, nil
 }
@@ -210,11 +202,11 @@ func e17EchoPair(wSrv, wCli *guardian.World) (echo xrep.PortName, drv *guardian.
 }
 
 // e17RoundTrip sends one ping and waits for its pong.
-func e17RoundTrip(drv *guardian.Process, echo xrep.PortName, reply *guardian.Port, payload string, timeout time.Duration) error {
+func e17RoundTrip(drv *guardian.Process, echo xrep.PortName, reply *guardian.Port, payload string) error {
 	if err := drv.Send(echo, "ping", payload, reply.Name()); err != nil {
 		return err
 	}
-	m, st := drv.Receive(timeout, reply)
+	m, st := drv.Receive(e17Timeout, reply)
 	if st != guardian.RecvOK {
 		return fmt.Errorf("receive status %v", st)
 	}
@@ -224,38 +216,23 @@ func e17RoundTrip(drv *guardian.Process, echo xrep.PortName, reply *guardian.Por
 	return nil
 }
 
-type e17Cell struct {
-	p50, p99, avg time.Duration
-	perSec        float64
-}
-
-// runE17RoundTrips times p.Rounds ping/pong exchanges after p.Warmup
+// runE17RoundTrips times rounds ping/pong exchanges after e17Warmup
 // unmeasured ones.
-func runE17RoundTrips(wSrv, wCli *guardian.World, p E17Params, payload string) (e17Cell, error) {
-	var cell e17Cell
+func runE17RoundTrips(wSrv, wCli *guardian.World, rounds int, payload string) (Fleet, error) {
 	echo, drv, reply, err := e17EchoPair(wSrv, wCli)
 	if err != nil {
-		return cell, err
+		return Fleet{}, err
 	}
-	for i := 0; i < p.Warmup; i++ {
-		if err := e17RoundTrip(drv, echo, reply, payload, p.Timeout); err != nil {
-			return cell, fmt.Errorf("warmup %d: %w", i, err)
+	for i := 0; i < e17Warmup; i++ {
+		if err := e17RoundTrip(drv, echo, reply, payload); err != nil {
+			return Fleet{}, fmt.Errorf("warmup %d: %w", i, err)
 		}
 	}
-	durs := make([]time.Duration, p.Rounds)
-	start := time.Now()
-	for i := range durs {
-		t0 := time.Now()
-		if err := e17RoundTrip(drv, echo, reply, payload, p.Timeout); err != nil {
-			return cell, fmt.Errorf("round %d: %w", i, err)
-		}
-		durs[i] = time.Since(t0)
+	f, err := runSequential(wCli.Clock(), rounds, func(int) error {
+		return e17RoundTrip(drv, echo, reply, payload)
+	})
+	if err != nil {
+		return f, err
 	}
-	elapsed := time.Since(start)
-	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-	cell.p50 = durs[len(durs)/2].Round(100 * time.Nanosecond)
-	cell.p99 = durs[len(durs)*99/100].Round(100 * time.Nanosecond)
-	cell.avg = (elapsed / time.Duration(len(durs))).Round(100 * time.Nanosecond)
-	cell.perSec = float64(len(durs)) / elapsed.Seconds()
-	return cell, nil
+	return f, f.failedErr("round trips")
 }

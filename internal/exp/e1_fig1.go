@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/airline"
@@ -11,32 +10,17 @@ import (
 	"repro/internal/workload"
 )
 
-// E1Params configures the Figure-1 organization experiment.
-type E1Params struct {
-	// Clients is the number of concurrent requesting agents.
-	Clients int
-	// RequestsPerClient is each agent's closed-loop request count.
-	RequestsPerClient int
-	// Dates is the size of the date range.
-	Dates int
-	// WorkCostUS is the simulated per-request work in microseconds; it is
-	// what concurrency can overlap.
-	WorkCostUS int64
-	// Capacity is seats per date (large, so outcomes stay "ok").
-	Capacity int64
-	// Timeout bounds each request.
-	Timeout time.Duration
-}
-
-// E1Defaults is the full-size configuration.
-var E1Defaults = E1Params{
-	Clients:           8,
-	RequestsPerClient: 60,
-	Dates:             16,
-	WorkCostUS:        2000,
-	Capacity:          1 << 30,
-	Timeout:           30 * time.Second,
-}
+// The Figure-1 experiment at full size.
+const (
+	e1Clients           = 8  // concurrent requesting agents
+	e1RequestsPerClient = 60 // each agent's closed-loop request count
+	e1Dates             = 16 // size of the date range
+	// e1WorkCostUS is the simulated per-request work in microseconds; it
+	// is what concurrency can overlap.
+	e1WorkCostUS = 2000
+	e1Capacity   = 1 << 30 // seats per date: large, so outcomes stay "ok"
+	e1Timeout    = 30 * time.Second
+)
 
 // RunE1Fig1 reproduces Figure 1: the three flight-guardian organizations
 // under three date skews. The paper's claim: "Organizations 2 and 3 can
@@ -44,119 +28,82 @@ var E1Defaults = E1Params{
 // cannot" — so the serializer and monitor organizations should outperform
 // one-at-a-time whenever requests spread over dates, and collapse to its
 // throughput when every request hits a single date.
-func RunE1Fig1(p E1Params, scale Scale) (*Result, error) {
-	p.Clients = scale.N(p.Clients, 2)
-	p.RequestsPerClient = scale.N(p.RequestsPerClient, 5)
+func RunE1Fig1(scale Scale) (*Result, error) {
+	clients := scale.N(e1Clients, 2)
+	requests := clients * scale.N(e1RequestsPerClient, 5)
 	res := &Result{ID: "E1 (Figure 1)"}
 	tab := metrics.NewTable(
 		"Figure 1 — flight guardian organizations: throughput (req/s) and latency by date skew",
 		"org", "skew", "requests", "throughput", "p50", "p95")
 	res.Tables = append(res.Tables, tab)
 
-	type cell struct {
-		org, skew string
-		tput      float64
-	}
-	var cells []cell
-
+	// tput is throughput by (org, skew).
+	tput := map[[2]string]float64{}
 	for _, org := range []string{airline.OrgSequential, airline.OrgSerializer, airline.OrgMonitor} {
 		for _, skew := range []workload.Skew{workload.SkewUniform, workload.SkewZipf, workload.SkewSingle} {
-			tput, snap, err := runE1Cell(p, org, skew)
+			f, err := runE1Cell(clients, requests, org, skew)
 			if err != nil {
 				return nil, err
 			}
-			tab.AddRow(org, string(skew), p.Clients*p.RequestsPerClient,
-				tput, snap.P50.String(), snap.P95.String())
-			cells = append(cells, cell{org, string(skew), tput})
+			tab.AddRow(org, string(skew), requests,
+				f.PerSecond(), f.Latency.P50.String(), f.Latency.P95.String())
+			tput[[2]string{org, string(skew)}] = f.PerSecond()
 		}
 	}
 
 	// Shape checks against the paper's claim.
-	get := func(org, skew string) float64 {
-		for _, c := range cells {
-			if c.org == org && c.skew == skew {
-				return c.tput
-			}
-		}
-		return 0
-	}
+	get := func(org, skew string) float64 { return tput[[2]string{org, skew}] }
 	seqUni := get(airline.OrgSequential, "uniform")
 	for _, org := range []string{airline.OrgSerializer, airline.OrgMonitor} {
 		if u := get(org, "uniform"); u > seqUni {
-			res.Notef("HOLDS: %s beats sequential under uniform skew (%.1f vs %.1f req/s, %.2fx)",
+			res.Holdsf("%s beats sequential under uniform skew (%.1f vs %.1f req/s, %.2fx)",
 				org, u, seqUni, u/seqUni)
 		} else {
-			res.Notef("DEVIATES: %s did not beat sequential under uniform skew (%.1f vs %.1f)",
+			res.Deviatesf("%s did not beat sequential under uniform skew (%.1f vs %.1f)",
 				org, u, seqUni)
 		}
 		single, uni := get(org, "single"), get(org, "uniform")
 		if single < uni {
-			res.Notef("HOLDS: %s degrades under single-date contention (%.1f vs %.1f req/s)",
+			res.Holdsf("%s degrades under single-date contention (%.1f vs %.1f req/s)",
 				org, single, uni)
 		} else {
-			res.Notef("DEVIATES: %s did not degrade under single-date contention", org)
+			res.Deviatesf("%s did not degrade under single-date contention", org)
 		}
 	}
 	return res, nil
 }
 
-func runE1Cell(p E1Params, org string, skew workload.Skew) (float64, metrics.Snapshot, error) {
+func runE1Cell(clients, requests int, org string, skew workload.Skew) (Fleet, error) {
 	w := guardian.NewWorld(guardian.Config{})
 	if err := airline.RegisterDefs(w); err != nil {
-		return 0, metrics.Snapshot{}, err
+		return Fleet{}, err
 	}
 	sys, err := airline.Deploy(w, airline.SystemConfig{
 		Regions:    []airline.RegionConfig{{Node: "hub", Flights: []int64{1}}},
-		Capacity:   p.Capacity,
+		Capacity:   e1Capacity,
 		Org:        org,
-		WorkCostUS: p.WorkCostUS,
+		WorkCostUS: e1WorkCostUS,
 	})
 	if err != nil {
-		return 0, metrics.Snapshot{}, err
+		return Fleet{}, err
 	}
 	cli := w.MustAddNode("clients")
-	hist := metrics.NewHistogram()
-	clock := w.Clock()
-
-	agents := make([]*airline.Agent, p.Clients)
-	gens := make([]*workload.DateGen, p.Clients)
-	pgens := make([]*workload.PassengerGen, p.Clients)
-	for i := range agents {
-		a, err := airline.NewAgent(cli, fmt.Sprintf("agent%d", i))
-		if err != nil {
-			return 0, metrics.Snapshot{}, err
-		}
-		agents[i] = a
-		gens[i] = workload.NewDateGen(int64(i+1), skew, p.Dates)
-		pgens[i] = workload.NewPassengerGen(fmt.Sprintf("c%d", i))
-	}
 	port := sys.Directory[1]
 
-	start := clock.Now()
-	var wg sync.WaitGroup
-	errCh := make(chan error, p.Clients)
-	for i := 0; i < p.Clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for r := 0; r < p.RequestsPerClient; r++ {
-				t0 := clock.Now()
-				_, err := agents[i].Request(port, "reserve", 1, pgens[i].Next(), gens[i].Next(), p.Timeout)
-				if err != nil {
-					errCh <- err
-					return
-				}
-				hist.Observe(clock.Now().Sub(t0))
-			}
-		}(i)
+	f, err := runFleet(w.Clock(), clients, requests, func(i int) (func(int) error, error) {
+		agent, err := airline.NewAgent(cli, fmt.Sprintf("agent%d", i))
+		if err != nil {
+			return nil, err
+		}
+		dates := workload.NewDateGen(int64(i+1), skew, e1Dates)
+		passengers := workload.NewPassengerGen(fmt.Sprintf("c%d", i))
+		return func(int) error {
+			_, err := agent.Request(port, "reserve", 1, passengers.Next(), dates.Next(), e1Timeout)
+			return err
+		}, nil
+	})
+	if err != nil {
+		return f, err
 	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		return 0, metrics.Snapshot{}, err
-	default:
-	}
-	elapsed := clock.Now().Sub(start).Seconds()
-	total := float64(p.Clients * p.RequestsPerClient)
-	return total / elapsed, hist.Snapshot(), nil
+	return f, f.failedErr("reserve requests")
 }

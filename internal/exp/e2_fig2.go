@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/airline"
@@ -12,39 +11,22 @@ import (
 	"repro/internal/workload"
 )
 
-// E2Params configures the Figure-2 distribution experiment.
-type E2Params struct {
-	// Regions is the number of regional nodes in the distributed layout.
-	Regions int
-	// FlightsPerRegion is each region's flight count.
-	FlightsPerRegion int
-	// ClientsPerRegion is the number of clerk agents per region.
-	ClientsPerRegion int
-	// RequestsPerClient is each agent's request count.
-	RequestsPerClient int
-	// NetLatency is the one-way network latency between nodes; intra-node
+// The Figure-2 experiment at full size.
+const (
+	e2Regions           = 4 // regional nodes in the distributed layout
+	e2FlightsPerRegion  = 4
+	e2ClientsPerRegion  = 4 // clerk agents per region
+	e2RequestsPerClient = 25
+	// e2NetLatency is the one-way latency between nodes; intra-node
 	// communication pays none of it, which is what makes regional
 	// placement matter.
-	NetLatency time.Duration
-	// WorkCostUS is per-request flight guardian work.
-	WorkCostUS int64
-	// LocalFraction is the probability an agent requests a flight in its
+	e2NetLatency = 2 * time.Millisecond
+	e2WorkCostUS = 500 // per-request flight guardian work
+	// e2LocalTenths of every ten requests go to a flight in the agent's
 	// own region (geographic locality of the organization).
-	LocalFraction float64
-	Timeout       time.Duration
-}
-
-// E2Defaults is the full-size configuration.
-var E2Defaults = E2Params{
-	Regions:           4,
-	FlightsPerRegion:  4,
-	ClientsPerRegion:  4,
-	RequestsPerClient: 25,
-	NetLatency:        2 * time.Millisecond,
-	WorkCostUS:        500,
-	LocalFraction:     0.8,
-	Timeout:           30 * time.Second,
-}
+	e2LocalTenths = 8
+	e2Timeout     = 30 * time.Second
+)
 
 // RunE2Fig2 reproduces Figure 2: the distributed airline database versus a
 // single central guardian, plus the reply-bypass ablation of Figure 4. The
@@ -52,9 +34,9 @@ var E2Defaults = E2Params{
 // to local units (§1 advantages 1 and 2), and replies flowing directly
 // from flight guardian to requester beat relaying through the regional
 // manager.
-func RunE2Fig2(p E2Params, scale Scale) (*Result, error) {
-	p.ClientsPerRegion = scale.N(p.ClientsPerRegion, 1)
-	p.RequestsPerClient = scale.N(p.RequestsPerClient, 5)
+func RunE2Fig2(scale Scale) (*Result, error) {
+	clientsPerRegion := scale.N(e2ClientsPerRegion, 1)
+	requests := e2Regions * clientsPerRegion * scale.N(e2RequestsPerClient, 5)
 	res := &Result{ID: "E2 (Figure 2 / Figure 4)"}
 	tab := metrics.NewTable(
 		"Figure 2 — central vs regional deployment (reserve request latency)",
@@ -62,83 +44,65 @@ func RunE2Fig2(p E2Params, scale Scale) (*Result, error) {
 	res.Tables = append(res.Tables, tab)
 
 	type row struct {
-		name string
 		tput float64
 		mean time.Duration
 		msgs float64
 	}
-	var rows []row
+	rows := map[string]row{}
 	for _, layout := range []string{"central", "regional", "regional+relay"} {
-		tput, snap, msgs, err := runE2Cell(p, layout)
+		f, msgs, err := runE2Cell(clientsPerRegion, requests, layout)
 		if err != nil {
 			return nil, err
 		}
-		tab.AddRow(layout, snap.Count, tput, snap.Mean.String(), snap.P95.String(), msgs)
-		rows = append(rows, row{layout, tput, snap.Mean, msgs})
+		tab.AddRow(layout, f.OK, f.PerSecond(), f.Latency.Mean.String(), f.Latency.P95.String(), msgs)
+		rows[layout] = row{f.PerSecond(), f.Latency.Mean, msgs}
 	}
-	get := func(name string) row {
-		for _, r := range rows {
-			if r.name == name {
-				return r
-			}
-		}
-		return row{}
-	}
-	central, regional, relay := get("central"), get("regional"), get("regional+relay")
+	central, regional, relay := rows["central"], rows["regional"], rows["regional+relay"]
 	if regional.mean < central.mean {
-		res.Notef("HOLDS: regional placement cuts mean latency (%v vs %v central, %.2fx)",
+		res.Holdsf("regional placement cuts mean latency (%v vs %v central, %.2fx)",
 			regional.mean, central.mean, float64(central.mean)/float64(regional.mean))
 	} else {
-		res.Notef("DEVIATES: regional (%v) not faster than central (%v)", regional.mean, central.mean)
+		res.Deviatesf("regional (%v) not faster than central (%v)", regional.mean, central.mean)
 	}
 	if regional.msgs < relay.msgs {
-		res.Notef("HOLDS: direct replies (bypass) save %.1f messages per request vs relaying through the manager (%.1f vs %.1f); latency %v vs %v — near-equal is expected when the manager is co-resident with its flight guardians, so the relay hop is intra-node",
+		res.Holdsf("direct replies (bypass) save %.1f messages per request vs relaying through the manager (%.1f vs %.1f); latency %v vs %v — near-equal is expected when the manager is co-resident with its flight guardians, so the relay hop is intra-node",
 			relay.msgs-regional.msgs, regional.msgs, relay.msgs, regional.mean, relay.mean)
 	} else {
-		res.Notef("DEVIATES: relaying (%.1f msgs/req) did not cost more messages than bypass (%.1f)",
+		res.Deviatesf("relaying (%.1f msgs/req) did not cost more messages than bypass (%.1f)",
 			relay.msgs, regional.msgs)
 	}
 	if regional.tput > central.tput {
-		res.Notef("HOLDS: regional throughput exceeds central (%.1f vs %.1f req/s)",
+		res.Holdsf("regional throughput exceeds central (%.1f vs %.1f req/s)",
 			regional.tput, central.tput)
 	} else {
-		res.Notef("DEVIATES: regional throughput (%.1f) below central (%.1f)",
+		res.Deviatesf("regional throughput (%.1f) below central (%.1f)",
 			regional.tput, central.tput)
 	}
 	return res, nil
 }
 
-func runE2Cell(p E2Params, layout string) (float64, metrics.Snapshot, float64, error) {
+func runE2Cell(clientsPerRegion, requests int, layout string) (Fleet, float64, error) {
 	w := guardian.NewWorld(guardian.Config{
-		Net: netsim.Config{BaseLatency: p.NetLatency},
+		Net: netsim.Config{BaseLatency: e2NetLatency},
 	})
 	if err := airline.RegisterDefs(w); err != nil {
-		return 0, metrics.Snapshot{}, 0, err
+		return Fleet{}, 0, err
 	}
 
-	// Build the flight → region assignment.
-	regionOf := func(flight int64) int {
-		return int((flight - 1) / int64(p.FlightsPerRegion))
-	}
-	totalFlights := int64(p.Regions * p.FlightsPerRegion)
-
-	var cfg airline.SystemConfig
-	cfg.Capacity = 1 << 30
-	cfg.Org = airline.OrgMonitor
-	cfg.WorkCostUS = p.WorkCostUS
-	switch layout {
-	case "central":
+	cfg := airline.SystemConfig{Capacity: 1 << 30, Org: airline.OrgMonitor, WorkCostUS: e2WorkCostUS}
+	const totalFlights = e2Regions * e2FlightsPerRegion
+	if layout == "central" {
 		all := make([]int64, totalFlights)
 		for i := range all {
 			all[i] = int64(i + 1)
 		}
 		cfg.Regions = []airline.RegionConfig{{Node: "central", Flights: all}}
-	case "regional", "regional+relay":
+	} else {
 		cfg.RelayReplies = layout == "regional+relay"
-		for r := 0; r < p.Regions; r++ {
-			flights := make([]int64, p.FlightsPerRegion)
+		for r := 0; r < e2Regions; r++ {
+			flights := make([]int64, e2FlightsPerRegion)
 			for i := range flights {
-				flights[i] = int64(r*p.FlightsPerRegion + i + 1)
+				flights[i] = int64(r*e2FlightsPerRegion + i + 1)
 			}
 			cfg.Regions = append(cfg.Regions, airline.RegionConfig{
 				Node: fmt.Sprintf("region%d", r), Flights: flights,
@@ -147,75 +111,49 @@ func runE2Cell(p E2Params, layout string) (float64, metrics.Snapshot, float64, e
 	}
 	sys, err := airline.Deploy(w, cfg)
 	if err != nil {
-		return 0, metrics.Snapshot{}, 0, err
+		return Fleet{}, 0, err
+	}
+	// Agents live at their region's node, or in the central layout at one
+	// office node per region — the same distance from the single guardian.
+	agentNodes := make([]*guardian.Node, e2Regions)
+	for r := range agentNodes {
+		if layout == "central" {
+			agentNodes[r], err = w.AddNode(fmt.Sprintf("office%d", r))
+		} else {
+			agentNodes[r], err = w.Node(fmt.Sprintf("region%d", r))
+		}
+		if err != nil {
+			return Fleet{}, 0, err
+		}
 	}
 
-	hist := metrics.NewHistogram()
-	clock := w.Clock()
 	msgsBefore := w.Stats().MessagesSent.Load()
-	var wg sync.WaitGroup
-	errCh := make(chan error, p.Regions*p.ClientsPerRegion)
-	start := clock.Now()
-	for r := 0; r < p.Regions; r++ {
-		// Agents live at their region's node (or all at the central node's
-		// separate office in the central layout — they are the same
-		// distance from the single guardian either way).
-		var nodeName string
-		if layout == "central" {
-			nodeName = fmt.Sprintf("office%d", r)
-			if _, err := w.Node(nodeName); err != nil {
-				if _, err := w.AddNode(nodeName); err != nil {
-					return 0, metrics.Snapshot{}, 0, err
-				}
-			}
-		} else {
-			nodeName = fmt.Sprintf("region%d", r)
-		}
-		node, err := w.Node(nodeName)
+	f, err := runFleet(w.Clock(), e2Regions*clientsPerRegion, requests, func(i int) (func(int) error, error) {
+		r, c := i/clientsPerRegion, i%clientsPerRegion
+		agent, err := airline.NewAgent(agentNodes[r], fmt.Sprintf("a%d-%d", r, c))
 		if err != nil {
-			return 0, metrics.Snapshot{}, 0, err
+			return nil, err
 		}
-		for c := 0; c < p.ClientsPerRegion; c++ {
-			agent, err := airline.NewAgent(node, fmt.Sprintf("a%d-%d", r, c))
-			if err != nil {
-				return 0, metrics.Snapshot{}, 0, err
+		seed := int64(r*100 + c)
+		fg := workload.NewFlightGen(seed, totalFlights)
+		dg := workload.NewDateGen(seed, workload.SkewUniform, 30)
+		pg := workload.NewPassengerGen(fmt.Sprintf("r%dc%d", r, c))
+		return func(j int) error {
+			flight := fg.Next()
+			if j%10 < e2LocalTenths { // bias toward local flights
+				flight = int64(r*e2FlightsPerRegion) + (flight-1)%e2FlightsPerRegion + 1
 			}
-			wg.Add(1)
-			go func(r, c int, agent *airline.Agent) {
-				defer wg.Done()
-				seed := int64(r*100 + c)
-				fg := workload.NewFlightGen(seed, totalFlights)
-				dg := workload.NewDateGen(seed, workload.SkewUniform, 30)
-				pg := workload.NewPassengerGen(fmt.Sprintf("r%dc%d", r, c))
-				rng := workload.NewMix(seed, 0) // deterministic local/remote picks
-				_ = rng
-				for i := 0; i < p.RequestsPerClient; i++ {
-					flight := fg.Next()
-					// Bias toward local flights.
-					if float64(i%10)/10 < p.LocalFraction {
-						flight = int64(r*p.FlightsPerRegion) + (flight-1)%int64(p.FlightsPerRegion) + 1
-					}
-					port := sys.Directory[flight]
-					_ = regionOf
-					t0 := clock.Now()
-					if _, err := agent.Request(port, "reserve", flight, pg.Next(), dg.Next(), p.Timeout); err != nil {
-						errCh <- err
-						return
-					}
-					hist.Observe(clock.Now().Sub(t0))
-				}
-			}(r, c, agent)
-		}
+			_, err := agent.Request(sys.Directory[flight], "reserve", flight, pg.Next(), dg.Next(), e2Timeout)
+			return err
+		}, nil
+	})
+	if err != nil {
+		return f, 0, err
 	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		return 0, metrics.Snapshot{}, 0, err
-	default:
+	if err := f.failedErr("reserve requests"); err != nil {
+		return f, 0, err
 	}
-	elapsed := clock.Now().Sub(start).Seconds()
 	waitQuiesce(w)
-	total := float64(p.Regions * p.ClientsPerRegion * p.RequestsPerClient)
-	msgs := float64(w.Stats().MessagesSent.Load()-msgsBefore) / total
-	return total / elapsed, hist.Snapshot(), msgs, nil
+	msgs := float64(w.Stats().MessagesSent.Load()-msgsBefore) / float64(requests)
+	return f, msgs, nil
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/guardian"
@@ -9,21 +10,12 @@ import (
 	"repro/internal/xrep"
 )
 
-// E3Params configures the guardian-creation experiment.
-type E3Params struct {
-	// Creations is the number of guardians created per mode.
-	Creations int
-	// NetLatency separates local from remote creation cost.
-	NetLatency time.Duration
-	Timeout    time.Duration
-}
-
-// E3Defaults is the full-size configuration.
-var E3Defaults = E3Params{
-	Creations:  200,
-	NetLatency: 2 * time.Millisecond,
-	Timeout:    10 * time.Second,
-}
+// The guardian-creation experiment at full size.
+const (
+	e3Creations  = 200                  // guardians created per mode
+	e3NetLatency = 2 * time.Millisecond // separates local from remote creation cost
+	e3Timeout    = 10 * time.Second
+)
 
 // trivialDefName is a minimal guardian used to measure creation cost.
 const trivialDefName = "e3_trivial"
@@ -44,15 +36,15 @@ func trivialDef() *guardian.GuardianDef {
 // created locally by resident guardians (cheap), or across the network via
 // a create request to the target node's primordial guardian (one round
 // trip), and the node owner's policy can refuse — preserving autonomy.
-func RunE3Fig3(p E3Params, scale Scale) (*Result, error) {
-	p.Creations = scale.N(p.Creations, 10)
+func RunE3Fig3(scale Scale) (*Result, error) {
+	creations := scale.N(e3Creations, 10)
 	res := &Result{ID: "E3 (Figure 3)"}
 	tab := metrics.NewTable(
 		"Figure 3 — guardian creation: local vs remote (via primordial guardian)",
 		"mode", "creations", "mean", "p95", "outcome")
 	res.Tables = append(res.Tables, tab)
 
-	w := guardian.NewWorld(guardian.Config{Net: netsim.Config{BaseLatency: p.NetLatency}})
+	w := guardian.NewWorld(guardian.Config{Net: netsim.Config{BaseLatency: e3NetLatency}})
 	w.MustRegister(trivialDef())
 	a := w.MustAddNode("a")
 	b := w.MustAddNode("b")
@@ -60,72 +52,78 @@ func RunE3Fig3(p E3Params, scale Scale) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	clock := w.Clock()
+	reply := creator.MustNewPort(guardian.CreatedReplyType, 4)
+	// create asks b's primordial guardian for a creation and reports the
+	// answer: the reply command, the refusal, or noReply.
+	const noReply = "NO REPLY"
+	create := func() (string, error) {
+		err := drv.SendCheckedReplyTo(guardian.PrimordialType, b.PrimordialPort(), reply.Name(),
+			"create", trivialDefName, xrep.Seq{})
+		if err != nil {
+			return "", err
+		}
+		m, st := drv.Receive(e3Timeout, reply)
+		switch {
+		case st != guardian.RecvOK:
+			return noReply, nil
+		case m.IsFailure():
+			return "denied: " + m.FailureText(), nil
+		}
+		return m.Command, nil
+	}
 
 	// Local creation: a resident guardian creates at its own node.
-	localHist := metrics.NewHistogram()
-	for i := 0; i < p.Creations; i++ {
-		t0 := clock.Now()
-		if _, err := creator.Create(trivialDefName); err != nil {
-			return nil, err
-		}
-		localHist.Observe(clock.Now().Sub(t0))
+	local, err := runSequential(w.Clock(), creations, func(int) error {
+		_, err := creator.Create(trivialDefName)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	ls := localHist.Snapshot()
-	tab.AddRow("local (resident Create)", p.Creations, ls.Mean.String(), ls.P95.String(), "created")
+	if err := local.failedErr("local creations"); err != nil {
+		return nil, err
+	}
+	ls := local.Latency
+	tab.AddRow("local (resident Create)", creations, ls.Mean.String(), ls.P95.String(), "created")
 
 	// Remote creation: message to b's primordial guardian.
-	reply := creator.MustNewPort(guardian.CreatedReplyType, 4)
-	remoteHist := metrics.NewHistogram()
-	created := 0
-	for i := 0; i < p.Creations; i++ {
-		t0 := clock.Now()
-		if err := drv.SendCheckedReplyTo(guardian.PrimordialType, b.PrimordialPort(), reply.Name(),
-			"create", trivialDefName, xrep.Seq{}); err != nil {
-			return nil, err
+	remote, err := runSequential(w.Clock(), creations, func(int) error {
+		outcome, err := create()
+		if err == nil && outcome != "created" {
+			err = fmt.Errorf("create answered %q", outcome)
 		}
-		m, st := drv.Receive(p.Timeout, reply)
-		if st == guardian.RecvOK && m.Command == "created" {
-			created++
-		}
-		remoteHist.Observe(clock.Now().Sub(t0))
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	rs := remoteHist.Snapshot()
-	tab.AddRow("remote (primordial create)", created, rs.Mean.String(), rs.P95.String(), "created")
+	rs := remote.Latency
+	tab.AddRow("remote (primordial create)", remote.OK, rs.Mean.String(), rs.P95.String(), "created")
 
 	// Remote creation denied by the owner's policy.
 	b.SetCreatePolicy(func(srcNode string, srcGuardian uint64, defName string) bool { return false })
-	if err := drv.SendCheckedReplyTo(guardian.PrimordialType, b.PrimordialPort(), reply.Name(),
-		"create", trivialDefName, xrep.Seq{}); err != nil {
+	outcome, err := create()
+	if err != nil {
 		return nil, err
-	}
-	m, st := drv.Receive(p.Timeout, reply)
-	outcome := "NO REPLY"
-	if st == guardian.RecvOK {
-		if m.IsFailure() {
-			outcome = "denied: " + m.FailureText()
-		} else {
-			outcome = m.Command
-		}
 	}
 	tab.AddRow("remote (policy denies)", 1, "-", "-", outcome)
 
 	// Shape checks.
-	if created == p.Creations {
-		res.Notef("HOLDS: all %d remote create requests served by the primordial guardian", created)
+	if remote.Failed == 0 {
+		res.Holdsf("all %d remote create requests served by the primordial guardian", remote.OK)
 	} else {
-		res.Notef("DEVIATES: only %d/%d remote creations succeeded", created, p.Creations)
+		res.Deviatesf("only %d/%d remote creations succeeded (%v)", remote.OK, creations, remote.Failure)
 	}
 	if rs.Mean > ls.Mean {
-		res.Notef("HOLDS: remote creation costs more than local (%v vs %v; network round trip ≈ %v)",
-			rs.Mean, ls.Mean, 2*p.NetLatency)
+		res.Holdsf("remote creation costs more than local (%v vs %v; network round trip ≈ %v)",
+			rs.Mean, ls.Mean, 2*e3NetLatency)
 	} else {
-		res.Notef("DEVIATES: remote creation (%v) not slower than local (%v)", rs.Mean, ls.Mean)
+		res.Deviatesf("remote creation (%v) not slower than local (%v)", rs.Mean, ls.Mean)
 	}
-	if outcome != "created" && st == guardian.RecvOK {
-		res.Notef("HOLDS: the node owner's policy refused a remote creation (autonomy preserved)")
+	if outcome != "created" && outcome != noReply {
+		res.Holdsf("the node owner's policy refused a remote creation (autonomy preserved)")
 	} else {
-		res.Notef("DEVIATES: denied creation still reported %q", outcome)
+		res.Deviatesf("denied creation still reported %q", outcome)
 	}
 	return res, nil
 }

@@ -11,25 +11,13 @@ import (
 	"repro/internal/xrep"
 )
 
-// E4Params configures the send-primitive comparison.
-type E4Params struct {
-	// Exchanges per (pattern, primitive) cell.
-	Exchanges int
-	// BatchK is the request count of the many-requests/one-response
-	// pattern.
-	BatchK int
-	// NetLatency is the one-way latency, making blocking visible.
-	NetLatency time.Duration
-	Timeout    time.Duration
-}
-
-// E4Defaults is the full-size configuration.
-var E4Defaults = E4Params{
-	Exchanges:  30,
-	BatchK:     4,
-	NetLatency: 2 * time.Millisecond,
-	Timeout:    10 * time.Second,
-}
+// The send-primitive comparison at full size.
+const (
+	e4Exchanges  = 30                   // exchanges per (pattern, primitive) cell
+	e4BatchK     = 4                    // requests in the many-requests/one-response pattern
+	e4NetLatency = 2 * time.Millisecond // one-way; makes blocking visible
+	e4Timeout    = 10 * time.Second
+)
 
 // Port types of the E4 protocol guardians.
 var (
@@ -50,9 +38,7 @@ var (
 	e4SecondaryType = guardian.NewPortType("e4_secondary_port").
 			Msg("handoff", xrep.KindString).
 			Replies("handoff", "resp").
-			Msg("handoff_to", xrep.KindString, xrep.KindPortName).
-			Msg("handoff_call", xrep.KindString).
-			Replies("handoff_call", "resp")
+			Msg("handoff_to", xrep.KindString, xrep.KindPortName)
 
 	e4RespType = guardian.NewPortType("e4_resp_port").
 			Msg("resp", xrep.KindString)
@@ -73,11 +59,6 @@ func e4SecondaryDef() *guardian.GuardianDef {
 				}).
 				When("handoff_to", func(pr *guardian.Process, m *guardian.Message) {
 					_ = pr.Send(m.Port(1), "resp", m.Str(0))
-				}).
-				When("handoff_call", func(pr *guardian.Process, m *guardian.Message) {
-					if !m.ReplyTo.IsZero() {
-						_ = pr.Send(m.ReplyTo, "resp", m.Str(0))
-					}
 				}).
 				WhenFailure(func(_ *guardian.Process, _ string, _ *guardian.Message) {
 					// §3.4 failure arm: a discarded message named this port
@@ -153,7 +134,7 @@ func e4PrimaryDef(secondary xrep.PortName) *guardian.GuardianDef {
 					// from the callee, so the primary must itself call the
 					// secondary and then respond — two extra messages.
 					reply, err := sendprim.Call(pr, secondary, e4RespType,
-						sendprim.CallOptions{Timeout: 5 * time.Second}, "handoff_call", m.Str(0))
+						sendprim.CallOptions{Timeout: 5 * time.Second}, "handoff", m.Str(0))
 					if err != nil {
 						return
 					}
@@ -172,15 +153,15 @@ func e4PrimaryDef(secondary xrep.PortName) *guardian.GuardianDef {
 // paper's claim: the no-wait send matches every pattern with the fewest
 // messages; the synchronization send and remote transaction send "would
 // require additional messages to be exchanged".
-func RunE4Primitives(p E4Params, scale Scale) (*Result, error) {
-	p.Exchanges = scale.N(p.Exchanges, 3)
+func RunE4Primitives(scale Scale) (*Result, error) {
+	exchanges := scale.N(e4Exchanges, 3)
 	res := &Result{ID: "E4 (§3 primitives)"}
 	tab := metrics.NewTable(
 		"§3 — send primitives by exchange pattern: messages per exchange, sender-blocked time, exchange latency",
 		"pattern", "primitive", "msgs/exchange", "blocked-mean", "exchange-mean")
 	res.Tables = append(res.Tables, tab)
 
-	w := guardian.NewWorld(guardian.Config{Net: netsim.Config{BaseLatency: p.NetLatency}})
+	w := guardian.NewWorld(guardian.Config{Net: netsim.Config{BaseLatency: e4NetLatency}})
 	w.MustRegister(e4SecondaryDef())
 	nodeB := w.MustAddNode("srv-b")
 	createdB, err := nodeB.Bootstrap("e4_secondary")
@@ -203,183 +184,88 @@ func RunE4Primitives(p E4Params, scale Scale) (*Result, error) {
 	clock := w.Clock()
 	stats := w.Stats()
 
-	e4Blocked := make(map[string]*metrics.Histogram)
-	for _, prim := range []string{"no-wait", "sync", "remote-call"} {
-		for _, pat := range []string{"request/response", "k-requests/1-response", "third-party-response"} {
-			e4Blocked[prim+pat] = metrics.NewHistogram()
-		}
+	// The three primitives, each as "send one request". The no-wait and
+	// synchronization sends leave the response to a separate receive; the
+	// remote transaction send returns it.
+	callOpts := sendprim.CallOptions{Timeout: e4Timeout}
+	prims := []struct {
+		name       string
+		send       func(cmd string, args ...any) error
+		thenAwaits bool
+	}{
+		{"no-wait", func(cmd string, args ...any) error {
+			return drv.SendReplyTo(primary, resp.Name(), cmd, args...)
+		}, true},
+		{"sync", func(cmd string, args ...any) error {
+			return sendprim.SyncSend(drv, primary, e4Timeout, cmd, append(args, resp.Name())...)
+		}, true},
+		{"remote-call", func(cmd string, args ...any) error {
+			_, err := sendprim.Call(drv, primary, e4RespType, callOpts, cmd, args...)
+			return err
+		}, false},
 	}
-	type cellResult struct {
-		pattern, prim string
-		msgs          float64
-	}
-	var cells []cellResult
-	runCell := func(pattern, prim string, exchange func(i int) error) error {
-		blocked := metrics.NewHistogram()
-		latency := metrics.NewHistogram()
-		waitQuiesce(w)
-		before := stats.MessagesSent.Load()
-		for i := 0; i < p.Exchanges; i++ {
-			t0 := clock.Now()
-			if err := exchange(i); err != nil {
-				return fmt.Errorf("%s/%s: %w", pattern, prim, err)
-			}
-			latency.Observe(clock.Now().Sub(t0))
-			_ = blocked
-		}
-		waitQuiesce(w)
-		msgs := float64(stats.MessagesSent.Load()-before) / float64(p.Exchanges)
-		tab.AddRow(pattern, prim, msgs, e4Blocked[prim+pattern].Snapshot().Mean.String(),
-			latency.Snapshot().Mean.String())
-		cells = append(cells, cellResult{pattern, prim, msgs})
-		return nil
+	// The three exchange patterns observed in real protocols: how many
+	// requests make one exchange, and the command each primitive's protocol
+	// variant uses (in prims order). Under remote-transaction semantics the
+	// server must respond to every request of a batch.
+	patterns := []struct {
+		name     string
+		requests int
+		cmds     [3]string
+	}{
+		{"request/response", 1, [3]string{"req", "req_sync", "req"}},
+		{"k-requests/1-response", e4BatchK, [3]string{"batch", "batch_sync", "batch_call"}},
+		{"third-party-response", 1, [3]string{"fwd", "fwd_sync", "fwd_call"}},
 	}
 
-	recv := func() error {
-		m, st := drv.Receive(p.Timeout, resp)
-		if st != guardian.RecvOK {
-			return fmt.Errorf("receive status %v", st)
-		}
-		if m.IsFailure() {
-			return fmt.Errorf("failure: %s", m.FailureText())
-		}
-		return nil
-	}
-	block := func(key string, f func() error) error {
-		h := e4Blocked[key]
-		t0 := clock.Now()
-		err := f()
-		h.Observe(clock.Now().Sub(t0))
-		return err
-	}
-
-	// Pattern 1: request / response.
-	if err := runCell("request/response", "no-wait", func(i int) error {
-		if err := block("no-waitrequest/response", func() error {
-			return drv.SendReplyTo(primary, resp.Name(), "req", "x")
-		}); err != nil {
-			return err
-		}
-		return recv()
-	}); err != nil {
-		return nil, err
-	}
-	if err := runCell("request/response", "sync", func(i int) error {
-		if err := block("syncrequest/response", func() error {
-			return sendprim.SyncSend(drv, primary, p.Timeout, "req_sync", "x", resp.Name())
-		}); err != nil {
-			return err
-		}
-		return recv()
-	}); err != nil {
-		return nil, err
-	}
-	if err := runCell("request/response", "remote-call", func(i int) error {
-		return block("remote-callrequest/response", func() error {
-			_, err := sendprim.Call(drv, primary, e4RespType,
-				sendprim.CallOptions{Timeout: p.Timeout}, "req", "x")
-			return err
-		})
-	}); err != nil {
-		return nil, err
-	}
-
-	// Pattern 2: several requests, one response.
-	if err := runCell("k-requests/1-response", "no-wait", func(i int) error {
-		for k := 0; k < p.BatchK; k++ {
-			last := k == p.BatchK-1
-			if err := block("no-waitk-requests/1-response", func() error {
-				return drv.SendReplyTo(primary, resp.Name(), "batch", "x", last)
-			}); err != nil {
-				return err
+	for _, pat := range patterns {
+		msgs := make([]float64, len(prims))
+		for pi, prim := range prims {
+			blocked := metrics.NewHistogram()
+			waitQuiesce(w)
+			before := stats.MessagesSent.Load()
+			f, err := runSequential(clock, exchanges, func(int) error {
+				for k := 0; k < pat.requests; k++ {
+					args := []any{"x"}
+					if pat.requests > 1 {
+						args = append(args, k == pat.requests-1) // marks the batch's last request
+					}
+					t0 := clock.Now()
+					err := prim.send(pat.cmds[pi], args...)
+					blocked.Observe(clock.Now().Sub(t0))
+					if err != nil {
+						return err
+					}
+				}
+				if !prim.thenAwaits {
+					return nil
+				}
+				m, st := drv.Receive(e4Timeout, resp)
+				if st != guardian.RecvOK {
+					return fmt.Errorf("receive status %v", st)
+				}
+				if m.IsFailure() {
+					return fmt.Errorf("failure: %s", m.FailureText())
+				}
+				return nil
+			})
+			if err == nil {
+				err = f.failedErr("exchanges")
 			}
-		}
-		return recv()
-	}); err != nil {
-		return nil, err
-	}
-	if err := runCell("k-requests/1-response", "sync", func(i int) error {
-		for k := 0; k < p.BatchK; k++ {
-			last := k == p.BatchK-1
-			if err := block("synck-requests/1-response", func() error {
-				return sendprim.SyncSend(drv, primary, p.Timeout, "batch_sync", "x", last, resp.Name())
-			}); err != nil {
-				return err
+			if err != nil {
+				return nil, fmt.Errorf("%s/%s: %w", pat.name, prim.name, err)
 			}
+			waitQuiesce(w)
+			msgs[pi] = float64(stats.MessagesSent.Load()-before) / float64(exchanges)
+			tab.AddRow(pat.name, prim.name, msgs[pi], blocked.Snapshot().Mean.String(), f.Latency.Mean.String())
 		}
-		return recv()
-	}); err != nil {
-		return nil, err
-	}
-	if err := runCell("k-requests/1-response", "remote-call", func(i int) error {
-		// Remote-transaction semantics demand a response per request.
-		for k := 0; k < p.BatchK; k++ {
-			last := k == p.BatchK-1
-			if err := block("remote-callk-requests/1-response", func() error {
-				_, err := sendprim.Call(drv, primary, e4RespType,
-					sendprim.CallOptions{Timeout: p.Timeout}, "batch_call", "x", last)
-				return err
-			}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	// Pattern 3: response from a different guardian than the recipient.
-	if err := runCell("third-party-response", "no-wait", func(i int) error {
-		if err := block("no-waitthird-party-response", func() error {
-			return drv.SendReplyTo(primary, resp.Name(), "fwd", "x")
-		}); err != nil {
-			return err
-		}
-		return recv()
-	}); err != nil {
-		return nil, err
-	}
-	if err := runCell("third-party-response", "sync", func(i int) error {
-		if err := block("syncthird-party-response", func() error {
-			return sendprim.SyncSend(drv, primary, p.Timeout, "fwd_sync", "x", resp.Name())
-		}); err != nil {
-			return err
-		}
-		return recv()
-	}); err != nil {
-		return nil, err
-	}
-	if err := runCell("third-party-response", "remote-call", func(i int) error {
-		return block("remote-callthird-party-response", func() error {
-			_, err := sendprim.Call(drv, primary, e4RespType,
-				sendprim.CallOptions{Timeout: p.Timeout}, "fwd_call", "x")
-			return err
-		})
-	}); err != nil {
-		return nil, err
-	}
-
-	// Shape check: no-wait uses the fewest messages in every pattern.
-	byPattern := map[string]map[string]float64{}
-	for _, c := range cells {
-		if byPattern[c.pattern] == nil {
-			byPattern[c.pattern] = map[string]float64{}
-		}
-		byPattern[c.pattern][c.prim] = c.msgs
-	}
-	for pattern, prims := range byPattern {
-		nw := prims["no-wait"]
-		cheapest := true
-		for prim, m := range prims {
-			if prim != "no-wait" && m < nw {
-				cheapest = false
-			}
-		}
-		if cheapest {
-			res.Notef("HOLDS: no-wait send needs the fewest messages for %s (%.1f vs sync %.1f, call %.1f)",
-				pattern, nw, prims["sync"], prims["remote-call"])
+		// Shape check: no-wait uses the fewest messages in every pattern.
+		if msgs[0] <= msgs[1] && msgs[0] <= msgs[2] {
+			res.Holdsf("no-wait send needs the fewest messages for %s (%.1f vs sync %.1f, call %.1f)",
+				pat.name, msgs[0], msgs[1], msgs[2])
 		} else {
-			res.Notef("DEVIATES: no-wait send not cheapest for %s (%v)", pattern, prims)
+			res.Deviatesf("no-wait send not cheapest for %s (%.1f vs sync %.1f, call %.1f)",
+				pat.name, msgs[0], msgs[1], msgs[2])
 		}
 	}
 	return res, nil

@@ -10,50 +10,28 @@ import (
 	"repro/internal/xrep"
 )
 
-// E5Params configures the delivery-semantics experiment.
-type E5Params struct {
-	// MessagesPerCell is the send count at each loss rate.
-	MessagesPerCell int
-	// LossRates to sweep.
-	LossRates []float64
-	// PortCapacities to sweep in the buffer-space section.
-	PortCapacities []int
-	Timeout        time.Duration
-}
+// The delivery-semantics experiment at full size.
+const (
+	e5MessagesPerCell = 400 // sends at each loss rate
+	e5Timeout         = 5 * time.Second
+)
 
-// E5Defaults is the full-size configuration.
-var E5Defaults = E5Params{
-	MessagesPerCell: 400,
-	LossRates:       []float64{0, 0.05, 0.10, 0.20, 0.30},
-	PortCapacities:  []int{1, 4, 16, 64},
-	Timeout:         5 * time.Second,
-}
+var (
+	e5LossRates      = []float64{0, 0.05, 0.10, 0.20, 0.30}
+	e5PortCapacities = []int{1, 4, 16, 64} // swept in the buffer-space section
+)
 
 var e5SinkType = guardian.NewPortType("e5_sink_port").
 	Msg("data", xrep.KindInt)
 
-// e5SinkDef counts arrivals but never drains faster than its buffer.
-func e5SinkDef(drain bool) *guardian.GuardianDef {
-	name := "e5_sink"
-	if !drain {
-		name = "e5_stuck_sink"
-	}
+// e5StuckDef is a sink that never receives, so its port fills: capacity 0
+// takes the world's default buffer space.
+func e5StuckDef(capacity int) *guardian.GuardianDef {
 	return &guardian.GuardianDef{
-		TypeName: name,
-		Provides: []*guardian.PortType{e5SinkType},
-		Init: func(ctx *guardian.Ctx) {
-			if !drain {
-				<-ctx.G.Killed()
-				return
-			}
-			guardian.NewReceiver(ctx.Ports[0]).
-				When("data", func(pr *guardian.Process, m *guardian.Message) {}).
-				WhenFailure(func(_ *guardian.Process, _ string, _ *guardian.Message) {
-					// The sink never sends, so no failure report can target
-					// it; the arm records that this is by design (§3.4).
-				}).
-				Loop(ctx.Proc, nil)
-		},
+		TypeName:     "e5_stuck",
+		Provides:     []*guardian.PortType{e5SinkType},
+		PortCapacity: capacity,
+		Init:         func(ctx *guardian.Ctx) { <-ctx.G.Killed() },
 	}
 }
 
@@ -62,8 +40,8 @@ func e5SinkDef(drain bool) *guardian.GuardianDef {
 // arrival order is not guaranteed, and discarded messages draw failure
 // replies when a replyto port was supplied — for a full port, a missing
 // port, and a missing guardian.
-func RunE5Delivery(p E5Params, scale Scale) (*Result, error) {
-	p.MessagesPerCell = scale.N(p.MessagesPerCell, 40)
+func RunE5Delivery(scale Scale) (*Result, error) {
+	messages := scale.N(e5MessagesPerCell, 40)
 	res := &Result{ID: "E5 (§3.4 semantics)"}
 
 	// Part 1: delivery probability under loss.
@@ -71,64 +49,75 @@ func RunE5Delivery(p E5Params, scale Scale) (*Result, error) {
 		"§3.4 — best-effort delivery under packet loss",
 		"loss-rate", "sent", "arrived", "arrival-frac", "reordered-pairs")
 	res.Tables = append(res.Tables, lossTab)
-	for _, loss := range p.LossRates {
-		arrived, reordered, err := runE5LossCell(p, loss)
+	var off []string
+	for _, loss := range e5LossRates {
+		arrived, reordered, err := runE5LossCell(messages, loss)
 		if err != nil {
 			return nil, err
 		}
-		frac := float64(arrived) / float64(p.MessagesPerCell)
-		lossTab.AddRow(fmt.Sprintf("%.0f%%", loss*100), p.MessagesPerCell, arrived, frac, reordered)
-		if loss == 0 && arrived != p.MessagesPerCell {
-			res.Notef("DEVIATES: lost messages on a loss-free network (%d/%d)", arrived, p.MessagesPerCell)
+		frac := float64(arrived) / float64(messages)
+		lossTab.AddRow(fmt.Sprintf("%.0f%%", loss*100), messages, arrived, frac, reordered)
+		if loss == 0 && arrived != messages {
+			off = append(off, fmt.Sprintf("lost messages on a loss-free network (%d/%d)", arrived, messages))
 		}
 		expect := 1 - loss
 		if loss > 0 && (frac < expect-0.12 || frac > expect+0.12) {
-			res.Notef("DEVIATES: arrival fraction %.2f far from %.2f at %.0f%% loss", frac, expect, loss*100)
+			off = append(off, fmt.Sprintf("arrival fraction %.2f far from %.2f at %.0f%% loss", frac, expect, loss*100))
 		}
 	}
-	res.Notef("HOLDS: delivery is best-effort — arrival fraction tracks (1 - loss rate)")
+	res.HoldsUnless(off, "delivery is best-effort — arrival fraction tracks (1 - loss rate)")
 
 	// Part 2: port buffer space.
 	capTab := metrics.NewTable(
 		"§3.4 — bounded port buffers: a full port throws messages away and reports failure",
 		"port-capacity", "burst", "accepted", "discarded", "failure-replies")
 	res.Tables = append(res.Tables, capTab)
-	burst := p.MessagesPerCell / 4
+	burst := messages / 4
 	if burst < 8 {
 		burst = 8
 	}
-	for _, capacity := range p.PortCapacities {
-		accepted, discarded, failures, err := runE5CapacityCell(capacity, burst, p.Timeout)
+	off = nil
+	for _, capacity := range e5PortCapacities {
+		accepted, discarded, failures, err := runE5CapacityCell(capacity, burst)
 		if err != nil {
 			return nil, err
 		}
 		capTab.AddRow(capacity, burst, accepted, discarded, failures)
 		if discarded != failures {
-			res.Notef("DEVIATES: at capacity %d, %d discards but %d failure replies", capacity, discarded, failures)
+			off = append(off, fmt.Sprintf("at capacity %d, %d discards but %d failure replies", capacity, discarded, failures))
 		}
 		wantAccept := capacity
 		if burst < capacity {
 			wantAccept = burst
 		}
 		if accepted != wantAccept {
-			res.Notef("DEVIATES: capacity %d accepted %d of burst %d", capacity, accepted, burst)
+			off = append(off, fmt.Sprintf("capacity %d accepted %d of burst %d", capacity, accepted, burst))
 		}
 	}
-	res.Notef("HOLDS: every discarded message with a replyto drew exactly one failure reply")
+	res.HoldsUnless(off, "every discarded message with a replyto drew exactly one failure reply")
 
 	// Part 3: the failure-message taxonomy.
 	failTab := metrics.NewTable(
 		"§3.4 — system failure messages for undeliverable sends",
 		"scenario", "failure-text")
 	res.Tables = append(res.Tables, failTab)
-	if err := runE5FailureTaxonomy(failTab, p.Timeout); err != nil {
+	if err := runE5FailureTaxonomy(failTab); err != nil {
 		return nil, err
 	}
-	res.Notef("HOLDS: dead guardian / dead port / full port each yield a distinct system failure message")
+	off = nil
+	distinct := map[string]bool{}
+	for r := 0; r < failTab.Rows(); r++ {
+		text := failTab.Cell(r, 1)
+		if text == e5NoFailure || distinct[text] {
+			off = append(off, fmt.Sprintf("%s: %s", failTab.Cell(r, 0), text))
+		}
+		distinct[text] = true
+	}
+	res.HoldsUnless(off, "dead guardian / dead port / full port each yield a distinct system failure message")
 	return res, nil
 }
 
-func runE5LossCell(p E5Params, loss float64) (arrived int, reorderedPairs int, err error) {
+func runE5LossCell(messages int, loss float64) (arrived int, reorderedPairs int, err error) {
 	w := guardian.NewWorld(guardian.Config{
 		Net: netsim.Config{
 			Seed:         int64(loss*1000) + 7,
@@ -139,7 +128,7 @@ func runE5LossCell(p E5Params, loss float64) (arrived int, reorderedPairs int, e
 			ReorderDelay: 2 * time.Millisecond,
 		},
 	})
-	seen := make(chan int64, p.MessagesPerCell)
+	seen := make(chan int64, messages)
 	w.MustRegister(&guardian.GuardianDef{
 		TypeName:     "e5_collector",
 		Provides:     []*guardian.PortType{e5SinkType},
@@ -166,7 +155,7 @@ func runE5LossCell(p E5Params, loss float64) (arrived int, reorderedPairs int, e
 	if err != nil {
 		return 0, 0, err
 	}
-	for i := 0; i < p.MessagesPerCell; i++ {
+	for i := 0; i < messages; i++ {
 		if err := drv.Send(created.Ports[0], "data", i); err != nil {
 			return 0, 0, err
 		}
@@ -187,14 +176,9 @@ func runE5LossCell(p E5Params, loss float64) (arrived int, reorderedPairs int, e
 	}
 }
 
-func runE5CapacityCell(capacity, burst int, timeout time.Duration) (accepted, discarded, failures int, err error) {
+func runE5CapacityCell(capacity, burst int) (accepted, discarded, failures int, err error) {
 	w := guardian.NewWorld(guardian.Config{})
-	w.MustRegister(&guardian.GuardianDef{
-		TypeName:     "e5_stuck",
-		Provides:     []*guardian.PortType{e5SinkType},
-		PortCapacity: capacity,
-		Init:         func(ctx *guardian.Ctx) { <-ctx.G.Killed() },
-	})
+	w.MustRegister(e5StuckDef(capacity))
 	srv := w.MustAddNode("srv")
 	created, err2 := srv.Bootstrap("e5_stuck")
 	if err2 != nil {
@@ -228,11 +212,14 @@ func runE5CapacityCell(capacity, burst int, timeout time.Duration) (accepted, di
 	return accepted, discarded, failures, nil
 }
 
-func runE5FailureTaxonomy(tab *metrics.Table, timeout time.Duration) error {
+// e5NoFailure marks a probe that drew no failure message.
+const e5NoFailure = "NO FAILURE RECEIVED"
+
+func runE5FailureTaxonomy(tab *metrics.Table) error {
 	w := guardian.NewWorld(guardian.Config{})
-	w.MustRegister(e5SinkDef(false))
+	w.MustRegister(e5StuckDef(0))
 	srv := w.MustAddNode("srv")
-	created, err := srv.Bootstrap("e5_stuck_sink")
+	created, err := srv.Bootstrap("e5_stuck")
 	if err != nil {
 		return err
 	}
@@ -248,9 +235,9 @@ func runE5FailureTaxonomy(tab *metrics.Table, timeout time.Duration) error {
 				return err
 			}
 		}
-		deadline := time.Now().Add(timeout)
+		deadline := time.Now().Add(e5Timeout)
 		for time.Now().Before(deadline) {
-			m, st := drv.Receive(timeout, reply)
+			m, st := drv.Receive(e5Timeout, reply)
 			if st != guardian.RecvOK {
 				break
 			}
@@ -259,7 +246,7 @@ func runE5FailureTaxonomy(tab *metrics.Table, timeout time.Duration) error {
 				return nil
 			}
 		}
-		tab.AddRow(scenario, "NO FAILURE RECEIVED")
+		tab.AddRow(scenario, e5NoFailure)
 		return nil
 	}
 	if err := probe("guardian doesn't exist", xrep.PortName{Node: "srv", Guardian: 999, Port: 1}, 1); err != nil {

@@ -12,35 +12,22 @@ import (
 	"repro/internal/workload"
 )
 
-// E6Params configures the transaction-robustness experiment.
-type E6Params struct {
-	// Transactions per scenario.
-	Transactions int
-	// RequestsPerTransaction is the reserve count per transaction.
-	RequestsPerTransaction int
-	// Capacity per (flight, date); small enough that oversell would show.
-	Capacity int64
-	// DeadlineMS is the transaction process's reply deadline.
-	DeadlineMS int64
-	Timeout    time.Duration
-}
-
-// E6Defaults is the full-size configuration.
-var E6Defaults = E6Params{
-	Transactions:           30,
-	RequestsPerTransaction: 4,
-	Capacity:               1000,
-	DeadlineMS:             200,
-	Timeout:                20 * time.Second,
-}
+// The transaction-robustness experiment at full size.
+const (
+	e6Transactions           = 30   // per scenario
+	e6RequestsPerTransaction = 4    // reserves per transaction
+	e6Capacity               = 1000 // per (flight, date): small enough that oversell would show
+	e6DeadlineMS             = 200  // the transaction process's reply deadline
+	e6Timeout                = 20 * time.Second
+)
 
 // RunE6Transactions reproduces §3.5's robustness narrative: transactions
 // run while the regional node or the UI node crashes; timeouts select the
 // timeout arm, clerks retry idempotent requests, crashed UI nodes forget
 // their transactions, and after final recovery no acknowledged reservation
 // is lost and no seat double-booked.
-func RunE6Transactions(p E6Params, scale Scale) (*Result, error) {
-	p.Transactions = scale.N(p.Transactions, 4)
+func RunE6Transactions(scale Scale) (*Result, error) {
+	transactions := scale.N(e6Transactions, 4)
 	res := &Result{ID: "E6 (Figure 5 / §3.5)"}
 	tab := metrics.NewTable(
 		"Figure 5 — transaction robustness under crash injection",
@@ -48,29 +35,29 @@ func RunE6Transactions(p E6Params, scale Scale) (*Result, error) {
 	res.Tables = append(res.Tables, tab)
 
 	for _, scenario := range []string{"no-crash", "regional-crash", "ui-crash"} {
-		row, err := runE6Scenario(p, scenario)
+		row, err := runE6Scenario(transactions, scenario)
 		if err != nil {
 			return nil, err
 		}
-		tab.AddRow(scenario, p.Transactions, row.acked, row.cantComm, row.retries, row.forgotten, row.lostAcked, row.oversold)
+		tab.AddRow(scenario, transactions, row.acked, row.cantComm, row.retries, row.forgotten, row.lostAcked, row.oversold)
 		if row.lostAcked == 0 {
-			res.Notef("HOLDS (%s): every acknowledged reservation survived (permanence of effect)", scenario)
+			res.Holdsf("%s: every acknowledged reservation survived (permanence of effect)", scenario)
 		} else {
-			res.Notef("DEVIATES (%s): %d acknowledged reservations lost", scenario, row.lostAcked)
+			res.Deviatesf("%s: %d acknowledged reservations lost", scenario, row.lostAcked)
 		}
 		if row.oversold == 0 {
-			res.Notef("HOLDS (%s): no date oversold despite retries (idempotency)", scenario)
+			res.Holdsf("%s: no date oversold despite retries (idempotency)", scenario)
 		} else {
-			res.Notef("DEVIATES (%s): %d dates oversold", scenario, row.oversold)
+			res.Deviatesf("%s: %d dates oversold", scenario, row.oversold)
 		}
 		if scenario == "regional-crash" && row.cantComm == 0 {
-			res.Notef("NOTE (regional-crash): crash injected but no timeout observed — crash window may be too narrow")
+			res.Notef("regional-crash: crash injected but no timeout observed — crash window may be too narrow")
 		}
 		if scenario == "ui-crash" {
 			if row.forgotten > 0 {
-				res.Notef("HOLDS (ui-crash): %d in-flight transaction(s) forgotten by the crash; the clerk redid the pending request in a fresh transaction without double booking", row.forgotten)
+				res.Holdsf("ui-crash: %d in-flight transaction(s) forgotten by the crash; the clerk redid the pending request in a fresh transaction without double booking", row.forgotten)
 			} else {
-				res.Notef("DEVIATES (ui-crash): crash did not forget the in-flight transaction")
+				res.Deviatesf("ui-crash: crash did not forget the in-flight transaction")
 			}
 		}
 	}
@@ -86,7 +73,7 @@ type e6Row struct {
 	oversold  int
 }
 
-func runE6Scenario(p E6Params, scenario string) (e6Row, error) {
+func runE6Scenario(transactions int, scenario string) (e6Row, error) {
 	var row e6Row
 	w := guardian.NewWorld(guardian.Config{
 		Net: netsim.Config{Seed: 11, BaseLatency: time.Millisecond},
@@ -97,9 +84,9 @@ func runE6Scenario(p E6Params, scenario string) (e6Row, error) {
 	sys, err := airline.Deploy(w, airline.SystemConfig{
 		Regions:    []airline.RegionConfig{{Node: "region", Flights: []int64{1, 2}}},
 		UINodes:    []string{"office"},
-		Capacity:   p.Capacity,
+		Capacity:   e6Capacity,
 		Org:        airline.OrgMonitor,
-		DeadlineMS: p.DeadlineMS,
+		DeadlineMS: e6DeadlineMS,
 	})
 	if err != nil {
 		return row, err
@@ -118,12 +105,12 @@ func runE6Scenario(p E6Params, scenario string) (e6Row, error) {
 
 	ui := sys.UIPorts["office"]
 	dg := workload.NewDateGen(3, workload.SkewUniform, 8)
-	for tx := 0; tx < p.Transactions; tx++ {
+	for tx := 0; tx < transactions; tx++ {
 		// Crash injection windows.
-		if scenario == "regional-crash" && tx == p.Transactions/3 {
+		if scenario == "regional-crash" && tx == transactions/3 {
 			region.Crash()
 		}
-		if scenario == "regional-crash" && tx == p.Transactions/3+2 {
+		if scenario == "regional-crash" && tx == transactions/3+2 {
 			if err := region.Restart(); err != nil {
 				return row, err
 			}
@@ -133,11 +120,11 @@ func runE6Scenario(p E6Params, scenario string) (e6Row, error) {
 			return row, err
 		}
 		pid := fmt.Sprintf("cust-%03d", tx)
-		if err := clerk.Begin(ui, pid, p.Timeout); err != nil {
+		if err := clerk.Begin(ui, pid, e6Timeout); err != nil {
 			// UI briefly unavailable around a crash: skip this customer.
 			continue
 		}
-		for r := 0; r < p.RequestsPerTransaction; r++ {
+		for r := 0; r < e6RequestsPerTransaction; r++ {
 			flight := int64(r%2 + 1)
 			date := dg.Next()
 			// §3.5's second failure story: the node running the
@@ -145,15 +132,15 @@ func runE6Scenario(p E6Params, scenario string) (e6Row, error) {
 			// is forgotten; the clerk starts a new one at the re-deployed
 			// interface guardian, "beginning with the request being worked
 			// on when the node failed".
-			if scenario == "ui-crash" && tx == p.Transactions/2 && r == p.RequestsPerTransaction/2 {
+			if scenario == "ui-crash" && tx == transactions/2 && r == e6RequestsPerTransaction/2 {
 				office.Crash()
 				if err := office.Restart(); err != nil {
 					return row, err
 				}
-				if ui, err = sys.RedeployUI("office", p.DeadlineMS); err != nil {
+				if ui, err = sys.RedeployUI("office", e6DeadlineMS); err != nil {
 					return row, err
 				}
-				if _, err := clerk.Reserve(flight, date, p.Timeout); err != nil {
+				if _, err := clerk.Reserve(flight, date, e6Timeout); err != nil {
 					row.forgotten++ // old transaction port is gone
 				}
 				// The clerk (a driver guardian) also died with the node;
@@ -162,11 +149,11 @@ func runE6Scenario(p E6Params, scenario string) (e6Row, error) {
 				if err != nil {
 					return row, err
 				}
-				if err := clerk.Begin(ui, pid, p.Timeout); err != nil {
+				if err := clerk.Begin(ui, pid, e6Timeout); err != nil {
 					return row, err
 				}
 			}
-			outcome, err := clerk.Reserve(flight, date, p.Timeout)
+			outcome, err := clerk.Reserve(flight, date, e6Timeout)
 			if err != nil {
 				break // transaction process gone (ui crash window)
 			}
@@ -174,7 +161,7 @@ func runE6Scenario(p E6Params, scenario string) (e6Row, error) {
 				row.cantComm++
 				// The clerk retries the idempotent request once.
 				row.retries++
-				outcome, err = clerk.Reserve(flight, date, p.Timeout)
+				outcome, err = clerk.Reserve(flight, date, e6Timeout)
 				if err != nil {
 					break
 				}
@@ -184,7 +171,7 @@ func runE6Scenario(p E6Params, scenario string) (e6Row, error) {
 				acked = append(acked, seat{flight, pid, date})
 			}
 		}
-		_, _, _ = clerk.Done(p.Timeout) // best-effort finish
+		_, _, _ = clerk.Done(e6Timeout) // best-effort finish
 	}
 
 	// Final recovery: bounce the regional node once more so the audit sees
@@ -207,7 +194,7 @@ func runE6Scenario(p E6Params, scenario string) (e6Row, error) {
 			continue
 		}
 		checked[s] = true
-		out, err := auditor.Request(sys.Directory[s.flight], "reserve", s.flight, s.pid, s.date, p.Timeout)
+		out, err := auditor.Request(sys.Directory[s.flight], "reserve", s.flight, s.pid, s.date, e6Timeout)
 		if err != nil || out != airline.OutcomePreReserved {
 			row.lostAcked++
 		}
@@ -220,7 +207,7 @@ func runE6Scenario(p E6Params, scenario string) (e6Row, error) {
 		}
 		for _, date := range dg.Dates() {
 			snap, ok := airline.SnapshotFlight(g, date)
-			if ok && int64(snap.Reserved) > p.Capacity {
+			if ok && int64(snap.Reserved) > e6Capacity {
 				row.oversold++
 			}
 		}

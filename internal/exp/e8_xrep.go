@@ -9,27 +9,19 @@ import (
 	"repro/internal/xrep"
 )
 
-// E8Params configures the abstract-value transmission experiment.
-type E8Params struct {
-	// Sizes is the associative-memory item-count sweep.
-	Sizes []int
-	// Iterations per measurement.
-	Iterations int
-}
+// e8Iterations is the full-size repeat count of each measurement.
+const e8Iterations = 200
 
-// E8Defaults is the full-size configuration.
-var E8Defaults = E8Params{
-	Sizes:      []int{10, 100, 1000},
-	Iterations: 200,
-}
+// e8Sizes is the associative-memory item-count sweep.
+var e8Sizes = []int{10, 100, 1000}
 
 // RunE8ExternalRep reproduces §3.3: different internal representations
 // (hash table vs tree) of one abstract type interoperate through a single
 // external rep; encode/decode cost and wire size scale with value size;
 // and the system-wide integer invariant (the 24-bit example) is enforced
 // at the sending node.
-func RunE8ExternalRep(p E8Params, scale Scale) (*Result, error) {
-	p.Iterations = scale.N(p.Iterations, 10)
+func RunE8ExternalRep(scale Scale) (*Result, error) {
+	iterations := scale.N(e8Iterations, 10)
 	res := &Result{ID: "E8 (§3.3 abstract values)"}
 
 	tab := metrics.NewTable(
@@ -37,18 +29,19 @@ func RunE8ExternalRep(p E8Params, scale Scale) (*Result, error) {
 		"items", "wire-bytes", "encode(hash)", "decode(tree)", "encode(tree)", "decode(hash)", "round-trip-equal")
 	res.Tables = append(res.Tables, tab)
 
-	for _, n := range p.Sizes {
-		row, err := runE8Cell(n, p.Iterations)
+	var changed []string
+	for _, n := range e8Sizes {
+		row, err := runE8Cell(n, iterations)
 		if err != nil {
 			return nil, err
 		}
 		tab.AddRow(n, row.wireBytes, row.encHash.String(), row.decTree.String(),
 			row.encTree.String(), row.decHash.String(), row.equal)
 		if !row.equal {
-			res.Notef("DEVIATES: hash→tree→hash round trip changed the value at n=%d", n)
+			changed = append(changed, fmt.Sprintf("hash→tree→hash round trip changed the value at n=%d", n))
 		}
 	}
-	res.Notef("HOLDS: hash-table and tree representations interoperate through the single external rep")
+	res.HoldsUnless(changed, "hash-table and tree representations interoperate through the single external rep")
 
 	// Complex numbers: the paper's first example.
 	cxTab := metrics.NewTable(
@@ -81,9 +74,9 @@ func RunE8ExternalRep(p E8Params, scale Scale) (*Result, error) {
 	}
 	cxTab.AddRow("rect → wire → polar → wire → rect", len(raw), fmt.Sprintf("%.2e", maxErr))
 	if maxErr < 1e-9 {
-		res.Notef("HOLDS: complex value survives rect↔polar representation change (max error %.2e)", maxErr)
+		res.Holdsf("complex value survives rect↔polar representation change (max error %.2e)", maxErr)
 	} else {
-		res.Notef("DEVIATES: complex round trip error %.2e", maxErr)
+		res.Deviatesf("complex round trip error %.2e", maxErr)
 	}
 
 	// The 24-bit system standard.
@@ -97,9 +90,9 @@ func RunE8ExternalRep(p E8Params, scale Scale) (*Result, error) {
 	}
 	if xrep.Paper24BitLimits.Validate(xrep.Int(1<<23)) != nil &&
 		xrep.Paper24BitLimits.Validate(xrep.Int(1<<23-1)) == nil {
-		res.Notef("HOLDS: integers outside the 24-bit standard cannot leave the node; the boundary is exact")
+		res.Holdsf("integers outside the 24-bit standard cannot leave the node; the boundary is exact")
 	} else {
-		res.Notef("DEVIATES: 24-bit boundary enforcement wrong")
+		res.Deviatesf("24-bit boundary enforcement wrong")
 	}
 	return res, nil
 }

@@ -11,75 +11,63 @@ import (
 	"repro/internal/xrep"
 )
 
-// E9Params configures the atomic-commitment experiment.
-type E9Params struct {
-	// ParticipantCounts is the fan-out sweep.
-	ParticipantCounts []int
-	// Transactions per cell.
-	Transactions int
-	// NetLatency is one-way latency between nodes.
-	NetLatency time.Duration
-	// LossRate for the fault-injected atomicity audit cell.
-	LossRate float64
-	Timeout  time.Duration
-}
+// The atomic-commitment experiment at full size.
+const (
+	e9Transactions = 25               // per cell
+	e9NetLatency   = time.Millisecond // one-way, between nodes
+	e9LossRate     = 0.15             // of the fault-injected atomicity audit cell
+)
 
-// E9Defaults is the full-size configuration.
-var E9Defaults = E9Params{
-	ParticipantCounts: []int{2, 4, 8},
-	Transactions:      25,
-	NetLatency:        time.Millisecond,
-	LossRate:          0.15,
-	Timeout:           30 * time.Second,
-}
+// e9ParticipantCounts is the fan-out sweep.
+var e9ParticipantCounts = []int{2, 4, 8}
 
 // RunE9Tpc validates the paper's §3/§4 claim that the chosen primitive
 // "can implement currently known protocols" by measuring the two-phase
 // commit built entirely on the no-wait send (internal/tpc): message cost
 // and latency per transaction as participants scale, and an atomicity
 // audit under message loss and node crashes.
-func RunE9Tpc(p E9Params, scale Scale) (*Result, error) {
-	p.Transactions = scale.N(p.Transactions, 4)
+func RunE9Tpc(scale Scale) (*Result, error) {
+	transactions := scale.N(e9Transactions, 4)
 	res := &Result{ID: "E9 (extension: §3 protocol expressiveness)"}
 	tab := metrics.NewTable(
 		"Two-phase commit on the no-wait send: cost vs participant count",
 		"participants", "faults", "transactions", "committed", "msgs/tx", "mean-latency", "atomicity")
 	res.Tables = append(res.Tables, tab)
 
-	for _, n := range p.ParticipantCounts {
-		row, err := runE9Cell(p, n, 0, false)
+	for _, n := range e9ParticipantCounts {
+		row, err := runE9Cell(transactions, n, 0, false)
 		if err != nil {
 			return nil, err
 		}
-		tab.AddRow(n, "none", p.Transactions, row.committed, row.msgsPerTx, row.mean.String(), row.atomicity)
+		tab.AddRow(n, "none", transactions, row.committed, row.msgsPerTx, row.mean.String(), row.atomicity)
 		if row.atomicity != "all-or-nothing" {
-			res.Notef("DEVIATES: atomicity violated with %d participants, no faults", n)
+			res.Deviatesf("atomicity violated with %d participants, no faults", n)
 		}
 		// The theoretical floor is 4 messages per participant (prepare,
 		// vote, decision, ack) plus 2 for the client exchange.
 		floor := float64(4*n + 2)
 		if row.msgsPerTx < floor-0.01 {
-			res.Notef("DEVIATES: %d participants measured %.1f msgs/tx below the 4n+2 floor %.1f",
+			res.Deviatesf("%d participants measured %.1f msgs/tx below the 4n+2 floor %.1f",
 				n, row.msgsPerTx, floor)
 		} else if row.msgsPerTx < floor+1.0 {
-			res.Notef("HOLDS: %d participants cost %.1f msgs/tx (theoretical floor 4n+2 = %.0f)",
+			res.Holdsf("%d participants cost %.1f msgs/tx (theoretical floor 4n+2 = %.0f)",
 				n, row.msgsPerTx, floor)
 		}
 	}
 
 	// Fault-injected cell: loss plus a participant crash mid-run.
-	n := p.ParticipantCounts[len(p.ParticipantCounts)-1]
-	row, err := runE9Cell(p, n, p.LossRate, true)
+	n := e9ParticipantCounts[len(e9ParticipantCounts)-1]
+	row, err := runE9Cell(transactions, n, e9LossRate, true)
 	if err != nil {
 		return nil, err
 	}
-	tab.AddRow(n, fmt.Sprintf("%.0f%% loss + crash", p.LossRate*100),
-		p.Transactions, row.committed, row.msgsPerTx, row.mean.String(), row.atomicity)
+	tab.AddRow(n, fmt.Sprintf("%.0f%% loss + crash", e9LossRate*100),
+		transactions, row.committed, row.msgsPerTx, row.mean.String(), row.atomicity)
 	if row.atomicity == "all-or-nothing" {
-		res.Notef("HOLDS: atomicity preserved under %.0f%% loss and a participant crash (%d/%d committed, retries cost %.1f msgs/tx)",
-			p.LossRate*100, row.committed, p.Transactions, row.msgsPerTx)
+		res.Holdsf("atomicity preserved under %.0f%% loss and a participant crash (%d/%d committed, retries cost %.1f msgs/tx)",
+			e9LossRate*100, row.committed, transactions, row.msgsPerTx)
 	} else {
-		res.Notef("DEVIATES: atomicity violated under faults: %s", row.atomicity)
+		res.Deviatesf("atomicity violated under faults: %s", row.atomicity)
 	}
 	return res, nil
 }
@@ -91,10 +79,10 @@ type e9Row struct {
 	atomicity string
 }
 
-func runE9Cell(p E9Params, nParts int, loss float64, crash bool) (e9Row, error) {
+func runE9Cell(transactions, nParts int, loss float64, crash bool) (e9Row, error) {
 	var row e9Row
 	w := guardian.NewWorld(guardian.Config{
-		Net: netsim.Config{Seed: 17, BaseLatency: p.NetLatency, LossRate: loss},
+		Net: netsim.Config{Seed: 17, BaseLatency: e9NetLatency, LossRate: loss},
 	})
 	w.MustRegister(tpc.CoordinatorDef())
 	w.MustRegister(tpc.NewParticipantDef("e9_participant", func() tpc.Resource {
@@ -125,17 +113,17 @@ func runE9Cell(p E9Params, nParts int, loss float64, crash bool) (e9Row, error) 
 	}
 	reply := g.MustNewPort(tpc.ClientReplyType, 32)
 
-	hist := metrics.NewHistogram()
 	clock := w.Clock()
 	stats := w.Stats()
 	before := stats.MessagesSent.Load()
-	outcomes := make(map[string]string, p.Transactions)
 
-	for i := 0; i < p.Transactions; i++ {
-		if crash && i == p.Transactions/2 {
+	// An aborted or undecided transaction is an outcome, not a failure: its
+	// latency counts, and the audit below holds participants to row.committed.
+	f, err := runSequential(clock, transactions, func(i int) error {
+		if crash && i == transactions/2 {
 			partNodes[0].Crash()
 			if err := partNodes[0].Restart(); err != nil {
-				return row, err
+				return err
 			}
 		}
 		txid := fmt.Sprintf("tx%03d", i)
@@ -143,11 +131,9 @@ func runE9Cell(p E9Params, nParts int, loss float64, crash bool) (e9Row, error) 
 		for j, pp := range parts {
 			ops[j] = xrep.Seq{pp, tpc.SlotOp("unit", 1)}
 		}
-		t0 := clock.Now()
-		outcome := ""
-		for attempt := 0; attempt < 12 && outcome == ""; attempt++ {
+		for attempt := 0; attempt < 12; attempt++ {
 			if err := client.SendReplyTo(created.Ports[0], reply.Name(), "begin", txid, ops); err != nil {
-				return row, err
+				return err
 			}
 			deadline := clock.Now().Add(2 * time.Second)
 			for clock.Now().Before(deadline) {
@@ -156,21 +142,25 @@ func runE9Cell(p E9Params, nParts int, loss float64, crash bool) (e9Row, error) 
 					break
 				}
 				if !m.IsFailure() && m.Str(0) == txid {
-					outcome = m.Command
-					break
+					if m.Command == tpc.OutcomeCommitted {
+						row.committed++
+					}
+					return nil
 				}
 			}
 		}
-		hist.Observe(clock.Now().Sub(t0))
-		outcomes[txid] = outcome
-		if outcome == tpc.OutcomeCommitted {
-			row.committed++
-		}
+		return nil
+	})
+	if err == nil {
+		err = f.failedErr("transactions")
+	}
+	if err != nil {
+		return row, err
 	}
 	waitQuiesce(w)
 	time.Sleep(20 * time.Millisecond)
-	row.msgsPerTx = float64(stats.MessagesSent.Load()-before) / float64(p.Transactions)
-	row.mean = hist.Snapshot().Mean
+	row.msgsPerTx = float64(stats.MessagesSent.Load()-before) / float64(transactions)
+	row.mean = f.Latency.Mean
 
 	// Atomicity audit: every participant must have applied exactly the
 	// committed transactions' units.

@@ -2,7 +2,7 @@ package exp
 
 import "fmt"
 
-// Experiment ties an id to its runner at default parameters.
+// Experiment ties an id to its runner.
 type Experiment struct {
 	// ID is the short name used by cmd/bench -experiment.
 	ID string
@@ -14,85 +14,58 @@ type Experiment struct {
 	Run func(scale Scale) (*Result, error)
 }
 
-// All returns every experiment in DESIGN.md's index, in order.
-func All() []Experiment {
-	return []Experiment{
-		{
-			ID: "fig1", Paper: "Figure 1",
-			Description: "flight guardian organizations: sequential vs serializer vs monitor under date skew",
-			Run:         func(s Scale) (*Result, error) { return RunE1Fig1(E1Defaults, s) },
-		},
-		{
-			ID: "fig2", Paper: "Figure 2 / Figure 4",
-			Description: "central vs regional deployment; reply bypass vs relay ablation",
-			Run:         func(s Scale) (*Result, error) { return RunE2Fig2(E2Defaults, s) },
-		},
-		{
-			ID: "fig3", Paper: "Figure 3 / §2.1",
-			Description: "guardian creation: local, remote via primordial guardian, owner policy denial",
-			Run:         func(s Scale) (*Result, error) { return RunE3Fig3(E3Defaults, s) },
-		},
-		{
-			ID: "primitives", Paper: "§3",
-			Description: "no-wait vs synchronization vs remote-transaction send across exchange patterns",
-			Run:         func(s Scale) (*Result, error) { return RunE4Primitives(E4Defaults, s) },
-		},
-		{
-			ID: "delivery", Paper: "§3.4",
-			Description: "best-effort delivery, reordering, bounded port buffers, failure messages",
-			Run:         func(s Scale) (*Result, error) { return RunE5Delivery(E5Defaults, s) },
-		},
-		{
-			ID: "transactions", Paper: "Figure 5 / §3.5",
-			Description: "transaction robustness under regional and UI node crashes; idempotent retry audit",
-			Run:         func(s Scale) (*Result, error) { return RunE6Transactions(E6Defaults, s) },
-		},
-		{
-			ID: "recovery", Paper: "§2.2",
-			Description: "permanence of effect: log replay, recovery time, checkpoint ablation",
-			Run:         func(s Scale) (*Result, error) { return RunE7Recovery(E7Defaults, s) },
-		},
-		{
-			ID: "xrep", Paper: "§3.3",
-			Description: "abstract values: representation diversity, encode/decode cost, 24-bit standard",
-			Run:         func(s Scale) (*Result, error) { return RunE8ExternalRep(E8Defaults, s) },
-		},
-		{
-			ID: "tpc", Paper: "§3/§4 (extension)",
-			Description: "two-phase commit built on the no-wait send: cost scaling and atomicity under faults",
-			Run:         func(s Scale) (*Result, error) { return RunE9Tpc(E9Defaults, s) },
-		},
-		{
-			ID: "amo", Paper: "§3.5 (extension)",
-			Description: "at-most-once layer vs bare calls: exactly-once transfers under loss and duplication",
-			Run:         func(s Scale) (*Result, error) { return RunE10AMO(E10Defaults, s) },
-		},
-		{
-			ID: "dst", Paper: "§2.2/§2.3/§3.5 (extension)",
-			Description: "deterministic simulation: seeded fault sweep with invariant checkers and an injected-bug control",
-			Run:         func(s Scale) (*Result, error) { return RunE11DST(E11Defaults, s) },
-		},
-		{
-			ID: "replica", Paper: "§2.2 (extension)",
-			Description: "replicated guardians: quorum-ack cost vs single-node group commit, failover time under permanent primary death",
-			Run:         func(s Scale) (*Result, error) { return RunE14Replica(E14Defaults, s) },
-		},
-		{
-			ID: "ring", Paper: "§2.1/§3.5 (extension)",
-			Description: "consistent-hash scale-out: aggregate throughput vs shard count, account-skew ablation, exact conservation audit",
-			Run:         func(s Scale) (*Result, error) { return RunE16Ring(E16Defaults, s) },
-		},
-		{
-			ID: "transport", Paper: "§3.4 (extension)",
-			Description: "stream transport: guardian round trips over netsim/UDP/TCP, and the datagram size ceiling TCP removes",
-			Run:         func(s Scale) (*Result, error) { return RunE17Transport(E17Defaults, s) },
-		},
-	}
+// registry is DESIGN.md §3's index, in order.
+var registry = []Experiment{
+	{"fig1", "Figure 1",
+		"flight guardian organizations: sequential vs serializer vs monitor under date skew",
+		RunE1Fig1},
+	{"fig2", "Figure 2 / Figure 4",
+		"central vs regional deployment; reply bypass vs relay ablation",
+		RunE2Fig2},
+	{"fig3", "Figure 3 / §2.1",
+		"guardian creation: local, remote via primordial guardian, owner policy denial",
+		RunE3Fig3},
+	{"primitives", "§3",
+		"no-wait vs synchronization vs remote-transaction send across exchange patterns",
+		RunE4Primitives},
+	{"delivery", "§3.4",
+		"best-effort delivery, reordering, bounded port buffers, failure messages",
+		RunE5Delivery},
+	{"transactions", "Figure 5 / §3.5",
+		"transaction robustness under regional and UI node crashes; idempotent retry audit",
+		RunE6Transactions},
+	{"recovery", "§2.2",
+		"permanence of effect: log replay, recovery time, checkpoint ablation",
+		RunE7Recovery},
+	{"xrep", "§3.3",
+		"abstract values: representation diversity, encode/decode cost, 24-bit standard",
+		RunE8ExternalRep},
+	{"tpc", "§3/§4 (extension)",
+		"two-phase commit built on the no-wait send: cost scaling and atomicity under faults",
+		RunE9Tpc},
+	{"amo", "§3.5 (extension)",
+		"at-most-once layer vs bare calls: exactly-once transfers under loss and duplication",
+		RunE10AMO},
+	{"dst", "§2.2/§2.3/§3.5 (extension)",
+		"deterministic simulation: seeded fault sweep with invariant checkers and an injected-bug control",
+		RunE11DST},
+	{"replica", "§2.2 (extension)",
+		"replicated guardians: quorum-ack cost vs single-node group commit, failover time under permanent primary death",
+		RunE14Replica},
+	{"ring", "§2.1/§3.5 (extension)",
+		"consistent-hash scale-out: aggregate throughput vs shard count, account-skew ablation, exact conservation audit",
+		RunE16Ring},
+	{"transport", "§3.4 (extension)",
+		"stream transport: guardian round trips over netsim/UDP/TCP, and the datagram size ceiling TCP removes",
+		RunE17Transport},
 }
+
+// All returns every experiment in DESIGN.md's index, in order.
+func All() []Experiment { return registry }
 
 // ByID finds an experiment.
 func ByID(id string) (Experiment, error) {
-	for _, e := range All() {
+	for _, e := range registry {
 		if e.ID == id {
 			return e, nil
 		}

@@ -179,13 +179,20 @@ func TestTableCSV(t *testing.T) {
 }
 
 func TestTableAccessors(t *testing.T) {
-	tab := NewTable("t", "a")
-	tab.AddRow(42)
+	tab := NewTable("t", "a", "b", "c")
+	tab.AddRow(42, 1.23456, 3*time.Millisecond)
 	if tab.Rows() != 1 {
 		t.Fatalf("Rows = %d", tab.Rows())
 	}
 	if tab.Cell(0, 0) != "42" {
 		t.Fatalf("Cell = %q", tab.Cell(0, 0))
+	}
+	// A cell keeps its value beside its text, so nothing re-parses a table.
+	if tab.Cell(0, 1) != "1.23" || tab.Value(0, 1) != 1.23456 {
+		t.Fatalf("float cell: text %q value %v", tab.Cell(0, 1), tab.Value(0, 1))
+	}
+	if tab.Cell(0, 2) != "3ms" || tab.Value(0, 2) != 3*time.Millisecond || tab.Value(0, 0) != 42 {
+		t.Fatalf("values %v %v, text %q", tab.Value(0, 0), tab.Value(0, 2), tab.Cell(0, 2))
 	}
 }
 

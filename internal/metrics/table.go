@@ -13,6 +13,7 @@ type Table struct {
 	Title   string
 	Headers []string
 	rows    [][]string
+	values  [][]any
 }
 
 // NewTable creates a table with the given title and column headers.
@@ -20,7 +21,8 @@ func NewTable(title string, headers ...string) *Table {
 	return &Table{Title: title, Headers: headers}
 }
 
-// AddRow appends a row; cells are formatted with %v.
+// AddRow appends a row. Each cell keeps the value it was given and its
+// text: floats format as %.2f, everything else with %v.
 func (t *Table) AddRow(cells ...any) {
 	row := make([]string, len(cells))
 	for i, c := range cells {
@@ -32,6 +34,7 @@ func (t *Table) AddRow(cells ...any) {
 		}
 	}
 	t.rows = append(t.rows, row)
+	t.values = append(t.values, cells)
 }
 
 // Render writes the table to w.
@@ -96,6 +99,10 @@ func (t *Table) Rows() int { return len(t.rows) }
 // Cell returns the formatted cell at (row, col); it panics when out of
 // range, which in tests is the right behavior.
 func (t *Table) Cell(row, col int) string { return t.rows[row][col] }
+
+// Value returns the value AddRow was given at (row, col), so a reader
+// never has to parse a number back out of Cell's text.
+func (t *Table) Value(row, col int) any { return t.values[row][col] }
 
 func pad(s string, w int) string {
 	if len(s) >= w {
