@@ -19,7 +19,7 @@
 //
 // The server prints its bound address and the global names of the hosted
 // guardian's ports ("port <type> <node/guardian/port>"); the -call value
-// is the amo port name printed in terminal 1. The -loss/-dup/-delay flags
+// is the amo port name printed in terminal 1. The -loss/-dup flags
 // wrap the socket in the same fault model the simulator uses, so the §3.5
 // at-most-once machinery can be watched surviving real packet abuse. With
 // -transport tcp the stream fault flags -reset/-stall inject connection
@@ -85,17 +85,14 @@ type options struct {
 	// transport shape
 	trans string
 	mtu   int
-	pace  time.Duration
-	recv  int
 	stats bool
 
 	// injected faults (both directions are outbound somewhere: run both
 	// processes with the same flags to fault the full round trip)
-	loss, dup     float64
-	delay, jitter time.Duration
-	reset, stall  float64
-	stalltime     time.Duration
-	seed          int64
+	loss, dup    float64
+	reset, stall float64
+	stalltime    time.Duration
+	seed         int64
 
 	// durable storage
 	data    string
@@ -111,10 +108,6 @@ type options struct {
 	threshold  int
 	service    string
 	ns         string
-
-	// airline host parameters
-	flight, capacity int64
-	org              string
 
 	// consistent-hash ring: shard names the member a hosted bank branch
 	// serves as; the ring* flags select the ring client mode.
@@ -144,8 +137,6 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.StringVar(&o.trans, "transport", "udp", "network transport: udp (datagrams) or tcp (framed persistent connections)")
 	fs.IntVar(&o.mtu, "mtu", 0, "maximum datagram size, or with -transport tcp the maximum frame size (0 = transport default)")
 	fs.BoolVar(&o.stats, "stats", false, "print per-peer connection counters on shutdown (tcp)")
-	fs.DurationVar(&o.pace, "pace", 0, "minimum gap between datagrams to one peer")
-	fs.IntVar(&o.recv, "recv", 0, "receive workers per socket (0 = default)")
 	fs.StringVar(&o.data, "data", "", "directory for on-disk WAL storage (empty = volatile in-memory disk)")
 	fs.IntVar(&o.cpevery, "cpevery", 0, "bank: checkpoint every N mutations (0 = never)")
 	crash := fs.String("crash", "", "crash injection: POINT:N exits the process at the Nth firing of "+
@@ -161,15 +152,10 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.StringVar(&o.ns, "ns", "", "name-service port as node/guardian/port")
 	fs.Float64Var(&o.loss, "loss", 0, "injected outbound loss rate [0,1] (udp)")
 	fs.Float64Var(&o.dup, "dup", 0, "injected outbound duplication rate [0,1] (udp)")
-	fs.DurationVar(&o.delay, "delay", 0, "injected minimum outbound delay")
-	fs.DurationVar(&o.jitter, "jitter", 0, "injected additional random delay")
 	fs.Float64Var(&o.reset, "reset", 0, "injected connection reset rate per send [0,1] (tcp)")
 	fs.Float64Var(&o.stall, "stall", 0, "injected write-stall rate per send [0,1] (tcp)")
 	fs.DurationVar(&o.stalltime, "stalltime", 50*time.Millisecond, "duration of each injected write stall")
 	fs.Int64Var(&o.seed, "seed", 1, "fault injection seed")
-	fs.Int64Var(&o.flight, "flight", 12, "airline: flight number")
-	fs.Int64Var(&o.capacity, "capacity", 100, "airline: seat capacity")
-	fs.StringVar(&o.org, "org", airline.OrgMonitor, "airline: internal organization")
 	fs.StringVar(&o.shard, "shard", "", "bank: serve as this ring member (shard mode; needs -host bank)")
 	fs.StringVar(&o.ringName, "ring", "", "ring client mode: route -op operations through this consistent-hash ring (needs -ns)")
 	fs.StringVar(&o.ringBoot, "ringboot", "", "bootstrap the ring's epoch-1 membership: 'name=NATIVE,AMO;name=NATIVE,AMO;...' (needs -ring)")
@@ -361,7 +347,8 @@ func hostDef(o *options) (def string, bootArgs []any, provides []*guardian.PortT
 	case "airline":
 		def = airline.FlightDefName
 		provides = airline.FlightDef().Provides
-		bootArgs = []any{o.flight, o.capacity, o.org, int64(0)}
+		// Flight 12, 100 seats, monitor organization, no per-request work.
+		bootArgs = []any{int64(12), int64(100), airline.OrgMonitor, int64(0)}
 	case "nameserv":
 		def = nameserv.DefName
 		provides = nameserv.Def().Provides
@@ -451,10 +438,8 @@ func buildWorld(o *options) (*guardian.World, localAddresser, *transport.Wrapper
 	default:
 		o.peers[transport.Addr(o.name)] = o.listen
 		udp, err := transport.NewUDP(transport.UDPConfig{
-			Peers:       o.peers,
-			MTU:         o.mtu,
-			PaceMinGap:  o.pace,
-			RecvWorkers: o.recv,
+			Peers: o.peers,
+			MTU:   o.mtu,
 		})
 		if err != nil {
 			return nil, nil, nil, nil, err
@@ -463,13 +448,11 @@ func buildWorld(o *options) (*guardian.World, localAddresser, *transport.Wrapper
 	}
 	var tr transport.Transport = base
 	var wrap *transport.Wrapper
-	if o.loss > 0 || o.dup > 0 || o.delay > 0 || o.jitter > 0 || o.reset > 0 || o.stall > 0 {
+	if o.loss > 0 || o.dup > 0 || o.reset > 0 || o.stall > 0 {
 		wrap = transport.Wrap(base, transport.WrapperConfig{
 			Seed:      o.seed,
 			LossRate:  o.loss,
 			DupRate:   o.dup,
-			Delay:     o.delay,
-			Jitter:    o.jitter,
 			ResetRate: o.reset,
 			StallRate: o.stall,
 			StallFor:  o.stalltime,

@@ -106,6 +106,14 @@ func (f *fixture) caller(t *testing.T, opts amo.CallerOptions) *amo.Caller {
 	return c
 }
 
+// backoffTotal sums the backoff a failed call slept between its attempts.
+func backoffTotal(ce *amo.CallError) (d time.Duration) {
+	for _, a := range ce.Attempts {
+		d += a.Backoff
+	}
+	return d
+}
+
 func TestCallRoundTrip(t *testing.T) {
 	f := deploy(t, netsim.Config{}, false)
 	c := f.caller(t, amo.CallerOptions{Timeout: time.Second})
@@ -225,15 +233,15 @@ func TestBackoffSpacesRetries(t *testing.T) {
 	if !errors.As(err, &ce) {
 		t.Fatalf("err %T is not *CallError", err)
 	}
-	if ce.Attempts != 3 {
-		t.Fatalf("attempts = %d, want 3", ce.Attempts)
+	if len(ce.Attempts) != 3 {
+		t.Fatalf("attempts = %d, want 3", len(ce.Attempts))
 	}
 	// 3 × 10ms waits + 20ms + 40ms backoffs ⇒ ≥ 90ms.
 	if want := 85 * time.Millisecond; elapsed < want {
 		t.Fatalf("elapsed %v, want ≥ %v", elapsed, want)
 	}
-	if ce.Backoff != 60*time.Millisecond {
-		t.Fatalf("backoff total = %v, want 60ms", ce.Backoff)
+	if got := backoffTotal(ce); got != 60*time.Millisecond {
+		t.Fatalf("backoff total = %v, want 60ms", got)
 	}
 	if n := f.met.RetryBackoffTotal.Load(); n != int64(60*time.Millisecond) {
 		t.Fatalf("RetryBackoffTotal = %d", n)
@@ -256,8 +264,8 @@ func TestBackoffJitterStaysInBounds(t *testing.T) {
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v", err)
 	}
-	if ce.Backoff < 30*time.Millisecond || ce.Backoff > 60*time.Millisecond {
-		t.Fatalf("jittered backoff total %v outside [30ms, 60ms]", ce.Backoff)
+	if got := backoffTotal(ce); got < 30*time.Millisecond || got > 60*time.Millisecond {
+		t.Fatalf("jittered backoff total %v outside [30ms, 60ms]", got)
 	}
 }
 
@@ -461,7 +469,59 @@ func TestMovedRedirectExhaustion(t *testing.T) {
 	}
 }
 
-// TestCallErrorWaitedIsElapsedPerAttempt: Waited reports how long each
+// TestRedirectIsNotARetry: Retries counts re-sends that spent the retry
+// budget, Redirects the followed amo_moved replies; a redirect's re-send is
+// progress and must not show up as a retry. The server drops request 1,
+// redirects request 2 to itself and answers request 3.
+func TestRedirectIsNotARetry(t *testing.T) {
+	w := guardian.NewWorld(guardian.Config{})
+	defer func() { _ = w.Close() }()
+	w.MustRegister(&guardian.GuardianDef{
+		TypeName: "dropmoveok",
+		Provides: []*guardian.PortType{amo.ReqType},
+		Init: func(ctx *guardian.Ctx) {
+			self := ctx.Ports[0].Name()
+			for n := 0; ; {
+				m, st := ctx.Proc.Receive(time.Second, ctx.Ports[0])
+				if st == guardian.RecvKilled {
+					return
+				}
+				if st != guardian.RecvOK || m.IsFailure() {
+					continue
+				}
+				switch n++; n {
+				case 1: // dropped
+				case 2:
+					amo.SendMoved(ctx.Proc, m, self, 1)
+				default:
+					amo.SendReply(ctx.Proc, m, "ok", nil)
+				}
+			}
+		},
+	})
+	created, err := w.MustAddNode("srv").Bootstrap("dropmoveok")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, proc, err := w.MustAddNode("cli").NewDriver("op")
+	if err != nil {
+		t.Fatal(err)
+	}
+	met := &amo.Metrics{}
+	c, err := amo.NewCaller(proc, amo.CallerOptions{Timeout: 50 * time.Millisecond, Retries: 2, Metrics: met})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if rep, err := c.Call(created.Ports[0], "add", int64(1)); err != nil || rep.Command != "ok" {
+		t.Fatalf("call: %v %v", rep, err)
+	}
+	if r, d := met.Retries.Load(), met.Redirects.Load(); r != 1 || d != 1 {
+		t.Fatalf("Retries = %d, Redirects = %d; want 1 and 1 (one timeout, one followed redirect)", r, d)
+	}
+}
+
+// TestCallErrorWaitedIsElapsedPerAttempt: each attempt's Wait reports how long each
 // failed attempt actually waited on the clock, not the configured timeout.
 // The first attempt reaches a node that answers at once with a failure
 // (no such guardian) and ends after one round trip; the re-resolved second
@@ -504,7 +564,7 @@ func TestCallErrorWaitedIsElapsedPerAttempt(t *testing.T) {
 	if !errors.As(callErr, &ce) {
 		t.Fatalf("err = %v, want a *CallError", callErr)
 	}
-	if len(ce.Waited) != 2 || ce.Waited[0] != 2*latency || ce.Waited[1] != timeout {
-		t.Fatalf("Waited = %v, want [%v %v]: one round trip to the failure reply, then a full timeout", ce.Waited, 2*latency, timeout)
+	if len(ce.Attempts) != 2 || ce.Attempts[0].Wait != 2*latency || ce.Attempts[1].Wait != timeout {
+		t.Fatalf("Attempts = %+v, want waits [%v %v]: one round trip to the failure reply, then a full timeout", ce.Attempts, 2*latency, timeout)
 	}
 }

@@ -1,63 +1,35 @@
 package amo
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/guardian"
+	"repro/internal/sendprim"
 	"repro/internal/xrep"
 )
 
-// BackoffPolicy shapes the delay between retry attempts: capped
-// exponential growth with equal jitter, the standard antidote to retry
-// storms — synchronized clients hammering a node that is slow precisely
-// because it is overloaded.
+// BackoffPolicy shapes the delay between retry attempts: the core's capped
+// exponential growth with equal jitter on top, the
+// standard antidote to retry storms — synchronized clients hammering a
+// node that is slow precisely because it is overloaded.
 type BackoffPolicy struct {
 	// Base is the nominal delay before the first re-send. Zero disables
 	// backoff (immediate re-send, the bare §3.5 behavior).
 	Base time.Duration
-	// Cap bounds the grown delay. Zero means 32×Base.
-	Cap time.Duration
 	// Jitter is the fraction of each delay drawn uniformly at random
 	// (equal jitter: delay = d·(1-Jitter) + rand(d·Jitter)). Zero means
 	// no jitter; 0.5 is the usual choice.
 	Jitter float64
 }
 
-// delay returns the (possibly jittered) backoff after failed attempt
-// number attempt (0-based).
-func (b BackoffPolicy) delay(attempt int, rng *rand.Rand) time.Duration {
-	if b.Base <= 0 {
-		return 0
-	}
-	cap := b.Cap
-	if cap <= 0 {
-		cap = 32 * b.Base
-	}
-	d := float64(b.Base)
-	for i := 0; i < attempt && d < float64(cap); i++ {
-		d *= 2
-	}
-	if d > float64(cap) {
-		d = float64(cap)
-	}
-	if b.Jitter > 0 {
-		j := b.Jitter
-		if j > 1 {
-			j = 1
-		}
-		d = d*(1-j) + rng.Float64()*d*j
-	}
-	return time.Duration(d)
-}
-
 // CallerOptions tunes a Caller.
 type CallerOptions struct {
-	// Timeout bounds each attempt. Zero means 100ms.
+	// Timeout bounds each attempt. Zero means sendprim.DefaultTimeout.
 	Timeout time.Duration
 	// Retries is the number of re-sends after the first attempt.
 	Retries int
@@ -100,7 +72,7 @@ type Caller struct {
 	inCall bool
 	seq    int64
 	acked  int64
-	rng    *rand.Rand
+	rng    *rand.Rand // drawn only by the in-flight call, which inCall makes unique
 }
 
 // replyCapacity sizes a Caller's reply port.
@@ -110,13 +82,6 @@ const replyCapacity = 16
 // client id is derived from the process's guardian and a fresh reply port,
 // so every Caller is a distinct dedup session even on a shared guardian.
 func NewCaller(pr *guardian.Process, opts CallerOptions) (*Caller, error) {
-	if opts.Timeout <= 0 {
-		opts.Timeout = 100 * time.Millisecond
-	}
-	if opts.Backoff.Cap <= 0 {
-		// World-wide tuning, not a package constant: DST shrinks it.
-		opts.Backoff.Cap = pr.Guardian().Node().World().Tuning().BackoffCap
-	}
 	reply, err := pr.Guardian().NewPort(ReplyType, replyCapacity)
 	if err != nil {
 		return nil, err
@@ -129,6 +94,7 @@ func NewCaller(pr *guardian.Process, opts CallerOptions) (*Caller, error) {
 		_, _ = h.Write([]byte(client))
 		seed = int64(h.Sum64())
 	}
+	opts.Metrics = orDefault(opts.Metrics)
 	return &Caller{
 		pr:        pr,
 		reply:     reply,
@@ -171,39 +137,36 @@ func (r *Reply) Int(i int) int64 {
 	return int64(n)
 }
 
-// CallError reports an exhausted at-most-once call with per-attempt
-// timing. It unwraps to ErrTimeout.
+// CallError reports an at-most-once call that got no reply: the request id
+// and the core's account of it (per-attempt timing and, when a system
+// failure message ended the call, its text). It unwraps to ErrFailed or
+// ErrTimeout accordingly.
 type CallError struct {
-	Client   string
-	Seq      int64
-	Attempts int
-	// Waited is, for each attempt, the clock time from its send to the
-	// moment it was given up: the timeout, or less when a failure message
-	// ended it early.
-	Waited  []time.Duration
-	Backoff time.Duration // total backoff slept
+	Client string
+	Seq    int64
+	*sendprim.CallError
 }
 
 // Error implements error.
 func (e *CallError) Error() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%v: request %s#%d, %d attempts, backoff %v (waited",
-		ErrTimeout, e.Client, e.Seq, e.Attempts, e.Backoff.Round(time.Millisecond))
-	for _, w := range e.Waited {
-		fmt.Fprintf(&b, " %v", w.Round(time.Millisecond))
-	}
-	b.WriteString(")")
-	return b.String()
+	return fmt.Sprintf("%v: request %s#%d: %v", e.Unwrap(), e.Client, e.Seq, e.CallError)
 }
 
-// Unwrap lets errors.Is(err, ErrTimeout) succeed.
-func (e *CallError) Unwrap() error { return ErrTimeout }
+// Unwrap lets errors.Is match ErrFailed or ErrTimeout.
+func (e *CallError) Unwrap() error {
+	if e.Failure != "" {
+		return ErrFailed
+	}
+	return ErrTimeout
+}
 
 // Call performs one at-most-once request: the application command and
 // arguments are wrapped in an envelope stamped with the session's next
-// request id and re-sent — with backoff — until a reply echoing that id
-// arrives or the retry budget is exhausted. Duplicated and stale replies
-// are discarded by the seq echo.
+// request id and handed to the retrying core (sendprim.Exchange), which
+// re-sends it — with backoff — until a reply echoing that id arrives or the
+// retry budget is exhausted. What this layer adds to the core is the
+// envelope, the seq-echo filter that discards duplicated and stale replies,
+// the moved redirect, the circuit breaker and the jitter.
 //
 // Call is strictly sequential per Caller; a concurrent second call
 // returns ErrBusy rather than silently corrupting the session.
@@ -228,128 +191,96 @@ func (c *Caller) Call(to xrep.PortName, command string, args ...any) (*Reply, er
 		c.mu.Unlock()
 	}()
 
-	m := orDefault(c.opts.Metrics)
-	m.Calls.Inc()
+	met := c.opts.Metrics
+	met.Calls.Inc()
 	c.drainStale()
 
-	clock := c.pr.Guardian().Node().World().Clock()
-	attempts := c.opts.Retries + 1
+	redirects := 0
+	x := sendprim.Exchange{
+		CallOptions: sendprim.CallOptions{
+			Timeout: c.opts.Timeout, Retries: c.opts.Retries,
+			Backoff: c.opts.Backoff.Base, Resolve: c.opts.Resolve,
+		},
+		Before: c.beforeSend,
+		Jitter: c.jitter,
+		// This layer's rulings: the seq-echo filter and the moved redirect.
+		Judge: func(rm *guardian.Message) (sendprim.Verdict, xrep.PortName) {
+			if rm.Command != ReplyCommand || rm.Int(0) != seq {
+				return sendprim.Ignore, xrep.PortName{} // stale or duplicated reply
+			}
+			if rm.Str(1) != OutcomeMoved {
+				return sendprim.Accept, xrep.PortName{}
+			}
+			// The key's range migrated: the reply names the new owner.
+			// Re-send the SAME request id there — never a fresh one, or an op
+			// the old owner executed before the flip (its dedup entry
+			// travelled with the range) would apply twice. A redirect is
+			// progress, not a failure: it spends no retry, and the port it
+			// names — fresher than anything the resolver can know — wins for
+			// exactly one send.
+			if fresh, ok := movedTarget(rm.Args[2]); ok && redirects < MaxRedirects {
+				redirects++
+				met.Redirects.Inc()
+				return sendprim.Redirect, fresh
+			}
+			// Redirect budget exhausted (or a malformed target): a moved
+			// reply is routing state, never an answer — fall into the normal
+			// retry with backoff, which re-resolves against the (by then
+			// settled) ring instead of leaking an amo_* routing outcome to
+			// the application.
+			return sendprim.Abandon, xrep.PortName{}
+		},
+	}
 	// The envelope is built once, already in external-rep form, and every
 	// attempt and redirect re-sends it.
-	envelope := xrep.Seq{c.clientArg, xrep.Int(seq), xrep.Int(ack), xrep.Str(command), encoded}
-	var waited []time.Duration // one entry per failed attempt
-	var backoffTotal time.Duration
-	redirects := 0
-	followingMove := false
-attempt:
-	for i := 0; i < attempts; i++ {
-		if i > 0 && c.opts.Resolve != nil && !followingMove {
-			// A retry means the cached address did not answer; ask for a
-			// fresh binding before burning another attempt on it.
-			if fresh, ok := c.opts.Resolve(); ok {
-				to = fresh
-			}
+	rm, err := x.Run(c.pr, c.reply, to, ReqCommand,
+		xrep.Seq{c.clientArg, xrep.Int(seq), xrep.Int(ack), xrep.Str(command), encoded})
+	if err != nil {
+		var ce *sendprim.CallError
+		if errors.As(err, &ce) {
+			err = &CallError{Client: c.client, Seq: seq, CallError: ce}
 		}
-		// A moved redirect names a port fresher than anything the resolver
-		// can know (the old owner told us mid-flip); it wins for exactly
-		// one send, then normal re-resolution resumes.
-		followingMove = false
-		if c.opts.Health != nil && c.opts.Health.Down(to.Node) {
-			// Circuit open for the cached address: re-resolve once — the
-			// binding may have moved to a live node — and only fail fast
-			// if it still points into the open circuit.
-			moved := false
-			if c.opts.Resolve != nil {
-				if fresh, ok := c.opts.Resolve(); ok && fresh.Node != to.Node {
-					to, moved = fresh, true
-				}
-			}
-			if !moved {
-				m.CircuitOpen.Inc()
-				return nil, fmt.Errorf("%w: %s", ErrCircuitOpen, to.Node)
-			}
-		}
-		if i > 0 {
-			m.Retries.Inc()
-		}
-		if err := c.pr.SendSeq(to, c.reply.Name(), ReqCommand, envelope); err != nil {
-			return nil, err
-		}
-		sent := clock.Now()
-		deadline := sent.Add(c.opts.Timeout)
-		for {
-			remain := deadline.Sub(clock.Now())
-			if remain <= 0 {
-				break
-			}
-			rm, st := c.pr.Receive(remain, c.reply)
-			switch st {
-			case guardian.RecvOK:
-				if rm.IsFailure() {
-					if c.opts.Resolve != nil && i < attempts-1 {
-						// The cached address reported a dead guardian or
-						// port; treat it like a timeout so the next
-						// attempt re-resolves the moved binding.
-						break
-					}
-					return nil, fmt.Errorf("%w: %s", ErrFailed, rm.FailureText())
-				}
-				if rm.Command != ReplyCommand || rm.Int(0) != seq {
-					continue // stale or duplicated reply: discard, keep waiting
-				}
-				if rm.Str(1) == OutcomeMoved {
-					if redirects < MaxRedirects {
-						// The key's range migrated: the reply names the new
-						// owner. Re-send the SAME request id there — never a
-						// fresh one, or an op the old owner executed before
-						// the flip (its dedup entry travelled with the range)
-						// would apply twice. The resend does not consume a
-						// retry: a redirect is progress, not a failure.
-						if fresh, ok := movedTarget(rm.Args[2]); ok {
-							redirects++
-							m.Redirects.Inc()
-							to = fresh
-							followingMove = true
-							i--
-							continue attempt
-						}
-					}
-					// Redirect budget exhausted (or a malformed target): a
-					// moved reply is routing state, never an answer — discard
-					// it and fall into the normal retry with backoff, which
-					// re-resolves against the (by then settled) ring instead
-					// of leaking an amo_* routing outcome to the application.
-					break
-				}
-				c.mu.Lock()
-				if seq > c.acked {
-					c.acked = seq
-				}
-				c.mu.Unlock()
-				return &Reply{Command: rm.Str(1), Args: rm.Args[2].(xrep.Seq)}, nil
-			case guardian.RecvKilled:
-				return nil, guardian.ErrKilled
-			case guardian.RecvTimeout:
-				// deadline passed; fall out to retry
-			}
-			break
-		}
-		waited = append(waited, clock.Now().Sub(sent))
-		if i < attempts-1 {
-			c.mu.Lock()
-			d := c.opts.Backoff.delay(i, c.rng)
-			c.mu.Unlock()
-			if d > 0 {
-				m.RetryBackoffTotal.Add(int64(d))
-				backoffTotal += d
-				if !c.pr.Pause(d) {
-					return nil, guardian.ErrKilled
-				}
-			}
-		}
+		return nil, err
 	}
-	return nil, &CallError{Client: c.client, Seq: seq, Attempts: attempts,
-		Waited: waited, Backoff: backoffTotal}
+	c.mu.Lock()
+	if seq > c.acked {
+		c.acked = seq
+	}
+	c.mu.Unlock()
+	return &Reply{Command: rm.Str(1), Args: rm.Args[2].(xrep.Seq)}, nil
+}
+
+// beforeSend is the core's pre-send hook: the circuit breaker, and the
+// retry counter for sends that spend one.
+func (c *Caller) beforeSend(to xrep.PortName, retry bool) (xrep.PortName, error) {
+	if c.opts.Health != nil && c.opts.Health.Down(to.Node) {
+		// Circuit open for the cached address: re-resolve once — the
+		// binding may have moved to a live node — and only fail fast if it
+		// still points into the open circuit.
+		fresh, ok := to, false
+		if c.opts.Resolve != nil {
+			fresh, ok = c.opts.Resolve()
+		}
+		if !ok || fresh.Node == to.Node {
+			c.opts.Metrics.CircuitOpen.Inc()
+			return to, fmt.Errorf("%w: %s", ErrCircuitOpen, to.Node)
+		}
+		to = fresh
+	}
+	if retry {
+		c.opts.Metrics.Retries.Inc()
+	}
+	return to, nil
+}
+
+// jitter applies equal jitter on top of the core's backoff — one draw per
+// slept backoff, none when Jitter is zero — and counts what is slept.
+func (c *Caller) jitter(d time.Duration) time.Duration {
+	if j := min(c.opts.Backoff.Jitter, 1); j > 0 {
+		d = time.Duration(float64(d)*(1-j) + c.rng.Float64()*float64(d)*j)
+	}
+	c.opts.Metrics.RetryBackoffTotal.Add(int64(d))
+	return d
 }
 
 // movedTarget extracts the new owner's port from an OutcomeMoved reply's

@@ -405,6 +405,9 @@ func (ex *extractor) call(call *ast.CallExpr) {
 		case pkgPath == "repro/internal/amo" && recvName == "Caller" && fn.Name() == "Call":
 			ex.emit(Event{Kind: KBlock, Pos: call.Pos(), Class: "amocall", Detail: "amo Caller.Call"})
 			return
+		case pkgPath == "repro/internal/sendprim" && recvName == "Exchange" && fn.Name() == "Run":
+			ex.emit(Event{Kind: KBlock, Pos: call.Pos(), Class: "syncsend", Detail: "sendprim Exchange.Run"})
+			return
 		case pkgPath == "sync" && fn.Name() == "Wait" && recvName == "WaitGroup":
 			ex.emit(Event{Kind: KBlock, Pos: call.Pos(), Class: "wgwait", Detail: "sync.WaitGroup.Wait"})
 			return

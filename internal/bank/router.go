@@ -64,6 +64,10 @@ func NewRouter(pr *guardian.Process, opts RouterOptions) (*Router, error) {
 	if opts.Timeout <= 0 {
 		opts.Timeout = 500 * time.Millisecond
 	}
+	if opts.Call.Timeout <= 0 {
+		// The split pause and the 2PC window below scale off it.
+		opts.Call.Timeout = sendprim.DefaultTimeout
+	}
 	r := &Router{pr: pr, opts: opts}
 	callOpts := opts.Call
 	callOpts.Resolve = func() (xrep.PortName, bool) {
@@ -172,12 +176,13 @@ func (r *Router) Transfer(from, to string, amount int64) (string, error) {
 				return rep.Command, nil
 			}
 			// The shard's ring is ahead of ours (a range was cut but the
-			// epoch is not committed yet): wait a beat for the flip, then
-			// refresh and re-plan. The raw split constant is routing
+			// epoch is not committed yet): wait a beat for the flip — two
+			// call timeouts, long enough for a typical one — then refresh
+			// and re-plan. The raw split constant is routing
 			// vocabulary, never a Transfer outcome — if every attempt lands
 			// in the window, report the abort callers know how to retry.
 			lastOutcome = tpc.OutcomeAborted
-			if !r.pr.Pause(r.splitWait()) {
+			if !r.pr.Pause(2 * r.opts.Call.Timeout) {
 				return "", guardian.ErrKilled
 			}
 			r.refresh()
@@ -198,17 +203,6 @@ func (r *Router) Transfer(from, to string, amount int64) (string, error) {
 	return lastOutcome, nil
 }
 
-// splitWait is the pause before re-planning a transfer that hit the
-// cut→commit window: long enough for a typical epoch flip to finish,
-// scaled off the per-call timeout like everything else client-side.
-func (r *Router) splitWait() time.Duration {
-	timeout := r.opts.Call.Timeout
-	if timeout <= 0 {
-		timeout = 100 * time.Millisecond
-	}
-	return 2 * timeout
-}
-
 // transferTPC runs the cross-shard leg pair through the coordinator.
 func (r *Router) transferTPC(mf, mt ring.Member, from, to string, amount int64) (string, error) {
 	if r.opts.Coordinator.IsZero() {
@@ -223,9 +217,6 @@ func (r *Router) transferTPC(mf, mt ring.Member, from, to string, amount int64) 
 		xrep.Seq{mt.Native, EscrowOp("credit", to, amount)},
 	}
 	timeout := r.opts.Call.Timeout
-	if timeout <= 0 {
-		timeout = 100 * time.Millisecond
-	}
 	m, err := sendprim.Call(r.pr, r.opts.Coordinator, tpc.ClientReplyType, sendprim.CallOptions{
 		// The coordinator dedups begin by txid, so retrying is safe; its
 		// vote phase can take several timeouts, hence the wide window.

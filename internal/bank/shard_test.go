@@ -45,7 +45,7 @@ type shardCluster struct {
 
 func deployShardCluster(t *testing.T, net netsim.Config, shards ...string) *shardCluster {
 	t.Helper()
-	w := guardian.NewWorld(guardian.Config{Net: net})
+	w := guardian.NewWorld(guardian.Config{Net: net, Tuning: guardian.Tuning{BackoffCap: 30 * time.Millisecond}})
 	t.Cleanup(func() { _ = w.Close() })
 	w.MustRegister(bank.BranchDef())
 	w.MustRegister(nameserv.Def())
@@ -133,7 +133,7 @@ func (c *shardCluster) router() *bank.Router {
 		Call: amo.CallerOptions{
 			Timeout: 50 * time.Millisecond,
 			Retries: 40,
-			Backoff: amo.BackoffPolicy{Base: 2 * time.Millisecond, Cap: 30 * time.Millisecond, Jitter: 0.5},
+			Backoff: amo.BackoffPolicy{Base: 2 * time.Millisecond, Jitter: 0.5},
 		},
 	})
 	if err != nil {

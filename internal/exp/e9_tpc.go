@@ -1,12 +1,14 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/guardian"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
+	"repro/internal/sendprim"
 	"repro/internal/tpc"
 	"repro/internal/xrep"
 )
@@ -107,11 +109,10 @@ func runE9Cell(transactions, nParts int, loss float64, crash bool) (e9Row, error
 		partIDs[i] = pc.GuardianID
 	}
 	clientNode := w.MustAddNode("client")
-	g, client, err := clientNode.NewDriver("c")
+	_, client, err := clientNode.NewDriver("c")
 	if err != nil {
 		return row, err
 	}
-	reply := g.MustNewPort(tpc.ClientReplyType, 32)
 
 	clock := w.Clock()
 	stats := w.Stats()
@@ -131,23 +132,15 @@ func runE9Cell(transactions, nParts int, loss float64, crash bool) (e9Row, error
 		for j, pp := range parts {
 			ops[j] = xrep.Seq{pp, tpc.SlotOp("unit", 1)}
 		}
-		for attempt := 0; attempt < 12; attempt++ {
-			if err := client.SendReplyTo(created.Ports[0], reply.Name(), "begin", txid, ops); err != nil {
-				return err
-			}
-			deadline := clock.Now().Add(2 * time.Second)
-			for clock.Now().Before(deadline) {
-				m, st := client.Receive(deadline.Sub(clock.Now()), reply)
-				if st != guardian.RecvOK {
-					break
-				}
-				if !m.IsFailure() && m.Str(0) == txid {
-					if m.Command == tpc.OutcomeCommitted {
-						row.committed++
-					}
-					return nil
-				}
-			}
+		m, err := sendprim.Call(client, created.Ports[0], tpc.ClientReplyType,
+			sendprim.CallOptions{Timeout: 2 * time.Second, Retries: 11}, "begin", txid, ops)
+		var undecided *sendprim.CallError
+		switch {
+		case errors.As(err, &undecided): // no reply in 12 attempts: an outcome
+		case err != nil:
+			return err
+		case m.Command == tpc.OutcomeCommitted:
+			row.committed++
 		}
 		return nil
 	})

@@ -13,6 +13,7 @@
 package nameserv
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -20,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/guardian"
+	"repro/internal/sendprim"
 	"repro/internal/wire"
 	"repro/internal/xrep"
 )
@@ -326,21 +328,19 @@ func Def() *guardian.GuardianDef {
 	}
 }
 
-// Client is a convenience wrapper for talking to a name service.
+// Client is a convenience wrapper for talking to a name service. Replies
+// carry no correlation id, so every call waits on a reply port of its own
+// (sendprim.Call's): a reply that outlives its call's timeout finds the port
+// gone and is discarded, instead of answering the next question asked.
 type Client struct {
-	proc  *guardian.Process
-	reply *guardian.Port
-	ns    xrep.PortName
+	proc *guardian.Process
+	ns   xrep.PortName
 }
 
 // NewClient builds a client for the name service at ns, using the given
 // process (any guardian's process will do).
 func NewClient(proc *guardian.Process, ns xrep.PortName) (*Client, error) {
-	reply, err := proc.Guardian().NewPort(ClientReplyType, 8)
-	if err != nil {
-		return nil, err
-	}
-	return &Client{proc: proc, reply: reply, ns: ns}, nil
+	return &Client{proc: proc, ns: ns}, nil
 }
 
 // Register binds name to port and returns the binding version.
@@ -416,22 +416,18 @@ func (c *Client) List(timeout time.Duration) (map[string]xrep.PortName, error) {
 	return out, nil
 }
 
+// call is one zero-retry remote transaction send, its outcome restated in
+// this package's vocabulary.
 func (c *Client) call(timeout time.Duration, cmd string, args ...any) (*guardian.Message, error) {
-	if err := c.proc.SendReplyTo(c.ns, c.reply.Name(), cmd, args...); err != nil {
-		return nil, err
+	m, err := sendprim.Call(c.proc, c.ns, ClientReplyType, sendprim.CallOptions{Timeout: timeout}, cmd, args...)
+	var ce *sendprim.CallError
+	switch {
+	case !errors.As(err, &ce):
+		return m, err
+	case ce.Failure != "":
+		return nil, &Error{Outcome: "failure: " + ce.Failure}
 	}
-	m, st := c.proc.Receive(timeout, c.reply)
-	switch st {
-	case guardian.RecvOK:
-		if m.IsFailure() {
-			return nil, &Error{Outcome: "failure: " + m.FailureText()}
-		}
-		return m, nil
-	case guardian.RecvTimeout:
-		return nil, &Error{Outcome: "timeout"}
-	default:
-		return nil, guardian.ErrKilled
-	}
+	return nil, &Error{Outcome: "timeout"}
 }
 
 // Error reports a non-success outcome from the service.

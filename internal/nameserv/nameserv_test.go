@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/guardian"
+	"repro/internal/netsim"
 	"repro/internal/xrep"
 )
 
@@ -56,6 +57,27 @@ func TestLookupUnbound(t *testing.T) {
 	}
 	if nserr, ok := err.(*Error); !ok || nserr.Outcome != OutcomeNotBound {
 		t.Fatalf("err = %v, want not_bound", err)
+	}
+}
+
+// TestLookupIgnoresLateReplyToEarlierCall: replies carry no correlation id,
+// so a reply that arrives after its call timed out must not answer the next
+// call. The registry's replies take 50ms; the first lookup gives up at 10ms.
+func TestLookupIgnoresLateReplyToEarlierCall(t *testing.T) {
+	w, _, c, _ := deploy(t)
+	a, b := somePort("app", 7, 1), somePort("app", 8, 1)
+	for name, p := range map[string]xrep.PortName{"a": a, "b": b} {
+		if _, err := c.Register(name, p, testTimeout); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Net().SetLink("registry", "app", &netsim.Config{BaseLatency: 50 * time.Millisecond})
+	if _, _, err := c.Lookup("a", 10*time.Millisecond); err == nil || err.(*Error).Outcome != "timeout" {
+		t.Fatalf("lookup a over a 50ms link with a 10ms timeout: err = %v, want timeout", err)
+	}
+	got, _, err := c.Lookup("b", testTimeout)
+	if err != nil || got != b {
+		t.Fatalf("lookup b -> %v (err %v), want %v: a's late reply answered b's question", got, err, b)
 	}
 }
 

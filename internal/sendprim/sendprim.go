@@ -12,7 +12,6 @@ package sendprim
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/guardian"
@@ -121,7 +120,7 @@ func StripAck(m *guardian.Message) xrep.Seq {
 
 // CallOptions tunes a remote transaction send.
 type CallOptions struct {
-	// Timeout bounds each attempt.
+	// Timeout bounds each attempt. Zero means DefaultTimeout.
 	Timeout time.Duration
 	// Retries is the number of re-sends after the first attempt. Retrying
 	// is only safe when the request is idempotent — the paper's reserve
@@ -129,12 +128,9 @@ type CallOptions struct {
 	// receiver runs an at-most-once filter (package amo).
 	Retries int
 	// Backoff is the delay inserted before the first re-send; each further
-	// re-send doubles it, capped at BackoffCap. Zero keeps the historical
-	// behavior: immediate blind re-send.
+	// re-send doubles it, capped at the world Tuning's BackoffCap, or
+	// 32×Backoff when that is zero. Zero means immediate blind re-send.
 	Backoff time.Duration
-	// BackoffCap bounds the grown backoff. Zero means the world Tuning's
-	// BackoffCap, or 32×Backoff when that too is zero.
-	BackoffCap time.Duration
 	// Resolve, when non-nil, is consulted before every retry (not the
 	// first attempt): it re-resolves the destination so a call that is
 	// retrying against a dead primary picks up a re-bound nameserver
@@ -143,134 +139,195 @@ type CallOptions struct {
 	Resolve func() (to xrep.PortName, ok bool)
 }
 
-// backoffFor returns the delay to insert after failed attempt number
-// attempt (0-based).
-func (o CallOptions) backoffFor(attempt int) time.Duration {
-	if o.Backoff <= 0 {
-		return 0
-	}
-	cap := o.BackoffCap
+// DefaultTimeout bounds an attempt whose CallOptions leave Timeout zero.
+const DefaultTimeout = 100 * time.Millisecond
+
+// backoff returns the delay after failed attempt number attempt (0-based):
+// base doubled per attempt and capped at cap, or 32×base when cap is zero.
+func backoff(base, cap time.Duration, attempt int) time.Duration {
 	if cap <= 0 {
-		cap = 32 * o.Backoff
+		cap = 32 * base
 	}
-	d := o.Backoff
+	d := base
 	for i := 0; i < attempt && d < cap; i++ {
 		d *= 2
 	}
-	if d > cap {
-		d = cap
-	}
-	return d
+	return min(d, cap)
 }
 
-// CallTiming records one attempt of a remote transaction send.
+// CallTiming records one failed attempt of a remote transaction send.
 type CallTiming struct {
-	// Start is the attempt's offset from the call's beginning.
+	// Start is the offset of the attempt's last send (a followed redirect
+	// restarts its clock) from the call's beginning.
 	Start time.Duration
-	// Wait is how long the attempt waited for a reply.
+	// Wait is the clock time from that send to the moment the attempt was
+	// given up: the timeout, or less when a message ended it early.
 	Wait time.Duration
 	// Backoff is the delay slept after the attempt failed.
 	Backoff time.Duration
 }
 
-// CallError reports an exhausted remote transaction send with per-attempt
-// timing. It unwraps to ErrCallTimeout, so errors.Is keeps working.
+// CallError reports a remote transaction send that got no reply, with the
+// per-attempt timing so the caller can see how the budget was spent. It
+// unwraps to ErrCallFailed when a system failure message ended the call
+// (Failure is its text) and to ErrCallTimeout when every attempt ran out.
 type CallError struct {
+	Failure  string
 	Attempts []CallTiming
 }
 
 // Error implements error.
 func (e *CallError) Error() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%v after %d attempts (", ErrCallTimeout, len(e.Attempts))
-	for i, a := range e.Attempts {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "@%v waited %v", a.Start.Round(time.Millisecond), a.Wait.Round(time.Millisecond))
-		if a.Backoff > 0 {
-			fmt.Fprintf(&b, " backoff %v", a.Backoff.Round(time.Millisecond))
-		}
+	if e.Failure != "" {
+		return fmt.Sprintf("%v: %s", ErrCallFailed, e.Failure)
 	}
-	b.WriteString(")")
-	return b.String()
+	return fmt.Sprintf("%v after %d attempts %+v", ErrCallTimeout, len(e.Attempts), e.Attempts)
 }
 
-// Unwrap lets errors.Is(err, ErrCallTimeout) succeed.
-func (e *CallError) Unwrap() error { return ErrCallTimeout }
+// Unwrap lets errors.Is match ErrCallFailed or ErrCallTimeout.
+func (e *CallError) Unwrap() error {
+	if e.Failure != "" {
+		return ErrCallFailed
+	}
+	return ErrCallTimeout
+}
+
+// Verdict is a front end's ruling on one message that arrived at the reply
+// port while an attempt waits.
+type Verdict int
+
+const (
+	// Ignore: not for this call (stale, duplicated, another request's);
+	// keep waiting against the same deadline.
+	Ignore Verdict = iota
+	// Accept: the message is the reply; the call returns it.
+	Accept
+	// Abandon: give this attempt up as if it had timed out.
+	Abandon
+	// Redirect: re-send the same request to the port returned with the
+	// verdict, with a fresh deadline and without spending a retry.
+	Redirect
+)
+
+// Exchange is the remote transaction send, written once: the attempt loop,
+// the deadline-bounded wait, the backoff and the re-resolution rule every
+// front end shares. A front end supplies the reply port, the encoded
+// request and — where it has any — its own rulings on what arrives.
+type Exchange struct {
+	CallOptions
+	// Judge rules on each message except system failure messages, which are
+	// the core's: with a resolver and a retry left one abandons the attempt,
+	// so the next re-resolves the moved binding; otherwise it fails the call.
+	// Nil accepts everything.
+	Judge func(m *guardian.Message) (Verdict, xrep.PortName)
+	// Before, when non-nil, runs before every send and may substitute the
+	// destination or refuse the send. retry reports that the send spends a
+	// retry: it is neither the first nor a followed Redirect.
+	Before func(to xrep.PortName, retry bool) (xrep.PortName, error)
+	// Jitter, when non-nil, reshapes each non-zero backoff before it is
+	// recorded and slept.
+	Jitter func(d time.Duration) time.Duration
+}
+
+// Run sends the request — args already in external-rep form, so every
+// attempt re-sends the same encoding — and waits for its reply. Each pass
+// of the loop is one send: attempt i's first, or a followed Redirect's.
+func (x *Exchange) Run(pr *guardian.Process, reply *guardian.Port, to xrep.PortName, command string, args xrep.Seq) (*guardian.Message, error) {
+	world := pr.Guardian().Node().World()
+	clock := world.Clock()
+	timeout := x.Timeout
+	if timeout <= 0 {
+		timeout = DefaultTimeout
+	}
+	begin := clock.Now()
+	var failed []CallTiming // allocated by the first attempt that fails
+	for i, retry := 0, false; ; {
+		last := i >= x.Retries
+		if x.Before != nil {
+			var err error
+			if to, err = x.Before(to, retry); err != nil {
+				return nil, err
+			}
+		}
+		if err := pr.SendSeq(to, reply.Name(), command, args); err != nil {
+			return nil, err
+		}
+		sent := clock.Now()
+		var m *guardian.Message
+		verdict, next := Ignore, xrep.PortName{}
+		// The wait is bounded by the deadline, not per receive, so an
+		// ignored message never extends the attempt.
+		for deadline := sent.Add(timeout); verdict == Ignore; {
+			remain := deadline.Sub(clock.Now())
+			if remain <= 0 {
+				break
+			}
+			var st guardian.RecvStatus
+			m, st = pr.Receive(remain, reply)
+			switch {
+			case st == guardian.RecvKilled:
+				return nil, guardian.ErrKilled
+			case st == guardian.RecvTimeout:
+				verdict = Abandon
+			case m.IsFailure() && (x.Resolve == nil || last):
+				return nil, &CallError{Failure: m.FailureText(), Attempts: failed}
+			case m.IsFailure():
+				verdict = Abandon
+			case x.Judge == nil:
+				verdict = Accept
+			default:
+				verdict, next = x.Judge(m)
+			}
+		}
+		switch verdict {
+		case Accept:
+			return m, nil
+		case Redirect:
+			to, retry = next, false
+			continue
+		}
+		t := CallTiming{Start: sent.Sub(begin), Wait: clock.Now().Sub(sent)}
+		if !last {
+			t.Backoff = backoff(x.Backoff, world.Tuning().BackoffCap, i)
+			if t.Backoff > 0 && x.Jitter != nil {
+				t.Backoff = x.Jitter(t.Backoff)
+			}
+		}
+		failed = append(failed, t)
+		if last {
+			return nil, &CallError{Attempts: failed}
+		}
+		if t.Backoff > 0 && !pr.Pause(t.Backoff) {
+			return nil, guardian.ErrKilled
+		}
+		i, retry = i+1, true
+		if x.Resolve != nil {
+			if fresh, ok := x.Resolve(); ok {
+				to = fresh
+			}
+		}
+	}
+}
 
 // replyCapacity sizes the ephemeral reply port of one Call.
 const replyCapacity = 4
 
 // Call is the remote transaction send: "the sending process waits for a
 // response from the receiving process that the command has been carried
-// out." It sends the request with an ephemeral reply port, waits for the
-// response, and optionally retries on timeout — with exponential backoff
-// between attempts when Backoff is set — masking message loss (but not
-// node failure: on exhaustion the caller knows nothing, exactly the
-// uncertainty §3.5 describes, and the returned CallError carries the
-// per-attempt timing so the caller can see how the budget was spent).
+// out." It is the core on an ephemeral reply port, accepting the first
+// message that is not a failure: retries mask message loss but not node
+// failure — on exhaustion the caller knows nothing, exactly the
+// uncertainty §3.5 describes.
 func Call(pr *guardian.Process, to xrep.PortName, replyType *guardian.PortType, opts CallOptions, command string, args ...any) (*guardian.Message, error) {
 	reply, err := pr.Guardian().NewPort(replyType, replyCapacity)
 	if err != nil {
 		return nil, err
 	}
 	defer pr.Guardian().RemovePort(reply)
-
-	clock := pr.Guardian().Node().World().Clock()
-	if opts.BackoffCap <= 0 {
-		opts.BackoffCap = pr.Guardian().Node().World().Tuning().BackoffCap
+	enc, err := xrep.EncodeAll(args...)
+	if err != nil {
+		return nil, err
 	}
-	begin := clock.Now()
-	attempts := opts.Retries + 1
-	timings := make([]CallTiming, 0, attempts)
-	for i := 0; i < attempts; i++ {
-		if i > 0 && opts.Resolve != nil {
-			if fresh, ok := opts.Resolve(); ok {
-				to = fresh
-			}
-		}
-		attemptStart := clock.Now()
-		if err := pr.SendReplyTo(to, reply.Name(), command, args...); err != nil {
-			return nil, err
-		}
-		m, st := pr.Receive(opts.Timeout, reply)
-		switch st {
-		case guardian.RecvOK:
-			if m.IsFailure() {
-				// With a resolver, a failure report (dead guardian or
-				// port at the cached address) is grounds to re-resolve
-				// and retry, not to give up: the binding may have moved.
-				if opts.Resolve != nil && i < attempts-1 {
-					t := CallTiming{
-						Start:   attemptStart.Sub(begin),
-						Wait:    clock.Now().Sub(attemptStart),
-						Backoff: opts.backoffFor(i),
-					}
-					if t.Backoff > 0 && !pr.Pause(t.Backoff) {
-						return nil, guardian.ErrKilled
-					}
-					timings = append(timings, t)
-					continue
-				}
-				return nil, fmt.Errorf("%w: %s", ErrCallFailed, m.FailureText())
-			}
-			return m, nil
-		case guardian.RecvKilled:
-			return nil, guardian.ErrKilled
-		case guardian.RecvTimeout:
-			t := CallTiming{
-				Start: attemptStart.Sub(begin),
-				Wait:  clock.Now().Sub(attemptStart),
-			}
-			if i < attempts-1 {
-				t.Backoff = opts.backoffFor(i)
-				if t.Backoff > 0 && !pr.Pause(t.Backoff) {
-					return nil, guardian.ErrKilled
-				}
-			}
-			timings = append(timings, t)
-		}
-	}
-	return nil, &CallError{Attempts: timings}
+	x := Exchange{CallOptions: opts}
+	return x.Run(pr, reply, to, command, enc)
 }

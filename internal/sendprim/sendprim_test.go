@@ -260,21 +260,18 @@ func TestCallBackoffSpacesAttempts(t *testing.T) {
 }
 
 func TestCallBackoffCap(t *testing.T) {
-	opts := CallOptions{Backoff: 10 * time.Millisecond, BackoffCap: 25 * time.Millisecond}
-	want := []time.Duration{10, 20, 25, 25}
-	for i, w := range want {
-		if got := opts.backoffFor(i); got != w*time.Millisecond {
-			t.Fatalf("backoffFor(%d) = %v, want %v", i, got, w*time.Millisecond)
+	const ms = time.Millisecond
+	for i, want := range []time.Duration{10 * ms, 20 * ms, 25 * ms, 25 * ms} {
+		if got := backoff(10*ms, 25*ms, i); got != want {
+			t.Fatalf("backoff(10ms, 25ms, %d) = %v, want %v", i, got, want)
 		}
 	}
-	// Default cap: 32×Backoff.
-	opts = CallOptions{Backoff: time.Millisecond}
-	if got := opts.backoffFor(10); got != 32*time.Millisecond {
+	// Default cap: 32×base.
+	if got := backoff(ms, 0, 10); got != 32*ms {
 		t.Fatalf("default cap gave %v, want 32ms", got)
 	}
-	// Zero backoff: old behavior, no delay at any attempt.
-	opts = CallOptions{}
-	if got := opts.backoffFor(5); got != 0 {
+	// Zero base: no delay at any attempt.
+	if got := backoff(0, 0, 5); got != 0 {
 		t.Fatalf("zero backoff slept %v", got)
 	}
 }
