@@ -3,6 +3,7 @@ package amo
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/durable"
@@ -181,7 +182,8 @@ func (d *Dedup) handle(pr *guardian.Process, m *guardian.Message, h Handler) {
 	s, ok := d.sessions[req.Client]
 	if !ok {
 		s = &session{replies: make(map[int64]cached), executing: make(map[int64]bool)}
-		d.sessions[req.Client] = s
+		// The id outlives the request it was first seen in.
+		d.sessions[strings.Clone(req.Client)] = s
 	}
 	switch {
 	case req.Seq <= s.pruned:

@@ -15,14 +15,13 @@ import (
 )
 
 // amoCallAllocCeiling is what one at-most-once deposit may allocate, end to
-// end on both nodes: the measured 44 plus one, because guardianbench's bound
-// on call_small allocs_per_op (45.0, +3 %) is 1.35 allocations.
-const amoCallAllocCeiling = 45
+// end on both nodes: the measured 37 plus one, because guardianbench's bound
+// on call_small allocs_per_op (+3 %) is about one allocation.
+const amoCallAllocCeiling = 38
 
 // sendprimCallAllocCeiling is what one sendprim.Call echo round trip may
-// allocate, end to end on both nodes: the 27.0 measured on the commit before
-// the shared core (its per-call timing slice is the one the core's 26.0 drops).
-const sendprimCallAllocCeiling = 27
+// allocate, end to end on both nodes: the measured 22 plus one.
+const sendprimCallAllocCeiling = 23
 
 // TestAmoCallAllocCeiling pins the whole call path's allocation count —
 // caller envelope, send, netsim transit, decode, dispatch, receive, dedup,

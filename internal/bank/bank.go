@@ -15,6 +15,7 @@ package bank
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/amo"
@@ -351,7 +352,9 @@ func (st *branchState) apply(kind, acct string, amount int64, opID string) strin
 			if _, dup := st.accounts[acct]; dup {
 				return OutcomeExists
 			}
-			st.accounts[acct] = 0
+			// The key lives as long as the branch; the message (or log
+			// record) it arrived in should not.
+			st.accounts[strings.Clone(acct)] = 0
 			return OutcomeOK
 		case "deposit", "transfer_in":
 			if _, ok := st.accounts[acct]; !ok {
@@ -376,7 +379,7 @@ func (st *branchState) apply(kind, acct string, amount int64, opID string) strin
 		}
 	}()
 	if opID != "" {
-		st.applied[opID] = outcome
+		st.applied[strings.Clone(opID)] = outcome
 	}
 	return outcome
 }

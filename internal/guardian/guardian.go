@@ -245,7 +245,7 @@ func (g *Guardian) Create(defName string, args ...any) (*Created, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := g.node.world.cfg.Limits.Validate(enc); err != nil {
+	if err := g.node.world.cfg.Limits.ValidateSeq(enc); err != nil {
 		return nil, err
 	}
 	ng, err := g.node.instantiate(def, enc, nil, false)

@@ -12,7 +12,12 @@ import (
 type Message struct {
 	// Command is the command identifier.
 	Command string
-	// Args are the argument values in order.
+	// Args are the argument values in order. They are the receiver's own
+	// copy and may be kept or changed freely, but a message's values are
+	// carved from one allocation of strings and one of sequence slots, so a
+	// string or sequence kept from a message keeps that whole message
+	// reachable. Keep most of a message, or strings.Clone the small piece
+	// that will outlive it (a map key, a name in a long-lived table).
 	Args xrep.Seq
 	// ReplyTo is the reply port carried by the message; zero when absent.
 	ReplyTo xrep.PortName

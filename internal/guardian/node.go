@@ -388,22 +388,23 @@ func (n *Node) Takeover(defName, logName string, args ...any) (*Created, error) 
 // on the simulator, an observed "ip:port" on UDP — used only to key
 // fragment reassembly; everything else comes from the frame. The payload
 // is the node's to keep (transport.Handler): the reassembler holds
-// fragments by reference, and decoding copies every value out of them.
+// fragments by reference, and the frame is decoded straight from them,
+// every value copied out.
 func (n *Node) handlePacket(from transport.Addr, payload []byte) {
 	if !n.Alive() {
 		return
 	}
-	frameBytes, err := n.reasm.Add(string(from), payload, n.world.clock.Now())
+	segs, err := n.reasm.Collect(string(from), payload, n.world.clock.Now())
 	if err != nil {
 		n.world.stats.DiscardBadFrame.Add(1)
 		return
 	}
-	if frameBytes == nil {
+	if segs.IsZero() {
 		return // waiting for more fragments
 	}
 	// The frame lives only until dispatchFrame has made it a Message.
 	var f wire.Frame
-	if err := wire.UnmarshalFrameInto(&f, frameBytes); err != nil {
+	if err := wire.UnmarshalSegments(&f, segs); err != nil {
 		n.world.stats.DiscardBadFrame.Add(1)
 		return
 	}

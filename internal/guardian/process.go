@@ -119,7 +119,7 @@ func (pr *Process) sendSeq(to, replyTo xrep.PortName, pt *PortType, command stri
 		return ErrKilled
 	}
 	limits := pr.g.node.world.cfg.Limits
-	if err := limits.Validate(enc); err != nil {
+	if err := limits.ValidateSeq(enc); err != nil {
 		return err
 	}
 	if pt != nil {

@@ -85,14 +85,18 @@ type peer struct {
 
 	state connState
 	conn  net.Conn
-	bw    *bufio.Writer
 	// gen ties reader/writer/heartbeat goroutines to one installed
 	// connection: every install or teardown bumps it, and a goroutine
 	// that finds its gen stale exits without touching newer state.
 	gen uint64
 
-	outq   [][]byte // encoded frames awaiting an established connection
-	qbytes int
+	// outq is the encoded frames awaiting the writer, end to end in one
+	// buffer that Send frames into in place; qframes counts them. The writer
+	// takes the whole buffer and leaves spare, the one it flushed before, in
+	// its place, so a steady stream of sends allocates nothing.
+	outq    []byte
+	qframes int
+	spare   []byte
 
 	dialing     bool // a dial loop goroutine is live
 	attempts    int  // consecutive failed dials, for backoff
@@ -122,25 +126,25 @@ func (pc *peer) snapshot() ConnStats {
 	return st
 }
 
-// enqueue queues one encoded frame and makes sure something will carry it:
+// enqueue queues one data frame and makes sure something will carry it:
 // the live writer if established, a fresh dial loop otherwise. A full
 // queue drops the frame — the link is down and best-effort means the
 // backlog must not grow without bound.
-func (pc *peer) enqueue(frame []byte) {
+func (pc *peer) enqueue(src, dst Addr, payload []byte) {
 	pc.mu.Lock()
 	if pc.state == stClosed {
 		pc.mu.Unlock()
 		pc.t.dropped.Add(1)
 		return
 	}
-	if len(pc.outq) >= tcpMaxSendQueue || pc.qbytes+len(frame) > tcpMaxSendQueueBytes {
+	if pc.qframes >= tcpMaxSendQueue || len(pc.outq)+len(payload) > tcpMaxSendQueueBytes {
 		pc.stats.QueueDrops++
 		pc.mu.Unlock()
 		pc.t.dropped.Add(1)
 		return
 	}
-	pc.outq = append(pc.outq, frame)
-	pc.qbytes += len(frame)
+	pc.outq = appendData(pc.outq, src, dst, payload)
+	pc.qframes++
 	pc.lastData = time.Now()
 	if pc.state == stIdle {
 		pc.startDialLocked()
@@ -240,7 +244,7 @@ func (pc *peer) handshakeOut(conn net.Conn) (*bufio.Reader, bool) {
 	pc.mu.Unlock()
 	deadline := time.Now().Add(tcpDialTimeout)
 	_ = conn.SetDeadline(deadline)
-	if _, err := conn.Write(encodeControl(frameSelect, pc.t.advertised)); err != nil {
+	if _, err := conn.Write(appendControl(nil, frameSelect, pc.t.advertised)); err != nil {
 		return nil, false
 	}
 	br := bufio.NewReaderSize(conn, 64<<10)
@@ -278,7 +282,6 @@ func (pc *peer) installLocked(conn net.Conn, br *bufio.Reader) bool {
 	pc.gen++
 	g := pc.gen
 	pc.conn = conn
-	pc.bw = bufio.NewWriterSize(conn, 64<<10)
 	pc.state = stEstablished
 	pc.attempts = 0
 	pc.missed = 0
@@ -294,7 +297,7 @@ func (pc *peer) installLocked(conn net.Conn, br *bufio.Reader) bool {
 	if !started {
 		// Closing raced us: undo. Close's sweep may have missed this conn.
 		_ = conn.Close()
-		pc.conn, pc.bw = nil, nil
+		pc.conn = nil
 		pc.state = stClosed
 		return false
 	}
@@ -314,7 +317,7 @@ func (pc *peer) teardown(g uint64, clean bool) {
 	}
 	conn := pc.conn
 	pc.gen++
-	pc.conn, pc.bw = nil, nil
+	pc.conn = nil
 	if !clean {
 		pc.stats.Resets++
 	}
@@ -335,9 +338,9 @@ func (pc *peer) close() {
 	pc.mu.Lock()
 	conn := pc.conn
 	pc.gen++
-	pc.conn, pc.bw = nil, nil
+	pc.conn = nil
 	pc.state = stClosed
-	pc.outq, pc.qbytes = nil, 0
+	pc.outq, pc.qframes, pc.spare = nil, 0, nil
 	pc.wake.Broadcast()
 	pc.mu.Unlock()
 	if conn != nil {
@@ -378,7 +381,7 @@ func (pc *peer) reader(g uint64, br *bufio.Reader) {
 			}
 			pc.t.deliver(pc.addr, src, dst, payload)
 		case frameLinktest:
-			pc.control(g, encodeControl(frameLinktestAck, ""))
+			pc.control(g, frameLinktestAck)
 		case frameLinktestAck:
 			// lastRecv above is the whole point.
 		case frameDeselect:
@@ -393,22 +396,28 @@ func (pc *peer) reader(g uint64, br *bufio.Reader) {
 	}
 }
 
-// control queues a control frame on generation g's connection, bypassing
-// the best-effort queue bound (control traffic is tiny and losing a
-// linktest ack manufactures a false reset).
-func (pc *peer) control(g uint64, frame []byte) {
+// control queues a bodiless control frame on generation g's connection,
+// bypassing the best-effort queue bound (control traffic is tiny and losing
+// a linktest ack manufactures a false reset).
+func (pc *peer) control(g uint64, typ byte) {
 	pc.mu.Lock()
 	if pc.gen == g && pc.state != stClosed {
-		pc.outq = append(pc.outq, frame)
-		pc.qbytes += len(frame)
-		pc.wake.Broadcast()
+		pc.controlLocked(typ, "")
 	}
 	pc.mu.Unlock()
 }
 
-// writer flushes the frame queue onto generation g's connection. Writes
-// happen outside the lock; a write error resets the connection (the frames
-// of the batch die with it — ordered-until-reset). An injected stall
+// controlLocked queues a control frame and wakes the writer. Callers hold mu.
+func (pc *peer) controlLocked(typ byte, s string) {
+	pc.outq = appendControl(pc.outq, typ, s)
+	pc.qframes++
+	pc.wake.Broadcast()
+}
+
+// writer flushes the frame queue onto generation g's connection, a whole
+// buffer of frames per write. Writes happen outside the lock; a write error
+// resets the connection (the frames of the batch die with it —
+// ordered-until-reset). An injected stall
 // freezes the pump wholesale, which is how a half-open hang looks from
 // the peer's side.
 func (pc *peer) writer(g uint64, conn net.Conn) {
@@ -422,10 +431,9 @@ func (pc *peer) writer(g uint64, conn net.Conn) {
 			return
 		}
 		batch := pc.outq
-		pc.outq, pc.qbytes = nil, 0
+		pc.outq, pc.qframes, pc.spare = pc.spare[:0], 0, nil
 		draining := pc.state == stDraining
 		stall := pc.stallUntil
-		bw := pc.bw
 		pc.mu.Unlock()
 
 		if wait := time.Until(stall); wait > 0 {
@@ -435,23 +443,16 @@ func (pc *peer) writer(g uint64, conn net.Conn) {
 			case <-time.After(wait):
 			}
 		}
-		var n int64
-		for _, f := range batch {
-			n += int64(len(f))
-		}
 		_ = conn.SetWriteDeadline(time.Now().Add(tcpWriteTimeout))
-		for _, f := range batch {
-			if _, err := bw.Write(f); err != nil {
-				pc.teardown(g, false)
-				return
-			}
-		}
-		if err := bw.Flush(); err != nil {
+		if _, err := conn.Write(batch); err != nil {
 			pc.teardown(g, false)
 			return
 		}
-		pc.t.bytesSent.Add(n)
+		pc.t.bytesSent.Add(int64(len(batch)))
 		pc.mu.Lock()
+		if cap(batch) <= tcpSendBufKeep {
+			pc.spare = batch[:0]
+		}
 		empty := len(pc.outq) == 0
 		pc.mu.Unlock()
 		if draining && empty {
@@ -487,8 +488,7 @@ func (pc *peer) heartbeat(g uint64) {
 		if pc.state == stEstablished && pc.t.cfg.IdleTimeout > 0 &&
 			now.Sub(pc.lastData) > pc.t.cfg.IdleTimeout && len(pc.outq) == 0 {
 			pc.state = stDraining
-			pc.outq = append(pc.outq, encodeControl(frameDeselect, "idle"))
-			pc.wake.Broadcast()
+			pc.controlLocked(frameDeselect, "idle")
 			pc.mu.Unlock()
 			continue
 		}
@@ -501,8 +501,7 @@ func (pc *peer) heartbeat(g uint64) {
 		pc.stats.HeartbeatsMissed++
 		give := pc.missed > pc.t.cfg.MissThreshold
 		if !give {
-			pc.outq = append(pc.outq, encodeControl(frameLinktest, ""))
-			pc.wake.Broadcast()
+			pc.controlLocked(frameLinktest, "")
 		}
 		pc.mu.Unlock()
 		if give {

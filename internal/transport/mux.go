@@ -60,17 +60,10 @@ const maxNodeName = 1024
 // connection that produced it: framing state is unrecoverable mid-stream.
 var ErrBadFrame = errors.New("transport: malformed tcp frame")
 
-// appendFrame appends one whole frame (length prefix included) to dst.
-func appendFrame(dst []byte, typ byte, body ...[]byte) []byte {
-	n := 1
-	for _, b := range body {
-		n += len(b)
-	}
-	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
-	dst = append(dst, typ)
-	for _, b := range body {
-		dst = append(dst, b...)
-	}
+// sealFrame fills in the length prefix of the frame that starts at
+// dst[start] and ends with dst.
+func sealFrame(dst []byte, start int) []byte {
+	binary.BigEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
 	return dst
 }
 
@@ -80,27 +73,28 @@ func encodeString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-// encodeData builds one data frame carrying payload from src to dst, in a
-// buffer of its own: the connection's writer consumes it after Send has
-// returned, when the caller's payload is no longer the transport's to read.
-func encodeData(src, dst Addr, payload []byte) []byte {
-	buf := make([]byte, 4, 4+1+2*binary.MaxVarintLen32+len(src)+len(dst)+len(payload))
-	buf = append(buf, frameData)
+// appendData appends to buf one data frame carrying payload from src to
+// dst. It copies payload: after Send has returned the caller's bytes are no
+// longer the transport's to read, and the connection's writer runs later.
+func appendData(buf []byte, src, dst Addr, payload []byte) []byte {
+	start := len(buf)
+	buf = append(buf, 0, 0, 0, 0, frameData)
 	buf = encodeString(buf, string(src))
 	buf = encodeString(buf, string(dst))
 	buf = append(buf, payload...)
-	binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
-	return buf
+	return sealFrame(buf, start)
 }
 
-// encodeControl builds a control frame with an optional string body
-// (advertised address for select/selectAck, reason for deselect).
-func encodeControl(typ byte, s string) []byte {
-	var body []byte
+// appendControl appends to buf a control frame with its string body
+// (advertised address for select/selectAck, reason for deselect; the
+// linktests have none).
+func appendControl(buf []byte, typ byte, s string) []byte {
+	start := len(buf)
+	buf = append(buf, 0, 0, 0, 0, typ)
 	if typ != frameLinktest && typ != frameLinktestAck {
-		body = encodeString(make([]byte, 0, 5+len(s)), s)
+		buf = encodeString(buf, s)
 	}
-	return appendFrame(make([]byte, 0, 5+1+len(body)), typ, body)
+	return sealFrame(buf, start)
 }
 
 // readFrame reads one frame, bounding the body at max bytes. A frame

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"sync"
 	"testing"
 	"time"
@@ -114,16 +115,24 @@ func TestBufferOwnership(t *testing.T) {
 	}
 }
 
-// TestEncodeDataLayout checks the one-buffer data frame against the
-// general frame builder, and that it is the frame's only allocation.
+// TestEncodeDataLayout checks the data and control frames against the
+// layout mux.go documents, byte for byte, and that framing into a buffer
+// with room — a peer's send queue — allocates nothing.
 func TestEncodeDataLayout(t *testing.T) {
 	payload := []byte("payload bytes")
-	body := encodeString(encodeString(nil, "source"), "destination")
-	want := appendFrame(nil, frameData, body, payload)
-	if got := encodeData("source", "destination", payload); string(got) != string(want) {
-		t.Fatalf("encodeData = %x, want %x", got, want)
+	body := "\x06" + "\x06source" + "\x0bdestination" + string(payload)
+	want := "queued" + string(binary.BigEndian.AppendUint32(nil, uint32(len(body)))) + body
+	buf := appendData([]byte("queued"), "source", "destination", payload)
+	if string(buf) != want {
+		t.Fatalf("appendData = %x, want %x", buf, want)
 	}
-	if n := testing.AllocsPerRun(100, func() { _ = encodeData("source", "destination", payload) }); n != 1 {
-		t.Fatalf("encodeData allocates %v times, want 1", n)
+	if got := appendControl(nil, frameDeselect, "idle"); string(got) != "\x00\x00\x00\x06\x03\x04idle" {
+		t.Fatalf("appendControl(deselect) = %x", got)
+	}
+	if got := appendControl(nil, frameLinktest, "ignored"); string(got) != "\x00\x00\x00\x01\x04" {
+		t.Fatalf("appendControl(linktest) = %x", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { buf = appendData(buf[:0], "source", "destination", payload) }); n != 0 {
+		t.Fatalf("appendData into a buffer with room allocates %v times, want 0", n)
 	}
 }

@@ -31,6 +31,9 @@ const (
 	// because best-effort means the backlog must not grow without bound.
 	tcpMaxSendQueue      = 256
 	tcpMaxSendQueueBytes = 128 << 20
+	// tcpSendBufKeep is the largest send buffer a peer keeps for reuse once
+	// flushed; one that a rare huge frame grew past it is released instead.
+	tcpSendBufKeep = 1 << 20
 )
 
 // TCPConfig tunes a TCP transport.
@@ -294,7 +297,7 @@ func (t *TCP) Send(from, to Addr, payload []byte) error {
 	pc := t.peerLocked(route)
 	t.mu.Unlock()
 	t.sent.Add(1)
-	pc.enqueue(encodeData(from, to, payload))
+	pc.enqueue(from, to, payload)
 	return nil
 }
 
@@ -374,11 +377,11 @@ func (t *TCP) handshakeIncoming(conn net.Conn) {
 		// the lower address, mid-dial — we refuse the peer's connection
 		// and let ours carry the link. The peer's acceptor applies the
 		// mirrored rule and adopts ours.
-		_, _ = conn.Write(encodeControl(frameDeselect, "collision"))
+		_, _ = conn.Write(appendControl(nil, frameDeselect, "collision"))
 		_ = conn.Close()
 		return
 	}
-	if _, err := conn.Write(encodeControl(frameSelectAck, t.advertised)); err != nil {
+	if _, err := conn.Write(appendControl(nil, frameSelectAck, t.advertised)); err != nil {
 		_ = conn.Close()
 		return
 	}
@@ -423,10 +426,11 @@ func (t *TCP) Learn(name, via Addr) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if _, local := t.handlers[name]; local {
+	if _, local := t.handlers[name]; local || t.routes[name] == host {
 		return
 	}
-	t.routes[name] = host
+	// name was read out of a message; the table outlives it.
+	t.routes[Addr(strings.Clone(string(name)))] = host
 }
 
 // Stats implements Transport. Conns carries the per-peer connection

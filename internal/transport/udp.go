@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -314,7 +315,8 @@ func (u *UDP) Learn(name, via Addr) {
 	if cur, ok := u.peers[name]; ok && cur.String() == addr.String() {
 		return
 	}
-	u.peers[name] = addr
+	// name was read out of a message; the table outlives it.
+	u.peers[Addr(strings.Clone(string(name)))] = addr
 }
 
 // Stats implements Transport.

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 
 	"repro/internal/xrep"
 )
@@ -38,6 +39,7 @@ var (
 	ErrBadTag     = errors.New("wire: unknown value tag")
 	ErrOversize   = errors.New("wire: length field exceeds remaining input")
 	ErrValueDepth = errors.New("wire: value nesting too deep")
+	ErrTrailing   = errors.New("wire: trailing bytes")
 )
 
 // maxWireDepth bounds decoder recursion against hostile input.
@@ -149,220 +151,305 @@ func MarshalValue(v xrep.Value) ([]byte, error) {
 	return AppendValue(nil, v)
 }
 
-// reader is a cursor over an immutable byte slice.
+// The decoder runs twice over a message. The sizing pass walks the encoding
+// without allocating: it is the whole validation (tags, nesting depth, every
+// length against what is left, the element budget), so hostile bytes are
+// refused before the first make, and it counts the sequence slots and string
+// bytes the message needs. The fill pass then carves every Seq out of one
+// []xrep.Value and every string out of one string allocation: a message's
+// values are one slab the receiver owns, copied out of the input, never a
+// view of it. Bytes and Token bodies are mutable, so each stays its own copy.
+
+// reader is a cursor over immutable input that arrives in one piece or in
+// several — the payloads of a message's fragments, in order. Its error is
+// sticky: the first failed read is remembered, and every read after it
+// returns zeros without moving.
 type reader struct {
-	buf []byte
-	off int
-	// elems is the sequence elements promised so far, at every nesting
-	// level. Each owns at least its tag byte, so an honest encoding never
-	// promises more than len(buf); holding every sequence to that keeps
-	// what a decode allocates proportional to its input however the
-	// length fields nest.
-	elems uint64
+	buf   []byte   // the segment under the cursor, cut to what of it is readable
+	off   int      // the cursor in buf
+	rest  [][]byte // the segments after it
+	after int      // bytes readable in rest; it holds at least that many
+	err   error
 }
 
-func (r *reader) remaining() int { return len(r.buf) - r.off }
+// remaining is the bytes still readable.
+func (r *reader) remaining() int { return len(r.buf) - r.off + r.after }
 
-func (r *reader) byte() (byte, error) {
-	if r.off >= len(r.buf) {
-		return 0, ErrTruncated
+// first returns a cursor over the next n bytes of r alone, n ≤ r.remaining().
+func (r reader) first(n int) reader {
+	r.buf = r.buf[:min(len(r.buf), r.off+n)]
+	r.after = n - (len(r.buf) - r.off)
+	return r
+}
+
+func (r *reader) fail(err error) {
+	if r.err == nil {
+		r.err = err
 	}
-	b := r.buf[r.off]
-	r.off++
-	return b, nil
+	r.off, r.after = len(r.buf), 0
 }
 
-func (r *reader) uvarint() (uint64, error) {
+// chunk consumes and returns the next run of contiguous bytes, at most max
+// of them. It comes back empty only when max or r.remaining() is zero.
+func (r *reader) chunk(max int) []byte {
+	for r.off == len(r.buf) && r.after > 0 {
+		next := r.rest[0]
+		r.buf, r.off, r.rest = next[:min(len(next), r.after)], 0, r.rest[1:]
+		r.after -= len(r.buf)
+	}
+	c := r.buf[r.off:min(len(r.buf), r.off+max)]
+	r.off += len(c)
+	return c
+}
+
+func (r *reader) byte() byte {
+	if r.off < len(r.buf) {
+		r.off++
+		return r.buf[r.off-1]
+	}
+	if c := r.chunk(1); len(c) == 1 {
+		return c[0]
+	}
+	r.fail(ErrTruncated)
+	return 0
+}
+
+func (r *reader) uvarint() uint64 {
+	if r.off < len(r.buf) && r.buf[r.off] < 0x80 { // one byte: most lengths and counts
+		r.off++
+		return uint64(r.buf[r.off-1])
+	}
+	return r.uvarintLong()
+}
+
+func (r *reader) uvarintLong() uint64 {
 	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		return 0, ErrTruncated
+	if n > 0 {
+		r.off += n
+		return v
 	}
-	r.off += n
-	return v, nil
+	if n < 0 {
+		r.fail(ErrTruncated) // overflows 64 bits; reported as it always was
+		return 0
+	}
+	// Byte by byte: the segment ends inside the varint, if the input does not.
+	v = 0
+	for shift := uint(0); shift < 64; shift += 7 {
+		b := r.byte()
+		if r.err != nil {
+			return 0
+		}
+		if b < 0x80 {
+			if shift == 63 && b > 1 {
+				break // overflow
+			}
+			return v | uint64(b)<<shift
+		}
+		v |= uint64(b&0x7f) << shift
+	}
+	r.fail(ErrTruncated)
+	return 0
 }
 
-func (r *reader) varint() (int64, error) {
-	v, n := binary.Varint(r.buf[r.off:])
-	if n <= 0 {
-		return 0, ErrTruncated
+func (r *reader) varint() int64 {
+	u := r.uvarint()
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
 	}
-	r.off += n
-	return v, nil
+	return v
 }
 
-func (r *reader) take(n uint64) ([]byte, error) {
+// skip consumes n bytes.
+func (r *reader) skip(n uint64) {
 	if n > uint64(r.remaining()) {
-		return nil, ErrOversize
+		r.fail(ErrOversize)
+		return
 	}
-	b := r.buf[r.off : r.off+int(n)]
-	r.off += int(n)
-	return b, nil
+	for m := int(n); m > 0; {
+		m -= len(r.chunk(m))
+	}
 }
 
-// value decodes one value at the cursor; depth is its nesting level.
-func (r *reader) value(depth int) (xrep.Value, error) {
+// read fills dst from the input, as far as the input goes.
+func (r *reader) read(dst []byte) {
+	for len(dst) > 0 && r.remaining() > 0 {
+		dst = dst[copy(dst, r.chunk(len(dst))):]
+	}
+}
+
+// decoder is one message's decode: the sizing pass's counts, then the two
+// slabs the fill pass carves them from.
+type decoder struct {
+	r reader
+	// limit is the input's length. Every sequence element owns at least its
+	// tag byte, so an honest encoding never promises more than limit of them
+	// over all its sequences; holding elems to that keeps the slot slab
+	// proportional to the input however the length fields nest.
+	limit    uint64
+	elems    uint64 // sequence elements promised, at every nesting level
+	strBytes uint64 // bytes of Str, record-name, node-name and header strings
+
+	slots []xrep.Value    // the slot slab's unclaimed tail
+	strs  strings.Builder // the string slab, grown once
+}
+
+// beginFill ends the sizing pass: it makes the slabs that pass measured and
+// puts the cursor back at start for the fill pass.
+func (d *decoder) beginFill(start reader) {
+	d.slots = make([]xrep.Value, d.elems)
+	d.strs.Grow(int(d.strBytes))
+	d.r = start
+}
+
+// sizeValue is the sizing pass over one value; depth is its nesting level.
+// Failures are bare sentinels in d.r.err, so refusing an input allocates
+// nothing at all.
+func (d *decoder) sizeValue(depth int) {
 	if depth > maxWireDepth {
-		return nil, ErrValueDepth
+		d.r.fail(ErrValueDepth)
+		return
 	}
-	tag, err := r.byte()
-	if err != nil {
-		return nil, err
-	}
-	switch tag {
-	case tagNull:
-		return xrep.Null{}, nil
-	case tagFalse:
-		return xrep.Bool(false), nil
-	case tagTrue:
-		return xrep.Bool(true), nil
+	switch d.r.byte() {
+	case tagNull, tagFalse, tagTrue:
 	case tagInt:
-		v, err := r.varint()
-		if err != nil {
-			return nil, err
-		}
-		return xrep.Int(v), nil
+		d.r.uvarint()
 	case tagReal:
-		b, err := r.take(8)
-		if err != nil {
-			return nil, err
-		}
-		return xrep.Real(math.Float64frombits(binary.BigEndian.Uint64(b))), nil
+		d.r.skip(8)
 	case tagStr:
-		n, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		b, err := r.take(n)
-		if err != nil {
-			return nil, err
-		}
-		return xrep.Str(b), nil
+		d.sizeStr()
 	case tagBytes:
-		n, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		b, err := r.take(n)
-		if err != nil {
-			return nil, err
-		}
-		out := make([]byte, n)
-		copy(out, b)
-		return xrep.Bytes(out), nil
+		d.r.skip(d.r.uvarint())
 	case tagSeq:
-		seq, err := r.seq(depth)
-		if err != nil {
-			return nil, err
-		}
-		return seq, nil
+		d.sizeSeq(depth)
 	case tagRec:
-		n, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		name, err := r.take(n)
-		if err != nil {
-			return nil, err
-		}
-		fields, err := r.seq(depth)
-		if err != nil {
-			return nil, err
-		}
-		return xrep.Rec{Name: string(name), Fields: fields}, nil
+		d.sizeStr()
+		d.sizeSeq(depth)
 	case tagPort:
-		p, err := r.portName()
-		if err != nil {
-			return nil, err
-		}
-		return p, nil
+		d.sizePortName()
 	case tagToken:
-		issuer, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		bn, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		body, err := r.take(bn)
-		if err != nil {
-			return nil, err
-		}
-		sn, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		seal, err := r.take(sn)
-		if err != nil {
-			return nil, err
-		}
-		bodyC := make([]byte, len(body))
-		copy(bodyC, body)
-		sealC := make([]byte, len(seal))
-		copy(sealC, seal)
-		return xrep.Token{Issuer: issuer, Body: bodyC, Seal: sealC}, nil
+		d.r.uvarint()
+		d.r.skip(d.r.uvarint())
+		d.r.skip(d.r.uvarint())
 	default:
-		return nil, fmt.Errorf("%w: 0x%02x", ErrBadTag, tag)
+		d.r.fail(ErrBadTag)
 	}
 }
 
-// seq decodes a sequence's count and elements — what follows tagSeq, and a
-// record's fields. depth is the sequence's own nesting level.
-func (r *reader) seq(depth int) (xrep.Seq, error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, err
+// sizeSeq sizes a sequence's count and elements — what follows tagSeq, and
+// a record's fields. depth is the sequence's own nesting level.
+func (d *decoder) sizeSeq(depth int) {
+	n := d.r.uvarint()
+	if n > uint64(d.r.remaining()) || d.elems+n > d.limit {
+		d.r.fail(ErrOversize) // each element needs ≥1 byte
+		return
 	}
-	if n > uint64(r.remaining()) || r.elems+n > uint64(len(r.buf)) {
-		return nil, ErrOversize // each element needs ≥1 byte
+	d.elems += n
+	for ; n > 0 && d.r.err == nil; n-- {
+		d.sizeValue(depth + 1)
 	}
-	r.elems += n
-	seq := make(xrep.Seq, n)
+}
+
+// sizeStr sizes a length-prefixed string bound for the string slab.
+func (d *decoder) sizeStr() {
+	n := d.r.uvarint()
+	d.r.skip(n)
+	d.strBytes += n
+}
+
+// sizePortName sizes what follows tagPort.
+func (d *decoder) sizePortName() {
+	d.sizeStr()
+	d.r.uvarint()
+	d.r.uvarint()
+}
+
+// value is the fill pass over one value: it reads what the sizing pass
+// accepted, so none of its reads can fail and it checks nothing again.
+func (d *decoder) value() xrep.Value {
+	switch d.r.byte() {
+	case tagNull:
+		return xrep.Null{}
+	case tagFalse:
+		return xrep.Bool(false)
+	case tagTrue:
+		return xrep.Bool(true)
+	case tagInt:
+		return xrep.Int(d.r.varint())
+	case tagReal:
+		var b [8]byte
+		d.r.read(b[:])
+		return xrep.Real(math.Float64frombits(binary.BigEndian.Uint64(b[:])))
+	case tagStr:
+		return xrep.Str(d.str())
+	case tagBytes:
+		return xrep.Bytes(d.blob())
+	case tagSeq:
+		return d.seq()
+	case tagRec:
+		name := d.str()
+		return xrep.Rec{Name: name, Fields: d.seq()}
+	case tagPort:
+		return d.portName()
+	default: // tagToken: the sizing pass admits no other
+		issuer := d.r.uvarint()
+		body := d.blob()
+		return xrep.Token{Issuer: issuer, Body: body, Seal: d.blob()}
+	}
+}
+
+// seq carves a sequence from the slot slab and fills it. Its capacity is
+// its length, so appending to it copies it rather than reach the slots of
+// the sequence carved next.
+func (d *decoder) seq() xrep.Seq {
+	n := d.r.uvarint()
+	seq := xrep.Seq(d.slots[:n:n])
+	d.slots = d.slots[n:]
 	for i := range seq {
-		if seq[i], err = r.value(depth + 1); err != nil {
-			return nil, err
-		}
+		seq[i] = d.value()
 	}
-	return seq, nil
+	return seq
 }
 
-// portName decodes what follows tagPort.
-func (r *reader) portName() (xrep.PortName, error) {
-	node, g, p, err := r.portNameParts()
-	if err != nil {
-		return xrep.PortName{}, err
-	}
-	return xrep.PortName{Node: string(node), Guardian: g, Port: p}, nil
+// blob copies a length-prefixed run of bytes into an allocation of its
+// own: Bytes and Token bodies are mutable, so they share nothing.
+func (d *decoder) blob() []byte {
+	out := make([]byte, d.r.uvarint())
+	d.r.read(out)
+	return out
 }
 
-// portNameParts is portName without copying the node name out of the input.
-func (r *reader) portNameParts() (node []byte, guardian, port uint64, err error) {
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, 0, 0, err
+// str copies a length-prefixed string into the string slab, piece by piece
+// where it straddles segments. The builder never outgrows what beginFill
+// reserved, so the strings it has handed out stay one allocation.
+func (d *decoder) str() string {
+	start := d.strs.Len()
+	for n := int(d.r.uvarint()); n > 0 && d.r.remaining() > 0; {
+		c := d.r.chunk(n)
+		d.strs.Write(c)
+		n -= len(c)
 	}
-	if node, err = r.take(n); err != nil {
-		return nil, 0, 0, err
-	}
-	if guardian, err = r.uvarint(); err != nil {
-		return nil, 0, 0, err
-	}
-	if port, err = r.uvarint(); err != nil {
-		return nil, 0, 0, err
-	}
-	return node, guardian, port, nil
+	return d.strs.String()[start:]
+}
+
+func (d *decoder) portName() xrep.PortName {
+	node := d.str()
+	g := d.r.uvarint()
+	return xrep.PortName{Node: node, Guardian: g, Port: d.r.uvarint()}
 }
 
 // UnmarshalValue decodes a single value, requiring the buffer to be fully
-// consumed.
+// consumed. The value shares no memory with buf.
 func UnmarshalValue(buf []byte) (xrep.Value, error) {
-	r := reader{buf: buf}
-	v, err := r.value(0)
-	if err != nil {
-		return nil, err
+	start := reader{buf: buf}
+	d := decoder{r: start, limit: uint64(len(buf))}
+	d.sizeValue(0)
+	if d.r.remaining() != 0 {
+		d.r.fail(ErrTrailing)
 	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after value", r.remaining())
+	if d.r.err != nil {
+		return nil, d.r.err
 	}
-	return v, nil
+	d.beginFill(start)
+	return d.value(), nil
 }

@@ -1,0 +1,370 @@
+package wire
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"hash/crc32"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/xrep"
+)
+
+// goldenFrames returns the frame encodings testdata/golden.txt pins.
+func goldenFrames(t *testing.T) [][]byte {
+	t.Helper()
+	file, err := os.Open("testdata/golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	var frames [][]byte
+	sc := bufio.NewScanner(file)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		name, enc, _ := strings.Cut(sc.Text(), " ")
+		if !strings.HasSuffix(name, ".frame") {
+			continue
+		}
+		raw, err := hex.DecodeString(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, raw)
+	}
+	if len(frames) < 3 {
+		t.Fatalf("golden.txt holds %d frames", len(frames))
+	}
+	return frames
+}
+
+// sampleFrames is the golden frames plus n from the quick-check generator.
+func sampleFrames(t *testing.T, n int) [][]byte {
+	frames := goldenFrames(t)
+	r := rand.New(rand.NewSource(1979))
+	for i := 0; i < n; i++ {
+		raw, err := genFrame(r).Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, raw)
+	}
+	return frames
+}
+
+// split cuts raw at i and j into three segments, any of which may be empty.
+func split(raw []byte, i, j int) Segments {
+	return Segments{many: [][]byte{raw[:i:i], raw[i:j:j], raw[j:]}}
+}
+
+// reseal recomputes the checksum of a frame whose body was tampered with,
+// so that the tampering reaches the decoder.
+func reseal(raw []byte) []byte {
+	body := raw[:len(raw)-4]
+	return binary.BigEndian.AppendUint32(body[:len(body):len(body)], crc32.Checksum(body, crcTable))
+}
+
+// sameFrame reports whether two decoded frames are the same frame.
+func sameFrame(a, b *Frame) bool {
+	return a.Dest == b.Dest && a.SrcNode == b.SrcNode && a.MsgID == b.MsgID && a.SrcGuardian == b.SrcGuardian &&
+		a.Command == b.Command && a.ReplyTo == b.ReplyTo && xrep.Equal(a.Args, b.Args)
+}
+
+// TestSegmentedDecodeMatchesContiguous: a frame decodes to the same frame
+// from any three segments as from contiguous bytes — a varint, a string, a
+// real or the checksum may straddle a boundary, and segments may be empty.
+func TestSegmentedDecodeMatchesContiguous(t *testing.T) {
+	for n, raw := range sampleFrames(t, 40) {
+		want, err := UnmarshalFrame(raw)
+		if err != nil {
+			t.Fatalf("frame %d: %v", n, err)
+		}
+		for i := 0; i <= len(raw); i++ {
+			for j := i; j <= len(raw); j++ {
+				var got Frame
+				if err := UnmarshalSegments(&got, split(raw, i, j)); err != nil {
+					t.Fatalf("frame %d split at %d,%d: %v", n, i, j, err)
+				}
+				if !sameFrame(&got, want) {
+					t.Fatalf("frame %d split at %d,%d decoded to %+v, want %+v", n, i, j, got, *want)
+				}
+			}
+		}
+	}
+}
+
+// TestSegmentedDecodeRejectsAlike: every truncation of a frame, and every
+// frame with one body byte changed and the checksum recomputed, gets the
+// same verdict — the same sentinel, or the same frame — from segments as
+// from contiguous bytes.
+func TestSegmentedDecodeRejectsAlike(t *testing.T) {
+	check := func(what string, raw []byte) (rejected bool) {
+		var want Frame
+		wantErr := UnmarshalFrameInto(&want, raw)
+		// Every offset of a short frame; the long golden one is sampled.
+		for i := 0; i <= len(raw); i += 1 + len(raw)/128 {
+			var got Frame
+			err := UnmarshalSegments(&got, split(raw, i, min(i+1, len(raw))))
+			if err != wantErr {
+				t.Fatalf("%s split at %d: %v, contiguous: %v", what, i, err, wantErr)
+			}
+			if err == nil && !sameFrame(&got, &want) {
+				t.Fatalf("%s split at %d decoded to %+v, want %+v", what, i, got, want)
+			}
+		}
+		return wantErr != nil
+	}
+	classes := make(map[error]int)
+	for n, raw := range sampleFrames(t, 12) {
+		for k := 0; k < len(raw); k++ {
+			if !check("frame "+strconv.Itoa(n)+" cut to "+strconv.Itoa(k), raw[:k:k]) {
+				t.Fatalf("frame %d cut to %d bytes was accepted", n, k)
+			}
+			if k < 4 {
+				continue
+			}
+			// Truncated inside the body, with a checksum that vouches for it.
+			cut := reseal(bytes.Clone(raw[:k]))
+			check("frame "+strconv.Itoa(n)+" resealed at "+strconv.Itoa(k), cut)
+			classes[UnmarshalFrameInto(new(Frame), cut)]++
+		}
+		for k := 0; k < len(raw)-4; k++ {
+			for _, delta := range []byte{1, 0x80} {
+				mut := bytes.Clone(raw)
+				mut[k] += delta
+				if !check("frame "+strconv.Itoa(n)+" bit-flipped at "+strconv.Itoa(k), mut) {
+					t.Fatalf("frame %d with byte %d changed passed its checksum", n, k)
+				}
+				mut = reseal(mut)
+				check("frame "+strconv.Itoa(n)+" changed at "+strconv.Itoa(k), mut)
+				classes[UnmarshalFrameInto(new(Frame), mut)]++
+			}
+		}
+	}
+	for _, class := range []error{ErrTruncated, ErrOversize, ErrBadTag, ErrBadMagic, ErrBadVersion, ErrFrameField, ErrTrailing, ErrFrameShort, nil} {
+		if classes[class] == 0 {
+			t.Errorf("no tampered frame was answered with %v", class)
+		}
+	}
+}
+
+// fuzzSeeds returns the checked-in seed inputs of a fuzz target by name.
+func fuzzSeeds(t *testing.T, target string) map[string][]byte {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", target, "*"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no seeds for %s: %v", target, err)
+	}
+	seeds := make(map[string][]byte)
+	for _, p := range paths {
+		text, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// "go test fuzz v1\n[]byte(<quoted>)\n"
+		_, lit, _ := strings.Cut(string(text), "\n")
+		lit = strings.TrimSuffix(strings.TrimPrefix(strings.TrimSpace(lit), "[]byte("), ")")
+		s, err := strconv.Unquote(lit)
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		seeds[filepath.Base(p)] = []byte(s)
+	}
+	return seeds
+}
+
+// TestRejectingAllocatesNothing: the sizing pass is the whole validation
+// and returns bare sentinels, so a frame that is refused — for its
+// checksum, or past it for its shape or its lengths — costs no allocation.
+func TestRejectingAllocatesNothing(t *testing.T) {
+	rejected := 0
+	for name, seed := range fuzzSeeds(t, "FuzzUnmarshalFrame") {
+		var f Frame
+		if UnmarshalFrameInto(&f, seed) == nil {
+			continue
+		}
+		rejected++
+		if n := testing.AllocsPerRun(20, func() { _ = UnmarshalFrameInto(&f, seed) }); n != 0 {
+			t.Errorf("rejecting seed %s allocates %v times, want 0", name, n)
+		}
+		if !f.Dest.IsZero() || f.Args != nil {
+			t.Errorf("rejecting seed %s wrote to the frame: %+v", name, f)
+		}
+		// The same bytes as three fragments.
+		segs := split(seed, len(seed)/3, 2*len(seed)/3)
+		if n := testing.AllocsPerRun(20, func() { _ = UnmarshalSegments(&f, segs) }); n != 0 {
+			t.Errorf("rejecting seed %s in segments allocates %v times, want 0", name, n)
+		}
+	}
+	if rejected < 8 {
+		t.Fatalf("only %d seeds were rejected", rejected)
+	}
+	deep := bytes.Repeat([]byte{tagSeq, 1}, maxWireDepth+2)
+	if n := testing.AllocsPerRun(20, func() { _, _ = UnmarshalValue(deep) }); n != 0 {
+		t.Errorf("rejecting an over-deep value allocates %v times, want 0", n)
+	}
+}
+
+// pairList is call_bulk's argument: n [key, amount] pairs.
+func pairList(n int) xrep.Seq {
+	list := make(xrep.Seq, n)
+	for i := range list {
+		list[i] = xrep.Seq{xrep.Str("account-" + strconv.Itoa(100000+i)), xrep.Int(1000 + i)}
+	}
+	return list
+}
+
+// TestBulkDecodeAllocCeiling pins the slab: decoding a 2,048-pair list
+// costs the three interface boxes each pair cannot avoid (its sequence, its
+// string, its integer) and a constant — not a slice and a string per pair.
+func TestBulkDecodeAllocCeiling(t *testing.T) {
+	const pairs = 2048
+	f := sampleFrame()
+	f.Args = xrep.Seq{pairList(pairs)}
+	raw, err := f.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts, err := Fragment(f.MsgID, raw, 16<<10)
+	if err != nil || len(pkts) < 3 {
+		t.Fatalf("%d packets, %v", len(pkts), err)
+	}
+	parts := make([][]byte, len(pkts))
+	for i, p := range pkts {
+		pp, err := parsePacket(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts[i] = pp.payload
+	}
+	var got Frame
+	n := testing.AllocsPerRun(10, func() {
+		if err := UnmarshalSegments(&got, Segments{many: parts}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !xrep.Equal(got.Args, f.Args) {
+		t.Fatal("the list did not survive")
+	}
+	if n > 3*pairs+8 {
+		t.Errorf("decoding %d pairs allocates %v times, want at most %d", pairs, n, 3*pairs+8)
+	}
+	t.Logf("%d pairs from %d fragments: %v allocations", pairs, len(parts), n)
+}
+
+// TestAppendToDecodedSeqLeavesSiblings: every sequence of a message is a
+// sub-slice of one slab, cut so that it has no spare capacity — appending
+// to one copies it and cannot write into the sequence carved after it.
+func TestAppendToDecodedSeqLeavesSiblings(t *testing.T) {
+	f := sampleFrame()
+	f.Args = xrep.Seq{
+		xrep.Seq{xrep.Int(1), xrep.Int(2)},
+		xrep.Rec{Name: "r", Fields: xrep.Seq{xrep.Str("first field")}},
+		xrep.Seq{},
+		xrep.Seq{xrep.Str("last")},
+	}
+	raw, err := f.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := UnmarshalFrame(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	intruder := xrep.Str("appended")
+	for i, a := range got.Args {
+		var seq xrep.Seq
+		switch x := a.(type) {
+		case xrep.Seq:
+			seq = x
+		case xrep.Rec:
+			seq = x.Fields
+		}
+		if cap(seq) != len(seq) {
+			t.Errorf("argument %d has %d spare slots", i, cap(seq)-len(seq))
+		}
+		_ = append(seq, intruder, intruder, intruder)
+	}
+	if cap(got.Args) != len(got.Args) {
+		t.Errorf("the argument list has %d spare slots", cap(got.Args)-len(got.Args))
+	}
+	_ = append(got.Args, intruder)
+	if !xrep.Equal(got.Args, f.Args) {
+		t.Fatalf("appending to decoded sequences changed the message: %v", got.Args)
+	}
+}
+
+// TestRetainedValuesSurviveLaterMessages: a Str and an inner Seq kept from
+// one message are unchanged after the next thousand messages have come
+// through the same reassembler from one reused send buffer, every input
+// buffer overwritten as soon as it has been consumed — values are copied
+// out of packets into a slab nothing else writes to.
+func TestRetainedValuesSurviveLaterMessages(t *testing.T) {
+	for _, mtu := range []int{0, 96} {
+		ra := NewReassembler()
+		var frameBuf, pktBuf []byte // one sender's scratch, reused for every message
+		receive := func(f *Frame) *Frame {
+			t.Helper()
+			var err error
+			if frameBuf, err = AppendFrame(frameBuf[:0], f); err != nil {
+				t.Fatal(err)
+			}
+			chunk, count, err := Packets(len(frameBuf), mtu)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var segs Segments
+			var held [][]byte
+			for i := 0; i < count; i++ {
+				pktBuf = AppendPacket(pktBuf[:0], f.MsgID, i, count, frameBuf[i*chunk:min((i+1)*chunk, len(frameBuf))])
+				pkt := bytes.Clone(pktBuf) // the transport's copy, which the receiver owns
+				for j := range pktBuf {
+					pktBuf[j] = 0xEE
+				}
+				held = append(held, pkt)
+				if segs, err = ra.Collect("s", pkt, time.Unix(0, 0)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := new(Frame)
+			if err := UnmarshalSegments(got, segs); err != nil {
+				t.Fatalf("mtu %d: %v", mtu, err)
+			}
+			for _, pkt := range held {
+				for j := range pkt {
+					pkt[j] = 0xDD
+				}
+			}
+			for j := range frameBuf {
+				frameBuf[j] = 0xCC
+			}
+			return got
+		}
+
+		first := aliasFrame()
+		first.Args = append(first.Args, xrep.Seq{xrep.Str("inner string"), xrep.Int(1 << 40), xrep.Seq{xrep.Str("deeper")}})
+		got := receive(first)
+		keptStr := got.Args[0].(xrep.Str)
+		keptSeq := got.Args[len(got.Args)-1].(xrep.Seq)
+		keptCmd, keptNode := got.Command, got.ReplyTo.Node
+		for i := 1; i <= 1000; i++ {
+			next := aliasFrame()
+			next.MsgID = first.MsgID + uint64(i)
+			next.Command = "noise-" + strconv.Itoa(i)
+			next.Args[0] = xrep.Str(strings.Repeat("x", 17))
+			next.Args = append(next.Args, xrep.Seq{xrep.Str("other string"), xrep.Int(i), xrep.Seq{xrep.Str("zzzzzz")}})
+			receive(next)
+		}
+		want := first.Args[len(first.Args)-1]
+		if keptStr != "a string argument" || !xrep.Equal(keptSeq, want) || keptCmd != first.Command || keptNode != first.ReplyTo.Node {
+			t.Fatalf("mtu %d: retained values changed: %q %v %q %q", mtu, keptStr, keptSeq, keptCmd, keptNode)
+		}
+	}
+}

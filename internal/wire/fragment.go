@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -118,29 +119,52 @@ func parsePacket(pkt []byte) (p parsedPacket, err error) {
 	if body[0] != packetMagic {
 		return p, ErrBadPacket
 	}
-	r := reader{buf: body, off: 1}
-	idBytes, err := r.take(8)
-	if err != nil {
+	p.msgID = binary.BigEndian.Uint64(body[1:9])
+	r := reader{buf: body[9:]}
+	p.index, p.count = r.uvarint(), r.uvarint()
+	n := r.uvarint()
+	if r.err != nil || n > uint64(r.remaining()) {
 		return p, ErrBadPacket
 	}
-	p.msgID = binary.BigEndian.Uint64(idBytes)
-	if p.index, err = r.uvarint(); err != nil {
-		return p, ErrBadPacket
-	}
-	if p.count, err = r.uvarint(); err != nil {
-		return p, ErrBadPacket
-	}
-	n, err := r.uvarint()
-	if err != nil {
-		return p, ErrBadPacket
-	}
-	if p.payload, err = r.take(n); err != nil {
-		return p, ErrBadPacket
-	}
+	p.payload = r.chunk(int(n))
 	if r.remaining() != 0 || p.count == 0 || p.count > maxFragments || p.index >= p.count {
 		return p, ErrBadPacket
 	}
 	return p, nil
+}
+
+// Segments is a complete frame's bytes as the reassembler hands them over:
+// in order, in the pieces that carried them — the payload of the message's
+// one packet, or of each of its fragments. They are views of those packets.
+// The zero Segments is no frame.
+type Segments struct {
+	one  []byte
+	many [][]byte
+}
+
+// IsZero reports whether s is no frame: the message is not complete yet.
+func (s Segments) IsZero() bool { return s.one == nil && s.many == nil }
+
+// Bytes returns the frame in one piece: the packet's payload itself, or a
+// joined copy of the fragments', for a caller that wants the bytes rather
+// than the frame (UnmarshalSegments does not need them joined).
+func (s Segments) Bytes() []byte {
+	if s.many != nil {
+		return bytes.Join(s.many, nil)
+	}
+	return s.one
+}
+
+// reader returns a cursor at the start of the frame, over all of it.
+func (s Segments) reader() reader {
+	r := reader{buf: s.one}
+	if len(s.many) > 0 {
+		r.buf, r.rest = s.many[0], s.many[1:]
+	}
+	for _, part := range r.rest {
+		r.after += len(part)
+	}
+	return r
 }
 
 // Reassembler collects fragments per (sender, message id) and yields the
@@ -148,10 +172,9 @@ func parsePacket(pkt []byte) (p parsedPacket, err error) {
 // ignored; partial messages are evicted after MaxAge, modeling the receiver
 // giving up on a message some of whose packets were lost.
 //
-// Add takes ownership of the packets it is given: it keeps fragment
-// payloads by reference until their message completes, and a single-packet
-// message's frame is a slice of its packet. A caller must not modify a
-// packet after passing it to Add.
+// Collect takes ownership of the packets it is given: it keeps fragment
+// payloads by reference and hands them over, still by reference, when their
+// message completes. A caller must not modify a packet after passing it in.
 type Reassembler struct {
 	// MaxAge, when positive, is how long a partial message or a completed
 	// id is remembered: Add sweeps older ones, at most once per MaxAge.
@@ -186,14 +209,14 @@ func NewReassembler() *Reassembler {
 	}
 }
 
-// Add processes one packet from sender. When the packet completes a
-// message it returns the reassembled frame bytes; otherwise it returns nil.
+// Collect processes one packet from sender. When the packet completes a
+// message it returns the frame's segments; otherwise the zero Segments.
 // Corrupt or inconsistent packets return an error and are dropped. now is
 // the receiver's clock reading, used for age-based eviction.
-func (ra *Reassembler) Add(sender string, pkt []byte, now time.Time) ([]byte, error) {
+func (ra *Reassembler) Collect(sender string, pkt []byte, now time.Time) (Segments, error) {
 	p, err := parsePacket(pkt)
 	if err != nil {
-		return nil, err
+		return Segments{}, err
 	}
 	key := reasmKey{sender, p.msgID}
 	ra.mu.Lock()
@@ -203,40 +226,39 @@ func (ra *Reassembler) Add(sender string, pkt []byte, now time.Time) ([]byte, er
 		ra.sweep(now, ra.MaxAge)
 	}
 	if _, done := ra.completed[key]; done {
-		return nil, nil // duplicate of an already-delivered message
+		return Segments{}, nil // duplicate of an already-delivered message
 	}
 	st, ok := ra.pending[key]
 	if !ok {
 		if p.count == 1 {
-			// The whole message: nothing to collect or join.
+			// The whole message: nothing to collect.
 			ra.completed[key] = now
-			return p.payload, nil
+			return Segments{one: p.payload}, nil
 		}
 		st = &reasmState{parts: make([][]byte, p.count), firstAdd: now}
 		ra.pending[key] = st
 	}
 	if int(p.count) != len(st.parts) {
-		return nil, fmt.Errorf("%w: count %d vs %d", ErrInconsistent, p.count, len(st.parts))
+		return Segments{}, fmt.Errorf("%w: count %d vs %d", ErrInconsistent, p.count, len(st.parts))
 	}
 	if st.parts[p.index] != nil {
-		return nil, nil // duplicate fragment
+		return Segments{}, nil // duplicate fragment
 	}
 	st.parts[p.index] = p.payload
 	st.have++
 	if st.have < len(st.parts) {
-		return nil, nil
+		return Segments{}, nil
 	}
 	delete(ra.pending, key)
 	ra.completed[key] = now
-	total := 0
-	for _, part := range st.parts {
-		total += len(part)
-	}
-	frame := make([]byte, 0, total)
-	for _, part := range st.parts {
-		frame = append(frame, part...)
-	}
-	return frame, nil
+	return Segments{many: st.parts}, nil
+}
+
+// Add is Collect for a caller that wants the frame as contiguous bytes: nil
+// until the message completes, then Segments.Bytes.
+func (ra *Reassembler) Add(sender string, pkt []byte, now time.Time) ([]byte, error) {
+	s, err := ra.Collect(sender, pkt, now)
+	return s.Bytes(), err
 }
 
 // Sweep evicts partial messages older than maxAge and forgets completed

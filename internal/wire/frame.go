@@ -3,7 +3,6 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 
 	"repro/internal/xrep"
@@ -48,6 +47,7 @@ var (
 	ErrBadVersion  = errors.New("wire: unsupported frame version")
 	ErrBadChecksum = errors.New("wire: frame checksum mismatch")
 	ErrFrameShort  = errors.New("wire: frame too short")
+	ErrFrameField  = errors.New("wire: frame field of the wrong kind")
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -103,98 +103,95 @@ func UnmarshalFrame(buf []byte) (*Frame, error) {
 
 // UnmarshalFrameInto is UnmarshalFrame into a Frame the caller owns, so a
 // receiver that turns the frame into something else at once need not
-// allocate it. On error f's contents are unspecified. The four header
-// strings (Dest.Node, SrcNode, Command, ReplyTo.Node) are slices of one
-// allocation; argument values each own their memory, because receivers
-// retain them individually.
+// allocate it.
 func UnmarshalFrameInto(f *Frame, buf []byte) error {
-	if len(buf) < 10 {
+	return UnmarshalSegments(f, Segments{one: buf})
+}
+
+// UnmarshalSegments is UnmarshalFrameInto for a frame as the reassembler
+// hands it over, decoded straight from the fragments that carried it. A
+// frame that is refused leaves f untouched and costs no allocation. One
+// that is accepted is two slabs (see decoder): its strings — the four
+// header strings, every Str, record name and node name in the arguments —
+// are substrings of one allocation and its sequences sub-slices of
+// another, so retaining any one value keeps its whole message reachable.
+func UnmarshalSegments(f *Frame, s Segments) error {
+	all := s.reader()
+	body := all.remaining() - 4 // all but the trailing checksum
+	if body < 6 {
 		return ErrFrameShort
 	}
-	body, sum := buf[:len(buf)-4], binary.BigEndian.Uint32(buf[len(buf)-4:])
-	if crc32.Checksum(body, crcTable) != sum {
+	start, crc := all.first(body), uint32(0)
+	for n := body; n > 0; {
+		c := all.chunk(n)
+		crc = crc32.Update(crc, crcTable, c)
+		n -= len(c)
+	}
+	var want [4]byte
+	all.read(want[:])
+	if crc != binary.BigEndian.Uint32(want[:]) {
 		return ErrBadChecksum
 	}
-	r := reader{buf: body}
-	magic, err := r.take(4)
-	if err != nil {
-		return err
+	d := decoder{r: start, limit: uint64(body)}
+	flags := d.sizeFrame()
+	if d.r.err != nil {
+		return d.r.err
 	}
-	if binary.BigEndian.Uint32(magic) != frameMagic {
-		return ErrBadMagic
-	}
-	ver, err := r.byte()
-	if err != nil {
-		return err
-	}
-	if ver != frameVersion {
-		return fmt.Errorf("%w: %d", ErrBadVersion, ver)
-	}
-	flags, err := r.byte()
-	if err != nil {
-		return err
-	}
-	*f = Frame{}
-	var destNode, src, cmd, replyNode []byte
-	if destNode, f.Dest.Guardian, f.Dest.Port, err = r.taggedPortName("dest"); err != nil {
-		return err
-	}
-	n, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	if src, err = r.take(n); err != nil {
-		return err
-	}
-	if f.MsgID, err = r.uvarint(); err != nil {
-		return err
-	}
-	if f.SrcGuardian, err = r.uvarint(); err != nil {
-		return err
-	}
-	cn, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	if cmd, err = r.take(cn); err != nil {
-		return err
-	}
-	if tag, err := r.byte(); err != nil {
-		return fmt.Errorf("wire: frame args: %w", err)
-	} else if tag != tagSeq {
-		return errors.New("wire: frame args are not a sequence")
-	}
-	if f.Args, err = r.seq(0); err != nil {
-		return fmt.Errorf("wire: frame args: %w", err)
-	}
-	if flags&flagHasReply != 0 {
-		if replyNode, f.ReplyTo.Guardian, f.ReplyTo.Port, err = r.taggedPortName("replyto"); err != nil {
-			return err
-		}
-	}
-	if r.remaining() != 0 {
-		return fmt.Errorf("wire: %d trailing bytes in frame", r.remaining())
-	}
-	// One allocation: the conversions are temporaries of the concatenation.
-	s := string(destNode) + string(src) + string(cmd) + string(replyNode)
-	f.Dest.Node, s = s[:len(destNode)], s[len(destNode):]
-	f.SrcNode, s = s[:len(src)], s[len(src):]
-	f.Command, f.ReplyTo.Node = s[:len(cmd)], s[len(cmd):]
+	d.beginFill(start)
+	d.frame(f, flags)
 	return nil
 }
 
-// taggedPortName decodes a port-name value's parts; node aliases the
-// input. field names the frame field in errors.
-func (r *reader) taggedPortName(field string) (node []byte, guardian, port uint64, err error) {
-	tag, err := r.byte()
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("wire: frame %s: %w", field, err)
+// sizeFrame is the sizing pass over a frame's body: every check a frame
+// must pass, and the slab sizes of what it holds.
+func (d *decoder) sizeFrame() (flags byte) {
+	var hdr [6]byte
+	d.r.read(hdr[:]) // all there: the body is at least six bytes
+	if binary.BigEndian.Uint32(hdr[:]) != frameMagic {
+		d.r.fail(ErrBadMagic)
+	} else if hdr[4] != frameVersion {
+		d.r.fail(ErrBadVersion)
 	}
-	if tag != tagPort {
-		return nil, 0, 0, fmt.Errorf("wire: frame %s is not a port name", field)
+	d.sizeField(tagPort) // dest
+	d.sizeStr()          // source node
+	d.r.uvarint()        // message id
+	d.r.uvarint()        // source guardian
+	d.sizeStr()          // command
+	d.sizeField(tagSeq)  // args
+	if hdr[5]&flagHasReply != 0 {
+		d.sizeField(tagPort) // replyto
 	}
-	if node, guardian, port, err = r.portNameParts(); err != nil {
-		return nil, 0, 0, fmt.Errorf("wire: frame %s: %w", field, err)
+	if d.r.remaining() != 0 {
+		d.r.fail(ErrTrailing)
 	}
-	return node, guardian, port, nil
+	return hdr[5]
+}
+
+// sizeField sizes a frame field that is encoded as a value and must be of
+// the kind tag names: a port name or a sequence.
+func (d *decoder) sizeField(tag byte) {
+	if d.r.byte() != tag {
+		d.r.fail(ErrFrameField) // or, the first failure, that there was no byte
+	} else if tag == tagPort {
+		d.sizePortName()
+	} else {
+		d.sizeSeq(0)
+	}
+}
+
+// frame is the fill pass over the body sizeFrame accepted.
+func (d *decoder) frame(f *Frame, flags byte) {
+	*f = Frame{}
+	d.r.skip(6 + 1) // magic, version, flags; dest's tag
+	f.Dest = d.portName()
+	f.SrcNode = d.str()
+	f.MsgID = d.r.uvarint()
+	f.SrcGuardian = d.r.uvarint()
+	f.Command = d.str()
+	d.r.skip(1) // args' tag
+	f.Args = d.seq()
+	if flags&flagHasReply != 0 {
+		d.r.skip(1) // replyto's tag
+		f.ReplyTo = d.portName()
+	}
 }

@@ -188,9 +188,8 @@ func TestPacketsRefusesTooManyFragments(t *testing.T) {
 // TestSmallFrameAllocCeilings pins what a small message costs the wire
 // layer, so buffer churn cannot silently return: encoding into reused
 // buffers allocates nothing, and receiving into a caller-owned Frame
-// allocates only what the frame points to (one allocation for the four
-// header strings, the argument slice, and a data word plus an interface
-// box per string argument).
+// allocates only what the frame points to (the string slab, the slot
+// slab, and an interface box per string argument).
 func TestSmallFrameAllocCeilings(t *testing.T) {
 	f := sampleFrame()
 	var frameBuf, pktBuf []byte
@@ -216,18 +215,18 @@ func TestSmallFrameAllocCeilings(t *testing.T) {
 	now := time.Unix(0, 0)
 	next := 0
 	receive := func() {
-		raw, err := ra.Add("chicago", pkts[next], now)
+		segs, err := ra.Collect("chicago", pkts[next], now)
 		next++
-		if err != nil || raw == nil {
-			t.Fatalf("Add: %v", err)
+		if err != nil || segs.IsZero() {
+			t.Fatalf("Collect: %v", err)
 		}
 		var fr Frame
-		if err := UnmarshalFrameInto(&fr, raw); err != nil {
+		if err := UnmarshalSegments(&fr, segs); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// 6 for the frame; the rest is the completed-id table growing.
-	if n := testing.AllocsPerRun(runs, receive); n > 7 {
-		t.Errorf("receiving a small frame allocates %v times, want at most 7", n)
+	// 4 for the frame; the rest is the completed-id table growing.
+	if n := testing.AllocsPerRun(runs, receive); n > 5 {
+		t.Errorf("receiving a small frame allocates %v times, want at most 5", n)
 	}
 }

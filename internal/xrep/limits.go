@@ -63,11 +63,21 @@ func (l Limits) CheckInt(v int64) error {
 // called by the message layer at encode time, so a violating value can
 // never leave its node.
 func (l Limits) Validate(v Value) error {
-	maxDepth := l.MaxDepth
-	if maxDepth == 0 {
-		maxDepth = 64
+	return l.validate(v, 0, l.maxDepth())
+}
+
+// ValidateSeq is Validate(s) for a sequence held under its static type, as
+// a message's argument list is: the same checks and errors, without boxing
+// s into a Value first.
+func (l Limits) ValidateSeq(s Seq) error {
+	return l.validateSeq(s, "", 0, l.maxDepth())
+}
+
+func (l Limits) maxDepth() int {
+	if l.MaxDepth == 0 {
+		return 64
 	}
-	return l.validate(v, 0, maxDepth)
+	return l.MaxDepth
 }
 
 func (l Limits) validate(v Value, depth, maxDepth int) error {
@@ -98,26 +108,30 @@ func (l Limits) validate(v Value, depth, maxDepth int) error {
 		}
 		return nil
 	case Seq:
-		if l.MaxSeqLen > 0 && len(x) > l.MaxSeqLen {
-			return fmt.Errorf("%w: sequence of %d", ErrTooLong, len(x))
-		}
-		for i, e := range x {
-			if err := l.validate(e, depth+1, maxDepth); err != nil {
-				return fmt.Errorf("seq[%d]: %w", i, err)
-			}
-		}
-		return nil
+		return l.validateSeq(x, "", depth, maxDepth)
 	case Rec:
 		if x.Name == "" {
 			return ErrEmptyName
 		}
-		for i, f := range x.Fields {
-			if err := l.validate(f, depth+1, maxDepth); err != nil {
-				return fmt.Errorf("%s.field[%d]: %w", x.Name, i, err)
-			}
-		}
-		return nil
+		return l.validateSeq(x.Fields, x.Name, depth, maxDepth)
 	default:
 		return fmt.Errorf("xrep: unknown value type %T", v)
 	}
+}
+
+// validateSeq checks the elements of a sequence at nesting level depth: a
+// Seq value's own, held to MaxSeqLen, or the fields of the record rec names.
+func (l Limits) validateSeq(s Seq, rec string, depth, maxDepth int) error {
+	if rec == "" && l.MaxSeqLen > 0 && len(s) > l.MaxSeqLen {
+		return fmt.Errorf("%w: sequence of %d", ErrTooLong, len(s))
+	}
+	for i, e := range s {
+		if err := l.validate(e, depth+1, maxDepth); err != nil {
+			if rec == "" {
+				return fmt.Errorf("seq[%d]: %w", i, err)
+			}
+			return fmt.Errorf("%s.field[%d]: %w", rec, i, err)
+		}
+	}
+	return nil
 }

@@ -257,6 +257,32 @@ func TestLimitsValidateNeverPanicsProperty(t *testing.T) {
 	}
 }
 
+// TestValidateSeqIsValidate: the unboxed entry point gives Validate's
+// verdict, word for word, and costs a legal argument list no allocation.
+func TestValidateSeqIsValidate(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	l := Limits{IntBits: 16, MaxStringLen: 6, MaxSeqLen: 3, MaxDepth: 3}
+	verdicts := make(map[bool]int)
+	for i := 0; i < 2000; i++ {
+		s := Seq{genValue(r, 3), genValue(r, 1)}
+		if i%50 == 0 {
+			s = append(s, s...)
+		}
+		want, got := l.Validate(s), l.ValidateSeq(s)
+		if (want == nil) != (got == nil) || (want != nil && want.Error() != got.Error()) {
+			t.Fatalf("%v: ValidateSeq says %v, Validate says %v", s, got, want)
+		}
+		verdicts[got == nil]++
+	}
+	if verdicts[true] == 0 || verdicts[false] == 0 {
+		t.Fatalf("the generator produced only one verdict: %v", verdicts)
+	}
+	args := Seq{Int(22), Str("p-100432"), Rec{Name: "date", Fields: Seq{Int(1979), Int(12), Int(10)}}}
+	if n := testing.AllocsPerRun(100, func() { _ = DefaultLimits.ValidateSeq(args) }); n != 0 {
+		t.Errorf("validating a legal argument list allocates %v times, want 0", n)
+	}
+}
+
 func TestCheckIntQuickAgreesWithRange(t *testing.T) {
 	l := Limits{IntBits: 20}
 	min, max := l.IntRange()
