@@ -176,7 +176,6 @@ func benchPrimitive(b *testing.B, prim string) {
 		TypeName: "worker",
 		Provides: []*guardian.PortType{pt},
 		Init: func(ctx *guardian.Ctx) {
-			//lint:allow recvhygiene benchmark drives a lossless local world; the bench deadline bounds any hang
 			guardian.NewReceiver(ctx.Ports[0]).
 				When("work", func(pr *guardian.Process, m *guardian.Message) {
 					if !m.ReplyTo.IsZero() {
@@ -240,7 +239,6 @@ func BenchmarkE5DeliveryOneWay(b *testing.B) {
 		Provides:     []*guardian.PortType{pt},
 		PortCapacity: 4096,
 		Init: func(ctx *guardian.Ctx) {
-			//lint:allow recvhygiene benchmark drives a lossless local world; the bench deadline bounds any hang
 			guardian.NewReceiver(ctx.Ports[0]).
 				When("data", func(pr *guardian.Process, m *guardian.Message) {
 					received <- struct{}{}
@@ -539,7 +537,6 @@ func BenchmarkTransportLoopback(b *testing.B) {
 			Provides:     []*guardian.PortType{pt},
 			PortCapacity: 1024,
 			Init: func(ctx *guardian.Ctx) {
-				//lint:allow recvhygiene benchmark drives a lossless local world; the bench deadline bounds any hang
 				guardian.NewReceiver(ctx.Ports[0]).
 					When("ping", func(pr *guardian.Process, m *guardian.Message) {
 						_ = pr.Send(m.Port(1), "pong", m.Int(0))

@@ -9,23 +9,12 @@
 // (ackorder), and no internal routing vocabulary escaping to clients
 // (replyleak).
 //
-// Two modes share the passes:
-//
 //	guardianlint [-json] [-allowlist] [packages]
-//	                             standalone: analyze the packages (default
-//	                             ./...) in one process, including the
-//	                             whole-program directions (xreppair's
-//	                             registry check, lockorder/ackorder's
-//	                             cross-package composition) and a staleness
-//	                             report for //lint:allow directives; exit 1
-//	                             on findings.
 //
-//	go vet -vettool=$(which guardianlint) ./...
-//	                             vet driver: cmd/go invokes the binary per
-//	                             package with a config file; diagnostics
-//	                             integrate with vet's output and cache. The
-//	                             whole-program directions degrade to their
-//	                             per-package scope.
+// analyzes the packages (default ./...) in one process, including the
+// whole-program directions (xreppair's registry check, lockorder/ackorder's
+// cross-package composition) and a staleness report for //lint:allow
+// directives, and exits 1 on findings.
 //
 // -json replaces the human output with machine-readable diagnostics
 // (file/line/col/pass/message/suppressed), suppressed findings included so
@@ -35,8 +24,7 @@
 //
 // Findings are suppressed by a `//lint:allow <pass> <reason>` comment on
 // the flagged line or the line above; the reason is mandatory and unused
-// directives are themselves reported (standalone mode only, which sees
-// every direction of every pass).
+// directives are themselves reported.
 package main
 
 import (
@@ -72,21 +60,6 @@ var analyzers = []*analysis.Analyzer{
 func main() {
 	args := os.Args[1:]
 
-	// The go vet -vettool protocol probes with flag queries, then hands a
-	// single JSON config file per package.
-	if len(args) == 1 {
-		switch {
-		case args[0] == "-flags":
-			unit.PrintFlags(os.Stdout)
-			return
-		case strings.HasPrefix(args[0], "-V"):
-			unit.PrintVersion(os.Stdout, "guardianlint")
-			return
-		case strings.HasSuffix(args[0], ".cfg"):
-			os.Exit(unit.Run(args[0], analyzers))
-		}
-	}
-
 	var opts options
 	var patterns []string
 	for _, a := range args {
@@ -106,10 +79,10 @@ func main() {
 			patterns = append(patterns, a)
 		}
 	}
-	os.Exit(standalone(patterns, opts))
+	os.Exit(run(patterns, opts))
 }
 
-// options are the standalone mode's output switches.
+// options are the output switches.
 type options struct {
 	jsonOut   bool
 	allowlist bool
@@ -119,7 +92,7 @@ func usage() {
 	fmt.Println("usage: guardianlint [-json] [-allowlist] [packages]")
 	fmt.Println()
 	fmt.Println("Analyzes the given Go packages (default ./...) against the guardian")
-	fmt.Println("model's invariants. Also usable as go vet -vettool=guardianlint.")
+	fmt.Println("model's invariants.")
 	fmt.Println()
 	fmt.Println("  -json       machine-readable diagnostics, suppressed findings included")
 	fmt.Println("  -allowlist  report every //lint:allow directive with its justification")
@@ -143,10 +116,10 @@ type jsonFinding struct {
 	Suppressed bool   `json:"suppressed"`
 }
 
-// standalone analyzes patterns in one process: every target package through
+// run analyzes patterns in one process: every target package through
 // every pass, then each pass's whole-program Finish direction, then the
 // allow staleness report.
-func standalone(patterns []string, opts options) int {
+func run(patterns []string, opts options) int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}

@@ -36,11 +36,10 @@ func main() {
 		TypeName: "echo",
 		Provides: []*guardian.PortType{echoType},
 		Init: func(ctx *guardian.Ctx) {
-			who := "replica"
-			if len(ctx.Args) == 1 {
-				if s, ok := ctx.Args[0].(xrep.Str); ok {
-					who = string(s)
-				}
+			f := xrep.ReadFields(ctx.Args, 1)
+			who := f.Str()
+			if f.Err() != nil {
+				who = "replica"
 			}
 			guardian.NewReceiver(ctx.Ports[0]).
 				When("echo", func(pr *guardian.Process, m *guardian.Message) {

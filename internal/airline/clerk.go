@@ -71,12 +71,13 @@ func (a *Agent) ListPassengers(port xrep.PortName, flight int64, date string, ti
 	if m.Command != "info" {
 		return nil, m.Command, nil
 	}
-	seq, _ := m.Args[0].(xrep.Seq)
-	names := make([]string, 0, len(seq))
-	for _, v := range seq {
-		if s, ok := v.(xrep.Str); ok {
-			names = append(names, string(s))
-		}
+	list := xrep.ReadFields(m.Seq(0), 0)
+	var names []string
+	for list.More() {
+		names = append(names, list.Str())
+	}
+	if err := list.Err(); err != nil {
+		return nil, "", err
 	}
 	return names, "info", nil
 }

@@ -131,25 +131,20 @@ func FlightDef() *guardian.GuardianDef {
 }
 
 func flightArgs(args xrep.Seq) (*flightState, error) {
-	if len(args) != 4 {
-		return nil, fmt.Errorf("airline: flight guardian takes 4 args, got %d", len(args))
+	f := xrep.ReadFields(args, 4)
+	no, capacity, org, workUS := f.Int(), f.Int(), f.Str(), f.Int()
+	if err := f.Err(); err != nil {
+		return nil, fmt.Errorf("airline: flight guardian args (no, capacity, org, work µs): %w", err)
 	}
-	no, ok1 := args[0].(xrep.Int)
-	capacity, ok2 := args[1].(xrep.Int)
-	org, ok3 := args[2].(xrep.Str)
-	workUS, ok4 := args[3].(xrep.Int)
-	if !ok1 || !ok2 || !ok3 || !ok4 {
-		return nil, fmt.Errorf("airline: bad flight guardian args %v", args)
-	}
-	switch string(org) {
+	switch org {
 	case OrgSequential, OrgSerializer, OrgMonitor:
 	default:
 		return nil, fmt.Errorf("airline: unknown organization %q", org)
 	}
 	return &flightState{
-		flightNo: int64(no),
+		flightNo: no,
 		capacity: int(capacity),
-		org:      string(org),
+		org:      org,
 		workCost: time.Duration(workUS) * time.Microsecond,
 		dates:    make(map[string]*dateData),
 	}, nil
@@ -164,19 +159,17 @@ func logRecord(op, passenger, date string) []byte {
 	return b
 }
 
-func replayRecord(st *flightState, data []byte) {
-	v, err := wire.UnmarshalValue(data)
-	if err != nil {
-		return // torn record: ignore, as a real log scanner would
+// foldRecord is the flight's folder (guardian.Folder), and logRecord's
+// inverse. The flight's log has one writer, so every record is
+// (op, passenger, date) or malformed.
+func (st *flightState) foldRecord(v xrep.Value) (bool, error) {
+	f := xrep.ReadSeq(v, 3)
+	op, pid, date := f.Str(), f.Str(), f.Str()
+	if err := f.Err(); err != nil {
+		return true, fmt.Errorf("airline: flight record: %w", err)
 	}
-	seq, ok := v.(xrep.Seq)
-	if !ok || len(seq) != 3 {
-		return
-	}
-	op, _ := seq[0].(xrep.Str)
-	pid, _ := seq[1].(xrep.Str)
-	date, _ := seq[2].(xrep.Str)
-	st.date(string(date)).apply(string(op), string(pid), st.capacity)
+	st.date(date).apply(op, pid, st.capacity)
+	return true, nil
 }
 
 func flightMain(ctx *guardian.Ctx) {
@@ -196,10 +189,7 @@ func flightMain(ctx *guardian.Ctx) {
 	ctx.G.SetState(st)
 	log := ctx.G.Log()
 	if ctx.Recovering {
-		_, recs, _ := log.Recover()
-		for _, r := range recs {
-			replayRecord(st, r.Data)
-		}
+		ctx.G.Replay(nil, st.foldRecord)
 	}
 
 	g := ctx.G
@@ -278,28 +268,21 @@ func flightMain(ctx *guardian.Ctx) {
 	// synchronously on the session process so the dedup filter can cache
 	// the outcome before the reply leaves.
 	amoExec := func(pr *guardian.Process, req *amo.Request) (string, xrep.Seq) {
-		argInt := func(i int) int64 {
-			if i < len(req.Args) {
-				if n, ok := req.Args[i].(xrep.Int); ok {
-					return int64(n)
-				}
-			}
-			return -1
+		// (flight, passenger, date) or (flight, date), read left to right; a
+		// request that does not read so names no flight here.
+		f := xrep.ReadFields(req.Args, 0)
+		no, pid, date := f.Int(), "", ""
+		switch req.Command {
+		case "reserve", "cancel":
+			pid, date = f.Str(), f.Str()
+		case "list_passengers":
+			date = f.Str()
 		}
-		argStr := func(i int) string {
-			if i < len(req.Args) {
-				if s, ok := req.Args[i].(xrep.Str); ok {
-					return string(s)
-				}
-			}
-			return ""
-		}
-		if argInt(0) != st.flightNo {
+		if f.Err() != nil || no != st.flightNo {
 			return OutcomeNoSuchFlight, nil
 		}
 		switch req.Command {
 		case "reserve", "cancel":
-			pid, date := argStr(1), argStr(2)
 			var outcome string
 			withDate(pr, date, func(dd *dateData) {
 				if st.workCost > 0 {
@@ -311,7 +294,7 @@ func flightMain(ctx *guardian.Ctx) {
 			return outcome, nil
 		case "list_passengers":
 			var names []string
-			withDate(pr, argStr(1), func(dd *dateData) {
+			withDate(pr, date, func(dd *dateData) {
 				names = dd.passengers()
 			})
 			seq := make(xrep.Seq, len(names))

@@ -1,6 +1,7 @@
 package airline
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/guardian"
@@ -53,30 +54,21 @@ func RegionalDef() *guardian.GuardianDef {
 }
 
 func regionalArgs(args xrep.Seq) (*regionalState, []int64, error) {
-	if len(args) != 5 {
-		return nil, nil, fmt.Errorf("airline: regional manager takes 5 args, got %d", len(args))
+	f := xrep.ReadFields(args, 5)
+	flights := xrep.ReadFields(f.Seq(), 0)
+	capacity, org, workUS, relay := f.Int(), f.Str(), f.Int(), f.Bool()
+	var nos []int64
+	for flights.More() {
+		nos = append(nos, flights.Int())
 	}
-	flights, ok1 := args[0].(xrep.Seq)
-	capacity, ok2 := args[1].(xrep.Int)
-	org, ok3 := args[2].(xrep.Str)
-	workUS, ok4 := args[3].(xrep.Int)
-	relay, ok5 := args[4].(xrep.Bool)
-	if !ok1 || !ok2 || !ok3 || !ok4 || !ok5 {
-		return nil, nil, fmt.Errorf("airline: bad regional manager args %v", args)
-	}
-	nos := make([]int64, 0, len(flights))
-	for _, f := range flights {
-		n, ok := f.(xrep.Int)
-		if !ok {
-			return nil, nil, fmt.Errorf("airline: flight list holds %v", f)
-		}
-		nos = append(nos, int64(n))
+	if err := errors.Join(f.Err(), flights.Err()); err != nil {
+		return nil, nil, fmt.Errorf("airline: regional manager args (flights, capacity, org, work µs, relay): %w", err)
 	}
 	return &regionalState{
-		org:        string(org),
-		workCostUS: int64(workUS),
-		capacity:   int64(capacity),
-		relay:      bool(relay),
+		org:        org,
+		workCostUS: workUS,
+		capacity:   capacity,
+		relay:      relay,
 		directory:  make(map[int64]xrep.PortName),
 		acl:        guardian.NewACL(),
 	}, nos, nil
@@ -107,10 +99,7 @@ func regionalMain(ctx *guardian.Ctx, recovering bool) {
 		return nil
 	}
 	if recovering {
-		_, recs, _ := log.Recover()
-		for _, r := range recs {
-			replayDirectoryRecord(st, r.Data)
-		}
+		g.Replay(nil, st.foldDirectory)
 	} else {
 		for _, no := range flights {
 			if err := addFlight(no); err != nil {
@@ -276,25 +265,24 @@ func directoryRecord(op string, no int64, port xrep.PortName) []byte {
 	return b
 }
 
-// replayDirectoryRecord applies one logged directory change.
-func replayDirectoryRecord(st *regionalState, data []byte) {
-	v, err := wire.UnmarshalValue(data)
-	if err != nil {
-		return
+// foldDirectory is the manager's folder (guardian.Folder), and
+// directoryRecord's inverse. The manager's log has one writer, so every
+// record is a directory change or malformed.
+func (st *regionalState) foldDirectory(v xrep.Value) (bool, error) {
+	f := xrep.ReadSeq(v, 3)
+	op, no, port := f.Str(), f.Int(), f.Port()
+	if err := f.Err(); err != nil {
+		return true, fmt.Errorf("airline: directory record: %w", err)
 	}
-	seq, ok := v.(xrep.Seq)
-	if !ok || len(seq) != 3 {
-		return
-	}
-	op, _ := seq[0].(xrep.Str)
-	no, _ := seq[1].(xrep.Int)
-	port, _ := seq[2].(xrep.PortName)
-	switch string(op) {
+	switch op {
 	case "add":
-		st.directory[int64(no)] = port
+		st.directory[no] = port
 	case "del":
-		delete(st.directory, int64(no))
+		delete(st.directory, no)
+	default:
+		return true, fmt.Errorf("airline: directory record of unknown kind %q", op)
 	}
+	return true, nil
 }
 
 // lookupGuardian finds a co-resident guardian by id. Guardians at the same

@@ -44,29 +44,22 @@ func UIDef() *guardian.GuardianDef {
 }
 
 func uiArgs(args xrep.Seq) (*uiState, error) {
-	if len(args) != 2 {
-		return nil, fmt.Errorf("airline: ui guardian takes 2 args, got %d", len(args))
-	}
-	dir, ok1 := args[0].(xrep.Seq)
-	deadlineMS, ok2 := args[1].(xrep.Int)
-	if !ok1 || !ok2 {
-		return nil, fmt.Errorf("airline: bad ui guardian args %v", args)
+	f := xrep.ReadFields(args, 2)
+	dir, deadlineMS := f.Seq(), f.Int()
+	if err := f.Err(); err != nil {
+		return nil, fmt.Errorf("airline: ui guardian args (directory, deadline ms): %w", err)
 	}
 	st := &uiState{
 		directory: make(map[int64]xrep.PortName),
 		deadline:  time.Duration(deadlineMS) * time.Millisecond,
 	}
 	for _, e := range dir {
-		pair, ok := e.(xrep.Seq)
-		if !ok || len(pair) != 2 {
-			return nil, fmt.Errorf("airline: bad directory entry %v", e)
+		f := xrep.ReadSeq(e, 2)
+		no, port := f.Int(), f.Port()
+		if err := f.Err(); err != nil {
+			return nil, fmt.Errorf("airline: directory entry: %w", err)
 		}
-		no, ok1 := pair[0].(xrep.Int)
-		port, ok2 := pair[1].(xrep.PortName)
-		if !ok1 || !ok2 {
-			return nil, fmt.Errorf("airline: bad directory entry %v", e)
-		}
-		st.directory[int64(no)] = port
+		st.directory[no] = port
 	}
 	return st, nil
 }

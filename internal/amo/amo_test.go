@@ -428,7 +428,6 @@ func TestMovedRedirectExhaustion(t *testing.T) {
 		Provides: []*guardian.PortType{amo.ReqType},
 		Init: func(ctx *guardian.Ctx) {
 			self := ctx.Ports[0].Name()
-			//lint:allow recvhygiene deterministic in-memory test world; the test deadline bounds any hang
 			guardian.NewReceiver(ctx.Ports[0]).
 				When(amo.ReqCommand, func(pr *guardian.Process, m *guardian.Message) {
 					amo.SendMoved(pr, m, self, 99)

@@ -247,7 +247,7 @@ func (c *Caller) Call(to xrep.PortName, command string, args ...any) (*Reply, er
 		c.acked = seq
 	}
 	c.mu.Unlock()
-	return &Reply{Command: rm.Str(1), Args: rm.Args[2].(xrep.Seq)}, nil
+	return &Reply{Command: rm.Str(1), Args: rm.Seq(2)}, nil
 }
 
 // beforeSend is the core's pre-send hook: the circuit breaker, and the
@@ -286,15 +286,9 @@ func (c *Caller) jitter(d time.Duration) time.Duration {
 // movedTarget extracts the new owner's port from an OutcomeMoved reply's
 // arguments (owner port, ring epoch).
 func movedTarget(v xrep.Value) (xrep.PortName, bool) {
-	args, ok := v.(xrep.Seq)
-	if !ok || len(args) < 1 {
-		return xrep.PortName{}, false
-	}
-	p, ok := args[0].(xrep.PortName)
-	if !ok || p.IsZero() {
-		return xrep.PortName{}, false
-	}
-	return p, true
+	f := xrep.ReadSeq(v, 2)
+	p, _ := f.Port(), f.Int()
+	return p, f.Err() == nil && !p.IsZero()
 }
 
 // drainStale clears leftover replies from earlier calls (duplicates of

@@ -123,15 +123,14 @@ func (d *Dedup) Serve(pr *guardian.Process, h Handler, ports ...*guardian.Port) 
 // serves envelopes WITHOUT dedup (an experiment's control arm) can share
 // the wire format.
 func ParseRequest(m *guardian.Message) (req *Request, ack int64) {
-	req = &Request{
+	return &Request{
 		Client:      m.Str(0),
 		Seq:         m.Int(1),
 		Command:     m.Str(3),
+		Args:        m.Seq(4),
 		SrcNode:     m.SrcNode,
 		SrcGuardian: m.SrcGuardian,
-	}
-	req.Args, _ = m.Args[4].(xrep.Seq)
-	return req, m.Int(2)
+	}, m.Int(2)
 }
 
 // SendReply answers an envelope directly — the reply path Dedup uses,
@@ -301,54 +300,56 @@ func appendDedupRec(dst []byte, client string, seq, ack int64, c cached) []byte 
 	return dst
 }
 
-// Recover rebuilds the dedup table from the stable log, re-applying each
-// record's reply cache and ack watermark in order. A guardian's recovery
-// process calls it before serving, so a request the pre-crash incarnation
-// already executed is answered from the cache, never re-executed —
-// at-most-once across the crash.
+// Recover rebuilds the dedup table from the filter's own log through
+// guardian.Replay with Fold as the only folder, and reports how many
+// records it folded. A guardian whose log the filter shares passes Fold
+// to its own replay instead, so each record is read once.
 func (d *Dedup) Recover() (int, error) {
 	if d.opts.Log == nil {
 		return 0, nil
 	}
-	_, records, err := d.opts.Log.Recover()
-	if err != nil && err != durable.ErrNoCheckpoint {
-		return 0, err
+	n := 0
+	err := guardian.Replay(d.opts.Log, nil, func(v xrep.Value) (bool, error) {
+		mine, err := d.Fold(v)
+		if mine && err == nil {
+			n++
+		}
+		return mine, err
+	})
+	if err != nil {
+		err = fmt.Errorf("amo: recover dedup %w", err)
+	}
+	return n, err
+}
+
+// Fold is the filter's folder (guardian.Folder): it re-applies one
+// amo/dedup record's reply cache and ack watermark. A guardian's recovery
+// folds them in log order before serving, so a request the pre-crash
+// incarnation already executed is answered from the cache, never
+// re-executed — at-most-once across the crash.
+func (d *Dedup) Fold(v xrep.Value) (bool, error) {
+	if xrep.RecName(v) != dedupLogRec {
+		return false, nil // not ours; the log may be shared
+	}
+	f := xrep.ReadRec(v, dedupLogRec, 5)
+	client, seq, ack := f.Str(), f.Int(), f.Int()
+	c := cached{outcome: f.Str(), args: f.Seq()}
+	if err := f.Err(); err != nil {
+		return true, err
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	n := 0
-	for _, r := range records {
-		v, err := wire.UnmarshalValue(r.Data)
-		if err != nil {
-			return n, fmt.Errorf("amo: recover dedup record %d: %w", r.Seq, err)
-		}
-		rec, ok := v.(xrep.Rec)
-		if !ok || rec.Name != dedupLogRec || len(rec.Fields) != 5 {
-			continue // not ours; the log may be shared
-		}
-		client, ok0 := rec.Fields[0].(xrep.Str)
-		seq, ok1 := rec.Fields[1].(xrep.Int)
-		ack, ok2 := rec.Fields[2].(xrep.Int)
-		outcome, ok3 := rec.Fields[3].(xrep.Str)
-		args, ok4 := rec.Fields[4].(xrep.Seq)
-		if !ok0 || !ok1 || !ok2 || !ok3 || !ok4 {
-			// It carries our name and our arity, so it is not a neighbour's
-			// record to skip: the log holds something we did not write.
-			return n, fmt.Errorf("amo: recover dedup record %d: malformed %s record", r.Seq, dedupLogRec)
-		}
-		s, ok := d.sessions[string(client)]
-		if !ok {
-			s = &session{replies: make(map[int64]cached), executing: make(map[int64]bool)}
-			d.sessions[string(client)] = s
-		}
-		if int64(seq) > s.pruned {
-			s.replies[int64(seq)] = cached{outcome: string(outcome), args: args}
-		}
-		s.prune(int64(ack))
-		s.bound(maxPerClient)
-		n++
+	s, ok := d.sessions[client]
+	if !ok {
+		s = &session{replies: make(map[int64]cached), executing: make(map[int64]bool)}
+		d.sessions[client] = s
 	}
-	return n, nil
+	if seq > s.pruned {
+		s.replies[seq] = c
+	}
+	s.prune(ack)
+	s.bound(maxPerClient)
+	return true, nil
 }
 
 // Snapshot captures the dedup table as a value suitable for inclusion in
@@ -389,41 +390,32 @@ func (d *Dedup) Snapshot() xrep.Value {
 
 // parseSnapshot decodes a Snapshot value into a fresh session table.
 func parseSnapshot(v xrep.Value) (map[string]*session, error) {
-	seq, ok := v.(xrep.Seq)
-	if !ok {
-		return nil, fmt.Errorf("amo: restore: not a snapshot sequence")
-	}
-	sessions := make(map[string]*session, len(seq))
-	for _, sv := range seq {
-		rec, ok := sv.(xrep.Rec)
-		if !ok || rec.Name != "amo/session" || len(rec.Fields) != 3 {
-			return nil, fmt.Errorf("amo: restore: malformed session record")
-		}
-		client, ok0 := rec.Fields[0].(xrep.Str)
-		pruned, ok1 := rec.Fields[1].(xrep.Int)
-		entries, ok2 := rec.Fields[2].(xrep.Seq)
-		if !ok0 || !ok1 || !ok2 {
-			return nil, fmt.Errorf("amo: restore: malformed session record")
-		}
+	list := xrep.ReadSeq(v, 0)
+	sessions := make(map[string]*session)
+	for list.More() {
+		f := xrep.ReadRec(list.Value(), "amo/session", 3)
+		client := f.Str()
 		s := &session{
-			pruned:    int64(pruned),
+			pruned:    f.Int(),
 			replies:   make(map[int64]cached),
 			executing: make(map[int64]bool),
 		}
-		for _, ev := range entries {
-			e, ok := ev.(xrep.Seq)
-			if !ok || len(e) != 3 {
-				return nil, fmt.Errorf("amo: restore: malformed reply entry")
-			}
-			rseq, ok0 := e[0].(xrep.Int)
-			outcome, ok1 := e[1].(xrep.Str)
-			args, ok2 := e[2].(xrep.Seq)
-			if !ok0 || !ok1 || !ok2 {
-				return nil, fmt.Errorf("amo: restore: malformed reply entry")
-			}
-			s.replies[int64(rseq)] = cached{outcome: string(outcome), args: args}
+		entries := f.Seq()
+		if err := f.Err(); err != nil {
+			return nil, fmt.Errorf("amo: restore: %w", err)
 		}
-		sessions[string(client)] = s
+		for _, ev := range entries {
+			e := xrep.ReadSeq(ev, 3)
+			rseq := e.Int()
+			s.replies[rseq] = cached{outcome: e.Str(), args: e.Seq()}
+			if err := e.Err(); err != nil {
+				return nil, fmt.Errorf("amo: restore: reply entry: %w", err)
+			}
+		}
+		sessions[client] = s
+	}
+	if err := list.Err(); err != nil {
+		return nil, fmt.Errorf("amo: restore: %w", err)
 	}
 	return sessions, nil
 }

@@ -2,6 +2,7 @@ package amo
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -103,9 +104,10 @@ func recoverFrom(t testing.TB, records ...[]byte) (*Dedup, int, error) {
 }
 
 // TestRecoverRejectsMalformedDedupRecord: a record that carries this
-// package's name and arity but fields of the wrong kinds is reported, by
-// name, instead of panicking recovery; records of other shapes are still a
-// neighbour's and skipped.
+// package's name but not its arity, or fields of the wrong kinds, is
+// reported, by name, instead of panicking recovery or being folded as zero
+// values; records of other names and shapes are still a neighbour's and
+// skipped.
 func TestRecoverRejectsMalformedDedupRecord(t *testing.T) {
 	marshal := func(v xrep.Value) []byte {
 		b, err := wire.MarshalValue(v)
@@ -123,8 +125,13 @@ func TestRecoverRejectsMalformedDedupRecord(t *testing.T) {
 			t.Errorf("field %d of the wrong kind: recovered %d, err %v; want 1 and an error naming %s", i, n, err, dedupLogRec)
 		}
 	}
+	for _, fields := range []xrep.Seq{{xrep.Str("short")}, make(xrep.Seq, 6)} {
+		_, n, err := recoverFrom(t, good, marshal(xrep.Rec{Name: dedupLogRec, Fields: fields}))
+		if !errors.Is(err, xrep.ErrMalformed) || !strings.Contains(err.Error(), dedupLogRec) || n != 1 {
+			t.Errorf("%d fields: recovered %d, err %v; want 1 and an error naming %s", len(fields), n, err, dedupLogRec)
+		}
+	}
 	d, n, err := recoverFrom(t,
-		marshal(xrep.Rec{Name: dedupLogRec, Fields: xrep.Seq{xrep.Str("short")}}),
 		marshal(xrep.Rec{Name: "bank/other", Fields: make(xrep.Seq, 5)}),
 		marshal(xrep.Seq{xrep.Str("deposit"), xrep.Str("a"), xrep.Int(1), xrep.Str("")}),
 		good)

@@ -32,12 +32,9 @@ type Analyzer struct {
 	// pass.Report. The returned error aborts the whole run (reserved for
 	// internal failures, not findings).
 	Run func(*Pass) error
-	// Finish, when non-nil, runs once after every package of a standalone
-	// run has been analyzed, reporting the whole-program directions the
+	// Finish, when non-nil, runs once after every package of a run has
+	// been analyzed, reporting the whole-program directions the
 	// per-package Run only accumulated evidence for (into pass.Program).
-	// Under go vet -vettool each package is its own process, Program is
-	// nil, and Finish never runs — passes degrade to their per-package
-	// directions.
 	Finish func(*Program) []Diagnostic
 }
 
@@ -56,12 +53,10 @@ type Pass struct {
 	// Report delivers one diagnostic. The driver applies //lint:allow
 	// suppression before printing.
 	Report func(Diagnostic)
-	// Program, when non-nil, is a whole-program accumulator shared by all
-	// packages of one standalone run. Passes that need cross-package
-	// evidence (xreppair's "encoder registered nowhere" direction) record
-	// into it and a Finish hook reports after every package has run. Under
-	// go vet -vettool each package is analyzed in its own process, so
-	// Program is nil and whole-program directions are skipped.
+	// Program is the whole-program accumulator shared by all packages of
+	// one run. Passes that need cross-package evidence (xreppair's
+	// "encoder registered nowhere" direction) record into it and a Finish
+	// hook reports after every package has run.
 	Program *Program
 }
 
@@ -79,7 +74,7 @@ type Diagnostic struct {
 }
 
 // Program accumulates whole-program evidence across the packages of one
-// standalone run. It is keyed loosely (string → any) so passes own their
+// run. It is keyed loosely (string → any) so passes own their
 // schema; see xreppair for the only current client.
 type Program struct {
 	facts map[string]any
@@ -91,7 +86,7 @@ func NewProgram() *Program {
 }
 
 // Fact returns the value stored under key, creating it with mk on first
-// use. Single-goroutine use only: the standalone driver runs packages
+// use. Single-goroutine use only: the driver runs packages
 // sequentially, mirroring go vet's per-package determinism.
 func (pr *Program) Fact(key string, mk func() any) any {
 	v, ok := pr.facts[key]

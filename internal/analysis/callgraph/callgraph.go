@@ -1,5 +1,5 @@
 // Package callgraph grows the per-package AST framework into a
-// whole-program one: it reduces every function the standalone driver sees
+// whole-program one: it reduces every function the driver sees
 // to a summary of the events the interaction-safety passes care about —
 // lock acquisitions and releases, blocking operations, durable-log appends
 // and forced writes, client-visible reply sends, and calls — and composes
@@ -36,10 +36,8 @@
 //     calls other than unlocks are dropped (their interleaving with
 //     deferred unlocks is beyond source-order precision).
 //
-// Under the standalone driver every analyzed package records into one
-// shared Graph (via analysis.Program) and whole-program queries see the
-// union. Under go vet -vettool there is no shared run, so each pass builds
-// a single-package Graph and degrades to intra-package composition.
+// Every analyzed package records into one shared Graph (via
+// analysis.Program) and whole-program queries see the union.
 package callgraph
 
 import (
@@ -169,21 +167,15 @@ func New() *Graph {
 const graphKey = "callgraph.graph"
 
 // Of returns the graph for this pass's run, recording the pass's package
-// into it on first sight. With a Program (standalone mode) the graph is
-// shared by every package and every pass of the run; without one (vet
-// mode) the graph covers just this package.
+// into it on first sight. The graph is shared by every package and every
+// pass of the run.
 //
 // Files ending in _test.go are not summarized: tests hold locks across
 // blocking calls and reply out of order on purpose (fault injection,
 // deadline probes), and flagging them would bury the signal under an
 // allowlist of intentional violations.
 func Of(pass *analysis.Pass) *Graph {
-	var g *Graph
-	if pass.Program != nil {
-		g = pass.Program.Fact(graphKey, func() any { return New() }).(*Graph)
-	} else {
-		g = New()
-	}
+	g := From(pass.Program)
 	if !g.pkgs[pass.Pkg] {
 		g.pkgs[pass.Pkg] = true
 		g.reach = nil // new summaries invalidate memoized closures
@@ -198,7 +190,7 @@ func Of(pass *analysis.Pass) *Graph {
 	return g
 }
 
-// From returns the shared graph accumulated by a standalone run's Run
+// From returns the shared graph accumulated by a run's Run
 // phases, for use in an Analyzer.Finish hook. Nil when no package
 // recorded (the analyzers were never run).
 func From(prog *analysis.Program) *Graph {

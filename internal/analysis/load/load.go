@@ -1,9 +1,8 @@
 // Package load type-checks packages for the guardian analysis passes
 // without golang.org/x/tools: it parses source with go/parser and resolves
-// imports from compiler export data, the same inputs a go vet -vettool
-// driver is handed. Two front ends feed it — the standalone `go list
-// -export` driver (List) and the unitchecker config protocol (package
-// unit) — both reducing to Check.
+// imports from compiler export data. Two front ends feed it — the `go list
+// -export` driver (List, CheckListed) and the golden-test harness
+// (analysistest) — both reducing to Check.
 package load
 
 import (
@@ -37,7 +36,7 @@ type Unit struct {
 }
 
 // Check parses filenames and type-checks them as package path, resolving
-// imports through imp. It is the common trunk of both drivers.
+// imports through imp. It is the common trunk of both front ends.
 func Check(fset *token.FileSet, id, path string, filenames []string, imp types.Importer) (*Unit, error) {
 	files := make([]*ast.File, 0, len(filenames))
 	for _, fn := range filenames {

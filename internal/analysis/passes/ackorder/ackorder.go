@@ -27,8 +27,8 @@
 //     reachable Sync ever forces — the arm acked and left the mutation
 //     volatile forever.
 //
-// Under go vet -vettool the pass composes intra-package calls only; the
-// standalone driver's Finish direction composes across packages.
+// Run only records each package into the shared call graph; the Finish
+// direction composes across packages and reports.
 package ackorder
 
 import (
@@ -48,12 +48,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	g := callgraph.Of(pass)
-	if pass.Program == nil {
-		for _, d := range analyze(g) {
-			pass.Report(d)
-		}
-	}
+	callgraph.Of(pass)
 	return nil
 }
 

@@ -43,9 +43,8 @@
 //     wrapped below itself (Wrapper inside replica.Store inside Wrapper)
 //     holds a different lock object.
 //
-// Under go vet -vettool the pass sees one package at a time and composes
-// only intra-package calls; the standalone driver runs the whole-program
-// Finish direction.
+// Run only records each package into the shared call graph; the Finish
+// direction composes across packages and reports.
 package lockorder
 
 import (
@@ -67,13 +66,7 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	g := callgraph.Of(pass)
-	if pass.Program == nil {
-		// vet mode: no Finish will run; analyze the single-package graph now.
-		for _, d := range analyze(g) {
-			pass.Report(d)
-		}
-	}
+	callgraph.Of(pass)
 	return nil
 }
 

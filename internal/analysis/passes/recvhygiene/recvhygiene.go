@@ -16,8 +16,11 @@
 //     function that never inspects failure (IsFailure, FailureText, or
 //     the message Command) — an unbounded wait with no loss handling.
 //
-// Receivers that genuinely want neither arm (e.g. a test driving a
-// lossless in-memory world) take //lint:allow recvhygiene with a reason.
+// A receive in a _test.go file is not checked: the test deadline is its
+// timeout arm — a wedged receive fails the run with a goroutine dump
+// instead of hanging a node — so tests drive lossless in-memory worlds
+// with neither arm. Non-test code that genuinely wants neither takes
+// //lint:allow recvhygiene with a reason.
 package recvhygiene
 
 import (
@@ -25,6 +28,7 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/passes/guardianapi"
@@ -42,6 +46,9 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
+		if strings.HasSuffix(pass.Fset.File(f.Pos()).Name(), "_test.go") {
+			continue
+		}
 		parents := collectParents(f)
 		fns := collectFuncs(f)
 		handled := make(map[*ast.CallExpr]bool) // NewReceiver calls already covered by a longer chain

@@ -32,11 +32,10 @@ func (p pair) EncodeX() (xrep.Value, error) {
 
 // decodePair expects three fields: the halves disagree.
 func decodePair(v xrep.Value) (any, error) {
-	rec, ok := v.(xrep.Rec)
-	if !ok || len(rec.Fields) != 3 {
-		return nil, nil
-	}
-	return pair{a: int64(rec.Fields[0].(xrep.Int))}, nil
+	f := xrep.ReadRec(v, "pair", 3)
+	p := pair{a: f.Int(), b: f.Int()}
+	f.Value()
+	return p, f.Err()
 }
 
 func install(r *xrep.Registry) {

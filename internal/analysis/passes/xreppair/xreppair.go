@@ -5,7 +5,7 @@
 // a latent runtime failure — an encoder whose output no node can decode,
 // or a registered decoder for a type nothing produces.
 //
-// Per-package checks (run under go vet and standalone):
+// Per-package checks:
 //
 //   - a type declaring EncodeX without XTypeName, or vice versa: half an
 //     xrep.Transmittable implementation that Go happily compiles and
@@ -16,14 +16,12 @@
 //     function;
 //   - encode/decode arity disagreement: when a package both encodes a
 //     type (EncodeX returning an xrep.Seq literal) and registers a decode
-//     for the same name whose body checks len(rec.Fields) or indexes
-//     rec.Fields, the two field counts must agree.
+//     for the same name whose body opens its reader with xrep.ReadRec, the
+//     encoded field count and the reader's constant arity must agree.
 //
-// Whole-program checks (standalone guardianlint only, where every package
-// of the run is visible): every XTypeName value must be registered for
-// decode somewhere, and every registered name must have an encoder. Under
-// go vet each package is a separate process, so these directions are
-// skipped there.
+// Whole-program checks (every package of the run is visible): every
+// XTypeName value must be registered for decode somewhere, and every
+// registered name must have an encoder.
 package xreppair
 
 import (
@@ -123,10 +121,8 @@ func run(pass *analysis.Pass) error {
 				if _, seen := encoderPos[val]; !seen {
 					encoderPos[val] = fd.Name.Pos()
 				}
-				if prog := pass.Program; prog != nil {
-					idx := indexOf(prog)
-					idx.Encoders[val] = append(idx.Encoders[val], fd.Name.Pos())
-				}
+				idx := indexOf(pass.Program)
+				idx.Encoders[val] = append(idx.Encoders[val], fd.Name.Pos())
 			case "EncodeX":
 				arity := encodeArity(pass, fd)
 				name := xTypeNameOfReceiver(pass, fd)
@@ -164,10 +160,8 @@ func run(pass *analysis.Pass) error {
 				pass.Reportf(call.Args[1].Pos(), "Register(%q, nil) installs no decode operation", typeName)
 				return true
 			}
-			if prog := pass.Program; prog != nil {
-				idx := indexOf(prog)
-				idx.Registered[typeName] = append(idx.Registered[typeName], call.Pos())
-			}
+			idx := indexOf(pass.Program)
+			idx.Registered[typeName] = append(idx.Registered[typeName], call.Pos())
 			// Arity agreement, when both halves are visible here.
 			encA, okEnc := encoderArity[typeName]
 			decA := decodeArity(pass, call.Args[1])
@@ -183,7 +177,7 @@ func run(pass *analysis.Pass) error {
 }
 
 // Finish reports the whole-program directions after every package of a
-// standalone run has been indexed.
+// run has been indexed.
 func Finish(prog *analysis.Program) []analysis.Diagnostic {
 	idx := indexOf(prog)
 	var out []analysis.Diagnostic
@@ -338,41 +332,31 @@ func isSeqType(t types.Type) bool {
 	return t != nil && guardianapi.IsNamed(t, guardianapi.Xrep, "Seq")
 }
 
-// decodeArity inspects the registered decode function's body for the
-// field count it expects: a len(x.Fields) comparison against a constant
-// wins; failing that, one past the largest constant index into .Fields.
-// Returns -1 when the body is not visible or gives no evidence.
+// decodeArity is the field count the registered decode function opens its
+// reader for: the constant arity argument of its xrep.ReadRec call. Returns
+// -1 when the body is not visible or opens no reader.
 func decodeArity(pass *analysis.Pass, fn ast.Expr) int {
 	fd := decodeFuncDecl(pass, fn)
 	if fd == nil || fd.Body == nil {
 		return -1
 	}
-	lenCmp := -1
-	maxIdx := -1
+	arity := -1
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.BinaryExpr:
-			if c := lenFieldsComparison(pass, n); c >= 0 && lenCmp < 0 {
-				lenCmp = c
-			}
-		case *ast.IndexExpr:
-			if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok && sel.Sel.Name == "Fields" {
-				if tv := pass.TypesInfo.Types[n.Index]; tv.Value != nil && tv.Value.Kind() == constant.Int {
-					if i, exact := constant.Int64Val(tv.Value); exact && int(i) > maxIdx {
-						maxIdx = int(i)
-					}
-				}
+		call, ok := n.(*ast.CallExpr)
+		if !ok || arity >= 0 || len(call.Args) != 3 {
+			return true
+		}
+		if pkg, _, name := guardianapi.Callee(pass.TypesInfo, call); pkg != guardianapi.Xrep || name != "ReadRec" {
+			return true
+		}
+		if tv := pass.TypesInfo.Types[call.Args[2]]; tv.Value != nil && tv.Value.Kind() == constant.Int {
+			if i, exact := constant.Int64Val(tv.Value); exact {
+				arity = int(i)
 			}
 		}
 		return true
 	})
-	if lenCmp >= 0 {
-		return lenCmp
-	}
-	if maxIdx >= 0 {
-		return maxIdx + 1
-	}
-	return -1
+	return arity
 }
 
 // decodeFuncDecl resolves the Register func argument to a same-package
@@ -397,40 +381,6 @@ func decodeFuncDecl(pass *analysis.Pass, fn ast.Expr) *ast.FuncDecl {
 		return nil
 	}
 	return nil
-}
-
-// lenFieldsComparison matches `len(x.Fields) OP const` (either side) and
-// returns the constant for equality-style guards, -1 otherwise.
-func lenFieldsComparison(pass *analysis.Pass, be *ast.BinaryExpr) int {
-	if be.Op != token.NEQ && be.Op != token.EQL {
-		return -1
-	}
-	lenSide, constSide := be.X, be.Y
-	if !isLenFields(lenSide) {
-		lenSide, constSide = be.Y, be.X
-	}
-	if !isLenFields(lenSide) {
-		return -1
-	}
-	if tv := pass.TypesInfo.Types[constSide]; tv.Value != nil && tv.Value.Kind() == constant.Int {
-		if i, exact := constant.Int64Val(tv.Value); exact && i >= 0 {
-			return int(i)
-		}
-	}
-	return -1
-}
-
-// isLenFields matches len(<expr>.Fields).
-func isLenFields(e ast.Expr) bool {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok || len(call.Args) != 1 {
-		return false
-	}
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); !ok || id.Name != "len" {
-		return false
-	}
-	sel, ok := ast.Unparen(call.Args[0]).(*ast.SelectorExpr)
-	return ok && sel.Sel.Name == "Fields"
 }
 
 // isNilExpr reports whether e is the predeclared nil.

@@ -11,7 +11,7 @@ func TestXreppair(t *testing.T) {
 	analysistest.Run(t, xreppair.Analyzer, "a")
 }
 
-// TestXreppairWholeProgram exercises the standalone-only directions: every
+// TestXreppairWholeProgram exercises the whole-program directions: every
 // encoder needs a registered decode somewhere, every registration an
 // encoder.
 func TestXreppairWholeProgram(t *testing.T) {

@@ -1,118 +1,16 @@
-// Package unit implements the go vet -vettool driver protocol (the
-// "unitchecker" protocol): cmd/go invokes the tool once per package with a
-// JSON config file argument, and expects flag metadata, a version string,
-// diagnostics on stderr, and a facts file written per package.
-//
-// The protocol, as spoken by cmd/go:
-//
-//	tool -flags             → JSON [{Name,Bool,Usage}...] flag metadata
-//	tool -V=full            → one line of version output, used as cache key
-//	tool path/to/vet.cfg    → analyze one package
-//
-// Diagnostics are printed "file:line:col: message [pass]" to stderr and
-// the exit status is 2 when any finding survives suppression, matching
-// x/tools unitchecker behavior so `go vet -vettool=guardianlint` fails the
-// build exactly like vet itself.
+// Package unit runs the passes over one type-checked package and filters
+// what they report through the package's //lint:allow directives. The
+// driver (cmd/guardianlint) and the golden-test harness
+// (analysistest) both go through it.
 package unit
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 	"go/token"
-	"io"
-	"os"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/load"
 )
-
-// Config is the JSON schema cmd/go writes for each package. Field names
-// are fixed by the protocol.
-type Config struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	NonGoFiles                []string
-	IgnoredFiles              []string
-	ModulePath                string
-	ModuleVersion             string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// PrintFlags emits the flag-metadata JSON the driver asks for first. The
-// suite defines no tool-level flags.
-func PrintFlags(w io.Writer) {
-	fmt.Fprintln(w, "[]")
-}
-
-// PrintVersion emits the cache-key line for -V=full. The executable's own
-// content hash is included so a rebuilt tool invalidates vet's cache.
-func PrintVersion(w io.Writer, name string) {
-	id := "unknown"
-	if exe, err := os.Executable(); err == nil {
-		if data, err := os.ReadFile(exe); err == nil {
-			id = fmt.Sprintf("%x", sha256.Sum256(data))[:16]
-		}
-	}
-	fmt.Fprintf(w, "%s version dev buildID=%s\n", name, id)
-}
-
-// Run analyzes the single package described by cfgPath with the given
-// passes and returns the process exit code.
-func Run(cfgPath string, analyzers []*analysis.Analyzer) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "guardianlint: %v\n", err)
-		return 1
-	}
-	var cfg Config
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "guardianlint: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-	// The driver expects a facts file per package regardless; the suite
-	// carries no cross-package facts under vet (whole-program directions
-	// run only in standalone mode), so an empty one satisfies it.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0666); err != nil {
-			fmt.Fprintf(os.Stderr, "guardianlint: %v\n", err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly || len(cfg.GoFiles) == 0 {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	imp := load.ExportImporter(fset, cfg.ImportMap, cfg.PackageFile)
-	u, err := load.Check(fset, cfg.ID, cfg.ImportPath, cfg.GoFiles, imp)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "guardianlint: %v\n", err)
-		return 1
-	}
-
-	diags := RunAnalyzers(u, analyzers, nil)
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: %s [%s]\n", u.Fset.Position(d.Pos), d.Message, d.Pass)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
-}
 
 // Finding is a diagnostic with its originating pass attached.
 type Finding struct {
@@ -124,8 +22,7 @@ type Finding struct {
 // RunAnalyzers applies every pass to one unit and filters the results
 // through the unit's //lint:allow directives. Directives with an empty
 // reason are themselves reported (an exemption from a paper invariant must
-// say why). The shared prog is nil under vet (per-process packages);
-// standalone callers pass one to enable whole-program directions.
+// say why). prog is the run's whole-program accumulator.
 func RunAnalyzers(u *load.Unit, analyzers []*analysis.Analyzer, prog *analysis.Program) []Finding {
 	allows := analysis.CollectAllows(u.Fset, u.Files)
 	out, _ := Analyze(u, analyzers, prog, allows)
@@ -135,7 +32,7 @@ func RunAnalyzers(u *load.Unit, analyzers []*analysis.Analyzer, prog *analysis.P
 
 // Analyze applies every pass to one unit, suppressing findings through the
 // given directives (marking the ones that fire as Used). Callers that need
-// the allow inventory afterwards — the standalone driver's whole-program
+// the allow inventory afterwards — the driver's whole-program
 // filtering and staleness report — use this instead of RunAnalyzers. The
 // suppressed findings come back separately so machine-readable output can
 // show what the allow inventory is holding down.

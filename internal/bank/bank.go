@@ -167,26 +167,27 @@ func appendOpRecord(dst []byte, kind, acct string, amount int64, opID string) []
 	return wire.AppendStr(dst, opID)
 }
 
-// decodeOpRecord is appendOpRecord's inverse. ok is false for foreign
-// records — the branch's log is shared with its dedup filter, whose records
-// are xrep.Rec values and simply skipped here.
-func decodeOpRecord(data []byte) (kind, acct string, amount int64, opID string, ok bool) {
-	v, err := wire.UnmarshalValue(data)
+// decodeOpRecord is appendOpRecord's inverse, over the unmarshalled record.
+func decodeOpRecord(v xrep.Value) (kind, acct string, amount int64, opID string, err error) {
+	f := xrep.ReadSeq(v, 4)
+	kind, acct, amount, opID = f.Str(), f.Str(), f.Int(), f.Str()
+	return kind, acct, amount, opID, f.Err()
+}
+
+// foldOp is the op-record folder. A branch's log holds records of its
+// shard core and its dedup filter, op records are its only sequences: a
+// sequence is an op record, and one that does not read as (kind, account,
+// amount, op id) is malformed.
+func (st *branchState) foldOp(v xrep.Value) (bool, error) {
+	if v.Kind() != xrep.KindSeq {
+		return false, nil
+	}
+	kind, acct, amount, opID, err := decodeOpRecord(v)
 	if err != nil {
-		return "", "", 0, "", false
+		return true, fmt.Errorf("bank: op record: %w", err)
 	}
-	seq, isSeq := v.(xrep.Seq)
-	if !isSeq || len(seq) != 4 {
-		return "", "", 0, "", false
-	}
-	k, ok1 := seq[0].(xrep.Str)
-	a, ok2 := seq[1].(xrep.Str)
-	n, ok3 := seq[2].(xrep.Int)
-	id, ok4 := seq[3].(xrep.Str)
-	if !ok1 || !ok2 || !ok3 || !ok4 {
-		return "", "", 0, "", false
-	}
-	return string(k), string(a), int64(n), string(id), true
+	st.apply(kind, acct, amount, opID)
+	return true, nil
 }
 
 // checkpointRec names the record a branch's checkpoint state marshals to.
@@ -248,94 +249,63 @@ func decodeCheckpoint(data []byte, st *branchState) (dedupSnap, shardState xrep.
 	if err != nil {
 		return nil, nil, err
 	}
-	rec, ok := v.(xrep.Rec)
-	if !ok || rec.Name != checkpointRec || len(rec.Fields) < 3 || len(rec.Fields) > 4 {
-		return nil, nil, fmt.Errorf("not a %s record", checkpointRec)
+	// The shard core is a fourth field a checkpoint written before the
+	// format carried shard state lacks.
+	f := xrep.ReadRec(v, checkpointRec, 3)
+	accounts, applied := f.Seq(), f.Seq()
+	dedupSnap = f.Value()
+	if f.More() {
+		shardState = f.Value()
 	}
-	accounts, ok0 := rec.Fields[0].(xrep.Seq)
-	applied, ok1 := rec.Fields[1].(xrep.Seq)
-	if !ok0 || !ok1 {
-		return nil, nil, fmt.Errorf("malformed %s record", checkpointRec)
+	if err := f.Err(); err != nil {
+		return nil, nil, err
 	}
 	for _, av := range accounts {
-		pair, ok := av.(xrep.Seq)
-		if !ok || len(pair) != 2 {
-			return nil, nil, fmt.Errorf("malformed account entry")
+		e := xrep.ReadSeq(av, 2)
+		name, bal := e.Str(), e.Int()
+		if err := e.Err(); err != nil {
+			return nil, nil, fmt.Errorf("account entry: %w", err)
 		}
-		name, ok0 := pair[0].(xrep.Str)
-		bal, ok1 := pair[1].(xrep.Int)
-		if !ok0 || !ok1 {
-			return nil, nil, fmt.Errorf("malformed account entry")
-		}
-		st.accounts[string(name)] = int64(bal)
+		st.accounts[name] = bal
 	}
 	for _, ov := range applied {
-		pair, ok := ov.(xrep.Seq)
-		if !ok || len(pair) != 2 {
-			return nil, nil, fmt.Errorf("malformed applied-op entry")
+		e := xrep.ReadSeq(ov, 2)
+		id, outcome := e.Str(), e.Str()
+		if err := e.Err(); err != nil {
+			return nil, nil, fmt.Errorf("applied-op entry: %w", err)
 		}
-		id, ok0 := pair[0].(xrep.Str)
-		outcome, ok1 := pair[1].(xrep.Str)
-		if !ok0 || !ok1 {
-			return nil, nil, fmt.Errorf("malformed applied-op entry")
-		}
-		st.applied[string(id)] = string(outcome)
+		st.applied[id] = outcome
 	}
-	if len(rec.Fields) == 4 {
-		shardState = rec.Fields[3]
-	}
-	return rec.Fields[2], shardState, nil
+	return dedupSnap, shardState, nil
 }
 
-// ReplayAccounts rebuilds a branch's account table by replaying durable
-// operation records through the same deterministic apply used online,
-// skipping foreign (e.g. dedup-table) records. It is the independent
-// reference a recovery checker compares a restarted branch against: if the
-// live recovery path and this pure replay disagree, recovery lost or
-// invented an effect.
-func ReplayAccounts(records []durable.Record) map[string]int64 {
+// restoreBranch loads a checkpoint into core and its branch state, and into
+// the dedup filter when there is one. Shard state restores with the
+// accounts, BEFORE any record is folded on top, so tail records (acks,
+// commits) find the handoffs and txns they refer to.
+func restoreBranch(cp []byte, core *shardCore) error {
+	dedupSnap, shardState, err := decodeCheckpoint(cp, core.st)
+	if err == nil && shardState != nil {
+		err = core.restoreCheckpoint(shardState)
+	}
+	if err == nil && core.dedup != nil {
+		err = core.dedup.Restore(dedupSnap)
+	}
+	return err
+}
+
+// ReplayAccountsFrom rebuilds a branch's account table from its log alone:
+// the checkpoint, if any, seeds the accounts and shard state, and the
+// records after it are folded on top through the same deterministic folds
+// recovery uses, skipping the dedup filter's. It is the independent
+// reference a recovery checker compares a running branch against: if the
+// live state and this pure replay disagree, recovery would lose or invent
+// an effect.
+func ReplayAccountsFrom(log durable.Log) (map[string]int64, error) {
 	st := &branchState{accounts: make(map[string]int64), applied: make(map[string]string)}
-	replayInto(st, newShardCore(""), records)
-	return st.accounts
-}
-
-// replayInto folds records into st in log order: shard records (ring
-// flips, seeds, migrations, escrow) through the deterministic shard fold,
-// everything else through the op-record apply. Foreign records (dedup
-// table entries) are skipped by both decoders.
-func replayInto(st *branchState, core *shardCore, records []durable.Record) {
-	for _, r := range records {
-		if v, err := wire.UnmarshalValue(r.Data); err == nil {
-			if _, ok := core.fold(st, v); ok {
-				continue
-			}
-		}
-		if kind, acct, amount, opID, ok := decodeOpRecord(r.Data); ok {
-			st.apply(kind, acct, amount, opID)
-		}
-	}
-}
-
-// ReplayAccountsFrom is ReplayAccounts for a checkpointing branch: the
-// account table and shard state are seeded from the checkpoint (nil means
-// none) and the post-checkpoint records are replayed on top — the exact
-// reconstruction a recovery or a replica takeover performs.
-func ReplayAccountsFrom(checkpoint []byte, records []durable.Record) (map[string]int64, error) {
-	st := &branchState{accounts: make(map[string]int64), applied: make(map[string]string)}
-	core := newShardCore("")
-	if len(checkpoint) > 0 {
-		_, shardState, err := decodeCheckpoint(checkpoint, st)
-		if err != nil {
-			return nil, err
-		}
-		if shardState != nil {
-			if err := core.restoreCheckpoint(st, shardState); err != nil {
-				return nil, err
-			}
-		}
-	}
-	replayInto(st, core, records)
-	return st.accounts, nil
+	core := newShardCore("", st, nil)
+	err := guardian.Replay(log, func(cp []byte) error { return restoreBranch(cp, core) }, core.fold, st.foldOp)
+	return st.accounts, err
 }
 
 // apply performs one operation against the state; deterministic, so
@@ -384,6 +354,28 @@ func (st *branchState) apply(kind, acct string, amount int64, opID string) strin
 	return outcome
 }
 
+// amoArgs reads an at-most-once command's arguments left to right:
+// (account) for open and balance, (account, amount) for deposit and
+// withdraw, (from, to, amount) for transfer. ok is false for any other
+// command and for arguments missing or of the wrong kind: such a request
+// is refused, never run on zero values. Surplus trailing arguments (a
+// caller's op id) are tolerated.
+func amoArgs(req *amo.Request) (acct, to string, amount int64, ok bool) {
+	f := xrep.ReadFields(req.Args, 0)
+	switch req.Command {
+	case "open", "balance":
+		acct = f.Str()
+	case "deposit", "withdraw":
+		acct, amount = f.Str(), f.Int()
+	case "transfer":
+		acct, to, amount = f.Str(), f.Str(), f.Int()
+	default:
+		return "", "", 0, false
+	}
+	f.Rest()
+	return acct, to, amount, f.Err() == nil
+}
+
 func branchMain(ctx *guardian.Ctx) {
 	st := &branchState{
 		accounts: make(map[string]int64),
@@ -427,49 +419,13 @@ func branchMain(ctx *guardian.Ctx) {
 	st.shard = sh
 
 	if ctx.Recovering {
-		cp, recs, err := log.Recover()
-		if err != nil && err != durable.ErrNoCheckpoint {
-			// Fail-stop: running a bank on recovery data known to be
-			// damaged would silently forget acknowledged money movements.
-			panic(fmt.Errorf("bank: branch %d: unrecoverable log: %w", ctx.G.ID(), err))
-		}
-		var cpDedup xrep.Value
-		if len(cp) > 0 {
-			snap, shardState, derr := decodeCheckpoint(cp, st)
-			if derr != nil {
-				panic(fmt.Errorf("bank: branch %d: bad checkpoint: %w", ctx.G.ID(), derr))
-			}
-			cpDedup = snap
-			// Shard state restores BEFORE the tail replay, so tail records
-			// (acks, commits) find the handoffs and txns they refer to.
-			if shardState != nil {
-				if err := sh.restoreCheckpoint(st, shardState); err != nil {
-					panic(fmt.Errorf("bank: branch %d: bad checkpoint: %w", ctx.G.ID(), err))
-				}
-			}
-		}
-		for _, r := range recs {
-			if sh.replayData(r.Data) {
-				continue
-			}
-			if kind, acct, amount, opID, ok := decodeOpRecord(r.Data); ok {
-				st.apply(kind, acct, amount, opID)
-			}
-		}
+		// One pass in log order: the checkpoint, then each record offered to
+		// the shard core, the op apply and the dedup filter.
+		folders := []guardian.Folder{sh.fold, st.foldOp}
 		if dedup != nil {
-			if cpDedup != nil {
-				if err := dedup.Restore(cpDedup); err != nil {
-					panic(fmt.Errorf("bank: branch %d: bad dedup snapshot: %w", ctx.G.ID(), err))
-				}
-			}
-			// Fold in dedup records written after the checkpoint was taken.
-			if _, err := dedup.Recover(); err != nil {
-				panic(err)
-			}
+			folders = append(folders, dedup.Fold)
 		}
-		// Merge the dedup snapshots replayed install records carried, after
-		// Restore/Recover so the merge lands on the rebuilt table.
-		sh.afterRecover()
+		ctx.G.Replay(func(cp []byte) error { return restoreBranch(cp, sh.shardCore) }, folders...)
 	}
 
 	// opRecord encodes into the branch's record scratch. Only this process
@@ -548,46 +504,30 @@ func branchMain(ctx *guardian.Ctx) {
 	// (or, in raw mode, deliberately nobody's). Effects are logged to the
 	// same op log with an empty op_id, so recovery replays them as-is.
 	amoExec := func(pr *guardian.Process, req *amo.Request) (string, xrep.Seq) {
-		str := func(i int) string {
-			if i < len(req.Args) {
-				if s, ok := req.Args[i].(xrep.Str); ok {
-					return string(s)
-				}
-			}
-			return ""
-		}
-		num := func(i int) int64 {
-			if i < len(req.Args) {
-				if n, ok := req.Args[i].(xrep.Int); ok {
-					return int64(n)
-				}
-			}
-			return 0
-		}
-		simple := func(kind string) (string, xrep.Seq) {
-			maybeCheckpoint()
-			appendOp(opRecord(kind, str(0), num(1), ""))
-			outcome := st.apply(kind, str(0), num(1), "")
-			if outcome == OutcomeOK {
-				st.applies.Add(1)
-				sh.journal(kind, str(0), num(1))
-			}
-			return outcome, nil
+		acct, to, amount, ok := amoArgs(req)
+		if !ok {
+			return OutcomeNoAccount, nil
 		}
 		switch req.Command {
 		case "open", "deposit", "withdraw":
-			return simple(req.Command)
+			maybeCheckpoint()
+			appendOp(opRecord(req.Command, acct, amount, ""))
+			outcome := st.apply(req.Command, acct, amount, "")
+			if outcome == OutcomeOK {
+				st.applies.Add(1)
+				sh.journal(req.Command, acct, amount)
+			}
+			return outcome, nil
 		case "transfer":
 			// Intra-branch move: both legs or neither, so the sufficiency
 			// check precedes any logging.
 			maybeCheckpoint()
-			from, to, amount := str(0), str(1), num(2)
 			// An account absent here but owned by another shard makes this
 			// a cross-shard pair: answer split (the Router re-plans through
 			// 2PC) rather than a false no_account.
-			bal, ok := st.accounts[from]
+			bal, ok := st.accounts[acct]
 			if !ok {
-				if sh.member != "" && !sh.owned(from) {
+				if sh.member != "" && !sh.owned(acct) {
 					return amo.OutcomeSplit, nil
 				}
 				return OutcomeNoAccount, nil
@@ -598,23 +538,21 @@ func branchMain(ctx *guardian.Ctx) {
 				}
 				return OutcomeNoAccount, nil
 			}
-			if bal-st.holds[from] < amount {
+			if bal-st.holds[acct] < amount {
 				return OutcomeInsufficient, nil
 			}
-			log.Append(opRecord("withdraw", from, amount, ""))
+			log.Append(opRecord("withdraw", acct, amount, ""))
 			appendOp(opRecord("deposit", to, amount, ""))
-			st.apply("withdraw", from, amount, "")
+			st.apply("withdraw", acct, amount, "")
 			st.apply("deposit", to, amount, "")
 			st.applies.Add(1)
-			sh.journal("withdraw", from, amount)
+			sh.journal("withdraw", acct, amount)
 			sh.journal("deposit", to, amount)
 			return OutcomeOK, nil
 		case "balance":
-			bal, ok := st.accounts[str(0)]
-			if !ok {
-				return OutcomeNoAccount, nil
+			if bal, ok := st.accounts[acct]; ok {
+				return "balance_is", xrep.Seq{xrep.Int(bal)}
 			}
-			return "balance_is", xrep.Seq{xrep.Int(bal)}
 		}
 		return OutcomeNoAccount, nil
 	}

@@ -209,7 +209,7 @@ func TestShardCheckpointRoundTrip(t *testing.T) {
 	}
 	blob := r2.Marshal()
 
-	core := newShardCore("s1")
+	core := newShardCore("s1", nil, nil)
 	core.adopt(r2)
 	core.installed["accounts/1/s2->s1"] = true
 	core.out["accounts/2/s1->s3"] = &outboundHandoff{
@@ -246,8 +246,8 @@ func TestShardCheckpointRoundTrip(t *testing.T) {
 	if shardState == nil {
 		t.Fatal("checkpoint carried no shard state")
 	}
-	core2 := newShardCore("s1")
-	if err := core2.restoreCheckpoint(st2, shardState); err != nil {
+	core2 := newShardCore("s1", st2, nil)
+	if err := core2.restoreCheckpoint(shardState); err != nil {
 		t.Fatal(err)
 	}
 

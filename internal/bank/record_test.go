@@ -60,6 +60,16 @@ func encodeCheckpointTree(t testing.TB, st *branchState, dedup *amo.Dedup, core 
 	return buf
 }
 
+// opFromBytes unmarshals one log record and reads it as an op record.
+func opFromBytes(data []byte) (kind, acct string, amount int64, opID string, ok bool) {
+	v, err := wire.UnmarshalValue(data)
+	if err != nil {
+		return "", "", 0, "", false
+	}
+	kind, acct, amount, opID, err = decodeOpRecord(v)
+	return kind, acct, amount, opID, err == nil
+}
+
 func TestOpRecordMatchesTree(t *testing.T) {
 	long := strings.Repeat("k", 64<<10)
 	cases := []struct {
@@ -81,7 +91,7 @@ func TestOpRecordMatchesTree(t *testing.T) {
 		if got := appendOpRecord(nil, tc.kind, tc.acct, tc.amount, tc.opID); !bytes.Equal(got, want) {
 			t.Errorf("appendOpRecord(%.10q, %.10q, %d, %.10q) differs from the tree encoding", tc.kind, tc.acct, tc.amount, tc.opID)
 		}
-		kind, acct, amount, opID, ok := decodeOpRecord(want)
+		kind, acct, amount, opID, ok := opFromBytes(want)
 		if !ok || kind != tc.kind || acct != tc.acct || amount != tc.amount || opID != tc.opID {
 			t.Errorf("decodeOpRecord did not return what was encoded for %.10q", tc.kind)
 		}
@@ -96,7 +106,7 @@ func TestOpRecordMatchesTree(t *testing.T) {
 
 func TestCheckpointMatchesTree(t *testing.T) {
 	r := ring.New("accounts", 0, ring.Member{Name: "s1"}, ring.Member{Name: "s2"})
-	shard := newShardCore("s1")
+	shard := newShardCore("s1", nil, nil)
 	shard.adopt(r)
 	shard.installed["accounts/1/s2->s1"] = true
 	shard.out["accounts/2/s1->s2"] = &outboundHandoff{
@@ -130,11 +140,11 @@ func TestCheckpointMatchesTree(t *testing.T) {
 		dedup *amo.Dedup
 		core  *shardCore
 	}{
-		{"empty", &branchState{}, nil, newShardCore("")},
+		{"empty", &branchState{}, nil, newShardCore("", nil, nil)},
 		{"plain branch", &branchState{
 			accounts: map[string]int64{"alice": 550, "": 0, "bob": -1, "wide": 1 << 40},
 			applied:  map[string]string{"d1": OutcomeOK, "w-big": OutcomeInsufficient, "": ""},
-		}, dedup, newShardCore("")},
+		}, dedup, newShardCore("", nil, nil)},
 		{"shard state", &branchState{accounts: map[string]int64{"d": 100}, applied: map[string]string{}}, nil, shard},
 		{"50000 accounts", big, dedup, shard},
 	}
@@ -152,7 +162,7 @@ func TestCheckpointMatchesTree(t *testing.T) {
 	}
 	prop := func(accounts map[string]int64, applied map[string]string) bool {
 		st := &branchState{accounts: accounts, applied: applied}
-		return bytes.Equal(encodeCheckpoint(st, nil, newShardCore("")), encodeCheckpointTree(t, st, nil, newShardCore("")))
+		return bytes.Equal(encodeCheckpoint(st, nil, newShardCore("", nil, nil)), encodeCheckpointTree(t, st, nil, newShardCore("", nil, nil)))
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
@@ -180,7 +190,7 @@ func FuzzBankRecords(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		kind, acct, amount, opID, ok := decodeOpRecord(data)
+		kind, acct, amount, opID, ok := opFromBytes(data)
 		st := &branchState{accounts: make(map[string]int64), applied: make(map[string]string)}
 		_, _, err := decodeCheckpoint(data, st)
 		runtime.ReadMemStats(&after)
@@ -188,7 +198,7 @@ func FuzzBankRecords(f *testing.F) {
 			t.Fatalf("decoding %d bytes allocated %d", len(data), n)
 		}
 		if ok {
-			k, a, n, id, ok2 := decodeOpRecord(appendOpRecord(nil, kind, acct, amount, opID))
+			k, a, n, id, ok2 := opFromBytes(appendOpRecord(nil, kind, acct, amount, opID))
 			if !ok2 || k != kind || a != acct || n != amount || id != opID {
 				t.Fatal("an accepted op record does not survive encode → decode")
 			}

@@ -69,12 +69,9 @@ func ShardArg(member string) xrep.Rec {
 // shardMember extracts a ShardArg's member name; ok is false for other
 // argument values.
 func shardMember(v xrep.Value) (string, bool) {
-	rec, isRec := v.(xrep.Rec)
-	if !isRec || rec.Name != shardArgRec || len(rec.Fields) != 1 {
-		return "", false
-	}
-	name, isStr := rec.Fields[0].(xrep.Str)
-	return string(name), isStr
+	f := xrep.ReadRec(v, shardArgRec, 1)
+	name := f.Str()
+	return name, f.Err() == nil
 }
 
 // HandoffID names one range migration deterministically, so a driver
@@ -200,6 +197,8 @@ func (o *outboundHandoff) balances() map[string]int64 {
 // by folding logged records, shared by the live runtime and the pure
 // replay checker.
 type shardCore struct {
+	st        *branchState // the accounts and escrow holds the records fold into
+	dedup     *amo.Dedup   // merges install records' snapshots; nil for a raw branch and the replay checker
 	member    string
 	ring      *ring.Ring
 	txns      map[string]*shardTxn
@@ -207,8 +206,9 @@ type shardCore struct {
 	installed map[string]bool
 }
 
-func newShardCore(member string) *shardCore {
+func newShardCore(member string, st *branchState, dedup *amo.Dedup) *shardCore {
 	return &shardCore{
+		st: st, dedup: dedup,
 		member:    member,
 		txns:      make(map[string]*shardTxn),
 		out:       make(map[string]*outboundHandoff),
@@ -234,6 +234,13 @@ func (c *shardCore) adopt(r *ring.Ring) {
 	}
 }
 
+// adoptBlob is adopt for a marshalled ring.
+func (c *shardCore) adoptBlob(blob string) error {
+	r, err := ring.Unmarshal([]byte(blob))
+	c.adopt(r)
+	return err
+}
+
 // seedKey names account i of a seeded range.
 func seedKey(prefix string, i int) string {
 	return fmt.Sprintf("%s%07d", prefix, i)
@@ -254,27 +261,19 @@ func accountsSeq(m map[string]int64) xrep.Seq {
 }
 
 // parseAccounts is accountsSeq's inverse.
-func parseAccounts(v xrep.Value) (map[string]int64, []string, bool) {
-	seq, ok := v.(xrep.Seq)
-	if !ok {
-		return nil, nil, false
-	}
+func parseAccounts(seq xrep.Seq) (map[string]int64, []string, error) {
 	m := make(map[string]int64, len(seq))
 	order := make([]string, 0, len(seq))
 	for _, ev := range seq {
-		pair, ok := ev.(xrep.Seq)
-		if !ok || len(pair) != 2 {
-			return nil, nil, false
+		e := xrep.ReadSeq(ev, 2)
+		name, bal := e.Str(), e.Int()
+		if err := e.Err(); err != nil {
+			return nil, nil, fmt.Errorf("account entry: %w", err)
 		}
-		name, ok0 := pair[0].(xrep.Str)
-		bal, ok1 := pair[1].(xrep.Int)
-		if !ok0 || !ok1 {
-			return nil, nil, false
-		}
-		m[string(name)] = int64(bal)
-		order = append(order, string(name))
+		m[name] = bal
+		order = append(order, name)
 	}
-	return m, order, true
+	return m, order, nil
 }
 
 // tailSeq renders journal ops for the wire and the log.
@@ -287,26 +286,16 @@ func tailSeq(ops []journalOp) xrep.Seq {
 }
 
 // parseTail is tailSeq's inverse.
-func parseTail(v xrep.Value) ([]journalOp, bool) {
-	seq, ok := v.(xrep.Seq)
-	if !ok {
-		return nil, false
-	}
+func parseTail(seq xrep.Seq) ([]journalOp, error) {
 	out := make([]journalOp, 0, len(seq))
 	for _, ev := range seq {
-		t, ok := ev.(xrep.Seq)
-		if !ok || len(t) != 3 {
-			return nil, false
+		e := xrep.ReadSeq(ev, 3)
+		out = append(out, journalOp{kind: e.Str(), acct: e.Str(), amount: e.Int()})
+		if err := e.Err(); err != nil {
+			return nil, fmt.Errorf("tail op: %w", err)
 		}
-		kind, ok0 := t[0].(xrep.Str)
-		acct, ok1 := t[1].(xrep.Str)
-		amount, ok2 := t[2].(xrep.Int)
-		if !ok0 || !ok1 || !ok2 {
-			return nil, false
-		}
-		out = append(out, journalOp{kind: string(kind), acct: string(acct), amount: int64(amount)})
 	}
-	return out, true
+	return out, nil
 }
 
 // applyTailOp folds one journaled mutation into a bare balance map. The
@@ -383,78 +372,71 @@ func (c *shardCore) checkpointField() xrep.Value {
 // core — and the escrow holds, which are derived from prepared debits —
 // and must run BEFORE any post-checkpoint record is folded on top, so
 // tail records (an ack, a commit) find the state they refer to.
-func (c *shardCore) restoreCheckpoint(st *branchState, v xrep.Value) error {
-	seq, ok := v.(xrep.Seq)
-	if !ok || len(seq) != 4 {
-		return fmt.Errorf("malformed shard state")
-	}
-	blob, okB := seq[0].(xrep.Str)
-	installed, okI := seq[1].(xrep.Seq)
-	outs, okO := seq[2].(xrep.Seq)
-	txns, okT := seq[3].(xrep.Seq)
-	if !okB || !okI || !okO || !okT {
-		return fmt.Errorf("malformed shard state")
+func (c *shardCore) restoreCheckpoint(v xrep.Value) error {
+	f := xrep.ReadSeq(v, 4)
+	blob := f.Str()
+	installed := xrep.ReadFields(f.Seq(), 0)
+	outs, txns := f.Seq(), f.Seq()
+	if err := f.Err(); err != nil {
+		return fmt.Errorf("shard state: %w", err)
 	}
 	if len(blob) > 0 {
-		r, err := ring.Unmarshal([]byte(blob))
-		if err != nil {
+		if err := c.adoptBlob(blob); err != nil {
 			return fmt.Errorf("shard state ring: %w", err)
 		}
-		c.adopt(r)
 	}
-	for _, hv := range installed {
-		hid, ok := hv.(xrep.Str)
-		if !ok {
-			return fmt.Errorf("malformed installed handoff id")
-		}
-		c.installed[string(hid)] = true
+	for installed.More() {
+		c.installed[installed.Str()] = true
+	}
+	if err := installed.Err(); err != nil {
+		return fmt.Errorf("installed handoff ids: %w", err)
 	}
 	for _, ov := range outs {
-		e, ok := ov.(xrep.Seq)
-		if !ok || len(e) != 5 {
-			return fmt.Errorf("malformed outbound handoff")
+		e := xrep.ReadSeq(ov, 5)
+		hid, dest, rblob, acked := e.Str(), e.Str(), e.Str(), e.Int() == 1
+		accounts := e.Seq()
+		if err := e.Err(); err != nil {
+			return fmt.Errorf("outbound handoff: %w", err)
 		}
-		hid, ok0 := e[0].(xrep.Str)
-		dest, ok1 := e[1].(xrep.Str)
-		rblob, ok2 := e[2].(xrep.Str)
-		acked, ok3 := e[3].(xrep.Int)
-		final, order, ok4 := parseAccounts(e[4])
-		if !ok0 || !ok1 || !ok2 || !ok3 || !ok4 {
-			return fmt.Errorf("malformed outbound handoff")
+		o, err := newCutHandoff(hid, dest, rblob, accounts)
+		if err != nil {
+			return fmt.Errorf("outbound handoff %s: %w", hid, err)
 		}
-		o := &outboundHandoff{
-			hid: string(hid), dest: string(dest), blob: []byte(rblob),
-			cut: true, final: final, finalOrd: order, acked: acked == 1,
-		}
-		if r, err := ring.Unmarshal([]byte(rblob)); err == nil {
-			o.ring = r
-		}
-		if o.acked {
+		if o.acked = acked; o.acked {
 			o.final, o.finalOrd = nil, nil
 		}
-		c.out[string(hid)] = o
+		c.out[hid] = o
 	}
 	for _, tv := range txns {
-		e, ok := tv.(xrep.Seq)
-		if !ok || len(e) != 5 {
-			return fmt.Errorf("malformed escrow txn")
+		e := xrep.ReadSeq(tv, 5)
+		txid := e.Str()
+		t := &shardTxn{phase: e.Str(), kind: e.Str(), acct: e.Str(), amount: e.Int()}
+		if err := e.Err(); err != nil {
+			return fmt.Errorf("escrow txn: %w", err)
 		}
-		txid, ok0 := e[0].(xrep.Str)
-		phase, ok1 := e[1].(xrep.Str)
-		kind, ok2 := e[2].(xrep.Str)
-		acct, ok3 := e[3].(xrep.Str)
-		amount, ok4 := e[4].(xrep.Int)
-		if !ok0 || !ok1 || !ok2 || !ok3 || !ok4 {
-			return fmt.Errorf("malformed escrow txn")
-		}
-		c.txns[string(txid)] = &shardTxn{
-			phase: string(phase), kind: string(kind), acct: string(acct), amount: int64(amount),
-		}
-		if string(phase) == "prepared" && string(kind) == "debit" {
-			st.hold(string(acct), int64(amount))
+		c.txns[txid] = t
+		if t.phase == "prepared" && t.kind == "debit" {
+			c.st.hold(t.acct, t.amount)
 		}
 	}
 	return nil
+}
+
+// newCutHandoff rebuilds the durable, post-cut half of an outbound handoff
+// from what a moved_out record or a checkpoint entry carries.
+func newCutHandoff(hid, dest, blob string, accounts xrep.Seq) (*outboundHandoff, error) {
+	final, order, err := parseAccounts(accounts)
+	if err != nil {
+		return nil, err
+	}
+	r, err := ring.Unmarshal([]byte(blob))
+	if err != nil {
+		return nil, err
+	}
+	return &outboundHandoff{
+		hid: hid, dest: dest, ring: r, blob: []byte(blob),
+		cut: true, final: final, finalOrd: order,
+	}, nil
 }
 
 // shardRecord marshals one shard log record.
@@ -469,121 +451,104 @@ func shardRecord(name string, fields xrep.Seq) []byte {
 // fold applies one shard record to the core and the branch state. It is
 // the single source of truth for shard semantics: the live arms append
 // the record and fold it; recovery and the replay checker fold the same
-// records in log order. The returned value is an install record's dedup
-// snapshot (nil otherwise) for the caller to merge; ok is false for
-// records that are not shard records.
-func (c *shardCore) fold(st *branchState, v xrep.Value) (dedupSnap xrep.Value, ok bool) {
-	rec, isRec := v.(xrep.Rec)
-	if !isRec {
-		return nil, false
-	}
-	switch rec.Name {
+// records in log order — fold is a guardian.Folder. mine is false for a
+// value that is not a shard record; a shard record that does not read as
+// what the arms write is an error and leaves the state untouched.
+func (c *shardCore) fold(v xrep.Value) (mine bool, err error) {
+	st, name := c.st, xrep.RecName(v)
+	switch name {
 	case ringRec:
-		if len(rec.Fields) != 1 {
-			return nil, true
+		f := xrep.ReadRec(v, ringRec, 1)
+		blob := f.Str()
+		if err = f.Err(); err == nil {
+			err = c.adoptBlob(blob)
 		}
-		blob, _ := rec.Fields[0].(xrep.Str)
-		if r, err := ring.Unmarshal([]byte(blob)); err == nil {
-			c.adopt(r)
-		}
-		return nil, true
 
 	case seedRec:
-		if len(rec.Fields) != 4 {
-			return nil, true
+		f := xrep.ReadRec(v, seedRec, 4)
+		prefix, n, amount, member := f.Str(), f.Int(), f.Int(), f.Str()
+		if err = f.Err(); err != nil {
+			break
 		}
-		prefix, _ := rec.Fields[0].(xrep.Str)
-		n, _ := rec.Fields[1].(xrep.Int)
-		amount, _ := rec.Fields[2].(xrep.Int)
-		member, _ := rec.Fields[3].(xrep.Str)
 		if c.member == "" {
-			c.member = string(member)
+			c.member = member
 		}
 		for i := 0; i < int(n); i++ {
-			key := seedKey(string(prefix), i)
+			key := seedKey(prefix, i)
 			if !c.owned(key) {
 				continue
 			}
 			if _, exists := st.accounts[key]; !exists {
-				st.accounts[key] = int64(amount)
+				st.accounts[key] = amount
 			}
 		}
-		return nil, true
 
 	case movedOutRec:
-		if len(rec.Fields) != 4 {
-			return nil, true
+		f := xrep.ReadRec(v, movedOutRec, 4)
+		hid, dest, blob, accounts := f.Str(), f.Str(), f.Str(), f.Seq()
+		if err = f.Err(); err != nil {
+			break
 		}
-		hid, _ := rec.Fields[0].(xrep.Str)
-		dest, _ := rec.Fields[1].(xrep.Str)
-		blob, _ := rec.Fields[2].(xrep.Str)
-		final, order, okA := parseAccounts(rec.Fields[3])
-		if !okA {
-			return nil, true
+		var o *outboundHandoff
+		if o, err = newCutHandoff(hid, dest, blob, accounts); err != nil {
+			break
 		}
-		for _, name := range order {
+		for _, name := range o.finalOrd {
 			delete(st.accounts, name)
 		}
-		o := &outboundHandoff{
-			hid: string(hid), dest: string(dest), blob: []byte(blob),
-			cut: true, final: final, finalOrd: order,
-		}
-		if r, err := ring.Unmarshal([]byte(blob)); err == nil {
-			o.ring = r
-			c.adopt(r)
-		}
-		c.out[string(hid)] = o
-		return nil, true
+		c.adopt(o.ring)
+		c.out[hid] = o
 
 	case installRec:
-		if len(rec.Fields) != 4 {
-			return nil, true
+		f := xrep.ReadRec(v, installRec, 4)
+		hid, blob, list, dedupSnap := f.Str(), f.Str(), f.Seq(), f.Value()
+		if err = f.Err(); err != nil {
+			break
 		}
-		hid, _ := rec.Fields[0].(xrep.Str)
-		blob, _ := rec.Fields[1].(xrep.Str)
-		accounts, _, okA := parseAccounts(rec.Fields[2])
-		if !okA {
-			return nil, true
+		var accounts map[string]int64
+		var r *ring.Ring
+		if accounts, _, err = parseAccounts(list); err == nil {
+			r, err = ring.Unmarshal([]byte(blob))
+		}
+		// The source's dedup table travels with the range: merged here, a
+		// client's retry of an op the source executed is answered from cache.
+		if err == nil && c.dedup != nil {
+			err = c.dedup.MergeSnapshot(dedupSnap)
+		}
+		if err != nil {
+			break
 		}
 		for name, bal := range accounts {
 			st.accounts[name] = bal
 		}
-		if r, err := ring.Unmarshal([]byte(blob)); err == nil {
-			c.adopt(r)
-		}
-		c.installed[string(hid)] = true
-		return rec.Fields[3], true
+		c.adopt(r)
+		c.installed[hid] = true
 
 	case ackedRec:
-		if len(rec.Fields) != 1 {
-			return nil, true
+		f := xrep.ReadRec(v, ackedRec, 1)
+		hid := f.Str()
+		if err = f.Err(); err != nil {
+			break
 		}
-		hid, _ := rec.Fields[0].(xrep.Str)
-		if o := c.out[string(hid)]; o != nil {
+		if o := c.out[hid]; o != nil {
 			o.acked = true
 			o.final, o.finalOrd, o.cutTail = nil, nil, nil
 		}
-		return nil, true
 
 	case tpcRec:
-		if len(rec.Fields) != 5 {
-			return nil, true
+		f := xrep.ReadRec(v, tpcRec, 5)
+		phase, txid, kind, acct, amount := f.Str(), f.Str(), f.Str(), f.Str(), f.Int()
+		if err = f.Err(); err != nil {
+			break
 		}
-		phase, _ := rec.Fields[0].(xrep.Str)
-		txid, _ := rec.Fields[1].(xrep.Str)
-		kind, _ := rec.Fields[2].(xrep.Str)
-		acct, _ := rec.Fields[3].(xrep.Str)
-		amount, _ := rec.Fields[4].(xrep.Int)
-		switch string(phase) {
+		switch phase {
 		case "prepared":
-			c.txns[string(txid)] = &shardTxn{
-				phase: "prepared", kind: string(kind), acct: string(acct), amount: int64(amount),
-			}
-			if string(kind) == "debit" {
-				st.hold(string(acct), int64(amount))
+			c.txns[txid] = &shardTxn{phase: "prepared", kind: kind, acct: acct, amount: amount}
+			if kind == "debit" {
+				st.hold(acct, amount)
 			}
 		case "committed":
-			if t := c.txns[string(txid)]; t != nil && t.phase == "prepared" {
+			if t := c.txns[txid]; t != nil && t.phase == "prepared" {
 				t.phase = "committed"
 				// Release the hold first, then apply, so the escrow never
 				// double-counts against the balance.
@@ -595,82 +560,57 @@ func (c *shardCore) fold(st *branchState, v xrep.Value) (dedupSnap xrep.Value, o
 				}
 			}
 		case "aborted":
-			if t := c.txns[string(txid)]; t != nil && t.phase == "prepared" {
+			if t := c.txns[txid]; t != nil && t.phase == "prepared" {
 				t.phase = "aborted"
 				if t.kind == "debit" {
 					st.hold(t.acct, -t.amount)
 				}
 			}
+		default:
+			err = fmt.Errorf("unknown phase %q", phase)
 		}
-		return nil, true
+
+	default:
+		return false, nil
 	}
-	return nil, false
+	if err != nil {
+		err = fmt.Errorf("bank: %s record: %w", name, err)
+	}
+	return true, err
 }
 
 // shardRuntime is the live shard state: the deterministic core plus the
 // volatile pull-side scaffolding and the guardian plumbing.
 type shardRuntime struct {
 	*shardCore
-	st    *branchState
-	log   durable.Log
-	dedup *amo.Dedup
-	g     *guardian.Guardian
-	self  xrep.PortName // this branch's native port
+	log  durable.Log
+	g    *guardian.Guardian
+	self xrep.PortName // this branch's native port
 
 	genCounter int64
 	staging    map[string]map[string]int64 // hid → accounts staged so far
 	pulling    map[string]bool
-	recovSnaps []xrep.Value // install dedup snapshots collected during replay
 }
 
 func newShardRuntime(member string, st *branchState, log durable.Log, dedup *amo.Dedup, g *guardian.Guardian, self xrep.PortName) *shardRuntime {
 	return &shardRuntime{
-		shardCore: newShardCore(member),
-		st:        st, log: log, dedup: dedup, g: g, self: self,
+		shardCore: newShardCore(member, st, dedup),
+		log:       log, g: g, self: self,
 		staging: make(map[string]map[string]int64),
 		pulling: make(map[string]bool),
 	}
 }
 
-// replayData folds one recovered log record; ok is false for non-shard
-// records (op records, dedup records), which the caller handles.
-func (sh *shardRuntime) replayData(data []byte) bool {
-	v, err := wire.UnmarshalValue(data)
-	if err != nil {
-		return false
-	}
-	snap, ok := sh.fold(sh.st, v)
-	if ok && snap != nil {
-		sh.recovSnaps = append(sh.recovSnaps, snap)
-	}
-	return ok
-}
-
-// afterRecover merges the dedup snapshots carried by replayed install
-// records. It runs after dedup.Restore/Recover so the merge lands on the
-// rebuilt table; merge order does not matter (an id present twice carries
-// the same reply).
-func (sh *shardRuntime) afterRecover() {
-	if sh.dedup == nil {
-		sh.recovSnaps = nil
-		return
-	}
-	for _, snap := range sh.recovSnaps {
-		if err := sh.dedup.MergeSnapshot(snap); err != nil {
-			panic(fmt.Errorf("bank: shard %s: bad install dedup snapshot: %w", sh.member, err))
-		}
-	}
-	sh.recovSnaps = nil
-}
-
 // appendAndFold logs one shard record durably and folds it into the live
 // state — the live arms' single mutation path, guaranteeing recovery
 // replays exactly what ran.
-func (sh *shardRuntime) appendAndFold(name string, fields xrep.Seq) xrep.Value {
-	rec := xrep.Rec{Name: name, Fields: fields}
+func (sh *shardRuntime) appendAndFold(name string, fields xrep.Seq) {
 	sh.log.AppendSync(shardRecord(name, fields))
-	snap, _ := sh.fold(sh.st, rec)
-	return snap
+	if _, err := sh.fold(xrep.Rec{Name: name, Fields: fields}); err != nil {
+		// The arm built these fields itself: recovery would refuse the
+		// record just made durable.
+		panic(err)
+	}
 }
 
 // journal captures one applied mutation into every active pre-cut
@@ -695,25 +635,16 @@ func (sh *shardRuntime) journal(kind, acct string, amount int64) {
 func (sh *shardRuntime) ownershipHook() func(pr *guardian.Process, m *guardian.Message) bool {
 	return func(pr *guardian.Process, m *guardian.Message) bool {
 		req, _ := amo.ParseRequest(m)
-		var keys []string
-		switch req.Command {
-		case "open", "deposit", "withdraw", "balance":
-			if len(req.Args) >= 1 {
-				if s, ok := req.Args[0].(xrep.Str); ok {
-					keys = []string{string(s)}
-				}
-			}
-		case "transfer":
-			if len(req.Args) >= 2 {
-				s0, ok0 := req.Args[0].(xrep.Str)
-				s1, ok1 := req.Args[1].(xrep.Str)
-				if ok0 && ok1 {
-					keys = []string{string(s0), string(s1)}
-				}
-			}
-		}
-		if len(keys) == 0 || sh.ring == nil {
+		// A request whose arguments do not read as its command's falls
+		// through, and the executor refuses it.
+		from, to, _, ok := amoArgs(req)
+		if sh.ring == nil || !ok {
 			return false
+		}
+		keybuf := [2]string{from, to}
+		keys := keybuf[:1]
+		if req.Command == "transfer" {
+			keys = keybuf[:]
 		}
 		// Presence is authority: a key present here is served here even if
 		// the latest ring disagrees (its range has not been cut yet).
@@ -851,8 +782,8 @@ func (sh *shardRuntime) installArms(recv *guardian.Receiver) {
 		}).
 		When("handoff_stage", func(pr *guardian.Process, m *guardian.Message) {
 			hid := m.Str(0)
-			entries, _, ok := parseAccounts(m.Args[1])
-			if !ok {
+			entries, _, err := parseAccounts(m.Seq(1))
+			if err != nil {
 				reply(pr, m, "staged", int64(0))
 				return
 			}
@@ -872,9 +803,13 @@ func (sh *shardRuntime) installArms(recv *guardian.Receiver) {
 				reply(pr, m, "installed")
 				return
 			}
-			tail, okT := parseTail(m.Args[2])
-			if !okT {
+			tail, err := parseTail(m.Seq(2))
+			if err != nil {
 				reply(pr, m, "install_denied", "bad tail")
+				return
+			}
+			if _, err := ring.Unmarshal([]byte(blob)); err != nil {
+				reply(pr, m, "install_denied", "bad ring")
 				return
 			}
 			dsnap, _ := m.Arg(3)
@@ -889,14 +824,9 @@ func (sh *shardRuntime) installArms(recv *guardian.Receiver) {
 			if h.BeforeInstall != nil {
 				h.BeforeInstall(hid)
 			}
-			snap := sh.appendAndFold(installRec, xrep.Seq{
+			sh.appendAndFold(installRec, xrep.Seq{
 				xrep.Str(hid), xrep.Str(blob), accountsSeq(final), dsnap,
 			})
-			if sh.dedup != nil && snap != nil {
-				if err := sh.dedup.MergeSnapshot(snap); err != nil {
-					panic(fmt.Errorf("bank: shard %s: handoff %s: bad dedup snapshot: %w", sh.member, hid, err))
-				}
-			}
 			delete(sh.staging, hid)
 			delete(sh.pulling, hid)
 			if h.AfterInstall != nil {
@@ -1145,17 +1075,9 @@ func (sh *shardRuntime) installArms(recv *guardian.Receiver) {
 
 // parseEscrowOp decodes a 2PC escrow operation value.
 func parseEscrowOp(v xrep.Value) (kind, acct string, amount int64, ok bool) {
-	seq, isSeq := v.(xrep.Seq)
-	if !isSeq || len(seq) != 3 {
-		return "", "", 0, false
-	}
-	k, ok0 := seq[0].(xrep.Str)
-	a, ok1 := seq[1].(xrep.Str)
-	n, ok2 := seq[2].(xrep.Int)
-	if !ok0 || !ok1 || !ok2 || (string(k) != "debit" && string(k) != "credit") {
-		return "", "", 0, false
-	}
-	return string(k), string(a), int64(n), true
+	f := xrep.ReadSeq(v, 3)
+	kind, acct, amount = f.Str(), f.Str(), f.Int()
+	return kind, acct, amount, f.Err() == nil && (kind == "debit" || kind == "credit")
 }
 
 // EscrowOp builds the tpc operation value a cross-shard transfer sends a

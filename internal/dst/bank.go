@@ -1,14 +1,12 @@
 package dst
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 
 	"repro/internal/amo"
 	"repro/internal/bank"
-	"repro/internal/durable"
 	"repro/internal/guardian"
 	"repro/internal/sendprim"
 	"repro/internal/xrep"
@@ -249,17 +247,9 @@ func auditAccounts(rep *Report, scope string, accts map[string]int64, t bankTall
 // are exactly what a restart (or a takeover, or a migration's next
 // reader) would reconstruct from its durable log.
 func auditReplay(rep *Report, scope string, g *guardian.Guardian, accts map[string]int64) {
-	// ErrNoCheckpoint is the normal state of a branch log that has not
-	// checkpointed yet; the records are still complete. When a checkpoint
-	// exists (CheckpointEvery), the replay starts from it.
-	cp, recs, err := g.Log().Recover()
-	if err != nil && !errors.Is(err, durable.ErrNoCheckpoint) {
-		rep.addViolation("recovery", "%s: log recover: %v", scope, err)
-		return
-	}
-	replay, err := bank.ReplayAccountsFrom(cp, recs)
+	replay, err := bank.ReplayAccountsFrom(g.Log())
 	if err != nil {
-		rep.addViolation("recovery", "%s: checkpoint decode: %v", scope, err)
+		rep.addViolation("recovery", "%s: log replay: %v", scope, err)
 		return
 	}
 	if !equalAccounts(accts, replay) {

@@ -43,11 +43,10 @@ var ledgerReplyType = guardian.NewPortType("e7_ledger_reply").
 // are lost.
 func ledgerDef(name string, logThenAck bool) *guardian.GuardianDef {
 	main := func(ctx *guardian.Ctx) {
-		checkpointEvery := 0
-		if len(ctx.Args) == 1 {
-			if k, ok := ctx.Args[0].(xrep.Int); ok {
-				checkpointEvery = int(k)
-			}
+		f := xrep.ReadFields(ctx.Args, 1)
+		checkpointEvery := int(f.Int())
+		if f.Err() != nil {
+			checkpointEvery = 0
 		}
 		log := ctx.G.Log()
 		var count int64

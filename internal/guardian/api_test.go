@@ -79,7 +79,6 @@ func TestReceiveNoPortsPanics(t *testing.T) {
 			t.Fatal("NewReceiver with no ports did not panic")
 		}
 	}()
-	//lint:allow recvhygiene construction-panic test: the receiver never runs
 	NewReceiver()
 }
 

@@ -1,6 +1,7 @@
 package guardian
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/durable"
@@ -89,48 +90,36 @@ func (n *Node) recoverCatalog() error {
 	if err != nil {
 		return fmt.Errorf("opening catalog: %w", err)
 	}
-	_, recs, err := log.Recover()
-	if err != nil && err != durable.ErrNoCheckpoint {
-		return fmt.Errorf("reading catalog: %w", err)
-	}
-
 	metas := make(map[uint64]*guardianMeta)
 	var order []uint64
 	var maxID uint64
-	for _, r := range recs {
-		v, err := wire.UnmarshalValue(r.Data)
-		if err != nil {
-			return fmt.Errorf("catalog record %d: %w", r.Seq, err)
-		}
-		rec, ok := v.(xrep.Rec)
-		if !ok {
-			return fmt.Errorf("catalog record %d: not a record", r.Seq)
-		}
-		switch rec.Name {
+	err = Replay(log, nil, func(v xrep.Value) (bool, error) {
+		switch xrep.RecName(v) {
 		case catalogCreateRec:
-			m, err := parseCatalogCreate(rec)
+			m, err := parseCatalogCreate(v)
 			if err != nil {
-				return fmt.Errorf("catalog record %d: %w", r.Seq, err)
+				return true, err
 			}
 			if _, dup := metas[m.id]; !dup {
 				order = append(order, m.id)
 			}
 			metas[m.id] = m
-			if m.id > maxID {
-				maxID = m.id
-			}
+			maxID = max(maxID, m.id)
+			return true, nil
 		case catalogDestroyRec:
-			if len(rec.Fields) != 1 {
-				return fmt.Errorf("catalog record %d: malformed tombstone", r.Seq)
-			}
-			id, ok := rec.Fields[0].(xrep.Int)
-			if !ok {
-				return fmt.Errorf("catalog record %d: malformed tombstone", r.Seq)
+			f := xrep.ReadRec(v, catalogDestroyRec, 1)
+			id := f.Int()
+			if err := f.Err(); err != nil {
+				return true, err
 			}
 			delete(metas, uint64(id))
-		default:
-			return fmt.Errorf("catalog record %d: unknown kind %q", r.Seq, rec.Name)
+			return true, nil
 		}
+		// The catalog log has one writer: anything else is damage.
+		return true, fmt.Errorf("not a catalog record: %s", v)
+	})
+	if err != nil {
+		return fmt.Errorf("reading catalog: %w", err)
 	}
 
 	// Ids are never reused, even across process death: a port name minted
@@ -174,31 +163,15 @@ func (n *Node) recoverCatalog() error {
 }
 
 // parseCatalogCreate decodes one creation record.
-func parseCatalogCreate(rec xrep.Rec) (*guardianMeta, error) {
-	if len(rec.Fields) != 4 && len(rec.Fields) != 5 {
-		return nil, fmt.Errorf("malformed creation record")
+func parseCatalogCreate(v xrep.Value) (*guardianMeta, error) {
+	f := xrep.ReadRec(v, catalogCreateRec, 4)
+	m := &guardianMeta{id: uint64(f.Int()), defName: f.Str(), args: f.Seq()}
+	ports := xrep.ReadFields(f.Seq(), 0)
+	for ports.More() {
+		m.portIDs = append(m.portIDs, uint64(ports.Int()))
 	}
-	id, ok0 := rec.Fields[0].(xrep.Int)
-	defName, ok1 := rec.Fields[1].(xrep.Str)
-	args, ok2 := rec.Fields[2].(xrep.Seq)
-	ports, ok3 := rec.Fields[3].(xrep.Seq)
-	if !ok0 || !ok1 || !ok2 || !ok3 {
-		return nil, fmt.Errorf("malformed creation record")
+	if f.More() {
+		m.logName = f.Str()
 	}
-	m := &guardianMeta{id: uint64(id), defName: string(defName), args: args}
-	if len(rec.Fields) == 5 {
-		logName, ok := rec.Fields[4].(xrep.Str)
-		if !ok {
-			return nil, fmt.Errorf("malformed creation record")
-		}
-		m.logName = string(logName)
-	}
-	for _, p := range ports {
-		pid, ok := p.(xrep.Int)
-		if !ok {
-			return nil, fmt.Errorf("malformed creation record")
-		}
-		m.portIDs = append(m.portIDs, uint64(pid))
-	}
-	return m, nil
+	return m, errors.Join(f.Err(), ports.Err())
 }

@@ -55,7 +55,6 @@ func TestCrashDuringReceive(t *testing.T) {
 			}
 		}
 		ctx.G.SetState(st)
-		//lint:allow recvhygiene deterministic in-memory test world; the test deadline bounds any hang
 		NewReceiver(ctx.Ports[0]).
 			When("put", func(pr *Process, m *Message) {
 				v := m.Int(0)

@@ -22,7 +22,6 @@ func deployCollector(t *testing.T, cfg Config) (*World, xrep.PortName, chan int6
 		Provides:     []*PortType{NewPortType("c").Msg("data", xrep.KindInt)},
 		PortCapacity: 4096,
 		Init: func(ctx *Ctx) {
-			//lint:allow recvhygiene deterministic in-memory test world; the test deadline bounds any hang
 			NewReceiver(ctx.Ports[0]).
 				When("data", func(pr *Process, m *Message) { seen <- m.Int(0) }).
 				Loop(ctx.Proc, nil)
@@ -139,7 +138,6 @@ func TestPartialFragmentsEvicted(t *testing.T) {
 		TypeName: "blobsink",
 		Provides: []*PortType{bigPort},
 		Init: func(ctx *Ctx) {
-			//lint:allow recvhygiene deterministic in-memory test world; the test deadline bounds any hang
 			NewReceiver(ctx.Ports[0]).
 				When("blob", func(pr *Process, m *Message) { seen <- m.Int(0) }).
 				Loop(ctx.Proc, nil)

@@ -32,7 +32,6 @@ var echoDef = &GuardianDef{
 	TypeName: "echo",
 	Provides: []*PortType{echoType},
 	Init: func(ctx *Ctx) {
-		//lint:allow recvhygiene deterministic in-memory test world; the test deadline bounds any hang
 		NewReceiver(ctx.Ports[0]).
 			When("echo", func(pr *Process, m *Message) {
 				if !m.ReplyTo.IsZero() {

@@ -22,7 +22,6 @@ func TestInterceptConsumesOwnedCommands(t *testing.T) {
 		TypeName: "interceptee",
 		Provides: []*PortType{interceptPT},
 		Init: func(ctx *Ctx) {
-			//lint:allow recvhygiene deterministic in-memory test world; the test deadline bounds any hang
 			NewReceiver(ctx.Ports[0]).
 				Intercept(func(pr *Process, m *Message) bool {
 					sessions <- m.Str(0)
@@ -76,7 +75,6 @@ func TestInterceptDeclinedFallsThrough(t *testing.T) {
 		TypeName: "decliner",
 		Provides: []*PortType{interceptPT},
 		Init: func(ctx *Ctx) {
-			//lint:allow recvhygiene deterministic in-memory test world; the test deadline bounds any hang
 			NewReceiver(ctx.Ports[0]).
 				Intercept(func(pr *Process, m *Message) bool {
 					return m.Str(0) == "mine"
@@ -128,6 +126,5 @@ func TestInterceptRejectsUndeclaredCommand(t *testing.T) {
 			t.Fatal("Intercept accepted an undeclared command")
 		}
 	}()
-	//lint:allow recvhygiene deterministic in-memory test world; the test deadline bounds any hang
 	NewReceiver(p).Intercept(func(*Process, *Message) bool { return true }, "nope")
 }

@@ -35,7 +35,6 @@ func counterMain(ctx *Ctx) {
 		_, recs, _ := log.Recover()
 		count = int64(len(recs))
 	}
-	//lint:allow recvhygiene deterministic in-memory test world; the test deadline bounds any hang
 	NewReceiver(ctx.Ports[0]).
 		When("inc", func(pr *Process, m *Message) {
 			var buf [8]byte
@@ -211,7 +210,6 @@ func TestReceiveReturnsKilledOnCrash(t *testing.T) {
 		TypeName: "blocked",
 		Provides: []*PortType{NewPortType("bp").Msg("never")},
 		Init: func(ctx *Ctx) {
-			//lint:allow recvhygiene the blocked receive is the subject: the test asserts Crash unblocks it with RecvKilled
 			_, st := ctx.Proc.Receive(Infinite, ctx.Ports[0])
 			status <- st
 		},

@@ -35,11 +35,12 @@ func (m *Message) IsFailure() bool { return m.Command == FailureCommand }
 
 // FailureText returns the string argument of a failure message, or "".
 func (m *Message) FailureText() string {
-	if !m.IsFailure() || len(m.Args) != 1 {
+	if !m.IsFailure() {
 		return ""
 	}
-	if s, ok := m.Args[0].(xrep.Str); ok {
-		return string(s)
+	f := xrep.ReadFields(m.Args, 1)
+	if text := f.Str(); f.Err() == nil {
+		return text
 	}
 	return ""
 }
@@ -52,85 +53,46 @@ func (m *Message) Arg(i int) (xrep.Value, error) {
 	return m.Args[i], nil
 }
 
-// Int returns argument i as an integer; it panics on a kind mismatch,
-// which can only happen if the port type declared the wrong kind — a
-// programming error, since the runtime already type-checked the message.
-func (m *Message) Int(i int) int64 {
+// arg returns argument i as a T; it panics when the argument is absent or
+// of another kind, which can only happen if the port type declared the
+// wrong kind — a programming error, since the runtime already
+// type-checked the message.
+func arg[T xrep.Value](m *Message, i int) T {
 	v, err := m.Arg(i)
 	if err != nil {
 		panic(err)
 	}
-	n, ok := v.(xrep.Int)
+	t, ok := v.(T)
 	if !ok {
-		panic(fmt.Sprintf("guardian: %s arg %d is %s, not int", m.Command, i, v.Kind()))
-	}
-	return int64(n)
-}
-
-// Str returns argument i as a string; it panics on a kind mismatch.
-func (m *Message) Str(i int) string {
-	v, err := m.Arg(i)
-	if err != nil {
-		panic(err)
-	}
-	s, ok := v.(xrep.Str)
-	if !ok {
-		panic(fmt.Sprintf("guardian: %s arg %d is %s, not string", m.Command, i, v.Kind()))
-	}
-	return string(s)
-}
-
-// Bool returns argument i as a boolean; it panics on a kind mismatch.
-func (m *Message) Bool(i int) bool {
-	v, err := m.Arg(i)
-	if err != nil {
-		panic(err)
-	}
-	b, ok := v.(xrep.Bool)
-	if !ok {
-		panic(fmt.Sprintf("guardian: %s arg %d is %s, not bool", m.Command, i, v.Kind()))
-	}
-	return bool(b)
-}
-
-// Real returns argument i as a real; it panics on a kind mismatch.
-func (m *Message) Real(i int) float64 {
-	v, err := m.Arg(i)
-	if err != nil {
-		panic(err)
-	}
-	r, ok := v.(xrep.Real)
-	if !ok {
-		panic(fmt.Sprintf("guardian: %s arg %d is %s, not real", m.Command, i, v.Kind()))
-	}
-	return float64(r)
-}
-
-// Port returns argument i as a port name; it panics on a kind mismatch.
-func (m *Message) Port(i int) xrep.PortName {
-	v, err := m.Arg(i)
-	if err != nil {
-		panic(err)
-	}
-	p, ok := v.(xrep.PortName)
-	if !ok {
-		panic(fmt.Sprintf("guardian: %s arg %d is %s, not portname", m.Command, i, v.Kind()))
-	}
-	return p
-}
-
-// Token returns argument i as a token; it panics on a kind mismatch.
-func (m *Message) Token(i int) xrep.Token {
-	v, err := m.Arg(i)
-	if err != nil {
-		panic(err)
-	}
-	t, ok := v.(xrep.Token)
-	if !ok {
-		panic(fmt.Sprintf("guardian: %s arg %d is %s, not token", m.Command, i, v.Kind()))
+		panic(fmt.Sprintf("guardian: %s arg %d is %s, not %s", m.Command, i, v.Kind(), t.Kind()))
 	}
 	return t
 }
+
+// Int returns argument i as an integer; like every typed accessor it
+// panics on a kind mismatch.
+func (m *Message) Int(i int) int64 { return int64(arg[xrep.Int](m, i)) }
+
+// Str returns argument i as a string.
+func (m *Message) Str(i int) string { return string(arg[xrep.Str](m, i)) }
+
+// Bool returns argument i as a boolean.
+func (m *Message) Bool(i int) bool { return bool(arg[xrep.Bool](m, i)) }
+
+// Real returns argument i as a real.
+func (m *Message) Real(i int) float64 { return float64(arg[xrep.Real](m, i)) }
+
+// Port returns argument i as a port name.
+func (m *Message) Port(i int) xrep.PortName { return arg[xrep.PortName](m, i) }
+
+// Token returns argument i as a token.
+func (m *Message) Token(i int) xrep.Token { return arg[xrep.Token](m, i) }
+
+// Seq returns argument i as a sequence.
+func (m *Message) Seq(i int) xrep.Seq { return arg[xrep.Seq](m, i) }
+
+// Bytes returns argument i as a byte string.
+func (m *Message) Bytes(i int) []byte { return arg[xrep.Bytes](m, i) }
 
 // Decode maps argument i — an abstract-type record — back to this node's
 // internal representation using the node's registry (the decode half of

@@ -147,7 +147,6 @@ func TestConcurrentReceiversShareOnePort(t *testing.T) {
 	for i := 0; i < workers; i++ {
 		g.Spawn("w", func(pr *Process) {
 			for {
-				//lint:allow recvhygiene workers drain a same-guardian port until killed; the kill is the exit path under test
 				m, st := pr.Receive(Infinite, p)
 				if st != RecvOK {
 					return

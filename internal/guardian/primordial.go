@@ -74,7 +74,7 @@ func primordialMain(ctx *Ctx) {
 	NewReceiver(ctx.Ports[0]).
 		When("create", func(pr *Process, m *Message) {
 			defName := m.Str(0)
-			args, _ := m.Args[1].(xrep.Seq)
+			args := m.Seq(1)
 			reply := func(ok bool, payload xrep.Value, text string) {
 				if m.ReplyTo.IsZero() {
 					return

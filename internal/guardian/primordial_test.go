@@ -161,7 +161,6 @@ func TestPrimordialCreateWithArgs(t *testing.T) {
 					greeting = string(s)
 				}
 			}
-			//lint:allow recvhygiene deterministic in-memory test world; the test deadline bounds any hang
 			NewReceiver(ctx.Ports[0]).
 				When("get", func(pr *Process, m *Message) {
 					if !m.ReplyTo.IsZero() {

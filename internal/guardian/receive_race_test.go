@@ -26,7 +26,6 @@ func TestReceiveNoMissedWakeup(t *testing.T) {
 		TypeName: "echo",
 		Provides: []*PortType{pt},
 		Init: func(ctx *Ctx) {
-			//lint:allow recvhygiene deterministic in-memory test world; the test deadline bounds any hang
 			NewReceiver(ctx.Ports[0]).
 				When("ping", func(pr *Process, m *Message) {
 					_ = pr.Send(m.Port(1), "pong", m.Int(0))

@@ -88,7 +88,6 @@ func TestTokenSurvivesRoundTripThroughMessage(t *testing.T) {
 		TypeName: "tokensvc",
 		Provides: []*PortType{svcType},
 		Init: func(ctx *Ctx) {
-			//lint:allow recvhygiene deterministic in-memory test world; the test deadline bounds any hang
 			NewReceiver(ctx.Ports[0]).
 				When("make", func(pr *Process, m *Message) {
 					tok := ctx.G.Seal([]byte(m.Str(0)))
@@ -196,7 +195,6 @@ func TestReceiverWhenUnknownCommandPanics(t *testing.T) {
 			t.Fatal("When for undeclared command did not panic")
 		}
 	}()
-	//lint:allow recvhygiene deterministic in-memory test world; the test deadline bounds any hang
 	NewReceiver(p).When("undeclared", func(*Process, *Message) {})
 }
 
@@ -207,7 +205,6 @@ func TestReceiverMissingArmPanicsAtRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := g.MustNewPort(echoType, 4) // declares echo and shutdown
-	//lint:allow recvhygiene deterministic in-memory test world; the test deadline bounds any hang
 	r := NewReceiver(p).When("echo", func(*Process, *Message) {})
 	defer func() {
 		if recover() == nil {
@@ -229,7 +226,6 @@ func TestReceiverDuplicateArmPanics(t *testing.T) {
 			t.Fatal("duplicate arm did not panic")
 		}
 	}()
-	//lint:allow recvhygiene deterministic in-memory test world; the test deadline bounds any hang
 	NewReceiver(p).
 		When("echoed", func(*Process, *Message) {}).
 		When("echoed", func(*Process, *Message) {})

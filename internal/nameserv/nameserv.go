@@ -108,41 +108,31 @@ func record(kind, name string, port xrep.PortName, version int64, owner guardian
 	return b
 }
 
-func (st *state) replay(data []byte) {
-	v, err := wire.UnmarshalValue(data)
-	if err != nil {
-		return
+// foldBinding is the binding folder (guardian.Folder), and record's
+// inverse. Ring records aside (foldRing goes first), the name service's log
+// has one writer: every record is a binding record or malformed.
+func (st *state) foldBinding(v xrep.Value) (bool, error) {
+	f := xrep.ReadSeq(v, 6)
+	kind, name := f.Str(), f.Str()
+	b := &binding{port: f.Port(), version: f.Int()}
+	b.owner = guardian.Principal{Node: f.Str(), Guardian: uint64(f.Int())}
+	if f.More() {
+		b.key = f.Str()
 	}
-	if st.replayRing(v) {
-		return
-	}
-	seq, ok := v.(xrep.Seq)
-	if !ok || (len(seq) != 6 && len(seq) != 7) {
-		return
-	}
-	kind, _ := seq[0].(xrep.Str)
-	name, _ := seq[1].(xrep.Str)
-	port, _ := seq[2].(xrep.PortName)
-	version, _ := seq[3].(xrep.Int)
-	ownerNode, _ := seq[4].(xrep.Str)
-	ownerG, _ := seq[5].(xrep.Int)
-	var key xrep.Str
-	if len(seq) == 7 {
-		key, _ = seq[6].(xrep.Str)
+	if err := f.Err(); err != nil {
+		return true, fmt.Errorf("nameserv: binding record: %w", err)
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	switch string(kind) {
+	switch kind {
 	case "bind":
-		st.bindings[string(name)] = &binding{
-			port:    port,
-			version: int64(version),
-			owner:   guardian.Principal{Node: string(ownerNode), Guardian: uint64(ownerG)},
-			key:     string(key),
-		}
+		st.bindings[name] = b
 	case "drop":
-		delete(st.bindings, string(name))
+		delete(st.bindings, name)
+	default:
+		return true, fmt.Errorf("nameserv: binding record of unknown kind %q", kind)
 	}
+	return true, nil
 }
 
 // Def returns the name-service guardian definition. No creation arguments.
@@ -152,10 +142,7 @@ func Def() *guardian.GuardianDef {
 		ctx.G.SetState(st)
 		log := ctx.G.Log()
 		if ctx.Recovering {
-			_, recs, _ := log.Recover()
-			for _, r := range recs {
-				st.replay(r.Data)
-			}
+			ctx.G.Replay(nil, st.foldRing, st.foldBinding)
 		}
 		reply := func(pr *guardian.Process, m *guardian.Message, cmd string, args ...any) {
 			if !m.ReplyTo.IsZero() {
@@ -400,18 +387,17 @@ func (c *Client) List(timeout time.Duration) (map[string]xrep.PortName, error) {
 	if err != nil {
 		return nil, err
 	}
+	if m.Command != "bindings" {
+		return nil, &Error{Outcome: m.Command}
+	}
 	out := make(map[string]xrep.PortName)
-	seq, _ := m.Args[0].(xrep.Seq)
-	for _, e := range seq {
-		triple, ok := e.(xrep.Seq)
-		if !ok || len(triple) != 3 {
-			continue
+	for _, e := range m.Seq(0) {
+		f := xrep.ReadSeq(e, 3)
+		name, port, _ := f.Str(), f.Port(), f.Int()
+		if err := f.Err(); err != nil {
+			return nil, fmt.Errorf("nameserv: list entry: %w", err)
 		}
-		name, ok1 := triple[0].(xrep.Str)
-		port, ok2 := triple[1].(xrep.PortName)
-		if ok1 && ok2 {
-			out[string(name)] = port
-		}
+		out[name] = port
 	}
 	return out, nil
 }

@@ -221,7 +221,6 @@ func TestEndToEndDiscovery(t *testing.T) {
 					}
 				}
 			}
-			//lint:allow recvhygiene deterministic in-memory test world; the test deadline bounds any hang
 			guardian.NewReceiver(ctx.Ports[0]).
 				When("echo", func(pr *guardian.Process, m *guardian.Message) {
 					if !m.ReplyTo.IsZero() {

@@ -25,6 +25,7 @@ package nameserv
 // cmd/node's ring commands and the DST harness both do.
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/wire"
@@ -61,34 +62,36 @@ func ringRecord(kind, name string, epoch int64, blob string) []byte {
 	return b
 }
 
-// replayRing folds one record into the ring table; ok is false for
-// records that are not ring records.
-func (st *state) replayRing(v xrep.Value) bool {
-	rec, isRec := v.(xrep.Rec)
-	if !isRec || rec.Name != ringLogRec || len(rec.Fields) != 4 {
-		return false
+// foldRing is the ring-table folder (guardian.Folder), and ringRecord's
+// inverse.
+func (st *state) foldRing(v xrep.Value) (bool, error) {
+	if xrep.RecName(v) != ringLogRec {
+		return false, nil
 	}
-	kind, _ := rec.Fields[0].(xrep.Str)
-	name, _ := rec.Fields[1].(xrep.Str)
-	epoch, _ := rec.Fields[2].(xrep.Int)
-	blob, _ := rec.Fields[3].(xrep.Str)
+	f := xrep.ReadRec(v, ringLogRec, 4)
+	kind, name, epoch, blob := f.Str(), f.Str(), f.Int(), f.Str()
+	if err := f.Err(); err != nil {
+		return true, fmt.Errorf("nameserv: %w", err)
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	e := st.rings[string(name)]
+	e := st.rings[name]
 	if e == nil {
 		e = &ringEntry{}
-		st.rings[string(name)] = e
+		st.rings[name] = e
 	}
-	switch string(kind) {
+	switch kind {
 	case "stage":
-		e.pendingEpoch, e.pending = int64(epoch), string(blob)
+		e.pendingEpoch, e.pending = epoch, blob
 	case "commit":
-		e.committedEpoch, e.committed = int64(epoch), string(blob)
-		if e.pendingEpoch == int64(epoch) {
+		e.committedEpoch, e.committed = epoch, blob
+		if e.pendingEpoch == epoch {
 			e.pendingEpoch, e.pending = 0, ""
 		}
+	default:
+		return true, fmt.Errorf("nameserv: %s record of unknown kind %q", ringLogRec, kind)
 	}
-	return true
+	return true, nil
 }
 
 // RingState is a client's view of one ring's versions.

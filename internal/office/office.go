@@ -46,17 +46,12 @@ func (d Document) EncodeX() (xrep.Value, error) {
 
 // DecodeDocument is the decode operation for the document type.
 func DecodeDocument(v xrep.Value) (any, error) {
-	rec, ok := v.(xrep.Rec)
-	if !ok || rec.Name != DocTypeName || len(rec.Fields) != 3 {
-		return nil, fmt.Errorf("office: cannot decode document from %v", v)
+	f := xrep.ReadRec(v, DocTypeName, 3)
+	d := Document{Title: f.Str(), Revision: f.Int(), Body: f.Str()}
+	if err := f.Err(); err != nil {
+		return nil, fmt.Errorf("office: cannot decode document: %w", err)
 	}
-	title, ok1 := rec.Fields[0].(xrep.Str)
-	rev, ok2 := rec.Fields[1].(xrep.Int)
-	body, ok3 := rec.Fields[2].(xrep.Str)
-	if !ok1 || !ok2 || !ok3 {
-		return nil, fmt.Errorf("office: malformed document fields %v", rec.Fields)
-	}
-	return Document{Title: string(title), Revision: int64(rev), Body: string(body)}, nil
+	return d, nil
 }
 
 // DivisionPortType describes a division guardian's port.

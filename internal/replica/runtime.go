@@ -1,6 +1,8 @@
 package replica
 
 import (
+	"errors"
+	"fmt"
 	"hash/fnv"
 	"strings"
 	"sync"
@@ -147,56 +149,25 @@ func newRuntime(s *Store, cfg Config) (*Runtime, error) {
 		return nil, err
 	}
 	rt := &Runtime{st: s, cfg: cfg, termLog: tl, shipC: make(chan struct{}, 1)}
-	cp, recs, rerr := tl.Recover()
-	if rerr != nil && rerr != durable.ErrNoCheckpoint {
-		return nil, rerr
-	}
-	state := cp
-	if len(recs) > 0 {
-		state = recs[len(recs)-1].Data
-	}
-	var risk bool
-	if len(state) > 0 {
-		if v, err := wire.UnmarshalValue(state); err == nil {
-			if seq, ok := v.(xrep.Seq); ok && len(seq) >= 2 {
-				if t, ok := seq[0].(xrep.Int); ok {
-					rt.term = uint64(t)
-				}
-				if vf, ok := seq[1].(xrep.Str); ok {
-					rt.votedFor = string(vf)
-				}
-				if len(seq) >= 3 {
-					if al, ok := seq[2].(xrep.Str); ok {
-						rt.appLog = string(al)
-					}
-				}
-				if len(seq) >= 4 {
-					if dt, ok := seq[3].(xrep.Int); ok {
-						rt.dataTerm = uint64(dt)
-					}
-				}
-				if len(seq) >= 5 {
-					if d, ok := seq[4].(xrep.Int); ok && d != 0 {
-						rt.diverged = true
-					}
-				}
-				if len(seq) >= 6 {
-					if r, ok := seq[5].(xrep.Int); ok && r != 0 {
-						risk = true
-					}
-				}
-				if len(seq) >= 7 {
-					if fr, ok := seq[6].(xrep.Seq); ok {
-						rt.frontier = parseFrontier(fr)
-					}
-				}
-			}
+	// Every term-log record, and its checkpoint, is a whole state: the
+	// last one read stands. A member that cannot read its own term state
+	// must not come up at term 0 and vote again.
+	err = guardian.Replay(tl, func(cp []byte) error {
+		v, err := wire.UnmarshalValue(cp)
+		if err == nil {
+			_, err = rt.foldTermState(v)
 		}
+		return err
+	}, rt.foldTermState)
+	if err != nil {
+		return nil, fmt.Errorf("replica: term log %s: %w", termLogName(cfg.Group), err)
 	}
 	// A one-member group is its own majority: everything it writes is
 	// group-committed by definition, so a leftover risk marker must not
 	// quarantine it (there is no other leader to ever heal against).
-	if (rt.diverged || risk) && cfg.quorum() > 1 {
+	quarantine := (rt.diverged || rt.risk) && cfg.quorum() > 1
+	rt.risk = false // the marker belongs to the reign that wrote it
+	if quarantine {
 		rt.diverged = true
 		rt.unverified = make(map[string]bool)
 		for _, name := range s.shippable() {
@@ -245,39 +216,51 @@ func (rt *Runtime) frontierValueLocked() xrep.Seq {
 	return out
 }
 
+// foldTermState is the term log's folder (guardian.Folder), and
+// persistLocked's inverse: it loads (term, votedFor, appLog, dataTerm,
+// diverged, risk, frontier) into rt. Older term logs stop after any field
+// from the third on.
+func (rt *Runtime) foldTermState(v xrep.Value) (bool, error) {
+	f := xrep.ReadSeq(v, 2)
+	rt.term, rt.votedFor = uint64(f.Int()), f.Str()
+	rt.appLog, rt.dataTerm, rt.diverged, rt.risk, rt.frontier = "", 0, false, false, nil
+	if f.More() {
+		rt.appLog = f.Str()
+	}
+	if f.More() {
+		rt.dataTerm = uint64(f.Int())
+	}
+	if f.More() {
+		rt.diverged = f.Int() != 0
+	}
+	if f.More() {
+		rt.risk = f.Int() != 0
+	}
+	var err error
+	if f.More() {
+		rt.frontier, err = parseFrontier(f.Seq())
+	}
+	return true, errors.Join(f.Err(), err)
+}
+
 // parseFrontier decodes frontierValueLocked's encoding.
-func parseFrontier(v xrep.Seq) map[string][]span {
+func parseFrontier(v xrep.Seq) (map[string][]span, error) {
 	out := make(map[string][]span, len(v))
 	for _, ev := range v {
-		entry, ok := ev.(xrep.Seq)
-		if !ok || len(entry) != 2 {
-			continue
+		entry := xrep.ReadSeq(ev, 2)
+		name, sv := entry.Str(), entry.Seq()
+		if err := entry.Err(); err != nil {
+			return nil, fmt.Errorf("frontier entry: %w", err)
 		}
-		name, ok := entry[0].(xrep.Str)
-		if !ok {
-			continue
-		}
-		sv, ok := entry[1].(xrep.Seq)
-		if !ok {
-			continue
-		}
-		var spans []span
 		for _, spv := range sv {
-			pair, ok := spv.(xrep.Seq)
-			if !ok || len(pair) != 2 {
-				continue
+			pair := xrep.ReadSeq(spv, 2)
+			out[name] = append(out[name], span{term: uint64(pair.Int()), start: uint64(pair.Int())})
+			if err := pair.Err(); err != nil {
+				return nil, fmt.Errorf("frontier span: %w", err)
 			}
-			t, tok := pair[0].(xrep.Int)
-			s, sok := pair[1].(xrep.Int)
-			if tok && sok {
-				spans = append(spans, span{term: uint64(t), start: uint64(s)})
-			}
-		}
-		if len(spans) > 0 {
-			out[string(name)] = spans
 		}
 	}
-	return out
+	return out, nil
 }
 
 // termIn reports the origin term spans attribute to the record at seq —
@@ -1238,27 +1221,18 @@ func (rt *Runtime) onAppend(pr *guardian.Process, m *guardian.Message) {
 	}
 	name := m.Str(2)
 	prevTerm := uint64(m.Int(3))
-	recs, ok := m.Args[4].(xrep.Seq)
-	if !ok {
-		return
-	}
+	recs := m.Seq(4)
 	type shipped struct {
 		seq, origin uint64
 		data        []byte
 	}
 	batch := make([]shipped, 0, len(recs))
 	for _, rv := range recs {
-		trip, ok := rv.(xrep.Seq)
-		if !ok || len(trip) != 3 {
-			break
+		f := xrep.ReadSeq(rv, 3)
+		batch = append(batch, shipped{uint64(f.Int()), uint64(f.Int()), f.Bytes()})
+		if f.Err() != nil {
+			return // a batch is taken whole or not at all; the leader re-ships
 		}
-		seqV, ok1 := trip[0].(xrep.Int)
-		otV, ok2 := trip[1].(xrep.Int)
-		data, ok3 := trip[2].(xrep.Bytes)
-		if !ok1 || !ok2 || !ok3 {
-			break
-		}
-		batch = append(batch, shipped{uint64(seqV), uint64(otV), []byte(data)})
 	}
 	if len(batch) == 0 {
 		return
@@ -1362,10 +1336,7 @@ func (rt *Runtime) onCheckpoint(pr *guardian.Process, m *guardian.Message) {
 		return
 	}
 	name := m.Str(2)
-	state, ok := m.Args[3].(xrep.Bytes)
-	if !ok {
-		return
-	}
+	state := m.Bytes(3)
 	upTo := uint64(m.Int(4))
 	cpTerm := uint64(m.Int(5))
 	l, err := rt.st.innerLog(name)
@@ -1373,7 +1344,7 @@ func (rt *Runtime) onCheckpoint(pr *guardian.Process, m *guardian.Message) {
 		return
 	}
 	if upTo > l.LastDurableSeq() {
-		l.Checkpoint([]byte(state), upTo)
+		l.Checkpoint(state, upTo)
 		l.SkipTo(upTo)
 		rt.mu.Lock()
 		// The install replaced every local record of this log: re-seed
@@ -1553,18 +1524,13 @@ func (rt *Runtime) onVoteReq(pr *guardian.Process, m *guardian.Message) {
 	lastTerm := uint64(m.Int(2))
 	cand := m.Str(4)
 	positions := make(map[string]uint64)
-	if posSeq, ok := m.Args[3].(xrep.Seq); ok {
-		for _, pv := range posSeq {
-			pair, ok := pv.(xrep.Seq)
-			if !ok || len(pair) != 2 {
-				continue
-			}
-			name, nok := pair[0].(xrep.Str)
-			seq, sok := pair[1].(xrep.Int)
-			if nok && sok {
-				positions[string(name)] = uint64(seq)
-			}
+	for _, pv := range m.Seq(3) {
+		f := xrep.ReadSeq(pv, 2)
+		name, seq := f.Str(), f.Int()
+		if f.Err() != nil {
+			return // no vote for a candidate whose positions do not read
 		}
+		positions[name] = uint64(seq)
 	}
 	if rt.observe(term, "", "") {
 		rt.bounce(pr, m.SrcNode)

@@ -1,10 +1,15 @@
 package replica
 
 import (
+	"errors"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/durable"
 	"repro/internal/vtime"
+	"repro/internal/wire"
+	"repro/internal/xrep"
 )
 
 // newTestStore builds a member store over a fresh in-memory sim disk.
@@ -188,4 +193,125 @@ func TestSuspectsExcludedFromQuorum(t *testing.T) {
 	if !rt.quorumForLocked("app-a", 5) {
 		t.Fatal("cleared member should count again")
 	}
+}
+
+// persisted returns the term-log record persistLocked writes for rt.
+func persisted(t testing.TB, rt *Runtime) []byte {
+	t.Helper()
+	log, err := durable.NewMem(vtime.NewReal(), durable.MemConfig{}).OpenLog("term")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.termLog = log
+	rt.persistLocked()
+	_, recs, _ := log.Recover()
+	if len(recs) != 1 {
+		t.Fatalf("persistLocked wrote %d records", len(recs))
+	}
+	return recs[0].Data
+}
+
+// TestUnreadableTermStateRefusesStart: a member whose term log holds a
+// record that is not term state must not start — the parent ignored what
+// it could not read and came up at term 0, free to vote again in a term it
+// had already voted in.
+func TestUnreadableTermStateRefusesStart(t *testing.T) {
+	good := persisted(t, &Runtime{term: 7, votedFor: "m2", appLog: "bank-2", dataTerm: 6,
+		frontier: map[string][]span{"bank-2": {{term: 6, start: 1}}}})
+	for name, rec := range map[string]xrep.Value{
+		"term a string":      xrep.Seq{xrep.Str("7"), xrep.Str("m2")},
+		"vote an int":        xrep.Seq{xrep.Int(7), xrep.Int(2)},
+		"one field":          xrep.Seq{xrep.Int(7)},
+		"eight fields":       xrep.Seq{xrep.Int(7), xrep.Str(""), xrep.Str(""), xrep.Int(0), xrep.Int(0), xrep.Int(0), xrep.Seq{}, xrep.Int(0)},
+		"frontier not a seq": xrep.Seq{xrep.Int(7), xrep.Str(""), xrep.Str(""), xrep.Int(0), xrep.Int(0), xrep.Int(0), xrep.Int(0)},
+		"span not a pair":    xrep.Seq{xrep.Int(7), xrep.Str(""), xrep.Str(""), xrep.Int(0), xrep.Int(0), xrep.Int(0), xrep.Seq{xrep.Seq{xrep.Str("l"), xrep.Seq{xrep.Int(1)}}}},
+		"a record":           xrep.Rec{Name: "bank/ring", Fields: xrep.Seq{xrep.Str("")}},
+	} {
+		bad, err := wire.MarshalValue(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inner := durable.NewMem(vtime.NewReal(), durable.MemConfig{})
+		tl, err := inner.OpenLog(termLogName("g"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tl.AppendSync(good)
+		tl.AppendSync(bad)
+		if st, err := NewStore(inner, groupCfg("m1")); !errors.Is(err, xrep.ErrMalformed) {
+			t.Errorf("%s: NewStore = %v, %v; want ErrMalformed", name, st, err)
+		}
+	}
+	// The last readable state stands.
+	inner := durable.NewMem(vtime.NewReal(), durable.MemConfig{})
+	tl, _ := inner.OpenLog(termLogName("g"))
+	tl.AppendSync(persisted(t, &Runtime{term: 3, votedFor: "m1"}))
+	tl.AppendSync(good)
+	st, err := NewStore(inner, groupCfg("m1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rt := st.rt; rt.term != 7 || rt.votedFor != "m2" || rt.dataTerm != 6 || len(rt.frontier["bank-2"]) != 1 {
+		t.Errorf("restored term %d vote %q dataTerm %d frontier %v", rt.term, rt.votedFor, rt.dataTerm, rt.frontier)
+	}
+}
+
+// FuzzTermState feeds hostile bytes to the term-state reader (and through
+// it parseFrontier). It must not panic or allocate beyond a bound set by
+// the input's length; what it accepts has the kinds persistLocked writes;
+// and the state it read, persisted again, reads back the same.
+func FuzzTermState(f *testing.F) {
+	f.Add(persisted(f, &Runtime{}))
+	f.Add(persisted(f, &Runtime{term: 7, votedFor: "m2", appLog: "bank-2", dataTerm: 6, diverged: true, risk: true,
+		frontier: map[string][]span{"bank-2": {{term: 1, start: 1}, {term: 6, start: 40}}, "_catalog": {{term: 6, start: 2}}}}))
+	for _, v := range []xrep.Value{
+		xrep.Seq{xrep.Int(7), xrep.Str("m2")},
+		xrep.Seq{xrep.Int(7), xrep.Str("m2"), xrep.Str("bank-2"), xrep.Int(6)},
+		xrep.Seq{xrep.Str("7"), xrep.Str("m2")},
+		xrep.Seq{xrep.Int(7), xrep.Str(""), xrep.Str(""), xrep.Int(0), xrep.Int(0), xrep.Int(0), xrep.Seq{xrep.Seq{xrep.Int(1), xrep.Seq{}}}},
+	} {
+		b, err := wire.MarshalValue(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		v, err := wire.UnmarshalValue(data)
+		if err != nil {
+			return
+		}
+		rt := &Runtime{}
+		_, err = rt.foldTermState(v)
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10+256*uint64(len(data)) {
+			t.Fatalf("reading %d bytes allocated %d", len(data), n)
+		}
+		if err != nil {
+			return
+		}
+		seq := v.(xrep.Seq)
+		for i, k := range []xrep.Kind{xrep.KindInt, xrep.KindString, xrep.KindString, xrep.KindInt, xrep.KindInt, xrep.KindInt, xrep.KindSeq} {
+			if i < len(seq) && seq[i].Kind() != k {
+				t.Fatalf("accepted term state whose field %d is %s", i, seq[i])
+			}
+		}
+		if len(seq) < 2 || len(seq) > 7 {
+			t.Fatalf("accepted term state of %d fields", len(seq))
+		}
+		again, err := wire.UnmarshalValue(persisted(t, rt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt2 := &Runtime{}
+		if _, err = rt2.foldTermState(again); err != nil || rt2.risk != rt.risk || rt2.term != rt.term || rt2.votedFor != rt.votedFor || rt2.appLog != rt.appLog ||
+			rt2.dataTerm != rt.dataTerm || rt2.diverged != rt.diverged ||
+			(len(rt.frontier)+len(rt2.frontier) > 0 && !reflect.DeepEqual(rt2.frontier, rt.frontier)) {
+			t.Fatalf("accepted term state does not survive persist → read: %v", err)
+		}
+	})
 }

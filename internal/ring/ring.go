@@ -39,6 +39,13 @@ type Member struct {
 // see DESIGN.md §14 for the trade-off.
 const DefaultVNodes = 64
 
+// MaxVNodes and MaxMembers bound what FromValue accepts: four times the
+// default spread, and more shards than one nameserver blob has carried.
+const (
+	MaxVNodes  = 4 * DefaultVNodes
+	MaxMembers = 1024
+)
+
 // Ring is one epoch of the placement function. Members are kept sorted by
 // name; the point table is derived, never serialized.
 type Ring struct {
@@ -246,32 +253,32 @@ func (r *Ring) Value() xrep.Value {
 	}}
 }
 
-// FromValue is Value's inverse.
+// FromValue is Value's inverse. The value may come from another guardian
+// (ring_update, handoff_pull, migrate_snap, the nameserver's blob), and
+// the point table it implies is len(Members) × VNodes entries, so both are
+// bounded and a member may appear once.
 func FromValue(v xrep.Value) (*Ring, error) {
-	rec, ok := v.(xrep.Rec)
-	if !ok || rec.Name != ringRec || len(rec.Fields) != 4 {
-		return nil, fmt.Errorf("ring: not a %s record", ringRec)
+	f := xrep.ReadRec(v, ringRec, 4)
+	r := &Ring{Name: f.Str(), Epoch: f.Int()}
+	vnodes, members := f.Int(), f.Seq()
+	if err := f.Err(); err != nil {
+		return nil, fmt.Errorf("ring: %w", err)
 	}
-	name, ok0 := rec.Fields[0].(xrep.Str)
-	epoch, ok1 := rec.Fields[1].(xrep.Int)
-	vnodes, ok2 := rec.Fields[2].(xrep.Int)
-	members, ok3 := rec.Fields[3].(xrep.Seq)
-	if !ok0 || !ok1 || !ok2 || !ok3 {
-		return nil, fmt.Errorf("ring: malformed %s record", ringRec)
+	if vnodes < 1 || vnodes > MaxVNodes || len(members) > MaxMembers {
+		return nil, fmt.Errorf("ring: %d members × %d vnodes is outside 0..%d × 1..%d",
+			len(members), vnodes, MaxMembers, MaxVNodes)
 	}
-	r := &Ring{Name: string(name), Epoch: int64(epoch), VNodes: int(vnodes)}
+	r.VNodes = int(vnodes)
 	for _, mv := range members {
-		triple, ok := mv.(xrep.Seq)
-		if !ok || len(triple) != 3 {
-			return nil, fmt.Errorf("ring: malformed member entry")
+		e := xrep.ReadSeq(mv, 3)
+		m := Member{Name: e.Str(), Amo: e.Port(), Native: e.Port()}
+		if err := e.Err(); err != nil {
+			return nil, fmt.Errorf("ring: member entry: %w", err)
 		}
-		mname, ok0 := triple[0].(xrep.Str)
-		amo, ok1 := triple[1].(xrep.PortName)
-		native, ok2 := triple[2].(xrep.PortName)
-		if !ok0 || !ok1 || !ok2 {
-			return nil, fmt.Errorf("ring: malformed member entry")
+		if _, dup := r.Member(m.Name); dup {
+			return nil, fmt.Errorf("ring: member %q appears twice", m.Name)
 		}
-		r.Members = append(r.Members, Member{Name: string(mname), Amo: amo, Native: native})
+		r.Members = append(r.Members, m)
 	}
 	r.normalize()
 	return r, nil

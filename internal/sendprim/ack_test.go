@@ -124,7 +124,6 @@ func TestSyncSendKeepsTrailingPortArgument(t *testing.T) {
 		TypeName: "registrar",
 		Provides: []*guardian.PortType{regType},
 		Init: func(ctx *guardian.Ctx) {
-			//lint:allow recvhygiene deterministic in-memory test world; the test deadline bounds any hang
 			guardian.NewReceiver(ctx.Ports[0]).
 				When("register", func(pr *guardian.Process, m *guardian.Message) {
 					if _, ok := ackPort(m); ok {

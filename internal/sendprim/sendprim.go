@@ -53,12 +53,9 @@ func ackPort(m *guardian.Message) (xrep.PortName, bool) {
 	if len(m.Args) == 0 {
 		return xrep.PortName{}, false
 	}
-	rec, ok := m.Args[len(m.Args)-1].(xrep.Rec)
-	if !ok || rec.Name != ackRecName || len(rec.Fields) != 1 {
-		return xrep.PortName{}, false
-	}
-	p, ok := rec.Fields[0].(xrep.PortName)
-	return p, ok
+	f := xrep.ReadRec(m.Args[len(m.Args)-1], ackRecName, 1)
+	p := f.Port()
+	return p, f.Err() == nil
 }
 
 // SyncSend is the synchronization send: it transmits the message and

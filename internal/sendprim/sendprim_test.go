@@ -32,7 +32,6 @@ func newWorker(t *testing.T, netCfg netsim.Config, workDelay time.Duration) (*gu
 		TypeName: "worker",
 		Provides: []*guardian.PortType{workType},
 		Init: func(ctx *guardian.Ctx) {
-			//lint:allow recvhygiene deterministic in-memory test world; the test deadline bounds any hang
 			guardian.NewReceiver(ctx.Ports[0]).
 				When("work_sync", func(pr *guardian.Process, m *guardian.Message) {
 					if err := Acknowledge(pr, m); err != nil {
@@ -288,7 +287,6 @@ func TestCallAtLeastOnceSemantics(t *testing.T) {
 		TypeName: "counter_worker",
 		Provides: []*guardian.PortType{workType},
 		Init: func(ctx *guardian.Ctx) {
-			//lint:allow recvhygiene deterministic in-memory test world; the test deadline bounds any hang
 			guardian.NewReceiver(ctx.Ports[0]).
 				When("work", func(pr *guardian.Process, m *guardian.Message) {
 					execCh <- struct{}{}

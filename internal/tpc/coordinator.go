@@ -1,6 +1,8 @@
 package tpc
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 	"time"
 
@@ -84,35 +86,48 @@ func appendDecisionRecord(dst []byte, kind string, d *decision) []byte {
 	return dst
 }
 
-func parseDecisionRecord(data []byte) (kind string, d *decision, ok bool) {
-	v, err := wire.UnmarshalValue(data)
-	if err != nil {
-		return "", nil, false
-	}
-	seq, isSeq := v.(xrep.Seq)
-	if !isSeq || len(seq) != 4 {
-		return "", nil, false
-	}
-	k, ok1 := seq[0].(xrep.Str)
-	txid, ok2 := seq[1].(xrep.Str)
-	commit, ok3 := seq[2].(xrep.Bool)
-	opsSeq, ok4 := seq[3].(xrep.Seq)
-	if !ok1 || !ok2 || !ok3 || !ok4 {
-		return "", nil, false
-	}
-	d = &decision{txid: string(txid), commit: bool(commit)}
-	for _, e := range opsSeq {
-		pair, isPair := e.(xrep.Seq)
-		if !isPair || len(pair) != 2 {
-			return "", nil, false
+// parseOps reads a sequence of (participant, op) pairs: a begin message's
+// and a decision record's.
+func parseOps(seq xrep.Seq) ([]txOp, error) {
+	ops := make([]txOp, 0, len(seq))
+	for _, e := range seq {
+		f := xrep.ReadSeq(e, 2)
+		ops = append(ops, txOp{participant: f.Port(), op: f.Value()})
+		if err := f.Err(); err != nil {
+			return nil, fmt.Errorf("tpc: op: %w", err)
 		}
-		pn, isPN := pair[0].(xrep.PortName)
-		if !isPN {
-			return "", nil, false
-		}
-		d.ops = append(d.ops, txOp{participant: pn, op: pair[1]})
 	}
-	return string(k), d, true
+	return ops, nil
+}
+
+// readDecision is appendDecisionRecord's inverse, over the unmarshalled
+// record.
+func readDecision(v xrep.Value) (kind string, d *decision, err error) {
+	f := xrep.ReadSeq(v, 4)
+	kind = f.Str()
+	d = &decision{txid: f.Str(), commit: f.Bool()}
+	d.ops, err = parseOps(f.Seq())
+	return kind, d, errors.Join(f.Err(), err)
+}
+
+// foldDecision is the coordinator's folder (guardian.Folder). The
+// coordinator's log has one writer, so every record is a decision record
+// or malformed.
+func (st *coordState) foldDecision(v xrep.Value) (bool, error) {
+	kind, d, err := readDecision(v)
+	switch {
+	case err != nil:
+		return true, fmt.Errorf("tpc: decision record: %w", err)
+	case kind == "decided":
+		st.decisions[d.txid] = d
+	case kind == "settled":
+		if prev, ok := st.decisions[d.txid]; ok {
+			prev.settled = true
+		}
+	default:
+		return true, fmt.Errorf("tpc: decision record of unknown kind %q", kind)
+	}
+	return true, nil
 }
 
 // CoordinatorDef returns the coordinator guardian definition. The
@@ -127,37 +142,28 @@ func CoordinatorDef() *guardian.GuardianDef {
 			cfg:       coordConfig{voteTimeout: time.Second, retries: 3},
 			decisions: make(map[string]*decision),
 		}
-		if len(ctx.Args) == 2 {
-			if ms, ok := ctx.Args[0].(xrep.Int); ok && ms > 0 {
+		// Optional creation arguments: (vote timeout in ms, decision retries).
+		f := xrep.ReadFields(ctx.Args, 2)
+		if ms, r := f.Int(), f.Int(); f.Err() == nil {
+			if ms > 0 {
 				st.cfg.voteTimeout = time.Duration(ms) * time.Millisecond
 			}
-			if r, ok := ctx.Args[1].(xrep.Int); ok && r >= 0 {
+			if r >= 0 {
 				st.cfg.retries = int(r)
 			}
 		}
 		ctx.G.SetState(st)
 		log := ctx.G.Log()
 		if ctx.Recovering {
-			_, recs, _ := log.Recover()
 			// Rebuild under the state lock: owner-side audits
 			// (CoordinatorUnsettled) may read the map as soon as the
-			// guardian exists, which is before this loop finishes.
+			// guardian exists, which is before the replay finishes. A log
+			// that cannot be read is fail-stop: a coordinator that came up
+			// empty would answer a re-ask for a commit it logged with
+			// presumed abort.
 			st.mu.Lock()
+			ctx.G.Replay(nil, st.foldDecision)
 			var unsettled []*decision
-			for _, r := range recs {
-				kind, d, ok := parseDecisionRecord(r.Data)
-				if !ok {
-					continue
-				}
-				switch kind {
-				case "decided":
-					st.decisions[d.txid] = d
-				case "settled":
-					if prev, ok := st.decisions[d.txid]; ok {
-						prev.settled = true
-					}
-				}
-			}
 			for _, d := range st.decisions {
 				if !d.settled {
 					unsettled = append(unsettled, d)
@@ -176,7 +182,6 @@ func CoordinatorDef() *guardian.GuardianDef {
 		guardian.NewReceiver(ctx.Ports[0]).
 			When("begin", func(pr *guardian.Process, m *guardian.Message) {
 				txid := m.Str(0)
-				opsSeq, _ := m.Args[1].(xrep.Seq)
 				client := m.ReplyTo
 				// Duplicate begin for a decided transaction: re-announce
 				// the recorded outcome (client retry after lost reply).
@@ -185,16 +190,12 @@ func CoordinatorDef() *guardian.GuardianDef {
 					return
 				}
 				d := &decision{txid: txid}
-				for _, e := range opsSeq {
-					pair, ok := e.(xrep.Seq)
-					if !ok || len(pair) != 2 {
-						continue
-					}
-					pn, ok := pair[0].(xrep.PortName)
-					if !ok {
-						continue
-					}
-					d.ops = append(d.ops, txOp{participant: pn, op: pair[1]})
+				var err error
+				if d.ops, err = parseOps(m.Seq(1)); err != nil {
+					// Refused whole: running the entries that do read would
+					// commit part of a transaction.
+					replyOutcome(pr, client, d)
+					return
 				}
 				// Each transaction gets its own process so slow votes do
 				// not serialize unrelated transactions (the Figure 1b/1c

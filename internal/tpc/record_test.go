@@ -2,6 +2,7 @@ package tpc
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -67,9 +68,13 @@ func TestRecordsMatchTree(t *testing.T) {
 			if got := appendDecisionRecord(nil, kind, d); !bytes.Equal(got, want) {
 				t.Errorf("decision record %s/%.10q differs from the tree encoding", kind, d.txid)
 			}
-			gotKind, back, ok := parseDecisionRecord(want)
-			if !ok || gotKind != kind || back.txid != d.txid || back.commit != d.commit || len(back.ops) != len(d.ops) {
-				t.Errorf("parseDecisionRecord did not return what was encoded for %s/%.10q", kind, d.txid)
+			v, err := wire.UnmarshalValue(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotKind, back, err := readDecision(v)
+			if err != nil || gotKind != kind || back.txid != d.txid || back.commit != d.commit || len(back.ops) != len(d.ops) {
+				t.Errorf("readDecision did not return what was encoded for %s/%.10q", kind, d.txid)
 			}
 		}
 	}
@@ -96,4 +101,116 @@ func TestRecordEncodersAllocateNothing(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("encoding tpc records into a warm scratch allocates %v times, want 0", n)
 	}
+}
+
+// TestFoldersRefuseMalformedRecords: a coordinator or participant record
+// with a field of the wrong kind, the wrong arity, an unreadable op pair or
+// an unknown kind is an error, never folded as zero values (the parent
+// skipped an ill-typed decision and replayed an ill-typed participant record
+// as kind "" / txid "").
+func TestFoldersRefuseMalformedRecords(t *testing.T) {
+	p := xrep.PortName{Node: "s1", Guardian: 2, Port: 1}
+	decided := xrep.Seq{xrep.Str("decided"), xrep.Str("tx1"), xrep.Bool(true), xrep.Seq{xrep.Seq{p, SlotOp("unit", 1)}}}
+	participant := xrep.Seq{xrep.Str("prepared"), xrep.Str("tx1"), SlotOp("unit", 1)}
+	newCoord := func() *coordState { return &coordState{decisions: make(map[string]*decision)} }
+	newPart := func() *participantState {
+		return &participantState{res: NewSlotResource(map[string]int64{"unit": 5}), phases: make(map[string]txPhase), ops: make(map[string]xrep.Value)}
+	}
+	if mine, err := newCoord().foldDecision(decided); !mine || err != nil {
+		t.Fatalf("well-formed decision: %v %v", mine, err)
+	}
+	if mine, err := newPart().foldRecord(participant); !mine || err != nil {
+		t.Fatalf("well-formed participant record: %v %v", mine, err)
+	}
+	mutants := func(good xrep.Seq, typed int) []xrep.Value {
+		out := []xrep.Value{good[:len(good)-1], append(append(xrep.Seq{}, good...), xrep.Int(0)), xrep.Rec{Name: "tpc/x", Fields: good}, xrep.Int(1)}
+		for i := 0; i < typed; i++ {
+			bad := append(xrep.Seq{}, good...)
+			bad[i] = xrep.Int(7)
+			out = append(out, bad)
+		}
+		unknown := append(xrep.Seq{}, good...)
+		unknown[0] = xrep.Str("undecided")
+		return append(out, unknown)
+	}
+	for _, v := range append(mutants(decided, 4),
+		xrep.Seq{decided[0], decided[1], decided[2], xrep.Seq{xrep.Seq{xrep.Str("not a port"), SlotOp("unit", 1)}}},
+		xrep.Seq{decided[0], decided[1], decided[2], xrep.Seq{xrep.Seq{p}}}) {
+		st := newCoord()
+		if mine, err := st.foldDecision(v); !mine || err == nil || len(st.decisions) != 0 {
+			t.Errorf("decision %s: mine %v, err %v, %d decisions; want refused", v, mine, err, len(st.decisions))
+		}
+	}
+	for _, v := range mutants(participant, 2) {
+		st := newPart()
+		if mine, err := st.foldRecord(v); !mine || err == nil || len(st.phases) != 0 {
+			t.Errorf("participant record %s: mine %v, err %v, %d phases; want refused", v, mine, err, len(st.phases))
+		}
+	}
+}
+
+// FuzzTPCRecords feeds hostile bytes to both tpc folders. Neither may
+// panic or allocate beyond a bound set by the input's length; a record a
+// folder accepts has the kinds the encoders write; and what it read,
+// re-encoded, reads back the same.
+func FuzzTPCRecords(f *testing.F) {
+	p := xrep.PortName{Node: "s1", Guardian: 2, Port: 1}
+	d := &decision{txid: "cli/tx1", commit: true, ops: []txOp{{p, SlotOp("unit", 2)}, {p, xrep.Null{}}}}
+	f.Add(appendDecisionRecord(nil, "decided", d))
+	f.Add(appendDecisionRecord(nil, "settled", &decision{txid: "cli/tx1"}))
+	f.Add(appendParticipantRecord(nil, "prepared", "cli/tx1", SlotOp("unit", 2)))
+	f.Add(appendParticipantRecord(nil, "refused", "cli/tx1", nil))
+	for _, bad := range []xrep.Value{
+		xrep.Seq{xrep.Str("decided"), xrep.Int(1), xrep.Bool(true), xrep.Seq{}},
+		xrep.Seq{xrep.Str("decided"), xrep.Str("tx"), xrep.Bool(true), xrep.Seq{xrep.Seq{xrep.Str("p"), xrep.Null{}}}},
+		xrep.Seq{xrep.Int(1), xrep.Str("tx"), xrep.Null{}},
+		xrep.Seq{xrep.Str("prepared"), xrep.Str("tx")},
+	} {
+		b, err := wire.MarshalValue(bad)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		v, err := wire.UnmarshalValue(data)
+		if err != nil {
+			return
+		}
+		coord := &coordState{decisions: make(map[string]*decision)}
+		_, coordErr := coord.foldDecision(v)
+		part := &participantState{res: NewSlotResource(map[string]int64{"unit": 5}), phases: make(map[string]txPhase), ops: make(map[string]xrep.Value)}
+		_, partErr := part.foldRecord(v)
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10+256*uint64(len(data)) {
+			t.Fatalf("folding %d bytes allocated %d", len(data), n)
+		}
+		if coordErr == nil && partErr == nil {
+			t.Fatal("the same record read as a decision and as a participant record")
+		}
+		seq, _ := v.(xrep.Seq)
+		if coordErr == nil {
+			kind, d, err := readDecision(v)
+			if err != nil || seq[0].Kind() != xrep.KindString || seq[1].Kind() != xrep.KindString || seq[2].Kind() != xrep.KindBool {
+				t.Fatalf("foldDecision accepted %s (%v)", v, err)
+			}
+			again, err := wire.UnmarshalValue(appendDecisionRecord(nil, kind, d))
+			if err != nil || !xrep.Equal(again, v) {
+				t.Fatalf("an accepted decision does not survive encode → decode: %v", err)
+			}
+		}
+		if partErr == nil {
+			if len(seq) != 3 || seq[0].Kind() != xrep.KindString || seq[1].Kind() != xrep.KindString {
+				t.Fatalf("foldRecord accepted %s", v)
+			}
+			again, err := wire.UnmarshalValue(appendParticipantRecord(nil, string(seq[0].(xrep.Str)), string(seq[1].(xrep.Str)), seq[2]))
+			if err != nil || !xrep.Equal(again, v) {
+				t.Fatalf("an accepted participant record does not survive encode → decode: %v", err)
+			}
+		}
+	})
 }

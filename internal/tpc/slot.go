@@ -48,13 +48,9 @@ func SlotOp(item string, n int64) xrep.Value {
 
 // Prepare implements Resource.
 func (s *SlotResource) Prepare(txid string, op xrep.Value) bool {
-	seq, ok := op.(xrep.Seq)
-	if !ok || len(seq) != 2 {
-		return false
-	}
-	item, ok1 := seq[0].(xrep.Str)
-	n, ok2 := seq[1].(xrep.Int)
-	if !ok1 || !ok2 || n <= 0 {
+	f := xrep.ReadSeq(op, 2)
+	item, n := f.Str(), f.Int()
+	if f.Err() != nil || n <= 0 {
 		return false
 	}
 	s.mu.Lock()
@@ -62,20 +58,20 @@ func (s *SlotResource) Prepare(txid string, op xrep.Value) bool {
 	if _, dup := s.holds[txid]; dup {
 		return true // idempotent re-prepare
 	}
-	capacity, exists := s.capacity[string(item)]
+	capacity, exists := s.capacity[item]
 	if !exists {
 		return false
 	}
 	held := int64(0)
 	for _, h := range s.holds {
-		if h.item == string(item) {
+		if h.item == item {
 			held += h.n
 		}
 	}
-	if s.committed[string(item)]+held+int64(n) > capacity {
+	if s.committed[item]+held+n > capacity {
 		return false
 	}
-	s.holds[txid] = slotHold{item: string(item), n: int64(n)}
+	s.holds[txid] = slotHold{item: item, n: n}
 	return true
 }
 

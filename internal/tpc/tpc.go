@@ -14,6 +14,7 @@
 package tpc
 
 import (
+	"fmt"
 	"sync"
 
 	"repro/internal/guardian"
@@ -129,6 +130,31 @@ func (st *participantState) apply(kind, txid string, op xrep.Value) {
 	}
 }
 
+// foldRecord is the participant's folder (guardian.Folder), and
+// appendParticipantRecord's inverse: it drives the fresh resource through
+// the transitions the log recorded. The participant's log has one writer,
+// so every record is (kind, txid, op) or malformed.
+func (st *participantState) foldRecord(v xrep.Value) (bool, error) {
+	f := xrep.ReadSeq(v, 3)
+	kind, txid, op := f.Str(), f.Str(), f.Value()
+	if err := f.Err(); err != nil {
+		return true, fmt.Errorf("tpc: participant record: %w", err)
+	}
+	switch kind {
+	case "prepared":
+		st.res.Prepare(txid, op)
+	case "committed":
+		st.res.Commit(txid)
+	case "aborted":
+		st.res.Abort(txid)
+	case "refused":
+	default:
+		return true, fmt.Errorf("tpc: participant record of unknown kind %q", kind)
+	}
+	st.apply(kind, txid, op)
+	return true, nil
+}
+
 // NewParticipantDef builds a participant guardian definition. factory
 // constructs the guarded resource; on recovery the fresh resource is
 // rebuilt by replaying the participant's own log through the same
@@ -143,29 +169,7 @@ func NewParticipantDef(typeName string, factory func() Resource) *guardian.Guard
 		ctx.G.SetState(st)
 		log := ctx.G.Log()
 		if ctx.Recovering {
-			_, recs, _ := log.Recover()
-			for _, r := range recs {
-				v, err := wire.UnmarshalValue(r.Data)
-				if err != nil {
-					continue
-				}
-				seq, ok := v.(xrep.Seq)
-				if !ok || len(seq) != 3 {
-					continue
-				}
-				kind, _ := seq[0].(xrep.Str)
-				txid, _ := seq[1].(xrep.Str)
-				// Drive the resource through the same transitions.
-				switch string(kind) {
-				case "prepared":
-					st.res.Prepare(string(txid), seq[2])
-				case "committed":
-					st.res.Commit(string(txid))
-				case "aborted":
-					st.res.Abort(string(txid))
-				}
-				st.apply(string(kind), string(txid), seq[2])
-			}
+			ctx.G.Replay(nil, st.foldRecord)
 		}
 
 		// Only this process writes the record scratch, and the log copies

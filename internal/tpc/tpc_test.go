@@ -28,7 +28,12 @@ type harness struct {
 
 func newHarness(t *testing.T, nParts int, netCfg netsim.Config, capacity int64) *harness {
 	t.Helper()
-	w := guardian.NewWorld(guardian.Config{Net: netCfg})
+	return newHarnessOn(t, guardian.NewWorld(guardian.Config{Net: netCfg}), nParts, capacity)
+}
+
+// newHarnessOn is newHarness on a world the caller configured.
+func newHarnessOn(t *testing.T, w *guardian.World, nParts int, capacity int64) *harness {
+	t.Helper()
 	w.MustRegister(CoordinatorDef())
 	w.MustRegister(NewParticipantDef("slot_participant", func() Resource {
 		return NewSlotResource(map[string]int64{"unit": capacity})

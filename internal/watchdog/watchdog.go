@@ -88,11 +88,12 @@ func watchdogMain(ctx *guardian.Ctx) {
 		threshold: guardian.FailureThreshold,
 		watched:   make(map[string]*nodeHealth),
 	}
-	if len(ctx.Args) == 2 {
-		if ms, ok := ctx.Args[0].(xrep.Int); ok && ms > 0 {
+	f := xrep.ReadFields(ctx.Args, 2)
+	if ms, th := f.Int(), f.Int(); f.Err() == nil {
+		if ms > 0 {
 			st.interval = time.Duration(ms) * time.Millisecond
 		}
-		if th, ok := ctx.Args[1].(xrep.Int); ok && th > 0 {
+		if th > 0 {
 			st.threshold = int(th)
 		}
 	}

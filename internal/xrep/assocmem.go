@@ -1,7 +1,6 @@
 package xrep
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 )
@@ -182,27 +181,23 @@ func assocPairs(v Value) ([]struct {
 	key  string
 	item Value
 }, error) {
-	rec, ok := v.(Rec)
-	if !ok || rec.Name != AssocMemTypeName {
-		return nil, fmt.Errorf("assoc_mem: cannot decode %s", v)
-	}
-	out := make([]struct {
+	pairs := ReadRec(v, AssocMemTypeName, 0)
+	var out []struct {
 		key  string
 		item Value
-	}, 0, len(rec.Fields))
-	for i, f := range rec.Fields {
-		pair, ok := f.(Seq)
-		if !ok || len(pair) != 2 {
-			return nil, fmt.Errorf("assoc_mem: field %d is not a key/item pair", i)
-		}
-		k, ok := pair[0].(Str)
-		if !ok {
-			return nil, errors.New("assoc_mem: pair key is not a string")
-		}
+	}
+	for i := 0; pairs.More(); i++ {
+		f := ReadSeq(pairs.Value(), 2)
 		out = append(out, struct {
 			key  string
 			item Value
-		}{string(k), pair[1]})
+		}{f.Str(), f.Value()})
+		if err := f.Err(); err != nil {
+			return nil, fmt.Errorf("assoc_mem: pair %d: %w", i, err)
+		}
+	}
+	if err := pairs.Err(); err != nil {
+		return nil, fmt.Errorf("assoc_mem: %w", err)
 	}
 	return out, nil
 }

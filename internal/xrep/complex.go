@@ -49,19 +49,12 @@ func (c PolarComplex) EncodeX() (Value, error) {
 
 // complexFields extracts and checks the two external-rep coordinates.
 func complexFields(v Value) (re, im float64, err error) {
-	rec, ok := v.(Rec)
-	if !ok || rec.Name != ComplexTypeName {
-		return 0, 0, fmt.Errorf("complex: cannot decode %s", v)
+	f := ReadRec(v, ComplexTypeName, 2)
+	re, im = f.Real(), f.Real()
+	if err := f.Err(); err != nil {
+		return 0, 0, fmt.Errorf("complex: %w", err)
 	}
-	if len(rec.Fields) != 2 {
-		return 0, 0, fmt.Errorf("complex: external rep has %d fields, want 2", len(rec.Fields))
-	}
-	reV, ok1 := rec.Fields[0].(Real)
-	imV, ok2 := rec.Fields[1].(Real)
-	if !ok1 || !ok2 {
-		return 0, 0, errors.New("complex: external rep fields are not reals")
-	}
-	return float64(reV), float64(imV), nil
+	return re, im, nil
 }
 
 // DecodeRectComplex is the decode operation for nodes using the
