@@ -73,7 +73,8 @@ func (r *Result) Notef(format string, args ...any) {
 	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
 }
 
-// waitQuiesce drains the network and gives delivery goroutines a moment.
+// waitQuiesce drains the network and gives the processes its deliveries
+// woke a moment.
 func waitQuiesce(w *guardian.World) {
 	w.Quiesce()
 	time.Sleep(5 * time.Millisecond)

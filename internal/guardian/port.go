@@ -3,7 +3,9 @@ package guardian
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
+	"repro/internal/vtime"
 	"repro/internal/xrep"
 )
 
@@ -78,10 +80,23 @@ func (q *fifo[T]) rewindIfEmpty() {
 	}
 }
 
-// waiter is one blocked Receive. The first port to deliver claims it.
+// waiter is one blocked Receive. The first port to deliver claims it. Its
+// timer serves the process's timed waits, Receive's and Pause's alike: made
+// by the first, Reset by each later one.
 type waiter struct {
 	ch      chan *Message
 	claimed atomic.Bool
+	timer   vtime.Timer
+}
+
+// arm starts the waiter's timer for d and returns its channel.
+func (w *waiter) arm(c vtime.Clock, d time.Duration) <-chan time.Time {
+	if w.timer == nil {
+		w.timer = c.NewTimer(d)
+	} else {
+		w.timer.Reset(d)
+	}
+	return w.timer.C()
 }
 
 // Name returns the port's global name, which may be sent in messages.

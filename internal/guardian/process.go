@@ -14,11 +14,20 @@ import (
 type Process struct {
 	g    *Guardian
 	name string
-	// idle is the waiter the process's last blocking Receive finished
-	// with, kept for its next one. Receive takes it with a swap, so a
-	// second goroutine receiving on the same Process finds nil and
-	// allocates its own.
+	// idle is the waiter, timer included, the process's last blocking
+	// Receive or Pause finished with, kept for its next one. Both take it
+	// with a swap, so a second goroutine waiting on the same Process finds
+	// nil and allocates its own.
 	idle atomic.Pointer[waiter]
+}
+
+// waiter takes the process's idle waiter, or makes one when another
+// goroutine waiting on the same Process holds it.
+func (pr *Process) waiter() *waiter {
+	if w := pr.idle.Swap(nil); w != nil {
+		return w
+	}
+	return &waiter{ch: make(chan *Message, 1)}
 }
 
 // Guardian returns the process's guardian.
@@ -173,14 +182,17 @@ func (pr *Process) Receive(timeout time.Duration, ports ...*Port) (*Message, Rec
 		return nil, RecvTimeout
 	}
 
-	w := pr.idle.Swap(nil)
-	if w == nil {
-		w = &waiter{ch: make(chan *Message, 1)}
-	}
+	w := pr.waiter()
 	for _, p := range ports {
 		p.addWaiter(w)
 	}
+	var timeoutC <-chan time.Time
 	defer func() {
+		if timeoutC != nil {
+			// An expiry that lands unread after the select is drained by
+			// the next Reset.
+			w.timer.Stop()
+		}
 		for _, p := range ports {
 			p.removeWaiter(w)
 		}
@@ -202,11 +214,8 @@ func (pr *Process) Receive(timeout time.Duration, ports ...*Port) (*Message, Rec
 		}
 	}
 
-	var timeoutC <-chan time.Time
 	if timeout > 0 {
-		t := pr.g.node.world.clock.NewTimer(timeout)
-		defer t.Stop()
-		timeoutC = t.C()
+		timeoutC = w.arm(pr.g.node.world.clock, timeout)
 	}
 
 	select {
@@ -227,14 +236,16 @@ func (pr *Process) Receive(timeout time.Duration, ports ...*Port) (*Message, Rec
 }
 
 // Pause sleeps on the world clock, returning early (false) if the
-// guardian is killed.
+// guardian is killed. It waits on the process's waiter timer, as Receive
+// does.
 func (pr *Process) Pause(d time.Duration) bool {
-	t := pr.g.node.world.clock.NewTimer(d)
-	defer t.Stop()
+	w := pr.waiter()
+	defer pr.idle.Store(w)
 	select {
-	case <-t.C():
+	case <-w.arm(pr.g.node.world.clock, d):
 		return true
 	case <-pr.g.killCh:
+		w.timer.Stop()
 		return false
 	}
 }

@@ -10,8 +10,9 @@
 //
 // All randomness flows from a single seeded source so fault schedules are
 // reproducible; all fate decisions (loss, duplication, corruption, delay)
-// are drawn at Send time, after which delivery goroutines only sleep on the
-// supplied clock and invoke the destination handler.
+// are drawn at Send time. Each destination then has one delivery queue,
+// ordered by (due time, send order), and one worker that waits on the
+// supplied clock for the head and invokes the destination handler.
 package netsim
 
 import (
@@ -28,8 +29,9 @@ import (
 // network makes no attempt to interpret them.
 type Addr string
 
-// Handler receives a datagram. Handlers are invoked on delivery goroutines
-// and must return promptly; a blocking handler delays only its own packet.
+// Handler receives a datagram. Handlers are invoked on their address's
+// delivery worker, one packet at a time, and must return promptly: a
+// blocking handler delays every later packet to the same address.
 type Handler func(from Addr, payload []byte)
 
 // Errors returned by Send.
@@ -92,18 +94,85 @@ type Network struct {
 	mu       sync.Mutex
 	rng      *rand.Rand
 	defaults Config
-	nodes    map[Addr]Handler
+	inboxes  map[Addr]*inbox      // attached addresses and those with packets in flight
 	links    map[linkKey]*Config  // per directed link overrides
 	cut      map[linkKey]struct{} // severed directed links
 	group    map[Addr]int         // partition group; absent = group 0
 	parted   bool
 	stats    Stats
 	inflight int        // packets accepted but not yet delivered or dropped
-	idle     *sync.Cond // broadcast when inflight returns to zero
-	closed   bool
+	workers  int        // delivery workers running
+	idle     *sync.Cond // broadcast when inflight or workers returns to zero
 }
 
 type linkKey struct{ from, to Addr }
+
+// inbox is one address's side of the network: its handler, the packets in
+// flight to it and the worker that delivers them. The worker runs while the
+// address is attached or its queue is non-empty; all fields are guarded by
+// Network.mu.
+type inbox struct {
+	h       Handler  // nil while detached
+	queue   []packet // queue[head:] sorted by due; equal dues in send order
+	head    int
+	running bool          // a worker goroutine owns the inbox
+	wake    chan struct{} // buffered(1): nudges the worker, never blocks
+}
+
+// packet is one planned delivery: the payload copy the handler will own.
+type packet struct {
+	from    Addr
+	payload []byte
+	due     time.Time
+}
+
+func (b *inbox) empty() bool { return b.head == len(b.queue) }
+
+// push inserts p after every queued packet due no later than it, so packets
+// due at the same instant leave in the order they were sent. It reports
+// whether p became the head.
+func (b *inbox) push(p packet) bool {
+	if b.head > 0 && len(b.queue) == cap(b.queue) {
+		n := copy(b.queue, b.queue[b.head:])
+		clear(b.queue[n:])
+		b.queue, b.head = b.queue[:n], 0
+	}
+	b.queue = append(b.queue, p)
+	i := len(b.queue) - 1
+	for ; i > b.head && p.due.Before(b.queue[i-1].due); i-- {
+		b.queue[i] = b.queue[i-1]
+	}
+	b.queue[i] = p
+	return i == b.head
+}
+
+// pop removes the head; the queue must not be empty.
+func (b *inbox) pop() packet {
+	p := b.queue[b.head]
+	b.queue[b.head] = packet{}
+	b.head++
+	if b.empty() {
+		b.queue, b.head = b.queue[:0], 0
+	}
+	return p
+}
+
+// nudge wakes b's worker, starting one if none runs. The caller holds n.mu.
+// Only a new head, or an empty queue whose address detached, needs one: a
+// worker waiting for its head is otherwise left alone, so it re-arms its
+// timer only for an earlier head, never against a clock moved meanwhile.
+func (n *Network) nudge(a Addr, b *inbox) {
+	if !b.running {
+		b.running = true
+		n.workers++
+		go n.work(a, b)
+		return
+	}
+	select {
+	case b.wake <- struct{}{}:
+	default: // a nudge is already pending
+	}
+}
 
 // New creates a network with the given defaults. A zero Config gives
 // instant, perfectly reliable delivery. All fate decisions are drawn from
@@ -123,7 +192,7 @@ func NewWithRand(clock vtime.Clock, cfg Config, rng *rand.Rand) *Network {
 		clock:    clock,
 		rng:      rng,
 		defaults: cfg,
-		nodes:    make(map[Addr]Handler),
+		inboxes:  make(map[Addr]*inbox),
 		links:    make(map[linkKey]*Config),
 		cut:      make(map[linkKey]struct{}),
 		group:    make(map[Addr]int),
@@ -132,28 +201,79 @@ func NewWithRand(clock vtime.Clock, cfg Config, rng *rand.Rand) *Network {
 	return n
 }
 
+// inbox returns a's inbox, creating it. The caller holds n.mu.
+func (n *Network) inbox(a Addr) *inbox {
+	b := n.inboxes[a]
+	if b == nil {
+		b = &inbox{wake: make(chan struct{}, 1)}
+		n.inboxes[a] = b
+	}
+	return b
+}
+
 // Attach registers a handler to receive datagrams addressed to a. Attaching
-// an address that is already attached replaces its handler.
+// an address that is already attached replaces its handler; so does
+// attaching one that was detached with packets still in flight to it, which
+// are then delivered at their due time.
 func (n *Network) Attach(a Addr, h Handler) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.nodes[a] = h
+	n.inbox(a).h = h
 }
 
 // Detach removes a from the network. In-flight packets addressed to a are
-// discarded at delivery time. Used to model node crashes.
+// discarded at their due time unless a is attached again first. Used to
+// model node crashes.
 func (n *Network) Detach(a Addr) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	delete(n.nodes, a)
+	if b := n.inboxes[a]; b != nil {
+		n.detach(a, b)
+	}
+}
+
+// detach clears b's handler and lets its worker, if any, exit once the queue
+// drains. The caller holds n.mu.
+func (n *Network) detach(a Addr, b *inbox) {
+	b.h = nil
+	switch {
+	case !b.running:
+		delete(n.inboxes, a)
+	case b.empty():
+		n.nudge(a, b)
+	}
 }
 
 // Attached reports whether a currently has a handler.
 func (n *Network) Attached(a Addr) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	_, ok := n.nodes[a]
-	return ok
+	b := n.inboxes[a]
+	return b != nil && b.h != nil
+}
+
+// Close detaches every address, discards every packet still queued
+// (counted in DroppedDst) and returns once every delivery worker has exited
+// — after the handler it was running, if any, returned. It must not be
+// called from a handler. The network stays usable; a later Attach starts
+// over.
+func (n *Network) Close() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for a, b := range n.inboxes {
+		dropped := len(b.queue) - b.head
+		n.stats.DroppedDst += int64(dropped)
+		n.inflight -= dropped
+		clear(b.queue)
+		b.queue, b.head = b.queue[:0], 0
+		n.detach(a, b)
+	}
+	if n.inflight == 0 {
+		n.idle.Broadcast()
+	}
+	for n.workers > 0 {
+		n.idle.Wait()
+	}
 }
 
 // SetLink overrides the fault/delay model for the directed link from→to.
@@ -229,14 +349,15 @@ func (n *Network) Quiesce() {
 }
 
 // Send submits a datagram for best-effort delivery from from to to. It
-// returns immediately once the packet's fate is decided; the payload is
-// copied, so the caller may reuse the buffer.
+// returns immediately once the packet's fate is decided and its deliveries
+// are queued at the destination; the payload is copied, so the caller may
+// reuse the buffer.
 func (n *Network) Send(from, to Addr, payload []byte) error {
 	if len(payload) == 0 {
 		return ErrEmptyPayload
 	}
 	n.mu.Lock()
-	if _, ok := n.nodes[from]; !ok {
+	if b := n.inboxes[from]; b == nil || b.h == nil {
 		n.mu.Unlock()
 		return ErrUnknownSender
 	}
@@ -307,43 +428,82 @@ func (n *Network) Send(from, to Addr, payload []byte) error {
 			corruptBit = n.rng.Intn(len(payload) * 8)
 		}
 	}
-	n.inflight += len(plan)
-	n.mu.Unlock()
-
+	if len(plan) == 0 {
+		n.mu.Unlock()
+		return nil
+	}
+	now := n.clock.Now()
+	b := n.inbox(to)
+	head := false
 	for _, p := range plan {
 		buf := make([]byte, len(payload))
 		copy(buf, payload)
 		if p.corrupt {
 			buf[corruptBit/8] ^= 1 << (corruptBit % 8)
 		}
-		go n.deliver(from, to, buf, p.delay)
+		head = b.push(packet{from: from, payload: buf, due: now.Add(p.delay)}) || head
 	}
+	n.inflight += len(plan)
+	if head {
+		n.nudge(to, b)
+	}
+	n.mu.Unlock()
 	return nil
 }
 
-// delivered retires one in-flight packet, waking Quiesce at zero.
-func (n *Network) delivered() {
+// work is the delivery worker of a's inbox b. It hands each packet to the
+// handler attached at its due time, or counts it dropped, in queue order;
+// waits on one reusable clock timer while the head is not yet due; and
+// exits once a is detached and nothing is left in flight to it.
+func (n *Network) work(a Addr, b *inbox) {
+	var timer vtime.Timer
 	n.mu.Lock()
-	n.inflight--
-	if n.inflight == 0 {
+	defer n.mu.Unlock()
+	for b.h != nil || !b.empty() {
+		if b.empty() {
+			n.mu.Unlock()
+			<-b.wake
+			n.mu.Lock()
+			continue
+		}
+		if wait := b.queue[b.head].due.Sub(n.clock.Now()); wait > 0 {
+			select { // a nudge for the head this pass already sees
+			case <-b.wake:
+			default:
+			}
+			n.mu.Unlock()
+			if timer == nil {
+				timer = n.clock.NewTimer(wait)
+			} else {
+				timer.Reset(wait)
+			}
+			select {
+			case <-timer.C():
+			case <-b.wake: // an earlier packet, or a close
+				timer.Stop()
+			}
+			n.mu.Lock()
+			continue
+		}
+		p := b.pop()
+		h := b.h
+		if h == nil {
+			n.stats.DroppedDst++
+		} else {
+			n.stats.Delivered++
+			n.mu.Unlock()
+			h(p.from, p.payload)
+			n.mu.Lock()
+		}
+		n.inflight--
+		if n.inflight == 0 {
+			n.idle.Broadcast()
+		}
+	}
+	b.running = false
+	delete(n.inboxes, a)
+	n.workers--
+	if n.workers == 0 {
 		n.idle.Broadcast()
 	}
-	n.mu.Unlock()
-}
-
-func (n *Network) deliver(from, to Addr, payload []byte, delay time.Duration) {
-	defer n.delivered()
-	if delay > 0 {
-		n.clock.Sleep(delay)
-	}
-	n.mu.Lock()
-	h, ok := n.nodes[to]
-	if !ok {
-		n.stats.DroppedDst++
-		n.mu.Unlock()
-		return
-	}
-	n.stats.Delivered++
-	n.mu.Unlock()
-	h(from, payload)
 }

@@ -75,6 +75,12 @@ func (s *Sim) Stats() Stats {
 // exactly, so this really waits for silence.
 func (s *Sim) Quiesce() { s.net.Quiesce() }
 
-// Close implements Transport. The simulator holds no OS resources; closing
-// is a no-op so worlds built on it stay usable by tests that never close.
-func (s *Sim) Close() error { return nil }
+// Close implements Transport: every address detaches and the packets still
+// in flight are discarded, so no delivery worker outlives it (sends from a
+// detached address fail with ErrNotAttached). The simulator holds no OS
+// resources; a world that never closes it leaves one parked worker per
+// address that has received.
+func (s *Sim) Close() error {
+	s.net.Close()
+	return nil
+}

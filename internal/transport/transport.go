@@ -32,8 +32,11 @@ import (
 type Addr string
 
 // Handler receives a datagram. Handlers are invoked on the transport's
-// delivery or receive-loop goroutines and must return promptly; a blocking
-// handler stalls only the goroutine that called it.
+// delivery or receive-loop goroutines and must return promptly: a blocking
+// handler delays the datagrams queued behind it — on the simulator every
+// later one to the same address, which has one delivery worker; on UDP
+// those its socket's receive loop would read next; on TCP the rest of its
+// connection's stream.
 //
 // The handler owns payload: every delivery, a duplicate included, hands
 // over a slice nothing else reads or writes afterwards, so a handler may

@@ -28,13 +28,19 @@ type Clock interface {
 	Since(t time.Time) time.Duration
 }
 
-// Timer is a single-shot timer bound to a Clock.
+// Timer is a single-shot timer bound to a Clock. One timer may serve many
+// waits: Stop it when a wait ends some other way, Reset it for the next.
 type Timer interface {
 	// C returns the channel on which the expiry is delivered.
 	C() <-chan time.Time
 	// Stop prevents the timer from firing. It reports whether the call
-	// stopped the timer before it fired.
+	// stopped the timer before it fired; an expiry already delivered stays
+	// in C until it is received or the timer is Reset.
 	Stop() bool
+	// Reset rearms the timer to fire once after d, discarding an expiry
+	// delivered but not yet received, and reports whether the timer was
+	// still pending. Call it from the goroutine that receives from C.
+	Reset(d time.Duration) bool
 }
 
 // Real is the wall clock. The zero value is ready to use.
@@ -62,3 +68,18 @@ type realTimer struct{ t *time.Timer }
 
 func (rt realTimer) C() <-chan time.Time { return rt.t.C }
 func (rt realTimer) Stop() bool          { return rt.t.Stop() }
+
+// Reset implements Timer. go.mod's go 1.22 selects asynctimerchan=1, under
+// which a fired timer's value waits in C and time.Timer.Reset leaves it
+// there; a Stop that reports false is therefore followed by a drain.
+func (rt realTimer) Reset(d time.Duration) bool {
+	active := rt.t.Stop()
+	if !active {
+		select {
+		case <-rt.t.C:
+		default:
+		}
+	}
+	rt.t.Reset(d)
+	return active
+}

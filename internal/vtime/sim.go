@@ -8,7 +8,8 @@ import (
 
 // Sim is a deterministic simulated clock. Time stands still until a test
 // calls Advance or AdvanceTo, at which point every timer whose deadline has
-// been reached fires, in deadline order (ties broken by creation order).
+// been reached fires, in deadline order (ties broken by the order the timers
+// were created or Reset).
 //
 // Goroutines that Sleep on a Sim clock block until an Advance moves time
 // past their wakeup point.
@@ -43,23 +44,31 @@ func (s *Sim) After(d time.Duration) <-chan time.Time {
 
 // NewTimer implements Clock.
 func (s *Sim) NewTimer(d time.Duration) Timer {
+	t := &simTimer{clock: s, ch: make(chan time.Time, 1), index: -1}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	t := &simTimer{
-		clock:    s,
-		deadline: s.now.Add(d),
-		ch:       make(chan time.Time, 1),
-	}
+	s.arm(t, d)
+	return t
+}
+
+// arm schedules t, which is not pending and whose channel is empty, to fire
+// d from now — at once when d <= 0. The caller holds s.mu.
+func (s *Sim) arm(t *simTimer, d time.Duration) {
 	if d <= 0 {
-		t.fired = true
-		//lint:allow lockorder the timer channel is buffered(1) and fired guards the only send, so it cannot block
-		t.ch <- s.now
-		return t
+		s.fire(t)
+		return
 	}
+	t.deadline = s.now.Add(d)
 	t.seq = s.seq
 	s.seq++
 	heap.Push(&s.pending, t)
-	return t
+}
+
+// fire delivers t's expiry at the current time. The caller holds s.mu and
+// has taken t out of pending, or never put it there.
+func (s *Sim) fire(t *simTimer) {
+	//lint:allow lockorder the timer channel is buffered(1) and empty while the timer is pending: Reset drains an unread expiry before it rearms, so this send cannot block
+	t.ch <- s.now
 }
 
 // Sleep implements Clock. It blocks until the simulated time has advanced
@@ -93,11 +102,7 @@ func (s *Sim) AdvanceTo(t time.Time) {
 		if tm.deadline.After(s.now) {
 			s.now = tm.deadline
 		}
-		if !tm.stopped {
-			tm.fired = true
-			//lint:allow lockorder the timer channel is buffered(1) and fired/stopped guard the only send, so it cannot block
-			tm.ch <- s.now
-		}
+		s.fire(tm)
 		s.mu.Unlock()
 	}
 }
@@ -107,13 +112,7 @@ func (s *Sim) AdvanceTo(t time.Time) {
 func (s *Sim) PendingTimers() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, t := range s.pending {
-		if !t.stopped {
-			n++
-		}
-	}
-	return n
+	return len(s.pending)
 }
 
 // NextDeadline returns the deadline of the earliest pending timer and true,
@@ -121,20 +120,10 @@ func (s *Sim) PendingTimers() int {
 func (s *Sim) NextDeadline() (time.Time, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, t := range s.pending {
-		if !t.stopped {
-			// Heap order puts the earliest first, but stopped timers may
-			// shadow it; scan for the minimum among live timers.
-			min := t.deadline
-			for _, u := range s.pending {
-				if !u.stopped && u.deadline.Before(min) {
-					min = u.deadline
-				}
-			}
-			return min, true
-		}
+	if len(s.pending) == 0 {
+		return time.Time{}, false
 	}
-	return time.Time{}, false
+	return s.pending[0].deadline, true
 }
 
 // RunUntilIdle advances the clock through every pending timer, firing each
@@ -150,26 +139,44 @@ func (s *Sim) RunUntilIdle() time.Time {
 	}
 }
 
+// simTimer is pending exactly while it sits in its clock's heap; a stopped
+// or fired timer leaves it, so the heap holds live timers only.
 type simTimer struct {
 	clock    *Sim
 	deadline time.Time
 	seq      uint64
 	ch       chan time.Time
-	index    int
-	fired    bool
-	stopped  bool
+	index    int // position in clock.pending; -1 when not pending
 }
 
 func (t *simTimer) C() <-chan time.Time { return t.ch }
 
 func (t *simTimer) Stop() bool {
-	t.clock.mu.Lock()
-	defer t.clock.mu.Unlock()
-	if t.fired || t.stopped {
+	s := t.clock
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if t.index < 0 {
 		return false
 	}
-	t.stopped = true
+	heap.Remove(&s.pending, t.index)
 	return true
+}
+
+func (t *simTimer) Reset(d time.Duration) bool {
+	s := t.clock
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	active := t.index >= 0
+	if active {
+		heap.Remove(&s.pending, t.index)
+	} else {
+		select { // a fired expiry nobody received
+		case <-t.ch:
+		default:
+		}
+	}
+	s.arm(t, d)
+	return active
 }
 
 // timerHeap orders timers by (deadline, seq).
@@ -198,5 +205,6 @@ func (h *timerHeap) Pop() any {
 	t := old[n-1]
 	old[n-1] = nil
 	*h = old[:n-1]
+	t.index = -1
 	return t
 }
