@@ -15,13 +15,13 @@ import (
 )
 
 // amoCallAllocCeiling is what one at-most-once deposit may allocate, end to
-// end on both nodes: the measured 32 plus one, because guardianbench's bound
+// end on both nodes: the measured 30 plus one, because guardianbench's bound
 // on call_small allocs_per_op (+3 %) is about one allocation.
-const amoCallAllocCeiling = 33
+const amoCallAllocCeiling = 31
 
 // sendprimCallAllocCeiling is what one sendprim.Call echo round trip may
-// allocate, end to end on both nodes: the measured 17 plus one.
-const sendprimCallAllocCeiling = 18
+// allocate, end to end on both nodes: the measured 15 plus one.
+const sendprimCallAllocCeiling = 16
 
 // TestAmoCallAllocCeiling pins the whole call path's allocation count —
 // caller envelope, send, netsim transit, decode, dispatch, receive, dedup,

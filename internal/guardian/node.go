@@ -387,9 +387,9 @@ func (n *Node) Takeover(defName, logName string, args ...any) (*Created, error) 
 // goroutines. from is the transport-level source — the logical node name
 // on the simulator, an observed "ip:port" on UDP — used only to key
 // fragment reassembly; everything else comes from the frame. The payload
-// is the node's to keep (transport.Handler): the reassembler holds
-// fragments by reference, and the frame is decoded straight from them,
-// every value copied out.
+// is lent until the handler returns (transport.Handler): the reassembler
+// copies a fragment it must wait with, and the frame is decoded — every
+// value copied out — before the packet goes back.
 func (n *Node) handlePacket(from transport.Addr, payload []byte) {
 	if !n.Alive() {
 		return
@@ -404,7 +404,9 @@ func (n *Node) handlePacket(from transport.Addr, payload []byte) {
 	}
 	// The frame lives only until dispatchFrame has made it a Message.
 	var f wire.Frame
-	if err := wire.UnmarshalSegments(&f, segs); err != nil {
+	err = wire.UnmarshalSegments(&f, segs)
+	n.reasm.Release(segs)
+	if err != nil {
 		n.world.stats.DiscardBadFrame.Add(1)
 		return
 	}
@@ -491,28 +493,6 @@ var sendBufs = sync.Pool{New: func() any { return new(sendBuf) }}
 // marshal/unmarshal round trip, preserving value-copy semantics while
 // making intra-node communication cheap (§2.1).
 func (n *Node) routeFrame(f *wire.Frame) error {
-	if f.Dest.Node == n.name {
-		// The frame outlives this call, so it gets a buffer of its own.
-		raw, err := f.Marshal()
-		if err != nil {
-			return err
-		}
-		if !n.Alive() {
-			return ErrNodeDown
-		}
-		go func() {
-			var f2 wire.Frame
-			if err := wire.UnmarshalFrameInto(&f2, raw); err != nil {
-				n.world.stats.DiscardBadFrame.Add(1)
-				return
-			}
-			if !n.Alive() {
-				return
-			}
-			n.dispatchFrame(&f2)
-		}()
-		return nil
-	}
 	sb := sendBufs.Get().(*sendBuf)
 	defer sendBufs.Put(sb)
 	frame, err := wire.AppendFrame(sb.frame[:0], f)
@@ -520,6 +500,21 @@ func (n *Node) routeFrame(f *wire.Frame) error {
 		return err
 	}
 	sb.frame = frame
+	if f.Dest.Node == n.name {
+		// Dispatched here, on the sender's goroutine, in send order: that
+		// never blocks (Port.deliver does not), and a failure reply it
+		// provokes is at most one more local dispatch — failures beget none.
+		if !n.Alive() {
+			return ErrNodeDown
+		}
+		var local wire.Frame
+		if err := wire.UnmarshalFrameInto(&local, frame); err != nil {
+			n.world.stats.DiscardBadFrame.Add(1)
+			return nil
+		}
+		n.dispatchFrame(&local)
+		return nil
+	}
 	chunk, count, err := wire.Packets(len(frame), n.world.cfg.FragmentMTU)
 	if err != nil {
 		return err

@@ -32,6 +32,10 @@ type Addr string
 // Handler receives a datagram. Handlers are invoked on their address's
 // delivery worker, one packet at a time, and must return promptly: a
 // blocking handler delays every later packet to the same address.
+//
+// The payload is lent: nothing else writes it until the handler returns,
+// and the network reuses its memory for a later delivery afterwards, so a
+// handler that keeps bytes copies them.
 type Handler func(from Addr, payload []byte)
 
 // Errors returned by Send.
@@ -119,12 +123,17 @@ type inbox struct {
 	wake    chan struct{} // buffered(1): nudges the worker, never blocks
 }
 
-// packet is one planned delivery: the payload copy the handler will own.
+// packet is one planned delivery: the payload copy the handler will borrow.
 type packet struct {
 	from    Addr
-	payload []byte
+	payload *[]byte // from payloads; back there once delivered or dropped
 	due     time.Time
 }
+
+// payloads recycles delivery copies: a handler has its payload only until it
+// returns, so the buffer is a later Send's. Entries are pointers, so Get and
+// Put allocate nothing.
+var payloads = sync.Pool{New: func() any { return new([]byte) }}
 
 func (b *inbox) empty() bool { return b.head == len(b.queue) }
 
@@ -436,10 +445,10 @@ func (n *Network) Send(from, to Addr, payload []byte) error {
 	b := n.inbox(to)
 	head := false
 	for _, p := range plan {
-		buf := make([]byte, len(payload))
-		copy(buf, payload)
+		buf := payloads.Get().(*[]byte)
+		*buf = append((*buf)[:0], payload...)
 		if p.corrupt {
-			buf[corruptBit/8] ^= 1 << (corruptBit % 8)
+			(*buf)[corruptBit/8] ^= 1 << (corruptBit % 8)
 		}
 		head = b.push(packet{from: from, payload: buf, due: now.Add(p.delay)}) || head
 	}
@@ -492,9 +501,10 @@ func (n *Network) work(a Addr, b *inbox) {
 		} else {
 			n.stats.Delivered++
 			n.mu.Unlock()
-			h(p.from, p.payload)
+			h(p.from, *p.payload)
 			n.mu.Lock()
 		}
+		payloads.Put(p.payload)
 		n.inflight--
 		if n.inflight == 0 {
 			n.idle.Broadcast()

@@ -10,9 +10,13 @@ import (
 )
 
 // TestNetsimDeliveryAllocCeiling: once a destination's worker and queue
-// are warm, a delivered packet costs exactly its copy — the buffer the
-// handler owns — and nothing else: no goroutine, no timer, no queue node.
+// are warm, a delivered packet allocates nothing — its copy is made into a
+// buffer an earlier delivery gave back when its handler returned — and
+// needs no goroutine, no timer and no queue node.
 func TestNetsimDeliveryAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items")
+	}
 	n := New(vtime.NewReal(), Config{})
 	defer n.Close()
 	done := make(chan struct{}, 1)
@@ -28,8 +32,8 @@ func TestNetsimDeliveryAllocCeiling(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		send()
 	}
-	if got := testing.AllocsPerRun(1000, send); got != 1 {
-		t.Fatalf("a delivered packet allocates %v times, want exactly 1 (its copy)", got)
+	if got := testing.AllocsPerRun(1000, send); got != 0 {
+		t.Fatalf("a delivered packet allocates %v times, want 0 (its copy reuses a given-back buffer)", got)
 	}
 }
 

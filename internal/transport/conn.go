@@ -248,7 +248,7 @@ func (pc *peer) handshakeOut(conn net.Conn) (*bufio.Reader, bool) {
 		return nil, false
 	}
 	br := bufio.NewReaderSize(conn, 64<<10)
-	typ, body, err := readFrame(br, 4096)
+	typ, body, _, err := readFrame(br, 4096, nil)
 	if err != nil || typ != frameSelectAck {
 		return nil, false
 	}
@@ -350,11 +350,17 @@ func (pc *peer) close() {
 
 // reader drains generation g's connection: data frames go to attached
 // handlers, linktests are answered, a deselect ends the connection
-// cleanly, and any error or protocol violation resets it.
+// cleanly, and any error or protocol violation resets it. Every frame is
+// read into one buffer, lent to the handler (Handler) and reused for the
+// next; the from-address of the source the last data frame named is kept
+// too, since a connection carries few sources.
 func (pc *peer) reader(g uint64, br *bufio.Reader) {
 	maxBody := pc.t.cfg.MaxFrame + frameOverhead
+	var buf []byte
+	src, from := "", Addr(pc.addr+"|") // the last source name seen, and its from-address
 	for {
-		typ, body, err := readFrame(br, maxBody)
+		typ, body, next, err := readFrame(br, maxBody, buf)
+		buf = next
 		if err != nil {
 			pc.teardown(g, false)
 			return
@@ -373,13 +379,17 @@ func (pc *peer) reader(g uint64, br *bufio.Reader) {
 		pc.mu.Unlock()
 		switch typ {
 		case frameData:
-			src, dst, payload, err := decodeData(body)
+			s, dst, payload, err := decodeData(body)
 			if err != nil {
 				pc.t.recvErrors.Add(1)
 				pc.teardown(g, false)
 				return
 			}
-			pc.t.deliver(pc.addr, src, dst, payload)
+			if string(s) != src {
+				src = string(s)
+				from = Addr(pc.addr + "|" + src)
+			}
+			pc.t.deliver(from, dst, payload)
 		case frameLinktest:
 			pc.control(g, frameLinktestAck)
 		case frameLinktestAck:

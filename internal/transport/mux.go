@@ -97,55 +97,57 @@ func appendControl(buf []byte, typ byte, s string) []byte {
 	return sealFrame(buf, start)
 }
 
-// readFrame reads one frame, bounding the body at max bytes. A frame
-// larger than the bound is a protocol violation, not a big message: the
-// sender enforces the same bound, so an oversized length means the stream
-// is desynchronized or hostile.
-func readFrame(br *bufio.Reader, max int) (typ byte, body []byte, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return 0, nil, err
+// readFrame reads one frame into buf, bounding the body at max bytes, and
+// returns buf — grown to the frame's length if it was shorter — for the
+// next call: a connection's reader reads every frame into one buffer, the
+// handshakes pass nil. A frame larger than the bound is a protocol
+// violation, not a big message: the sender enforces the same bound, so an
+// oversized length means the stream is desynchronized or hostile.
+func readFrame(br *bufio.Reader, max int, buf []byte) (typ byte, body, next []byte, err error) {
+	hdr, err := br.Peek(4) // not io.ReadFull: a header array would escape
+	if err != nil {
+		return 0, nil, buf, err
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
+	n := int(binary.BigEndian.Uint32(hdr))
+	_, _ = br.Discard(4)
 	if n < 1 || n > max+1 {
-		return 0, nil, fmt.Errorf("%w: frame length %d (max %d)", ErrBadFrame, n, max)
+		return 0, nil, buf, fmt.Errorf("%w: frame length %d (max %d)", ErrBadFrame, n, max)
 	}
-	buf := make([]byte, n)
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	buf = buf[:n]
 	if _, err := io.ReadFull(br, buf); err != nil {
-		return 0, nil, err
+		return 0, nil, buf, err
 	}
-	return buf[0], buf[1:], nil
+	return buf[0], buf[1:], buf, nil
 }
 
-// decodeString consumes one uvarint-prefixed string from body.
-func decodeString(body []byte, maxLen int) (string, []byte, error) {
+// cutString consumes one uvarint-prefixed string from body, as a view.
+func cutString(body []byte, maxLen int) (s, rest []byte, err error) {
 	n, k := binary.Uvarint(body)
 	if k <= 0 || n > uint64(maxLen) || uint64(len(body)-k) < n {
-		return "", nil, ErrBadFrame
+		return nil, nil, ErrBadFrame
 	}
-	return string(body[k : k+int(n)]), body[k+int(n):], nil
+	return body[k : k+int(n)], body[k+int(n):], nil
 }
 
 // decodeData splits a data frame body into its source, destination and
-// payload. The payload aliases body; callers own body and hand the slice
-// to exactly one handler, so no copy is needed.
-func decodeData(body []byte) (src, dst Addr, payload []byte, err error) {
-	s, rest, err := decodeString(body, maxNodeName)
+// payload, all three views of body.
+func decodeData(body []byte) (src, dst, payload []byte, err error) {
+	src, rest, err := cutString(body, maxNodeName)
 	if err != nil {
-		return "", "", nil, err
+		return nil, nil, nil, err
 	}
-	d, rest, err := decodeString(rest, maxNodeName)
-	if err != nil {
-		return "", "", nil, err
-	}
-	return Addr(s), Addr(d), rest, nil
+	dst, payload, err = cutString(rest, maxNodeName)
+	return src, dst, payload, err
 }
 
 // decodeControl extracts the string body of a select/selectAck/deselect.
 func decodeControl(body []byte) (string, error) {
-	s, rest, err := decodeString(body, 4096)
+	s, rest, err := cutString(body, 4096)
 	if err != nil || len(rest) != 0 {
 		return "", ErrBadFrame
 	}
-	return s, nil
+	return string(s), nil
 }

@@ -1,7 +1,10 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -12,9 +15,11 @@ import (
 
 // TestBufferOwnership pins the two-sided buffer contract on every
 // transport: Send has copied or consumed the payload by the time it
-// returns, so the sender may overwrite its buffer at once; and a handler
-// owns each payload it is given, so one that keeps them all never sees a
-// later delivery (or a duplicate's) change an earlier one.
+// returns, so the sender may overwrite its buffer at once; and a payload is
+// lent to its handler until the handler returns, so a handler that copies
+// sees every delivery (a duplicate's included) intact, and a decorator that
+// reads the payload after its inner handler has returned — guardianbench's
+// tracing transport does — still reads the bytes that were delivered.
 func TestBufferOwnership(t *testing.T) {
 	sim := func(cfg netsim.Config) *Sim { return NewSim(netsim.New(vtime.NewReal(), cfg)) }
 	cases := []struct {
@@ -60,16 +65,28 @@ func TestBufferOwnership(t *testing.T) {
 			send, recv := c.build(t)
 			var mu sync.Mutex
 			var kept [][]byte
+			var changed []string
 			arrived := make(chan struct{}, sends*c.copies)
 			if err := send.Attach("a", func(Addr, []byte) {}); err != nil {
 				t.Fatal(err)
 			}
-			if err := recv.Attach("b", func(_ Addr, p []byte) {
+			inner := func(_ Addr, p []byte) {
 				mu.Lock()
-				kept = append(kept, p) // by reference: the handler owns p
+				kept = append(kept, bytes.Clone(p)) // what outlives the handler is copied
 				mu.Unlock()
+			}
+			decorated := func(from Addr, p []byte) {
+				before := bytes.Clone(p)
+				inner(from, p)
+				runtime.Gosched() // give a transport that reuses p too early the chance
+				if !bytes.Equal(p, before) {
+					mu.Lock()
+					changed = append(changed, fmt.Sprintf("%x… became %x…", before[:4], p[:min(4, len(p))]))
+					mu.Unlock()
+				}
 				arrived <- struct{}{}
-			}); err != nil {
+			}
+			if err := recv.Attach("b", decorated); err != nil {
 				t.Fatal(err)
 			}
 			buf := make([]byte, size)
@@ -94,6 +111,9 @@ func TestBufferOwnership(t *testing.T) {
 			}
 			mu.Lock()
 			defer mu.Unlock()
+			if len(changed) > 0 {
+				t.Fatalf("%d payloads changed before the handler holding them returned: %v", len(changed), changed)
+			}
 			seen := make(map[byte]int)
 			for _, p := range kept {
 				if len(p) != size {

@@ -353,7 +353,7 @@ func (t *TCP) acceptLoop() {
 func (t *TCP) handshakeIncoming(conn net.Conn) {
 	_ = conn.SetDeadline(time.Now().Add(tcpDialTimeout))
 	br := bufio.NewReaderSize(conn, 64<<10)
-	typ, body, err := readFrame(br, 4096)
+	typ, body, _, err := readFrame(br, 4096, nil)
 	if err != nil || typ != frameSelect {
 		_ = conn.Close()
 		return
@@ -394,14 +394,14 @@ func (t *TCP) handshakeIncoming(conn net.Conn) {
 	}
 }
 
-// deliver hands one inbound data frame to the attached handler for dst.
-// The observed from-address is "peerAddr|srcName": the peer's advertised
-// address (so Learn can route replies) tagged with the logical source (so
-// fragment reassembly stays keyed per logical sender even when many share
-// the stream).
-func (t *TCP) deliver(peerAddr string, src, dst Addr, payload []byte) {
+// deliver hands one inbound data frame to the attached handler for the
+// destination name dst. The observed from-address is "peerAddr|srcName":
+// the peer's advertised address (so Learn can route replies) tagged with
+// the logical source (so fragment reassembly stays keyed per logical
+// sender even when many share the stream).
+func (t *TCP) deliver(from Addr, dst, payload []byte) {
 	t.mu.Lock()
-	h, ok := t.handlers[dst]
+	h, ok := t.handlers[Addr(dst)]
 	t.mu.Unlock()
 	t.bytesRecv.Add(int64(len(payload)))
 	if !ok {
@@ -409,7 +409,7 @@ func (t *TCP) deliver(peerAddr string, src, dst Addr, payload []byte) {
 		return
 	}
 	t.delivered.Add(1)
-	h(Addr(peerAddr+"|"+string(src)), payload)
+	h(from, payload)
 }
 
 // Learn implements Transport: name was observed sending from via, so

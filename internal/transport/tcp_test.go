@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -485,4 +486,42 @@ func TestTCPQuiesceWaitsForLiveQueues(t *testing.T) {
 	}
 	a.Quiesce() // must return: the link is live and drains
 	recv.wait(t, 50, 10*time.Second)
+}
+
+// TestTCPDeliveryAllocatesNothing: a warm connection reads every data frame
+// into its one buffer, finds the handler by the destination name's bytes
+// and reuses the from-address of the source it last saw, so a frame
+// delivered to a handler that keeps nothing allocates nothing anywhere in
+// the process — the sender's framing and the kernel round trip included.
+func TestTCPDeliveryAllocatesNothing(t *testing.T) {
+	a, b := tcpPair(t, nil, []Addr{"cli"}, []Addr{"srv"})
+	got := make(chan struct{}, 1)
+	if err := a.Attach("cli", func(Addr, []byte) {}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Attach("srv", func(Addr, []byte) { got <- struct{}{} }); err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte{7}, 512)
+	send := func() {
+		if err := a.Send("cli", "srv", payload); err != nil {
+			t.Fatal(err)
+		}
+		<-got
+	}
+	for i := 0; i < 100; i++ {
+		send() // dial, handshake, grow the buffers
+	}
+	const frames = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < frames; i++ {
+		send()
+	}
+	runtime.ReadMemStats(&after)
+	per := float64(after.Mallocs-before.Mallocs) / frames
+	t.Logf("a delivered frame allocates %.3f times", per)
+	if per >= 0.05 {
+		t.Fatalf("a delivered frame allocates %.3f times, want < 0.05", per)
+	}
 }

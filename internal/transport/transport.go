@@ -38,9 +38,13 @@ type Addr string
 // those its socket's receive loop would read next; on TCP the rest of its
 // connection's stream.
 //
-// The handler owns payload: every delivery, a duplicate included, hands
-// over a slice nothing else reads or writes afterwards, so a handler may
-// keep it without copying — the guardian runtime's reassembler does.
+// The payload is lent, as io.Reader lends its buffer: it is the handler's
+// until the handler returns, nothing writes it before then, and the
+// transport reuses its memory for a later delivery afterwards. A handler
+// that keeps bytes copies them — the guardian runtime's reassembler copies
+// the fragments it must wait with, and its decoder every value. A wrapper
+// may still read the payload after its inner handler returns, as long as
+// it does so before it returns itself.
 type Handler func(from Addr, payload []byte)
 
 // Transport carries best-effort datagrams between named nodes. Messages

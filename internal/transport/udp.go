@@ -190,7 +190,8 @@ func (u *UDP) Attach(a Addr, h Handler) error {
 }
 
 // readLoop reads one socket until it is closed, dispatching each datagram
-// to the endpoint's current handler. The transport-level source address is
+// to the endpoint's current handler, every one read into the loop's one
+// buffer. The transport-level source address is
 // the datagram's real origin ("ip:port"), kept stable across the peer's
 // lifetime so fragment reassembly keyed on it never splits.
 func (u *UDP) readLoop(ep *udpEndpoint) {
@@ -214,11 +215,9 @@ func (u *UDP) readLoop(ep *udpEndpoint) {
 			u.dropped.Add(1)
 			continue
 		}
-		payload := make([]byte, n)
-		copy(payload, buf[:n])
 		u.delivered.Add(1)
 		u.bytesRecv.Add(int64(n))
-		(*h)(Addr(src.String()), payload)
+		(*h)(Addr(src.String()), buf[:n]) // lent: the next read reuses buf
 	}
 }
 

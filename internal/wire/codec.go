@@ -165,10 +165,10 @@ func MarshalValue(v xrep.Value) ([]byte, error) {
 // sticky: the first failed read is remembered, and every read after it
 // returns zeros without moving.
 type reader struct {
-	buf   []byte   // the segment under the cursor, cut to what of it is readable
-	off   int      // the cursor in buf
-	rest  [][]byte // the segments after it
-	after int      // bytes readable in rest; it holds at least that many
+	buf   []byte    // the segment under the cursor, cut to what of it is readable
+	off   int       // the cursor in buf
+	rest  []*[]byte // the segments after it
+	after int       // bytes readable in rest; it holds at least that many
 	err   error
 }
 
@@ -193,7 +193,7 @@ func (r *reader) fail(err error) {
 // of them. It comes back empty only when max or r.remaining() is zero.
 func (r *reader) chunk(max int) []byte {
 	for r.off == len(r.buf) && r.after > 0 {
-		next := r.rest[0]
+		next := *r.rest[0]
 		r.buf, r.off, r.rest = next[:min(len(next), r.after)], 0, r.rest[1:]
 		r.after -= len(r.buf)
 	}

@@ -61,7 +61,16 @@ func sampleFrames(t *testing.T, n int) [][]byte {
 
 // split cuts raw at i and j into three segments, any of which may be empty.
 func split(raw []byte, i, j int) Segments {
-	return Segments{many: [][]byte{raw[:i:i], raw[i:j:j], raw[j:]}}
+	return segments(raw[:i:i], raw[i:j:j], raw[j:])
+}
+
+// segments is a fragmented frame's Segments over parts, in order.
+func segments(parts ...[]byte) Segments {
+	s := Segments{many: make([]*[]byte, len(parts))}
+	for i := range parts {
+		s.many[i] = &parts[i]
+	}
+	return s
 }
 
 // reseal recomputes the checksum of a frame whose body was tampered with,
@@ -245,8 +254,9 @@ func TestBulkDecodeAllocCeiling(t *testing.T) {
 		parts[i] = pp.payload
 	}
 	var got Frame
+	segs := segments(parts...)
 	n := testing.AllocsPerRun(10, func() {
-		if err := UnmarshalSegments(&got, Segments{many: parts}); err != nil {
+		if err := UnmarshalSegments(&got, segs); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -303,13 +313,21 @@ func TestAppendToDecodedSeqLeavesSiblings(t *testing.T) {
 
 // TestRetainedValuesSurviveLaterMessages: a Str and an inner Seq kept from
 // one message are unchanged after the next thousand messages have come
-// through the same reassembler from one reused send buffer, every input
-// buffer overwritten as soon as it has been consumed — values are copied
-// out of packets into a slab nothing else writes to.
+// through the same reassembler from one reused send buffer. Every packet is
+// lent as a transport lends it — the one receive buffer, overwritten the
+// moment the packet has been handled — so values must be copied out of
+// packets into a slab nothing else writes to, and a fragment must be copied
+// by the reassembler, not kept by reference.
 func TestRetainedValuesSurviveLaterMessages(t *testing.T) {
 	for _, mtu := range []int{0, 96} {
 		ra := NewReassembler()
 		var frameBuf, pktBuf []byte // one sender's scratch, reused for every message
+		var lent []byte             // one receiver's buffer, reused for every packet
+		scribble := func(b []byte, v byte) {
+			for j := range b {
+				b[j] = v
+			}
+		}
 		receive := func(f *Frame) *Frame {
 			t.Helper()
 			var err error
@@ -321,30 +339,24 @@ func TestRetainedValuesSurviveLaterMessages(t *testing.T) {
 				t.Fatal(err)
 			}
 			var segs Segments
-			var held [][]byte
 			for i := 0; i < count; i++ {
 				pktBuf = AppendPacket(pktBuf[:0], f.MsgID, i, count, frameBuf[i*chunk:min((i+1)*chunk, len(frameBuf))])
-				pkt := bytes.Clone(pktBuf) // the transport's copy, which the receiver owns
-				for j := range pktBuf {
-					pktBuf[j] = 0xEE
-				}
-				held = append(held, pkt)
-				if segs, err = ra.Collect("s", pkt, time.Unix(0, 0)); err != nil {
+				lent = append(lent[:0], pktBuf...)
+				scribble(pktBuf, 0xEE)
+				if segs, err = ra.Collect("s", lent, time.Unix(0, 0)); err != nil {
 					t.Fatal(err)
+				}
+				if segs.IsZero() {
+					scribble(lent, 0xDD) // the handler has returned
 				}
 			}
 			got := new(Frame)
 			if err := UnmarshalSegments(got, segs); err != nil {
 				t.Fatalf("mtu %d: %v", mtu, err)
 			}
-			for _, pkt := range held {
-				for j := range pkt {
-					pkt[j] = 0xDD
-				}
-			}
-			for j := range frameBuf {
-				frameBuf[j] = 0xCC
-			}
+			ra.Release(segs)
+			scribble(lent, 0xDD)
+			scribble(frameBuf, 0xCC)
 			return got
 		}
 

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -134,12 +133,12 @@ func parsePacket(pkt []byte) (p parsedPacket, err error) {
 }
 
 // Segments is a complete frame's bytes as the reassembler hands them over:
-// in order, in the pieces that carried them — the payload of the message's
-// one packet, or of each of its fragments. They are views of those packets.
-// The zero Segments is no frame.
+// in order, in the pieces that carried them — a view of the payload of the
+// message's one packet, or the reassembler's copies of its fragments'
+// payloads. The zero Segments is no frame.
 type Segments struct {
 	one  []byte
-	many [][]byte
+	many []*[]byte
 }
 
 // IsZero reports whether s is no frame: the message is not complete yet.
@@ -149,32 +148,49 @@ func (s Segments) IsZero() bool { return s.one == nil && s.many == nil }
 // joined copy of the fragments', for a caller that wants the bytes rather
 // than the frame (UnmarshalSegments does not need them joined).
 func (s Segments) Bytes() []byte {
-	if s.many != nil {
-		return bytes.Join(s.many, nil)
+	if s.many == nil {
+		return s.one
 	}
-	return s.one
+	n := 0
+	for _, part := range s.many {
+		n += len(*part)
+	}
+	joined := make([]byte, 0, n)
+	for _, part := range s.many {
+		joined = append(joined, *part...)
+	}
+	return joined
 }
 
 // reader returns a cursor at the start of the frame, over all of it.
 func (s Segments) reader() reader {
 	r := reader{buf: s.one}
 	if len(s.many) > 0 {
-		r.buf, r.rest = s.many[0], s.many[1:]
+		r.buf, r.rest = *s.many[0], s.many[1:]
 	}
 	for _, part := range r.rest {
-		r.after += len(part)
+		r.after += len(*part)
 	}
 	return r
 }
+
+// fragmentBufs recycles the reassembler's fragment copies (Release). A
+// sync.Pool and not a free list, so one huge message's buffers go back to
+// the GC instead of staying pinned; entries are pointers, so Get and Put
+// allocate nothing.
+var fragmentBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Reassembler collects fragments per (sender, message id) and yields the
 // complete frame once every fragment has arrived. Duplicate fragments are
 // ignored; partial messages are evicted after MaxAge, modeling the receiver
 // giving up on a message some of whose packets were lost.
 //
-// Collect takes ownership of the packets it is given: it keeps fragment
-// payloads by reference and hands them over, still by reference, when their
-// message completes. A caller must not modify a packet after passing it in.
+// Collect borrows the packets it is given, as a transport handler borrows
+// its payload (transport.Handler): it reads a packet only until it returns,
+// so a fragment that must wait for the rest of its message is copied, into a
+// recycled buffer. A single-packet message is handed back as a view of its
+// packet, readable until the packet's lender reuses it; a fragmented one as
+// the copies, which Release gives back once the frame has been decoded.
 type Reassembler struct {
 	// MaxAge, when positive, is how long a partial message or a completed
 	// id is remembered: Add sweeps older ones, at most once per MaxAge.
@@ -196,7 +212,7 @@ type reasmKey struct {
 }
 
 type reasmState struct {
-	parts    [][]byte
+	parts    []*[]byte // one pointer per expected fragment: nil, or its copy
 	have     int
 	firstAdd time.Time
 }
@@ -235,7 +251,7 @@ func (ra *Reassembler) Collect(sender string, pkt []byte, now time.Time) (Segmen
 			ra.completed[key] = now
 			return Segments{one: p.payload}, nil
 		}
-		st = &reasmState{parts: make([][]byte, p.count), firstAdd: now}
+		st = &reasmState{parts: make([]*[]byte, p.count), firstAdd: now}
 		ra.pending[key] = st
 	}
 	if int(p.count) != len(st.parts) {
@@ -244,7 +260,9 @@ func (ra *Reassembler) Collect(sender string, pkt []byte, now time.Time) (Segmen
 	if st.parts[p.index] != nil {
 		return Segments{}, nil // duplicate fragment
 	}
-	st.parts[p.index] = p.payload
+	part := fragmentBufs.Get().(*[]byte)
+	*part = append((*part)[:0], p.payload...)
+	st.parts[p.index] = part
 	st.have++
 	if st.have < len(st.parts) {
 		return Segments{}, nil
@@ -254,11 +272,23 @@ func (ra *Reassembler) Collect(sender string, pkt []byte, now time.Time) (Segmen
 	return Segments{many: st.parts}, nil
 }
 
+// Release gives back the fragment copies of a frame Collect completed, once
+// it has been decoded; s must not be read afterwards. A single-packet frame
+// has none, and a partial message that is swept leaves its copies to the GC.
+func (ra *Reassembler) Release(s Segments) {
+	for _, part := range s.many {
+		fragmentBufs.Put(part)
+	}
+}
+
 // Add is Collect for a caller that wants the frame as contiguous bytes: nil
-// until the message completes, then Segments.Bytes.
+// until the message completes, then Segments.Bytes — a view of pkt for a
+// single-packet message, a joined copy otherwise.
 func (ra *Reassembler) Add(sender string, pkt []byte, now time.Time) ([]byte, error) {
 	s, err := ra.Collect(sender, pkt, now)
-	return s.Bytes(), err
+	frame := s.Bytes()
+	ra.Release(s)
+	return frame, err
 }
 
 // Sweep evicts partial messages older than maxAge and forgets completed

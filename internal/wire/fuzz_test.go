@@ -104,10 +104,12 @@ func parseFuzzOps(data []byte) []fuzzOp {
 // FuzzReassemblerAdd drives a reassembler with interleaved senders reusing
 // a few message ids: duplicate and overlapping fragments, indices past
 // count, counts that disagree with earlier fragments or exceed the bound,
-// corrupt packets, ageing — and, first, the raw input as a packet. It must
-// never panic, must allocate no more than the fragment tables the packets
-// justify (it keeps payloads by reference and joins nothing), and must
-// agree packet by packet with a model that states the rules outright.
+// corrupt packets, ageing — and, first, the raw input as a packet. Every
+// packet is lent, as a transport lends it: overwritten once its handler
+// would have returned. It must never panic, must allocate no more than the
+// fragment tables the packets justify (it copies payloads into recycled
+// buffers and joins nothing), and must agree packet by packet with a model
+// that states the rules outright.
 func FuzzReassemblerAdd(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		now := time.Unix(0, 0)
@@ -140,7 +142,7 @@ func FuzzReassemblerAdd(f *testing.F) {
 			if n := allocated(func() { segs, err = ra.Collect(senders[op.sender], pkt, now) }); n > budget {
 				t.Fatalf("op %d (%+v) allocated %d, budget %d", i, op, n, budget)
 			}
-			got := segs.Bytes()
+			got := bytes.Clone(segs.Bytes()) // what outlives the handler is copied
 			if (got == nil) != segs.IsZero() {
 				t.Fatalf("op %d: Bytes is nil=%v of segments with IsZero=%v", i, got == nil, segs.IsZero())
 			}
@@ -149,6 +151,10 @@ func FuzzReassemblerAdd(f *testing.F) {
 			var fromSegs, joined Frame
 			if e1, e2 := UnmarshalSegments(&fromSegs, segs), UnmarshalFrameInto(&joined, got); e1 != e2 {
 				t.Fatalf("op %d: decoding the segments: %v, joined: %v", i, e1, e2)
+			}
+			ra.Release(segs)
+			for j := range pkt {
+				pkt[j] = 0xA5 // the lender reuses the packet
 			}
 
 			// The model.

@@ -2,6 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"math"
+	"runtime/debug"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,9 +24,9 @@ func aliasFrame() *Frame {
 }
 
 // TestDecodedFrameDoesNotAliasPackets is the guardian boundary at the byte
-// level: the reassembler keeps the packets it is given and a single-packet
-// frame is a slice of its packet, but nothing in a decoded frame — header
-// strings, Str, Bytes, Token, record and port names — refers to them.
+// level: a single-packet frame is a slice of its packet, but nothing in a
+// decoded frame — header strings, Str, Bytes, Token, record and port names
+// — refers to the packets or to the frame's bytes.
 func TestDecodedFrameDoesNotAliasPackets(t *testing.T) {
 	for _, mtu := range []int{0, 64} {
 		f := aliasFrame()
@@ -130,9 +133,9 @@ func TestAddSweepsByAge(t *testing.T) {
 	}
 }
 
-// TestInterleavedSendersSharedMsgID: fragments kept by reference from two
-// senders using the same message id, arriving interleaved and reversed,
-// still come out as two intact frames.
+// TestInterleavedSendersSharedMsgID: fragments from two senders using the
+// same message id, arriving interleaved and reversed, still come out as two
+// intact frames.
 func TestInterleavedSendersSharedMsgID(t *testing.T) {
 	mk := func(fill byte) []byte {
 		b := make([]byte, 1000)
@@ -228,5 +231,67 @@ func TestSmallFrameAllocCeilings(t *testing.T) {
 	// 4 for the frame; the rest is the completed-id table growing.
 	if n := testing.AllocsPerRun(runs, receive); n > 5 {
 		t.Errorf("receiving a small frame allocates %v times, want at most 5", n)
+	}
+}
+
+// TestReassemblyAllocCeiling: a warm Collect → decode → Release cycle of a
+// three-fragment message, every packet lent from one reused buffer,
+// allocates no payload bytes — the fragments the reassembler keeps are
+// copied into buffers Release gave back. So what a cycle allocates beyond
+// the decode's own slabs is the same with 1 KiB as with 15 KiB fragments,
+// and less than one fragment of either.
+func TestReassemblyAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the pool
+	const cycles = 100
+	overhead := func(fragment int) float64 {
+		f := sampleFrame()
+		f.Args = xrep.Seq{xrep.Str(strings.Repeat("x", 5*fragment/2))}
+		ra := NewReassembler()
+		var frameBuf, lent []byte
+		var got Frame
+		cycle := func() {
+			f.MsgID++
+			var err error
+			if frameBuf, err = AppendFrame(frameBuf[:0], f); err != nil {
+				t.Fatal(err)
+			}
+			chunk, count, err := Packets(len(frameBuf), fragment+packetOverhead)
+			if err != nil || count != 3 {
+				t.Fatalf("%d packets of a %d-byte frame, %v", count, len(frameBuf), err)
+			}
+			var segs Segments
+			for i := 0; i < count; i++ {
+				lent = AppendPacket(lent[:0], f.MsgID, i, count, frameBuf[i*chunk:min((i+1)*chunk, len(frameBuf))])
+				if segs, err = ra.Collect("s", lent, time.Unix(0, 0)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := UnmarshalSegments(&got, segs); err != nil {
+				t.Fatal(err)
+			}
+			ra.Release(segs)
+		}
+		for i := 0; i < 10; i++ {
+			cycle()
+		}
+		total := allocated(func() {
+			for i := 0; i < cycles; i++ {
+				cycle()
+			}
+		})
+		decoding := allocated(func() {
+			for i := 0; i < cycles; i++ {
+				_ = UnmarshalFrameInto(&got, frameBuf)
+			}
+		})
+		return (float64(total) - float64(decoding)) / cycles
+	}
+	small, large := overhead(1<<10), overhead(15<<10)
+	t.Logf("a cycle allocates %.0f B beyond its decode with 1 KiB fragments, %.0f B with 15 KiB", small, large)
+	if small > 1<<10 || large > 1<<10 || math.Abs(large-small) > 512 {
+		t.Errorf("reassembling allocates payload bytes: %.0f B a cycle with 1 KiB fragments, %.0f B with 15 KiB", small, large)
 	}
 }
