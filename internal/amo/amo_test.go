@@ -7,10 +7,12 @@ import (
 	"time"
 
 	"repro/internal/amo"
+	"repro/internal/durable"
 	"repro/internal/guardian"
 	"repro/internal/netsim"
 	"repro/internal/vtime"
 	"repro/internal/watchdog"
+	"repro/internal/wire"
 	"repro/internal/xrep"
 )
 
@@ -19,10 +21,13 @@ const testTimeout = 5 * time.Second
 // fixture is a two-node world: an "amoserver" guardian on node srv running
 // an adding handler behind a Dedup filter, and a driver process on node
 // cli. The handler's execution count is the ground truth every
-// at-most-once assertion checks against.
+// at-most-once assertion checks against. Besides "add" it serves "get", a
+// read it declares ReadOnly, and "stage", a misdeclared read that leaves a
+// record in its log's volatile tail.
 type fixture struct {
 	w       *guardian.World
 	srvPort xrep.PortName
+	srvID   uint64
 	g       *guardian.Guardian
 	proc    *guardian.Process
 	met     *amo.Metrics
@@ -31,6 +36,9 @@ type fixture struct {
 	total atomic.Int64
 	dch   chan *amo.Dedup
 }
+
+// stagedRec is the record "stage" appends: a value no folder claims.
+var stagedRec = wire.AppendRecHeader(nil, "test/staged", 0)
 
 func deploy(t *testing.T, net netsim.Config, persist bool) *fixture {
 	t.Helper()
@@ -57,6 +65,13 @@ func deploy(t *testing.T, net netsim.Config, persist bool) *fixture {
 			case "add":
 				v := f.total.Add(int64(req.Args[0].(xrep.Int)))
 				return "sum", xrep.Seq{xrep.Int(v)}
+			case "get":
+				req.ReadOnly = true
+				return "sum", xrep.Seq{xrep.Int(f.total.Load())}
+			case "stage":
+				req.ReadOnly = true
+				ctx.G.Log().Append(stagedRec)
+				return "staged", nil
 			}
 			return "err", xrep.Seq{xrep.Str("unknown " + req.Command)}
 		}, ctx.Ports[0])
@@ -72,7 +87,7 @@ func deploy(t *testing.T, net netsim.Config, persist bool) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.srvPort = created.Ports[0]
+	f.srvPort, f.srvID = created.Ports[0], created.GuardianID
 	cli := f.w.MustAddNode("cli")
 	f.g, f.proc, err = cli.NewDriver("op")
 	if err != nil {
@@ -104,6 +119,55 @@ func (f *fixture) caller(t *testing.T, opts amo.CallerOptions) *amo.Caller {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// request sends one raw amo_req envelope — request id (client, seq), ack
+// seq−1 — and returns the reply that arrives on reply.
+func (f *fixture) request(t *testing.T, reply *guardian.Port, client string, seq int64, cmd string, args ...xrep.Value) *guardian.Message {
+	t.Helper()
+	if err := f.proc.SendReplyTo(f.srvPort, reply.Name(), amo.ReqCommand,
+		client, seq, seq-1, cmd, append(xrep.Seq{}, args...)); err != nil {
+		t.Fatal(err)
+	}
+	m, st := f.proc.Receive(testTimeout, reply)
+	if st != guardian.RecvOK {
+		t.Fatalf("%s seq %d: receive %v", cmd, seq, st)
+	}
+	return m
+}
+
+// replyInt reads the first outcome argument of an amo_reply envelope.
+func replyInt(m *guardian.Message) int64 {
+	return int64(m.Args[2].(xrep.Seq)[0].(xrep.Int))
+}
+
+// restart crashes the server node, brings it back and drains the dedup
+// instance its recovery published.
+func (f *fixture) restart(t *testing.T) {
+	t.Helper()
+	srv, err := f.w.Node("srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Crash()
+	if err := srv.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	f.dedup(t)
+}
+
+// serverLog returns the server guardian's log and its node's store.
+func (f *fixture) serverLog(t *testing.T) (durable.Log, durable.Store) {
+	t.Helper()
+	srv, err := f.w.Node("srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, ok := srv.GuardianByID(f.srvID)
+	if !ok {
+		t.Fatal("server guardian is not running")
+	}
+	return g.Log(), srv.Store()
 }
 
 // backoffTotal sums the backoff a failed call slept between its attempts.
@@ -175,15 +239,7 @@ func TestReplayAnsweredFromCache(t *testing.T) {
 	f := deploy(t, netsim.Config{}, false)
 	reply := f.g.MustNewPort(amo.ReplyType, 16)
 	for i := 0; i < 2; i++ {
-		if err := f.proc.SendReplyTo(f.srvPort, reply.Name(), amo.ReqCommand,
-			"c1", int64(1), int64(0), "add", xrep.Seq{xrep.Int(5)}); err != nil {
-			t.Fatal(err)
-		}
-		m, st := f.proc.Receive(testTimeout, reply)
-		if st != guardian.RecvOK {
-			t.Fatalf("delivery %d: %v", i, st)
-		}
-		if m.Int(0) != 1 || m.Str(1) != "sum" || m.Args[2].(xrep.Seq)[0].(xrep.Int) != 5 {
+		if m := f.request(t, reply, "c1", 1, "add", xrep.Int(5)); m.Int(0) != 1 || m.Str(1) != "sum" || replyInt(m) != 5 {
 			t.Fatalf("delivery %d: %v %v", i, m.Command, m.Args)
 		}
 	}
@@ -362,30 +418,13 @@ func TestDedupSurvivesCrash(t *testing.T) {
 	f := deploy(t, netsim.Config{}, true)
 	f.dedup(t) // drain the pre-crash instance
 	reply := f.g.MustNewPort(amo.ReplyType, 16)
-	send := func() *guardian.Message {
-		t.Helper()
-		if err := f.proc.SendReplyTo(f.srvPort, reply.Name(), amo.ReqCommand,
-			"c9", int64(1), int64(0), "add", xrep.Seq{xrep.Int(5)}); err != nil {
-			t.Fatal(err)
-		}
-		m, st := f.proc.Receive(testTimeout, reply)
-		if st != guardian.RecvOK {
-			t.Fatalf("receive: %v", st)
-		}
-		return m
-	}
-	if m := send(); m.Str(1) != "sum" || m.Args[2].(xrep.Seq)[0].(xrep.Int) != 5 {
+	if m := f.request(t, reply, "c9", 1, "add", xrep.Int(5)); m.Str(1) != "sum" || replyInt(m) != 5 {
 		t.Fatalf("first reply: %v", m.Args)
 	}
 
-	srvNode, _ := f.w.Node("srv")
-	srvNode.Crash()
-	if err := srvNode.Restart(); err != nil {
-		t.Fatal(err)
-	}
-	f.dedup(t) // recovery published a fresh instance
+	f.restart(t)
 
-	if m := send(); m.Str(1) != "sum" || m.Args[2].(xrep.Seq)[0].(xrep.Int) != 5 {
+	if m := f.request(t, reply, "c9", 1, "add", xrep.Int(5)); m.Str(1) != "sum" || replyInt(m) != 5 {
 		t.Fatalf("replayed reply: %v", m.Args)
 	}
 	if n := f.execs.Load(); n != 1 {
@@ -393,6 +432,98 @@ func TestDedupSurvivesCrash(t *testing.T) {
 	}
 	if n := f.met.RepliesReplayed.Load(); n < 1 {
 		t.Fatalf("RepliesReplayed = %d, want ≥ 1", n)
+	}
+}
+
+// TestReadOnlyReplyCachedNotLogged: a read the handler declares ReadOnly
+// is cached like any reply — a live duplicate is answered from the cache
+// without running the handler again — but it writes nothing to the log and
+// forces nothing.
+func TestReadOnlyReplyCachedNotLogged(t *testing.T) {
+	f := deploy(t, netsim.Config{}, true)
+	reply := f.g.MustNewPort(amo.ReplyType, 16)
+	f.request(t, reply, "r1", 1, "add", xrep.Int(5))
+	log, store := f.serverLog(t)
+	syncs := store.SyncCount()
+
+	for i := 0; i < 2; i++ {
+		if m := f.request(t, reply, "r1", 2, "get"); m.Int(0) != 2 || m.Str(1) != "sum" || replyInt(m) != 5 {
+			t.Fatalf("delivery %d: %v %v", i, m.Command, m.Args)
+		}
+	}
+	if n := f.execs.Load(); n != 2 {
+		t.Fatalf("handler executed %d times for one add and one read, want 2", n)
+	}
+	if n := f.met.RepliesReplayed.Load(); n != 1 {
+		t.Fatalf("RepliesReplayed = %d, want 1", n)
+	}
+	if n := log.VolatileLen(); n != 0 {
+		t.Fatalf("the read left %d volatile records", n)
+	}
+	if n := store.SyncCount(); n != syncs {
+		t.Fatalf("the read forced the log: SyncCount %d → %d", syncs, n)
+	}
+}
+
+// TestReadOnlyReexecutedAfterCrash: a read's reply was never logged, so
+// after a crash its retry runs the handler again against the recovered
+// state — harmless, because the read applies nothing.
+func TestReadOnlyReexecutedAfterCrash(t *testing.T) {
+	f := deploy(t, netsim.Config{}, true)
+	f.dedup(t)
+	reply := f.g.MustNewPort(amo.ReplyType, 16)
+	f.request(t, reply, "r2", 1, "add", xrep.Int(5))
+	if m := f.request(t, reply, "r2", 2, "get"); replyInt(m) != 5 {
+		t.Fatalf("read before the crash: %v", m.Args)
+	}
+
+	f.restart(t)
+	// Move the state on, so a reply of 7 can only come from running the
+	// read again, not from the pre-crash answer of 5.
+	f.total.Add(2)
+
+	if m := f.request(t, reply, "r2", 2, "get"); m.Int(0) != 2 || replyInt(m) != 7 {
+		t.Fatalf("retried read after the crash: %v %v, want sum 7", m.Command, m.Args)
+	}
+	if n := f.execs.Load(); n != 3 {
+		t.Fatalf("handler executed %d times, want 3 (add, read, re-executed read)", n)
+	}
+	if n := f.met.RepliesReplayed.Load(); n != 0 {
+		t.Fatalf("RepliesReplayed = %d, want 0", n)
+	}
+}
+
+// TestReadOnlyWithVolatileTailIsLogged: a read that finishes while the log
+// holds a volatile tail — here one its misdeclared handler appended — is
+// logged and forced like a write, so its reply survives the crash and its
+// retry is answered from the recovered cache.
+func TestReadOnlyWithVolatileTailIsLogged(t *testing.T) {
+	f := deploy(t, netsim.Config{}, true)
+	f.dedup(t)
+	reply := f.g.MustNewPort(amo.ReplyType, 16)
+	log, store := f.serverLog(t)
+	syncs := store.SyncCount()
+
+	if m := f.request(t, reply, "r3", 1, "stage"); m.Str(1) != "staged" {
+		t.Fatalf("stage: %v", m.Args)
+	}
+	if n := log.VolatileLen(); n != 0 {
+		t.Fatalf("%d records still volatile after the reply", n)
+	}
+	if n := store.SyncCount(); n != syncs+1 {
+		t.Fatalf("SyncCount %d → %d, want one forced write", syncs, n)
+	}
+
+	f.restart(t)
+
+	if m := f.request(t, reply, "r3", 1, "stage"); m.Str(1) != "staged" {
+		t.Fatalf("retried stage: %v", m.Args)
+	}
+	if n := f.execs.Load(); n != 1 {
+		t.Fatalf("handler executed %d times across the crash, want 1", n)
+	}
+	if n := f.met.RepliesReplayed.Load(); n != 1 {
+		t.Fatalf("RepliesReplayed = %d, want 1", n)
 	}
 }
 

@@ -24,12 +24,17 @@ type Request struct {
 	// access-control principal exactly like on a raw message.
 	SrcNode     string
 	SrcGuardian uint64
+	// ReadOnly is set by the handler, never the client, to declare the
+	// command has no effect in any state (a read; not a refused withdraw,
+	// whose duplicate could succeed). Its reply is cached but not logged.
+	ReadOnly bool
 }
 
 // Handler executes one request and returns the reply's outcome command and
 // arguments. It runs on the guardian's own process, so it may use the
 // guardian's state under the guardian's usual locking discipline. It is
-// called AT MOST ONCE per request id: replays get the cached reply.
+// called AT MOST ONCE per request id, a ReadOnly one again after a crash:
+// replays get the cached reply.
 type Handler func(pr *guardian.Process, req *Request) (outcome string, args xrep.Seq)
 
 // dedupLogRec names the stable-log record that persists one executed
@@ -44,7 +49,8 @@ const maxPerClient = 128
 type DedupOptions struct {
 	// Log, when non-nil, persists every executed request's reply — the
 	// §2.2 log-then-reply protocol — so Recover can rebuild the table and
-	// at-most-once survives a crash.
+	// at-most-once survives a crash. A ReadOnly request's reply is cached
+	// but not logged.
 	Log durable.Log
 	// Metrics receives the filter's counters. Nil means Default.
 	Metrics *Metrics
@@ -216,10 +222,12 @@ func (d *Dedup) handle(pr *guardian.Process, m *guardian.Message, h Handler) {
 	outcome, outArgs := h(pr, req)
 	c := cached{outcome: outcome, args: outArgs}
 
-	// Log-then-reply: the cached reply must be durable before the client
-	// can observe it, or a crash between reply and log would let a replay
-	// after recovery re-execute the handler.
-	if d.opts.Log != nil {
+	// Log-then-reply unless nothing changed: a reply that may reflect an
+	// effect must be durable before the client can observe it, or a crash
+	// between reply and log would let a replay after recovery re-execute
+	// the handler. A read forces nothing unless the log holds a volatile
+	// tail, which the read may have observed.
+	if d.opts.Log != nil && (!req.ReadOnly || d.opts.Log.VolatileLen() > 0) {
 		// Append copies the record, so the scratch is free again as soon
 		// as AppendSync returns.
 		buf = appendDedupRec(buf[:0], req.Client, req.Seq, ack, c)

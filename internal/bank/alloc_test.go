@@ -19,17 +19,20 @@ import (
 // on call_small allocs_per_op (+3 %) is about one allocation.
 const amoCallAllocCeiling = 31
 
+// amoReadAllocCeiling is what one at-most-once balance read may allocate:
+// the measured 28 plus one. It sits under amoCallAllocCeiling because a
+// read writes no records.
+const amoReadAllocCeiling = 29
+
 // sendprimCallAllocCeiling is what one sendprim.Call echo round trip may
 // allocate, end to end on both nodes: the measured 15 plus one.
 const sendprimCallAllocCeiling = 16
 
-// TestAmoCallAllocCeiling pins the whole call path's allocation count —
-// caller envelope, send, netsim transit, decode, dispatch, receive, dedup,
-// op and dedup records, reply and back — so a tree-building encoder or a
-// per-receive waiter cannot return unnoticed. The figure counts every
-// goroutine's allocations, so it is comparable to guardianbench's
-// call_small allocs_per_op less the periodic checkpoint.
-func TestAmoCallAllocCeiling(t *testing.T) {
+// measureAmoCall opens an account on a branch behind a netsim transport,
+// then reports what one warm at-most-once call of cmd on it allocates, end
+// to end on both nodes, against ceiling.
+func measureAmoCall(t *testing.T, ceiling int, cmd, want string, args ...any) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
@@ -56,21 +59,37 @@ func TestAmoCallAllocCeiling(t *testing.T) {
 	if rep, err := c.Call(amoPort, "open", "acct"); err != nil || rep.Command != bank.OutcomeOK {
 		t.Fatalf("open: %v %v", rep, err)
 	}
-	args := []any{"acct", int64(1)}
-	deposit := func() {
-		rep, err := c.Call(amoPort, "deposit", args...)
-		if err != nil || rep.Command != bank.OutcomeOK {
-			t.Fatalf("deposit: %v %v", rep, err)
+	call := func() {
+		rep, err := c.Call(amoPort, cmd, args...)
+		if err != nil || rep.Command != want {
+			t.Fatalf("%s: %v %v", cmd, rep, err)
 		}
 	}
 	for i := 0; i < 200; i++ {
-		deposit() // warm the pools, port fifos and log arrays
+		call() // warm the pools, port fifos and log arrays
 	}
-	n := testing.AllocsPerRun(2000, deposit)
-	t.Logf("one amo deposit allocates %.1f times", n)
-	if n > amoCallAllocCeiling {
-		t.Errorf("one amo deposit allocates %.1f times, ceiling %d", n, amoCallAllocCeiling)
+	n := testing.AllocsPerRun(2000, call)
+	t.Logf("one amo %s allocates %.1f times", cmd, n)
+	if n > float64(ceiling) {
+		t.Errorf("one amo %s allocates %.1f times, ceiling %d", cmd, n, ceiling)
 	}
+}
+
+// TestAmoCallAllocCeiling pins the whole call path's allocation count —
+// caller envelope, send, netsim transit, decode, dispatch, receive, dedup,
+// op and dedup records, reply and back — so a tree-building encoder or a
+// per-receive waiter cannot return unnoticed. The figure counts every
+// goroutine's allocations, so it is comparable to guardianbench's
+// call_small allocs_per_op less the periodic checkpoint.
+func TestAmoCallAllocCeiling(t *testing.T) {
+	measureAmoCall(t, amoCallAllocCeiling, "deposit", bank.OutcomeOK, "acct", int64(1))
+}
+
+// TestAmoReadAllocCeiling pins the read path the same way: the same
+// envelope, dispatch and reply, but no op record, no dedup record and no
+// log copy.
+func TestAmoReadAllocCeiling(t *testing.T) {
+	measureAmoCall(t, amoReadAllocCeiling, "balance", "balance_is", "acct")
 }
 
 var echoType = guardian.NewPortType("alloc_echo_port").Msg("echo", xrep.KindString).Replies("echo", "echoed")

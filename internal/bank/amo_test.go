@@ -189,6 +189,48 @@ func TestAMOTransfersExactlyOnce(t *testing.T) {
 		time.Duration(met.RetryBackoffTotal.Load()).Round(time.Millisecond))
 }
 
+// TestBalanceDoesNotSync: a balance read through the at-most-once port
+// changes nothing, so it forces nothing — while a deposit still costs
+// exactly the one forced write that commits its op and dedup records.
+func TestBalanceDoesNotSync(t *testing.T) {
+	w := guardian.NewWorld(guardian.Config{})
+	defer w.Close()
+	w.MustRegister(bank.BranchDef())
+	branchNode := w.MustAddNode("branch")
+	created, err := branchNode.Bootstrap(bank.BranchDefName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, proc, err := w.MustAddNode("tellers").NewDriver("teller")
+	if err != nil {
+		t.Fatal(err)
+	}
+	caller, err := amo.NewCaller(proc, amo.CallerOptions{Timeout: 5 * time.Second, Metrics: &amo.Metrics{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	amoPort := created.Ports[1]
+	if r, err := caller.Call(amoPort, "open", "acct"); err != nil || r.Command != bank.OutcomeOK {
+		t.Fatalf("open: %v %v", r, err)
+	}
+	store := branchNode.Store()
+	syncs := store.SyncCount()
+	for i := 0; i < 100; i++ {
+		if r, err := caller.Call(amoPort, "balance", "acct"); err != nil || r.Command != "balance_is" {
+			t.Fatalf("balance %d: %v %v", i, r, err)
+		}
+	}
+	if n := store.SyncCount(); n != syncs {
+		t.Fatalf("100 balance reads forced the log %d times, want 0", n-syncs)
+	}
+	if r, err := caller.Call(amoPort, "deposit", "acct", int64(1)); err != nil || r.Command != bank.OutcomeOK {
+		t.Fatalf("deposit: %v %v", r, err)
+	}
+	if n := store.SyncCount(); n != syncs+1 {
+		t.Fatalf("one deposit forced the log %d times, want 1", n-syncs)
+	}
+}
+
 // TestBareCallsDoubleApply is the control arm: the identical workload
 // against a branch whose amo port executes every delivery (no dedup
 // filter) demonstrably over-applies — the §3.5 "performed any number of

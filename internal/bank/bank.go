@@ -550,6 +550,7 @@ func branchMain(ctx *guardian.Ctx) {
 			sh.journal("deposit", to, amount)
 			return OutcomeOK, nil
 		case "balance":
+			req.ReadOnly = true
 			if bal, ok := st.accounts[acct]; ok {
 				return "balance_is", xrep.Seq{xrep.Int(bal)}
 			}
