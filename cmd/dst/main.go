@@ -97,7 +97,7 @@ func main() {
 		fmt.Println("Fault profiles:")
 		for _, p := range dst.Profiles() {
 			fmt.Printf("  %-12s loss=%.2f dup=%.2f reorder=%.2f crashes=%d partitions=%d islands=%d waves=%d bursts=%d\n",
-				p.Name, p.Loss, p.Dup, p.Reorder, p.Crashes, p.Partitions,
+				p.Name, p.Net.LossRate, p.Net.DupRate, p.Net.ReorderRate, p.Crashes, p.Partitions,
 				p.Islands, p.Waves, p.StorageBursts)
 		}
 		return

@@ -666,8 +666,8 @@ func serve(o *options, stdout io.Writer) error {
 // fates first (the fields the PR 3 audits parse), then the stream fates.
 func injectedLine(wrap *transport.Wrapper) string {
 	ws := wrap.InjectedStats()
-	return fmt.Sprintf("injected sent=%d lost=%d duplicated=%d delayed=%d resets=%d stalls=%d\n",
-		ws.Sent, ws.Lost, ws.Duplicated, ws.Delayed, ws.Resets, ws.Stalls)
+	return fmt.Sprintf("injected sent=%d lost=%d duplicated=%d resets=%d stalls=%d\n",
+		ws.Sent, ws.Lost, ws.Duplicated, ws.Resets, ws.Stalls)
 }
 
 // printConnStats renders the per-peer connection counters through the

@@ -153,15 +153,15 @@ func TestBankTransferAcrossProcessesOverResettingTCP(t *testing.T) {
 	// The run only means something if the stream faults actually fired:
 	// the injectors must report hits, and the server's -stats connection
 	// table must show the machine dialing, resetting, and reconnecting.
-	injected := regexp.MustCompile(`injected sent=(\d+) lost=(\d+) duplicated=(\d+) delayed=(\d+) resets=(\d+) stalls=(\d+)`)
+	injected := regexp.MustCompile(`injected sent=(\d+) lost=(\d+) duplicated=(\d+) resets=(\d+) stalls=(\d+)`)
 	var resets, stalls int
 	for side, out := range map[string]string{"client": cliOut, "server": srvTail} {
 		m := injected.FindStringSubmatch(out)
 		if m == nil {
 			t.Fatalf("%s printed no injected-faults line:\n%s", side, truncated(out))
 		}
-		r, _ := strconv.Atoi(m[5])
-		s, _ := strconv.Atoi(m[6])
+		r, _ := strconv.Atoi(m[4])
+		s, _ := strconv.Atoi(m[5])
 		resets += r
 		stalls += s
 	}

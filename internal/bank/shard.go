@@ -241,6 +241,11 @@ func (c *shardCore) adoptBlob(blob string) error {
 	return err
 }
 
+// maxSeed caps the accounts one seed creates, the one record whose cost its
+// length does not bound: the arm answers a larger seed with nothing done,
+// and fold refuses one as malformed.
+const maxSeed = 1 << 10
+
 // seedKey names account i of a seeded range.
 func seedKey(prefix string, i int) string {
 	return fmt.Sprintf("%s%07d", prefix, i)
@@ -468,6 +473,10 @@ func (c *shardCore) fold(v xrep.Value) (mine bool, err error) {
 		f := xrep.ReadRec(v, seedRec, 4)
 		prefix, n, amount, member := f.Str(), f.Int(), f.Int(), f.Str()
 		if err = f.Err(); err != nil {
+			break
+		}
+		if n > maxSeed {
+			err = fmt.Errorf("%w: %s creates %d accounts, over %d", xrep.ErrMalformed, seedRec, n, maxSeed)
 			break
 		}
 		if c.member == "" {
@@ -724,6 +733,10 @@ func (sh *shardRuntime) installArms(recv *guardian.Receiver) {
 		}).
 		When("seed", func(pr *guardian.Process, m *guardian.Message) {
 			prefix, n, amount := m.Str(0), m.Int(1), m.Int(2)
+			if n > maxSeed {
+				reply(pr, m, "seeded", int64(0), int64(len(sh.st.accounts)))
+				return
+			}
 			// If a pre-cut handoff is active, the tail must carry any
 			// account this seed creates; find them before the fold.
 			var createdKeys []string

@@ -266,6 +266,33 @@ func TestRingShardedOpsAndPlacement(t *testing.T) {
 	}
 }
 
+// TestShardSeedIsCapped: a seed asking for more accounts than the cap is
+// answered with nothing created; one under it creates what it asks for.
+func TestShardSeedIsCapped(t *testing.T) {
+	c := deployShardCluster(t, netsim.Config{}, "s1")
+	c.bootstrapRing("s1")
+	pr, _ := c.driver()
+	seed := func(n int64) (created, total int64) {
+		t.Helper()
+		rep, err := sendprim.Call(pr, c.members["s1"].Native, bank.MigrateReplyType,
+			sendprim.CallOptions{Timeout: 100 * time.Millisecond, Retries: 20, Backoff: 5 * time.Millisecond},
+			"seed", "acct", n, int64(100))
+		if err != nil || rep.Command != "seeded" {
+			t.Fatalf("seed %d: %v %v", n, rep, err)
+		}
+		return rep.Int(0), rep.Int(1)
+	}
+	if created, total := seed(1 << 30); created != 0 || total != 0 {
+		t.Fatalf("an over-cap seed created %d accounts (total %d), want none", created, total)
+	}
+	if created, total := seed(3); created != 3 || total != 3 {
+		t.Fatalf("seed 3: created %d, total %d", created, total)
+	}
+	if _, accts := c.snapshot("s1"); len(accts) != 3 {
+		t.Fatalf("shard holds %d accounts, want 3", len(accts))
+	}
+}
+
 // TestRingCrossShardTransfer routes a transfer whose accounts live on
 // different shards through the 2PC escrow path, and a same-shard pair
 // through the single amo op.

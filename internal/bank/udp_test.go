@@ -97,9 +97,8 @@ func TestTransfersExactlyOnceOverLossyUDP(t *testing.T) {
 		moved += amount
 	}
 
-	// Drain: wrapper-delayed copies first, then straggler loopback
-	// datagrams the kernel still holds. The branch's counters are stable
-	// once two consecutive observations agree.
+	// Drain the straggler loopback datagrams the kernel still holds. The
+	// branch's counters are stable once two consecutive observations agree.
 	tellerTr.Quiesce()
 	branchTr.Quiesce()
 	bg, ok := branchNode.GuardianByID(created.GuardianID)

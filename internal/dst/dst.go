@@ -7,10 +7,11 @@
 // The paper argues informally that its primitives survive "crashes of the
 // physical nodes" and an unreliable network (§1.1, §3.4); this package
 // turns that argument into a checked property. Each run derives, from the
-// seed, (1) the network's fate decisions (loss, duplication, reordering —
-// internal/netsim), (2) a fault schedule of node crash/restart and
-// partition/heal windows placed in virtual time, and (3) the client
-// workload. Invariant checkers then audit the surviving state:
+// seed (fault.NewRun), (1) the network's fate decisions (loss,
+// duplication, reordering — internal/netsim), (2) a fault schedule of
+// node crash/restart and partition/heal windows placed in virtual time,
+// and (3) the client workload. Invariant checkers then audit the
+// surviving state:
 // conservation of money and exactly-once application for the bank,
 // no-overbooking for the airline, and a recovery checker asserting the
 // post-crash state equals the stable-log replay.
@@ -31,13 +32,12 @@ package dst
 
 import (
 	"fmt"
-	"hash/fnv"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/durable"
+	"repro/internal/fault"
 	"repro/internal/guardian"
 	"repro/internal/netsim"
 	"repro/internal/vtime"
@@ -58,12 +58,10 @@ const (
 type Profile struct {
 	Name string
 
-	// Network fate rates (netsim.Config).
-	Loss    float64
-	Dup     float64
-	Reorder float64
-	Latency time.Duration
-	Jitter  time.Duration
+	// Net is the network's standing fault and delay model, handed to the
+	// world as is but for its Seed, which the run derives. Zero BaseLatency
+	// means 500µs.
+	Net netsim.Config
 
 	// Crashes is the number of crash→restart windows over the workload's
 	// crashable nodes.
@@ -111,8 +109,8 @@ func (p Profile) withDefaults() Profile {
 	if p.Name == "" {
 		p.Name = "custom"
 	}
-	if p.Latency == 0 {
-		p.Latency = 500 * time.Microsecond
+	if p.Net.BaseLatency == 0 {
+		p.Net.BaseLatency = 500 * time.Microsecond
 	}
 	if p.Horizon == 0 {
 		p.Horizon = 2 * time.Second
@@ -122,42 +120,42 @@ func (p Profile) withDefaults() Profile {
 
 // The stock profiles, in increasing order of hostility.
 func QuietProfile() Profile {
-	return Profile{Name: "quiet", Jitter: 200 * time.Microsecond}.withDefaults()
+	return Profile{Name: "quiet", Net: netsim.Config{Jitter: 200 * time.Microsecond}}.withDefaults()
 }
 func LossyProfile() Profile {
-	return Profile{Name: "lossy", Loss: 0.25, Dup: 0.25, Reorder: 0.20,
-		Jitter: 300 * time.Microsecond}.withDefaults()
+	return Profile{Name: "lossy", Net: netsim.Config{LossRate: 0.25, DupRate: 0.25, ReorderRate: 0.20,
+		Jitter: 300 * time.Microsecond}}.withDefaults()
 }
 func PartitionedProfile() Profile {
-	return Profile{Name: "partitioned", Loss: 0.05, Dup: 0.05,
-		Jitter: 300 * time.Microsecond, Partitions: 2}.withDefaults()
+	return Profile{Name: "partitioned", Net: netsim.Config{LossRate: 0.05, DupRate: 0.05,
+		Jitter: 300 * time.Microsecond}, Partitions: 2}.withDefaults()
 }
 func CrashyProfile() Profile {
-	return Profile{Name: "crashy", Loss: 0.05, Dup: 0.05,
-		Jitter: 300 * time.Microsecond, Crashes: 2, Partitions: 1}.withDefaults()
+	return Profile{Name: "crashy", Net: netsim.Config{LossRate: 0.05, DupRate: 0.05,
+		Jitter: 300 * time.Microsecond}, Crashes: 2, Partitions: 1}.withDefaults()
 }
 
 // MixedProfile is the default seed-sweep profile: every fault class at
 // once, at moderate rates.
 func MixedProfile() Profile {
-	return Profile{Name: "mixed", Loss: 0.10, Dup: 0.10, Reorder: 0.10,
-		Jitter: 300 * time.Microsecond, Crashes: 1, Partitions: 1}.withDefaults()
+	return Profile{Name: "mixed", Net: netsim.Config{LossRate: 0.10, DupRate: 0.10, ReorderRate: 0.10,
+		Jitter: 300 * time.Microsecond}, Crashes: 1, Partitions: 1}.withDefaults()
 }
 
 // ReplicaProfile is the failover gate: a lossy network plus one permanent
 // kill of the initial primary mid-transfer. Only meaningful on a
 // replicated Topology — a plain shard cannot survive it.
 func ReplicaProfile() Profile {
-	return Profile{Name: "replica", Loss: 0.05, Dup: 0.05,
-		Jitter: 300 * time.Microsecond, Kills: 1}.withDefaults()
+	return Profile{Name: "replica", Net: netsim.Config{LossRate: 0.05, DupRate: 0.05,
+		Jitter: 300 * time.Microsecond}, Kills: 1}.withDefaults()
 }
 
 // SplitBrainProfile isolates the initial primary behind a partition long
 // enough for the majority to elect past it, then heals: the deposed
 // primary's stale-term traffic must be fenced, not applied.
 func SplitBrainProfile() Profile {
-	return Profile{Name: "splitbrain", Loss: 0.05, Dup: 0.05,
-		Jitter: 300 * time.Microsecond, Isolations: 1}.withDefaults()
+	return Profile{Name: "splitbrain", Net: netsim.Config{LossRate: 0.05, DupRate: 0.05,
+		Jitter: 300 * time.Microsecond}, Isolations: 1}.withDefaults()
 }
 
 // ForkHealProfile drives the quarantine→heal lifecycle: a fork window
@@ -169,8 +167,8 @@ func SplitBrainProfile() Profile {
 // (Options.CheckpointEvery > 0). The longer horizon leaves room for the
 // post-heal traffic that ships the superseding checkpoint.
 func ForkHealProfile() Profile {
-	return Profile{Name: "forkheal", Loss: 0.03, Dup: 0.03,
-		Jitter: 300 * time.Microsecond, Forks: 1,
+	return Profile{Name: "forkheal", Net: netsim.Config{LossRate: 0.03, DupRate: 0.03,
+		Jitter: 300 * time.Microsecond}, Forks: 1,
 		Horizon: 4 * time.Second}.withDefaults()
 }
 
@@ -181,8 +179,8 @@ func ForkHealProfile() Profile {
 // Options.StorageFaults and a replicated topology it drives network,
 // storage, and replication faults simultaneously.
 func CombinedProfile() Profile {
-	return Profile{Name: "combined", Loss: 0.05, Dup: 0.05, Reorder: 0.05,
-		Jitter:  300 * time.Microsecond,
+	return Profile{Name: "combined", Net: netsim.Config{LossRate: 0.05, DupRate: 0.05, ReorderRate: 0.05,
+		Jitter: 300 * time.Microsecond},
 		Crashes: 1, Partitions: 1, Islands: 1, Asymmetries: 1,
 		RingCuts: 1, Waves: 1, StorageBursts: 1,
 		Horizon: 4 * time.Second}.withDefaults()
@@ -241,10 +239,10 @@ type Options struct {
 	// layer, and log compaction everywhere else.
 	CheckpointEvery int
 	// StorageFaults, when non-nil, injects storage faults under every
-	// node: each node's in-memory disk draws fates at the given rates.
-	// Each node's fate stream is seeded by Seed^hash(node) — derived,
-	// not drawn from the master stream, so enabling storage faults does
-	// not perturb the network or workload streams of the same seed. A
+	// node: each node's in-memory disk draws fates at the given rates,
+	// from dice seeded by fault.Run.Storage — derived, not drawn from the
+	// master stream, so enabling storage faults does not perturb the
+	// network or workload streams of the same seed. A
 	// faulted node is fail-stopped before the sync returns (no
 	// acknowledgment of unsynced state can escape) and restarted a moment
 	// later, driving the recovery path through the damage. The config's
@@ -293,10 +291,7 @@ func Schedule(opts Options) []Event {
 	if err != nil {
 		return nil
 	}
-	master := rand.New(rand.NewSource(opts.Seed))
-	_ = master.Int63() // network seed draw; keep the stream aligned with run()
-	schedRng := rand.New(rand.NewSource(master.Int63()))
-	return genSchedule(schedRng, opts.Profile, wl.crashNodes(), allNodes(wl), wl.killNodes())
+	return genSchedule(fault.NewRun(opts.Seed).Schedule(), opts.Profile, wl.crashNodes(), allNodes(wl), wl.killNodes())
 }
 
 // Run executes one simulated run: schedule generation, then
@@ -335,32 +330,15 @@ func run(opts Options, schedule []Event, audit func(workload, *guardian.World, *
 	}
 	rep.Nodes = len(allNodes(wl))
 
-	master := rand.New(rand.NewSource(opts.Seed))
-	netSeed := master.Int63()
-	_ = master.Int63() // schedule seed (consumed by Schedule)
-	workSeed := master.Int63()
-
-	p := opts.Profile
+	streams := fault.NewRun(opts.Seed)
 	clock := vtime.NewSim(time.Unix(0, 0))
-	cfg := guardian.Config{
-		Clock: clock,
-		Net: netsim.Config{
-			Seed:        netSeed,
-			BaseLatency: p.Latency,
-			Jitter:      p.Jitter,
-			LossRate:    p.Loss,
-			DupRate:     p.Dup,
-			ReorderRate: p.Reorder,
-		},
-	}
+	cfg := guardian.Config{Clock: clock, Net: opts.Profile.Net}
+	cfg.Net.Seed = streams.Net()
 
 	// Storage fault injection: every node's in-memory disk draws seeded
 	// fates at Sync. A fault fail-stops the node before its Sync
 	// returns — no acknowledgment of unsynced state can escape — and a
-	// restart a moment later forces recovery through the damage. The
-	// per-node fate seed is derived (Seed^hash(node)), never drawn from
-	// the master stream, so the network and workload streams of a seed
-	// are identical with and without storage faults.
+	// restart a moment later forces recovery through the damage.
 	var (
 		w       *guardian.World
 		storeMu sync.Mutex
@@ -371,7 +349,7 @@ func run(opts Options, schedule []Event, audit func(workload, *guardian.World, *
 		var mcfg durable.MemConfig
 		if sf := opts.StorageFaults; sf != nil {
 			mcfg.FaultConfig = *sf
-			mcfg.Seed = opts.Seed ^ fnv64a(node)
+			mcfg.Seed = streams.Storage(node)
 			mcfg.OnFault = func(log, fault string) {
 				n, err := w.Node(node)
 				if err != nil || !n.Alive() {
@@ -411,7 +389,7 @@ func run(opts Options, schedule []Event, audit func(workload, *guardian.World, *
 	var clients sync.WaitGroup
 	for i := 0; i < opts.Clients; i++ {
 		i := i
-		crng := rand.New(rand.NewSource(workSeed + 7919*int64(i)))
+		crng := streams.Client(i)
 		clients.Add(1)
 		go func() {
 			defer clients.Done()
@@ -494,13 +472,6 @@ func run(opts Options, schedule []Event, audit func(workload, *guardian.World, *
 	clock.Drive(done.Load, vtime.DriveOptions{Settle: opts.Settle})
 	rep.RealElapsed = time.Since(realStart)
 	return rep
-}
-
-// fnv64a hashes a node name for its storage fate seed.
-func fnv64a(s string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return int64(h.Sum64())
 }
 
 // applyEvent performs one schedule event against the world. Crashing a

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/vtime"
 )
 
@@ -224,7 +225,7 @@ func TestFaultedSyncSleepsOutsideTheLock(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Sync did not return after its delay")
 	}
-	if f := <-faulted; f != FaultSyncFail {
+	if f := <-faulted; f != fault.SyncFail {
 		t.Fatalf("OnFault got %q", f)
 	}
 	if got := l.VolatileLen(); got != 1 {

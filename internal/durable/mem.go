@@ -1,11 +1,11 @@
 package durable
 
 import (
-	"math/rand"
 	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/vtime"
 )
 
@@ -25,11 +25,11 @@ type MemConfig struct {
 	FaultConfig
 }
 
-// FaultConfig is the storage fault model of Mem — the disk counterpart
-// of transport.WrapperConfig. Fates are a pure function of the seed and
-// the sync order, so a failing run reproduces from its seed.
+// FaultConfig is the storage fault model of Mem. Fates are drawn by
+// fault.Dice.Sync, a pure function of the seed and the sync order, so a
+// failing run reproduces from its seed.
 type FaultConfig struct {
-	// Seed initializes the fate source.
+	// Seed initializes the fault dice.
 	Seed int64
 	// SyncFailRate is the probability in [0,1] that a Sync loses its
 	// entire batch: the fsync "succeeded" from the device's point of
@@ -43,21 +43,15 @@ type FaultConfig struct {
 	// device but is damaged in place, so recovery's checksum scan
 	// rejects the whole batch.
 	CorruptTailRate float64
-	// OnFault, when non-nil, is called (outside the store's lock, after
-	// SyncDelay is charged) once a fault is applied, before Sync returns
-	// to the caller. A harness uses it to fail-stop the faulted node
+	// OnFault, when non-nil, is called with the log and the fault's name
+	// (fault.SyncFail, ShortWrite or CorruptTail) — outside the store's
+	// lock, after SyncDelay is charged — once a fault is applied, before
+	// Sync returns to the caller. A harness uses it to fail-stop the faulted node
 	// immediately — the post-fsyncgate discipline: a storage error must
 	// crash the process BEFORE any acknowledgment escapes, or
 	// acked-implies-durable is lost.
 	OnFault func(log, fault string)
 }
-
-// Fault names passed to OnFault.
-const (
-	FaultSyncFail    = "sync_fail"
-	FaultShortWrite  = "short_write"
-	FaultCorruptTail = "corrupt_tail"
-)
 
 // FaultStats counts the faults a Mem has injected.
 type FaultStats struct {
@@ -73,8 +67,8 @@ type FaultStats struct {
 // Persistent is accordingly false: the guardian runtime keeps
 // re-creation metadata in process memory for it.
 //
-// The log that owns the volatile tail also owns its faults: at Sync it
-// draws the batch's fate from the seed — commit clean, lose it whole,
+// The log that owns the volatile tail also executes its faults: at Sync
+// the store's dice draw the batch's fate — commit clean, lose it whole,
 // commit a torn prefix, or commit then damage it. Damaged records stay
 // on the device (they consume sequence numbers and LastDurableSeq,
 // exactly as torn bytes occupy the tail of a real log until truncated)
@@ -89,8 +83,8 @@ type Mem struct {
 	mu        sync.Mutex // guards the fields below and every log's state
 	logs      map[string]*memLog
 	syncCount int64
-	rng       *rand.Rand // fate source
-	scale     float64    // fault-rate multiplier; 1 outside burst windows
+	dice      fault.Dice
+	scale     float64 // fault-rate multiplier; 1 outside burst windows
 	stats     FaultStats
 }
 
@@ -101,7 +95,7 @@ func NewMem(clock vtime.Clock, cfg MemConfig) *Mem {
 		clock: clock,
 		cfg:   cfg,
 		logs:  make(map[string]*memLog),
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
+		dice:  fault.NewDice(cfg.Seed),
 		scale: 1,
 	}
 }
@@ -262,24 +256,17 @@ func (l *memLog) Sync() {
 	batch := l.volatile
 	l.volatile = nil
 	m.stats.Syncs++
-	fault, kept := "", len(batch)
-	if len(batch) > 0 {
-		sf := m.cfg.SyncFailRate * m.scale
-		sw := m.cfg.ShortWriteRate * m.scale
-		ct := m.cfg.CorruptTailRate * m.scale
-		switch f := m.rng.Float64(); {
-		case f < sf:
-			fault, kept = FaultSyncFail, 0
-			m.stats.SyncsFailed++
-		case f < sf+sw:
-			fault, kept = FaultShortWrite, m.rng.Intn(len(batch)) // strict prefix, possibly empty
-			m.stats.ShortWrites++
-		case f < sf+sw+ct:
-			fault = FaultCorruptTail
-			m.stats.CorruptedTails++
-		}
+	rates := fault.SyncRates{Fail: m.cfg.SyncFailRate, Short: m.cfg.ShortWriteRate, Corrupt: m.cfg.CorruptTailRate}
+	kind, kept := m.dice.Sync(rates, m.scale, len(batch))
+	switch kind {
+	case fault.SyncFail:
+		m.stats.SyncsFailed++
+	case fault.ShortWrite:
+		m.stats.ShortWrites++
+	case fault.CorruptTail:
+		m.stats.CorruptedTails++
 	}
-	if fault != "" {
+	if kind != "" {
 		// What reaches the device is torn — for a short write too: the
 		// surviving prefix belongs to a batch whose frame checksum can no
 		// longer verify, so recovery rejects the batch whole and the Sync
@@ -301,8 +288,8 @@ func (l *memLog) Sync() {
 	m.mu.Unlock()
 
 	m.charge()
-	if fault != "" && m.cfg.OnFault != nil {
-		m.cfg.OnFault(l.name, fault)
+	if kind != "" && m.cfg.OnFault != nil {
+		m.cfg.OnFault(l.name, kind)
 	}
 }
 

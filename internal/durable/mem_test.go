@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/vtime"
 )
 
@@ -93,7 +94,7 @@ func TestWrapperShortWriteDropsBatchWhole(t *testing.T) {
 	l.Append([]byte("withdraw"))
 	l.Append([]byte("deposit"))
 	l.Sync()
-	if len(fired) != 1 || fired[0] != FaultShortWrite {
+	if len(fired) != 1 || fired[0] != fault.ShortWrite {
 		t.Fatalf("OnFault calls = %v", fired)
 	}
 	_, recs, _ := l.Recover()

@@ -8,9 +8,9 @@
 // receive; detaching a node (a crash) silently discards traffic addressed
 // to it, exactly as a dead node would.
 //
-// All randomness flows from a single seeded source so fault schedules are
-// reproducible; all fate decisions (loss, duplication, corruption, delay)
-// are drawn at Send time. Each destination then has one delivery queue,
+// Every fate decision (loss, duplication, corruption, jitter, reordering) is
+// drawn at Send time from one seeded fault.Dice, so fault schedules are
+// reproducible. Each destination then has one delivery queue,
 // ordered by (due time, send order), and one worker that waits on the
 // supplied clock for the head and invokes the destination handler.
 package netsim
@@ -18,10 +18,10 @@ package netsim
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/vtime"
 )
 
@@ -48,7 +48,7 @@ var (
 // Config holds the fault and delay model for the network or for one
 // directed link.
 type Config struct {
-	// Seed initializes the random source. Used only in the network-wide
+	// Seed initializes the fault dice. Used only in the network-wide
 	// default config passed to New; ignored in per-link overrides.
 	Seed int64
 	// BaseLatency is the minimum one-way delivery delay.
@@ -96,7 +96,7 @@ type Network struct {
 	clock vtime.Clock
 
 	mu       sync.Mutex
-	rng      *rand.Rand
+	dice     fault.Dice
 	defaults Config
 	inboxes  map[Addr]*inbox      // attached addresses and those with packets in flight
 	links    map[linkKey]*Config  // per directed link overrides
@@ -185,21 +185,12 @@ func (n *Network) nudge(a Addr, b *inbox) {
 
 // New creates a network with the given defaults. A zero Config gives
 // instant, perfectly reliable delivery. All fate decisions are drawn from
-// a private source seeded with cfg.Seed, so a network built the same way
-// and sent the same packet sequence makes the same decisions.
+// dice seeded with cfg.Seed, so a network built the same way and sent the
+// same packet sequence makes the same decisions.
 func New(clock vtime.Clock, cfg Config) *Network {
-	return NewWithRand(clock, cfg, rand.New(rand.NewSource(cfg.Seed)))
-}
-
-// NewWithRand is New with an injectable random source, for harnesses (such
-// as internal/dst) that derive every decision in a run — network fate,
-// fault schedule, workload — from one master seed. The network serializes
-// access to rng under its own lock; the caller must not draw from it after
-// handing it over.
-func NewWithRand(clock vtime.Clock, cfg Config, rng *rand.Rand) *Network {
 	n := &Network{
 		clock:    clock,
-		rng:      rng,
+		dice:     fault.NewDice(cfg.Seed),
 		defaults: cfg,
 		inboxes:  make(map[Addr]*inbox),
 		links:    make(map[linkKey]*Config),
@@ -372,9 +363,7 @@ func (n *Network) Send(from, to Addr, payload []byte) error {
 	}
 	cfg := n.defaults
 	if ov, ok := n.links[linkKey{from, to}]; ok {
-		ov2 := *ov
-		ov2.Seed = cfg.Seed
-		cfg = ov2
+		cfg = *ov
 	}
 	if cfg.MTU > 0 && len(payload) > cfg.MTU {
 		n.mu.Unlock()
@@ -391,68 +380,43 @@ func (n *Network) Send(from, to Addr, payload []byte) error {
 		return nil
 	}
 
-	// Decide the packet's fate now, under the lock, so the random sequence
-	// is a pure function of the seed and the send order.
-	type delivery struct {
-		delay   time.Duration
-		corrupt bool
-		reorder bool
-	}
-	plan := make([]delivery, 0, 2)
-	if n.rng.Float64() < cfg.LossRate {
+	// Decide the packet's fate now, under the lock, so the fate sequence is
+	// a pure function of the seed and the send order.
+	fate := n.dice.Packet(fault.PacketRates{Loss: cfg.LossRate, Dup: cfg.DupRate,
+		Reorder: cfg.ReorderRate, Corrupt: cfg.CorruptRate, Jitter: cfg.Jitter}, len(payload))
+	if fate.N == 0 {
 		n.stats.Lost++
-	} else {
-		plan = append(plan, delivery{})
-		if n.rng.Float64() < cfg.DupRate {
-			n.stats.Duplicated++
-			plan = append(plan, delivery{})
-		}
+		n.mu.Unlock()
+		return nil
 	}
-	for i := range plan {
-		d := cfg.BaseLatency
-		if cfg.Jitter > 0 {
-			d += time.Duration(n.rng.Int63n(int64(cfg.Jitter) + 1))
-		}
+	if fate.N == 2 {
+		n.stats.Duplicated++
+	}
+	now := n.clock.Now()
+	b := n.inbox(to)
+	head := false
+	for _, c := range fate.Copies[:fate.N] {
+		d := cfg.BaseLatency + c.Jitter
 		if cfg.BandwidthBps > 0 {
 			d += time.Duration(float64(len(payload)) / float64(cfg.BandwidthBps) * float64(time.Second))
 		}
-		if n.rng.Float64() < cfg.ReorderRate {
+		if c.Reorder {
 			extra := cfg.ReorderDelay
 			if extra == 0 {
 				extra = cfg.BaseLatency
 			}
 			d += extra
-			plan[i].reorder = true
 			n.stats.Reordered++
 		}
-		if n.rng.Float64() < cfg.CorruptRate {
-			plan[i].corrupt = true
-			n.stats.Corrupted++
-		}
-		plan[i].delay = d
-	}
-	corruptBit := 0
-	for _, p := range plan {
-		if p.corrupt {
-			corruptBit = n.rng.Intn(len(payload) * 8)
-		}
-	}
-	if len(plan) == 0 {
-		n.mu.Unlock()
-		return nil
-	}
-	now := n.clock.Now()
-	b := n.inbox(to)
-	head := false
-	for _, p := range plan {
 		buf := payloads.Get().(*[]byte)
 		*buf = append((*buf)[:0], payload...)
-		if p.corrupt {
-			(*buf)[corruptBit/8] ^= 1 << (corruptBit % 8)
+		if c.Corrupt {
+			(*buf)[fate.Bit/8] ^= 1 << (fate.Bit % 8)
+			n.stats.Corrupted++
 		}
-		head = b.push(packet{from: from, payload: buf, due: now.Add(p.delay)}) || head
+		head = b.push(packet{from: from, payload: buf, due: now.Add(d)}) || head
 	}
-	n.inflight += len(plan)
+	n.inflight += fate.N
 	if head {
 		n.nudge(to, b)
 	}

@@ -2,8 +2,6 @@ package netsim
 
 import (
 	"bytes"
-	"math/rand"
-	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -440,40 +438,5 @@ func TestAttachedAndHandlerReplacement(t *testing.T) {
 	n.Quiesce()
 	if first.Load() != 0 || second.Load() != 1 {
 		t.Fatalf("first=%d second=%d, want 0/1", first.Load(), second.Load())
-	}
-}
-
-func TestNewWithRandIsSeedReproducible(t *testing.T) {
-	// Two networks sharing nothing but the seed of their injected sources
-	// must decide identical fates for an identical send sequence — the
-	// property internal/dst relies on to replay a fault schedule.
-	fates := func(rng *rand.Rand) (lost, dup []int) {
-		n := NewWithRand(vtime.NewReal(), Config{LossRate: 0.3, DupRate: 0.3}, rng)
-		counts := make([]atomic.Int64, 100)
-		n.Attach("a", func(Addr, []byte) {})
-		n.Attach("b", func(_ Addr, p []byte) { counts[p[0]].Add(1) })
-		for i := 0; i < 100; i++ {
-			if err := n.Send("a", "b", []byte{byte(i)}); err != nil {
-				t.Fatalf("Send: %v", err)
-			}
-		}
-		n.Quiesce()
-		for i := range counts {
-			switch counts[i].Load() {
-			case 0:
-				lost = append(lost, i)
-			case 2:
-				dup = append(dup, i)
-			}
-		}
-		return lost, dup
-	}
-	l1, d1 := fates(rand.New(rand.NewSource(4242)))
-	l2, d2 := fates(rand.New(rand.NewSource(4242)))
-	if !reflect.DeepEqual(l1, l2) || !reflect.DeepEqual(d1, d2) {
-		t.Fatalf("same injected seed diverged: lost %v vs %v, dup %v vs %v", l1, l2, d1, d2)
-	}
-	if len(l1) == 0 && len(d1) == 0 {
-		t.Fatal("fault model injected no faults at 30%/30%")
 	}
 }

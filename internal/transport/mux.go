@@ -123,10 +123,12 @@ func readFrame(br *bufio.Reader, max int, buf []byte) (typ byte, body, next []by
 	return buf[0], buf[1:], buf, nil
 }
 
-// cutString consumes one uvarint-prefixed string from body, as a view.
+// cutString consumes one uvarint-prefixed string from body, as a view. The
+// length must be in its shortest encoding, the only one encodeString
+// writes: a multi-byte uvarint ending in a zero byte is refused.
 func cutString(body []byte, maxLen int) (s, rest []byte, err error) {
 	n, k := binary.Uvarint(body)
-	if k <= 0 || n > uint64(maxLen) || uint64(len(body)-k) < n {
+	if k <= 0 || (k > 1 && body[k-1] == 0) || n > uint64(maxLen) || uint64(len(body)-k) < n {
 		return nil, nil, ErrBadFrame
 	}
 	return body[k : k+int(n)], body[k+int(n):], nil

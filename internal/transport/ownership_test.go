@@ -54,10 +54,6 @@ func TestBufferOwnership(t *testing.T) {
 			w := Wrap(sim(netsim.Config{}), WrapperConfig{Seed: 1, DupRate: 1})
 			return w, w
 		}},
-		{"wrapper-dup-delayed", 2, func(t *testing.T) (Transport, Transport) {
-			w := Wrap(sim(netsim.Config{}), WrapperConfig{Seed: 1, DupRate: 1, Delay: time.Millisecond, Jitter: time.Millisecond})
-			return w, w
-		}},
 	}
 	const sends, size = 40, 300
 	for _, c := range cases {

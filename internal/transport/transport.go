@@ -15,10 +15,11 @@
 //     the MTU ceiling and trading per-datagram loss for WAN-realistic
 //     ordered-until-reset semantics.
 //
-// A Wrapper composes fault injection around any Transport — loss,
-// duplication and delay for datagram transports, connection resets and
-// stalls for stream ones — letting the real network paths be soak-tested
-// with the same fault profiles the simulator uses.
+// A Wrapper executes seeded faults around any Transport — loss and
+// duplication for datagram transports, connection resets and stalls for
+// stream ones — drawn by internal/fault exactly as the simulator draws
+// its own, so the real network paths can be soak-tested at the rates a
+// simulated run uses.
 package transport
 
 import (

@@ -1,18 +1,18 @@
 package transport
 
 import (
-	"math/rand"
 	"sync"
 	"time"
 
-	"repro/internal/netsim"
+	"repro/internal/fault"
 )
 
 // WrapperConfig is the fault model a Wrapper injects around an inner
-// transport — the same knobs the simulator's fault profiles use, so a UDP
-// path can be soak-tested with identical loss/duplication/delay rates.
+// transport. Its loss and duplication are drawn exactly as the simulator
+// draws a packet's (fault.Dice.Packet), so a UDP path can be soak-tested
+// at the rates a simulated one runs at.
 type WrapperConfig struct {
-	// Seed initializes the fate source; fates are a pure function of the
+	// Seed initializes the fault dice; fates are a pure function of the
 	// seed and the send order.
 	Seed int64
 	// LossRate is the probability in [0,1] that a datagram is silently
@@ -20,10 +20,6 @@ type WrapperConfig struct {
 	LossRate float64
 	// DupRate is the probability that a datagram is submitted twice.
 	DupRate float64
-	// Delay is the minimum extra latency added to each datagram.
-	Delay time.Duration
-	// Jitter is the maximum additional uniformly-random delay.
-	Jitter time.Duration
 
 	// The stream fault model, honored only when the inner transport is a
 	// StreamFaulter. Loss and duplication are datagram faults — a stream
@@ -46,127 +42,64 @@ type WrapperStats struct {
 	Sent       int64 // datagrams offered to the wrapper
 	Lost       int64 // dropped by the injected loss model
 	Duplicated int64 // extra submissions from the injected duplication model
-	Delayed    int64 // datagrams given a nonzero injected delay
 	Resets     int64 // connection resets injected by the stream fault model
 	Stalls     int64 // write stalls injected by the stream fault model
 }
 
-// Wrapper injects faults around any Transport: loss, duplication and
-// delay for datagram transports, connection resets and write stalls when
-// the inner transport is a StreamFaulter. Faults apply to outbound sends
-// only; wrap both ends to fault both directions. Everything else —
-// attach, detach, learning, stats — passes through to the inner
-// transport.
+// Wrapper executes seeded faults around any Transport: loss and
+// duplication for datagram transports, connection resets and write stalls
+// when the inner transport is a StreamFaulter. Faults apply to outbound
+// sends only; wrap both ends to fault both directions. Every method but
+// Send is the embedded inner transport's.
 type Wrapper struct {
-	inner Transport
+	Transport
 	// faulter is the inner transport's stream fault surface, when it has
 	// one; nil for datagram transports, for which the stream rates are
 	// inert.
 	faulter StreamFaulter
 	cfg     WrapperConfig
 
-	mu       sync.Mutex
-	rng      *rand.Rand
-	stats    WrapperStats
-	inflight int
-	idle     *sync.Cond
+	mu    sync.Mutex
+	dice  fault.Dice
+	stats WrapperStats
 }
 
 // Wrap composes the fault model around inner.
 func Wrap(inner Transport, cfg WrapperConfig) *Wrapper {
-	w := &Wrapper{
-		inner: inner,
-		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-	}
-	if f, ok := inner.(StreamFaulter); ok {
-		w.faulter = f
-	}
-	w.idle = sync.NewCond(&w.mu)
+	w := &Wrapper{Transport: inner, cfg: cfg, dice: fault.NewDice(cfg.Seed)}
+	w.faulter, _ = inner.(StreamFaulter)
 	return w
 }
 
-// Inner returns the wrapped transport.
-func (w *Wrapper) Inner() Transport { return w.inner }
-
-// Network unwraps to the simulator when the inner transport is (or wraps)
-// one, so guardian worlds built on a wrapped simulator keep their fault
-// injection hooks.
-func (w *Wrapper) Network() *netsim.Network {
-	if src, ok := w.inner.(interface{ Network() *netsim.Network }); ok {
-		return src.Network()
-	}
-	return nil
-}
-
-// Attach implements Transport.
-func (w *Wrapper) Attach(a Addr, h Handler) error { return w.inner.Attach(a, h) }
-
-// Detach implements Transport.
-func (w *Wrapper) Detach(a Addr) { w.inner.Detach(a) }
-
-// Attached implements Transport.
-func (w *Wrapper) Attached(a Addr) bool { return w.inner.Attached(a) }
-
-// Learn implements Transport.
-func (w *Wrapper) Learn(name, via Addr) { w.inner.Learn(name, via) }
-
-// Send implements Transport: the datagram's fate — lost, once, twice, and
-// how late — is decided now, under the lock, so the fault sequence is a
-// pure function of the seed and the send order. Delayed copies are
-// submitted from background goroutines; Quiesce waits for them.
+// Send implements Transport: the datagram's fate — lost, once or twice —
+// and, on a stream, whether its connection resets or stalls are drawn now,
+// under the lock, so the faults are a pure function of the seed and the
+// send order. The copies go to the inner transport on the caller's
+// goroutine; the stream faults, which block on the inner transport's
+// machinery, are injected after them.
 func (w *Wrapper) Send(from, to Addr, payload []byte) error {
 	w.mu.Lock()
 	w.stats.Sent++
-	if w.rng.Float64() < w.cfg.LossRate {
+	fate := w.dice.Packet(fault.PacketRates{Loss: w.cfg.LossRate, Dup: w.cfg.DupRate}, len(payload))
+	if fate.N == 0 {
 		w.stats.Lost++
 		w.mu.Unlock()
 		return nil
 	}
-	copies := 1
-	if w.rng.Float64() < w.cfg.DupRate {
+	if fate.N == 2 {
 		w.stats.Duplicated++
-		copies = 2
 	}
-	delays := make([]time.Duration, copies)
-	for i := range delays {
-		d := w.cfg.Delay
-		if w.cfg.Jitter > 0 {
-			d += time.Duration(w.rng.Int63n(int64(w.cfg.Jitter) + 1))
-		}
-		if d > 0 {
-			w.stats.Delayed++
-		}
-		delays[i] = d
-	}
-	// Stream fates are drawn here too — under the lock, in send order —
-	// so they stay a pure function of the seed; the injection itself
-	// (which blocks on the inner transport's machinery) happens after
-	// the send is submitted, below.
 	var reset, stall bool
 	if w.faulter != nil {
-		reset = w.rng.Float64() < w.cfg.ResetRate
-		stall = w.rng.Float64() < w.cfg.StallRate
+		reset, stall = w.dice.Stream(w.cfg.ResetRate, w.cfg.StallRate)
 	}
-	w.inflight += copies
 	w.mu.Unlock()
 
 	var firstErr error
-	for _, d := range delays {
-		if d == 0 {
-			if err := w.inner.Send(from, to, payload); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			w.retire()
-			continue
+	for i := 0; i < fate.N; i++ {
+		if err := w.Transport.Send(from, to, payload); err != nil && firstErr == nil {
+			firstErr = err
 		}
-		buf := make([]byte, len(payload))
-		copy(buf, payload)
-		go func(d time.Duration) {
-			defer w.retire()
-			time.Sleep(d)
-			_ = w.inner.Send(from, to, buf)
-		}(d)
 	}
 	if stall || reset {
 		w.injectStream(to, reset, stall)
@@ -199,36 +132,9 @@ func (w *Wrapper) injectStream(to Addr, reset, stall bool) {
 	}
 }
 
-// retire finishes one submitted copy, waking Quiesce at zero.
-func (w *Wrapper) retire() {
-	w.mu.Lock()
-	w.inflight--
-	if w.inflight == 0 {
-		w.idle.Broadcast()
-	}
-	w.mu.Unlock()
-}
-
 // InjectedStats reports the faults injected so far.
 func (w *Wrapper) InjectedStats() WrapperStats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.stats
 }
-
-// Stats implements Transport, reporting the inner transport's accounting.
-func (w *Wrapper) Stats() Stats { return w.inner.Stats() }
-
-// Quiesce implements Transport: it waits for the wrapper's own delayed
-// copies to be submitted, then for the inner transport.
-func (w *Wrapper) Quiesce() {
-	w.mu.Lock()
-	for w.inflight > 0 {
-		w.idle.Wait()
-	}
-	w.mu.Unlock()
-	w.inner.Quiesce()
-}
-
-// Close implements Transport.
-func (w *Wrapper) Close() error { return w.inner.Close() }
