@@ -1,6 +1,7 @@
 package bank_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/guardian"
 	"repro/internal/netsim"
 	"repro/internal/sendprim"
+	"repro/internal/tpc"
 	"repro/internal/transport"
 	"repro/internal/vtime"
 	"repro/internal/xrep"
@@ -90,6 +92,82 @@ func TestAmoCallAllocCeiling(t *testing.T) {
 // log copy.
 func TestAmoReadAllocCeiling(t *testing.T) {
 	measureAmoCall(t, amoReadAllocCeiling, "balance", "balance_is", "acct")
+}
+
+// escrowRoundAllocCeiling is what one 2PC round against a shard branch may
+// allocate: a prepare, its yes vote, the commit and its ack, end to end on
+// both nodes — the measured 54, which repeats exactly. The figure counts
+// each round's growth of the participant's table; it is ring_mixed's
+// split-transfer path less the coordinator.
+const escrowRoundAllocCeiling = 54
+
+// TestEscrowRoundAllocCeiling pins the participant path ring_mixed's split
+// transfers take: a driver's prepare → vote_yes → commit → ack_commit round
+// against a shard branch over netsim, each round a distinct transaction.
+func TestEscrowRoundAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	clock := vtime.NewReal()
+	w := guardian.NewWorld(guardian.Config{
+		Clock:     clock,
+		Transport: transport.NewSim(netsim.New(clock, netsim.Config{Seed: 1})),
+	})
+	defer w.Close()
+	w.MustRegister(bank.BranchDef())
+	cr, err := w.MustAddNode("s1").Bootstrap(bank.BranchDefName, bank.ShardArg("s1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, drv, err := w.MustAddNode("cli").NewDriver("coord")
+	if err != nil {
+		t.Fatal(err)
+	}
+	native := cr.Ports[0]
+	client := g.MustNewPort(bank.ClientReplyType, 4)
+	votes := g.MustNewPort(tpc.CoordReplyType, 4)
+	for _, args := range [][]any{{"open", "acct"}, {"deposit", "acct", int64(1 << 40), "fund"}} {
+		if err := drv.SendReplyTo(native, client.Name(), args[0].(string), args[1:]...); err != nil {
+			t.Fatal(err)
+		}
+		if m, st := drv.Receive(5*time.Second, client); st != guardian.RecvOK || m.Command != bank.OutcomeOK {
+			t.Fatalf("%s: %v %v", args[0], st, m)
+		}
+	}
+	const warm, runs = 200, 400
+	txids := make([]string, warm+runs+1)
+	for i := range txids {
+		txids[i] = fmt.Sprintf("cli/tx%06d", i)
+	}
+	op := bank.EscrowOp("debit", "acct", 1)
+	next := 0
+	step := func(cmd string, args ...any) string {
+		if err := drv.SendReplyTo(native, votes.Name(), cmd, args...); err != nil {
+			t.Fatal(err)
+		}
+		m, st := drv.Receive(5*time.Second, votes)
+		if st != guardian.RecvOK {
+			t.Fatalf("%s: %v", cmd, st)
+		}
+		return m.Command
+	}
+	round := func() {
+		txid := txids[next]
+		next++
+		step("prepare", txid, op)
+		// Only a prepared transaction acks a commit: the ack is the yes vote's.
+		if got := step("commit", txid); got != "ack_commit" {
+			t.Fatalf("commit %s: %s", txid, got)
+		}
+	}
+	for i := 0; i < warm; i++ {
+		round()
+	}
+	n := testing.AllocsPerRun(runs, round)
+	t.Logf("one escrow round allocates %.1f times", n)
+	if n > escrowRoundAllocCeiling {
+		t.Errorf("one escrow round allocates %.1f times, ceiling %d", n, escrowRoundAllocCeiling)
+	}
 }
 
 var echoType = guardian.NewPortType("alloc_echo_port").Msg("echo", xrep.KindString).Replies("echo", "echoed")

@@ -21,6 +21,7 @@ import (
 	"repro/internal/amo"
 	"repro/internal/durable"
 	"repro/internal/guardian"
+	"repro/internal/tpc"
 	"repro/internal/wire"
 	"repro/internal/xrep"
 )
@@ -40,7 +41,7 @@ const (
 // message carries a client-chosen operation id (op_id) making it
 // idempotent: re-performing a completed operation is a no-op that reports
 // the original outcome.
-var BranchPortType = guardian.NewPortType("bank_branch_port").
+var BranchPortType = tpc.ParticipantMsgs(guardian.NewPortType("bank_branch_port").
 	Msg("open", xrep.KindString).
 	Replies("open", OutcomeOK, OutcomeExists).
 	Msg("deposit", xrep.KindString, xrep.KindInt, xrep.KindString).
@@ -56,7 +57,8 @@ var BranchPortType = guardian.NewPortType("bank_branch_port").
 	Msg("audit").
 	Replies("audit", "audit_info").
 	// Shard-mode vocabulary (shard.go): ring adoption, bulk seeding, the
-	// destination-pull handoff protocol, and 2PC escrow participation.
+	// destination-pull handoff protocol, and (ParticipantMsgs) 2PC escrow
+	// participation.
 	Msg("ring_update", xrep.KindString).
 	Replies("ring_update", "ring_ok").
 	Msg("seed", xrep.KindString, xrep.KindInt, xrep.KindInt).
@@ -77,13 +79,7 @@ var BranchPortType = guardian.NewPortType("bank_branch_port").
 	Msg("migrate_cut", xrep.KindString, xrep.KindInt).
 	Replies("migrate_cut", "cut_done", "cut_busy", "migrate_denied").
 	Msg("migrate_ack", xrep.KindString).
-	Replies("migrate_ack", "ack_ok").
-	Msg("prepare", xrep.KindString, guardian.AnyKind).
-	Replies("prepare", "vote_yes", "vote_no").
-	Msg("commit", xrep.KindString).
-	Replies("commit", "ack_commit").
-	Msg("abort", xrep.KindString).
-	Replies("abort", "ack_abort")
+	Replies("migrate_ack", "ack_ok"))
 
 // ClientReplyType receives every branch reply.
 var ClientReplyType = guardian.NewPortType("bank_client_port").

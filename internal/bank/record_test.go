@@ -106,14 +106,16 @@ func TestOpRecordMatchesTree(t *testing.T) {
 
 func TestCheckpointMatchesTree(t *testing.T) {
 	r := ring.New("accounts", 0, ring.Member{Name: "s1"}, ring.Member{Name: "s2"})
-	shard := newShardCore("s1", nil, nil)
+	shard := newShardCore("s1", &branchState{}, nil)
 	shard.adopt(r)
 	shard.installed["accounts/1/s2->s1"] = true
 	shard.out["accounts/2/s1->s2"] = &outboundHandoff{
 		hid: "accounts/2/s1->s2", dest: "s2", ring: r, blob: r.Marshal(), cut: true,
 		final: map[string]int64{"a": 57, "b": -3}, finalOrd: []string{"a", "b"},
 	}
-	shard.txns["cli/tx1"] = &shardTxn{phase: "prepared", kind: "debit", acct: "d", amount: 25}
+	if err := shard.escrow.Restore("prepared", "cli/tx1", EscrowOp("debit", "d", 25)); err != nil {
+		t.Fatal(err)
+	}
 
 	dedup := amo.NewDedup(amo.DedupOptions{})
 	hook := dedup.Hook(func(_ *guardian.Process, req *amo.Request) (string, xrep.Seq) {

@@ -162,6 +162,8 @@ func FuzzShardRecords(f *testing.F) {
 	f.Add(encodeCheckpoint(st, nil, newShardCore("", nil, nil)))
 	f.Add([]byte{})
 	f.Add(shardRecord(seedRec, overCapSeed))
+	// The tombstone an abort of an unknown transaction leaves.
+	f.Add(shardRecord(tpcRec, xrep.Seq{xrep.Str("aborted"), xrep.Str("tx9"), xrep.Str(""), xrep.Str(""), xrep.Int(0)}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
@@ -207,7 +209,7 @@ func FuzzShardRecords(f *testing.F) {
 			core2 := newShardCore("s1", st2, nil)
 			if err := restoreBranch(encodeCheckpoint(cpSt, nil, cpCore), core2); err != nil ||
 				!reflect.DeepEqual(cpSt.accounts, st2.accounts) || !reflect.DeepEqual(cpSt.holds, st2.holds) ||
-				!reflect.DeepEqual(cpCore.txns, core2.txns) || !reflect.DeepEqual(cpCore.installed, core2.installed) || len(cpCore.out) != len(core2.out) {
+				!reflect.DeepEqual(cpCore.escrow, core2.escrow) || !reflect.DeepEqual(cpCore.installed, core2.installed) || len(cpCore.out) != len(core2.out) {
 				t.Fatalf("an accepted checkpoint does not survive encode → restore: %v", err)
 			}
 		}

@@ -693,6 +693,45 @@ func TestRingCoordinatorCrashBetweenPrepareAndCommit(t *testing.T) {
 	}
 }
 
+// TestRingLatePrepareAfterAbortVotesNo: an abort that overtakes its prepare
+// on a shard's native port is remembered, so the late prepare votes no and
+// escrows nothing — also after a crash — and the whole balance stays
+// spendable. Acking the abort without a record let the late prepare hold the
+// amount for good: withdrawals came back insufficient and every handoff cut
+// of the range came back busy.
+func TestRingLatePrepareAfterAbortVotesNo(t *testing.T) {
+	c := deployShardCluster(t, netsim.Config{}, "s1")
+	c.bootstrapRing("s1")
+	rt := c.router()
+	defer rt.Close()
+	rep, err := rt.Call("acct", "open", "acct")
+	mustOK(t, rep, err, "open")
+	rep, err = rt.Call("acct", "deposit", "acct", int64(100))
+	mustOK(t, rep, err, "deposit")
+
+	pr, _ := c.driver()
+	votes := pr.Guardian().MustNewPort(tpc.CoordReplyType, 8)
+	step := func(want, cmd string, args ...any) {
+		t.Helper()
+		if err := pr.SendReplyTo(c.members["s1"].Native, votes.Name(), cmd, args...); err != nil {
+			t.Fatal(err)
+		}
+		m, st := pr.Receive(shardTestTimeout, votes)
+		if st != guardian.RecvOK || m.Command != want {
+			t.Fatalf("%s: %v %v, want %s", cmd, st, m, want)
+		}
+	}
+	step("ack_abort", "abort", "late")
+	step("vote_no", "prepare", "late", bank.EscrowOp("debit", "acct", 3))
+	c.nodes["s1"].Crash()
+	if err := c.nodes["s1"].Restart(); err != nil {
+		t.Fatal(err)
+	}
+	step("vote_no", "prepare", "late", bank.EscrowOp("debit", "acct", 3))
+	rep, err = rt.Call("acct", "withdraw", "acct", int64(100))
+	mustOK(t, rep, err, "withdraw the whole balance")
+}
+
 // movingAccounts generates keys owned by from under r1 that r2 hands to
 // to — the witnesses of one planned move.
 func movingAccounts(r1, r2 *ring.Ring, from, to, prefix string, n int) []string {

@@ -64,7 +64,10 @@ func ringJoinerNode(i int) string { return fmt.Sprintf("j%d", i) }
 //	recovery:      every branch's served state equals a pure replay of
 //	               its durable log (migration records included).
 //	drain:         every durable 2PC decision reaches both legs (the
-//	               coordinator's unsettled set empties after recovery).
+//	               coordinator's unsettled set empties after recovery),
+//	               and no branch still escrows a transaction whose
+//	               decision settled. Escrow with no decision at all is
+//	               2PC's blocking case and allowed.
 type ringWorkload struct {
 	opts Options
 	topo RingTopology
@@ -384,6 +387,7 @@ func (s *ringWorkload) check(w *guardian.World, rep *Report, crashed bool) {
 	// Drain the coordinator: crash-restart it once more so recovery
 	// re-drives every decided-but-unsettled transaction, then require the
 	// unsettled set to empty — each decision reaching both legs.
+	var coord *guardian.Guardian // the coordinator, once it has drained
 	coordNode, err := w.Node(ringCoordNode)
 	if err == nil {
 		coordNode.Crash()
@@ -399,9 +403,11 @@ func (s *ringWorkload) check(w *guardian.World, rep *Report, crashed bool) {
 			unsettled, ok := tpc.CoordinatorUnsettled(g)
 			return ok && len(unsettled) == 0
 		})
-		if !drained {
-			g, _ := coordNode.GuardianByID(s.coordID)
-			unsettled, _ := tpc.CoordinatorUnsettled(g)
+		cg, _ := coordNode.GuardianByID(s.coordID)
+		if drained {
+			coord = cg
+		} else {
+			unsettled, _ := tpc.CoordinatorUnsettled(cg)
 			rep.addViolation("drain", "coordinator decisions never settled: %v", unsettled)
 		}
 	}
@@ -439,6 +445,14 @@ func (s *ringWorkload) check(w *guardian.World, rep *Report, crashed bool) {
 			}
 			where[a] = node
 			merged[a] = bal
+		}
+		// Every participant logged a settled decision before acking it.
+		if txids, _ := bank.ShardEscrows(g); coord != nil {
+			for _, txid := range txids {
+				if _, settled, _ := tpc.CoordinatorDecision(coord, txid); settled {
+					rep.addViolation("drain", "branch %s still escrows %s, whose decision settled", node, txid)
+				}
+			}
 		}
 		// Migration records included.
 		auditReplay(rep, "branch "+node, g, accts)

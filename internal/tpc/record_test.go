@@ -113,14 +113,21 @@ func TestFoldersRefuseMalformedRecords(t *testing.T) {
 	decided := xrep.Seq{xrep.Str("decided"), xrep.Str("tx1"), xrep.Bool(true), xrep.Seq{xrep.Seq{p, SlotOp("unit", 1)}}}
 	participant := xrep.Seq{xrep.Str("prepared"), xrep.Str("tx1"), SlotOp("unit", 1)}
 	newCoord := func() *coordState { return &coordState{decisions: make(map[string]*decision)} }
-	newPart := func() *participantState {
-		return &participantState{res: NewSlotResource(map[string]int64{"unit": 5}), phases: make(map[string]txPhase), ops: make(map[string]xrep.Value)}
-	}
+	newPart := func() *Participant { return NewParticipant(NewSlotResource(map[string]int64{"unit": 5})) }
 	if mine, err := newCoord().foldDecision(decided); !mine || err != nil {
 		t.Fatalf("well-formed decision: %v %v", mine, err)
 	}
 	if mine, err := newPart().foldRecord(participant); !mine || err != nil {
 		t.Fatalf("well-formed participant record: %v %v", mine, err)
+	}
+	// A no vote was logged as "refused" before refusals went unlogged; such
+	// a record still folds, as an abort, which answers every message alike.
+	legacy := newPart()
+	if mine, err := legacy.foldRecord(xrep.Seq{xrep.Str("refused"), xrep.Str("tx1"), xrep.Null{}}); !mine || err != nil {
+		t.Fatalf("legacy refused record: %v %v", mine, err)
+	}
+	if phase, _ := legacy.Txn("tx1"); phase != "aborted" {
+		t.Fatalf("a legacy refused record folds as %q, want aborted", phase)
 	}
 	mutants := func(good xrep.Seq, typed int) []xrep.Value {
 		out := []xrep.Value{good[:len(good)-1], append(append(xrep.Seq{}, good...), xrep.Int(0)), xrep.Rec{Name: "tpc/x", Fields: good}, xrep.Int(1)}
@@ -143,8 +150,8 @@ func TestFoldersRefuseMalformedRecords(t *testing.T) {
 	}
 	for _, v := range mutants(participant, 2) {
 		st := newPart()
-		if mine, err := st.foldRecord(v); !mine || err == nil || len(st.phases) != 0 {
-			t.Errorf("participant record %s: mine %v, err %v, %d phases; want refused", v, mine, err, len(st.phases))
+		if mine, err := st.foldRecord(v); !mine || err == nil || len(st.txns) != 0 {
+			t.Errorf("participant record %s: mine %v, err %v, %d phases; want refused", v, mine, err, len(st.txns))
 		}
 	}
 }
@@ -173,6 +180,8 @@ func FuzzTPCRecords(f *testing.F) {
 		f.Add(b)
 	}
 	f.Add([]byte{})
+	// The tombstone an abort of an unknown transaction leaves.
+	f.Add(appendParticipantRecord(nil, "aborted", "cli/tx9", nil))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
@@ -183,7 +192,7 @@ func FuzzTPCRecords(f *testing.F) {
 		}
 		coord := &coordState{decisions: make(map[string]*decision)}
 		_, coordErr := coord.foldDecision(v)
-		part := &participantState{res: NewSlotResource(map[string]int64{"unit": 5}), phases: make(map[string]txPhase), ops: make(map[string]xrep.Value)}
+		part := NewParticipant(NewSlotResource(map[string]int64{"unit": 5}))
 		_, partErr := part.foldRecord(v)
 		runtime.ReadMemStats(&after)
 		if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10+256*uint64(len(data)) {

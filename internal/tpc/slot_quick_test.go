@@ -7,8 +7,9 @@ import (
 	"testing/quick"
 )
 
-// TestSlotResourceInvariantsQuick drives random Prepare/Commit/Abort
-// sequences and checks the safety invariants after every step:
+// TestSlotResourceInvariantsQuick drives random prepare/commit/abort
+// messages through a participant's table and checks the safety invariants
+// after every step:
 //
 //   - committed + held never exceeds capacity,
 //   - Available is exactly capacity − committed − held,
@@ -19,6 +20,7 @@ func TestSlotResourceInvariantsQuick(t *testing.T) {
 		capacity := int64(capSmall%20) + 1
 		rng := rand.New(rand.NewSource(seed))
 		s := NewSlotResource(map[string]int64{"item": capacity})
+		p := NewParticipant(s)
 		type txState int
 		const (
 			idle txState = iota
@@ -32,7 +34,7 @@ func TestSlotResourceInvariantsQuick(t *testing.T) {
 			n := int64(rng.Intn(3) + 1)
 			switch rng.Intn(3) {
 			case 0:
-				okPrep := s.Prepare(txid, SlotOp("item", n))
+				okPrep := deliver(p, "prepare", txid, SlotOp("item", n)) == "vote_yes"
 				switch states[txid] {
 				case prepared:
 					if !okPrep {
@@ -44,12 +46,12 @@ func TestSlotResourceInvariantsQuick(t *testing.T) {
 					}
 				}
 			case 1:
-				s.Commit(txid)
+				deliver(p, "commit", txid, nil)
 				if states[txid] == prepared {
 					states[txid] = settled
 				}
 			case 2:
-				s.Abort(txid)
+				deliver(p, "abort", txid, nil)
 				if states[txid] == prepared {
 					states[txid] = settled
 				}
@@ -78,20 +80,22 @@ func TestSlotResourceInvariantsQuick(t *testing.T) {
 // abort must not release its units (and vice versa).
 func TestSlotResourceCommitAbortExclusive(t *testing.T) {
 	s := NewSlotResource(map[string]int64{"item": 5})
-	if !s.Prepare("tx", SlotOp("item", 3)) {
+	p := NewParticipant(s)
+	if deliver(p, "prepare", "tx", SlotOp("item", 3)) != "vote_yes" {
 		t.Fatal("prepare")
 	}
-	s.Commit("tx")
-	s.Abort("tx") // late duplicate abort
+	deliver(p, "commit", "tx", nil)
+	deliver(p, "abort", "tx", nil) // late duplicate abort
 	if s.Committed("item") != 3 {
 		t.Fatalf("late abort clawed back committed units: %d", s.Committed("item"))
 	}
 	s2 := NewSlotResource(map[string]int64{"item": 5})
-	if !s2.Prepare("tx", SlotOp("item", 3)) {
+	p2 := NewParticipant(s2)
+	if deliver(p2, "prepare", "tx", SlotOp("item", 3)) != "vote_yes" {
 		t.Fatal("prepare")
 	}
-	s2.Abort("tx")
-	s2.Commit("tx") // late duplicate commit
+	deliver(p2, "abort", "tx", nil)
+	deliver(p2, "commit", "tx", nil) // late duplicate commit
 	if s2.Committed("item") != 0 {
 		t.Fatalf("late commit applied aborted units: %d", s2.Committed("item"))
 	}
