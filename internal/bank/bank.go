@@ -57,8 +57,7 @@ var BranchPortType = tpc.ParticipantMsgs(guardian.NewPortType("bank_branch_port"
 	Msg("audit").
 	Replies("audit", "audit_info").
 	// Shard-mode vocabulary (shard.go): ring adoption, bulk seeding, the
-	// destination-pull handoff protocol, and (ParticipantMsgs) 2PC escrow
-	// participation.
+	// one-step handoff, and (ParticipantMsgs) 2PC escrow participation.
 	Msg("ring_update", xrep.KindString).
 	Replies("ring_update", "ring_ok").
 	Msg("seed", xrep.KindString, xrep.KindInt, xrep.KindInt).
@@ -68,15 +67,9 @@ var BranchPortType = tpc.ParticipantMsgs(guardian.NewPortType("bank_branch_port"
 	Msg("handoff_status", xrep.KindString).
 	Replies("handoff_status", "handoff_state").
 	Msg("handoff_fail", xrep.KindString).
-	Msg("handoff_stage", xrep.KindString, xrep.KindSeq).
-	Replies("handoff_stage", "staged").
 	Msg("handoff_install", xrep.KindString, xrep.KindString, xrep.KindSeq, guardian.AnyKind).
 	Replies("handoff_install", "installed", "install_denied").
-	Msg("migrate_snap", xrep.KindString, xrep.KindString, xrep.KindString).
-	Replies("migrate_snap", "snap_meta", "migrate_denied").
-	Msg("migrate_part", xrep.KindString, xrep.KindInt, xrep.KindInt).
-	Replies("migrate_part", "snap_part", "migrate_denied").
-	Msg("migrate_cut", xrep.KindString, xrep.KindInt).
+	Msg("migrate_cut", xrep.KindString, xrep.KindString, xrep.KindString).
 	Replies("migrate_cut", "cut_done", "cut_busy", "migrate_denied").
 	Msg("migrate_ack", xrep.KindString).
 	Replies("migrate_ack", "ack_ok"))
@@ -450,9 +443,7 @@ func branchMain(ctx *guardian.Ctx) {
 		}
 		opsSinceCP = 0
 		// The checkpoint captures shard state too (ring, handoffs, escrow),
-		// so compaction keeps running in shard mode; only the volatile
-		// pre-cut copy state is omitted — a recovery would not have it
-		// either, and the puller re-snaps.
+		// so compaction keeps running in shard mode.
 		log.Checkpoint(encodeCheckpoint(st, dedup, sh.shardCore), log.LastDurableSeq())
 	}
 
@@ -470,9 +461,6 @@ func branchMain(ctx *guardian.Ctx) {
 		}
 		log.AppendSync(opRecord(kind, acct, amount, opID))
 		outcome := st.apply(kind, acct, amount, opID)
-		if outcome == OutcomeOK {
-			sh.journal(kind, acct, amount)
-		}
 		if !replyTo.IsZero() {
 			_ = pr.Send(replyTo, outcome)
 		}
@@ -511,7 +499,6 @@ func branchMain(ctx *guardian.Ctx) {
 			outcome := st.apply(req.Command, acct, amount, "")
 			if outcome == OutcomeOK {
 				st.applies.Add(1)
-				sh.journal(req.Command, acct, amount)
 			}
 			return outcome, nil
 		case "transfer":
@@ -542,8 +529,6 @@ func branchMain(ctx *guardian.Ctx) {
 			st.apply("withdraw", acct, amount, "")
 			st.apply("deposit", to, amount, "")
 			st.applies.Add(1)
-			sh.journal("withdraw", acct, amount)
-			sh.journal("deposit", to, amount)
 			return OutcomeOK, nil
 		case "balance":
 			req.ReadOnly = true

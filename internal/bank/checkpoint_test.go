@@ -199,16 +199,15 @@ func TestCheckpointCoversDedupSnapshot(t *testing.T) {
 // checkpointing: everything checkpointField captures must come back
 // identical through decode + restoreCheckpoint — the adopted ring,
 // installed handoffs, cut outbound handoffs (retained and acked), and
-// escrow transactions with their derived holds. Volatile pre-cut copy
-// state and the retained cut tail are deliberately NOT durable: a
-// recovered source must never re-serve a tail it cannot prove unapplied.
+// escrow transactions with their derived holds.
 func TestShardCheckpointRoundTrip(t *testing.T) {
 	r1 := ring.New("accounts", 0, ring.Member{Name: "s1"}, ring.Member{Name: "s2"})
 	r2, err := r1.WithJoin(ring.Member{Name: "s3"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob := r2.Marshal()
+	blob := string(r2.Marshal())
+	retained := accountsSeq(map[string]int64{"a": 57, "b": 50})
 
 	st := &branchState{
 		accounts: map[string]int64{"d": 100, "e": 20},
@@ -217,22 +216,8 @@ func TestShardCheckpointRoundTrip(t *testing.T) {
 	core := newShardCore("s1", st, nil)
 	core.adopt(r2)
 	core.installed["accounts/1/s2->s1"] = true
-	core.out["accounts/2/s1->s3"] = &outboundHandoff{
-		hid: "accounts/2/s1->s3", dest: "s3", ring: r2, blob: blob,
-		cut: true, gen: 4, cutGen: 3,
-		cutTail:  []journalOp{{kind: "deposit", acct: "a", amount: 7}},
-		final:    map[string]int64{"a": 57, "b": 50},
-		finalOrd: []string{"a", "b"},
-	}
-	core.out["accounts/2/s1->s4"] = &outboundHandoff{
-		hid: "accounts/2/s1->s4", dest: "s4", blob: blob,
-		cut: true, acked: true,
-	}
-	// A pre-cut handoff is volatile by design and must not be captured.
-	core.out["accounts/3/s1->s5"] = &outboundHandoff{
-		hid: "accounts/3/s1->s5", dest: "s5", gen: 9,
-		copied: map[string]int64{"c": 1}, order: []string{"c"},
-	}
+	core.out["accounts/2/s1->s3"] = &outboundHandoff{dest: "s3", blob: blob, accounts: retained}
+	core.out["accounts/2/s1->s4"] = &outboundHandoff{dest: "s4", blob: blob, accounts: xrep.Seq{}, acked: true}
 	// Escrow transactions, as a checkpoint would restore them: the
 	// prepared debit places its hold.
 	if err := core.escrow.Restore("prepared", "cli/tx1", EscrowOp("debit", "d", 25)); err != nil {
@@ -263,22 +248,15 @@ func TestShardCheckpointRoundTrip(t *testing.T) {
 		t.Fatal("installed handoff lost")
 	}
 	o := core2.out["accounts/2/s1->s3"]
-	if o == nil || !o.cut || o.acked || o.dest != "s3" {
+	if o == nil || o.acked || o.dest != "s3" || o.blob != blob {
 		t.Fatalf("retained cut handoff came back as %+v", o)
 	}
-	if !reflect.DeepEqual(o.final, map[string]int64{"a": 57, "b": 50}) ||
-		!reflect.DeepEqual(o.finalOrd, []string{"a", "b"}) {
-		t.Fatalf("retained final = %v / %v", o.final, o.finalOrd)
-	}
-	if o.cutGen != 0 || o.cutTail != nil {
-		t.Fatalf("cut tail survived recovery (cutGen=%d, %d ops): a re-pull could double-apply it", o.cutGen, len(o.cutTail))
+	if !reflect.DeepEqual(o.accounts, retained) {
+		t.Fatalf("retained range = %v, want %v", o.accounts, retained)
 	}
 	oa := core2.out["accounts/2/s1->s4"]
-	if oa == nil || !oa.acked || oa.final != nil {
+	if oa == nil || !oa.acked || len(oa.accounts) != 0 {
 		t.Fatalf("acked handoff came back as %+v", oa)
-	}
-	if _, leaked := core2.out["accounts/3/s1->s5"]; leaked {
-		t.Fatal("volatile pre-cut handoff leaked into the checkpoint")
 	}
 	type escrowRow struct {
 		txid, phase string

@@ -110,8 +110,7 @@ func TestCheckpointMatchesTree(t *testing.T) {
 	shard.adopt(r)
 	shard.installed["accounts/1/s2->s1"] = true
 	shard.out["accounts/2/s1->s2"] = &outboundHandoff{
-		hid: "accounts/2/s1->s2", dest: "s2", ring: r, blob: r.Marshal(), cut: true,
-		final: map[string]int64{"a": 57, "b": -3}, finalOrd: []string{"a", "b"},
+		dest: "s2", blob: string(r.Marshal()), accounts: accountsSeq(map[string]int64{"a": 57, "b": -3}),
 	}
 	if err := shard.escrow.Restore("prepared", "cli/tx1", EscrowOp("debit", "d", 25)); err != nil {
 		t.Fatal(err)

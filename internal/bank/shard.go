@@ -9,12 +9,12 @@ package bank
 //     routing redirect carrying the owner's port and the ring epoch), and
 //     a multi-key request whose keys no longer share an owner with
 //     amo.OutcomeSplit (the Router re-issues it as a 2PC transaction);
-//   - guardian-to-guardian handoff: the DESTINATION pulls a moving range
-//     with a snapshot copy (migrate_snap/migrate_part), a tail catch-up
-//     and atomic ownership cut at the source (migrate_cut), and a single
-//     durable install at the destination (handoff_install) that carries
-//     the account state AND the source's amo dedup snapshot, so
-//     exactly-once survives the migration;
+//   - guardian-to-guardian handoff in one step: the DESTINATION asks the
+//     source to cut a moving range (migrate_cut); the source seals it in
+//     one durable record and ships the whole range in its reply, and the
+//     destination installs it in one durable record (handoff_install)
+//     that carries the account state AND the source's amo dedup snapshot,
+//     so exactly-once survives the migration;
 //   - escrow-style 2PC participation for cross-shard transfers: tpc's one
 //     participant machine on the native port, over an escrow resource.
 //
@@ -84,20 +84,16 @@ func HandoffID(ringName string, epoch int64, from, to string) string {
 // MigrateReplyType receives the replies of the shard-control vocabulary:
 // the rebalance driver's calls (ring_update, seed, handoff_pull,
 // handoff_status, migrate_ack) and the destination puller's calls
-// (migrate_snap, migrate_part, migrate_cut, handoff_stage,
-// handoff_install).
+// (migrate_cut, handoff_install).
 var MigrateReplyType = guardian.NewPortType("bank_migrate_reply_port").
 	Msg("ring_ok", xrep.KindInt).              // adopted epoch
 	Msg("seeded", xrep.KindInt, xrep.KindInt). // created, total accounts
 	Msg("pull_ok").
 	Msg("pull_denied", xrep.KindString).
 	Msg("handoff_state", xrep.KindString). // "installed" | "pulling" | "unknown"
-	Msg("staged", xrep.KindInt).           // staged account count so far
 	Msg("installed").
 	Msg("install_denied", xrep.KindString).
-	Msg("snap_meta", xrep.KindInt, xrep.KindInt).                  // generation, account count
-	Msg("snap_part", xrep.KindInt, xrep.KindInt, xrep.KindSeq).    // next cursor, done flag, entries
-	Msg("cut_done", xrep.KindInt, xrep.KindSeq, guardian.AnyKind). // generation echo, tail ops, dedup snapshot
+	Msg("cut_done", xrep.KindSeq, guardian.AnyKind). // the range's accounts, dedup snapshot
 	Msg("cut_busy").
 	Msg("migrate_denied", xrep.KindString).
 	Msg("ack_ok")
@@ -134,56 +130,16 @@ func hooksFor(node string) ShardHooks {
 	return shardHooks.m[node]
 }
 
-// journalOp is one mutation captured for tail catch-up.
-type journalOp struct {
-	kind   string
-	acct   string
-	amount int64
-}
-
-// outboundHandoff is the source side of one range migration.
+// outboundHandoff is the source side of one range migration. It exists
+// from the source's durable cut (the bank/moved_out record) on: nothing
+// about a handoff is kept before it. accounts is the range as cut, retained
+// until the driver's migrate_ack so an amnesiac destination can pull it
+// again.
 type outboundHandoff struct {
-	hid  string
-	dest string
-	ring *ring.Ring // the pending ring the cut flips to
-	blob []byte
-
-	// Pre-cut copy state. Volatile by design: if the source crashes before
-	// the cut, nothing moved, and the puller restarts from a fresh snap.
-	gen    int64            // bumped per snap, so a puller detects a restarted copy
-	copied map[string]int64 // balances frozen at snap time
-	order  []string         // deterministic part order over copied
-	tail   []journalOp      // mutations on the moving range since the snap
-
-	// Post-cut state, durable via the bank/moved_out record. final is
-	// retained until the driver's migrate_ack so an amnesiac destination
-	// can re-pull the already-cut range. The cut re-keys gen: post-cut
-	// pulls serve final (tail already folded in) under a FRESH generation,
-	// while cutGen remembers the pre-cut generation whose staged pages
-	// still owe the tail — migrate_cut ships cutTail only to that one, so
-	// the tail can never be applied on top of balances that contain it.
-	cut      bool
-	cutGen   int64       // pre-cut generation entitled to cutTail (0 after recovery)
-	cutTail  []journalOp // the tail merged at cut, retained to re-reply
-	final    map[string]int64
-	finalOrd []string
+	dest     string
+	blob     string   // the ring the cut adopted
+	accounts xrep.Seq // (name, balance)…, empty once acked
 	acked    bool
-}
-
-// list returns the account order parts are served in.
-func (o *outboundHandoff) list() []string {
-	if o.cut {
-		return o.finalOrd
-	}
-	return o.order
-}
-
-// balances returns the frozen map parts are served from.
-func (o *outboundHandoff) balances() map[string]int64 {
-	if o.cut {
-		return o.final
-	}
-	return o.copied
 }
 
 // shardCore is the deterministic part of shard state: everything rebuilt
@@ -258,66 +214,27 @@ func accountsSeq(m map[string]int64) xrep.Seq {
 	return out
 }
 
-// parseAccounts is accountsSeq's inverse.
-func parseAccounts(seq xrep.Seq) (map[string]int64, []string, error) {
-	m := make(map[string]int64, len(seq))
-	order := make([]string, 0, len(seq))
-	for _, ev := range seq {
+// readRange reads a cut range as a moved_out or install record carries it:
+// the accounts and the ring the handoff moves them under.
+func readRange(blob string, accounts xrep.Seq) (map[string]int64, *ring.Ring, error) {
+	m := make(map[string]int64, len(accounts))
+	for _, ev := range accounts {
 		e := xrep.ReadSeq(ev, 2)
 		name, bal := e.Str(), e.Int()
 		if err := e.Err(); err != nil {
 			return nil, nil, fmt.Errorf("account entry: %w", err)
 		}
 		m[name] = bal
-		order = append(order, name)
 	}
-	return m, order, nil
-}
-
-// tailSeq renders journal ops for the wire and the log.
-func tailSeq(ops []journalOp) xrep.Seq {
-	out := make(xrep.Seq, 0, len(ops))
-	for _, op := range ops {
-		out = append(out, xrep.Seq{xrep.Str(op.kind), xrep.Str(op.acct), xrep.Int(op.amount)})
-	}
-	return out
-}
-
-// parseTail is tailSeq's inverse.
-func parseTail(seq xrep.Seq) ([]journalOp, error) {
-	out := make([]journalOp, 0, len(seq))
-	for _, ev := range seq {
-		e := xrep.ReadSeq(ev, 3)
-		out = append(out, journalOp{kind: e.Str(), acct: e.Str(), amount: e.Int()})
-		if err := e.Err(); err != nil {
-			return nil, fmt.Errorf("tail op: %w", err)
-		}
-	}
-	return out, nil
-}
-
-// applyTailOp folds one journaled mutation into a bare balance map. The
-// ops were validated when first executed, so the fold is unconditional.
-func applyTailOp(m map[string]int64, op journalOp) {
-	switch op.kind {
-	case "open":
-		if _, ok := m[op.acct]; !ok {
-			m[op.acct] = 0
-		}
-	case "deposit", "transfer_in", "credit":
-		m[op.acct] += op.amount
-	case "withdraw", "transfer_out", "debit":
-		m[op.acct] -= op.amount
-	}
+	r, err := ring.Unmarshal([]byte(blob))
+	return m, r, err
 }
 
 // checkpointField renders the shard core's durable state for the branch
-// checkpoint: the adopted ring, installed handoff ids, retained post-cut
-// handoffs, and escrow transactions — everything a recovery would rebuild
-// by folding the compacted shard records. Pre-cut copy state is
-// deliberately absent: it is volatile by design (a crash loses it and the
-// puller re-snaps), so a checkpoint must capture no more than a recovery
-// would restore. Maps are emitted in sorted order: same state, same bytes.
+// checkpoint: the adopted ring, installed handoff ids, cut handoffs, and
+// escrow transactions — everything a recovery would rebuild by folding the
+// compacted shard records. Maps are emitted in sorted order: same state,
+// same bytes.
 func (c *shardCore) checkpointField() xrep.Value {
 	blob := ""
 	if c.ring != nil {
@@ -333,10 +250,8 @@ func (c *shardCore) checkpointField() xrep.Value {
 		installed = append(installed, xrep.Str(hid))
 	}
 	outIDs := make([]string, 0, len(c.out))
-	for hid, o := range c.out {
-		if o.cut {
-			outIDs = append(outIDs, hid)
-		}
+	for hid := range c.out {
+		outIDs = append(outIDs, hid)
 	}
 	sort.Strings(outIDs)
 	outs := make(xrep.Seq, 0, len(outIDs))
@@ -347,8 +262,7 @@ func (c *shardCore) checkpointField() xrep.Value {
 			acked = 1
 		}
 		outs = append(outs, xrep.Seq{
-			xrep.Str(hid), xrep.Str(o.dest), xrep.Str(string(o.blob)),
-			xrep.Int(acked), accountsSeq(o.final),
+			xrep.Str(hid), xrep.Str(o.dest), xrep.Str(o.blob), xrep.Int(acked), o.accounts,
 		})
 	}
 	txns := xrep.Seq{}
@@ -392,14 +306,10 @@ func (c *shardCore) restoreCheckpoint(v xrep.Value) error {
 		if err := e.Err(); err != nil {
 			return fmt.Errorf("outbound handoff: %w", err)
 		}
-		o, err := newCutHandoff(hid, dest, rblob, accounts)
-		if err != nil {
+		if _, _, err := readRange(rblob, accounts); err != nil {
 			return fmt.Errorf("outbound handoff %s: %w", hid, err)
 		}
-		if o.acked = acked; o.acked {
-			o.final, o.finalOrd = nil, nil
-		}
-		c.out[hid] = o
+		c.out[hid] = &outboundHandoff{dest: dest, blob: rblob, accounts: accounts, acked: acked}
 	}
 	for _, tv := range txns {
 		e := xrep.ReadSeq(tv, 5)
@@ -412,23 +322,6 @@ func (c *shardCore) restoreCheckpoint(v xrep.Value) error {
 		}
 	}
 	return nil
-}
-
-// newCutHandoff rebuilds the durable, post-cut half of an outbound handoff
-// from what a moved_out record or a checkpoint entry carries.
-func newCutHandoff(hid, dest, blob string, accounts xrep.Seq) (*outboundHandoff, error) {
-	final, order, err := parseAccounts(accounts)
-	if err != nil {
-		return nil, err
-	}
-	r, err := ring.Unmarshal([]byte(blob))
-	if err != nil {
-		return nil, err
-	}
-	return &outboundHandoff{
-		hid: hid, dest: dest, ring: r, blob: []byte(blob),
-		cut: true, final: final, finalOrd: order,
-	}, nil
 }
 
 // shardRecord marshals one shard log record.
@@ -485,15 +378,16 @@ func (c *shardCore) fold(v xrep.Value) (mine bool, err error) {
 		if err = f.Err(); err != nil {
 			break
 		}
-		var o *outboundHandoff
-		if o, err = newCutHandoff(hid, dest, blob, accounts); err != nil {
+		var moved map[string]int64
+		var r *ring.Ring
+		if moved, r, err = readRange(blob, accounts); err != nil {
 			break
 		}
-		for _, name := range o.finalOrd {
+		for name := range moved {
 			delete(st.accounts, name)
 		}
-		c.adopt(o.ring)
-		c.out[hid] = o
+		c.adopt(r)
+		c.out[hid] = &outboundHandoff{dest: dest, blob: blob, accounts: accounts}
 
 	case installRec:
 		f := xrep.ReadRec(v, installRec, 4)
@@ -503,9 +397,7 @@ func (c *shardCore) fold(v xrep.Value) (mine bool, err error) {
 		}
 		var accounts map[string]int64
 		var r *ring.Ring
-		if accounts, _, err = parseAccounts(list); err == nil {
-			r, err = ring.Unmarshal([]byte(blob))
-		}
+		accounts, r, err = readRange(blob, list)
 		// The source's dedup table travels with the range: merged here, a
 		// client's retry of an op the source executed is answered from cache.
 		if err == nil && c.dedup != nil {
@@ -527,8 +419,7 @@ func (c *shardCore) fold(v xrep.Value) (mine bool, err error) {
 			break
 		}
 		if o := c.out[hid]; o != nil {
-			o.acked = true
-			o.final, o.finalOrd, o.cutTail = nil, nil, nil
+			o.acked, o.accounts = true, xrep.Seq{}
 		}
 
 	case tpcRec:
@@ -552,23 +443,19 @@ func (c *shardCore) fold(v xrep.Value) (mine bool, err error) {
 }
 
 // shardRuntime is the live shard state: the deterministic core plus the
-// volatile pull-side scaffolding and the guardian plumbing.
+// guardian plumbing and the handoffs this branch is pulling.
 type shardRuntime struct {
 	*shardCore
-	log  durable.Log
-	g    *guardian.Guardian
-	self xrep.PortName // this branch's native port
-
-	genCounter int64
-	staging    map[string]map[string]int64 // hid → accounts staged so far
-	pulling    map[string]bool
+	log     durable.Log
+	g       *guardian.Guardian
+	self    xrep.PortName // this branch's native port
+	pulling map[string]bool
 }
 
 func newShardRuntime(member string, st *branchState, log durable.Log, dedup *amo.Dedup, g *guardian.Guardian, self xrep.PortName) *shardRuntime {
 	return &shardRuntime{
 		shardCore: newShardCore(member, st, dedup),
 		log:       log, g: g, self: self,
-		staging: make(map[string]map[string]int64),
 		pulling: make(map[string]bool),
 	}
 }
@@ -582,20 +469,6 @@ func (sh *shardRuntime) appendAndFold(name string, fields xrep.Seq) {
 		// The arm built these fields itself: recovery would refuse the
 		// record just made durable.
 		panic(err)
-	}
-}
-
-// journal captures one applied mutation into every active pre-cut
-// outbound handoff whose destination owns the account — the tail the cut
-// ships for catch-up. Cheap when no handoff is active.
-func (sh *shardRuntime) journal(kind, acct string, amount int64) {
-	for _, o := range sh.out {
-		if o.cut || o.ring == nil {
-			continue
-		}
-		if m, ok := o.ring.Owner(acct); ok && m.Name == o.dest {
-			o.tail = append(o.tail, journalOp{kind: kind, acct: acct, amount: amount})
-		}
 	}
 }
 
@@ -665,8 +538,6 @@ func (sh *shardRuntime) callOpts() sendprim.CallOptions {
 	}
 }
 
-const partChunk = 64 // accounts per migrate_part reply
-
 // installArms registers the shard-control vocabulary on the branch
 // receiver. Every arm also answers in non-shard mode (sh carries the
 // receiver closure even then via nil checks at the call sites in bank.go).
@@ -700,26 +571,11 @@ func (sh *shardRuntime) installArms(recv *guardian.Receiver) {
 				reply(pr, m, "seeded", int64(0), int64(len(sh.st.accounts)))
 				return
 			}
-			// If a pre-cut handoff is active, the tail must carry any
-			// account this seed creates; find them before the fold.
-			var createdKeys []string
-			if sh.activePrecut() {
-				for i := 0; i < int(n); i++ {
-					key := seedKey(prefix, i)
-					if _, exists := sh.st.accounts[key]; !exists && sh.owned(key) {
-						createdKeys = append(createdKeys, key)
-					}
-				}
-			}
 			before := len(sh.st.accounts)
 			sh.appendAndFold(seedRec, xrep.Seq{
 				xrep.Str(prefix), xrep.Int(n), xrep.Int(amount), xrep.Str(sh.member),
 			})
 			created := len(sh.st.accounts) - before
-			for _, key := range createdKeys {
-				sh.journal("open", key, 0)
-				sh.journal("deposit", key, amount)
-			}
 			reply(pr, m, "seeded", int64(created), int64(len(sh.st.accounts)))
 		}).
 		When("handoff_pull", func(pr *guardian.Process, m *guardian.Message) {
@@ -756,71 +612,39 @@ func (sh *shardRuntime) installArms(recv *guardian.Receiver) {
 			// handoff_pull spawns a fresh one.
 			delete(sh.pulling, m.Str(0))
 		}).
-		When("handoff_stage", func(pr *guardian.Process, m *guardian.Message) {
-			hid := m.Str(0)
-			entries, _, err := parseAccounts(m.Seq(1))
-			if err != nil {
-				reply(pr, m, "staged", int64(0))
-				return
-			}
-			stage := sh.staging[hid]
-			if stage == nil {
-				stage = make(map[string]int64)
-				sh.staging[hid] = stage
-			}
-			for name, bal := range entries {
-				stage[name] = bal
-			}
-			reply(pr, m, "staged", int64(len(stage)))
-		}).
 		When("handoff_install", func(pr *guardian.Process, m *guardian.Message) {
-			hid, blob := m.Str(0), m.Str(1)
+			hid, blob, accounts := m.Str(0), m.Str(1), m.Seq(2)
 			if sh.installed[hid] {
 				reply(pr, m, "installed")
 				return
 			}
-			tail, err := parseTail(m.Seq(2))
-			if err != nil {
-				reply(pr, m, "install_denied", "bad tail")
-				return
-			}
-			if _, err := ring.Unmarshal([]byte(blob)); err != nil {
-				reply(pr, m, "install_denied", "bad ring")
+			if _, _, err := readRange(blob, accounts); err != nil {
+				reply(pr, m, "install_denied", "bad range")
 				return
 			}
 			dsnap, _ := m.Arg(3)
-			final := make(map[string]int64, len(sh.staging[hid]))
-			for name, bal := range sh.staging[hid] {
-				final[name] = bal
-			}
-			for _, op := range tail {
-				applyTailOp(final, op)
-			}
 			h := sh.hooks()
 			if h.BeforeInstall != nil {
 				h.BeforeInstall(hid)
 			}
-			sh.appendAndFold(installRec, xrep.Seq{
-				xrep.Str(hid), xrep.Str(blob), accountsSeq(final), dsnap,
-			})
-			delete(sh.staging, hid)
+			sh.appendAndFold(installRec, xrep.Seq{xrep.Str(hid), xrep.Str(blob), accounts, dsnap})
 			delete(sh.pulling, hid)
 			if h.AfterInstall != nil {
 				h.AfterInstall(hid)
 			}
 			reply(pr, m, "installed")
 		}).
-		When("migrate_snap", func(pr *guardian.Process, m *guardian.Message) {
+		When("migrate_cut", func(pr *guardian.Process, m *guardian.Message) {
 			hid, blob, dest := m.Str(0), m.Str(1), m.Str(2)
 			if o := sh.out[hid]; o != nil {
+				// Cut already: the range is retained until the driver's ack,
+				// so a destination that lost it pulls the same range again.
 				if o.acked {
 					reply(pr, m, "migrate_denied", "acked")
 					return
 				}
-				if o.cut {
-					reply(pr, m, "snap_meta", o.gen, int64(len(o.final)))
-					return
-				}
+				reply(pr, m, "cut_done", o.accounts, sh.dedupSnapshot())
+				return
 			}
 			r, err := ring.Unmarshal([]byte(blob))
 			if err != nil {
@@ -835,89 +659,9 @@ func (sh *shardRuntime) installArms(recv *guardian.Receiver) {
 				reply(pr, m, "migrate_denied", "stale epoch")
 				return
 			}
-			sh.genCounter++
-			o := &outboundHandoff{
-				hid: hid, dest: dest, ring: r, blob: []byte(blob),
-				gen: sh.genCounter, copied: make(map[string]int64),
-			}
-			for name, bal := range sh.st.accounts {
-				if mem, ok := r.Owner(name); ok && mem.Name == dest {
-					o.copied[name] = bal
-					o.order = append(o.order, name)
-				}
-			}
-			sort.Strings(o.order)
-			sh.out[hid] = o
-			reply(pr, m, "snap_meta", o.gen, int64(len(o.copied)))
-		}).
-		When("migrate_part", func(pr *guardian.Process, m *guardian.Message) {
-			hid, gen, cursor := m.Str(0), m.Int(1), int(m.Int(2))
-			o := sh.out[hid]
-			if o == nil || o.acked {
-				reply(pr, m, "migrate_denied", "no snap")
-				return
-			}
-			if gen != o.gen {
-				reply(pr, m, "migrate_denied", "snap restarted")
-				return
-			}
-			list := o.list()
-			if cursor < 0 || cursor > len(list) {
-				reply(pr, m, "migrate_denied", "bad cursor")
-				return
-			}
-			end := cursor + partChunk
-			if end > len(list) {
-				end = len(list)
-			}
-			chunk := make(map[string]int64, end-cursor)
-			bals := o.balances()
-			for _, name := range list[cursor:end] {
-				chunk[name] = bals[name]
-			}
-			done := int64(0)
-			if end == len(list) {
-				done = 1
-			}
-			reply(pr, m, "snap_part", int64(end), done, accountsSeq(chunk))
-		}).
-		When("migrate_cut", func(pr *guardian.Process, m *guardian.Message) {
-			hid, gen := m.Str(0), m.Int(1)
-			o := sh.out[hid]
-			if o == nil || o.acked {
-				reply(pr, m, "migrate_denied", "no snap")
-				return
-			}
-			dsnap := func() xrep.Value {
-				if sh.dedup == nil {
-					return xrep.Seq{}
-				}
-				return sh.dedup.Snapshot()
-			}
-			if o.cut {
-				// The retained tail is owed ONLY to the puller that staged
-				// pre-cut pages (cutGen): its balances lack the tail. A
-				// post-cut puller staged pages from final — tail already
-				// folded in — and must get an empty tail, or every account
-				// mutated between snap and cut would be double-counted. Any
-				// other generation (a dead puller's duplicate, a pre-recovery
-				// puller) is denied so it re-pulls from the durable final.
-				switch {
-				case gen == o.cutGen && o.cutGen != 0:
-					reply(pr, m, "cut_done", gen, tailSeq(o.cutTail), dsnap())
-				case gen == o.gen:
-					reply(pr, m, "cut_done", gen, xrep.Seq{}, dsnap())
-				default:
-					reply(pr, m, "migrate_denied", "snap restarted")
-				}
-				return
-			}
-			if gen != o.gen {
-				// A stale cut request (a dead puller's duplicate arriving
-				// after a newer snapshot) must not seal a copy it never
-				// staged: the live puller would mix pre- and post-cut pages.
-				reply(pr, m, "migrate_denied", "snap restarted")
-				return
+			moves := func(acct string) bool {
+				mem, ok := r.Owner(acct)
+				return ok && mem.Name == dest
 			}
 			// Refuse the cut while 2PC escrow holds pin any moving account:
 			// the coordinator settles acks by participant identity, so a
@@ -925,51 +669,35 @@ func (sh *shardRuntime) installArms(recv *guardian.Receiver) {
 			// holds are short-lived by construction.
 			pinned := false
 			sh.escrow.Each(func(_, phase string, op xrep.Value) {
-				if phase != "prepared" {
-					return
-				}
-				_, acct, _, _ := parseEscrowOp(op)
-				if mem, ok := o.ring.Owner(acct); ok && mem.Name == o.dest {
-					pinned = true
+				if phase == "prepared" {
+					_, acct, _, _ := parseEscrowOp(op)
+					pinned = pinned || moves(acct)
 				}
 			})
 			if pinned {
 				reply(pr, m, "cut_busy")
 				return
 			}
-			final := make(map[string]int64, len(o.copied))
-			for name, bal := range o.copied {
-				final[name] = bal
+			moving := make(map[string]int64)
+			for name, bal := range sh.st.accounts {
+				if moves(name) {
+					moving[name] = bal
+				}
 			}
-			tail := o.tail
-			for _, op := range tail {
-				applyTailOp(final, op)
-			}
+			accounts := accountsSeq(moving)
 			h := sh.hooks()
 			if h.BeforeCut != nil {
 				h.BeforeCut(hid)
 			}
-			sh.appendAndFold(movedOutRec, xrep.Seq{
-				xrep.Str(hid), xrep.Str(o.dest), xrep.Str(string(o.blob)), accountsSeq(final),
-			})
-			// fold replaced sh.out[hid] with the durable post-cut entry;
-			// carry over the volatile bits the re-reply paths need. The
-			// servable generation is re-keyed so a re-pull of final pages
-			// can never match cutGen and receive the tail a second time.
-			if no := sh.out[hid]; no != nil {
-				sh.genCounter++
-				no.gen = sh.genCounter
-				no.cutGen = o.gen
-				no.cutTail = tail
-			}
+			sh.appendAndFold(movedOutRec, xrep.Seq{xrep.Str(hid), xrep.Str(dest), xrep.Str(blob), accounts})
 			if h.AfterCut != nil {
 				h.AfterCut(hid)
 			}
-			reply(pr, m, "cut_done", o.gen, tailSeq(tail), dsnap())
+			reply(pr, m, "cut_done", accounts, sh.dedupSnapshot())
 		}).
 		When("migrate_ack", func(pr *guardian.Process, m *guardian.Message) {
 			hid := m.Str(0)
-			if o := sh.out[hid]; o != nil && o.cut && !o.acked {
+			if o := sh.out[hid]; o != nil && !o.acked {
 				sh.appendAndFold(ackedRec, xrep.Seq{xrep.Str(hid)})
 			}
 			reply(pr, m, "ack_ok")
@@ -977,10 +705,18 @@ func (sh *shardRuntime) installArms(recv *guardian.Receiver) {
 	sh.escrow.Install(recv, sh.logEscrow)
 }
 
+// dedupSnapshot is the amo dedup table a cut ships with its range, so a
+// client's retry of an op the source executed is answered from cache.
+func (sh *shardRuntime) dedupSnapshot() xrep.Value {
+	if sh.dedup == nil {
+		return xrep.Seq{}
+	}
+	return sh.dedup.Snapshot()
+}
+
 // logEscrow is the escrow participant's log: it makes one step durable as
 // a bank/tpc record and folds it. A yes vote's hold is durable before the
-// AfterPrepare hook runs, and a commit journals its effect into the tail of
-// every pre-cut handoff of the account.
+// AfterPrepare hook runs.
 func (sh *shardRuntime) logEscrow(step, txid string, op xrep.Value) {
 	fields := xrep.Seq{xrep.Str(step), xrep.Str(txid), xrep.Str(""), xrep.Str(""), xrep.Int(0)}
 	if op != nil {
@@ -989,15 +725,8 @@ func (sh *shardRuntime) logEscrow(step, txid string, op xrep.Value) {
 		copy(fields[2:], op.(xrep.Seq))
 	}
 	sh.appendAndFold(tpcRec, fields)
-	switch step {
-	case "prepared":
-		if h := sh.hooks().AfterPrepare; h != nil {
-			h(txid)
-		}
-	case "committed":
-		_, held := sh.escrow.Txn(txid)
-		kind, acct, amount, _ := parseEscrowOp(held)
-		sh.journal(kind, acct, amount) // applyTailOp reads debit and credit
+	if h := sh.hooks().AfterPrepare; h != nil && step == "prepared" {
+		h(txid)
 	}
 }
 
@@ -1056,105 +785,35 @@ func EscrowOp(kind, acct string, amount int64) xrep.Value {
 	return xrep.Seq{xrep.Str(kind), xrep.Str(acct), xrep.Int(amount)}
 }
 
-// activePrecut reports whether any outbound handoff is mid-copy.
-func (sh *shardRuntime) activePrecut() bool {
-	for _, o := range sh.out {
-		if !o.cut && !o.acked {
-			return true
-		}
-	}
-	return false
-}
-
-// spawnPuller starts the destination-side pull for one handoff. The
-// puller drives the source with retried calls and funnels every state
-// change back through the guardian's own receive loop (handoff_stage /
-// handoff_install), preserving the single-writer discipline.
+// spawnPuller starts the destination-side pull for one handoff: it asks
+// the source to cut the range and installs what the cut ships, funnelling
+// the install back through the guardian's own receive loop to keep the
+// single-writer discipline.
 func (sh *shardRuntime) spawnPuller(hid, blob string, src xrep.PortName) {
-	self := sh.self
-	opts := sh.callOpts()
-	member := sh.member
+	self, opts, member := sh.self, sh.callOpts(), sh.member
 	sh.g.Spawn("handoff-pull", func(q *guardian.Process) {
-		giveUp := func() {
-			_ = q.Send(self, "handoff_fail", hid)
-		}
-		for round := 0; round < 8; round++ {
-			sm, err := sendprim.Call(q, src, MigrateReplyType, opts, "migrate_snap", hid, blob, member)
-			if err != nil || sm.Command != "snap_meta" {
-				giveUp()
+		for busy := 0; busy <= 256; busy++ {
+			cm, err := sendprim.Call(q, src, MigrateReplyType, opts, "migrate_cut", hid, blob, member)
+			if err != nil {
+				break
+			}
+			if cm.Command == "cut_done" {
+				im, err := sendprim.Call(q, self, MigrateReplyType, opts, "handoff_install", hid, blob, cm.Args[0], cm.Args[1])
+				if err == nil && im.Command == "installed" {
+					return
+				}
+				break
+			}
+			if cm.Command != "cut_busy" {
+				break
+			}
+			if !q.Pause(opts.Backoff + time.Millisecond) {
 				return
 			}
-			gen := sm.Int(0)
-
-			cursor := int64(0)
-			restarted := false
-			for {
-				pm, err := sendprim.Call(q, src, MigrateReplyType, opts, "migrate_part", hid, gen, cursor)
-				if err != nil {
-					giveUp()
-					return
-				}
-				if pm.Command != "snap_part" {
-					restarted = true // source restarted the copy: re-snap
-					break
-				}
-				next, done := pm.Int(0), pm.Int(1)
-				entries := pm.Args[2]
-				if _, err := sendprim.Call(q, self, MigrateReplyType, opts, "handoff_stage", hid, entries); err != nil {
-					giveUp()
-					return
-				}
-				cursor = next
-				if done == 1 {
-					break
-				}
-			}
-			if restarted {
-				continue
-			}
-
-			var cm *guardian.Message
-			busy := 0
-			for {
-				cm, err = sendprim.Call(q, src, MigrateReplyType, opts, "migrate_cut", hid, gen)
-				if err != nil {
-					giveUp()
-					return
-				}
-				if cm.Command != "cut_busy" {
-					break
-				}
-				busy++
-				if busy > 256 {
-					giveUp()
-					return
-				}
-				if !q.Pause(opts.Backoff + time.Millisecond) {
-					return
-				}
-			}
-			if cm.Command != "cut_done" {
-				// Denied — our generation no longer matches the source's
-				// servable snapshot (it restarted the copy, recovered, or
-				// cut under another generation): re-pull from the top so the
-				// staged pages and the tail come from one generation.
-				continue
-			}
-			if cm.Int(0) != gen {
-				// Defensive: a cut_done for a generation we did not request
-				// can only be a stale duplicate; restage rather than trust it.
-				continue
-			}
-			tail := cm.Args[1]
-			dsnap, _ := cm.Arg(2)
-			im, err := sendprim.Call(q, self, MigrateReplyType, opts, "handoff_install", hid, blob, tail, dsnap)
-			if err != nil || im.Command != "installed" {
-				giveUp()
-				return
-			}
-			return
 		}
-		giveUp()
+		// The puller gave up: the marker goes, so the driver's next
+		// handoff_pull spawns a fresh one.
+		_ = q.Send(self, "handoff_fail", hid)
 	})
 }
 

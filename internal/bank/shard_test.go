@@ -11,6 +11,7 @@ package bank_test
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -748,14 +749,12 @@ func movingAccounts(r1, r2 *ring.Ring, from, to, prefix string, n int) []string 
 }
 
 // TestRingAmnesicRepullAfterCut pins the destination-crash-before-install
-// window with a NON-EMPTY tail. The sequence, played puller-by-hand so the
-// window is deterministic: a snapshot is staged under generation G, client
-// traffic mutates the moving range (those ops ride the tail), the source
-// cuts durably — and then the destination never installs (its staged pages
-// and the received cut died with it). The re-driven pull serves pages from
-// the source's durable final, which already has the tail folded in; the
-// cut re-reply for that pull must carry an EMPTY tail, or every account
-// mutated between snap and cut is double-counted.
+// window. Played puller-by-hand so the window is deterministic: client
+// traffic mutates the moving range, the source cuts durably and ships the
+// whole range in its reply — and the destination never installs it (the
+// reply died with it). The source retains the range it cut until the
+// driver's ack, so a repeated cut re-offers the same range and the
+// re-driven rebalance installs it exactly once.
 func TestRingAmnesicRepullAfterCut(t *testing.T) {
 	shards := []string{"s1", "s2"}
 	c := deployShardCluster(t, netsim.Config{Seed: 8}, shards...)
@@ -780,32 +779,38 @@ func TestRingAmnesicRepullAfterCut(t *testing.T) {
 		rep, err = rt.Call(a, "deposit", a, int64(50))
 		mustOK(t, rep, err, "seed "+a)
 	}
+	// Traffic on the moving range right up to the cut: the cut reads the
+	// accounts as they stand, so nothing trails it.
+	for _, a := range moving {
+		rep, err := rt.Call(a, "deposit", a, int64(7))
+		mustOK(t, rep, err, "late deposit "+a)
+	}
 
-	// Stage the snapshot, as the destination's puller would.
+	// Cut, as the destination's puller would.
 	hid := bank.HandoffID(c.ringNm, r2.Epoch, "s1", "s3")
 	blob := string(r2.Marshal())
 	pr, _ := c.driver()
 	opts := sendprim.CallOptions{Timeout: 200 * time.Millisecond, Retries: 20, Backoff: 5 * time.Millisecond}
 	src := c.members["s1"].Native
-	sm, err := sendprim.Call(pr, src, bank.MigrateReplyType, opts, "migrate_snap", hid, blob, "s3")
-	if err != nil || sm.Command != "snap_meta" {
-		t.Fatalf("migrate_snap: %v %v", sm, err)
+	cut := func() xrep.Seq {
+		t.Helper()
+		cm, err := sendprim.Call(pr, src, bank.MigrateReplyType, opts, "migrate_cut", hid, blob, "s3")
+		if err != nil || cm.Command != "cut_done" {
+			t.Fatalf("migrate_cut: %v %v", cm, err)
+		}
+		return cm.Seq(0)
 	}
-	gen := sm.Int(0)
-
-	// Concurrent traffic on the moving range: these land after the frozen
-	// copy, so the cut must ship them as the tail.
-	for _, a := range moving {
-		rep, err := rt.Call(a, "deposit", a, int64(7))
-		mustOK(t, rep, err, "tail deposit "+a)
+	shipped := cut()
+	if len(shipped) != len(moving) {
+		t.Fatalf("the cut shipped %v, want the %d moving accounts", shipped, len(moving))
 	}
-
-	cm, err := sendprim.Call(pr, src, bank.MigrateReplyType, opts, "migrate_cut", hid, gen)
-	if err != nil || cm.Command != "cut_done" || cm.Int(0) != gen {
-		t.Fatalf("migrate_cut: %v %v", cm, err)
+	for _, e := range shipped {
+		if bal := e.(xrep.Seq)[1]; bal != xrep.Int(57) {
+			t.Errorf("the cut shipped %v, want balance 57 (a deposit made before the cut missed it?)", e)
+		}
 	}
-	if tail, ok := cm.Args[1].(xrep.Seq); !ok || len(tail) == 0 {
-		t.Fatalf("setup: cut shipped an empty tail %v; the regression needs traffic between snap and cut", cm.Args[1])
+	if again := cut(); !reflect.DeepEqual(again, shipped) {
+		t.Fatalf("a repeated cut shipped %v, want the retained %v", again, shipped)
 	}
 
 	// The install never happens — the destination is amnesiac. The
@@ -829,6 +834,73 @@ func TestRingAmnesicRepullAfterCut(t *testing.T) {
 	if total := c.auditPlacement(r2, []string{"s1", "s2", "s3"}, all); total != want {
 		t.Errorf("conservation: cluster total %d, want %d", total, want)
 	}
+	// The driver acked the source, which dropped the range: a late cut
+	// request is refused, not answered with a range that may have moved on.
+	cm, err := sendprim.Call(pr, src, bank.MigrateReplyType, opts, "migrate_cut", hid, blob, "s3")
+	if err != nil || cm.Command != "migrate_denied" {
+		t.Fatalf("cut after the ack: %v %v, want migrate_denied", cm, err)
+	}
+}
+
+// TestRingCutWaitsForPreparedEscrow: a cut is refused while a prepared
+// escrow debit pins a moving account, so a commit can never land after
+// the range has shipped. Once the transaction commits, the cut ships the
+// debited balance, and a prepare that arrives after the cut votes no: the
+// account is no longer the source's.
+func TestRingCutWaitsForPreparedEscrow(t *testing.T) {
+	shards := []string{"s1", "s2"}
+	c := deployShardCluster(t, netsim.Config{Seed: 10}, shards...)
+	r1 := c.bootstrapRing(shards...)
+	r2, err := r1.WithJoin(c.addShard("s3"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	moving := movingAccounts(r1, r2, "s1", "s3", "pin", 1)
+	if len(moving) == 0 {
+		t.Fatal("placement found no account moving s1>s3")
+	}
+	a := moving[0]
+	rt := c.router()
+	defer rt.Close()
+	rep, err := rt.Call(a, "open", a)
+	mustOK(t, rep, err, "open "+a)
+	rep, err = rt.Call(a, "deposit", a, int64(100))
+	mustOK(t, rep, err, "deposit "+a)
+
+	pr, _ := c.driver()
+	opts := sendprim.CallOptions{Timeout: 200 * time.Millisecond, Retries: 20, Backoff: 5 * time.Millisecond}
+	src := c.members["s1"].Native
+	escrow := func(want, cmd string, args ...any) {
+		t.Helper()
+		m, err := sendprim.Call(pr, src, tpc.CoordReplyType, opts, cmd, args...)
+		if err != nil || m.Command != want {
+			t.Fatalf("%s %v: %v %v, want %s", cmd, args, m, err, want)
+		}
+	}
+	hid := bank.HandoffID(c.ringNm, r2.Epoch, "s1", "s3")
+	cut := func() *guardian.Message {
+		t.Helper()
+		cm, err := sendprim.Call(pr, src, bank.MigrateReplyType, opts, "migrate_cut", hid, string(r2.Marshal()), "s3")
+		if err != nil {
+			t.Fatalf("migrate_cut: %v", err)
+		}
+		return cm
+	}
+
+	escrow("vote_yes", "prepare", "pin/tx1", bank.EscrowOp("debit", a, 30))
+	if cm := cut(); cm.Command != "cut_busy" {
+		t.Fatalf("cut with a prepared debit on %s: %s, want cut_busy", a, cm.Command)
+	}
+	escrow("ack_commit", "commit", "pin/tx1")
+	cm := cut()
+	if cm.Command != "cut_done" {
+		t.Fatalf("cut after the commit: %s, want cut_done", cm.Command)
+	}
+	want := xrep.Seq{xrep.Seq{xrep.Str(a), xrep.Int(70)}}
+	if got := cm.Seq(0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the cut shipped %v, want %v", got, want)
+	}
+	escrow("vote_no", "prepare", "pin/tx2", bank.EscrowOp("debit", a, 1))
 }
 
 // TestRingTransferSplitWindowAborts parks a transfer in the cut→commit
@@ -866,11 +938,7 @@ func TestRingTransferSplitWindowAborts(t *testing.T) {
 	pr, _ := c.driver()
 	opts := sendprim.CallOptions{Timeout: 200 * time.Millisecond, Retries: 20, Backoff: 5 * time.Millisecond}
 	src := c.members["s1"].Native
-	sm, err := sendprim.Call(pr, src, bank.MigrateReplyType, opts, "migrate_snap", hid, string(r2.Marshal()), "s3")
-	if err != nil || sm.Command != "snap_meta" {
-		t.Fatalf("migrate_snap: %v %v", sm, err)
-	}
-	cm, err := sendprim.Call(pr, src, bank.MigrateReplyType, opts, "migrate_cut", hid, sm.Int(0))
+	cm, err := sendprim.Call(pr, src, bank.MigrateReplyType, opts, "migrate_cut", hid, string(r2.Marshal()), "s3")
 	if err != nil || cm.Command != "cut_done" {
 		t.Fatalf("migrate_cut: %v %v", cm, err)
 	}
@@ -893,10 +961,9 @@ func TestRingTransferSplitWindowAborts(t *testing.T) {
 }
 
 // TestRingSourceCrashAfterCut kills the handoff source right after its
-// durable cut and lets it recover: the destination's puller sees the
-// generation mismatch (the retained tail was volatile) and re-pulls the
-// whole range from the durable moved_out record, so the rebalance still
-// converges with nothing lost or doubled.
+// durable cut and lets it recover: whatever cut reply died with it, the
+// next pull is re-offered the whole range from the durable moved_out
+// record, so the rebalance still converges with nothing lost or doubled.
 func TestRingSourceCrashAfterCut(t *testing.T) {
 	shards := []string{"s1", "s2"}
 	c := deployShardCluster(t, netsim.Config{Seed: 6}, shards...)

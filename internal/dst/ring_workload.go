@@ -19,7 +19,7 @@ import (
 // RingTopology describes a consistent-hash bank: Shards initial members,
 // each a shard-mode branch on its own node, plus Joins members that enter
 // and Leaves members that drain MID-RUN — every membership change is a
-// live rebalance (snapshot ship, tail catch-up, epoch flip) racing the
+// live rebalance (one durable cut shipping each range, epoch flip) racing the
 // fault schedule and the client traffic. A 2PC coordinator on its own
 // crash-eligible node carries the cross-shard transfers.
 type RingTopology struct {

@@ -254,7 +254,7 @@ func (r *Ring) Value() xrep.Value {
 }
 
 // FromValue is Value's inverse. The value may come from another guardian
-// (ring_update, handoff_pull, migrate_snap, the nameserver's blob), and
+// (ring_update, handoff_pull, migrate_cut, the nameserver's blob), and
 // the point table it implies is len(Members) × VNodes entries, so both are
 // bounded and a member may appear once.
 func FromValue(v xrep.Value) (*Ring, error) {

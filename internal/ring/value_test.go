@@ -22,7 +22,7 @@ func memberValue(name string) xrep.Value {
 }
 
 // TestFromValueBounds: a ring arrives from other guardians (ring_update,
-// handoff_pull, migrate_snap, the nameserver's blob), and its point table
+// handoff_pull, migrate_cut, the nameserver's blob), and its point table
 // is len(Members) × VNodes entries built from a few input bytes. VNodes
 // outside 1..MaxVNodes, more than MaxMembers members, a member named twice
 // and any ill-typed field are refused; the parent accepted a negative
