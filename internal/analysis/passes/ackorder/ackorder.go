@@ -5,9 +5,9 @@
 // This is the paper's §2.2 stability obligation made mechanical. Liskov's
 // guardians promise that once a reply escapes the guardian, a crash-and-
 // recover cannot unhappen the acknowledged effect; the repo's incident
-// history (the PR 5 risk marker, the PR 6 quarantine window, the PR 8
-// cut-before-install reply) is three variations of the same violation —
-// an ack racing ahead of the Sync.
+// history (a replica primary's unshipped batch, its deposition window,
+// the PR 8 cut-before-install reply) is three variations of the same
+// violation — an ack racing ahead of the Sync.
 //
 // The pass is path-insensitive BY DESIGN: it scans each function's
 // summarized events in source order and composes callee facts over the

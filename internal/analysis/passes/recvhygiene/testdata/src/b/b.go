@@ -28,7 +28,6 @@ func replicationLoop(ctx *guardian.Ctx) {
 		When("rep_checkpoint", nop).
 		When("rep_ack", nop).
 		When("rep_heartbeat", nop).
-		When("rep_fork", nop).
 		When("rep_vote_req", nop).
 		When("rep_vote", nop).
 		When("rep_whois", nop).

@@ -158,14 +158,12 @@ func SplitBrainProfile() Profile {
 		Jitter: 300 * time.Microsecond}, Isolations: 1}.withDefaults()
 }
 
-// ForkHealProfile drives the quarantine→heal lifecycle: a fork window
-// keeps client traffic flowing into the isolated primary while the
-// majority elects past it, so the primary's log truly forks; after the
-// heal the deposed member must quarantine itself and then heal via
-// checkpoint supersession from the new leader. Meaningful on a
-// replicated Topology with a checkpointing branch
-// (Options.CheckpointEvery > 0). The longer horizon leaves room for the
-// post-heal traffic that ships the superseding checkpoint.
+// ForkHealProfile drives the fork rule end to end: a fork window keeps
+// client traffic flowing into the isolated primary while the majority
+// elects past it, so the primary's log truly forks; after the heal the
+// deposed member must truncate its forked suffix and converge on the new
+// leader's log. Meaningful on a replicated Topology. The longer horizon
+// leaves room for the post-heal traffic.
 func ForkHealProfile() Profile {
 	return Profile{Name: "forkheal", Net: netsim.Config{LossRate: 0.03, DupRate: 0.03,
 		Jitter: 300 * time.Microsecond}, Forks: 1,
@@ -235,8 +233,8 @@ type Options struct {
 	Ring *RingTopology
 	// CheckpointEvery, when positive, makes every bank branch checkpoint
 	// its state each N mutating operations — exercising the
-	// checkpoint-shipping and quarantine-heal paths of the replication
-	// layer, and log compaction everywhere else.
+	// checkpoint-shipping path of the replication layer, and log
+	// compaction everywhere else.
 	CheckpointEvery int
 	// StorageFaults, when non-nil, injects storage faults under every
 	// node: each node's in-memory disk draws fates at the given rates,

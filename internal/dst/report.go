@@ -62,15 +62,9 @@ type Report struct {
 	// Replicated marks a replica-group run (Topology.ReplFactor >= 3);
 	// Repl then aggregates the members' replication counters and Leader
 	// names the member serving shard 0 at the end of the run.
-	Replicated bool
-	Repl       replica.Stats
-	Leader     string
-	// Exemptions counts the shards the auditor had to skip because their
-	// clean (undiverged) members no longer formed a majority — the
-	// documented availability cost of fork quarantine, unauditable rather
-	// than in violation. A test whose schedule cannot produce one asserts
-	// zero.
-	Exemptions     int
+	Replicated     bool
+	Repl           replica.Stats
+	Leader         string
 	VirtualElapsed time.Duration
 	RealElapsed    time.Duration
 }
@@ -109,10 +103,9 @@ func (r *Report) String() string {
 		fmt.Fprintf(&b, "  ring: epoch=%d rebalances=%d\n", r.RingEpoch, r.Rebalances)
 	}
 	if r.Replicated {
-		fmt.Fprintf(&b, "  repl: leader=%s shipped=%d applied=%d checkpoints=%d fenced=%d elections=%d takeovers=%d forks=%d heals=%d exempt=%d\n",
+		fmt.Fprintf(&b, "  repl: leader=%s shipped=%d applied=%d checkpoints=%d fenced=%d elections=%d takeovers=%d forks=%d\n",
 			r.Leader, r.Repl.ShippedRecords, r.Repl.AppliedRecords, r.Repl.CheckpointsShipped,
-			r.Repl.FencedStale, r.Repl.Elections, r.Repl.Takeovers,
-			r.Repl.ForksDetected, r.Repl.Heals, r.Exemptions)
+			r.Repl.FencedStale, r.Repl.Elections, r.Repl.Takeovers, r.Repl.ForksDetected)
 	}
 	fmt.Fprintf(&b, "  time: %v virtual in %v real\n",
 		r.VirtualElapsed.Round(time.Millisecond), r.RealElapsed.Round(time.Millisecond))

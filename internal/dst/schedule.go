@@ -312,7 +312,7 @@ func genSchedule(rng *rand.Rand, p Profile, crashable, all, killable []string) [
 	// its group. Client traffic keeps landing on the old primary, whose
 	// appends become locally durable but can never reach a quorum, while
 	// the majority elects past it — the recipe for a true fork, which the
-	// quarantine/heal machinery must then detect and repair.
+	// replication layer's fork rule must then truncate away.
 	for i := 0; i < p.Forks && len(killable) > 0 && len(all) > 2; i++ {
 		iso := killable[0]
 		crash := make(map[string]bool, len(crashable))

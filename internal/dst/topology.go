@@ -1,6 +1,7 @@
 package dst
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -71,8 +72,8 @@ func shardService(i int) string { return fmt.Sprintf("bank/s%d", i) }
 //	               a quorum, so it survives the primary's permanent
 //	               death, and a double-applied retry across the failover
 //	               would break conservation or balance
-//	replication:   (replicated) every live, undiverged member converges
-//	               to the leader's durable position
+//	replication:   (replicated) every live member's log converges to
+//	               the leader's, record by record
 type shardedWorkload struct {
 	opts Options
 	topo Topology
@@ -368,7 +369,6 @@ func (s *shardedWorkload) replStats(nodes []string) replica.Stats {
 		sum.CheckpointsShipped += r.CheckpointsShipped
 		sum.FencedStale += r.FencedStale
 		sum.ForksDetected += r.ForksDetected
-		sum.Heals += r.Heals
 		sum.Elections += r.Elections
 		sum.Takeovers += r.Takeovers
 	}
@@ -444,26 +444,7 @@ func (s *shardedWorkload) servingLeader(w *guardian.World, rep *Report, pr *guar
 		leader, lst = s.findLeader(w, si)
 		return lst != nil
 	}) {
-		// A group whose clean (undiverged) members no longer form a
-		// majority cannot elect: quarantine is persistent until a
-		// superseding checkpoint arrives, and shipping one needs a
-		// leader. That is the documented availability cost of fork
-		// quarantine — safety holds (a forked log's extra records were
-		// never acknowledged as durable) — so a clean-minority shard is
-		// unauditable, not in violation; the report counts it so a test
-		// that cannot tolerate one asserts zero.
-		clean := 0
-		for _, m := range s.shardNodes[si] {
-			if st := s.store(m); st != nil && !st.Diverged() {
-				clean++
-			}
-		}
-		if clean <= len(s.shardNodes[si])/2 {
-			rep.Exemptions++
-			return nil, ""
-		}
-		rep.addViolation("failover",
-			"shard %d: no live leader serving the branch (%d clean members)", si, clean)
+		rep.addViolation("failover", "shard %d: no live leader serving the branch", si)
 		return nil, ""
 	}
 	ports := lst.AppPorts()
@@ -511,14 +492,12 @@ func (s *shardedWorkload) restartPlain(w *guardian.World, rep *Report, pr *guard
 	return g
 }
 
-// auditFollowers is replication liveness: every live member converges to
-// (at least) the leader's durable position. A deposed-and-diverged old
-// primary may sit numerically AHEAD on records the group never
-// acknowledged — that is the documented divergence limitation, not a
-// stall — hence ">=" and the Diverged() exemption.
+// auditFollowers is replication liveness: every live member's copy of
+// the branch log converges to the leader's, record by record — the fork
+// rule truncates whatever a deposed member held that the group never
+// committed, so no member may sit ahead or apart.
 func (s *shardedWorkload) auditFollowers(w *guardian.World, rep *Report, si int, leader string, g *guardian.Guardian) {
 	logName := g.LogName()
-	leaderSeq := g.Log().LastDurableSeq()
 	for _, m := range s.shardNodes[si] {
 		if m == leader {
 			continue
@@ -528,20 +507,60 @@ func (s *shardedWorkload) auditFollowers(w *guardian.World, rep *Report, si int,
 			continue
 		}
 		st := s.store(m)
-		if st == nil || st.Diverged() {
+		if st == nil {
 			continue
 		}
-		var at uint64
+		var diff string
 		if !waitUntil(w.Clock(), 3*time.Second, func() bool {
 			l, err := st.Inner().OpenLog(logName)
 			if err != nil {
+				diff = err.Error()
 				return false
 			}
-			at = l.LastDurableSeq()
-			return at >= leaderSeq
+			diff = logDiff(g.Log(), l)
+			return diff == ""
 		}) {
 			rep.addViolation("replication",
-				"shard %d: member %s stalled at seq %d, leader %s is at %d", si, m, at, leader, leaderSeq)
+				"shard %d: member %s's log differs from leader %s's: %s", si, m, leader, diff)
 		}
 	}
+}
+
+// logDiff compares two copies of one log: the same tail, and the same
+// records (seq and bytes) wherever both still hold them one by one. It
+// returns "" when they agree.
+func logDiff(leader, member durable.Log) string {
+	if a, b := leader.LastDurableSeq(), member.LastDurableSeq(); a != b {
+		return fmt.Sprintf("at seq %d, leader at %d", b, a)
+	}
+	lr, lat := liveRecords(leader)
+	mr, mat := liveRecords(member)
+	from := max(lat, mat)
+	lr, mr = recordsAfter(lr, from), recordsAfter(mr, from)
+	if len(lr) != len(mr) {
+		return fmt.Sprintf("%d records after seq %d, leader %d", len(mr), from, len(lr))
+	}
+	for i := range lr {
+		if lr[i].Seq != mr[i].Seq || !bytes.Equal(lr[i].Data, mr[i].Data) {
+			return fmt.Sprintf("record %d differs from the leader's %d", mr[i].Seq, lr[i].Seq)
+		}
+	}
+	return ""
+}
+
+// liveRecords returns l's records and its checkpoint watermark.
+func liveRecords(l durable.Log) ([]durable.Record, uint64) {
+	_, recs, _ := l.Recover()
+	if len(recs) > 0 {
+		return recs, recs[0].Seq - 1
+	}
+	return recs, l.LastDurableSeq()
+}
+
+// recordsAfter drops the records at or below seq.
+func recordsAfter(recs []durable.Record, seq uint64) []durable.Record {
+	for len(recs) > 0 && recs[0].Seq <= seq {
+		recs = recs[1:]
+	}
+	return recs
 }

@@ -173,6 +173,29 @@ var logContract = []struct {
 		}
 		wantRecovered(t, l, "shipped@40", "41:b")
 	}},
+	{"truncate drops the suffix durably and renumbers from the cut", func(t *testing.T, st durable.Store, l durable.Log, restart func() durable.Store) {
+		for _, d := range []string{"a", "b", "c", "d", "e"} {
+			l.AppendSync([]byte(d))
+		}
+		l.Checkpoint([]byte("state@1"), 1)
+		l.Append([]byte("volatile"))
+		l.Truncate(4)
+		if l.VolatileLen() != 0 || l.DurableLen() != 2 || l.LastDurableSeq() != 3 {
+			t.Fatalf("volatile=%d durable=%d last=%d after Truncate(4), want 0/2/3", l.VolatileLen(), l.DurableLen(), l.LastDurableSeq())
+		}
+		l.Truncate(9) // past the end: nothing to drop
+		if seq := l.AppendSync([]byte("D")); seq != 4 {
+			t.Fatalf("Append after Truncate(4) = %d, want 4", seq)
+		}
+		wantRecovered(t, l, "state@1", "2:b", "3:c", "4:D")
+		wantRecovered(t, openLog(t, restart(), "app"), "state@1", "2:b", "3:c", "4:D")
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Truncate at the checkpoint watermark did not panic")
+			}
+		}()
+		l.Truncate(1)
+	}},
 	{"logs are independent and reopen to the same log", func(t *testing.T, st durable.Store, l durable.Log, _ func() durable.Store) {
 		other := openLog(t, st, "another")
 		l.AppendSync([]byte("a"))

@@ -88,6 +88,12 @@ type Log interface {
 	// installing a shipped checkpoint at watermark W calls SkipTo(W) so
 	// records applied after it continue the primary's numbering.
 	SkipTo(seq uint64)
+	// Truncate drops every record with Seq >= from, durable and volatile
+	// alike, and is durable when it returns; the next Append returns from
+	// (a from past the end drops nothing). from must lie above the
+	// checkpoint watermark: a folded record cannot be taken back. A
+	// replica follower truncates the suffix that conflicts with its leader.
+	Truncate(from uint64)
 }
 
 // Store is one node's storage device: a namespace of Logs that survives
@@ -175,6 +181,11 @@ func (l *nullLog) SkipTo(seq uint64) {
 	if seq > l.next {
 		l.next = seq
 	}
+}
+func (l *nullLog) Truncate(from uint64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.next = min(l.next, from-1)
 }
 
 // SkipTo calls log.SkipTo(seq). It predates SkipTo joining the Log

@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -368,6 +369,32 @@ func (l *memLog) SkipTo(seq uint64) {
 	if seq > l.nextSeq {
 		l.nextSeq = seq
 	}
+}
+
+// Truncate implements Log. It draws no fate: like Checkpoint, it is a
+// forced write the fault model leaves alone.
+func (l *memLog) Truncate(from uint64) {
+	m := l.m
+	m.mu.Lock()
+	if l.hasCP && from <= l.checkpointAt || from == 0 {
+		m.mu.Unlock()
+		panic(fmt.Sprintf("durable: truncate %s from %d at or below checkpoint %d", l.name, from, l.checkpointAt))
+	}
+	kept := recordsBelow(l.durable, from)
+	for _, r := range l.durable[len(kept):] {
+		delete(l.torn, r.Seq)
+	}
+	l.durable = kept
+	l.volatile = recordsBelow(l.volatile, from)
+	l.nextSeq = min(l.nextSeq, from-1)
+	m.syncCount++
+	m.mu.Unlock()
+	m.charge()
+}
+
+// recordsBelow returns the prefix of rs, ascending by Seq, below from.
+func recordsBelow(rs []Record, from uint64) []Record {
+	return rs[:sort.Search(len(rs), func(i int) bool { return rs[i].Seq >= from })]
 }
 
 // LastDurableSeq implements Log; torn records still advance it.

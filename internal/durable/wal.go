@@ -86,6 +86,10 @@ type WALHooks struct {
 	// and log compaction: a crash here leaves records at or below the
 	// new watermark still on disk.
 	MidCheckpoint func(log string)
+	// MidTruncate fires once Truncate has removed the wholly-later
+	// segments and forced the cut segment's prefix to its temporary file,
+	// before the rename replaces the segment.
+	MidTruncate func(log string)
 }
 
 const (
@@ -95,6 +99,7 @@ const (
 	recordHeaderSize   = 12
 	checkpointName     = "checkpoint"
 	checkpointTmpName  = "checkpoint.tmp"
+	truncateTmpName    = "truncate.tmp"
 	segPrefix          = "wal-"
 	segSuffix          = ".seg"
 )
@@ -498,19 +503,7 @@ func (l *walLog) installCheckpoint(state []byte, upTo uint64) error {
 	binary.LittleEndian.PutUint64(buf[0:], upTo)
 	binary.LittleEndian.PutUint32(buf[8:], crc32.Checksum(state, crcTable))
 	copy(buf[12:], state)
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := writeFileSync(tmp, buf); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, filepath.Join(l.dir, checkpointName)); err != nil {
@@ -607,6 +600,107 @@ func (l *walLog) SkipTo(seq uint64) {
 	}
 }
 
+// Truncate implements Log. The crash order keeps every record below
+// from: the wholly-later segments go first, newest first, and the
+// directory is forced; then the segment holding from is replaced by its
+// prefix (written to a temporary file, forced, renamed over it) and the
+// directory forced again. A crash before the rename leaves that segment
+// whole, so at worst records at or past from survive, never fewer below.
+func (l *walLog) Truncate(from uint64) {
+	l.mu.Lock()
+	if l.failIfWedged() {
+		l.mu.Unlock()
+		return
+	}
+	for l.syncing {
+		l.cond.Wait()
+		if l.failIfWedged() {
+			l.mu.Unlock()
+			return
+		}
+	}
+	if l.hasCP && from <= l.cpAt || from == 0 {
+		l.mu.Unlock()
+		panic(fmt.Sprintf("durable: truncate %s from %d at or below checkpoint %d", l.name, from, l.cpAt))
+	}
+	if err := l.cutSegments(from); err != nil {
+		l.wedge(err) // panics
+	}
+	l.durable = recordsBelow(l.durable, from)
+	l.volatile = recordsBelow(l.volatile, from)
+	l.nextSeq = min(l.nextSeq, from-1)
+	l.durableSeq = min(l.durableSeq, from-1)
+	l.mu.Unlock()
+}
+
+// cutSegments is Truncate's disk half, run under mu with no flush in
+// flight. It leaves the last surviving segment open for appending.
+func (l *walLog) cutSegments(from uint64) error {
+	n := len(l.segs)
+	for n > 0 && l.segs[n-1].firstSeq >= from {
+		n--
+	}
+	if n == len(l.segs) && (n == 0 || l.segs[n-1].lastSeq < from) {
+		return nil // nothing on disk at or past from
+	}
+	if l.active != nil {
+		if err := l.sealActive(); err != nil {
+			return err
+		}
+	}
+	for i := len(l.segs) - 1; i >= n; i-- {
+		if err := os.Remove(l.segs[i].path); err != nil {
+			return err
+		}
+	}
+	l.segs = l.segs[:n]
+	if err := fsyncDir(l.dir); err != nil {
+		return err
+	}
+	l.wal.syncs.Add(1)
+	if n == 0 {
+		return nil
+	}
+	s := l.segs[n-1]
+	if s.lastSeq >= from {
+		var prefix []Record
+		for _, r := range l.durable {
+			if r.Seq >= s.firstSeq && r.Seq < from {
+				prefix = append(prefix, r)
+			}
+		}
+		tmp := filepath.Join(l.dir, truncateTmpName)
+		if err := writeFileSync(tmp, encodeBatch(prefix)); err != nil {
+			return err
+		}
+		l.fire(l.wal.cfg.Hooks.MidTruncate)
+		if err := os.Rename(tmp, s.path); err != nil {
+			return err
+		}
+		if err := fsyncDir(l.dir); err != nil {
+			return err
+		}
+		l.wal.syncs.Add(2)
+		s.lastSeq = from - 1
+	}
+	return l.openActive(s)
+}
+
+// openActive reopens segment s for appending as the active segment.
+func (l *walLog) openActive(s *segment) error {
+	f, err := os.OpenFile(s.path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return err
+	}
+	info, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return err
+	}
+	l.active, l.activeSize = f, info.Size()
+	return nil
+}
+
 // --- open-time recovery scan ---
 
 // openWalLog opens one log directory, scanning and verifying its
@@ -621,9 +715,12 @@ func openWalLog(w *WAL, name string) (*walLog, error) {
 
 	// A leftover checkpoint.tmp is an uninstalled checkpoint from a
 	// crash mid-write: the rename never happened, so the old checkpoint
-	// (or none) is still the truth. Discard it.
-	if err := os.Remove(filepath.Join(dir, checkpointTmpName)); err != nil && !os.IsNotExist(err) {
-		return nil, err
+	// (or none) is still the truth. A leftover truncate.tmp is likewise a
+	// segment prefix never renamed into place. Discard both.
+	for _, tmp := range []string{checkpointTmpName, truncateTmpName} {
+		if err := os.Remove(filepath.Join(dir, tmp)); err != nil && !os.IsNotExist(err) {
+			return nil, err
+		}
 	}
 	if err := l.readCheckpoint(); err != nil {
 		return nil, err
@@ -663,18 +760,9 @@ func openWalLog(w *WAL, name string) (*walLog, error) {
 	}
 	// Reopen the final surviving segment for appending.
 	if n := len(l.segs); n > 0 {
-		s := l.segs[n-1]
-		f, err := os.OpenFile(s.path, os.O_WRONLY|os.O_APPEND, 0)
-		if err != nil {
+		if err := l.openActive(l.segs[n-1]); err != nil {
 			return nil, err
 		}
-		info, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		l.active = f
-		l.activeSize = info.Size()
 	}
 	return l, nil
 }
@@ -824,6 +912,23 @@ func encodeBatch(batch []Record) []byte {
 	binary.LittleEndian.PutUint32(buf[0:], uint32(plen))
 	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(buf[batchHeaderSize:], crcTable))
 	return buf
+}
+
+// writeFileSync creates (or empties) path, writes buf and forces it.
+func writeFileSync(path string, buf []byte) error {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(buf); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // fsyncDir forces a directory's entries, making file creations,

@@ -302,6 +302,87 @@ func TestWALCrashBetweenCheckpointInstallAndCompaction(t *testing.T) {
 	}
 }
 
+// writeBatches syncs batches of three records, "r<seq>", so that with a
+// small SegmentSize every batch lands in a segment of its own.
+func writeBatches(l Log, batches int) {
+	for b := 0; b < batches; b++ {
+		for i := 1; i <= 3; i++ {
+			l.Append([]byte(fmt.Sprintf("r%d", 3*b+i)))
+		}
+		l.Sync()
+	}
+}
+
+// wantPrefix asserts the log recovers exactly records 1..n as written by
+// writeBatches.
+func wantPrefix(t *testing.T, l Log, n int) {
+	t.Helper()
+	_, recs, _ := l.Recover()
+	if len(recs) != n {
+		t.Fatalf("recovered %d records, want %d", len(recs), n)
+	}
+	for i, r := range recs {
+		if want := fmt.Sprintf("r%d", i+1); r.Seq != uint64(i+1) || string(r.Data) != want {
+			t.Fatalf("record %d = %d:%s, want %d:%s", i, r.Seq, r.Data, i+1, want)
+		}
+	}
+}
+
+func TestWALTruncateAcrossSegmentsAndMidBatch(t *testing.T) {
+	cfg := WALConfig{SegmentSize: 32}
+	w := openTestWAL(t, cfg)
+	l := mustOpenLog(t, w, "log")
+	writeBatches(l, 4) // segments hold 1-3, 4-6, 7-9, 10-12
+	syncs := w.SyncCount()
+	l.Truncate(5) // mid-batch in the second segment; the last two go whole
+	if got := w.SyncCount() - syncs; got != 3 {
+		t.Fatalf("Truncate forced %d times, want 3 (directory, prefix, directory)", got)
+	}
+	wantPrefix(t, l, 4)
+	segs, err := listSegments(filepath.Join(w.Dir(), "log"))
+	if err != nil || len(segs) != 2 {
+		t.Fatalf("segments after Truncate(5) = %d (%v), want 2", len(segs), err)
+	}
+
+	w = reopen(t, w, cfg)
+	l = mustOpenLog(t, w, "log")
+	wantPrefix(t, l, 4)
+	if seq := l.AppendSync([]byte("r5")); seq != 5 {
+		t.Fatalf("Append after reopen = %d, want 5", seq)
+	}
+	l.Truncate(4) // the cut segment is the active one: rewrite it again
+	l.AppendSync([]byte("r4"))
+	w = reopen(t, w, cfg)
+	wantPrefix(t, mustOpenLog(t, w, "log"), 4)
+}
+
+func TestWALTruncateCrashBeforeRename(t *testing.T) {
+	// Snapshot the disk at MidTruncate: the later segments are gone and
+	// the cut segment's prefix is forced to truncate.tmp, not yet renamed.
+	// Recovery from that image must keep every record below the cut; it
+	// may keep the cut segment whole, and it discards the stray tmp file.
+	snap := t.TempDir()
+	var root string
+	cfg := WALConfig{SegmentSize: 32, Hooks: WALHooks{MidTruncate: func(string) { copyDir(t, root, snap) }}}
+	w := openTestWAL(t, cfg)
+	root = w.Dir()
+	l := mustOpenLog(t, w, "log")
+	writeBatches(l, 4)
+	l.Truncate(5)
+	if _, err := os.Stat(filepath.Join(snap, "log", truncateTmpName)); err != nil {
+		t.Fatalf("the snapshot holds no forced prefix: %v", err)
+	}
+
+	ws, err := OpenWAL(snap, WALConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPrefix(t, mustOpenLog(t, ws, "log"), 6)
+	if _, err := os.Stat(filepath.Join(snap, "log", truncateTmpName)); !os.IsNotExist(err) {
+		t.Fatalf("stray %s survived the open: %v", truncateTmpName, err)
+	}
+}
+
 func TestWALCrashBeforeAndAfterSync(t *testing.T) {
 	// BeforeSync: the batch is claimed but nothing is on disk — a crash
 	// loses it whole. AfterSync: the batch is durable though the caller

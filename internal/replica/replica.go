@@ -17,7 +17,8 @@
 // Delivery constraints are the SCD-broadcast framing: followers apply
 // confirmed records in primary order or not at all — a gap stalls the
 // apply and the ack tells the primary where to resume; a record bearing a
-// stale term is rejected outright (term fencing).
+// stale term is rejected outright (term fencing), and a follower whose
+// log forked from the leader's truncates the conflicting suffix.
 //
 // Failover: followers watch the leader's heartbeats; on silence they hold
 // a term-numbered election (votes persist, one per term, granted only to
@@ -150,33 +151,29 @@ func (c Config) IsMember(node string) bool {
 // PortType is the replicator's control port: the replication stream,
 // acks, heartbeats, the election protocol, and a who-is-leader query.
 var PortType = guardian.NewPortType("replica_port").
-	// rep_append(group, term, log, prevTerm, records): a batch of
-	// records, each a (seq, originTerm, data) triple, in primary order.
-	// prevTerm is the origin term of the sender's record just before the
-	// batch — the log-matching check: a follower whose own record there
-	// was written under a different reign holds a forked log and must
-	// quarantine itself rather than silently retain it.
-	Msg("rep_append", xrep.KindString, xrep.KindInt, xrep.KindString, xrep.KindInt, xrep.KindSeq).
+	// rep_append(group, term, log, prevSeq, prevTerm, records): a batch
+	// of records, each a (seq, originTerm, data) triple, in primary order,
+	// following the sender's record prevSeq of origin term prevTerm. A
+	// follower applies it only where its own log matches at prevSeq, and
+	// truncates from its first record whose term differs (DESIGN §12). An
+	// empty batch says the sender's log ends at prevSeq.
+	Msg("rep_append", xrep.KindString, xrep.KindInt, xrep.KindString, xrep.KindInt, xrep.KindInt, xrep.KindSeq).
 	// rep_checkpoint(group, term, log, state, upTo, cpTerm): checkpoint
 	// catch-up for a follower too far behind the primary's compacted
 	// log; cpTerm is the origin term at upTo, re-seeding the follower's
 	// term attribution.
 	Msg("rep_checkpoint", xrep.KindString, xrep.KindInt, xrep.KindString, xrep.KindBytes, xrep.KindInt, xrep.KindInt).
-	// rep_ack(group, term, log, seq, diverged): follower's durable
-	// position, and whether the follower has quarantined itself — a
-	// diverged member's acks do not count toward quorum.
-	Msg("rep_ack", xrep.KindString, xrep.KindInt, xrep.KindString, xrep.KindInt, xrep.KindBool).
+	// rep_ack(group, term, log, seq, seqTerm): a follower's position and
+	// the origin term of its record there; the leader counts it toward
+	// quorum only if its own record at seq has the same term.
+	Msg("rep_ack", xrep.KindString, xrep.KindInt, xrep.KindString, xrep.KindInt, xrep.KindInt).
 	// rep_heartbeat(group, term, leader, appLog): leader liveness; also
 	// how a stale leader learns it was deposed.
 	Msg("rep_heartbeat", xrep.KindString, xrep.KindInt, xrep.KindString, xrep.KindString).
-	// rep_fork(group, term, log): leader-to-member fork notice — the
-	// member acked a position past anything the leader ever held, so it
-	// carries records the group never committed and must quarantine.
-	Msg("rep_fork", xrep.KindString, xrep.KindInt, xrep.KindString).
-	// rep_vote_req(group, term, lastTerm, positions, candidate) where
-	// positions is a sequence of (log, seq) pairs — completeness is
-	// compared per log, never as a sum across logs.
-	Msg("rep_vote_req", xrep.KindString, xrep.KindInt, xrep.KindInt, xrep.KindSeq, xrep.KindString).
+	// rep_vote_req(group, term, positions, candidate) where positions is
+	// a sequence of (log, seq, term at seq) — completeness is compared
+	// per log, never as a sum across logs.
+	Msg("rep_vote_req", xrep.KindString, xrep.KindInt, xrep.KindSeq, xrep.KindString).
 	// rep_vote(group, term, granted, voter).
 	Msg("rep_vote", xrep.KindString, xrep.KindInt, xrep.KindBool, xrep.KindString).
 	Msg("rep_whois").
@@ -214,14 +211,9 @@ type Stats struct {
 	// FencedStale counts messages rejected for carrying a stale term —
 	// the term fence doing its job against a partitioned old primary.
 	FencedStale int64
-	// ForksDetected counts quarantines: log-matching conflicts found by
-	// this member as follower, plus impossible acks (positions past the
-	// leader's own log) it detected as leader.
+	// ForksDetected counts truncations: forked suffixes this member cut
+	// from its own log as follower.
 	ForksDetected int64
-	// Heals counts quarantines lifted: the member's log was proven to
-	// derive from the current leader's (log-matching at its tail, or
-	// wholesale checkpoint supersession) and it regained candidacy.
-	Heals int64
 	// Elections counts candidacies started; Takeovers counts elections
 	// won that re-created the application guardian.
 	Elections int64

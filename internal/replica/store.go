@@ -101,10 +101,7 @@ func (s *Store) Crash() {
 // SyncCount reports the wrapped store's forced-write count.
 func (s *Store) SyncCount() int64 { return s.inner.SyncCount() }
 
-// Close releases the runtime's waiters and the wrapped store. Unlike
-// Crash, a close is orderly: a leader gets to resolve its reign's
-// outcome precisely and persist it, so a member whose every record was
-// quorum-held restarts eligible instead of conservatively quarantined.
+// Close releases the runtime's waiters and the wrapped store.
 func (s *Store) Close() error {
 	s.rt.shutdown()
 	return s.inner.Close()
@@ -141,15 +138,6 @@ func (s *Store) AppPorts() []xrep.PortName { return s.rt.appPortNames() }
 
 // ReplStats returns a snapshot of the member's replication counters.
 func (s *Store) ReplStats() Stats { return s.rt.statsSnapshot() }
-
-// Diverged reports whether this member is quarantined: it may hold
-// locally durable records the group never committed (it led with records
-// of unknown group fate, or a log-matching check found a conflict). A
-// quarantined member cannot stand for election and its acks do not count
-// toward quorum, until its logs are proven to derive from the current
-// leader's — log-matching at its tail, or wholesale checkpoint
-// supersession — at which point it heals (see DESIGN §12).
-func (s *Store) Diverged() bool { return s.rt.isDiverged() }
 
 // Group returns the member's group configuration.
 func (s *Store) Group() Config { return s.rt.cfg }
@@ -192,10 +180,9 @@ func (l *repLog) Append(data []byte) uint64 {
 
 // Sync forces the batch locally, then replicates it. In quorum mode this
 // blocks until a majority holds the batch or this member is fenced. On
-// the leader, preSync persists the risk marker and the batch's term
-// attribution BEFORE the records become durable — the ordering that
-// guarantees a process killed in any later window restarts quarantined
-// rather than eligible to lead with records the group never committed.
+// the leader, preSync persists the batch's term attribution BEFORE the
+// records become durable, so every durable record has a term the fork
+// rule can compare.
 func (l *repLog) Sync() {
 	l.mu.Lock()
 	var firstSeq uint64
@@ -243,6 +230,19 @@ func (l *repLog) LastDurableSeq() uint64 { return l.inner.LastDurableSeq() }
 
 // SkipTo passes through to the wrapped log.
 func (l *repLog) SkipTo(seq uint64) { l.inner.SkipTo(seq) }
+
+// Truncate cuts the wrapped log and the pending batch alike.
+func (l *repLog) Truncate(from uint64) {
+	l.inner.Truncate(from)
+	l.mu.Lock()
+	for i, r := range l.pending {
+		if r.Seq >= from {
+			l.pending = l.pending[:i]
+			break
+		}
+	}
+	l.mu.Unlock()
+}
 
 // crashReset drops the volatile pending batch, mirroring the wrapped
 // log's loss of its volatile tail.
