@@ -17,6 +17,11 @@ import (
 // apply as zero values or skip.
 type Folder func(v xrep.Value) (mine bool, err error)
 
+// BarrierRec names a record that carries no effect: a replication layer
+// appends one to a log to commit a new leader's term (DESIGN §12).
+// Replay offers it to no folder.
+const BarrierRec = "guardian/barrier"
+
 // Replay is the one way a log is read back (DESIGN §11). ErrNoCheckpoint
 // is the normal state of a log that never compacted; any other Recover
 // error is returned. A checkpoint is handed to checkpoint before any
@@ -25,6 +30,7 @@ type Folder func(v xrep.Value) (mine bool, err error)
 // unmarshalled once and offered to the folders in order until one claims
 // it. A record no folder claims is skipped: logs are shared (a branch's
 // with its dedup filter), and a reader of one part does not own the rest.
+// A BarrierRec is skipped unoffered.
 // A record that does not unmarshal, or that a folder finds malformed,
 // ends the replay with an error naming its sequence number.
 func Replay(log durable.Log, checkpoint func(state []byte) error, folders ...Folder) error {
@@ -42,7 +48,7 @@ func Replay(log durable.Log, checkpoint func(state []byte) error, folders ...Fol
 	}
 	for _, r := range recs {
 		v, err := wire.UnmarshalValue(r.Data)
-		for i := 0; err == nil && i < len(folders); i++ {
+		for i := 0; err == nil && xrep.RecName(v) != BarrierRec && i < len(folders); i++ {
 			var mine bool
 			if mine, err = folders[i](v); mine {
 				break

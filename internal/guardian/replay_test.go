@@ -44,12 +44,14 @@ func mustMarshal(t *testing.T, v xrep.Value) []byte {
 // any other Recover error is returned, a checkpoint goes to its reader
 // first (and a log holding one with no reader is refused), each record is
 // offered to the folders in order until one claims it, an unclaimed record
-// is skipped, and a record that does not unmarshal or that a folder calls
-// malformed stops the replay with its sequence number.
+// is skipped, a BarrierRec is offered to none, and a record that does not
+// unmarshal or that a folder calls malformed stops the replay with its
+// sequence number.
 func TestReplayPolicy(t *testing.T) {
 	a := mustMarshal(t, xrep.Rec{Name: "t/a", Fields: xrep.Seq{xrep.Int(1)}})
 	b := mustMarshal(t, xrep.Rec{Name: "t/b", Fields: xrep.Seq{xrep.Int(2)}})
 	other := mustMarshal(t, xrep.Seq{xrep.Str("a neighbour's")})
+	barrier := mustMarshal(t, xrep.Rec{Name: BarrierRec})
 
 	var trace []string
 	folder := func(name string) Folder {
@@ -63,7 +65,7 @@ func TestReplayPolicy(t *testing.T) {
 			return true, f.Err()
 		}
 	}
-	if err := Replay(replayLog(t, a, other, b), nil, folder("t/a"), folder("t/b")); err != nil {
+	if err := Replay(replayLog(t, a, barrier, other, b), nil, folder("t/a"), folder("t/b")); err != nil {
 		t.Fatalf("replay of a clean log: %v", err)
 	}
 	want := "t/a sees t/a|t/a sees |t/b sees |t/a sees t/b|t/b sees t/b"
