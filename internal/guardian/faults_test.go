@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/transport"
 	"repro/internal/vtime"
 	"repro/internal/xrep"
 )
@@ -114,6 +115,42 @@ func TestDuplicatedMessagesDeliveredOnce(t *testing.T) {
 		if counts[v] > 1 {
 			t.Fatalf("message %d delivered twice", v)
 		}
+	}
+}
+
+// keepOpen is a world's transport onto a network other worlds share: closing
+// the world leaves the network up.
+type keepOpen struct{ *transport.Sim }
+
+func (keepOpen) Close() error { return nil }
+
+// TestRestartedProcessIsHeard: a node re-created at an address — a new OS
+// process, its message ids starting over — is heard at once. Its packets
+// must not be dropped as duplicates of its predecessor's messages, whose ids
+// the receiver remembers for ReassemblyAge.
+func TestRestartedProcessIsHeard(t *testing.T) {
+	net := netsim.New(vtime.NewReal(), netsim.Config{})
+	defer net.Close()
+	w, port, seen := deployCollector(t, Config{Transport: keepOpen{transport.NewSim(net)}})
+	defer w.Close()
+	for incarnation, sends := range []int{20, 5} {
+		cw := NewWorld(Config{Transport: keepOpen{transport.NewSim(net)}})
+		cli := cw.MustAddNode("cli")
+		_, drv, err := cli.NewDriver("d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < sends; i++ {
+			if err := drv.Send(port, "data", i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		net.Quiesce()
+		if got := drain(seen, 20*time.Millisecond); len(got) != sends {
+			t.Fatalf("incarnation %d: %d of %d messages arrived", incarnation, len(got), sends)
+		}
+		cli.Crash()
+		cw.Close()
 	}
 }
 

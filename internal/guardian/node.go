@@ -21,7 +21,8 @@ type Node struct {
 	store durable.Store
 	reg   *xrep.Registry
 
-	msgID atomic.Uint64
+	msgID   atomic.Uint64
+	pktBase uint64 // offsets packet ids, so a restarted process's are new to its peers
 
 	mu        sync.Mutex
 	alive     bool
@@ -77,6 +78,7 @@ func newNode(w *World, name string) (*Node, error) {
 		guardians: make(map[uint64]*Guardian),
 		meta:      make(map[uint64]*guardianMeta),
 		reasm:     reasm,
+		pktBase:   uint64(w.clock.Now().UnixNano()),
 	}, nil
 }
 
@@ -520,7 +522,7 @@ func (n *Node) routeFrame(f *wire.Frame) error {
 		return err
 	}
 	for i := 0; i < count; i++ {
-		sb.pkt = wire.AppendPacket(sb.pkt[:0], f.MsgID, i, count, frame[i*chunk:min((i+1)*chunk, len(frame))])
+		sb.pkt = wire.AppendPacket(sb.pkt[:0], n.pktBase+f.MsgID, i, count, frame[i*chunk:min((i+1)*chunk, len(frame))])
 		// Best-effort: transport errors below MTU level mean the node is
 		// detached; the message is simply lost, as the paper allows.
 		if err := n.world.tr.Send(transport.Addr(n.name), transport.Addr(f.Dest.Node), sb.pkt); err != nil {

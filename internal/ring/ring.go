@@ -16,7 +16,6 @@ package ring
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strconv"
 
@@ -69,9 +68,10 @@ type point struct {
 // and clumps the virtual nodes; the finalizer spreads them. Exported so
 // invariant checkers can reason about placement without a Ring in hand.
 func Hash(key string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(key))
-	z := h.Sum64()
+	z := uint64(14695981039346656037) // fnv64a's offset basis, then its rounds
+	for i := 0; i < len(key); i++ {
+		z = (z ^ uint64(key[i])) * 1099511628211
+	}
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
@@ -120,11 +120,12 @@ func (r *Ring) Member(name string) (Member, bool) {
 // the key's position, wrapping at the top of the circle. ok is false only
 // for an empty ring.
 func (r *Ring) Owner(key string) (Member, bool) {
-	ms := r.Owners(key, 1)
-	if len(ms) == 0 {
+	if len(r.points) == 0 {
 		return Member{}, false
 	}
-	return ms[0], true
+	pos := Hash(key)
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].pos >= pos })
+	return r.Members[r.points[i%len(r.points)].member], true
 }
 
 // Owners returns up to n distinct members for key, in successor order:

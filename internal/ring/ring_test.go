@@ -2,6 +2,7 @@ package ring
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"repro/internal/xrep"
@@ -25,6 +26,35 @@ func TestOwnerDeterministic(t *testing.T) {
 		if !ok || ma.Name != mb.Name {
 			t.Fatalf("key %q: owner %q vs %q", key, ma.Name, mb.Name)
 		}
+	}
+}
+
+// TestRingOwnerAllocatesNothing: routing a key finds its owner on the
+// point table itself — no replica-set slice, no hasher — and still agrees
+// with the first of Owners, over a hash that is fnv64a's before the
+// finalizer.
+func TestRingOwnerAllocatesNothing(t *testing.T) {
+	r := New("accts", 64, member("s1"), member("s2"), member("s3"))
+	key := "acct-0000042"
+	if got := testing.AllocsPerRun(1000, func() { _, _ = r.Owner(key) }); got != 0 {
+		t.Fatalf("Owner allocates %v times, want 0", got)
+	}
+	for i := 0; i < 1000; i++ {
+		key := fmt.Sprintf("acct-%d", i)
+		if m, _ := r.Owner(key); m.Name != r.Owners(key, 1)[0].Name {
+			t.Fatalf("key %q: Owner %q, Owners %q", key, m.Name, r.Owners(key, 1)[0].Name)
+		}
+		h := fnv.New64a()
+		h.Write([]byte(key))
+		z := h.Sum64()
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		if want := z ^ (z >> 31); Hash(key) != want {
+			t.Fatalf("Hash(%q) = %x, want %x", key, Hash(key), want)
+		}
+	}
+	if _, ok := New("empty", 0).Owner(key); ok {
+		t.Fatal("an empty ring has an owner")
 	}
 }
 
