@@ -8,7 +8,9 @@ import (
 	"repro/internal/amo"
 	"repro/internal/bank"
 	"repro/internal/guardian"
+	"repro/internal/nameserv"
 	"repro/internal/netsim"
+	"repro/internal/ring"
 	"repro/internal/sendprim"
 	"repro/internal/tpc"
 	"repro/internal/transport"
@@ -96,10 +98,11 @@ func TestAmoReadAllocCeiling(t *testing.T) {
 
 // escrowRoundAllocCeiling is what one 2PC round against a shard branch may
 // allocate: a prepare, its yes vote, the commit and its ack, end to end on
-// both nodes — the measured 54, which repeats exactly. The figure counts
-// each round's growth of the participant's table; it is ring_mixed's
-// split-transfer path less the coordinator.
-const escrowRoundAllocCeiling = 54
+// both nodes — the measured 29, which repeats exactly (54 while each escrow
+// step built, marshalled and folded a record tree and each reply boxed the
+// txid again). The figure counts each round's growth of the participant's
+// table; it is ring_mixed's split-transfer path less the coordinator.
+const escrowRoundAllocCeiling = 29
 
 // TestEscrowRoundAllocCeiling pins the participant path ring_mixed's split
 // transfers take: a driver's prepare → vote_yes → commit → ack_commit round
@@ -167,6 +170,90 @@ func TestEscrowRoundAllocCeiling(t *testing.T) {
 	t.Logf("one escrow round allocates %.1f times", n)
 	if n > escrowRoundAllocCeiling {
 		t.Errorf("one escrow round allocates %.1f times, ceiling %d", n, escrowRoundAllocCeiling)
+	}
+}
+
+// crossShardTransferAllocCeiling is what one cross-shard Router.Transfer
+// may allocate, end to end on every node: the router's begin, the
+// coordinator's prepares and commits, both shards' four escrow steps, six
+// forced records and the outcome back — the measured 101, which repeats
+// exactly (185 before escrow records were written field by field and the
+// txid was boxed once per transaction).
+const crossShardTransferAllocCeiling = 101
+
+// TestCrossShardTransferAllocCeiling pins the 2PC path ring_mixed's split
+// transfers take, coordinator included: a Router over a two-shard ring
+// moving one unit between accounts on different shards, over netsim.
+func TestCrossShardTransferAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	clock := vtime.NewReal()
+	w := guardian.NewWorld(guardian.Config{
+		Clock:     clock,
+		Transport: transport.NewSim(netsim.New(clock, netsim.Config{Seed: 1})),
+	})
+	defer w.Close()
+	w.MustRegister(bank.BranchDef())
+	w.MustRegister(nameserv.Def())
+	w.MustRegister(tpc.CoordinatorDef())
+	nsCr, err := w.MustAddNode("registry").Bootstrap(nameserv.DefName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coCr, err := w.MustAddNode("coordinator").Bootstrap(tpc.CoordinatorDefName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var members []ring.Member
+	for _, s := range []string{"s1", "s2"} {
+		cr, err := w.MustAddNode(s).Bootstrap(bank.BranchDefName, bank.ShardArg(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		members = append(members, ring.Member{Name: s, Native: cr.Ports[0], Amo: cr.Ports[1]})
+	}
+	_, drv, err := w.MustAddNode("cli").NewDriver("router")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns, err := nameserv.NewClient(drv, nsCr.Ports[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := ring.New("accounts", 0, members...)
+	if err := bank.Bootstrap(drv, r, bank.RebalanceOptions{NS: ns}); err != nil {
+		t.Fatal(err)
+	}
+	rt, err := bank.NewRouter(drv, bank.RouterOptions{
+		NS: ns, RingName: "accounts", Coordinator: coCr.Ports[0],
+		Call: amo.CallerOptions{Timeout: 5 * time.Second},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	from, to := accountsOwnedBy(r, "s1", "x", 1)[0], accountsOwnedBy(r, "s2", "y", 1)[0]
+	for _, acct := range []string{from, to} {
+		if rep, err := rt.Call(acct, "open", acct); err != nil || rep.Command != bank.OutcomeOK {
+			t.Fatalf("open %s: %v %v", acct, rep, err)
+		}
+	}
+	if rep, err := rt.Call(from, "deposit", from, int64(1<<40)); err != nil || rep.Command != bank.OutcomeOK {
+		t.Fatalf("deposit: %v %v", rep, err)
+	}
+	transfer := func() {
+		if out, err := rt.Transfer(from, to, 1); err != nil || out != bank.OutcomeOK {
+			t.Fatalf("transfer: %q %v", out, err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		transfer()
+	}
+	n := testing.AllocsPerRun(300, transfer)
+	t.Logf("one cross-shard transfer allocates %.1f times", n)
+	if n > crossShardTransferAllocCeiling {
+		t.Errorf("one cross-shard transfer allocates %.1f times, ceiling %d", n, crossShardTransferAllocCeiling)
 	}
 }
 

@@ -349,9 +349,9 @@ func (st *branchState) apply(kind, acct string, amount int64, opID string) strin
 // command and for arguments missing or of the wrong kind: such a request
 // is refused, never run on zero values. Surplus trailing arguments (a
 // caller's op id) are tolerated.
-func amoArgs(req *amo.Request) (acct, to string, amount int64, ok bool) {
-	f := xrep.ReadFields(req.Args, 0)
-	switch req.Command {
+func amoArgs(command string, args xrep.Seq) (acct, to string, amount int64, ok bool) {
+	f := xrep.ReadFields(args, 0)
+	switch command {
 	case "open", "balance":
 		acct = f.Str()
 	case "deposit", "withdraw":
@@ -488,7 +488,7 @@ func branchMain(ctx *guardian.Ctx) {
 	// (or, in raw mode, deliberately nobody's). Effects are logged to the
 	// same op log with an empty op_id, so recovery replays them as-is.
 	amoExec := func(pr *guardian.Process, req *amo.Request) (string, xrep.Seq) {
-		acct, to, amount, ok := amoArgs(req)
+		acct, to, amount, ok := amoArgs(req.Command, req.Args)
 		if !ok {
 			return OutcomeNoAccount, nil
 		}

@@ -14,6 +14,7 @@ package bank
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -210,12 +211,19 @@ func (r *Router) transferTPC(mf, mt ring.Member, from, to string, amount int64) 
 	}
 	r.mu.Lock()
 	r.txn++
-	txid := fmt.Sprintf("%s/tx%d", r.caller.Client(), r.txn)
+	txid := string(strconv.AppendInt(append([]byte(r.caller.Client()), "/tx"...), r.txn, 10))
 	r.mu.Unlock()
-	ops := xrep.Seq{
-		xrep.Seq{mf.Native, EscrowOp("debit", from, amount)},
-		xrep.Seq{mt.Native, EscrowOp("credit", to, amount)},
-	}
+	// One slab holds the ops: two legs (participant, (kind, account, amount)).
+	s := make(xrep.Seq, 12)
+	amt := xrep.Value(xrep.Int(amount))
+	copy(s, xrep.Seq{
+		s[2:4:4], s[4:6:6], // ops
+		mf.Native, s[6:9:9], // the debit leg
+		mt.Native, s[9:12], // the credit leg
+		xrep.Str("debit"), xrep.Str(from), amt,
+		xrep.Str("credit"), xrep.Str(to), amt,
+	})
+	ops := s[0:2:2]
 	timeout := r.opts.Call.Timeout
 	m, err := sendprim.Call(r.pr, r.opts.Coordinator, tpc.ClientReplyType, sendprim.CallOptions{
 		// The coordinator dedups begin by txid, so retrying is safe; its
@@ -223,7 +231,7 @@ func (r *Router) transferTPC(mf, mt ring.Member, from, to string, amount int64) 
 		Timeout: 20 * timeout,
 		Retries: 3,
 		Backoff: timeout / 2,
-	}, "begin", txid, ops)
+	}, "begin", xrep.Str(txid), ops)
 	if err != nil {
 		return "", err
 	}

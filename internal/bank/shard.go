@@ -28,10 +28,10 @@ package bank
 // amo.MaxRedirects plus retry backoff), never safety.
 //
 // Every shard state change is a logged record folded through ONE
-// deterministic function (shardCore.fold), used identically by the live
-// arms, crash recovery, and the independent replay checker
-// (ReplayAccountsFrom), so the recovery-equals-replay invariant extends to
-// migrations.
+// deterministic function (shardCore.fold; an escrow step's arm takes the
+// Participant.Apply step fold would take), used by the live arms, crash
+// recovery, and the independent replay checker (ReplayAccountsFrom), so
+// the recovery-equals-replay invariant extends to migrations.
 
 import (
 	"fmt"
@@ -450,6 +450,7 @@ type shardRuntime struct {
 	g       *guardian.Guardian
 	self    xrep.PortName // this branch's native port
 	pulling map[string]bool
+	scratch []byte // the escrow records' buffer; only the receive process writes it
 }
 
 func newShardRuntime(member string, st *branchState, log durable.Log, dedup *amo.Dedup, g *guardian.Guardian, self xrep.PortName) *shardRuntime {
@@ -461,8 +462,8 @@ func newShardRuntime(member string, st *branchState, log durable.Log, dedup *amo
 }
 
 // appendAndFold logs one shard record durably and folds it into the live
-// state — the live arms' single mutation path, guaranteeing recovery
-// replays exactly what ran.
+// state — the live arms' mutation path (logEscrow's aside), guaranteeing
+// recovery replays exactly what ran.
 func (sh *shardRuntime) appendAndFold(name string, fields xrep.Seq) {
 	sh.log.AppendSync(shardRecord(name, fields))
 	if _, err := sh.fold(xrep.Rec{Name: name, Fields: fields}); err != nil {
@@ -479,21 +480,21 @@ func (sh *shardRuntime) appendAndFold(name string, fields xrep.Seq) {
 // hook declines fall through to the dedup hook and execute normally.
 func (sh *shardRuntime) ownershipHook() func(pr *guardian.Process, m *guardian.Message) bool {
 	return func(pr *guardian.Process, m *guardian.Message) bool {
-		req, _ := amo.ParseRequest(m)
 		// A request whose arguments do not read as its command's falls
 		// through, and the executor refuses it.
-		from, to, _, ok := amoArgs(req)
+		cmd := m.Str(3)
+		from, to, _, ok := amoArgs(cmd, m.Seq(4))
 		if sh.ring == nil || !ok {
 			return false
 		}
 		keybuf := [2]string{from, to}
 		keys := keybuf[:1]
-		if req.Command == "transfer" {
+		if cmd == "transfer" {
 			keys = keybuf[:]
 		}
 		// Presence is authority: a key present here is served here even if
 		// the latest ring disagrees (its range has not been cut yet).
-		owners := make([]ring.Member, 0, len(keys))
+		owners := make([]ring.Member, 0, 2)
 		for _, k := range keys {
 			if _, present := sh.st.accounts[k]; present || sh.owned(k) {
 				return false // at least one key is ours: serve locally
@@ -715,19 +716,31 @@ func (sh *shardRuntime) dedupSnapshot() xrep.Value {
 }
 
 // logEscrow is the escrow participant's log: it makes one step durable as
-// a bank/tpc record and folds it. A yes vote's hold is durable before the
-// AfterPrepare hook runs.
+// a bank/tpc record in the runtime's scratch and applies it, as fold does.
+// A yes vote's hold is durable before the AfterPrepare hook runs.
 func (sh *shardRuntime) logEscrow(step, txid string, op xrep.Value) {
-	fields := xrep.Seq{xrep.Str(step), xrep.Str(txid), xrep.Str(""), xrep.Str(""), xrep.Int(0)}
-	if op != nil {
-		// Vote read the prepare's op as (kind, account, amount): its values
-		// are the record's last three fields as they stand.
-		copy(fields[2:], op.(xrep.Seq))
-	}
-	sh.appendAndFold(tpcRec, fields)
+	sh.scratch = appendEscrowRecord(sh.scratch[:0], step, txid, op)
+	sh.log.AppendSync(sh.scratch)
+	_ = sh.escrow.Apply(step, txid, op) // step is one of the table's steps
 	if h := sh.hooks().AfterPrepare; h != nil && step == "prepared" {
 		h(txid)
 	}
+}
+
+// appendEscrowRecord appends one escrow step's bank/tpc record to dst:
+// step, txid and the op's (kind, account, amount) — ("", "", 0) for a step
+// without one. Only a prepare that Vote read as an escrow op carries an op.
+func appendEscrowRecord(dst []byte, step, txid string, op xrep.Value) []byte {
+	kind, acct, amount := "", "", int64(0)
+	if op != nil {
+		kind, acct, amount, _ = parseEscrowOp(op)
+	}
+	dst = wire.AppendRecHeader(dst, tpcRec, 5)
+	dst = wire.AppendStr(dst, step)
+	dst = wire.AppendStr(dst, txid)
+	dst = wire.AppendStr(dst, kind)
+	dst = wire.AppendStr(dst, acct)
+	return wire.AppendInt(dst, amount)
 }
 
 // escrowResource is the shard branch's 2PC resource. An operation is
@@ -777,12 +790,6 @@ func parseEscrowOp(v xrep.Value) (kind, acct string, amount int64, ok bool) {
 	f := xrep.ReadSeq(v, 3)
 	kind, acct, amount = f.Str(), f.Str(), f.Int()
 	return kind, acct, amount, f.Err() == nil && (kind == "debit" || kind == "credit")
-}
-
-// EscrowOp builds the tpc operation value a cross-shard transfer sends a
-// branch participant: kind is "debit" or "credit".
-func EscrowOp(kind, acct string, amount int64) xrep.Value {
-	return xrep.Seq{xrep.Str(kind), xrep.Str(acct), xrep.Int(amount)}
 }
 
 // spawnPuller starts the destination-side pull for one handoff: it asks

@@ -1,9 +1,11 @@
 package bank
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/ring"
@@ -117,6 +119,69 @@ func TestShardFoldRefusesMalformedRecords(t *testing.T) {
 	}
 }
 
+// TestEscrowRecordMatchesTree: the escrow step logEscrow writes field by
+// field is the bytes the tree encoding of its bank/tpc record was, for a
+// prepare's op and for the steps that carry none; it folds back to the
+// participant row the live step left; and it allocates nothing into a warm
+// scratch.
+func TestEscrowRecordMatchesTree(t *testing.T) {
+	long := strings.Repeat("t", 64<<10)
+	for _, tc := range []struct {
+		step, txid, kind, acct string
+		amount                 int64
+	}{
+		{"prepared", "cli/tx1", "debit", "a", 5},
+		{"prepared", long, "credit", long, 1<<62 + 3},
+		{"committed", "cli/tx1", "", "", 0},
+		{"aborted", "cli/tx9", "", "", 0},
+	} {
+		var op xrep.Value
+		if tc.kind != "" {
+			op = EscrowOp(tc.kind, tc.acct, tc.amount)
+		}
+		want, err := wire.MarshalValue(xrep.Rec{Name: tpcRec, Fields: xrep.Seq{
+			xrep.Str(tc.step), xrep.Str(tc.txid), xrep.Str(tc.kind), xrep.Str(tc.acct), xrep.Int(tc.amount),
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := appendEscrowRecord(nil, tc.step, tc.txid, op)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s %.10q: the escrow record differs from the tree encoding", tc.step, tc.txid)
+		}
+		v, err := wire.UnmarshalValue(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live, _ := freshShard()
+		folded, _ := freshShard()
+		if tc.step != "prepared" { // a decision on a transaction each holds
+			for _, c := range []*shardCore{live, folded} {
+				if err := c.escrow.Apply("prepared", tc.txid, EscrowOp("debit", "a", 1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := live.escrow.Apply(tc.step, tc.txid, op); err != nil {
+			t.Fatal(err)
+		}
+		if mine, err := folded.fold(v); !mine || err != nil {
+			t.Fatalf("%s: fold refused the escrow record: %v %v", tc.step, mine, err)
+		}
+		if !reflect.DeepEqual(live.st, folded.st) || !reflect.DeepEqual(live.escrow, folded.escrow) {
+			t.Errorf("%s %.10q: the folded record leaves another state than the live step", tc.step, tc.txid)
+		}
+	}
+	op := EscrowOp("debit", "a0000001", 1<<40)
+	scratch := appendEscrowRecord(nil, "prepared", "cli/tx1", op)
+	if n := testing.AllocsPerRun(200, func() {
+		scratch = appendEscrowRecord(scratch[:0], "prepared", "cli/tx1", op)
+		scratch = appendEscrowRecord(scratch[:0], "committed", "cli/tx1", nil)
+	}); n != 0 {
+		t.Errorf("encoding escrow records into a warm scratch allocates %v times, want 0", n)
+	}
+}
+
 // overCapSeed is a seed asking for a billion accounts.
 var overCapSeed = xrep.Seq{xrep.Str("acct"), xrep.Int(1 << 30), xrep.Int(100), xrep.Str("s1")}
 
@@ -214,4 +279,10 @@ func FuzzShardRecords(f *testing.F) {
 			}
 		}
 	})
+}
+
+// EscrowOp builds the operation a cross-shard transfer's leg sends a branch
+// participant: kind is "debit" or "credit".
+func EscrowOp(kind, acct string, amount int64) xrep.Value {
+	return xrep.Seq{xrep.Str(kind), xrep.Str(acct), xrep.Int(amount)}
 }

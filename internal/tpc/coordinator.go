@@ -27,13 +27,39 @@ type coordConfig struct {
 type decision struct {
 	txid    string
 	commit  bool
-	ops     []txOp
-	settled bool // every participant acknowledged the decision
+	ops     []txOp   // nil once settled
+	args    xrep.Seq // what the coordinator sends (parseOps); nil once settled
+	settled bool     // every participant acknowledged the decision
 }
 
 type txOp struct {
 	participant xrep.PortName
 	op          xrep.Value
+}
+
+// repeats reports whether two of d's ops name one participant, which
+// replies once for both.
+func (d *decision) repeats() bool {
+	for i, o := range d.ops {
+		for _, p := range d.ops[:i] {
+			if p.participant.Node == o.participant.Node && p.participant.Guardian == o.participant.Guardian {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// mark counts a vote or an ack in seen, one flag per op: only one from a
+// participant of d's, and once for each. It reports whether it counted.
+func (d *decision) mark(seen []bool, node string, guardian uint64) bool {
+	for i, o := range d.ops {
+		if !seen[i] && o.participant.Node == node && o.participant.Guardian == guardian {
+			seen[i] = true
+			return true
+		}
+	}
+	return false
 }
 
 // coordState is rebuilt from the coordinator's log at recovery. The mutex
@@ -60,10 +86,12 @@ func (st *coordState) record(d *decision) {
 	st.decisions[d.txid] = d
 }
 
+// markSettled marks d settled and lets go of its ops and sends, and with
+// them the begin's slot slab: a duplicate begin needs only the outcome.
 func (st *coordState) markSettled(d *decision) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	d.settled = true
+	d.settled, d.ops, d.args = true, nil, nil
 }
 
 // appendDecisionRecord appends one coordinator log record to dst: the
@@ -86,18 +114,24 @@ func appendDecisionRecord(dst []byte, kind string, d *decision) []byte {
 	return dst
 }
 
-// parseOps reads a sequence of (participant, op) pairs: a begin message's
-// and a decision record's.
-func parseOps(seq xrep.Seq) ([]txOp, error) {
-	ops := make([]txOp, 0, len(seq))
+// parseOps reads d's sequence of (participant, op) pairs — a begin
+// message's or a decision record's — and lays out what the coordinator
+// sends around txid, d's id boxed once: d.args is (txid, op₀, txid, op₁, …,
+// txid), prepare i sends d.args[2i:2i+2] and a decision or outcome d.args[:1].
+func (d *decision) parseOps(txid xrep.Value, seq xrep.Seq) error {
+	d.ops = make([]txOp, 0, len(seq))
+	d.args = make(xrep.Seq, 0, 2*len(seq)+1)
 	for _, e := range seq {
 		f := xrep.ReadSeq(e, 2)
-		ops = append(ops, txOp{participant: f.Port(), op: f.Value()})
+		o := txOp{participant: f.Port(), op: f.Value()}
 		if err := f.Err(); err != nil {
-			return nil, fmt.Errorf("tpc: op: %w", err)
+			return fmt.Errorf("tpc: op: %w", err)
 		}
+		d.ops = append(d.ops, o)
+		d.args = append(d.args, txid, o.op)
 	}
-	return ops, nil
+	d.args = append(d.args, txid)
+	return nil
 }
 
 // readDecision is appendDecisionRecord's inverse, over the unmarshalled
@@ -106,7 +140,7 @@ func readDecision(v xrep.Value) (kind string, d *decision, err error) {
 	f := xrep.ReadSeq(v, 4)
 	kind = f.Str()
 	d = &decision{txid: f.Str(), commit: f.Bool()}
-	d.ops, err = parseOps(f.Seq())
+	err = d.parseOps(xrep.Str(d.txid), f.Seq())
 	return kind, d, errors.Join(f.Err(), err)
 }
 
@@ -122,7 +156,7 @@ func (st *coordState) foldDecision(v xrep.Value) (bool, error) {
 		st.decisions[d.txid] = d
 	case kind == "settled":
 		if prev, ok := st.decisions[d.txid]; ok {
-			prev.settled = true
+			prev.settled, prev.ops, prev.args = true, nil, nil // as markSettled
 		}
 	default:
 		return true, fmt.Errorf("tpc: decision record of unknown kind %q", kind)
@@ -174,7 +208,7 @@ func CoordinatorDef() *guardian.GuardianDef {
 			for _, d := range unsettled {
 				d := d
 				ctx.G.Spawn("resettle", func(pr *guardian.Process) {
-					settle(pr, log, st, d)
+					runTx(pr, log, st, d, xrep.PortName{}, true)
 				})
 			}
 		}
@@ -186,15 +220,15 @@ func CoordinatorDef() *guardian.GuardianDef {
 				// Duplicate begin for a decided transaction: re-announce
 				// the recorded outcome (client retry after lost reply).
 				if d, dup := st.lookup(txid); dup {
-					replyOutcome(pr, client, d)
+					replyOutcome(pr, client, d.commit, m.Args[:1])
 					return
 				}
 				d := &decision{txid: txid}
-				var err error
-				if d.ops, err = parseOps(m.Seq(1)); err != nil {
-					// Refused whole: running the entries that do read would
-					// commit part of a transaction.
-					replyOutcome(pr, client, d)
+				if err := d.parseOps(m.Args[0], m.Seq(1)); err != nil || d.repeats() {
+					// Refused whole, and logged nowhere: running the entries
+					// that do read would commit part of a transaction, and
+					// a participant named twice answers once for both.
+					replyOutcome(pr, client, false, m.Args[:1])
 					return
 				}
 				// Each transaction gets its own process so slow votes do
@@ -202,7 +236,7 @@ func CoordinatorDef() *guardian.GuardianDef {
 				// lesson applied to the coordinator itself).
 				g := ctx.G
 				g.Spawn("tx", func(q *guardian.Process) {
-					runTx(q, log, st, d, client)
+					runTx(q, log, st, d, client, false)
 				})
 			}).
 			WhenFailure(func(_ *guardian.Process, _ string, _ *guardian.Message) {
@@ -222,135 +256,101 @@ func CoordinatorDef() *guardian.GuardianDef {
 }
 
 // runTx drives one transaction: vote phase, durable decision, decision
-// phase, client reply.
-func runTx(pr *guardian.Process, log logAppender, st *coordState, d *decision, client xrep.PortName) {
+// phase, client reply; votes and acks on one port, both records in one
+// buffer. A decision recovery found unsettled runs the decision phase alone.
+func runTx(pr *guardian.Process, log logAppender, st *coordState, d *decision, client xrep.PortName, decided bool) {
 	g := pr.Guardian()
-	votes, err := g.NewPort(CoordReplyType, len(d.ops)*2+4)
+	replies, err := g.NewPort(CoordReplyType, len(d.ops)*2+4)
 	if err != nil {
 		return
 	}
-	defer g.RemovePort(votes)
-
-	// Phase 1: solicit votes. Prepares are idempotent at the participants
-	// (a prepared participant re-votes yes), so the coordinator re-sends
-	// to participants it has not heard from across several sub-windows of
-	// the vote timeout — masking lost prepare/vote messages without
-	// changing the protocol’s semantics.
-	clock := g.Node().World().Clock()
-	// Count distinct yes voters so a duplicated network delivery cannot
-	// fake a quorum.
-	voted := make(map[principalKey]bool)
-	commit := true
-	const voteRounds = 3
-	roundLen := st.cfg.voteTimeout / voteRounds
-vote:
-	for round := 0; round < voteRounds && len(voted) < len(d.ops); round++ {
-		for _, o := range d.ops {
-			if !voted[principalKey{o.participant.Node, o.participant.Guardian}] {
-				_ = pr.SendReplyTo(o.participant, votes.Name(), "prepare", d.txid, o.op)
-			}
+	defer g.RemovePort(replies)
+	// A two-op decision record is about a hundred bytes.
+	rec := make([]byte, 0, 256)
+	outcome := d.args[:1] // settle drops d.args
+	if !decided {
+		// Prepares are idempotent at the participants (a prepared
+		// participant re-votes yes), so the vote phase re-sends to those it
+		// has not heard from across several sub-windows of the vote timeout,
+		// masking lost prepares and votes. Missing votes count as no
+		// (presumed abort).
+		const voteRounds = 3
+		var ok bool
+		prepare := func(i int) xrep.Seq { return d.args[2*i : 2*i+2] }
+		if d.commit, ok = ask(pr, replies, d, voteRounds, st.cfg.voteTimeout/voteRounds, "prepare", prepare, "vote_yes", "vote_no"); !ok {
+			return
 		}
-		deadline := clock.Now().Add(roundLen)
-		for len(voted) < len(d.ops) {
-			remain := deadline.Sub(clock.Now())
-			if remain <= 0 {
-				break // next round re-solicits the missing votes
-			}
-			m, status := pr.Receive(remain, votes)
-			if status == guardian.RecvKilled {
-				return
-			}
-			if status != guardian.RecvOK {
-				break
-			}
-			switch m.Command {
-			case "vote_yes":
-				if m.Str(0) == d.txid {
-					voted[principalKey{m.SrcNode, m.SrcGuardian}] = true
-				}
-			case "vote_no", guardian.FailureCommand:
-				commit = false
-				break vote
-			}
-		}
+		// The commit point: log the decision durably before telling anyone.
+		rec = appendDecisionRecord(rec, "decided", d)
+		log.AppendSync(rec)
+		st.record(d)
 	}
-	if len(voted) < len(d.ops) {
-		commit = false // missing votes count as no (presumed abort)
-	}
-	d.commit = commit
-
-	// The commit point: log the decision durably before telling anyone.
-	log.AppendSync(appendDecisionRecord(nil, "decided", d))
-	st.record(d)
-
-	settle(pr, log, st, d)
-	replyOutcome(pr, client, d)
+	settle(pr, replies, log, st, d, rec)
+	replyOutcome(pr, client, d.commit, outcome)
 }
 
-// principalKey identifies a participant by message provenance.
-type principalKey struct {
-	node     string
-	guardian uint64
-}
-
-// settle announces the decision until every participant acknowledges (or
-// retries run out; recovery will resume it).
-func settle(pr *guardian.Process, log logAppender, st *coordState, d *decision) {
-	g := pr.Guardian()
-	acks, err := g.NewPort(CoordReplyType, len(d.ops)*2+4)
-	if err != nil {
-		return
-	}
-	defer g.RemovePort(acks)
+// settle announces the decision on replies until every participant acks
+// (or retries run out; recovery resumes it), then logs it settled in rec.
+func settle(pr *guardian.Process, replies *guardian.Port, log logAppender, st *coordState, d *decision, rec []byte) {
 	cmd, ack := "commit", "ack_commit"
 	if !d.commit {
 		cmd, ack = "abort", "ack_abort"
 	}
-	pending := make(map[xrep.PortName]bool, len(d.ops))
-	for _, o := range d.ops {
-		pending[o.participant] = true
-	}
-	for attempt := 0; attempt <= st.cfg.retries && len(pending) > 0; attempt++ {
-		for _, o := range d.ops {
-			if pending[o.participant] {
-				_ = pr.SendReplyTo(o.participant, acks.Name(), cmd, d.txid)
-			}
-		}
-		deadline := g.Node().World().Clock().Now().Add(st.cfg.voteTimeout)
-		for len(pending) > 0 {
-			remain := deadline.Sub(g.Node().World().Clock().Now())
-			if remain <= 0 {
-				break
-			}
-			m, status := pr.Receive(remain, acks)
-			if status != guardian.RecvOK {
-				break
-			}
-			if m.Command == ack && m.Str(0) == d.txid {
-				// Provenance carries node and guardian; match the pending
-				// participant port by those coordinates.
-				for p := range pending {
-					if p.Node == m.SrcNode && p.Guardian == m.SrcGuardian {
-						delete(pending, p)
-					}
-				}
-			}
-		}
-	}
-	if len(pending) == 0 {
+	told := func(int) xrep.Seq { return d.args[:1] }
+	if all, _ := ask(pr, replies, d, st.cfg.retries+1, st.cfg.voteTimeout, cmd, told, ack, ""); all {
+		log.AppendSync(appendDecisionRecord(rec[:0], "settled", d))
 		st.markSettled(d)
-		log.AppendSync(appendDecisionRecord(nil, "settled", d))
 	}
 }
 
-func replyOutcome(pr *guardian.Process, client xrep.PortName, d *decision) {
-	if client.IsZero() {
-		return
+// ask runs one phase of the protocol on replies. Each of up to rounds
+// rounds sends cmd, with args(i) for op i, to every participant that has
+// not answered, and waits up to wait for replies named want: a reply
+// counts only from one of d's participants, and once for each, so a
+// duplicated delivery or a stranger cannot fake a quorum. all reports that
+// every participant answered. A reply named halt, or a failure message
+// when halt is set, ends the phase with all false; ok is false if the
+// process was killed.
+func ask(pr *guardian.Process, replies *guardian.Port, d *decision, rounds int, wait time.Duration,
+	cmd string, args func(i int) xrep.Seq, want, halt string) (all, ok bool) {
+	clock := pr.Guardian().Node().World().Clock()
+	var flags [8]bool // up to eight ops, the tally stays on the stack
+	seen := append(flags[:0], make([]bool, len(d.ops))...)
+	left := len(d.ops)
+	for round := 0; round < rounds && left > 0; round++ {
+		for i, o := range d.ops {
+			if !seen[i] {
+				_ = pr.SendSeq(o.participant, replies.Name(), cmd, args(i))
+			}
+		}
+		for deadline := clock.Now().Add(wait); left > 0; {
+			remain := deadline.Sub(clock.Now()) // read once: a negative timeout waits forever
+			if remain <= 0 {
+				break // the next round asks again
+			}
+			m, status := pr.Receive(remain, replies)
+			switch {
+			case status == guardian.RecvKilled:
+				return false, false
+			case status != guardian.RecvOK:
+			case halt != "" && (m.Command == halt || m.IsFailure()):
+				return false, true
+			case m.Command == want && m.Str(0) == d.txid && d.mark(seen, m.SrcNode, m.SrcGuardian):
+				left--
+			}
+		}
 	}
-	if d.commit {
-		_ = pr.Send(client, OutcomeCommitted, d.txid)
-	} else {
-		_ = pr.Send(client, OutcomeAborted, d.txid)
+	return left == 0, true
+}
+
+// replyOutcome answers client, args holding the txid.
+func replyOutcome(pr *guardian.Process, client xrep.PortName, commit bool, args xrep.Seq) {
+	outcome := OutcomeAborted
+	if commit {
+		outcome = OutcomeCommitted
+	}
+	if !client.IsZero() {
+		_ = pr.SendSeq(client, xrep.PortName{}, outcome, args)
 	}
 }
 
@@ -386,14 +386,14 @@ func CoordinatorDecision(g *guardian.Guardian, txid string) (outcome string, set
 	if !ok {
 		return "", false, false
 	}
-	d, ok := st.lookup(txid)
-	if !ok {
-		return "", false, false
-	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if d.commit {
+	switch d, ok := st.decisions[txid]; {
+	case !ok:
+		return "", false, false
+	case d.commit:
 		return OutcomeCommitted, d.settled, true
+	default:
+		return OutcomeAborted, d.settled, true
 	}
-	return OutcomeAborted, d.settled, true
 }

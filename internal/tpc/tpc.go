@@ -240,7 +240,8 @@ func (p *Participant) Install(recv *guardian.Receiver, log func(kind, txid strin
 				log(r.step, txid, op)
 			}
 			if r.reply != "" && !m.ReplyTo.IsZero() {
-				_ = pr.Send(m.ReplyTo, r.reply, txid)
+				// The txid as received: the port type checked it is a Str.
+				_ = pr.SendSeq(m.ReplyTo, xrep.PortName{}, r.reply, m.Args[:1])
 			}
 		})
 	}

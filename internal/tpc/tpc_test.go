@@ -535,3 +535,127 @@ func TestCoordinatorDecisionInspector(t *testing.T) {
 		t.Fatal("unknown tx reported known")
 	}
 }
+
+// TestVoteTally: a yes vote, and an ack, counts only from one of the
+// transaction's own participants — a reply's provenance is its node and
+// guardian — and once for each; a begin naming one participant twice is
+// refused, since that participant answers once for both.
+func TestVoteTally(t *testing.T) {
+	p1 := xrep.PortName{Node: "n1", Guardian: 2, Port: 1}
+	p2 := xrep.PortName{Node: "n2", Guardian: 2, Port: 1}
+	type from struct {
+		node     string
+		guardian uint64
+	}
+	for _, tc := range []struct {
+		name    string
+		parts   []xrep.PortName
+		replies []from
+		counted int
+		repeats bool
+	}{
+		{"each participant once", []xrep.PortName{p1, p2}, []from{{"n2", 2}, {"n1", 2}}, 2, false},
+		{"one participant twice", []xrep.PortName{p1, p2}, []from{{"n1", 2}, {"n1", 2}}, 1, false},
+		{"a stranger", []xrep.PortName{p1, p2}, []from{{"n3", 2}, {"n1", 2}}, 1, false},
+		{"another guardian on a participant's node", []xrep.PortName{p1}, []from{{"n1", 3}}, 0, false},
+		{"a participant's guardian by its node alone", []xrep.PortName{p1, p2}, []from{{"n2", 9}, {"n1", 9}}, 0, false},
+		{"no participants", nil, []from{{"n1", 2}}, 0, false},
+		{"one participant named twice", []xrep.PortName{p1, p1}, []from{{"n1", 2}}, 1, true},
+		{"one participant's two ports", []xrep.PortName{p1, {Node: "n1", Guardian: 2, Port: 7}, p2}, nil, 0, true},
+	} {
+		d := &decision{txid: "tx"}
+		for _, p := range tc.parts {
+			d.ops = append(d.ops, txOp{participant: p, op: SlotOp("unit", 1)})
+		}
+		seen := make([]bool, len(d.ops))
+		counted := 0
+		for _, r := range tc.replies {
+			if d.mark(seen, r.node, r.guardian) {
+				counted++
+			}
+		}
+		if counted != tc.counted || d.repeats() != tc.repeats {
+			t.Errorf("%s: counted %d, repeats %v; want %d, %v", tc.name, counted, d.repeats(), tc.counted, tc.repeats)
+		}
+	}
+}
+
+// TestBeginNamingOneParticipantTwiceIsRefused: such a begin is answered
+// aborted at once and logs nothing, so the participant never prepares and
+// holds nothing. The coordinator used to prepare the first op, count the
+// participant's one yes as one of two, and abort only when the vote
+// timeout ran out.
+func TestBeginNamingOneParticipantTwiceIsRefused(t *testing.T) {
+	h := newHarness(t, 1, netsim.Config{}, 10)
+	if out := h.begin(t, "once", 1); out != OutcomeCommitted { // both guardians are up
+		t.Fatalf("once: %s", out)
+	}
+	ops := xrep.Seq{xrep.Seq{h.parts[0], SlotOp("unit", 1)}, xrep.Seq{h.parts[0], SlotOp("unit", 2)}}
+	start := time.Now()
+	if err := h.client.SendReplyTo(h.coordPort, h.clientReply.Name(), "begin", "twice", ops); err != nil {
+		t.Fatal(err)
+	}
+	m, st := h.client.Receive(testTimeout, h.clientReply)
+	if st != guardian.RecvOK || m.Command != OutcomeAborted {
+		t.Fatalf("begin naming one participant twice: %v %v, want aborted", st, m)
+	}
+	if waited := time.Since(start); waited >= 500*time.Millisecond {
+		t.Errorf("the refusal took %v, the harness's whole vote timeout", waited)
+	}
+	g, _ := h.partNodes[0].GuardianByID(h.partIDs[0])
+	if phase, _ := ParticipantPhase(g, "twice"); phase != "unknown" {
+		t.Errorf("the participant's phase is %s, want unknown: it was asked to prepare", phase)
+	}
+	if held := h.resources(t)[0].Held("unit"); held != 0 {
+		t.Errorf("the participant holds %d units", held)
+	}
+	cg, _ := h.coordNode.GuardianByID(h.coordID)
+	if outcome, _, known := CoordinatorDecision(cg, "twice"); known {
+		t.Errorf("the coordinator logged a decision (%s) for a refused begin", outcome)
+	}
+}
+
+// TestSettledDecisionKeepsOnlyItsOutcome: once settled — live, and when
+// recovery folds the settled record — a decision keeps no ops and no sends,
+// so the begin's values are not held for the life of the process; a
+// duplicate begin is still answered with the outcome and the inspector
+// still reports it.
+func TestSettledDecisionKeepsOnlyItsOutcome(t *testing.T) {
+	h := newHarness(t, 2, netsim.Config{}, 10)
+	if out := h.begin(t, "tx1", 1); out != OutcomeCommitted {
+		t.Fatalf("tx1: %s", out)
+	}
+	check := func(when string) {
+		t.Helper()
+		// Answered only once the coordinator has replayed its log.
+		if out := h.begin(t, "tx1", 1); out != OutcomeCommitted {
+			t.Errorf("%s: a duplicate begin is answered %s", when, out)
+		}
+		cg, ok := h.coordNode.GuardianByID(h.coordID)
+		if !ok {
+			t.Fatal("coordinator gone")
+		}
+		st := cg.State().(*coordState)
+		st.mu.Lock()
+		d, ok := st.decisions["tx1"]
+		kept := ok && (d.ops != nil || d.args != nil)
+		st.mu.Unlock()
+		if !ok || kept {
+			t.Errorf("%s: the settled decision is gone (%v) or keeps its ops or sends (%v)", when, !ok, kept)
+		}
+		if outcome, settled, known := CoordinatorDecision(cg, "tx1"); !known || !settled || outcome != OutcomeCommitted {
+			t.Errorf("%s: decision %q settled=%v known=%v", when, outcome, settled, known)
+		}
+	}
+	check("live")
+	h.coordNode.Crash()
+	if err := h.coordNode.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	check("recovered")
+	for _, r := range h.resources(t) {
+		if got := r.Committed("unit"); got != 1 {
+			t.Fatalf("a duplicate begin re-ran tx1: committed %d, want 1", got)
+		}
+	}
+}
