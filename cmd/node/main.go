@@ -56,6 +56,7 @@ import (
 	"repro/internal/amo"
 	"repro/internal/bank"
 	"repro/internal/durable"
+	"repro/internal/fault"
 	"repro/internal/guardian"
 	"repro/internal/metrics"
 	"repro/internal/nameserv"
@@ -191,21 +192,10 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 		if err != nil {
 			return nil, err
 		}
-		switch {
-		case spec.replication():
-			if o.group == "" {
-				return nil, fmt.Errorf("node: -crash %s needs -group", spec.point)
-			}
-		case spec.handoff():
-			if o.shard == "" {
-				return nil, fmt.Errorf("node: -crash %s needs -shard", spec.point)
-			}
-			if o.data == "" {
-				return nil, fmt.Errorf("node: -crash %s needs -data", spec.point)
-			}
-		default:
-			if o.data == "" {
-				return nil, fmt.Errorf("node: -crash %s needs -data", spec.point)
+		set := map[string]string{"-data": o.data, "-group": o.group, "-shard": o.shard}
+		for _, flag := range crashNeeds[spec.point] {
+			if set[flag] == "" {
+				return nil, fmt.Errorf("node: -crash %s needs %s", spec.point, flag)
 			}
 		}
 		o.crash = spec
@@ -269,10 +259,27 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	return o, nil
 }
 
+// crashNeeds maps each -crash point to the flags its window needs, in the
+// order they are checked: the WAL windows need the on-disk store, the
+// replication windows a group, the handoff windows a shard on disk.
+// fault.MidTruncate and AfterPrepare are windows no -crash reaches.
+var crashNeeds = map[string][]string{
+	fault.BeforeSync:    {"-data"},
+	fault.AfterSync:     {"-data"},
+	fault.MidCheckpoint: {"-data"},
+	fault.BeforeShip:    {"-group"},
+	fault.AfterShip:     {"-group"},
+	fault.AfterQuorum:   {"-group"},
+	fault.BeforeCut:     {"-shard", "-data"},
+	fault.AfterCut:      {"-shard", "-data"},
+	fault.BeforeInstall: {"-shard", "-data"},
+	fault.AfterInstall:  {"-shard", "-data"},
+}
+
 // crashSpec kills the process — os.Exit, as abrupt as SIGKILL from the
-// store's point of view — at the Nth firing of one WAL crash point or
-// replication window, so a test can park a real OS process exactly
-// inside a durability or replication window.
+// store's point of view — at the Nth firing of one crash window, so a test
+// can park a real OS process exactly inside a durability, replication or
+// handoff window.
 type crashSpec struct {
 	point string
 	n     int64
@@ -284,11 +291,7 @@ func parseCrashSpec(s string) (*crashSpec, error) {
 	if !ok {
 		return nil, fmt.Errorf("node: bad -crash %q: want POINT:N", s)
 	}
-	switch point {
-	case "before-sync", "after-sync", "mid-checkpoint",
-		"before-ship", "after-ship", "after-quorum",
-		"before-cut", "after-cut", "before-install", "after-install":
-	default:
+	if _, ok := crashNeeds[point]; !ok {
 		return nil, fmt.Errorf("node: bad -crash point %q: want before-sync, after-sync, mid-checkpoint, "+
 			"before-ship, after-ship, after-quorum, before-cut, after-cut, before-install or after-install", point)
 	}
@@ -299,36 +302,12 @@ func parseCrashSpec(s string) (*crashSpec, error) {
 	return &crashSpec{point: point, n: n}, nil
 }
 
-// replication reports whether the crash point is a replication window
-// (fired from replica.Hooks) rather than a WAL durability window.
-func (c *crashSpec) replication() bool {
-	switch c.point {
-	case "before-ship", "after-ship", "after-quorum":
-		return true
-	}
-	return false
-}
-
-// handoff reports whether the crash point is a shard-handoff window
-// (fired from bank.ShardHooks).
-func (c *crashSpec) handoff() bool {
-	switch c.point {
-	case "before-cut", "after-cut", "before-install", "after-install":
-		return true
-	}
-	return false
-}
-
-// hook returns the WALHooks callback for one crash point.
-func (c *crashSpec) hook(point string) func(string) {
-	if c == nil || c.point != point {
-		return nil
-	}
-	return func(log string) {
-		if c.count.Add(1) == c.n {
-			fmt.Fprintf(os.Stderr, "crash injected at %s %d (log %s)\n", point, c.n, log)
-			os.Exit(137)
-		}
+// fire is the node's crash hook: it exits the process at the Nth firing of
+// the spec's point.
+func (c *crashSpec) fire(point, subject string) {
+	if point == c.point && c.count.Add(1) == c.n {
+		fmt.Fprintf(os.Stderr, "crash injected at %s %d (log %s)\n", point, c.n, subject)
+		os.Exit(137)
 	}
 }
 
@@ -385,11 +364,6 @@ func replicaConfig(o *options) (replica.Config, error) {
 		// Provides index 1; that is the port a well-known name should
 		// resolve to.
 		ServicePort: 1,
-		Hooks: replica.Hooks{
-			BeforeShip:  o.crash.hook("before-ship"),
-			AfterShip:   o.crash.hook("after-ship"),
-			AfterQuorum: o.crash.hook("after-quorum"),
-		},
 	}
 	if o.service != "" {
 		ns, err := nameserv.ParsePort(o.ns)
@@ -460,16 +434,15 @@ func buildWorld(o *options) (*guardian.World, localAddresser, *transport.Wrapper
 		tr = wrap
 	}
 	cfg.Transport = tr
+	var crash fault.Hook
+	if o.crash != nil {
+		crash = o.crash.fire
+		cfg.Crash = func(string) fault.Hook { return crash }
+	}
 	slot := &replicaSlot{}
 	if o.data != "" {
 		open := func(node string) (durable.Store, error) {
-			return durable.OpenWAL(filepath.Join(o.data, node), durable.WALConfig{
-				Hooks: durable.WALHooks{
-					BeforeSync:    o.crash.hook("before-sync"),
-					AfterSync:     o.crash.hook("after-sync"),
-					MidCheckpoint: o.crash.hook("mid-checkpoint"),
-				},
-			})
+			return durable.OpenWAL(filepath.Join(o.data, node), durable.WALConfig{Crash: crash})
 		}
 		cfg.Store = open
 		if o.group != "" {
@@ -502,16 +475,6 @@ func buildWorld(o *options) (*guardian.World, localAddresser, *transport.Wrapper
 }
 
 func serve(o *options, stdout io.Writer) error {
-	if o.shard != "" {
-		// Handoff crash windows fire from the branch's receive process; a
-		// non-matching point leaves the hook nil (a no-op).
-		bank.SetShardHooks(o.name, bank.ShardHooks{
-			BeforeCut:     o.crash.hook("before-cut"),
-			AfterCut:      o.crash.hook("after-cut"),
-			BeforeInstall: o.crash.hook("before-install"),
-			AfterInstall:  o.crash.hook("after-install"),
-		})
-	}
 	w, base, wrap, slot, err := buildWorld(o)
 	if err != nil {
 		return err

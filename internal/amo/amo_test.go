@@ -689,7 +689,7 @@ func TestCallErrorWaitedIsElapsedPerAttempt(t *testing.T) {
 		default:
 			return false
 		}
-	}, vtime.DriveOptions{})
+	})
 	var ce *amo.CallError
 	if !errors.As(callErr, &ce) {
 		t.Fatalf("err = %v, want a *CallError", callErr)

@@ -122,7 +122,7 @@ func (fe frontEnd) simulated(t *testing.T, tuning guardian.Tuning, call func(cw 
 		default:
 			return false
 		}
-	}, vtime.DriveOptions{})
+	})
 	return err
 }
 

@@ -36,11 +36,11 @@ package bank
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/amo"
 	"repro/internal/durable"
+	"repro/internal/fault"
 	"repro/internal/guardian"
 	"repro/internal/ring"
 	"repro/internal/sendprim"
@@ -97,38 +97,6 @@ var MigrateReplyType = guardian.NewPortType("bank_migrate_reply_port").
 	Msg("cut_busy").
 	Msg("migrate_denied", xrep.KindString).
 	Msg("ack_ok")
-
-// ShardHooks are crash-window callbacks for the cross-process handoff
-// demo: cmd/node registers hooks that exit the process at a chosen point,
-// so a crash matrix can kill a guardian immediately before or after each
-// durable handoff step. Hooks run on the guardian's receive process.
-type ShardHooks struct {
-	BeforeCut, AfterCut         func(hid string)
-	BeforeInstall, AfterInstall func(hid string)
-	// AfterPrepare runs after an escrow prepare is durable but before the
-	// yes vote is sent — the window a coordinator-crash test uses to hold
-	// a participant in its prepared state while the decision is made.
-	AfterPrepare func(txid string)
-}
-
-var shardHooks = struct {
-	mu sync.Mutex
-	m  map[string]ShardHooks
-}{m: make(map[string]ShardHooks)}
-
-// SetShardHooks registers handoff crash-window hooks for every shard
-// branch on the named node. Passing the zero value clears them.
-func SetShardHooks(node string, h ShardHooks) {
-	shardHooks.mu.Lock()
-	defer shardHooks.mu.Unlock()
-	shardHooks.m[node] = h
-}
-
-func hooksFor(node string) ShardHooks {
-	shardHooks.mu.Lock()
-	defer shardHooks.mu.Unlock()
-	return shardHooks.m[node]
-}
 
 // outboundHandoff is the source side of one range migration. It exists
 // from the source's durable cut (the bank/moved_out record) on: nothing
@@ -526,8 +494,6 @@ func (sh *shardRuntime) ownershipHook() func(pr *guardian.Process, m *guardian.M
 // outcome the Router also treats as a split signal. The strict split
 // reply is only produced when every key is provably elsewhere.
 
-func (sh *shardRuntime) hooks() ShardHooks { return hooksFor(sh.g.Node().Name()) }
-
 // callOpts are the puller's per-step retry settings, scaled by the world
 // tuning so DST runs shrink them with everything else.
 func (sh *shardRuntime) callOpts() sendprim.CallOptions {
@@ -624,15 +590,11 @@ func (sh *shardRuntime) installArms(recv *guardian.Receiver) {
 				return
 			}
 			dsnap, _ := m.Arg(3)
-			h := sh.hooks()
-			if h.BeforeInstall != nil {
-				h.BeforeInstall(hid)
-			}
+			node := sh.g.Node()
+			node.CrashPoint(fault.BeforeInstall, hid)
 			sh.appendAndFold(installRec, xrep.Seq{xrep.Str(hid), xrep.Str(blob), accounts, dsnap})
 			delete(sh.pulling, hid)
-			if h.AfterInstall != nil {
-				h.AfterInstall(hid)
-			}
+			node.CrashPoint(fault.AfterInstall, hid)
 			reply(pr, m, "installed")
 		}).
 		When("migrate_cut", func(pr *guardian.Process, m *guardian.Message) {
@@ -686,14 +648,10 @@ func (sh *shardRuntime) installArms(recv *guardian.Receiver) {
 				}
 			}
 			accounts := accountsSeq(moving)
-			h := sh.hooks()
-			if h.BeforeCut != nil {
-				h.BeforeCut(hid)
-			}
+			node := sh.g.Node()
+			node.CrashPoint(fault.BeforeCut, hid)
 			sh.appendAndFold(movedOutRec, xrep.Seq{xrep.Str(hid), xrep.Str(dest), xrep.Str(blob), accounts})
-			if h.AfterCut != nil {
-				h.AfterCut(hid)
-			}
+			node.CrashPoint(fault.AfterCut, hid)
 			reply(pr, m, "cut_done", accounts, sh.dedupSnapshot())
 		}).
 		When("migrate_ack", func(pr *guardian.Process, m *guardian.Message) {
@@ -717,13 +675,13 @@ func (sh *shardRuntime) dedupSnapshot() xrep.Value {
 
 // logEscrow is the escrow participant's log: it makes one step durable as
 // a bank/tpc record in the runtime's scratch and applies it, as fold does.
-// A yes vote's hold is durable before the AfterPrepare hook runs.
+// A yes vote's hold is durable before the node hears fault.AfterPrepare.
 func (sh *shardRuntime) logEscrow(step, txid string, op xrep.Value) {
 	sh.scratch = appendEscrowRecord(sh.scratch[:0], step, txid, op)
 	sh.log.AppendSync(sh.scratch)
 	_ = sh.escrow.Apply(step, txid, op) // step is one of the table's steps
-	if h := sh.hooks().AfterPrepare; h != nil && step == "prepared" {
-		h(txid)
+	if step == "prepared" {
+		sh.g.Node().CrashPoint(fault.AfterPrepare, txid)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/amo"
 	"repro/internal/bank"
+	"repro/internal/fault"
 	"repro/internal/guardian"
 	"repro/internal/nameserv"
 	"repro/internal/netsim"
@@ -46,7 +47,13 @@ type shardCluster struct {
 
 func deployShardCluster(t *testing.T, net netsim.Config, shards ...string) *shardCluster {
 	t.Helper()
-	w := guardian.NewWorld(guardian.Config{Net: net, Tuning: guardian.Tuning{BackoffCap: 30 * time.Millisecond}})
+	return deployShardClusterWith(t, net, nil, shards...)
+}
+
+// deployShardClusterWith is deployShardCluster with each node's crash hook.
+func deployShardClusterWith(t *testing.T, net netsim.Config, crash func(node string) fault.Hook, shards ...string) *shardCluster {
+	t.Helper()
+	w := guardian.NewWorld(guardian.Config{Net: net, Crash: crash, Tuning: guardian.Tuning{BackoffCap: 30 * time.Millisecond}})
 	t.Cleanup(func() { _ = w.Close() })
 	w.MustRegister(bank.BranchDef())
 	w.MustRegister(nameserv.Def())
@@ -595,8 +602,28 @@ func TestRingMidCallMigrationNoDoubleApply(t *testing.T) {
 // the escrow hold releases, the debit applies exactly once, and the
 // re-announced commit to the already-committed leg is a no-op.
 func TestRingCoordinatorCrashBetweenPrepareAndCommit(t *testing.T) {
+	// Hold s2 in its prepared state: the hook fires after the durable
+	// prepare, the test severs coordinator→s2 before letting the yes vote
+	// out, so the decision can never reach this leg.
+	prepared := make(chan string, 1)
+	release := make(chan struct{})
+	var once sync.Once
+	crash := func(node string) fault.Hook {
+		if node != "s2" {
+			return nil
+		}
+		return func(point, txid string) {
+			if point != fault.AfterPrepare {
+				return
+			}
+			once.Do(func() {
+				prepared <- txid
+				<-release
+			})
+		}
+	}
 	shards := []string{"s1", "s2"}
-	c := deployShardCluster(t, netsim.Config{Seed: 7}, shards...)
+	c := deployShardClusterWith(t, netsim.Config{Seed: 7}, crash, shards...)
 	r1 := c.bootstrapRing(shards...)
 	rt := c.router()
 	defer rt.Close()
@@ -609,20 +636,6 @@ func TestRingCoordinatorCrashBetweenPrepareAndCommit(t *testing.T) {
 	}
 	rep, err := rt.Call(b, "deposit", b, int64(500))
 	mustOK(t, rep, err, "seed")
-
-	// Hold s2 in its prepared state: the hook fires after the durable
-	// prepare, the test severs coordinator→s2 before letting the yes vote
-	// out, so the decision can never reach this leg.
-	prepared := make(chan string, 1)
-	release := make(chan struct{})
-	var once sync.Once
-	bank.SetShardHooks("s2", bank.ShardHooks{AfterPrepare: func(txid string) {
-		once.Do(func() {
-			prepared <- txid
-			<-release
-		})
-	}})
-	defer bank.SetShardHooks("s2", bank.ShardHooks{})
 
 	done := make(chan string, 1)
 	go func() {
@@ -965,8 +978,23 @@ func TestRingTransferSplitWindowAborts(t *testing.T) {
 // next pull is re-offered the whole range from the durable moved_out
 // record, so the rebalance still converges with nothing lost or doubled.
 func TestRingSourceCrashAfterCut(t *testing.T) {
+	cut := make(chan struct{}, 1)
+	crash := func(node string) fault.Hook {
+		if node != "s1" {
+			return nil
+		}
+		return func(point, _ string) {
+			if point != fault.AfterCut {
+				return
+			}
+			select {
+			case cut <- struct{}{}:
+			default:
+			}
+		}
+	}
 	shards := []string{"s1", "s2"}
-	c := deployShardCluster(t, netsim.Config{Seed: 6}, shards...)
+	c := deployShardClusterWith(t, netsim.Config{Seed: 6}, crash, shards...)
 	c.bootstrapRing(shards...)
 
 	rt := c.router()
@@ -980,15 +1008,6 @@ func TestRingSourceCrashAfterCut(t *testing.T) {
 		rep, err = rt.Call(a, "deposit", a, int64(50))
 		mustOK(t, rep, err, "seed "+a)
 	}
-
-	cut := make(chan struct{}, 1)
-	bank.SetShardHooks("s1", bank.ShardHooks{AfterCut: func(string) {
-		select {
-		case cut <- struct{}{}:
-		default:
-		}
-	}})
-	defer bank.SetShardHooks("s1", bank.ShardHooks{})
 
 	// s3 joins; s1 will cut ranges toward it. Crash s1 at its first cut.
 	m3 := c.addShard("s3")
@@ -1033,5 +1052,89 @@ func TestRingSourceCrashAfterCut(t *testing.T) {
 		if err != nil || rep.Command != "balance_is" || rep.Int(0) != 50 {
 			t.Fatalf("balance %s after recovery: %v %v", a, rep, err)
 		}
+	}
+}
+
+// TestShardCrashHookIsPerWorld: two worlds in one process each run a shard
+// branch on a node named s1, and only world A's s1 has a crash hook. A
+// prepare and a cut on world B's s1 must not reach it; a prepare on world
+// A's s1 must.
+func TestShardCrashHookIsPerWorld(t *testing.T) {
+	var mu sync.Mutex
+	var heard []string
+	crash := func(node string) fault.Hook {
+		if node != "s1" {
+			return nil
+		}
+		return func(point, _ string) {
+			mu.Lock()
+			heard = append(heard, point)
+			mu.Unlock()
+		}
+	}
+	heardNow := func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]string(nil), heard...)
+	}
+	shards := []string{"s1", "s2"}
+	a := deployShardClusterWith(t, netsim.Config{Seed: 8}, crash, shards...)
+	b := deployShardCluster(t, netsim.Config{Seed: 8}, shards...)
+
+	// transfer moves 10 from an account on s1 to one on s2: both legs
+	// prepare, the s1 debit leg holding the escrow.
+	transfer := func(c *shardCluster) (*ring.Ring, []string) {
+		r := c.bootstrapRing(shards...)
+		rt := c.router()
+		defer rt.Close()
+		from := accountsOwnedBy(r, "s1", "db", 1)[0]
+		to := accountsOwnedBy(r, "s2", "cr", 1)[0]
+		accounts := []string{from, to}
+		for i := 0; i < 16; i++ {
+			accounts = append(accounts, fmt.Sprintf("acct-%03d", i))
+		}
+		for _, acct := range accounts {
+			rep, err := rt.Call(acct, "open", acct)
+			mustOK(t, rep, err, "open "+acct)
+		}
+		rep, err := rt.Call(from, "deposit", from, int64(100))
+		mustOK(t, rep, err, "seed")
+		if out, err := rt.Transfer(from, to, 10); err != nil || out != bank.OutcomeOK {
+			t.Fatalf("transfer: %q %v", out, err)
+		}
+		return r, accounts
+	}
+
+	r1, accounts := transfer(b)
+	// s3 joins world B: B's s1 cuts the ranges that move to it.
+	m3 := b.addShard("s3")
+	pr, ns := b.driver()
+	if _, err := bank.Join(pr, b.ringNm, m3, bank.RebalanceOptions{NS: ns}); err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	rs, err := ns.RingGet(b.ringNm, shardTestTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := ring.Unmarshal(rs.Committed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := false
+	for _, acct := range accounts {
+		was, _ := r1.Owner(acct)
+		now, _ := r2.Owner(acct)
+		cut = cut || (was.Name == "s1" && now.Name == "s3")
+	}
+	if !cut {
+		t.Fatal("no account moved from s1 to s3: world B's s1 cut nothing")
+	}
+	if got := heardNow(); len(got) != 0 {
+		t.Fatalf("world A's hook heard world B's s1: %v", got)
+	}
+
+	transfer(a)
+	if got := heardNow(); len(got) == 0 || got[0] != fault.AfterPrepare {
+		t.Fatalf("world A's hook heard %v, want %s first", got, fault.AfterPrepare)
 	}
 }

@@ -72,7 +72,7 @@ func (a *airlineWorkload) client(i int, crng *rand.Rand) {
 	if err != nil {
 		return
 	}
-	caller, err := amo.NewCaller(pr, callerOptions(a.opts, a.met, crng.Int63()))
+	caller, err := amo.NewCaller(pr, callerOptions(a.met, crng.Int63()))
 	if err != nil {
 		return
 	}
@@ -110,7 +110,7 @@ func (a *airlineWorkload) note(f func()) {
 func (a *airlineWorkload) flight(w *guardian.World, rep *Report, pr *guardian.Process) *guardian.Guardian {
 	return serving(w, rep, serverNode, a.created.GuardianID, func() error {
 		_, err := sendprim.Call(pr, a.created.Ports[0], airline.ClientReplyType,
-			auditCallOptions(a.opts), "list_passengers", int64(flightNo), flightDates[0])
+			auditCallOptions(), "list_passengers", int64(flightNo), flightDates[0])
 		return err
 	})
 }

@@ -210,8 +210,8 @@ func (b *bankBooks) op(led *clientLedger, t int, link bankLink, crng *rand.Rand)
 
 // pingBranch is the bank's synchronizing call (see serving): an audit
 // request on a branch's native port.
-func pingBranch(pr *guardian.Process, native xrep.PortName, opts Options) error {
-	_, err := sendprim.Call(pr, native, bank.ClientReplyType, auditCallOptions(opts), "audit")
+func pingBranch(pr *guardian.Process, native xrep.PortName) error {
+	_, err := sendprim.Call(pr, native, bank.ClientReplyType, auditCallOptions(), "audit")
 	return err
 }
 

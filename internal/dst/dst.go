@@ -244,16 +244,8 @@ type Options struct {
 	// faulted node is fail-stopped before the sync returns (no
 	// acknowledgment of unsynced state can escape) and restarted a moment
 	// later, driving the recovery path through the damage. The config's
-	// Seed and OnFault fields are owned by the harness and overwritten.
+	// Seed is owned by the harness and overwritten.
 	StorageFaults *durable.FaultConfig
-	// AttemptTimeout bounds each call attempt (virtual time). Zero means
-	// 25ms.
-	AttemptTimeout time.Duration
-	// Retries is the per-call re-send budget. Zero means 8.
-	Retries int
-	// Settle is the real-time pacing window of vtime.Drive. Zero means the
-	// driver's default.
-	Settle time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -270,12 +262,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.OpsPerClient <= 0 {
 		o.OpsPerClient = 12
-	}
-	if o.AttemptTimeout <= 0 {
-		o.AttemptTimeout = 25 * time.Millisecond
-	}
-	if o.Retries <= 0 {
-		o.Retries = 8
 	}
 	return o
 }
@@ -348,7 +334,10 @@ func run(opts Options, schedule []Event, audit func(workload, *guardian.World, *
 		if sf := opts.StorageFaults; sf != nil {
 			mcfg.FaultConfig = *sf
 			mcfg.Seed = streams.Storage(node)
-			mcfg.OnFault = func(log, fault string) {
+			mcfg.Crash = func(point, _ string) {
+				if point == fault.MidCheckpoint {
+					return
+				}
 				n, err := w.Node(node)
 				if err != nil || !n.Alive() {
 					return
@@ -467,7 +456,7 @@ func run(opts Options, schedule []Event, audit func(workload, *guardian.World, *
 		}
 		audit(wl, w, rep, crashed)
 	}()
-	clock.Drive(done.Load, vtime.DriveOptions{Settle: opts.Settle})
+	clock.Drive(done.Load)
 	rep.RealElapsed = time.Since(realStart)
 	return rep
 }

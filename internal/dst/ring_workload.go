@@ -176,8 +176,8 @@ func (s *ringWorkload) rebalanceOpts(ns *nameserv.Client) bank.RebalanceOptions 
 		NS:      ns,
 		Timeout: 250 * time.Millisecond,
 		Call: sendprim.CallOptions{
-			Timeout: 4 * s.opts.AttemptTimeout,
-			Retries: s.opts.Retries,
+			Timeout: 4 * attemptTimeout,
+			Retries: retries,
 			Backoff: 2 * time.Millisecond,
 		},
 		PollInterval: 20 * time.Millisecond,
@@ -292,7 +292,7 @@ func (s *ringWorkload) traffic(i int, pr *guardian.Process, ns *nameserv.Client,
 
 	// Wait out the bootstrap: no committed ring, no routing.
 	if !waitUntil(s.w.Clock(), 2*time.Second, func() bool {
-		rs, err := ns.RingGet(ringName, s.opts.AttemptTimeout)
+		rs, err := ns.RingGet(ringName, attemptTimeout)
 		return err == nil && rs.CommittedEpoch > 0
 	}) {
 		return
@@ -301,7 +301,7 @@ func (s *ringWorkload) traffic(i int, pr *guardian.Process, ns *nameserv.Client,
 		NS:          ns,
 		RingName:    ringName,
 		Coordinator: s.coordPort,
-		Call:        callerOptions(s.opts, s.met, crng.Int63()),
+		Call:        callerOptions(s.met, crng.Int63()),
 	})
 	if err != nil {
 		return
@@ -335,7 +335,7 @@ func (s *ringWorkload) check(w *guardian.World, rep *Report, crashed bool) {
 		return
 	}
 	for _, node := range s.memberNodes {
-		if err := pingBranch(pr, s.member(node).Native, s.opts); err != nil {
+		if err := pingBranch(pr, s.member(node).Native); err != nil {
 			rep.addViolation("recovery", "branch %s unreachable after restart: %v", node, err)
 			return
 		}
@@ -377,7 +377,7 @@ func (s *ringWorkload) check(w *guardian.World, rep *Report, crashed bool) {
 
 	// Converge adoption: a broadcast the schedule ate is regenerable.
 	for _, node := range s.memberNodes {
-		if _, err := sendprim.Call(pr, s.member(node).Native, bank.MigrateReplyType, auditCallOptions(s.opts),
+		if _, err := sendprim.Call(pr, s.member(node).Native, bank.MigrateReplyType, auditCallOptions(),
 			"ring_update", string(committed.Marshal())); err != nil {
 			rep.addViolation("rebalance", "branch %s rejected ring broadcast: %v", node, err)
 			return
@@ -424,7 +424,7 @@ func (s *ringWorkload) check(w *guardian.World, rep *Report, crashed bool) {
 	for _, node := range s.memberNodes {
 		native := s.member(node).Native
 		g := serving(w, rep, node, s.created[node].GuardianID,
-			func() error { return pingBranch(pr, native, s.opts) })
+			func() error { return pingBranch(pr, native) })
 		if g == nil {
 			return
 		}

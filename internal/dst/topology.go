@@ -268,12 +268,12 @@ func (s *shardedWorkload) setup(w *guardian.World) error {
 // winner re-creates the branch from the shipped log and re-binds the
 // name, and the clients' retries land on it.
 func (s *shardedWorkload) dial(pr *guardian.Process, ns *nameserv.Client, si int, seed int64) (*amo.Caller, bankLink, error) {
-	copts := callerOptions(s.opts, s.met, seed)
+	copts := callerOptions(s.met, seed)
 	var port xrep.PortName
 	if s.topo.replicated() {
 		svc := shardService(si)
 		copts.Resolve = func() (xrep.PortName, bool) {
-			p, _, err := ns.Lookup(svc, s.opts.AttemptTimeout)
+			p, _, err := ns.Lookup(svc, attemptTimeout)
 			return p, err == nil
 		}
 		// The leader binds the name once its branch is serving.
@@ -452,7 +452,7 @@ func (s *shardedWorkload) servingLeader(w *guardian.World, rep *Report, pr *guar
 		rep.addViolation("failover", "shard %d: leader %s serves no ports", si, leader)
 		return nil, ""
 	}
-	if err := pingBranch(pr, ports[0], s.opts); err != nil {
+	if err := pingBranch(pr, ports[0]); err != nil {
 		rep.addViolation("failover", "shard %d: leader branch unreachable: %v", si, err)
 		return nil, ""
 	}
@@ -467,7 +467,7 @@ func (s *shardedWorkload) servingLeader(w *guardian.World, rep *Report, pr *guar
 func (s *shardedWorkload) servingPlain(w *guardian.World, rep *Report, pr *guardian.Process, si int) *guardian.Guardian {
 	cr := s.created[si]
 	return serving(w, rep, s.shardNodes[si][0], cr.GuardianID,
-		func() error { return pingBranch(pr, cr.Ports[0], s.opts) })
+		func() error { return pingBranch(pr, cr.Ports[0]) })
 }
 
 // restartPlain crashes plain shard si once more and requires the

@@ -104,12 +104,19 @@ func serving(w *guardian.World, rep *Report, node string, id uint64, ping func()
 	return g
 }
 
+// attemptTimeout bounds each call attempt (virtual time); retries is a
+// client call's re-send budget.
+const (
+	attemptTimeout = 25 * time.Millisecond
+	retries        = 8
+)
+
 // callerOptions is the at-most-once caller configuration every client
 // session uses; seed comes from the session's own stream.
-func callerOptions(opts Options, met *amo.Metrics, seed int64) amo.CallerOptions {
+func callerOptions(met *amo.Metrics, seed int64) amo.CallerOptions {
 	return amo.CallerOptions{
-		Timeout: opts.AttemptTimeout,
-		Retries: opts.Retries,
+		Timeout: attemptTimeout,
+		Retries: retries,
 		Backoff: amo.BackoffPolicy{Base: 2 * time.Millisecond, Jitter: 0.5},
 		Seed:    seed,
 		Metrics: met,
@@ -118,9 +125,9 @@ func callerOptions(opts Options, met *amo.Metrics, seed int64) amo.CallerOptions
 
 // auditCallOptions is the patient retry budget of the checker's own
 // synchronizing calls.
-func auditCallOptions(opts Options) sendprim.CallOptions {
+func auditCallOptions() sendprim.CallOptions {
 	return sendprim.CallOptions{
-		Timeout: opts.AttemptTimeout,
+		Timeout: attemptTimeout,
 		Retries: 30,
 		Backoff: 2 * time.Millisecond,
 	}

@@ -6,31 +6,32 @@ import (
 	"testing"
 
 	"repro/internal/durable"
+	"repro/internal/fault"
 	"repro/internal/replica"
 	"repro/internal/vtime"
 )
 
 // backend is one Log implementation under the shared contract. open
-// returns a fresh store whose mid-checkpoint crash window calls mid (may
-// be nil), plus restart: the store a process restarted after a crash
+// returns a fresh store whose crash windows call crash (may be nil), plus
+// restart: the store a process restarted after a crash
 // sees — volatile state gone, whatever reached the device intact.
 type backend struct {
 	name string
-	open func(t *testing.T, mid func(log string)) (st durable.Store, restart func() durable.Store)
+	open func(t *testing.T, crash fault.Hook) (st durable.Store, restart func() durable.Store)
 }
 
-func newMem(mid func(string)) *durable.Mem {
-	return durable.NewMem(vtime.NewReal(), durable.MemConfig{MidCheckpoint: mid})
+func newMem(crash fault.Hook) *durable.Mem {
+	return durable.NewMem(vtime.NewReal(), durable.MemConfig{Crash: crash})
 }
 
 var backends = []backend{
-	{"Mem", func(t *testing.T, mid func(string)) (durable.Store, func() durable.Store) {
-		m := newMem(mid)
+	{"Mem", func(t *testing.T, crash fault.Hook) (durable.Store, func() durable.Store) {
+		m := newMem(crash)
 		return m, func() durable.Store { m.Crash(); return m }
 	}},
 	// A WAL restart is kill -9: the old handle is abandoned unclosed and
 	// a new one scans the directory.
-	{"WAL", func(t *testing.T, mid func(string)) (durable.Store, func() durable.Store) {
+	{"WAL", func(t *testing.T, crash fault.Hook) (durable.Store, func() durable.Store) {
 		dir := t.TempDir()
 		open := func(cfg durable.WALConfig) durable.Store {
 			w, err := durable.OpenWAL(dir, cfg)
@@ -39,13 +40,13 @@ var backends = []backend{
 			}
 			return w
 		}
-		return open(durable.WALConfig{Hooks: durable.WALHooks{MidCheckpoint: mid}}),
+		return open(durable.WALConfig{Crash: crash}),
 			func() durable.Store { return open(durable.WALConfig{}) }
 	}},
 	// An unattached replica member: repLog stages, forces and passes
 	// through with nobody to ship to.
-	{"repLog", func(t *testing.T, mid func(string)) (durable.Store, func() durable.Store) {
-		st, err := replica.NewStore(newMem(mid), replica.Config{Group: "g", Self: "m1", Members: []string{"m1", "m2", "m3"}})
+	{"repLog", func(t *testing.T, crash fault.Hook) (durable.Store, func() durable.Store) {
+		st, err := replica.NewStore(newMem(crash), replica.Config{Group: "g", Self: "m1", Members: []string{"m1", "m2", "m3"}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +237,10 @@ func TestLogContractMidCheckpointCrash(t *testing.T) {
 		b := b
 		t.Run(b.name, func(t *testing.T) {
 			died := ""
-			st, restart := b.open(t, func(log string) {
+			st, restart := b.open(t, func(point, log string) {
+				if point != fault.MidCheckpoint {
+					return
+				}
 				died = log
 				panic("crash between checkpoint install and truncation")
 			})

@@ -53,12 +53,14 @@ type fateStore interface {
 // one to four records, checkpoints, a shipped-checkpoint install with
 // SkipTo, crashes with a volatile tail — from a script stream of its
 // own, and writes one line per observable.
-func fateScript(c fateCase, open func(FaultConfig) fateStore) []byte {
+func fateScript(c fateCase, open func(MemConfig) fateStore) []byte {
 	var out bytes.Buffer
-	fault := ""
-	cfg := c.faults
-	cfg.OnFault = func(log, f string) { fault = log + ":" + f }
-	st := open(cfg)
+	faulted := ""
+	st := open(MemConfig{FaultConfig: c.faults, Crash: func(point, log string) {
+		if point != fault.MidCheckpoint {
+			faulted = log + ":" + point
+		}
+	}})
 
 	names := []string{"a", "b"}
 	logs := make(map[string]Log)
@@ -100,14 +102,14 @@ func fateScript(c fateCase, open func(FaultConfig) fateStore) []byte {
 		case op < 14: // a batch, forced
 			seqs := appendBatch(name, 1+script.Intn(4))
 			before := l.LastDurableSeq()
-			fault = ""
+			faulted = ""
 			l.Sync()
 			fmt.Fprintf(&out, "%03d sync %s seqs=%v fault=%q lds=%d->%d durable=%d volatile=%d\n",
-				step, name, seqs, fault, before, l.LastDurableSeq(), l.DurableLen(), l.VolatileLen())
+				step, name, seqs, faulted, before, l.LastDurableSeq(), l.DurableLen(), l.VolatileLen())
 		case op < 15: // an empty sync draws no fate
-			fault = ""
+			faulted = ""
 			l.Sync()
-			fmt.Fprintf(&out, "%03d sync %s empty fault=%q\n", step, name, fault)
+			fmt.Fprintf(&out, "%03d sync %s empty fault=%q\n", step, name, faulted)
 		case op < 17: // checkpoint at or a little below the durable tail
 			upTo := l.LastDurableSeq()
 			if back := uint64(script.Intn(3)); upTo >= watermark[name]+back {
@@ -155,8 +157,8 @@ func TestMemReproducesParentFateTrace(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := fateScript(c, func(f FaultConfig) fateStore {
-				return NewMem(vtime.NewReal(), MemConfig{FaultConfig: f})
+			got := fateScript(c, func(cfg MemConfig) fateStore {
+				return NewMem(vtime.NewReal(), cfg)
 			})
 			if !bytes.Equal(got, want) {
 				t.Fatalf("fate trace diverged from the parent recording\n%s", firstDiff(got, want))
@@ -179,17 +181,14 @@ func firstDiff(got, want []byte) string {
 // the wrapper held its log lock across the inner Sync, which parks in
 // clock.Sleep(SyncDelay) — so every Append on that log waited out a
 // forced write it was not part of. Mem decides the fate and moves the
-// records under the lock, sleeps outside it, and calls OnFault last.
+// records under the lock, sleeps outside it, and calls its Crash hook last.
 func TestFaultedSyncSleepsOutsideTheLock(t *testing.T) {
 	clock := vtime.NewSim(time.Unix(0, 0))
 	faulted := make(chan string, 1)
 	m := NewMem(clock, MemConfig{
-		SyncDelay: 5 * time.Millisecond,
-		FaultConfig: FaultConfig{
-			Seed:         1,
-			SyncFailRate: 1,
-			OnFault:      func(_, fault string) { faulted <- fault },
-		},
+		SyncDelay:   5 * time.Millisecond,
+		FaultConfig: FaultConfig{Seed: 1, SyncFailRate: 1},
+		Crash:       func(fault, _ string) { faulted <- fault },
 	})
 	l, _ := m.OpenLog("g")
 	l.Append([]byte("lost"))
@@ -214,7 +213,7 @@ func TestFaultedSyncSleepsOutsideTheLock(t *testing.T) {
 	}
 	select {
 	case f := <-faulted:
-		t.Fatalf("OnFault(%s) ran before the forced write's delay elapsed", f)
+		t.Fatalf("Crash(%s) ran before the forced write's delay elapsed", f)
 	case <-synced:
 		t.Fatal("Sync returned before its delay elapsed")
 	default:
@@ -226,7 +225,7 @@ func TestFaultedSyncSleepsOutsideTheLock(t *testing.T) {
 		t.Fatal("Sync did not return after its delay")
 	}
 	if f := <-faulted; f != fault.SyncFail {
-		t.Fatalf("OnFault got %q", f)
+		t.Fatalf("Crash got %q", f)
 	}
 	if got := l.VolatileLen(); got != 1 {
 		t.Fatalf("VolatileLen = %d, want the one record appended during the sleep", got)

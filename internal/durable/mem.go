@@ -15,13 +15,19 @@ type MemConfig struct {
 	// SyncDelay is charged (by sleeping on the clock) per Sync call,
 	// modeling the latency of a forced write. Zero means instant.
 	SyncDelay time.Duration
-	// MidCheckpoint, when set, is called during Checkpoint after the new
-	// checkpoint is durably installed but before the records it
+	// Crash, when set, hears fault.MidCheckpoint during Checkpoint, after
+	// the new checkpoint is durably installed but before the records it
 	// supersedes are truncated — the crash window every
-	// write-new-then-rename implementation has. A hook that panics
-	// models dying inside that window: the checkpoint is on disk, the
-	// stale records are too.
-	MidCheckpoint func(log string)
+	// write-new-then-rename implementation has: a hook that panics there
+	// leaves the checkpoint on disk and the stale records too. It also
+	// hears each storage fault Sync applies, under the fault's name
+	// (fault.SyncFail, ShortWrite or CorruptTail), after SyncDelay is
+	// charged and before Sync returns. A harness uses that to fail-stop
+	// the faulted node immediately — the post-fsyncgate discipline: a
+	// storage error must crash the process BEFORE any acknowledgment
+	// escapes, or acked-implies-durable is lost. The subject is the log;
+	// the hook runs outside the store's lock.
+	Crash fault.Hook
 	// FaultConfig is the seeded storage-fault model; zero means none.
 	FaultConfig
 }
@@ -44,14 +50,6 @@ type FaultConfig struct {
 	// device but is damaged in place, so recovery's checksum scan
 	// rejects the whole batch.
 	CorruptTailRate float64
-	// OnFault, when non-nil, is called with the log and the fault's name
-	// (fault.SyncFail, ShortWrite or CorruptTail) — outside the store's
-	// lock, after SyncDelay is charged — once a fault is applied, before
-	// Sync returns to the caller. A harness uses it to fail-stop the faulted node
-	// immediately — the post-fsyncgate discipline: a storage error must
-	// crash the process BEFORE any acknowledgment escapes, or
-	// acked-implies-durable is lost.
-	OnFault func(log, fault string)
 }
 
 // FaultStats counts the faults a Mem has injected.
@@ -250,7 +248,7 @@ func (l *memLog) Append(data []byte) uint64 {
 }
 
 // Sync implements Log: the fate is decided and the records moved under
-// the lock, the write latency charged outside it, OnFault called last.
+// the lock, the write latency charged outside it, the Crash hook called last.
 func (l *memLog) Sync() {
 	m := l.m
 	m.mu.Lock()
@@ -289,8 +287,8 @@ func (l *memLog) Sync() {
 	m.mu.Unlock()
 
 	m.charge()
-	if kind != "" && m.cfg.OnFault != nil {
-		m.cfg.OnFault(l.name, kind)
+	if kind != "" {
+		m.cfg.Crash.At(kind, l.name)
 	}
 }
 
@@ -309,9 +307,9 @@ func (l *memLog) Checkpoint(state []byte, upTo uint64) {
 	l.checkpoint = append([]byte(nil), state...)
 	l.checkpointAt = upTo
 	l.hasCP = true
-	if hook := m.cfg.MidCheckpoint; hook != nil {
+	if m.cfg.Crash != nil {
 		m.mu.Unlock()
-		hook(l.name)
+		m.cfg.Crash(fault.MidCheckpoint, l.name)
 		m.mu.Lock()
 	}
 	kept := l.durable[:0]

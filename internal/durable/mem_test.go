@@ -83,19 +83,16 @@ func TestWrapperShortWriteDropsBatchWhole(t *testing.T) {
 	// batch WHOLE — the surviving prefix must not replay alone, or a
 	// transfer's withdraw leg could outlive its deposit leg.
 	var fired []string
-	w := newFaultyMem(FaultConfig{
-		Seed:           1,
-		ShortWriteRate: 1.0, // every sync tears
-		OnFault: func(log, fault string) {
-			fired = append(fired, fault)
-		},
+	w := NewMem(vtime.NewReal(), MemConfig{
+		FaultConfig: FaultConfig{Seed: 1, ShortWriteRate: 1.0}, // every sync tears
+		Crash:       func(fault, _ string) { fired = append(fired, fault) },
 	})
 	l, _ := w.OpenLog("log")
 	l.Append([]byte("withdraw"))
 	l.Append([]byte("deposit"))
 	l.Sync()
 	if len(fired) != 1 || fired[0] != fault.ShortWrite {
-		t.Fatalf("OnFault calls = %v", fired)
+		t.Fatalf("Crash calls = %v", fired)
 	}
 	_, recs, _ := l.Recover()
 	if len(recs) != 0 {

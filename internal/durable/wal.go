@@ -12,6 +12,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/fault"
 )
 
 // WAL is the real backend: one directory per node holding one
@@ -67,29 +69,12 @@ type WALConfig struct {
 	// its own fsync, serialized — the naive log-then-ack discipline E13
 	// uses as its control arm.
 	NoGroupCommit bool
-	// Hooks, when set, are called at crash-window points so tests can
-	// kill the process (or snapshot the directory) at exactly the
-	// instants a real crash is most interesting. Hooks must not call
-	// back into the log.
-	Hooks WALHooks
-}
-
-// WALHooks are the crash-point injection hooks.
-type WALHooks struct {
-	// BeforeSync fires after a Sync batch is claimed but before any of
-	// it reaches the disk: a crash here loses the whole batch.
-	BeforeSync func(log string)
-	// AfterSync fires once the batch is durable but before Sync
-	// returns: a crash here leaves a durable-but-unacked tail.
-	AfterSync func(log string)
-	// MidCheckpoint fires between checkpoint install (the atomic rename)
-	// and log compaction: a crash here leaves records at or below the
-	// new watermark still on disk.
-	MidCheckpoint func(log string)
-	// MidTruncate fires once Truncate has removed the wholly-later
-	// segments and forced the cut segment's prefix to its temporary file,
-	// before the rename replaces the segment.
-	MidTruncate func(log string)
+	// Crash, when set, hears the WAL's crash windows (fault.BeforeSync,
+	// AfterSync, MidCheckpoint, MidTruncate) with the log's name, so tests
+	// can kill the process — or snapshot the directory — at exactly the
+	// instants a real crash is most interesting. It must not call back
+	// into the log.
+	Crash fault.Hook
 }
 
 const (
@@ -295,12 +280,6 @@ func (l *walLog) wedge(err error) {
 	panic(fmt.Errorf("durable: wal log %s: %w", l.name, err))
 }
 
-func (l *walLog) fire(h func(string)) {
-	if h != nil {
-		h(l.name)
-	}
-}
-
 // Append implements Log.
 func (l *walLog) Append(data []byte) uint64 {
 	l.mu.Lock()
@@ -371,7 +350,7 @@ func (l *walLog) Sync() {
 func (l *walLog) flushAsLeader(batch []Record) {
 	l.syncing = true
 	l.mu.Unlock()
-	l.fire(l.wal.cfg.Hooks.BeforeSync)
+	l.wal.cfg.Crash.At(fault.BeforeSync, l.name)
 	err := l.writeAndSync(batch)
 	l.mu.Lock()
 	l.syncing = false
@@ -384,7 +363,7 @@ func (l *walLog) flushAsLeader(batch []Record) {
 	}
 	l.cond.Broadcast()
 	l.mu.Unlock()
-	l.fire(l.wal.cfg.Hooks.AfterSync)
+	l.wal.cfg.Crash.At(fault.AfterSync, l.name)
 }
 
 // writeAndSync appends batch as one frame to the active segment
@@ -488,7 +467,7 @@ func (l *walLog) Checkpoint(state []byte, upTo uint64) {
 	}
 	l.durable = kept
 
-	l.fire(l.wal.cfg.Hooks.MidCheckpoint)
+	l.wal.cfg.Crash.At(fault.MidCheckpoint, l.name)
 
 	if err := l.compact(upTo); err != nil {
 		l.wedge(err) // panics
@@ -673,7 +652,7 @@ func (l *walLog) cutSegments(from uint64) error {
 		if err := writeFileSync(tmp, encodeBatch(prefix)); err != nil {
 			return err
 		}
-		l.fire(l.wal.cfg.Hooks.MidTruncate)
+		l.wal.cfg.Crash.At(fault.MidTruncate, l.name)
 		if err := os.Rename(tmp, s.path); err != nil {
 			return err
 		}

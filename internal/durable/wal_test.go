@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/fault"
 )
 
 // openTestWAL opens a WAL in a fresh temp dir.
@@ -270,9 +272,11 @@ func TestWALCrashBetweenCheckpointInstallAndCompaction(t *testing.T) {
 	snap := t.TempDir()
 	var once sync.Once
 	var root string
-	cfg := WALConfig{Hooks: WALHooks{MidCheckpoint: func(string) {
-		once.Do(func() { copyDir(t, root, snap) })
-	}}}
+	cfg := WALConfig{Crash: func(point, _ string) {
+		if point == fault.MidCheckpoint {
+			once.Do(func() { copyDir(t, root, snap) })
+		}
+	}}
 	w := openTestWAL(t, cfg)
 	root = w.Dir()
 	l := mustOpenLog(t, w, "log")
@@ -363,7 +367,11 @@ func TestWALTruncateCrashBeforeRename(t *testing.T) {
 	// may keep the cut segment whole, and it discards the stray tmp file.
 	snap := t.TempDir()
 	var root string
-	cfg := WALConfig{SegmentSize: 32, Hooks: WALHooks{MidTruncate: func(string) { copyDir(t, root, snap) }}}
+	cfg := WALConfig{SegmentSize: 32, Crash: func(point, _ string) {
+		if point == fault.MidTruncate {
+			copyDir(t, root, snap)
+		}
+	}}
 	w := openTestWAL(t, cfg)
 	root = w.Dir()
 	l := mustOpenLog(t, w, "log")
@@ -390,19 +398,15 @@ func TestWALCrashBeforeAndAfterSync(t *testing.T) {
 	before, after := t.TempDir(), t.TempDir()
 	var root string
 	var mode atomic.Int32 // 1: snapshot at BeforeSync; 2: at AfterSync
-	cfg := WALConfig{Hooks: WALHooks{
-		BeforeSync: func(string) {
-			if mode.Load() == 1 {
-				copyDir(t, root, before)
-				mode.Store(0)
-			}
-		},
-		AfterSync: func(string) {
-			if mode.Load() == 2 {
-				copyDir(t, root, after)
-				mode.Store(0)
-			}
-		},
+	cfg := WALConfig{Crash: func(point, _ string) {
+		switch {
+		case point == fault.BeforeSync && mode.Load() == 1:
+			copyDir(t, root, before)
+			mode.Store(0)
+		case point == fault.AfterSync && mode.Load() == 2:
+			copyDir(t, root, after)
+			mode.Store(0)
+		}
 	}}
 	w := openTestWAL(t, cfg)
 	root = w.Dir()
@@ -522,12 +526,12 @@ func TestWALGroupCommitCoalesces(t *testing.T) {
 	entered := make(chan struct{}, 1)
 	var first atomic.Bool
 	first.Store(true)
-	cfg := WALConfig{Hooks: WALHooks{BeforeSync: func(string) {
-		if first.CompareAndSwap(true, false) {
+	cfg := WALConfig{Crash: func(point, _ string) {
+		if point == fault.BeforeSync && first.CompareAndSwap(true, false) {
 			entered <- struct{}{}
 			<-gate
 		}
-	}}}
+	}}
 	w := openTestWAL(t, cfg)
 	l := mustOpenLog(t, w, "log")
 

@@ -108,6 +108,41 @@ func (d Dice) Sync(r SyncRates, scale float64, batch int) (fault string, kept in
 	return "", batch
 }
 
+// Hook hears a component reach a named crash window: point is one of the
+// window constants below (or, from durable.Mem, the name of a storage
+// fault it just applied) and subject is what the window is about — a log,
+// a handoff id or a transaction id. A hook that exits the process, panics
+// or snapshots storage models a crash at exactly that instant; DESIGN §11
+// tables what each window leaves behind. A hook must not call back into
+// the component that fired it.
+type Hook func(point, subject string)
+
+// At calls h with point and subject; a nil h does nothing.
+func (h Hook) At(point, subject string) {
+	if h != nil {
+		h(point, subject)
+	}
+}
+
+// The crash windows, spelled as cmd/node's -crash flag spells them.
+const (
+	// durable.WAL, subject the log.
+	BeforeSync    = "before-sync"    // a Sync batch is claimed, nothing of it on disk
+	AfterSync     = "after-sync"     // the batch is durable, Sync has not returned
+	MidCheckpoint = "mid-checkpoint" // the checkpoint is installed, older records still on disk (durable.Mem too)
+	MidTruncate   = "mid-truncate"   // Truncate removed later segments, the cut segment not yet renamed
+	// replica, on the leader, subject the log.
+	BeforeShip  = "before-ship"  // the batch is locally durable, not yet handed to the network
+	AfterShip   = "after-ship"   // the batch is sent, no ack counted
+	AfterQuorum = "after-quorum" // a quorum holds the batch, Sync has not returned
+	// bank shard branch, subject the handoff id (AfterPrepare: the txid).
+	BeforeCut     = "before-cut"     // the source is about to log bank/moved_out
+	AfterCut      = "after-cut"      // the cut is durable, cut_done not yet sent
+	BeforeInstall = "before-install" // the destination is about to log the received range
+	AfterInstall  = "after-install"  // the install is durable, installed not yet sent
+	AfterPrepare  = "after-prepare"  // an escrow hold is durable, the yes vote not yet sent
+)
+
 // Stream draws the stream faults of one send: reset its connection, stall
 // its writes.
 func (d Dice) Stream(reset, stall float64) (bool, bool) {

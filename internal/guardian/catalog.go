@@ -79,19 +79,16 @@ func (n *Node) catalogDestroy(id uint64) {
 }
 
 // recoverCatalog replays the node's on-disk catalog after process death,
-// re-creating recoverable guardians with their original identities and
-// port names. Mirrors Restart, with the log standing in for the meta map.
-// Guardians whose definition has vanished from the library or provides no
-// Recover process are forgotten, like the paper's transaction processes
-// (§3.5). Corruption anywhere — in the catalog itself or in a surviving
-// guardian's own log — refuses startup rather than recovering wrongly.
+// re-creating recoverable guardians through Restart's loop, with the log
+// standing in for the meta map. Corruption anywhere — in the catalog
+// itself or in a surviving guardian's own log — refuses startup rather
+// than recovering wrongly.
 func (n *Node) recoverCatalog() error {
 	log, err := n.store.OpenLog(catalogLogName)
 	if err != nil {
 		return fmt.Errorf("opening catalog: %w", err)
 	}
 	metas := make(map[uint64]*guardianMeta)
-	var order []uint64
 	var maxID uint64
 	err = Replay(log, nil, func(v xrep.Value) (bool, error) {
 		switch xrep.RecName(v) {
@@ -99,9 +96,6 @@ func (n *Node) recoverCatalog() error {
 			m, err := parseCatalogCreate(v)
 			if err != nil {
 				return true, err
-			}
-			if _, dup := metas[m.id]; !dup {
-				order = append(order, m.id)
 			}
 			metas[m.id] = m
 			maxID = max(maxID, m.id)
@@ -130,36 +124,11 @@ func (n *Node) recoverCatalog() error {
 	}
 	n.mu.Unlock()
 
-	for _, id := range order {
-		m, ok := metas[id]
-		if !ok {
-			continue // destroyed
-		}
-		def, err := n.world.lookupDef(m.defName)
-		if err != nil || def.Recover == nil {
-			continue // forgotten, as Restart forgets it
-		}
-		// The guardian's own log must open cleanly before its Recover
-		// process runs: interior corruption there means its recovery data
-		// cannot be trusted, and the node refuses to start rather than
-		// resurrect a guardian with silently missing effects.
-		logName := m.logName
-		if logName == "" {
-			logName = guardianLogName(m.defName, m.id)
-		}
-		if _, err := n.store.OpenLog(logName); err != nil {
-			return fmt.Errorf("opening log of %s/%d: %w", m.defName, m.id, err)
-		}
-		n.mu.Lock()
-		n.meta[id] = m
-		n.mu.Unlock()
-		if _, err := n.instantiate(def, m.args, m, true); err != nil {
-			return fmt.Errorf("recovering %s/%d: %w", m.defName, id, err)
-		}
-		n.world.stats.GuardiansRecovered.Add(1)
-		n.world.trace(EvRecover, n.name, "recovered %s (guardian %d) from the catalog", m.defName, id)
+	survivors := make([]*guardianMeta, 0, len(metas))
+	for _, m := range metas {
+		survivors = append(survivors, m)
 	}
-	return nil
+	return n.recoverGuardians(survivors, true)
 }
 
 // parseCatalogCreate decodes one creation record.

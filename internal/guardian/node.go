@@ -2,10 +2,12 @@ package guardian
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/durable"
+	"repro/internal/fault"
 	"repro/internal/transport"
 	"repro/internal/wire"
 	"repro/internal/xrep"
@@ -20,6 +22,7 @@ type Node struct {
 	name  string
 	store durable.Store
 	reg   *xrep.Registry
+	crash fault.Hook
 
 	msgID   atomic.Uint64
 	pktBase uint64 // offsets packet ids, so a restarted process's are new to its peers
@@ -68,6 +71,10 @@ func newNode(w *World, name string) (*Node, error) {
 	if store == nil {
 		store = durable.NewMem(w.clock, durable.MemConfig{})
 	}
+	var crash fault.Hook
+	if w.cfg.Crash != nil {
+		crash = w.cfg.Crash(name)
+	}
 	reasm := wire.NewReassembler()
 	reasm.MaxAge = w.cfg.ReassemblyAge
 	return &Node{
@@ -75,6 +82,7 @@ func newNode(w *World, name string) (*Node, error) {
 		name:      name,
 		store:     store,
 		reg:       xrep.NewRegistry(),
+		crash:     crash,
 		guardians: make(map[uint64]*Guardian),
 		meta:      make(map[uint64]*guardianMeta),
 		reasm:     reasm,
@@ -90,6 +98,11 @@ func (n *Node) World() *World { return n.world }
 
 // Store returns the node's crash-surviving storage backend.
 func (n *Node) Store() durable.Store { return n.store }
+
+// CrashPoint tells the node's crash hook (Config.Crash) that a guardian
+// here reached the crash window point about subject; with no hook it does
+// nothing.
+func (n *Node) CrashPoint(point, subject string) { n.crash.At(point, subject) }
 
 // Registry returns the node's decode registry for abstract types. Nodes
 // may register different representations of the same type (§3.3).
@@ -192,27 +205,50 @@ func (n *Node) Restart() error {
 	}
 	n.spawnPrimordial()
 	n.world.trace(EvRestart, n.name, "node restarted")
+	if err := n.recoverGuardians(metas, false); err != nil {
+		return fmt.Errorf("guardian: %w", err)
+	}
+	return nil
+}
 
+// recoverGuardians re-creates the recoverable guardians among metas with
+// their original identities and port names, in ascending id — creation
+// order — so two runs of one seed recover alike. A guardian whose
+// definition has vanished from the library or provides no Recover process
+// is forgotten, like the paper's transaction processes (§3.5). Recovering
+// from the on-disk catalog, each guardian's own log must open cleanly
+// before its Recover process runs: interior corruption there means its
+// recovery data cannot be trusted, and the node refuses to start rather
+// than resurrect a guardian with silently missing effects.
+func (n *Node) recoverGuardians(metas []*guardianMeta, fromCatalog bool) error {
+	sort.Slice(metas, func(i, j int) bool { return metas[i].id < metas[j].id })
 	for _, m := range metas {
 		def, err := n.world.lookupDef(m.defName)
-		if err != nil {
-			// Definition vanished from the library; forget the guardian.
+		if err != nil || def.Recover == nil {
 			n.mu.Lock()
 			delete(n.meta, m.id)
 			n.mu.Unlock()
 			continue
 		}
-		if def.Recover == nil {
-			n.mu.Lock()
-			delete(n.meta, m.id)
-			n.mu.Unlock()
-			continue
+		via := ""
+		if fromCatalog {
+			logName := m.logName
+			if logName == "" {
+				logName = guardianLogName(m.defName, m.id)
+			}
+			if _, err := n.store.OpenLog(logName); err != nil {
+				return fmt.Errorf("opening log of %s/%d: %w", m.defName, m.id, err)
+			}
+			via = " from the catalog"
 		}
+		n.mu.Lock()
+		n.meta[m.id] = m
+		n.mu.Unlock()
 		if _, err := n.instantiate(def, m.args, m, true); err != nil {
-			return fmt.Errorf("guardian: recovering %s/%d: %w", m.defName, m.id, err)
+			return fmt.Errorf("recovering %s/%d: %w", m.defName, m.id, err)
 		}
 		n.world.stats.GuardiansRecovered.Add(1)
-		n.world.trace(EvRecover, n.name, "recovered %s (guardian %d)", m.defName, m.id)
+		n.world.trace(EvRecover, n.name, "recovered %s (guardian %d)%s", m.defName, m.id, via)
 	}
 	return nil
 }

@@ -82,7 +82,7 @@ func TestClosedWorldsLeaveNoGoroutines(t *testing.T) {
 		var done atomic.Bool
 		driven := make(chan struct{})
 		go func() {
-			clock.Drive(done.Load, vtime.DriveOptions{})
+			clock.Drive(done.Load)
 			close(driven)
 		}()
 		if err := drv.SendReplyTo(created.Ports[0], reply.Name(), "echo", "hi"); err != nil {

@@ -1,6 +1,8 @@
 package guardian
 
 import (
+	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -92,6 +94,41 @@ func TestTracerRecordsCrashRecoveryAndDiscards(t *testing.T) {
 	}
 	if !strings.Contains(discardDetail, "no guardian") {
 		t.Errorf("discard detail = %q", discardDetail)
+	}
+}
+
+// TestRestartRecoversInIDOrder: a restarted node re-creates its
+// recoverable guardians in ascending id on every restart, not in the
+// order a map happens to yield them.
+func TestRestartRecoversInIDOrder(t *testing.T) {
+	w, a, _ := newWorld(t, Config{})
+	w.MustRegister(counterDef)
+	for i := 0; i < 5; i++ {
+		if _, err := a.Bootstrap("counter"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 20; round++ {
+		tr := NewRingTracer(64)
+		w.SetTracer(tr)
+		a.Crash()
+		if err := a.Restart(); err != nil {
+			t.Fatal(err)
+		}
+		var ids []int
+		for _, e := range tr.Events() {
+			if e.Kind != EvRecover {
+				continue
+			}
+			var id int
+			if _, err := fmt.Sscanf(e.Detail, "recovered counter (guardian %d)", &id); err != nil {
+				t.Fatalf("recover event %q: %v", e.Detail, err)
+			}
+			ids = append(ids, id)
+		}
+		if len(ids) != 5 || !sort.IntsAreSorted(ids) {
+			t.Fatalf("round %d: recovered guardians %v, want 5 in ascending id", round, ids)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/durable"
+	"repro/internal/fault"
 	"repro/internal/netsim"
 	"repro/internal/transport"
 	"repro/internal/vtime"
@@ -36,6 +37,11 @@ type Config struct {
 	// Persistent(), node startup replays the on-disk catalog, recovering
 	// guardians created by a previous OS process.
 	Store func(node string) (durable.Store, error)
+	// Crash, when non-nil, builds each node's crash-window hook: the
+	// replication and shard-handoff windows of the guardians a node hosts
+	// fire it through Node.CrashPoint (the storage windows are the
+	// Store's own). Nil, or a nil hook for some node, means no hook.
+	Crash func(node string) fault.Hook
 	// Limits are the system-wide type invariants enforced at send time.
 	// The zero value means DefaultLimits.
 	Limits xrep.Limits

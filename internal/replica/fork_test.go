@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/durable"
+	"repro/internal/fault"
 	"repro/internal/guardian"
 	"repro/internal/netsim"
 	"repro/internal/replica"
@@ -213,11 +214,14 @@ func TestNewLeaderServesOnlyOnceItsTermIsQuorumHeld(t *testing.T) {
 	var h *harness
 	var once sync.Once
 	cutOff := make(chan string, 1)
-	h = deployWith(t, replica.ModeQuorum, func(member string) replica.Hooks {
+	h = deployWith(t, replica.ModeQuorum, func(member string) fault.Hook {
 		if member == "m1" {
-			return replica.Hooks{}
+			return nil
 		}
-		return replica.Hooks{BeforeShip: func(string) {
+		return func(point, _ string) {
+			if point != fault.BeforeShip {
+				return
+			}
 			once.Do(func() {
 				var rest []netsim.Addr
 				for _, n := range []string{"m1", "m2", "m3", "registry", "app"} {
@@ -228,7 +232,7 @@ func TestNewLeaderServesOnlyOnceItsTermIsQuorumHeld(t *testing.T) {
 				h.w.Net().Partition([]netsim.Addr{netsim.Addr(member)}, rest)
 				cutOff <- member
 			})
-		}}
+		}
 	})
 	svc, _ := h.resolveService()
 	c := h.caller()

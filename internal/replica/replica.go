@@ -81,21 +81,6 @@ func (m Mode) String() string {
 	return "quorum"
 }
 
-// Hooks expose the replication windows to crash-matrix tests: each is
-// called on the primary during a replicated Sync. A hook that kills the
-// process models dying in exactly that window.
-type Hooks struct {
-	// BeforeShip runs after local durability, before any record of the
-	// batch has been handed to the network.
-	BeforeShip func(log string)
-	// AfterShip runs after the batch has been transmitted to the
-	// followers (no ack seen yet — the follower-fsync race is live).
-	AfterShip func(log string)
-	// AfterQuorum runs after a quorum of the group holds the batch
-	// (quorum mode only).
-	AfterQuorum func(log string)
-}
-
 // Config describes one member's view of a replica group.
 type Config struct {
 	// Group names the replica group; it doubles as the shared management
@@ -131,8 +116,6 @@ type Config struct {
 	// ServicePort indexes the application guardian's provided ports:
 	// which one Service is bound to.
 	ServicePort int
-	// Hooks are the crash-window test hooks.
-	Hooks Hooks
 }
 
 // quorum is the majority size of the group.

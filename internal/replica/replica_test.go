@@ -9,6 +9,7 @@ import (
 	"repro/internal/amo"
 	"repro/internal/bank"
 	"repro/internal/durable"
+	"repro/internal/fault"
 	"repro/internal/guardian"
 	"repro/internal/nameserv"
 	"repro/internal/replica"
@@ -40,11 +41,11 @@ type harness struct {
 // service on its own node, and a driver client node.
 func deploy(t *testing.T, mode replica.Mode, branchArgs ...any) *harness {
 	t.Helper()
-	return deployWith(t, mode, func(string) replica.Hooks { return replica.Hooks{} }, branchArgs...)
+	return deployWith(t, mode, nil, branchArgs...)
 }
 
-// deployWith is deploy with each member's replication hooks.
-func deployWith(t *testing.T, mode replica.Mode, hooks func(member string) replica.Hooks, branchArgs ...any) *harness {
+// deployWith is deploy with each node's crash hook.
+func deployWith(t *testing.T, mode replica.Mode, crash func(node string) fault.Hook, branchArgs ...any) *harness {
 	t.Helper()
 	members := []string{"m1", "m2", "m3"}
 	stores := make(map[string]*replica.Store)
@@ -52,6 +53,7 @@ func deployWith(t *testing.T, mode replica.Mode, hooks func(member string) repli
 	nsPort := xrep.PortName{Node: "registry", Guardian: 2, Port: 1}
 	w := guardian.NewWorld(guardian.Config{
 		Tuning: guardian.Tuning{HeartbeatInterval: hb},
+		Crash:  crash,
 		Store: func(node string) (durable.Store, error) {
 			isMember := false
 			for _, m := range members {
@@ -74,7 +76,6 @@ func deployWith(t *testing.T, mode replica.Mode, hooks func(member string) repli
 					Service:     svcName,
 					NS:          nsPort,
 					ServicePort: 1,
-					Hooks:       hooks(node),
 				})
 			if err != nil {
 				return nil, err

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/durable"
+	"repro/internal/fault"
 	"repro/internal/guardian"
 	"repro/internal/nameserv"
 	"repro/internal/vtime"
@@ -426,14 +427,12 @@ func (rt *Runtime) replicate(log string, recs []durable.Record) {
 		return
 	}
 	mode := rt.cfg.Mode
-	hooks := rt.cfg.Hooks
+	node := rt.g.Node()
 	fence := rt.fence
 	top := recs[len(recs)-1].Seq
 	rt.mu.Unlock()
 
-	if hooks.BeforeShip != nil {
-		hooks.BeforeShip(log)
-	}
+	node.CrashPoint(fault.BeforeShip, log)
 
 	job := &shipJob{ch: make(chan struct{})}
 	rt.mu.Lock()
@@ -454,9 +453,7 @@ func (rt *Runtime) replicate(log string, recs []durable.Record) {
 	case <-fence:
 		return
 	}
-	if hooks.AfterShip != nil {
-		hooks.AfterShip(log)
-	}
+	node.CrashPoint(fault.AfterShip, log)
 	if mode != ModeQuorum {
 		return
 	}
@@ -478,9 +475,7 @@ func (rt *Runtime) replicate(log string, recs []durable.Record) {
 			return
 		}
 	}
-	if hooks.AfterQuorum != nil {
-		hooks.AfterQuorum(log)
-	}
+	node.CrashPoint(fault.AfterQuorum, log)
 }
 
 // noteCheckpoint wakes the ship loop so followers learn about a

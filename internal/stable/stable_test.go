@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/durable"
+	"repro/internal/fault"
 	"repro/internal/vtime"
 )
 
@@ -288,7 +289,10 @@ func TestPermanenceAcrossEveryCrashPoint(t *testing.T) {
 func TestRecoverAfterMidCheckpointCrash(t *testing.T) {
 	died := false
 	d := NewDisk(vtime.NewReal(), DiskConfig{
-		MidCheckpoint: func(log string) {
+		Crash: func(point, log string) {
+			if point != fault.MidCheckpoint {
+				return
+			}
 			if log != "acct" {
 				t.Errorf("hook fired for log %q, want acct", log)
 			}

@@ -2,22 +2,12 @@ package vtime
 
 import "time"
 
-// DriveOptions tunes Drive's pacing.
-type DriveOptions struct {
-	// Settle is the real-time window granted after each virtual advance for
-	// the woken goroutines to run and install their next timers. Too small
-	// and the driver races ahead of the simulation (a reply's delivery
-	// timer not yet created when the caller's timeout fires); too large and
-	// the simulation just runs slower. Zero means 200µs.
-	Settle time.Duration
-}
-
-func (o DriveOptions) withDefaults() DriveOptions {
-	if o.Settle <= 0 {
-		o.Settle = 200 * time.Microsecond
-	}
-	return o
-}
+// settle is the real-time window Drive grants after each virtual advance
+// for the woken goroutines to run and install their next timers. Too small
+// and the driver races ahead of the simulation (a reply's delivery timer
+// not yet created when the caller's timeout fires); too large and the
+// simulation just runs slower.
+const settle = 200 * time.Microsecond
 
 // Drive runs the simulated clock hands-free: until done() reports true, it
 // advances virtual time to the earliest pending deadline (firing the
@@ -36,14 +26,11 @@ func (o DriveOptions) withDefaults() DriveOptions {
 // Drive controls when virtual time moves, not how the Go scheduler
 // interleaves the goroutines that wake; see DESIGN.md §7 for what that
 // does and does not guarantee.
-func (s *Sim) Drive(done func() bool, opts DriveOptions) {
-	opts = opts.withDefaults()
+func (s *Sim) Drive(done func() bool) {
 	for !done() {
 		if d, ok := s.NextDeadline(); ok {
 			s.AdvanceTo(d)
-			time.Sleep(opts.Settle)
-			continue
 		}
-		time.Sleep(opts.Settle)
+		time.Sleep(settle)
 	}
 }

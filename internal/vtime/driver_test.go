@@ -24,7 +24,7 @@ func TestDriveAdvancesThroughSleepChain(t *testing.T) {
 	}()
 
 	begin := time.Now()
-	s.Drive(finished.Load, DriveOptions{})
+	s.Drive(finished.Load)
 	real := time.Since(begin)
 
 	if got := s.Since(start); got != steps*step {
@@ -49,7 +49,7 @@ func TestDriveInterleavesConcurrentSleepers(t *testing.T) {
 	}
 	go sleeper(2 * time.Second)
 	go sleeper(1 * time.Second)
-	s.Drive(func() bool { return woken.Load() == 2 }, DriveOptions{})
+	s.Drive(func() bool { return woken.Load() == 2 })
 	got := map[int64]bool{<-wakeups: true, <-wakeups: true}
 	if !got[1] || !got[2] {
 		t.Fatalf("fire times = %v, want {1s, 2s}", got)
@@ -66,7 +66,7 @@ func TestDriveIdlesUntilLateTimer(t *testing.T) {
 		s.Sleep(time.Hour)
 		fired.Store(true)
 	}()
-	s.Drive(fired.Load, DriveOptions{Settle: 100 * time.Microsecond})
+	s.Drive(fired.Load)
 	if s.Since(time.Unix(0, 0)) < time.Hour {
 		t.Fatalf("virtual time %v, want >= 1h", s.Since(time.Unix(0, 0)))
 	}
