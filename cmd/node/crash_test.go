@@ -16,16 +16,13 @@ package main
 // exactly-once, is the contract for unacknowledged work.
 
 import (
-	"bufio"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 const seedDeposit = 2_000_000_000
@@ -36,76 +33,6 @@ func pow3(i int) int64 {
 		n *= 3
 	}
 	return n
-}
-
-// branchProc is one server incarnation and its parsed startup banner.
-type branchProc struct {
-	cmd       *exec.Cmd
-	addr      string
-	amoPort   string
-	recovered bool
-	recovery  []string // "recovery <log> ..." report lines
-}
-
-// startBranch launches a bank server over data and reads its banner.
-func startBranch(t *testing.T, bin, data string, extra ...string) *branchProc {
-	t.Helper()
-	args := []string{"-name", "branch", "-listen", "127.0.0.1:0", "-host", "bank",
-		"-data", data, "-cpevery", "2"}
-	args = append(args, extra...)
-	cmd := exec.Command(bin, args...)
-	out, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	p := &branchProc{cmd: cmd}
-	guard := time.AfterFunc(20*time.Second, func() { cmd.Process.Kill() })
-	defer guard.Stop()
-	sc := bufio.NewScanner(out)
-	for sc.Scan() {
-		line := sc.Text()
-		if rest, ok := strings.CutPrefix(line, "listening on "); ok {
-			p.addr = rest
-		}
-		if strings.HasPrefix(line, "recovered ") {
-			p.recovered = true
-		}
-		if strings.HasPrefix(line, "recovery ") {
-			p.recovery = append(p.recovery, line)
-		}
-		if rest, ok := strings.CutPrefix(line, "port amo_req_port "); ok {
-			p.amoPort = rest
-		}
-		if line == "ready" {
-			return p
-		}
-	}
-	p.killWait()
-	t.Fatalf("branch died before ready (args %v)", args)
-	return nil
-}
-
-// killWait is kill -9 plus reaping; killing an already-crashed process
-// is fine.
-func (p *branchProc) killWait() {
-	_ = p.cmd.Process.Kill()
-	_ = p.cmd.Wait()
-}
-
-// runTeller drives ops through a fresh client process. The error is the
-// client's: expected whenever the server crashes mid-batch.
-func runTeller(bin, addr, port, name, timeout string, retries int, ops []string) (string, error) {
-	args := []string{"-name", name, "-peers", "branch=" + addr, "-call", port,
-		"-timeout", timeout, "-retries", strconv.Itoa(retries)}
-	for _, op := range ops {
-		args = append(args, "-op", op)
-	}
-	out, err := exec.Command(bin, args...).CombinedOutput()
-	return string(out), err
 }
 
 // balanceOf extracts one "balance_is" reply from client output.
@@ -155,34 +82,51 @@ func TestBankSurvivesCrashMatrix(t *testing.T) {
 	data := t.TempDir()
 	confirmed := make(map[int]bool)
 
+	// startBranch launches one bank server incarnation over data.
+	startBranch := func(extra ...string) *nodeProc {
+		t.Helper()
+		return startNode(t, bin, append([]string{"-name", "branch", "-listen", "127.0.0.1:0",
+			"-host", "bank", "-data", data, "-cpevery", "2"}, extra...)...)
+	}
+	// teller drives ops through a fresh client process. The error is the
+	// client's: expected whenever the server crashes mid-batch.
+	teller := func(srv *nodeProc, name, timeout string, retries int, ops []string) (string, error) {
+		args := []string{"-name", name, "-peers", "branch=" + srv.addr, "-call", srv.port("amo_req_port"),
+			"-timeout", timeout, "-retries", strconv.Itoa(retries)}
+		for _, op := range ops {
+			args = append(args, "-op", op)
+		}
+		return runNode(bin, args...)
+	}
+
 	// Setup incarnation: create the accounts and fund alice, then kill -9.
-	srv := startBranch(t, bin, data)
+	srv := startBranch()
 	if srv.recovered {
 		t.Fatal("fresh data dir claimed catalog recovery")
 	}
-	amoPort := srv.amoPort
-	out, err := runTeller(bin, srv.addr, amoPort, "setup", "500ms", 20, []string{
+	amoPort := srv.port("amo_req_port")
+	out, err := teller(srv, "setup", "500ms", 20, []string{
 		"open alice", "open bob", fmt.Sprintf("deposit alice %d", seedDeposit),
 	})
 	if err != nil || strings.Count(out, ": ok") != 3 {
 		t.Fatalf("setup: %v\n%s", err, out)
 	}
-	srv.killWait()
+	srv.kill()
 
 	// verify brings up a clean incarnation, audits the invariants, and
 	// returns its recovery-report lines.
 	issued := 0
 	verify := func(round int) []string {
 		t.Helper()
-		v := startBranch(t, bin, data)
-		defer v.killWait()
+		v := startBranch()
+		defer v.kill()
 		if !v.recovered {
 			t.Fatalf("round %d: verify server did not recover the branch from the catalog", round)
 		}
-		if v.amoPort != amoPort {
-			t.Fatalf("round %d: amo port drifted across restart: %s vs %s", round, v.amoPort, amoPort)
+		if got := v.port("amo_req_port"); got != amoPort {
+			t.Fatalf("round %d: amo port drifted across restart: %s vs %s", round, got, amoPort)
 		}
-		out, err := runTeller(bin, v.addr, amoPort, fmt.Sprintf("verify%d", round), "500ms", 20,
+		out, err := teller(v, fmt.Sprintf("verify%d", round), "500ms", 20,
 			[]string{"balance alice", "balance bob"})
 		if err != nil {
 			t.Fatalf("round %d: verify client: %v\n%s", round, err, out)
@@ -201,12 +145,12 @@ func TestBankSurvivesCrashMatrix(t *testing.T) {
 		if crash != "" {
 			extra = append(extra, "-crash", crash)
 		}
-		srv := startBranch(t, bin, data, extra...)
+		srv := startBranch(extra...)
 		if !srv.recovered {
 			t.Fatalf("round %d: server did not recover the branch from the catalog", r)
 		}
-		if srv.amoPort != amoPort {
-			t.Fatalf("round %d: amo port drifted across restart: %s vs %s", r, srv.amoPort, amoPort)
+		if got := srv.port("amo_req_port"); got != amoPort {
+			t.Fatalf("round %d: amo port drifted across restart: %s vs %s", r, got, amoPort)
 		}
 		var ops []string
 		first := issued
@@ -216,13 +160,13 @@ func TestBankSurvivesCrashMatrix(t *testing.T) {
 		}
 		// The client dies with the server mid-batch in the crash rounds;
 		// only the replies it actually received count as confirmed.
-		out, _ := runTeller(bin, srv.addr, amoPort, fmt.Sprintf("teller%d", r), "150ms", 4, ops)
+		out, _ := teller(srv, fmt.Sprintf("teller%d", r), "150ms", 4, ops)
 		for i := first; i < issued; i++ {
 			if strings.Contains(out, fmt.Sprintf("op \"transfer alice bob %d\": ok", pow3(i))) {
 				confirmed[i] = true
 			}
 		}
-		srv.killWait()
+		srv.kill()
 		recovery := verify(r)
 		if crash == "mid-checkpoint:1" {
 			// Dying between checkpoint install and compaction leaves

@@ -28,125 +28,13 @@ package main
 // crash_test.go).
 
 import (
-	"bufio"
-	"errors"
 	"fmt"
-	"net"
-	"os"
-	"os/exec"
 	"regexp"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
-
-// freeUDPAddrs reserves n distinct loopback UDP addresses by binding and
-// immediately releasing them. The window between release and the node
-// process re-binding is a race in principle; on loopback in a test it is
-// not worth more machinery.
-func freeUDPAddrs(t *testing.T, n int) []string {
-	t.Helper()
-	conns := make([]net.PacketConn, n)
-	addrs := make([]string, n)
-	for i := range conns {
-		c, err := net.ListenPacket("udp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns[i] = c
-		addrs[i] = c.LocalAddr().String()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	return addrs
-}
-
-// nodeProc is one node process: its parsed banner and its lifecycle.
-type nodeProc struct {
-	t     *testing.T
-	cmd   *exec.Cmd
-	sc    *bufio.Scanner
-	ports map[string]string // banner "port <label> <name>" lines
-
-	waitOnce sync.Once
-	waitErr  error
-}
-
-// startNode launches the binary and reads its banner through "ready".
-func startNode(t *testing.T, bin string, args ...string) *nodeProc {
-	t.Helper()
-	cmd := exec.Command(bin, args...)
-	out, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	p := &nodeProc{t: t, cmd: cmd, sc: bufio.NewScanner(out), ports: make(map[string]string)}
-	guard := time.AfterFunc(20*time.Second, func() { cmd.Process.Kill() })
-	defer guard.Stop()
-	for p.sc.Scan() {
-		line := p.sc.Text()
-		if rest, ok := strings.CutPrefix(line, "port "); ok {
-			if label, name, ok := strings.Cut(rest, " "); ok {
-				p.ports[label] = name
-			}
-		}
-		if line == "ready" {
-			return p
-		}
-	}
-	p.kill()
-	t.Fatalf("node died before ready (args %v)", args)
-	return nil
-}
-
-// wait reaps the process exactly once.
-func (p *nodeProc) wait() error {
-	p.waitOnce.Do(func() { p.waitErr = p.cmd.Wait() })
-	return p.waitErr
-}
-
-// kill is kill -9 plus reaping; killing an already-dead process is fine.
-func (p *nodeProc) kill() {
-	_ = p.cmd.Process.Kill()
-	_ = p.wait()
-}
-
-// interrupt delivers SIGINT and returns the shutdown report tail.
-func (p *nodeProc) interrupt() string {
-	p.t.Helper()
-	_ = p.cmd.Process.Signal(os.Interrupt)
-	guard := time.AfterFunc(20*time.Second, func() { p.cmd.Process.Kill() })
-	defer guard.Stop()
-	var tail []string
-	for p.sc.Scan() {
-		tail = append(tail, p.sc.Text())
-	}
-	_ = p.wait()
-	return strings.Join(tail, "\n")
-}
-
-// exitCode reaps the process (killing it if it outlives the timeout) and
-// returns its exit code.
-func (p *nodeProc) exitCode(timeout time.Duration) int {
-	guard := time.AfterFunc(timeout, func() { p.cmd.Process.Kill() })
-	defer guard.Stop()
-	err := p.wait()
-	if err == nil {
-		return 0
-	}
-	var ee *exec.ExitError
-	if errors.As(err, &ee) {
-		return ee.ExitCode()
-	}
-	return -1
-}
 
 var replLine = regexp.MustCompile(`repl leader=(\S+) term=(\d+) self=(\S+) shipped=(\d+) applied=(\d+) checkpoints=(\d+) fenced=(\d+) elections=(\d+) takeovers=(\d+)`)
 
@@ -165,19 +53,10 @@ func TestReplicaFailoverMatrix(t *testing.T) {
 func runFailoverRound(t *testing.T, bin, window string) {
 	data := t.TempDir()
 	names := []string{"ns", "m1", "m2", "m3"}
-	addrs := freeUDPAddrs(t, len(names))
-	var entries []string
-	for i, nm := range names {
-		entries = append(entries, nm+"="+addrs[i])
-	}
-	peers := strings.Join(entries, ",")
+	addrs, peers := freePeers(t, names...)
 
 	ns := startNode(t, bin, "-name", "ns", "-listen", addrs[0], "-peers", peers, "-host", "nameserv")
-	defer ns.kill()
-	nsPort := ns.ports["name_service_port"]
-	if nsPort == "" {
-		t.Fatalf("name service printed no port: %v", ns.ports)
-	}
+	nsPort := ns.port("name_service_port")
 
 	members := make(map[string]*nodeProc)
 	for i, m := range []string{"m1", "m2", "m3"} {
@@ -193,11 +72,6 @@ func runFailoverRound(t *testing.T, bin, window string) {
 		}
 		members[m] = startNode(t, bin, args...)
 	}
-	defer func() {
-		for _, p := range members {
-			p.kill()
-		}
-	}()
 
 	// teller runs one client process that resolves (and on every retry
 	// re-resolves) the branch through the name service.
@@ -207,8 +81,7 @@ func runFailoverRound(t *testing.T, bin, window string) {
 		for _, op := range ops {
 			args = append(args, "-op", op)
 		}
-		out, err := exec.Command(bin, args...).CombinedOutput()
-		return string(out), err
+		return runNode(bin, args...)
 	}
 
 	// Setup must fully confirm even if the injected crash lands here: the

@@ -56,3 +56,52 @@ func TestCrashFlagNeeds(t *testing.T) {
 		}
 	}
 }
+
+// TestFlagNeeds pins the flags that mean nothing alone: each is accepted
+// beside the flag it needs and refused, with the message naming that flag,
+// without it — where it would otherwise be silently ignored.
+func TestFlagNeeds(t *testing.T) {
+	const (
+		ringCli = "-name n -ring r -ns ns/1/1"
+		callCli = "-name n -call b/2/2"
+		server  = "-name n -host bank -data d"
+		member  = server + " -group g -members n"
+	)
+	type tc struct {
+		args, want string // want "" means accepted
+	}
+	cases := []tc{
+		{ringCli, ""},
+		{"-name n -ring r", "node: -ring needs -ns"},
+		{"-name n -resolve bank/main -ns ns/1/1", ""},
+		{"-name n -resolve bank/main", "node: -resolve needs -ns"},
+		{member + " -service bank/main -ns ns/1/1", ""},
+		{member + " -service bank/main", "node: -service needs -ns"},
+		{server + " -service bank/main -ns ns/1/1", "node: -service needs -group"},
+		{server + " -members n", "node: -members needs -group"},
+	}
+	for _, f := range []string{"-ringboot s1=a/1/1,a/1/2", "-ringjoin s4=d/1/1,d/1/2", "-ringleave s4", "-coord txc/2/1"} {
+		name, _, _ := strings.Cut(f, " ")
+		cases = append(cases,
+			tc{ringCli + " " + f, ""},
+			tc{callCli + " " + f, "node: " + name + " needs -ring"})
+	}
+	for _, f := range []string{"-mode async", "-hb 50ms", "-threshold 3"} {
+		name, _, _ := strings.Cut(f, " ")
+		cases = append(cases,
+			tc{member + " " + f, ""},
+			tc{server + " " + f, "node: " + name + " needs -group"})
+	}
+	for _, c := range cases {
+		args := strings.Fields(c.args)
+		_, err := parseFlags(args, io.Discard)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%v: refused: %v", args, err)
+		case c.want != "" && err == nil:
+			t.Errorf("%v: accepted, want %q", args, c.want)
+		case c.want != "" && err.Error() != c.want:
+			t.Errorf("%v: error %q, want %q", args, err, c.want)
+		}
+	}
+}

@@ -24,8 +24,8 @@
 // at-most-once machinery can be watched surviving real packet abuse. With
 // -transport tcp the stream fault flags -reset/-stall inject connection
 // resets and half-open write stalls instead (loss and duplication are
-// datagram faults; a stream would just repair them), and -stats prints
-// the per-peer connection counters on shutdown.
+// datagram faults; a stream would just repair them), and a TCP node prints
+// its per-peer connection counters on shutdown.
 //
 // Beyond the two-terminal demo: -data makes the hosted guardian durable
 // (WAL + recovery, DESIGN.md §11), -group replicates it across member
@@ -39,9 +39,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -68,15 +70,6 @@ import (
 	"repro/internal/xrep"
 )
 
-// multiFlag collects repeated -op occurrences.
-type multiFlag []string
-
-func (m *multiFlag) String() string { return strings.Join(*m, "; ") }
-func (m *multiFlag) Set(s string) error {
-	*m = append(*m, s)
-	return nil
-}
-
 type options struct {
 	name   string
 	listen string
@@ -86,7 +79,6 @@ type options struct {
 	// transport shape
 	trans string
 	mtu   int
-	stats bool
 
 	// injected faults (both directions are outbound somewhere: run both
 	// processes with the same flags to fault the full round trip)
@@ -122,7 +114,7 @@ type options struct {
 	// client mode
 	call    string
 	resolve string
-	ops     multiFlag
+	ops     []string
 	timeout time.Duration
 	retries int
 }
@@ -137,7 +129,6 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.StringVar(&o.host, "host", "", "guardian to host: bank, airline or nameserv (server mode)")
 	fs.StringVar(&o.trans, "transport", "udp", "network transport: udp (datagrams) or tcp (framed persistent connections)")
 	fs.IntVar(&o.mtu, "mtu", 0, "maximum datagram size, or with -transport tcp the maximum frame size (0 = transport default)")
-	fs.BoolVar(&o.stats, "stats", false, "print per-peer connection counters on shutdown (tcp)")
 	fs.StringVar(&o.data, "data", "", "directory for on-disk WAL storage (empty = volatile in-memory disk)")
 	fs.IntVar(&o.cpevery, "cpevery", 0, "bank: checkpoint every N mutations (0 = never)")
 	crash := fs.String("crash", "", "crash injection: POINT:N exits the process at the Nth firing of "+
@@ -162,11 +153,14 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	fs.StringVar(&o.ringBoot, "ringboot", "", "bootstrap the ring's epoch-1 membership: 'name=NATIVE,AMO;name=NATIVE,AMO;...' (needs -ring)")
 	fs.StringVar(&o.ringJoin, "ringjoin", "", "rebalance one member into the ring: 'name=NATIVE,AMO' (needs -ring)")
 	fs.StringVar(&o.ringLeave, "ringleave", "", "rebalance one member out of the ring by name (needs -ring)")
-	fs.StringVar(&o.coord, "coord", "", "two-phase-commit coordinator port for cross-shard transfers, as node/guardian/port")
+	fs.StringVar(&o.coord, "coord", "", "two-phase-commit coordinator port for cross-shard transfers, as node/guardian/port (needs -ring)")
 	fs.StringVar(&o.call, "call", "", "client mode: target port as node/guardian/port")
 	fs.StringVar(&o.resolve, "resolve", "", "client mode: resolve the target by well-known name "+
 		"through the name service, re-resolving on every retry (needs -ns)")
-	fs.Var(&o.ops, "op", "client mode: operation to run, e.g. 'transfer alice bob 25' (repeatable)")
+	fs.Func("op", "client mode: operation to run, e.g. 'transfer alice bob 25' (repeatable)", func(op string) error {
+		o.ops = append(o.ops, op)
+		return nil
+	})
 	fs.DurationVar(&o.timeout, "timeout", 250*time.Millisecond, "client: per-attempt reply timeout")
 	fs.IntVar(&o.retries, "retries", 40, "client: retransmissions before giving up")
 	if err := fs.Parse(args); err != nil {
@@ -174,6 +168,24 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	}
 	if o.name == "" {
 		return nil, fmt.Errorf("node: -name is required")
+	}
+	// missing names the first of flags left empty, or "".
+	missing := func(flags []string) string {
+		for _, f := range flags {
+			if fs.Lookup(f).Value.String() == "" {
+				return f
+			}
+		}
+		return ""
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if m := missing(flagNeeds[f.Name]); m != "" && err == nil {
+			err = fmt.Errorf("node: -%s needs -%s", f.Name, m)
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	switch o.trans {
 	case "udp":
@@ -192,11 +204,8 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 		if err != nil {
 			return nil, err
 		}
-		set := map[string]string{"-data": o.data, "-group": o.group, "-shard": o.shard}
-		for _, flag := range crashNeeds[spec.point] {
-			if set[flag] == "" {
-				return nil, fmt.Errorf("node: -crash %s needs %s", spec.point, flag)
-			}
+		if m := missing(crashNeeds[spec.point]); m != "" {
+			return nil, fmt.Errorf("node: -crash %s needs -%s", spec.point, m)
 		}
 		o.crash = spec
 	}
@@ -213,15 +222,6 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 	if o.shard != "" && o.group != "" {
 		return nil, fmt.Errorf("node: -shard and -group are exclusive")
 	}
-	if o.ringName != "" && o.ns == "" {
-		return nil, fmt.Errorf("node: -ring needs -ns")
-	}
-	if o.ringName == "" && (o.ringBoot != "" || o.ringJoin != "" || o.ringLeave != "") {
-		return nil, fmt.Errorf("node: -ringboot/-ringjoin/-ringleave need -ring")
-	}
-	if o.resolve != "" && o.ns == "" {
-		return nil, fmt.Errorf("node: -resolve needs -ns")
-	}
 	if o.group != "" {
 		if o.host == "" {
 			return nil, fmt.Errorf("node: -group is server-side: it needs -host")
@@ -236,9 +236,6 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 		}
 		if len(o.memberList) == 0 {
 			return nil, fmt.Errorf("node: -group needs -members")
-		}
-		if o.service != "" && o.ns == "" {
-			return nil, fmt.Errorf("node: -service needs -ns")
 		}
 		switch o.mode {
 		case "quorum", "async":
@@ -264,16 +261,27 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 // replication windows a group, the handoff windows a shard on disk.
 // fault.MidTruncate and AfterPrepare are windows no -crash reaches.
 var crashNeeds = map[string][]string{
-	fault.BeforeSync:    {"-data"},
-	fault.AfterSync:     {"-data"},
-	fault.MidCheckpoint: {"-data"},
-	fault.BeforeShip:    {"-group"},
-	fault.AfterShip:     {"-group"},
-	fault.AfterQuorum:   {"-group"},
-	fault.BeforeCut:     {"-shard", "-data"},
-	fault.AfterCut:      {"-shard", "-data"},
-	fault.BeforeInstall: {"-shard", "-data"},
-	fault.AfterInstall:  {"-shard", "-data"},
+	fault.BeforeSync:    {"data"},
+	fault.AfterSync:     {"data"},
+	fault.MidCheckpoint: {"data"},
+	fault.BeforeShip:    {"group"},
+	fault.AfterShip:     {"group"},
+	fault.AfterQuorum:   {"group"},
+	fault.BeforeCut:     {"shard", "data"},
+	fault.AfterCut:      {"shard", "data"},
+	fault.BeforeInstall: {"shard", "data"},
+	fault.AfterInstall:  {"shard", "data"},
+}
+
+// flagNeeds maps each flag that means nothing alone to the flags it needs,
+// in the order they are checked: a flag set on the command line is refused
+// while one it needs is empty. The ring client's flags need -ring, the
+// replica group's -group, and whatever reaches the name service -ns.
+var flagNeeds = map[string][]string{
+	"ring": {"ns"}, "ringboot": {"ring"}, "ringjoin": {"ring"}, "ringleave": {"ring"},
+	"coord": {"ring"}, "resolve": {"ns"},
+	"members": {"group"}, "mode": {"group"}, "hb": {"group"}, "threshold": {"group"},
+	"service": {"group", "ns"},
 }
 
 // crashSpec kills the process — os.Exit, as abrupt as SIGKILL from the
@@ -306,7 +314,7 @@ func parseCrashSpec(s string) (*crashSpec, error) {
 // the spec's point.
 func (c *crashSpec) fire(point, subject string) {
 	if point == c.point && c.count.Add(1) == c.n {
-		fmt.Fprintf(os.Stderr, "crash injected at %s %d (log %s)\n", point, c.n, subject)
+		fmt.Fprintf(os.Stderr, "crash injected at %s %d (subject %s)\n", point, c.n, subject)
 		os.Exit(137)
 	}
 }
@@ -375,10 +383,6 @@ func replicaConfig(o *options) (replica.Config, error) {
 	return cfg, nil
 }
 
-// replicaSlot receives the replica.Store the store hook wraps around the
-// serving member's WAL; it is filled in when AddNode opens the store.
-type replicaSlot struct{ st *replica.Store }
-
 // localAddresser is the slice of both real transports the banner and
 // shutdown report need beyond Transport: where an attached name actually
 // bound (UDP reads its socket back, TCP its shared listener).
@@ -387,9 +391,27 @@ type localAddresser interface {
 	LocalAddr(a transport.Addr) string
 }
 
-// buildWorld assembles the transport stack and an empty world around it.
-func buildWorld(o *options) (*guardian.World, localAddresser, *transport.Wrapper, *replicaSlot, error) {
-	var base localAddresser
+// proc is this process's one node: the world it lives in, the transport
+// stack under it, and the fault wrapper when one was asked for.
+type proc struct {
+	o    *options
+	w    *guardian.World
+	n    *guardian.Node
+	base localAddresser
+	wrap *transport.Wrapper
+}
+
+// start assembles the transport stack, the world around it and this
+// process's node.
+func start(o *options) (*proc, error) {
+	var rc replica.Config
+	var err error
+	if o.group != "" {
+		if rc, err = replicaConfig(o); err != nil {
+			return nil, err
+		}
+	}
+	p := &proc{o: o}
 	cfg := guardian.Config{}
 	switch o.trans {
 	case "tcp":
@@ -400,9 +422,9 @@ func buildWorld(o *options) (*guardian.World, localAddresser, *transport.Wrapper
 			Seed:     o.seed,
 		})
 		if err != nil {
-			return nil, nil, nil, nil, err
+			return nil, err
 		}
-		base = tcp
+		p.base = tcp
 		// Streams have no MTU: let the runtime ship a whole message as one
 		// frame instead of fragment trains sized for ethernet datagrams.
 		cfg.FragmentMTU = o.mtu
@@ -410,20 +432,17 @@ func buildWorld(o *options) (*guardian.World, localAddresser, *transport.Wrapper
 			cfg.FragmentMTU = transport.DefaultTCPMaxFrame
 		}
 	default:
-		o.peers[transport.Addr(o.name)] = o.listen
-		udp, err := transport.NewUDP(transport.UDPConfig{
-			Peers: o.peers,
-			MTU:   o.mtu,
-		})
+		peers := maps.Clone(o.peers)
+		peers[transport.Addr(o.name)] = o.listen
+		udp, err := transport.NewUDP(transport.UDPConfig{Peers: peers, MTU: o.mtu})
 		if err != nil {
-			return nil, nil, nil, nil, err
+			return nil, err
 		}
-		base = udp
+		p.base = udp
 	}
-	var tr transport.Transport = base
-	var wrap *transport.Wrapper
+	cfg.Transport = p.base
 	if o.loss > 0 || o.dup > 0 || o.reset > 0 || o.stall > 0 {
-		wrap = transport.Wrap(base, transport.WrapperConfig{
+		p.wrap = transport.Wrap(p.base, transport.WrapperConfig{
 			Seed:      o.seed,
 			LossRate:  o.loss,
 			DupRate:   o.dup,
@@ -431,64 +450,44 @@ func buildWorld(o *options) (*guardian.World, localAddresser, *transport.Wrapper
 			StallRate: o.stall,
 			StallFor:  o.stalltime,
 		})
-		tr = wrap
+		cfg.Transport = p.wrap
 	}
-	cfg.Transport = tr
 	var crash fault.Hook
 	if o.crash != nil {
 		crash = o.crash.fire
 		cfg.Crash = func(string) fault.Hook { return crash }
 	}
-	slot := &replicaSlot{}
 	if o.data != "" {
-		open := func(node string) (durable.Store, error) {
-			return durable.OpenWAL(filepath.Join(o.data, node), durable.WALConfig{Crash: crash})
-		}
-		cfg.Store = open
-		if o.group != "" {
-			rc, err := replicaConfig(o)
-			if err != nil {
-				base.Close()
-				return nil, nil, nil, nil, err
+		// The world opens one store, this node's; a group member's WAL is
+		// wrapped for replication, and serve reads the wrapper back.
+		cfg.Store = func(node string) (durable.Store, error) {
+			wal, err := durable.OpenWAL(filepath.Join(o.data, node), durable.WALConfig{Crash: crash})
+			if err != nil || o.group == "" {
+				return wal, err
 			}
-			cfg.Store = func(node string) (durable.Store, error) {
-				inner, err := open(node)
-				if err != nil || node != o.name {
-					return inner, err
-				}
-				st, err := replica.NewStore(inner, rc)
-				if err != nil {
-					return nil, err
-				}
-				slot.st = st
-				return st, nil
-			}
+			return replica.NewStore(wal, rc)
 		}
 	}
-	w := guardian.NewWorld(cfg)
-	w.MustRegister(bank.BranchDef())
-	w.MustRegister(airline.FlightDef())
-	w.MustRegister(nameserv.Def())
-	w.MustRegister(replica.Def())
-	w.MustRegister(tpc.CoordinatorDef())
-	return w, base, wrap, slot, nil
+	p.w = guardian.NewWorld(cfg)
+	for _, def := range []*guardian.GuardianDef{
+		bank.BranchDef(), airline.FlightDef(), nameserv.Def(), replica.Def(), tpc.CoordinatorDef(),
+	} {
+		p.w.MustRegister(def)
+	}
+	if p.n, err = p.w.AddNode(o.name); err != nil {
+		p.w.Close()
+		return nil, err
+	}
+	return p, nil
 }
 
-func serve(o *options, stdout io.Writer) error {
-	w, base, wrap, slot, err := buildWorld(o)
-	if err != nil {
-		return err
-	}
-	defer w.Close()
-	n, err := w.AddNode(o.name)
-	if err != nil {
-		return err
-	}
-
+func (p *proc) serve(stdout io.Writer) error {
+	o, n := p.o, p.n
 	def, bootArgs, provides, err := hostDef(o)
 	if err != nil {
 		return err
 	}
+	rs, _ := n.Store().(*replica.Store)
 
 	// find locates an already-live guardian by definition: on a -data
 	// restart the node's catalog re-created it (same id, same port names),
@@ -514,17 +513,17 @@ func serve(o *options, stdout io.Writer) error {
 	var ports []xrep.PortName
 	if g := find(def); g != nil {
 		hosted = g
-		for _, p := range g.ProvidedPorts() {
-			ports = append(ports, p.Name())
+		for _, port := range g.ProvidedPorts() {
+			ports = append(ports, port.Name())
 		}
 	}
 	recovered := hosted != nil
 	switch {
 	case recovered:
-		if slot.st != nil {
+		if rs != nil {
 			// A restarted initial primary re-adopts its recovered app so the
 			// replicator can heartbeat its log and re-bind the service.
-			slot.st.Adopt(n, &guardian.Created{GuardianID: hosted.ID(), Ports: ports})
+			rs.Adopt(n, &guardian.Created{GuardianID: hosted.ID(), Ports: ports})
 		}
 	case o.group == "" || o.memberList[0] == o.name:
 		// Followers never bootstrap the application: the election winner
@@ -535,12 +534,12 @@ func serve(o *options, stdout io.Writer) error {
 		}
 		hosted, _ = n.GuardianByID(created.GuardianID)
 		ports = created.Ports
-		if slot.st != nil {
-			slot.st.Adopt(n, created)
+		if rs != nil {
+			rs.Adopt(n, created)
 		}
 	}
 
-	fmt.Fprintf(stdout, "listening on %s\n", base.LocalAddr(transport.Addr(o.name)))
+	fmt.Fprintf(stdout, "listening on %s\n", p.base.LocalAddr(transport.Addr(o.name)))
 	if o.shard != "" {
 		fmt.Fprintf(stdout, "shard member=%s\n", o.shard)
 	}
@@ -571,12 +570,12 @@ func serve(o *options, stdout io.Writer) error {
 				name, r.Records, r.Skipped, r.TornTail, r.TornBytes)
 		}
 	}
-	for i, p := range ports {
+	for i, port := range ports {
 		label := fmt.Sprintf("port%d", i)
 		if i < len(provides) {
 			label = provides[i].Name()
 		}
-		fmt.Fprintf(stdout, "port %s %s\n", label, nameserv.FormatPort(p))
+		fmt.Fprintf(stdout, "port %s %s\n", label, nameserv.FormatPort(port))
 	}
 	fmt.Fprintln(stdout, "ready")
 
@@ -586,26 +585,17 @@ func serve(o *options, stdout io.Writer) error {
 
 	// Shutdown report: transport accounting, injected faults, and — for a
 	// bank branch — the applies counter an exactly-once audit needs.
-	if wrap != nil {
-		wrap.Quiesce()
-		fmt.Fprint(stdout, injectedLine(wrap))
-	}
-	st := base.Stats()
-	fmt.Fprintf(stdout, "stats sent=%d delivered=%d dropped=%d bytes_sent=%d bytes_recv=%d\n",
-		st.Sent, st.Delivered, st.Dropped, st.BytesSent, st.BytesRecv)
-	if o.stats {
-		printConnStats(stdout, st)
-	}
-	if slot.st != nil {
-		leader, term, isSelf := slot.st.Leader()
-		rs := slot.st.ReplStats()
+	p.report(stdout, true)
+	if rs != nil {
+		leader, term, isSelf := rs.Leader()
+		st := rs.ReplStats()
 		fmt.Fprintf(stdout, "repl leader=%s term=%d self=%v shipped=%d applied=%d checkpoints=%d "+
 			"fenced=%d elections=%d takeovers=%d\n",
-			leader, term, isSelf, rs.ShippedRecords, rs.AppliedRecords, rs.CheckpointsShipped,
-			rs.FencedStale, rs.Elections, rs.Takeovers)
+			leader, term, isSelf, st.ShippedRecords, st.AppliedRecords, st.CheckpointsShipped,
+			st.FencedStale, st.Elections, st.Takeovers)
 		// A follower that won an election serves an app guardian it never
 		// bootstrapped; the audit must read that one.
-		if g := slot.st.AppGuardian(); g != nil {
+		if g := rs.AppGuardian(); g != nil {
 			hosted = g
 		}
 	}
@@ -622,21 +612,26 @@ func serve(o *options, stdout io.Writer) error {
 				member, epoch, len(accts), total)
 		}
 	}
-	return w.Close()
+	return p.w.Close()
 }
 
-// injectedLine renders the fault-injection shutdown summary: the datagram
-// fates first (the fields the PR 3 audits parse), then the stream fates.
-func injectedLine(wrap *transport.Wrapper) string {
-	ws := wrap.InjectedStats()
-	return fmt.Sprintf("injected sent=%d lost=%d duplicated=%d resets=%d stalls=%d\n",
-		ws.Sent, ws.Lost, ws.Duplicated, ws.Resets, ws.Stalls)
-}
-
-// printConnStats renders the per-peer connection counters through the
-// same metrics tables the experiments print. Datagram transports have no
-// connections; the table simply doesn't appear.
-func printConnStats(w io.Writer, st transport.Stats) {
+// report prints the shutdown lines every role shares: the injected faults
+// (the datagram fates first, the fields the loss audits parse, then the
+// stream fates), a server's transport totals, and the per-peer connection
+// counters through the same metrics tables the experiments print. Datagram
+// transports have no connections; their table simply doesn't appear.
+func (p *proc) report(w io.Writer, totals bool) {
+	if p.wrap != nil {
+		p.wrap.Quiesce()
+		ws := p.wrap.InjectedStats()
+		fmt.Fprintf(w, "injected sent=%d lost=%d duplicated=%d resets=%d stalls=%d\n",
+			ws.Sent, ws.Lost, ws.Duplicated, ws.Resets, ws.Stalls)
+	}
+	st := p.base.Stats()
+	if totals {
+		fmt.Fprintf(w, "stats sent=%d delivered=%d dropped=%d bytes_sent=%d bytes_recv=%d\n",
+			st.Sent, st.Delivered, st.Dropped, st.BytesSent, st.BytesRecv)
+	}
 	if len(st.Conns) == 0 {
 		return
 	}
@@ -647,9 +642,9 @@ func printConnStats(w io.Writer, st transport.Stats) {
 	sort.Strings(peers)
 	tb := metrics.NewTable("tcp connections",
 		"peer", "state", "dials", "resets", "reconnects", "hb_missed", "queue_drops")
-	for _, p := range peers {
-		cs := st.Conns[transport.Addr(p)]
-		tb.AddRow(p, cs.State, cs.Dials, cs.Resets, cs.Reconnects, cs.HeartbeatsMissed, cs.QueueDrops)
+	for _, peer := range peers {
+		cs := st.Conns[transport.Addr(peer)]
+		tb.AddRow(peer, cs.State, cs.Dials, cs.Resets, cs.Reconnects, cs.HeartbeatsMissed, cs.QueueDrops)
 	}
 	tb.Render(w)
 }
@@ -683,28 +678,12 @@ func parseOp(op string) (string, []any, error) {
 	return fields[0], args, nil
 }
 
-func client(o *options, stdout io.Writer) error {
-	var target xrep.PortName
-	if o.call != "" {
-		var err error
-		target, err = nameserv.ParsePort(o.call)
-		if err != nil {
-			return err
-		}
-		if _, ok := o.peers[transport.Addr(target.Node)]; !ok {
-			return fmt.Errorf("node: no -peers route to target node %q", target.Node)
-		}
-	}
-	w, base, wrap, _, err := buildWorld(o)
-	if err != nil {
-		return err
-	}
-	defer w.Close()
-	n, err := w.AddNode(o.name)
-	if err != nil {
-		return err
-	}
-	_, proc, err := n.NewDriver("cli")
+// client runs the -op operations in order through the call function its
+// mode chooses: a fixed -call port, a -resolve'd name, or a -ring router
+// after the ring's membership actions.
+func (p *proc) client(stdout io.Writer) error {
+	o := p.o
+	_, drv, err := p.n.NewDriver("cli")
 	if err != nil {
 		return err
 	}
@@ -713,65 +692,191 @@ func client(o *options, stdout io.Writer) error {
 		Retries: o.retries,
 		Backoff: amo.BackoffPolicy{Base: o.timeout / 10, Jitter: 0.5},
 	}
-	if o.resolve != "" {
-		nsPort, err := nameserv.ParsePort(o.ns)
+	var call func(cmd string, args []any) (string, error)
+	if o.ringName != "" {
+		rt, err := p.router(drv, copts, stdout)
 		if err != nil {
 			return err
 		}
-		if _, ok := o.peers[transport.Addr(nsPort.Node)]; !ok {
-			return fmt.Errorf("node: no -peers route to name-service node %q", nsPort.Node)
-		}
-		nc, err := nameserv.NewClient(proc, nsPort)
-		if err != nil {
-			return err
-		}
-		lookup := func() (xrep.PortName, bool) {
-			p, _, err := nc.Lookup(o.resolve, o.timeout)
-			return p, err == nil
-		}
-		// Re-resolving before every retry is what lets one client session
-		// follow the binding across a failover mid-conversation.
-		copts.Resolve = lookup
-		for i := 0; ; i++ {
-			if p, ok := lookup(); ok {
-				target = p
-				break
-			}
-			if i >= o.retries {
-				return fmt.Errorf("node: resolve %q: no binding after %d lookups", o.resolve, i+1)
-			}
-			time.Sleep(50 * time.Millisecond)
-		}
-		fmt.Fprintf(stdout, "resolved %s -> %s\n", o.resolve, nameserv.FormatPort(target))
-	}
-	caller, err := amo.NewCaller(proc, copts)
-	if err != nil {
+		defer rt.Close()
+		call = func(cmd string, args []any) (string, error) { return ringCall(rt, cmd, args) }
+	} else if call, err = p.caller(drv, copts, stdout); err != nil {
 		return err
 	}
-
 	for _, op := range o.ops {
 		cmd, args, err := parseOp(op)
 		if err != nil {
 			return err
 		}
-		r, err := caller.Call(target, cmd, args...)
+		out, err := call(cmd, args)
 		if err != nil {
 			return fmt.Errorf("node: op %q: %w", op, err)
 		}
-		line := r.Command
-		for _, a := range r.Args {
-			line += fmt.Sprintf(" %v", a)
-		}
-		fmt.Fprintf(stdout, "op %q: %s\n", op, line)
+		fmt.Fprintf(stdout, "op %q: %s\n", op, out)
 	}
-	if wrap != nil {
-		wrap.Quiesce()
-		fmt.Fprint(stdout, injectedLine(wrap))
-	}
-	if o.stats {
-		printConnStats(stdout, base.Stats())
-	}
+	p.report(stdout, false)
 	return nil
+}
+
+// routed parses a node/guardian/port flag value and checks that -peers
+// can reach its node; what names the node in the error.
+func routed(o *options, port, what string) (xrep.PortName, error) {
+	pn, err := nameserv.ParsePort(port)
+	if err != nil {
+		return pn, err
+	}
+	if _, ok := o.peers[transport.Addr(pn.Node)]; !ok {
+		return pn, fmt.Errorf("node: no -peers route to %s node %q", what, pn.Node)
+	}
+	return pn, nil
+}
+
+// replyLine renders a call's reply as its command and arguments.
+func replyLine(r *amo.Reply, err error) (string, error) {
+	if err != nil {
+		return "", err
+	}
+	line := r.Command
+	for _, a := range r.Args {
+		line += fmt.Sprintf(" %v", a)
+	}
+	return line, nil
+}
+
+// caller is the call function of -call and -resolve: one at-most-once
+// session against a fixed port, or against a well-known name the name
+// service re-resolves before every retry.
+func (p *proc) caller(drv *guardian.Process, copts amo.CallerOptions, stdout io.Writer) (func(cmd string, args []any) (string, error), error) {
+	o := p.o
+	var target xrep.PortName
+	var err error
+	if o.call != "" {
+		if target, err = routed(o, o.call, "target"); err != nil {
+			return nil, err
+		}
+	} else {
+		nsPort, err := routed(o, o.ns, "name-service")
+		if err != nil {
+			return nil, err
+		}
+		nc, err := nameserv.NewClient(drv, nsPort)
+		if err != nil {
+			return nil, err
+		}
+		lookup := func() (xrep.PortName, bool) {
+			pn, _, err := nc.Lookup(o.resolve, o.timeout)
+			return pn, err == nil
+		}
+		// Re-resolving before every retry is what lets one client session
+		// follow the binding across a failover mid-conversation.
+		copts.Resolve = lookup
+		for i := 0; ; i++ {
+			if pn, ok := lookup(); ok {
+				target = pn
+				break
+			}
+			if i >= o.retries {
+				return nil, fmt.Errorf("node: resolve %q: no binding after %d lookups", o.resolve, i+1)
+			}
+			time.Sleep(50 * time.Millisecond)
+		}
+		fmt.Fprintf(stdout, "resolved %s -> %s\n", o.resolve, nameserv.FormatPort(target))
+	}
+	c, err := amo.NewCaller(drv, copts)
+	if err != nil {
+		return nil, err
+	}
+	return func(cmd string, args []any) (string, error) {
+		return replyLine(c.Call(target, cmd, args...))
+	}, nil
+}
+
+// router runs the -ring membership actions (bootstrap, join, leave, in that
+// order) and returns the router the -op operations go through: routed by
+// account hash, with cross-shard transfers riding 2PC through -coord.
+func (p *proc) router(drv *guardian.Process, copts amo.CallerOptions, stdout io.Writer) (*bank.Router, error) {
+	o := p.o
+	nsPort, err := routed(o, o.ns, "name-service")
+	if err != nil {
+		return nil, err
+	}
+	nc, err := nameserv.NewClient(drv, nsPort)
+	if err != nil {
+		return nil, err
+	}
+	ropts := bank.RebalanceOptions{
+		NS:      nc,
+		Timeout: o.timeout,
+		Call: sendprim.CallOptions{
+			Timeout: o.timeout,
+			Retries: o.retries,
+			Backoff: o.timeout / 10,
+		},
+	}
+	if o.ringBoot != "" {
+		var members []ring.Member
+		for _, spec := range strings.Split(o.ringBoot, ";") {
+			if spec = strings.TrimSpace(spec); spec == "" {
+				continue
+			}
+			m, err := parseRingMember(spec)
+			if err != nil {
+				return nil, err
+			}
+			members = append(members, m)
+		}
+		if err := bank.Bootstrap(drv, ring.New(o.ringName, 0, members...), ropts); err != nil {
+			return nil, fmt.Errorf("node: ring bootstrap: %w", err)
+		}
+		fmt.Fprintf(stdout, "ring %s bootstrapped with %d members\n", o.ringName, len(members))
+	}
+	if o.ringJoin != "" {
+		m, err := parseRingMember(o.ringJoin)
+		if err != nil {
+			return nil, err
+		}
+		next, err := bank.Join(drv, o.ringName, m, ropts)
+		if err != nil {
+			return nil, fmt.Errorf("node: ring join %s: %w", m.Name, err)
+		}
+		fmt.Fprintf(stdout, "ring %s epoch %d committed (join %s)\n", o.ringName, next.Epoch, m.Name)
+	}
+	if o.ringLeave != "" {
+		next, err := bank.Leave(drv, o.ringName, o.ringLeave, ropts)
+		if err != nil {
+			return nil, fmt.Errorf("node: ring leave %s: %w", o.ringLeave, err)
+		}
+		fmt.Fprintf(stdout, "ring %s epoch %d committed (leave %s)\n", o.ringName, next.Epoch, o.ringLeave)
+	}
+	rto := bank.RouterOptions{NS: nc, RingName: o.ringName, Timeout: o.timeout, Call: copts}
+	if o.coord != "" {
+		if rto.Coordinator, err = routed(o, o.coord, "coordinator"); err != nil {
+			return nil, err
+		}
+	}
+	return bank.NewRouter(drv, rto)
+}
+
+// ringCall routes one operation by the account it names first; a transfer
+// names two and rides 2PC when they live on different shards.
+func ringCall(rt *bank.Router, cmd string, args []any) (string, error) {
+	if cmd == "transfer" {
+		if len(args) != 3 {
+			return "", errors.New("want transfer FROM TO AMOUNT")
+		}
+		from, _ := args[0].(string)
+		to, _ := args[1].(string)
+		amt, _ := args[2].(int64)
+		return rt.Transfer(from, to, amt)
+	}
+	if len(args) == 0 {
+		return "", errors.New("ring ops name their account first")
+	}
+	acct, ok := args[0].(string)
+	if !ok {
+		return "", errors.New("account must be a name")
+	}
+	return replyLine(rt.Call(acct, cmd, args...))
 }
 
 // parseRingMember turns "s1=node/g/p,node/g/p" into a ring member: the
@@ -797,154 +902,6 @@ func parseRingMember(spec string) (ring.Member, error) {
 	return ring.Member{Name: name, Native: native, Amo: amoPort}, nil
 }
 
-// ringClient drives a consistent-hash ring of shard branches: optional
-// membership actions (bootstrap, join, leave) followed by -op operations
-// routed by account hash, with cross-shard transfers riding 2PC through
-// -coord.
-func ringClient(o *options, stdout io.Writer) error {
-	nsPort, err := nameserv.ParsePort(o.ns)
-	if err != nil {
-		return err
-	}
-	if _, ok := o.peers[transport.Addr(nsPort.Node)]; !ok {
-		return fmt.Errorf("node: no -peers route to name-service node %q", nsPort.Node)
-	}
-	w, base, wrap, _, err := buildWorld(o)
-	if err != nil {
-		return err
-	}
-	defer w.Close()
-	n, err := w.AddNode(o.name)
-	if err != nil {
-		return err
-	}
-	_, proc, err := n.NewDriver("ringcli")
-	if err != nil {
-		return err
-	}
-	nc, err := nameserv.NewClient(proc, nsPort)
-	if err != nil {
-		return err
-	}
-	ropts := bank.RebalanceOptions{
-		NS:      nc,
-		Timeout: o.timeout,
-		Call: sendprim.CallOptions{
-			Timeout: o.timeout,
-			Retries: o.retries,
-			Backoff: o.timeout / 10,
-		},
-	}
-
-	if o.ringBoot != "" {
-		var members []ring.Member
-		for _, spec := range strings.Split(o.ringBoot, ";") {
-			if spec = strings.TrimSpace(spec); spec == "" {
-				continue
-			}
-			m, err := parseRingMember(spec)
-			if err != nil {
-				return err
-			}
-			members = append(members, m)
-		}
-		if err := bank.Bootstrap(proc, ring.New(o.ringName, 0, members...), ropts); err != nil {
-			return fmt.Errorf("node: ring bootstrap: %w", err)
-		}
-		fmt.Fprintf(stdout, "ring %s bootstrapped with %d members\n", o.ringName, len(members))
-	}
-	if o.ringJoin != "" {
-		m, err := parseRingMember(o.ringJoin)
-		if err != nil {
-			return err
-		}
-		next, err := bank.Join(proc, o.ringName, m, ropts)
-		if err != nil {
-			return fmt.Errorf("node: ring join %s: %w", m.Name, err)
-		}
-		fmt.Fprintf(stdout, "ring %s epoch %d committed (join %s)\n", o.ringName, next.Epoch, m.Name)
-	}
-	if o.ringLeave != "" {
-		next, err := bank.Leave(proc, o.ringName, o.ringLeave, ropts)
-		if err != nil {
-			return fmt.Errorf("node: ring leave %s: %w", o.ringLeave, err)
-		}
-		fmt.Fprintf(stdout, "ring %s epoch %d committed (leave %s)\n", o.ringName, next.Epoch, o.ringLeave)
-	}
-
-	if len(o.ops) > 0 {
-		rto := bank.RouterOptions{
-			NS:       nc,
-			RingName: o.ringName,
-			Timeout:  o.timeout,
-			Call: amo.CallerOptions{
-				Timeout: o.timeout,
-				Retries: o.retries,
-				Backoff: amo.BackoffPolicy{Base: o.timeout / 10, Jitter: 0.5},
-			},
-		}
-		if o.coord != "" {
-			p, err := nameserv.ParsePort(o.coord)
-			if err != nil {
-				return err
-			}
-			if _, ok := o.peers[transport.Addr(p.Node)]; !ok {
-				return fmt.Errorf("node: no -peers route to coordinator node %q", p.Node)
-			}
-			rto.Coordinator = p
-		}
-		rt, err := bank.NewRouter(proc, rto)
-		if err != nil {
-			return err
-		}
-		defer rt.Close()
-		for _, op := range o.ops {
-			cmd, args, err := parseOp(op)
-			if err != nil {
-				return err
-			}
-			if cmd == "transfer" {
-				if len(args) != 3 {
-					return fmt.Errorf("node: op %q: want transfer FROM TO AMOUNT", op)
-				}
-				from, _ := args[0].(string)
-				to, _ := args[1].(string)
-				amt, _ := args[2].(int64)
-				out, err := rt.Transfer(from, to, amt)
-				if err != nil {
-					return fmt.Errorf("node: op %q: %w", op, err)
-				}
-				fmt.Fprintf(stdout, "op %q: %s\n", op, out)
-				continue
-			}
-			if len(args) == 0 {
-				return fmt.Errorf("node: op %q: ring ops name their account first", op)
-			}
-			acct, ok := args[0].(string)
-			if !ok {
-				return fmt.Errorf("node: op %q: account must be a name", op)
-			}
-			r, err := rt.Call(acct, cmd, args...)
-			if err != nil {
-				return fmt.Errorf("node: op %q: %w", op, err)
-			}
-			line := r.Command
-			for _, a := range r.Args {
-				line += fmt.Sprintf(" %v", a)
-			}
-			fmt.Fprintf(stdout, "op %q: %s\n", op, line)
-		}
-	}
-	if wrap != nil {
-		wrap.Quiesce()
-		fmt.Fprint(stdout, injectedLine(wrap))
-	}
-	if o.stats {
-		printConnStats(stdout, base.Stats())
-	}
-	return nil
-}
-
 func run(args []string, stdout, stderr io.Writer) int {
 	o, err := parseFlags(args, stderr)
 	if err != nil {
@@ -954,13 +911,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	switch {
-	case o.host != "":
-		err = serve(o, stdout)
-	case o.ringName != "":
-		err = ringClient(o, stdout)
-	default:
-		err = client(o, stdout)
+	p, err := start(o)
+	if err == nil {
+		defer p.w.Close()
+		if o.host != "" {
+			err = p.serve(stdout)
+		} else {
+			err = p.client(stdout)
+		}
 	}
 	if err != nil {
 		fmt.Fprintln(stderr, err)

@@ -9,46 +9,11 @@ package main
 // client issued, no matter how many datagrams the wrappers ate or cloned.
 
 import (
-	"bufio"
 	"fmt"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
-	"time"
 )
-
-// buildNode compiles this package once per test binary invocation.
-func buildNode(t *testing.T) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), "node")
-	cmd := exec.Command("go", "build", "-o", bin, "repro/cmd/node")
-	cmd.Dir = repoRoot(t)
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-	return bin
-}
-
-func repoRoot(t *testing.T) string {
-	t.Helper()
-	dir, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			t.Fatal("go.mod not found above test directory")
-		}
-		dir = parent
-	}
-}
 
 func TestBankTransferAcrossProcessesOverLossyUDP(t *testing.T) {
 	if testing.Short() {
@@ -57,39 +22,10 @@ func TestBankTransferAcrossProcessesOverLossyUDP(t *testing.T) {
 	bin := buildNode(t)
 	faults := []string{"-loss", "0.2", "-dup", "0.2"}
 
-	srv := exec.Command(bin, append([]string{
+	srv := startNode(t, bin, append([]string{
 		"-name", "branch", "-listen", "127.0.0.1:0", "-host", "bank", "-seed", "7",
 	}, faults...)...)
-	srvOut, err := srv.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Stderr = os.Stderr
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Process.Kill()
-
-	// Read the server's banner: bound address, port names, ready marker.
-	sc := bufio.NewScanner(srvOut)
-	var addr, amoPort string
-	deadline := time.AfterFunc(10*time.Second, func() { srv.Process.Kill() })
-	for sc.Scan() {
-		line := sc.Text()
-		if rest, ok := strings.CutPrefix(line, "listening on "); ok {
-			addr = rest
-		}
-		if rest, ok := strings.CutPrefix(line, "port amo_req_port "); ok {
-			amoPort = rest
-		}
-		if line == "ready" {
-			break
-		}
-	}
-	deadline.Stop()
-	if addr == "" || amoPort == "" {
-		t.Fatalf("server banner incomplete: addr=%q amoPort=%q", addr, amoPort)
-	}
+	amoPort := srv.port("amo_req_port")
 
 	// The client is its own OS process with its own fault wrapper, so both
 	// directions of every call cross a lossy, duplicating wire.
@@ -103,12 +39,10 @@ func TestBankTransferAcrossProcessesOverLossyUDP(t *testing.T) {
 	}
 	ops = append(ops, "-op", "balance alice", "-op", "balance bob")
 	args := append([]string{
-		"-name", "teller", "-peers", "branch=" + addr, "-call", amoPort, "-seed", "11",
+		"-name", "teller", "-peers", "branch=" + srv.addr, "-call", amoPort, "-seed", "11",
 		"-timeout", "250ms", "-retries", "60",
 	}, faults...)
-	cli := exec.Command(bin, append(args, ops...)...)
-	cliBytes, err := cli.CombinedOutput()
-	cliOut := string(cliBytes)
+	cliOut, err := runNode(bin, append(args, ops...)...)
 	if err != nil {
 		t.Fatalf("client: %v\n%s", err, cliOut)
 	}
@@ -134,17 +68,10 @@ func TestBankTransferAcrossProcessesOverLossyUDP(t *testing.T) {
 	}
 
 	// Stop the server and read its shutdown audit.
-	if err := srv.Process.Signal(os.Interrupt); err != nil {
-		t.Fatal(err)
+	srvTail := srv.interrupt()
+	if err := srv.wait(); err != nil {
+		t.Fatalf("server exit: %v\n%s", err, srvTail)
 	}
-	var tail []string
-	for sc.Scan() {
-		tail = append(tail, sc.Text())
-	}
-	if err := srv.Wait(); err != nil {
-		t.Fatalf("server exit: %v\n%s", err, strings.Join(tail, "\n"))
-	}
-	srvTail := strings.Join(tail, "\n")
 
 	applies := regexp.MustCompile(`(?m)^applies (\d+)$`).FindStringSubmatch(srvTail)
 	if applies == nil {

@@ -26,19 +26,12 @@ package main
 
 import (
 	"fmt"
-	"os/exec"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 )
-
-// runNode runs the binary to completion as a one-shot client process.
-func runNode(bin string, args ...string) (string, error) {
-	out, err := exec.Command(bin, args...).CombinedOutput()
-	return string(out), err
-}
 
 var shardLine = regexp.MustCompile(`shard member=(\S+) epoch=(\d+) accounts=(\d+) total=(-?\d+)`)
 
@@ -57,26 +50,13 @@ func TestRingHandoffCrashMatrix(t *testing.T) {
 func runRingHandoffRound(t *testing.T, bin, window string) {
 	data := t.TempDir()
 	names := []string{"ns", "txc", "s1", "s2", "s3", "s4"}
-	addrs := freeUDPAddrs(t, len(names))
-	var entries []string
-	for i, nm := range names {
-		entries = append(entries, nm+"="+addrs[i])
-	}
-	peers := strings.Join(entries, ",")
+	addrs, peers := freePeers(t, names...)
 
 	ns := startNode(t, bin, "-name", "ns", "-listen", addrs[0], "-peers", peers, "-host", "nameserv")
-	defer ns.kill()
-	nsPort := ns.ports["name_service_port"]
-	if nsPort == "" {
-		t.Fatalf("name service printed no port: %v", ns.ports)
-	}
+	nsPort := ns.port("name_service_port")
 	txc := startNode(t, bin, "-name", "txc", "-listen", addrs[1], "-peers", peers,
 		"-host", "txncoord", "-data", data)
-	defer txc.kill()
-	coordPort := txc.ports["tpc_coordinator_port"]
-	if coordPort == "" {
-		t.Fatalf("coordinator printed no port: %v", txc.ports)
-	}
+	coordPort := txc.port("tpc_coordinator_port")
 
 	// shardArgs builds one shard server's argv; crash is the injected
 	// handoff crash spec ("" for none).
@@ -98,11 +78,7 @@ func runRingHandoffRound(t *testing.T, bin, window string) {
 
 	shards := make(map[string]*nodeProc)
 	memberSpec := func(p *nodeProc, name string) string {
-		native, amo := p.ports["bank_branch_port"], p.ports["amo_req_port"]
-		if native == "" || amo == "" {
-			t.Fatalf("shard %s banner incomplete: %v", name, p.ports)
-		}
-		return fmt.Sprintf("%s=%s,%s", name, native, amo)
+		return fmt.Sprintf("%s=%s,%s", name, p.port("bank_branch_port"), p.port("amo_req_port"))
 	}
 	var specs []string
 	for i := 2; i <= 4; i++ {
@@ -114,19 +90,16 @@ func runRingHandoffRound(t *testing.T, bin, window string) {
 		shards[names[i]] = p
 		specs = append(specs, memberSpec(p, names[i]))
 	}
-	defer func() {
-		for _, p := range shards {
-			p.kill()
-		}
-	}()
 
-	// ctl runs one ring client process; returns its combined output.
-	ctl := func(name string, extra ...string) (string, error) {
-		args := []string{"-name", name, "-peers", peers, "-ns", nsPort,
+	// ctlArgs is one ring client process's argv; ctl runs it to completion
+	// and returns its combined output.
+	ctlArgs := func(name string, extra ...string) []string {
+		return append([]string{"-name", name, "-peers", peers, "-ns", nsPort,
 			"-ring", "accounts", "-coord", coordPort,
-			"-timeout", "200ms", "-retries", "40"}
-		out, err := runNode(bin, append(args, extra...)...)
-		return out, err
+			"-timeout", "200ms", "-retries", "40"}, extra...)
+	}
+	ctl := func(name string, extra ...string) (string, error) {
+		return runNode(bin, ctlArgs(name, extra...)...)
 	}
 
 	out, err := ctl("boot", "-ringboot", strings.Join(specs, ";"))
@@ -163,9 +136,13 @@ func runRingHandoffRound(t *testing.T, bin, window string) {
 	shards["s4"] = joiner
 	joinSpec := memberSpec(joiner, "s4")
 
-	out, _ = ctl("join1", "-ringjoin", joinSpec)
-	crashed := shards[names[victim]]
-	if code := crashed.exitCode(30 * time.Second); code != 137 {
+	// The first driver would spend its whole retry budget on the dead
+	// victim; once the victim's exit is read it is killed instead — the
+	// driver is re-runnable after its own crash, which join2 relies on.
+	join1 := spawn(t, bin, ctlArgs("join1", "-ringjoin", joinSpec)...)
+	code := shards[names[victim]].exitCode(30 * time.Second)
+	out = join1.kill()
+	if code != 137 {
 		t.Fatalf("%s exit code %d, want 137 (injected crash at %s)\njoin output:\n%s",
 			names[victim], code, window, out)
 	}

@@ -10,60 +10,17 @@ package main
 // never arrives.
 
 import (
-	"bufio"
 	"fmt"
-	"os"
-	"os/exec"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 // bigAccount is the -op token for an account whose name expands to 2 MiB —
 // far beyond the 65507-byte absolute UDP datagram maximum, and ~1500× the
 // 1400-byte default MTU.
 const bigAccount = "B*2097152"
-
-// startBankServer boots a branch process and scans its banner, returning
-// the bound address and amo port plus the running process and scanner.
-func startBankServer(t *testing.T, bin string, extra ...string) (*exec.Cmd, *bufio.Scanner, string, string) {
-	t.Helper()
-	srv := exec.Command(bin, append([]string{
-		"-name", "branch", "-listen", "127.0.0.1:0", "-host", "bank",
-	}, extra...)...)
-	srvOut, err := srv.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Stderr = os.Stderr
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = srv.Process.Kill() })
-	sc := bufio.NewScanner(srvOut)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var addr, amoPort string
-	deadline := time.AfterFunc(10*time.Second, func() { _ = srv.Process.Kill() })
-	for sc.Scan() {
-		line := sc.Text()
-		if rest, ok := strings.CutPrefix(line, "listening on "); ok {
-			addr = rest
-		}
-		if rest, ok := strings.CutPrefix(line, "port amo_req_port "); ok {
-			amoPort = rest
-		}
-		if line == "ready" {
-			break
-		}
-	}
-	deadline.Stop()
-	if addr == "" || amoPort == "" {
-		t.Fatalf("server banner incomplete: addr=%q amoPort=%q", addr, amoPort)
-	}
-	return srv, sc, addr, amoPort
-}
 
 func TestBankTransferAcrossProcessesOverResettingTCP(t *testing.T) {
 	if testing.Short() {
@@ -72,9 +29,11 @@ func TestBankTransferAcrossProcessesOverResettingTCP(t *testing.T) {
 	bin := buildNode(t)
 	faults := []string{
 		"-transport", "tcp",
-		"-reset", "0.08", "-stall", "0.05", "-stalltime", "40ms", "-stats",
+		"-reset", "0.08", "-stall", "0.05", "-stalltime", "40ms",
 	}
-	srv, sc, addr, amoPort := startBankServer(t, bin, append([]string{"-seed", "7"}, faults...)...)
+	srv := startNode(t, bin, append([]string{
+		"-name", "branch", "-listen", "127.0.0.1:0", "-host", "bank", "-seed", "7",
+	}, faults...)...)
 
 	// The teller's ops: the PR 3 exactly-once workload, plus one account
 	// whose 2 MiB name makes every request and reply carrying it a
@@ -94,12 +53,10 @@ func TestBankTransferAcrossProcessesOverResettingTCP(t *testing.T) {
 		"-op", "balance alice", "-op", "balance bob",
 	)
 	args := append([]string{
-		"-name", "teller", "-peers", "branch=" + addr, "-call", amoPort, "-seed", "11",
+		"-name", "teller", "-peers", "branch=" + srv.addr, "-call", srv.port("amo_req_port"), "-seed", "11",
 		"-timeout", "500ms", "-retries", "60",
 	}, faults...)
-	cli := exec.Command(bin, append(args, ops...)...)
-	cliBytes, err := cli.CombinedOutput()
-	cliOut := string(cliBytes)
+	cliOut, err := runNode(bin, append(args, ops...)...)
 	if err != nil {
 		t.Fatalf("client: %v\n%s", err, cliOut)
 	}
@@ -126,17 +83,10 @@ func TestBankTransferAcrossProcessesOverResettingTCP(t *testing.T) {
 	}
 
 	// Stop the server and read its shutdown audit.
-	if err := srv.Process.Signal(os.Interrupt); err != nil {
-		t.Fatal(err)
+	srvTail := srv.interrupt()
+	if err := srv.wait(); err != nil {
+		t.Fatalf("server exit: %v\n%s", err, srvTail)
 	}
-	var tail []string
-	for sc.Scan() {
-		tail = append(tail, sc.Text())
-	}
-	if err := srv.Wait(); err != nil {
-		t.Fatalf("server exit: %v\n%s", err, strings.Join(tail, "\n"))
-	}
-	srvTail := strings.Join(tail, "\n")
 
 	// Exactly-once across every reset and reconnect: two opens, one
 	// deposit, the transfers, and the big account's open + deposit, each
@@ -151,8 +101,8 @@ func TestBankTransferAcrossProcessesOverResettingTCP(t *testing.T) {
 	}
 
 	// The run only means something if the stream faults actually fired:
-	// the injectors must report hits, and the server's -stats connection
-	// table must show the machine dialing, resetting, and reconnecting.
+	// the injectors must report hits, and the server's connection table
+	// must show the machine dialing, resetting, and reconnecting.
 	injected := regexp.MustCompile(`injected sent=(\d+) lost=(\d+) duplicated=(\d+) resets=(\d+) stalls=(\d+)`)
 	var resets, stalls int
 	for side, out := range map[string]string{"client": cliOut, "server": srvTail} {
@@ -172,7 +122,7 @@ func TestBankTransferAcrossProcessesOverResettingTCP(t *testing.T) {
 		t.Error("no write stalls were injected on either side: the fault model idled")
 	}
 	if !strings.Contains(srvTail, "== tcp connections ==") {
-		t.Errorf("server -stats printed no connection table:\n%s", srvTail)
+		t.Errorf("server printed no connection table:\n%s", srvTail)
 	}
 	connRow := regexp.MustCompile(`(?m)^\S+:\d+\s+\S+\s+(\d+)\s+(\d+)\s+(\d+)\s+\d+`)
 	if m := connRow.FindStringSubmatch(srvTail); m == nil {
@@ -190,25 +140,23 @@ func TestUDPCannotCarryLargeRep(t *testing.T) {
 		t.Skip("spawns OS processes")
 	}
 	bin := buildNode(t)
-	srv, _, addr, amoPort := startBankServer(t, bin, "-seed", "7")
-	defer srv.Process.Kill()
+	srv := startNode(t, bin, "-name", "branch", "-listen", "127.0.0.1:0", "-host", "bank", "-seed", "7")
 
-	cli := exec.Command(bin,
-		"-name", "teller", "-peers", "branch="+addr, "-call", amoPort,
+	out, err := runNode(bin,
+		"-name", "teller", "-peers", "branch="+srv.addr, "-call", srv.port("amo_req_port"),
 		"-timeout", "150ms", "-retries", "3",
 		"-op", "open alice", // small op: proves the path itself works
 		"-op", "open "+bigAccount, // oversized: must never arrive
 	)
-	out, err := cli.CombinedOutput()
 	if err == nil {
 		t.Fatalf("client carried a %d-byte rep over UDP; the MTU ceiling is supposed to forbid that:\n%s",
-			2<<20, truncated(string(out)))
+			2<<20, truncated(out))
 	}
-	if !strings.Contains(string(out), `op "open alice": ok`) {
-		t.Errorf("small op should have succeeded before the big one failed:\n%s", truncated(string(out)))
+	if !strings.Contains(out, `op "open alice": ok`) {
+		t.Errorf("small op should have succeeded before the big one failed:\n%s", truncated(out))
 	}
-	if !strings.Contains(string(out), "open "+bigAccount) {
-		t.Errorf("failure should name the oversized op:\n%s", truncated(string(out)))
+	if !strings.Contains(out, "open "+bigAccount) {
+		t.Errorf("failure should name the oversized op:\n%s", truncated(out))
 	}
 }
 

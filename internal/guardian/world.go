@@ -53,16 +53,15 @@ type Config struct {
 	ReassemblyAge time.Duration
 	// Tuning holds the world-wide liveness knobs (heartbeat intervals,
 	// retry backoff caps) that infrastructure guardians consult when
-	// they are created without explicit values.
-	// DST shrinks them deterministically; real deployments keep the
-	// defaults. Zero fields take their documented defaults.
+	// they are created without explicit values. Only tests set them; DST
+	// and real deployments keep the defaults, which zero fields take.
 	Tuning Tuning
 }
 
 // Tuning is the world-wide set of liveness knobs. Infrastructure that
 // probes, retries or elects (watchdog, amo, replica) reads these instead
-// of package constants, so a simulation can shrink every timescale at
-// once from one place.
+// of package constants, so a test can shrink every timescale at once
+// from one place.
 type Tuning struct {
 	// HeartbeatInterval is the default probe/heartbeat period. Zero
 	// means 100ms.
