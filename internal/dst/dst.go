@@ -463,7 +463,7 @@ func run(opts Options, schedule []Event, audit func(workload, *guardian.World, *
 
 // applyEvent performs one schedule event against the world. Crashing a
 // dead node or restarting a live one (overlapping windows) is a no-op.
-// setStorageScale applies a burst factor to every injected-fault wrapper.
+// setStorageScale applies a burst factor to every node's faulty Mem.
 func applyEvent(w *guardian.World, ev Event, setStorageScale func(float64)) {
 	switch ev.Kind {
 	case EvCrash, EvKill:

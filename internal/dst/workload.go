@@ -43,8 +43,8 @@ type workload interface {
 
 // storeWrapper is implemented by workloads that need to interpose on each
 // node's durable store (a replicated topology wraps member stores in a
-// replica.Store). The run engine composes it under any storage-fault
-// wrapper: sim disk → fault wrapper → workload wrapper.
+// replica.Store). The run engine hands it each node's Mem, which
+// executes the run's storage faults itself: Mem → workload wrapper.
 type storeWrapper interface {
 	wrapStore(node string, inner durable.Store) (durable.Store, error)
 }

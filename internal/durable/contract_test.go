@@ -174,6 +174,37 @@ var logContract = []struct {
 		}
 		wantRecovered(t, l, "shipped@40", "41:b")
 	}},
+	{"a crash after a checkpoint ahead of the tail numbers past the watermark", func(t *testing.T, st durable.Store, l durable.Log, restart func() durable.Store) {
+		l.AppendSync([]byte("a"))
+		l.Checkpoint([]byte("cp@10"), 10)
+		st.Crash()
+		if seq := l.AppendSync([]byte("b")); seq != 11 {
+			t.Fatalf("AppendSync after a crash = %d, want 11 (the watermark is the durable tail)", seq)
+		}
+		if got := l.LastDurableSeq(); got != 11 {
+			t.Fatalf("LastDurableSeq = %d, want 11", got)
+		}
+		wantRecovered(t, openLog(t, restart(), "app"), "cp@10", "11:b")
+	}},
+	{"a crash undoes a skip, which wrote nothing", func(t *testing.T, st durable.Store, l durable.Log, restart func() durable.Store) {
+		l.AppendSync([]byte("a"))
+		l.SkipTo(40)
+		st.Crash()
+		if seq := l.Append([]byte("b")); seq != 2 {
+			t.Fatalf("Append after SkipTo(40) and a crash = %d, want 2 (as a reopen numbers it)", seq)
+		}
+		l.Sync()
+		wantRecovered(t, openLog(t, restart(), "app"), "", "1:a", "2:b")
+	}},
+	{"a sync after a skip forces what was appended before it", func(t *testing.T, st durable.Store, l durable.Log, restart func() durable.Store) {
+		l.Append([]byte("a"))
+		l.SkipTo(40)
+		l.Sync()
+		if l.VolatileLen() != 0 || l.LastDurableSeq() != 1 {
+			t.Fatalf("volatile=%d last=%d after Sync, want 0/1", l.VolatileLen(), l.LastDurableSeq())
+		}
+		wantRecovered(t, openLog(t, restart(), "app"), "", "1:a")
+	}},
 	{"truncate drops the suffix durably and renumbers from the cut", func(t *testing.T, st durable.Store, l durable.Log, restart func() durable.Store) {
 		for _, d := range []string{"a", "b", "c", "d", "e"} {
 			l.AppendSync([]byte(d))

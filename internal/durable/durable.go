@@ -5,7 +5,8 @@
 // data in such storage and interpreting it from a recovery process
 // started after the crash. The seam mirrors the transport seam —
 // transport.Transport made the network pluggable, durable.Store does the
-// same for storage — and has exactly two backends:
+// same for storage. One log implementation keeps the records, the
+// volatile tail and the checkpoint over either of two devices:
 //
 //   - Mem is the in-memory device — the default, so every in-process
 //     test keeps its instant, deterministic disk. It also owns the seeded
@@ -123,7 +124,7 @@ type Store interface {
 }
 
 // RecoveryReport describes what open-time scanning of one log found.
-// Reporter is implemented by both backends; Mem has something to report
+// Reporter is implemented by both devices; Mem has something to report
 // only after an injected fault.
 type RecoveryReport struct {
 	// Records is the number of live records recovered (after the

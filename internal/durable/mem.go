@@ -1,7 +1,6 @@
 package durable
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -66,8 +65,8 @@ type FaultStats struct {
 // Persistent is accordingly false: the guardian runtime keeps
 // re-creation metadata in process memory for it.
 //
-// The log that owns the volatile tail also executes its faults: at Sync
-// the store's dice draw the batch's fate — commit clean, lose it whole,
+// Under the shared log it is the device that executes the faults: at
+// each Sync the store's dice draw the batch's fate — commit clean, lose it whole,
 // commit a torn prefix, or commit then damage it. Damaged records stay
 // on the device (they consume sequence numbers and LastDurableSeq,
 // exactly as torn bytes occupy the tail of a real log until truncated)
@@ -80,22 +79,24 @@ type Mem struct {
 	cfg   MemConfig
 
 	mu        sync.Mutex // guards the fields below and every log's state
-	logs      map[string]*memLog
+	logs      map[string]*log
 	syncCount int64
 	dice      fault.Dice
 	scale     float64 // fault-rate multiplier; 1 outside burst windows
 	stats     FaultStats
+	tornBytes map[string]int // per log, bytes ever torn, for the recovery report
 }
 
 // NewMem creates an empty device using the given clock for
 // write-latency accounting.
 func NewMem(clock vtime.Clock, cfg MemConfig) *Mem {
 	return &Mem{
-		clock: clock,
-		cfg:   cfg,
-		logs:  make(map[string]*memLog),
-		dice:  fault.NewDice(cfg.Seed),
-		scale: 1,
+		clock:     clock,
+		cfg:       cfg,
+		logs:      make(map[string]*log),
+		dice:      fault.NewDice(cfg.Seed),
+		scale:     1,
+		tornBytes: make(map[string]int),
 	}
 }
 
@@ -129,7 +130,7 @@ func (m *Mem) OpenLog(name string) (Log, error) {
 	defer m.mu.Unlock()
 	l, ok := m.logs[name]
 	if !ok {
-		l = &memLog{m: m, name: name}
+		l = newLog(name, &m.mu, m)
 		m.logs[name] = l
 	}
 	return l, nil
@@ -158,8 +159,7 @@ func (m *Mem) Crash() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, l := range m.logs {
-		l.volatile = nil
-		l.nextSeq = l.lastDurableSeq()
+		l.drop()
 	}
 }
 
@@ -188,7 +188,7 @@ func (m *Mem) Report(name string) (RecoveryReport, bool) {
 	if !ok {
 		return RecoveryReport{}, false
 	}
-	rep := RecoveryReport{TornTail: len(l.torn) > 0, TornBytes: l.tornBytes}
+	rep := RecoveryReport{TornTail: len(l.torn) > 0, TornBytes: m.tornBytes[name]}
 	for _, r := range l.durable {
 		if l.live(r) {
 			rep.Records++
@@ -197,67 +197,20 @@ func (m *Mem) Report(name string) (RecoveryReport, bool) {
 	return rep, true
 }
 
-// charge sleeps out one forced write's latency. Callers have released
-// the lock, so a slow device never stalls Appends it is not forcing.
-func (m *Mem) charge() {
-	if m.cfg.SyncDelay > 0 {
-		m.clock.Sleep(m.cfg.SyncDelay)
-	}
-}
+// groupCommit implements device: every Sync call is one forced write
+// with one fate, so the fate stream and the counters follow the calls.
+func (m *Mem) groupCommit() bool { return false }
 
-// memLog is one append-only record log with an optional checkpoint. The
-// checkpoint write is atomic (a real implementation would write-new-
-// then-rename); records with Seq <= the checkpoint's watermark are
-// discarded. All state is guarded by the store's lock.
-type memLog struct {
-	m    *Mem
-	name string
-
-	nextSeq      uint64
-	durable      []Record
-	volatile     []Record
-	torn         map[uint64]bool // seqs in durable that recovery's checksum scan would reject
-	tornBytes    int             // bytes ever torn, for the recovery report
-	checkpoint   []byte
-	checkpointAt uint64 // watermark: highest seq folded into the checkpoint
-	hasCP        bool
-}
-
-// live reports whether recovery replays r: above the checkpoint
-// watermark and not damaged.
-func (l *memLog) live(r Record) bool {
-	return !l.torn[r.Seq] && !(l.hasCP && r.Seq <= l.checkpointAt)
-}
-
-func (l *memLog) lastDurableSeq() uint64 {
-	if n := len(l.durable); n > 0 {
-		return l.durable[n-1].Seq
-	}
-	return l.checkpointAt
-}
-
-// Append implements Log.
-func (l *memLog) Append(data []byte) uint64 {
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	l.m.mu.Lock()
-	defer l.m.mu.Unlock()
-	l.nextSeq++
-	l.volatile = append(l.volatile, Record{Seq: l.nextSeq, Data: buf})
-	return l.nextSeq
-}
-
-// Sync implements Log: the fate is decided and the records moved under
-// the lock, the write latency charged outside it, the Crash hook called last.
-func (l *memLog) Sync() {
-	m := l.m
-	m.mu.Lock()
-	batch := l.volatile
-	l.volatile = nil
+// force implements device without releasing the store's lock, so the
+// fate draw, the records' move and the give-back are atomic with Append.
+func (m *Mem) force(l *log, batch []Record) ([]Record, string, error) {
 	m.stats.Syncs++
+	m.syncCount++
 	rates := fault.SyncRates{Fail: m.cfg.SyncFailRate, Short: m.cfg.ShortWriteRate, Corrupt: m.cfg.CorruptTailRate}
 	kind, kept := m.dice.Sync(rates, m.scale, len(batch))
 	switch kind {
+	case "":
+		return batch, "", nil
 	case fault.SyncFail:
 		m.stats.SyncsFailed++
 	case fault.ShortWrite:
@@ -265,139 +218,50 @@ func (l *memLog) Sync() {
 	case fault.CorruptTail:
 		m.stats.CorruptedTails++
 	}
-	if kind != "" {
-		// What reaches the device is torn — for a short write too: the
-		// surviving prefix belongs to a batch whose frame checksum can no
-		// longer verify, so recovery rejects the batch whole and the Sync
-		// batch stays the atomicity unit. What does not reach it gives
-		// its sequence numbers back.
-		m.stats.RecordsDropped += int64(len(batch))
-		l.nextSeq -= uint64(len(batch) - kept)
-		batch = batch[:kept]
-		if l.torn == nil {
-			l.torn = make(map[uint64]bool)
-		}
-		for _, r := range batch {
-			l.torn[r.Seq] = true
-			l.tornBytes += len(r.Data)
-		}
+	// What reaches the device is torn — for a short write too: the
+	// surviving prefix belongs to a batch whose frame checksum can no
+	// longer verify, so recovery rejects the batch whole and the Sync
+	// batch stays the atomicity unit.
+	m.stats.RecordsDropped += int64(len(batch))
+	batch = batch[:kept]
+	if l.torn == nil {
+		l.torn = make(map[uint64]bool)
 	}
-	l.durable = append(l.durable, batch...)
+	for _, r := range batch {
+		l.torn[r.Seq] = true
+		m.tornBytes[l.name] += len(r.Data)
+	}
+	return batch, kind, nil
+}
+
+// checkpoint implements device. The install is atomic (a real device
+// would write-new-then-rename); the mid-checkpoint window runs outside
+// the store's lock.
+func (m *Mem) checkpoint(l *log, _ []byte, _ uint64) error {
 	m.syncCount++
-	m.mu.Unlock()
-
-	m.charge()
-	if kind != "" {
-		m.cfg.Crash.At(kind, l.name)
-	}
-}
-
-// AppendSync implements Log.
-func (l *memLog) AppendSync(data []byte) uint64 {
-	seq := l.Append(data)
-	l.Sync()
-	return seq
-}
-
-// Checkpoint implements Log. Torn records folded under the watermark
-// are discarded with the rest and forgotten.
-func (l *memLog) Checkpoint(state []byte, upTo uint64) {
-	m := l.m
-	m.mu.Lock()
-	l.checkpoint = append([]byte(nil), state...)
-	l.checkpointAt = upTo
-	l.hasCP = true
 	if m.cfg.Crash != nil {
-		m.mu.Unlock()
+		l.mu.Unlock()
 		m.cfg.Crash(fault.MidCheckpoint, l.name)
-		m.mu.Lock()
+		l.mu.Lock()
 	}
-	kept := l.durable[:0]
-	for _, r := range l.durable {
-		if r.Seq > upTo {
-			kept = append(kept, r)
-		} else {
-			delete(l.torn, r.Seq)
-		}
-	}
-	l.durable = kept
+	return nil
+}
+
+// cut implements device. Like a checkpoint, a truncation is a forced
+// write the fault model leaves alone.
+func (m *Mem) cut(*log, uint64) error {
 	m.syncCount++
-	m.mu.Unlock()
-	m.charge()
+	return nil
 }
 
-// Recover implements Log. Records at or below the checkpoint's
-// watermark are filtered out: a crash between checkpoint install and log
-// truncation leaves such records on disk, and replaying them on top of
-// the checkpoint that already contains their effects would double-apply.
-func (l *memLog) Recover() (checkpoint []byte, records []Record, err error) {
-	l.m.mu.Lock()
-	defer l.m.mu.Unlock()
-	records = make([]Record, 0, len(l.durable))
-	for _, r := range l.durable {
-		if l.live(r) {
-			records = append(records, Record{Seq: r.Seq, Data: append([]byte{}, r.Data...)})
-		}
+// forced implements device: the write latency is charged with the lock
+// released, so a slow device never stalls Appends it is not forcing,
+// and a fault is announced last.
+func (m *Mem) forced(l *log, point string) {
+	if m.cfg.SyncDelay > 0 {
+		m.clock.Sleep(m.cfg.SyncDelay)
 	}
-	if !l.hasCP {
-		return nil, records, ErrNoCheckpoint
+	if point != "" {
+		m.cfg.Crash.At(point, l.name)
 	}
-	return append([]byte{}, l.checkpoint...), records, nil
-}
-
-// DurableLen implements Log, counting records on the device that
-// recovery's scan would accept.
-func (l *memLog) DurableLen() int {
-	l.m.mu.Lock()
-	defer l.m.mu.Unlock()
-	return len(l.durable) - len(l.torn)
-}
-
-// VolatileLen implements Log.
-func (l *memLog) VolatileLen() int {
-	l.m.mu.Lock()
-	defer l.m.mu.Unlock()
-	return len(l.volatile)
-}
-
-// SkipTo implements Log.
-func (l *memLog) SkipTo(seq uint64) {
-	l.m.mu.Lock()
-	defer l.m.mu.Unlock()
-	if seq > l.nextSeq {
-		l.nextSeq = seq
-	}
-}
-
-// Truncate implements Log. It draws no fate: like Checkpoint, it is a
-// forced write the fault model leaves alone.
-func (l *memLog) Truncate(from uint64) {
-	m := l.m
-	m.mu.Lock()
-	if l.hasCP && from <= l.checkpointAt || from == 0 {
-		m.mu.Unlock()
-		panic(fmt.Sprintf("durable: truncate %s from %d at or below checkpoint %d", l.name, from, l.checkpointAt))
-	}
-	kept := recordsBelow(l.durable, from)
-	for _, r := range l.durable[len(kept):] {
-		delete(l.torn, r.Seq)
-	}
-	l.durable = kept
-	l.volatile = recordsBelow(l.volatile, from)
-	l.nextSeq = min(l.nextSeq, from-1)
-	m.syncCount++
-	m.mu.Unlock()
-	m.charge()
-}
-
-// recordsBelow returns the prefix of rs, ascending by Seq, below from.
-func recordsBelow(rs []Record, from uint64) []Record {
-	return rs[:sort.Search(len(rs), func(i int) bool { return rs[i].Seq >= from })]
-}
-
-// LastDurableSeq implements Log; torn records still advance it.
-func (l *memLog) LastDurableSeq() uint64 {
-	l.m.mu.Lock()
-	defer l.m.mu.Unlock()
-	return l.lastDurableSeq()
 }

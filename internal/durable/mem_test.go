@@ -2,7 +2,9 @@ package durable
 
 import (
 	"fmt"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/vtime"
@@ -158,5 +160,63 @@ func TestWrapperCheckpointForgetsFoldedTaint(t *testing.T) {
 	cp, recs, err := l.Recover()
 	if err != nil || string(cp) != "cp" || len(recs) != 0 {
 		t.Fatalf("Recover = %q %v %v", cp, recs, err)
+	}
+}
+
+// TestFaultedSyncGiveBackIsAtomicWithAppend races faulted Syncs, which
+// give the numbers of what never reached the device back, against
+// Appends. The give-back happens under the lock that numbers Appends, so
+// no number is ever held by two records at once and the device's records
+// stay in ascending order.
+func TestFaultedSyncGiveBackIsAtomicWithAppend(t *testing.T) {
+	m := NewMem(vtime.NewReal(), MemConfig{
+		SyncDelay:   20 * time.Microsecond,
+		FaultConfig: FaultConfig{Seed: 11, SyncFailRate: 0.3, ShortWriteRate: 0.3},
+	})
+	lg, _ := m.OpenLog("g")
+	const writers, appends = 4, 150
+	returned := make([]map[string]uint64, writers) // per writer: data -> the seq Append returned
+	var wg sync.WaitGroup
+	for w := range returned {
+		returned[w] = make(map[string]uint64)
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < appends; i++ {
+				data := fmt.Sprintf("w%d-%d", w, i)
+				returned[w][data] = lg.Append([]byte(data))
+				if i%3 == 2 {
+					lg.Sync()
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	lg.Sync()
+	seqOf := make(map[string]uint64)
+	for _, m := range returned {
+		for data, seq := range m {
+			seqOf[data] = seq
+		}
+	}
+
+	if st := m.InjectedStats(); st.SyncsFailed == 0 || st.ShortWrites == 0 {
+		t.Fatalf("the seed drew no give-back: %+v", st)
+	}
+	l := lg.(*log)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(l.volatile) != 0 {
+		t.Fatalf("%d records still volatile after the last Sync", len(l.volatile))
+	}
+	var prev uint64
+	for i, r := range l.durable {
+		if r.Seq <= prev {
+			t.Fatalf("durable record %d has seq %d after %d: a number was handed out twice", i, r.Seq, prev)
+		}
+		prev = r.Seq
+		if got := seqOf[string(r.Data)]; got != r.Seq {
+			t.Fatalf("record %s is on the device as seq %d, Append returned %d", r.Data, r.Seq, got)
+		}
 	}
 }

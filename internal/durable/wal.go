@@ -19,10 +19,10 @@ import (
 // WAL is the real backend: one directory per node holding one
 // subdirectory per log, each a sequence of segment files of
 // CRC-checksummed batch frames plus an atomically-replaced checkpoint
-// file. It provides exactly the semantics the simulated disk promises —
-// Append is volatile, Sync is the durability point, everything one Sync
-// forces becomes durable atomically — against storage that survives
-// kill -9 of the hosting process.
+// file. It is a device under the same log as Mem, so it keeps the same
+// promises — Append is volatile, Sync is the durability point, everything
+// one Sync forces becomes durable atomically — against storage that
+// survives kill -9 of the hosting process.
 //
 // On-disk format, little-endian throughout:
 //
@@ -56,7 +56,7 @@ type WAL struct {
 	syncs atomic.Int64
 
 	mu     sync.Mutex
-	logs   map[string]*walLog
+	logs   map[string]*log
 	closed bool
 }
 
@@ -101,7 +101,7 @@ func OpenWAL(dir string, cfg WALConfig) (*WAL, error) {
 	if cfg.SegmentSize <= 0 {
 		cfg.SegmentSize = defaultSegmentSize
 	}
-	return &WAL{dir: dir, cfg: cfg, logs: make(map[string]*walLog)}, nil
+	return &WAL{dir: dir, cfg: cfg, logs: make(map[string]*log)}, nil
 }
 
 // Dir returns the WAL's root directory.
@@ -149,20 +149,19 @@ func (w *WAL) LogNames() []string {
 // process, so the guardian runtime keeps its catalog here.
 func (w *WAL) Persistent() bool { return true }
 
-// Crash implements Store for in-process simulated crashes (dst runs a
-// WAL-backed world in one process): volatile tails are dropped, exactly
-// as process death would drop them.
+// Crash implements Store for in-process simulated crashes: volatile
+// tails are dropped and numbering resumes after each log's durable tail,
+// exactly as process death and a reopen would leave them.
 func (w *WAL) Crash() {
 	w.mu.Lock()
-	logs := make([]*walLog, 0, len(w.logs))
+	logs := make([]*log, 0, len(w.logs))
 	for _, l := range w.logs {
 		logs = append(logs, l)
 	}
 	w.mu.Unlock()
 	for _, l := range logs {
 		l.mu.Lock()
-		l.volatile = nil
-		l.nextSeq = l.durableSeq
+		l.drop()
 		l.mu.Unlock()
 	}
 }
@@ -181,7 +180,7 @@ func (w *WAL) Close() error {
 		return nil
 	}
 	w.closed = true
-	logs := make([]*walLog, 0, len(w.logs))
+	logs := make([]*log, 0, len(w.logs))
 	for _, l := range w.logs {
 		logs = append(logs, l)
 	}
@@ -195,11 +194,11 @@ func (w *WAL) Close() error {
 		if l.wedged == nil {
 			l.wedged = errWALClosed
 		}
-		if l.active != nil {
-			if err := l.active.Close(); err != nil && first == nil {
+		if d := l.dev.(*walDir); d.active != nil {
+			if err := d.active.Close(); err != nil && first == nil {
 				first = err
 			}
-			l.active = nil
+			d.active = nil
 		}
 		l.cond.Broadcast()
 		l.mu.Unlock()
@@ -217,7 +216,7 @@ func (w *WAL) Report(name string) (RecoveryReport, bool) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.report, true
+	return l.dev.(*walDir).report, true
 }
 
 // segment is one on-disk segment file.
@@ -227,25 +226,13 @@ type segment struct {
 	lastSeq  uint64
 }
 
-// walLog is one log within a WAL.
-type walLog struct {
-	wal  *WAL
-	name string
-	dir  string
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	wedged error
-
-	nextSeq    uint64
-	durableSeq uint64
-	volatile   []Record
-	durable    []Record // mirror of on-disk records past the checkpoint
-	checkpoint []byte
-	cpAt       uint64
-	hasCP      bool
-
-	syncing    bool
+// walDir is one log's device: its directory of segment files and its
+// checkpoint file. The active segment is written only by the Sync
+// leader (under the log's syncing flag, not its mutex) or with the
+// mutex held and no write in flight.
+type walDir struct {
+	wal        *WAL
+	dir        string
 	segs       []*segment
 	active     *os.File
 	activeSize int64
@@ -253,231 +240,95 @@ type walLog struct {
 	report RecoveryReport
 }
 
-// failIfWedged panics if a previous I/O error wedged the log. A log
-// wedged by Close is different: the owner shut the store down (process
-// exit), so a straggling process's write is provably volatile and the
-// operation becomes a no-op — reported by the return value — rather than
-// a spurious crash. Called with mu held; on a panic mu is released.
-func (l *walLog) failIfWedged() (closed bool) {
-	if l.wedged == errWALClosed {
-		return true
-	}
-	if l.wedged != nil {
-		err := l.wedged
-		l.mu.Unlock()
-		panic(fmt.Errorf("durable: wal log %s: %w", l.name, err))
-	}
-	return false
-}
+// groupCommit implements device.
+func (d *walDir) groupCommit() bool { return !d.wal.cfg.NoGroupCommit }
 
-// wedge records a durability-path failure and panics: fail-stop.
-// Called with mu held; does not return.
-func (l *walLog) wedge(err error) {
-	l.wedged = err
-	l.syncing = false
-	l.cond.Broadcast()
-	l.mu.Unlock()
-	panic(fmt.Errorf("durable: wal log %s: %w", l.name, err))
-}
-
-// Append implements Log.
-func (l *walLog) Append(data []byte) uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.nextSeq++
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	l.volatile = append(l.volatile, Record{Seq: l.nextSeq, Data: buf})
-	return l.nextSeq
-}
-
-// Sync implements Log with group commit: the first caller in becomes
-// the leader, claims the entire volatile tail and writes it as one
-// checksummed batch with one fsync; callers arriving during that write
-// wait, and whichever wakes first with records still unflushed leads
-// the next batch. A follower whose records were covered by the
-// leader's fsync returns without touching the disk at all.
-func (l *walLog) Sync() {
-	l.mu.Lock()
-	if l.failIfWedged() {
-		l.mu.Unlock()
-		return
-	}
-	if l.wal.cfg.NoGroupCommit {
-		// Naive log-then-ack: serialized, one fsync per caller, no
-		// sharing — the E13 control arm.
-		for l.syncing {
-			l.cond.Wait()
-			if l.failIfWedged() {
-				l.mu.Unlock()
-				return
-			}
-		}
-		batch := l.volatile
-		l.volatile = nil
-		l.flushAsLeader(batch) // unlocks
-		return
-	}
-	target := l.nextSeq
-	for l.durableSeq < target {
-		if l.syncing {
-			l.cond.Wait()
-			if l.failIfWedged() {
-				break
-			}
-			continue
-		}
-		if len(l.volatile) == 0 {
-			// The records this caller appended were discarded by a
-			// simulated crash between Append and Sync; nothing to force.
-			break
-		}
-		batch := l.volatile
-		l.volatile = nil
-		l.flushAsLeader(batch) // unlocks
-		l.mu.Lock()
-		if l.failIfWedged() {
-			break
-		}
-	}
-	l.mu.Unlock()
-}
-
-// flushAsLeader writes one batch and fsyncs, entered with mu held and
-// syncing false; it leaves with mu released. Exclusive access to the
-// segment files is guaranteed by the syncing flag, not the mutex, so
-// appenders are never blocked behind the disk.
-func (l *walLog) flushAsLeader(batch []Record) {
+// force implements device: the batch becomes one checksummed frame and
+// one fsync, written with l.mu released so appenders are never blocked
+// behind the disk.
+func (d *walDir) force(l *log, batch []Record) ([]Record, string, error) {
 	l.syncing = true
 	l.mu.Unlock()
-	l.wal.cfg.Crash.At(fault.BeforeSync, l.name)
-	err := l.writeAndSync(batch)
+	d.wal.cfg.Crash.At(fault.BeforeSync, l.name)
+	err := d.writeAndSync(batch)
 	l.mu.Lock()
 	l.syncing = false
-	if err != nil {
-		l.wedge(err) // panics
+	return batch, fault.AfterSync, err
+}
+
+// forced implements device.
+func (d *walDir) forced(l *log, point string) {
+	if point != "" {
+		d.wal.cfg.Crash.At(point, l.name)
 	}
-	if n := len(batch); n > 0 {
-		l.durable = append(l.durable, batch...)
-		l.durableSeq = batch[n-1].Seq
-	}
-	l.cond.Broadcast()
-	l.mu.Unlock()
-	l.wal.cfg.Crash.At(fault.AfterSync, l.name)
 }
 
 // writeAndSync appends batch as one frame to the active segment
-// (rotating first if it is full) and forces it. Runs without mu but
-// under the syncing flag's exclusion.
-func (l *walLog) writeAndSync(batch []Record) error {
+// (rotating first if it is full) and forces it.
+func (d *walDir) writeAndSync(batch []Record) error {
 	if len(batch) > 0 {
-		if l.active != nil && l.activeSize >= int64(l.wal.cfg.SegmentSize) {
-			if err := l.sealActive(); err != nil {
+		if d.active != nil && d.activeSize >= int64(d.wal.cfg.SegmentSize) {
+			if err := d.sealActive(); err != nil {
 				return err
 			}
 		}
-		if l.active == nil {
-			if err := l.newSegment(batch[0].Seq); err != nil {
+		if d.active == nil {
+			if err := d.newSegment(batch[0].Seq); err != nil {
 				return err
 			}
 		}
 		buf := encodeBatch(batch)
-		if _, err := l.active.Write(buf); err != nil {
+		if _, err := d.active.Write(buf); err != nil {
 			return err
 		}
-		l.activeSize += int64(len(buf))
-		l.segs[len(l.segs)-1].lastSeq = batch[len(batch)-1].Seq
+		d.activeSize += int64(len(buf))
+		d.segs[len(d.segs)-1].lastSeq = batch[len(batch)-1].Seq
 	}
-	if l.active == nil {
+	if d.active == nil {
 		return nil
 	}
-	if err := l.active.Sync(); err != nil {
+	if err := d.active.Sync(); err != nil {
 		return err
 	}
-	l.wal.syncs.Add(1)
+	d.wal.syncs.Add(1)
 	return nil
 }
 
 // sealActive closes the active segment (its data is already synced
 // batch by batch).
-func (l *walLog) sealActive() error {
-	err := l.active.Close()
-	l.active = nil
-	l.activeSize = 0
+func (d *walDir) sealActive() error {
+	err := d.active.Close()
+	d.active = nil
+	d.activeSize = 0
 	return err
 }
 
 // newSegment creates the next segment file and makes its directory
 // entry durable before any record is acknowledged out of it.
-func (l *walLog) newSegment(firstSeq uint64) error {
-	path := filepath.Join(l.dir, fmt.Sprintf("%s%016x%s", segPrefix, firstSeq, segSuffix))
+func (d *walDir) newSegment(firstSeq uint64) error {
+	path := filepath.Join(d.dir, fmt.Sprintf("%s%016x%s", segPrefix, firstSeq, segSuffix))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	if err := fsyncDir(l.dir); err != nil {
+	if err := fsyncDir(d.dir); err != nil {
 		f.Close()
 		return err
 	}
-	l.active = f
-	l.activeSize = 0
-	l.segs = append(l.segs, &segment{path: path, firstSeq: firstSeq, lastSeq: firstSeq})
+	d.active = f
+	d.activeSize = 0
+	d.segs = append(d.segs, &segment{path: path, firstSeq: firstSeq, lastSeq: firstSeq})
 	return nil
 }
 
-// AppendSync implements Log.
-func (l *walLog) AppendSync(data []byte) uint64 {
-	seq := l.Append(data)
-	l.Sync()
-	return seq
-}
-
-// Checkpoint implements Log: the new checkpoint is written to a
+// checkpoint implements device: the new checkpoint is written to a
 // temporary file, forced, and atomically renamed over the old one, so a
 // crash at any instant leaves either the old checkpoint or the new —
-// never a partial mix. Only after the install is the log compacted;
-// recovery skips (and reports) any records at or below the watermark
-// that a crash in that window left behind.
-func (l *walLog) Checkpoint(state []byte, upTo uint64) {
-	l.mu.Lock()
-	if l.failIfWedged() {
-		l.mu.Unlock()
-		return
-	}
-	for l.syncing {
-		l.cond.Wait()
-		if l.failIfWedged() {
-			l.mu.Unlock()
-			return
-		}
-	}
-	if err := l.installCheckpoint(state, upTo); err != nil {
-		l.wedge(err) // panics
-	}
-	buf := make([]byte, len(state))
-	copy(buf, state)
-	l.checkpoint = buf
-	l.cpAt = upTo
-	l.hasCP = true
-	kept := make([]Record, 0, len(l.durable))
-	for _, r := range l.durable {
-		if r.Seq > upTo {
-			kept = append(kept, r)
-		}
-	}
-	l.durable = kept
-
-	l.wal.cfg.Crash.At(fault.MidCheckpoint, l.name)
-
-	if err := l.compact(upTo); err != nil {
-		l.wedge(err) // panics
-	}
-	l.mu.Unlock()
-}
-
-// installCheckpoint performs the write-force-rename-force dance.
-func (l *walLog) installCheckpoint(state []byte, upTo uint64) error {
-	tmp := filepath.Join(l.dir, checkpointTmpName)
+// never a partial mix. Only after the install are the segments it
+// covers deleted; recovery skips (and reports) any records at or below
+// the watermark that a crash in that window left behind.
+func (d *walDir) checkpoint(l *log, state []byte, upTo uint64) error {
+	tmp := filepath.Join(d.dir, checkpointTmpName)
 	buf := make([]byte, 12+len(state))
 	binary.LittleEndian.PutUint64(buf[0:], upTo)
 	binary.LittleEndian.PutUint32(buf[8:], crc32.Checksum(state, crcTable))
@@ -485,30 +336,31 @@ func (l *walLog) installCheckpoint(state []byte, upTo uint64) error {
 	if err := writeFileSync(tmp, buf); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, filepath.Join(l.dir, checkpointName)); err != nil {
+	if err := os.Rename(tmp, filepath.Join(d.dir, checkpointName)); err != nil {
 		return err
 	}
-	if err := fsyncDir(l.dir); err != nil {
+	if err := fsyncDir(d.dir); err != nil {
 		return err
 	}
-	l.wal.syncs.Add(2)
-	return nil
+	d.wal.syncs.Add(2)
+	d.wal.cfg.Crash.At(fault.MidCheckpoint, l.name)
+	return d.compact(upTo)
 }
 
 // compact deletes segments wholly covered by the checkpoint watermark.
-func (l *walLog) compact(upTo uint64) error {
+func (d *walDir) compact(upTo uint64) error {
 	var last *segment
-	if n := len(l.segs); n > 0 {
-		last = l.segs[n-1]
+	if n := len(d.segs); n > 0 {
+		last = d.segs[n-1]
 	}
-	kept := l.segs[:0]
-	for _, s := range l.segs {
+	kept := d.segs[:0]
+	for _, s := range d.segs {
 		if s.lastSeq > upTo {
 			kept = append(kept, s)
 			continue
 		}
-		if s == last && l.active != nil {
-			if err := l.sealActive(); err != nil {
+		if s == last && d.active != nil {
+			if err := d.sealActive(); err != nil {
 				return err
 			}
 		}
@@ -516,131 +368,44 @@ func (l *walLog) compact(upTo uint64) error {
 			return err
 		}
 	}
-	l.segs = kept
+	d.segs = kept
 	return nil
 }
 
-// Recover implements Log, returning the in-memory mirror of the
-// verified on-disk state — the same data a fresh process's open-time
-// scan of the directory yields.
-func (l *walLog) Recover() (checkpoint []byte, records []Record, err error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	records = make([]Record, len(l.durable))
-	for i, r := range l.durable {
-		data := make([]byte, len(r.Data))
-		copy(data, r.Data)
-		records[i] = Record{Seq: r.Seq, Data: data}
-	}
-	if !l.hasCP {
-		return nil, records, ErrNoCheckpoint
-	}
-	cp := make([]byte, len(l.checkpoint))
-	copy(cp, l.checkpoint)
-	return cp, records, nil
-}
-
-// DurableLen implements Log.
-func (l *walLog) DurableLen() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.durable)
-}
-
-// VolatileLen implements Log.
-func (l *walLog) VolatileLen() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.volatile)
-}
-
-// LastDurableSeq implements Log.
-func (l *walLog) LastDurableSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if n := len(l.durable); n > 0 {
-		return l.durable[n-1].Seq
-	}
-	return l.cpAt
-}
-
-// SkipTo implements Log: it raises the sequence counter (never
-// lowering it) so records applied after an installed replica checkpoint
-// continue the primary's numbering. Only the counter moves; nothing is
-// written until the next Append/Sync.
-func (l *walLog) SkipTo(seq uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if seq > l.nextSeq {
-		l.nextSeq = seq
-	}
-	if seq > l.durableSeq {
-		l.durableSeq = seq
-	}
-}
-
-// Truncate implements Log. The crash order keeps every record below
+// cut implements device. The crash order keeps every record below
 // from: the wholly-later segments go first, newest first, and the
 // directory is forced; then the segment holding from is replaced by its
 // prefix (written to a temporary file, forced, renamed over it) and the
 // directory forced again. A crash before the rename leaves that segment
 // whole, so at worst records at or past from survive, never fewer below.
-func (l *walLog) Truncate(from uint64) {
-	l.mu.Lock()
-	if l.failIfWedged() {
-		l.mu.Unlock()
-		return
-	}
-	for l.syncing {
-		l.cond.Wait()
-		if l.failIfWedged() {
-			l.mu.Unlock()
-			return
-		}
-	}
-	if l.hasCP && from <= l.cpAt || from == 0 {
-		l.mu.Unlock()
-		panic(fmt.Sprintf("durable: truncate %s from %d at or below checkpoint %d", l.name, from, l.cpAt))
-	}
-	if err := l.cutSegments(from); err != nil {
-		l.wedge(err) // panics
-	}
-	l.durable = recordsBelow(l.durable, from)
-	l.volatile = recordsBelow(l.volatile, from)
-	l.nextSeq = min(l.nextSeq, from-1)
-	l.durableSeq = min(l.durableSeq, from-1)
-	l.mu.Unlock()
-}
-
-// cutSegments is Truncate's disk half, run under mu with no flush in
-// flight. It leaves the last surviving segment open for appending.
-func (l *walLog) cutSegments(from uint64) error {
-	n := len(l.segs)
-	for n > 0 && l.segs[n-1].firstSeq >= from {
+// It leaves the last surviving segment open for appending.
+func (d *walDir) cut(l *log, from uint64) error {
+	n := len(d.segs)
+	for n > 0 && d.segs[n-1].firstSeq >= from {
 		n--
 	}
-	if n == len(l.segs) && (n == 0 || l.segs[n-1].lastSeq < from) {
+	if n == len(d.segs) && (n == 0 || d.segs[n-1].lastSeq < from) {
 		return nil // nothing on disk at or past from
 	}
-	if l.active != nil {
-		if err := l.sealActive(); err != nil {
+	if d.active != nil {
+		if err := d.sealActive(); err != nil {
 			return err
 		}
 	}
-	for i := len(l.segs) - 1; i >= n; i-- {
-		if err := os.Remove(l.segs[i].path); err != nil {
+	for i := len(d.segs) - 1; i >= n; i-- {
+		if err := os.Remove(d.segs[i].path); err != nil {
 			return err
 		}
 	}
-	l.segs = l.segs[:n]
-	if err := fsyncDir(l.dir); err != nil {
+	d.segs = d.segs[:n]
+	if err := fsyncDir(d.dir); err != nil {
 		return err
 	}
-	l.wal.syncs.Add(1)
+	d.wal.syncs.Add(1)
 	if n == 0 {
 		return nil
 	}
-	s := l.segs[n-1]
+	s := d.segs[n-1]
 	if s.lastSeq >= from {
 		var prefix []Record
 		for _, r := range l.durable {
@@ -648,25 +413,25 @@ func (l *walLog) cutSegments(from uint64) error {
 				prefix = append(prefix, r)
 			}
 		}
-		tmp := filepath.Join(l.dir, truncateTmpName)
+		tmp := filepath.Join(d.dir, truncateTmpName)
 		if err := writeFileSync(tmp, encodeBatch(prefix)); err != nil {
 			return err
 		}
-		l.wal.cfg.Crash.At(fault.MidTruncate, l.name)
+		d.wal.cfg.Crash.At(fault.MidTruncate, l.name)
 		if err := os.Rename(tmp, s.path); err != nil {
 			return err
 		}
-		if err := fsyncDir(l.dir); err != nil {
+		if err := fsyncDir(d.dir); err != nil {
 			return err
 		}
-		l.wal.syncs.Add(2)
+		d.wal.syncs.Add(2)
 		s.lastSeq = from - 1
 	}
-	return l.openActive(s)
+	return d.openActive(s)
 }
 
 // openActive reopens segment s for appending as the active segment.
-func (l *walLog) openActive(s *segment) error {
+func (d *walDir) openActive(s *segment) error {
 	f, err := os.OpenFile(s.path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		return err
@@ -676,7 +441,7 @@ func (l *walLog) openActive(s *segment) error {
 		f.Close()
 		return err
 	}
-	l.active, l.activeSize = f, info.Size()
+	d.active, d.activeSize = f, info.Size()
 	return nil
 }
 
@@ -684,13 +449,13 @@ func (l *walLog) openActive(s *segment) error {
 
 // openWalLog opens one log directory, scanning and verifying its
 // checkpoint and every segment.
-func openWalLog(w *WAL, name string) (*walLog, error) {
+func openWalLog(w *WAL, name string) (*log, error) {
 	dir := filepath.Join(w.dir, escapeLogName(name))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	l := &walLog{wal: w, name: name, dir: dir}
-	l.cond = sync.NewCond(&l.mu)
+	d := &walDir{wal: w, dir: dir}
+	l := newLog(name, new(sync.Mutex), d)
 
 	// A leftover checkpoint.tmp is an uninstalled checkpoint from a
 	// crash mid-write: the rename never happened, so the old checkpoint
@@ -701,7 +466,7 @@ func openWalLog(w *WAL, name string) (*walLog, error) {
 			return nil, err
 		}
 	}
-	if err := l.readCheckpoint(); err != nil {
+	if err := d.readCheckpoint(l); err != nil {
 		return nil, err
 	}
 	segs, err := listSegments(dir)
@@ -710,36 +475,24 @@ func openWalLog(w *WAL, name string) (*walLog, error) {
 	}
 	lastSeen := uint64(0)
 	for i, s := range segs {
-		if err := l.scanSegment(s, i == len(segs)-1, &lastSeen); err != nil {
+		if err := d.scanSegment(l, s, i == len(segs)-1, &lastSeen); err != nil {
 			return nil, err
 		}
 	}
-	l.segs = segs
-	l.durableSeq = lastSeen
-	if l.durableSeq < l.cpAt {
-		l.durableSeq = l.cpAt
-	}
-	l.nextSeq = l.durableSeq
-	l.report.Records = len(l.durable)
+	d.segs = segs
+	l.drop() // numbering resumes after the durable tail, as after a crash
+	d.report.Records = len(l.durable)
 
 	// Finish any compaction a crash interrupted: segments wholly at or
 	// below the watermark are stale.
 	if l.hasCP {
-		kept := l.segs[:0]
-		for _, s := range l.segs {
-			if s.lastSeq > l.cpAt {
-				kept = append(kept, s)
-				continue
-			}
-			if err := os.Remove(s.path); err != nil {
-				return nil, err
-			}
+		if err := d.compact(l.cpAt); err != nil {
+			return nil, err
 		}
-		l.segs = kept
 	}
 	// Reopen the final surviving segment for appending.
-	if n := len(l.segs); n > 0 {
-		if err := l.openActive(l.segs[n-1]); err != nil {
+	if n := len(d.segs); n > 0 {
+		if err := d.openActive(d.segs[n-1]); err != nil {
 			return nil, err
 		}
 	}
@@ -749,8 +502,8 @@ func openWalLog(w *WAL, name string) (*walLog, error) {
 // readCheckpoint loads and verifies the installed checkpoint, if any.
 // Damage here is real corruption — the file was installed by an atomic
 // rename after an fsync, so no crash can legally tear it.
-func (l *walLog) readCheckpoint() error {
-	buf, err := os.ReadFile(filepath.Join(l.dir, checkpointName))
+func (d *walDir) readCheckpoint(l *log) error {
+	buf, err := os.ReadFile(filepath.Join(d.dir, checkpointName))
 	if os.IsNotExist(err) {
 		return nil
 	}
@@ -800,7 +553,7 @@ func listSegments(dir string) ([]*segment, error) {
 // truncated away and reported. A bad frame anywhere else cannot have
 // been produced by any crash of a correct writer and fails the open
 // with ErrCorrupt.
-func (l *walLog) scanSegment(s *segment, final bool, lastSeen *uint64) error {
+func (d *walDir) scanSegment(l *log, s *segment, final bool, lastSeen *uint64) error {
 	data, err := os.ReadFile(s.path)
 	if err != nil {
 		return err
@@ -817,8 +570,8 @@ func (l *walLog) scanSegment(s *segment, final bool, lastSeen *uint64) error {
 		if err := fsyncFile(s.path); err != nil {
 			return err
 		}
-		l.report.TornTail = true
-		l.report.TornBytes = len(data) - off
+		d.report.TornTail = true
+		d.report.TornBytes = len(data) - off
 		return nil
 	}
 	for off < len(data) {
@@ -857,7 +610,7 @@ func (l *walLog) scanSegment(s *segment, final bool, lastSeen *uint64) error {
 			if l.hasCP && seq <= l.cpAt {
 				// Stale: a crash between checkpoint install and
 				// compaction left it behind.
-				l.report.Skipped++
+				d.report.Skipped++
 			} else {
 				rec := make([]byte, dlen)
 				copy(rec, payload[p+recordHeaderSize:])
