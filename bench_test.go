@@ -585,7 +585,7 @@ func BenchmarkTransportLoopback(b *testing.B) {
 
 	b.Run("netsim", func(b *testing.B) {
 		w := guardian.NewWorld(guardian.Config{
-			Transport: transport.NewSim(netsim.New(vtime.NewReal(), netsim.Config{})),
+			Transport: netsim.New(vtime.NewReal(), netsim.Config{}),
 		})
 		defer w.Close()
 		run(b, w, w)

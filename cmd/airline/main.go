@@ -147,7 +147,7 @@ func main() {
 	step(fmt.Sprintf("done: %d reserves, %d cancels", r, c), "trans_done", err)
 
 	st := w.Stats()
-	net := w.Net().Stats()
+	net := w.Net().Counts()
 	logf("\n--- runtime statistics ---")
 	logf("  messages sent: %d   delivered to ports: %d   system failures sent: %d",
 		st.MessagesSent.Load(), st.MessagesDelivered.Load(), st.FailuresSent.Load())

@@ -13,7 +13,6 @@ import (
 	"repro/internal/ring"
 	"repro/internal/sendprim"
 	"repro/internal/tpc"
-	"repro/internal/transport"
 	"repro/internal/vtime"
 	"repro/internal/xrep"
 )
@@ -43,7 +42,7 @@ func measureAmoCall(t *testing.T, ceiling int, cmd, want string, args ...any) {
 	clock := vtime.NewReal()
 	w := guardian.NewWorld(guardian.Config{
 		Clock:     clock,
-		Transport: transport.NewSim(netsim.New(clock, netsim.Config{Seed: 1})),
+		Transport: netsim.New(clock, netsim.Config{Seed: 1}),
 	})
 	defer w.Close()
 	w.MustRegister(bank.BranchDef())
@@ -114,7 +113,7 @@ func TestEscrowRoundAllocCeiling(t *testing.T) {
 	clock := vtime.NewReal()
 	w := guardian.NewWorld(guardian.Config{
 		Clock:     clock,
-		Transport: transport.NewSim(netsim.New(clock, netsim.Config{Seed: 1})),
+		Transport: netsim.New(clock, netsim.Config{Seed: 1}),
 	})
 	defer w.Close()
 	w.MustRegister(bank.BranchDef())
@@ -191,7 +190,7 @@ func TestCrossShardTransferAllocCeiling(t *testing.T) {
 	clock := vtime.NewReal()
 	w := guardian.NewWorld(guardian.Config{
 		Clock:     clock,
-		Transport: transport.NewSim(netsim.New(clock, netsim.Config{Seed: 1})),
+		Transport: netsim.New(clock, netsim.Config{Seed: 1}),
 	})
 	defer w.Close()
 	w.MustRegister(bank.BranchDef())
@@ -272,7 +271,7 @@ func TestSendprimCallAllocCeiling(t *testing.T) {
 	clock := vtime.NewReal()
 	w := guardian.NewWorld(guardian.Config{
 		Clock:     clock,
-		Transport: transport.NewSim(netsim.New(clock, netsim.Config{Seed: 1})),
+		Transport: netsim.New(clock, netsim.Config{Seed: 1}),
 	})
 	defer w.Close()
 	w.MustRegister(&guardian.GuardianDef{

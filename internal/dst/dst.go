@@ -438,7 +438,7 @@ func run(opts Options, schedule []Event, audit func(workload, *guardian.World, *
 		// goroutines a moment of real time too.
 		time.Sleep(2 * time.Millisecond)
 		rep.VirtualElapsed = clock.Since(start)
-		rep.Net = w.Net().Stats()
+		rep.Net = w.Net().Counts()
 		storeMu.Lock()
 		for _, wr := range faulty {
 			s := wr.InjectedStats()

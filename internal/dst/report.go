@@ -55,7 +55,7 @@ type Report struct {
 	Rebalances int
 	RingEpoch  int64
 
-	Net netsim.Stats
+	Net netsim.Counts
 	// Storage aggregates injected storage-fault counters across all
 	// nodes; zero unless Options.StorageFaults was set.
 	Storage durable.FaultStats

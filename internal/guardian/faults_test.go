@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/netsim"
-	"repro/internal/transport"
 	"repro/internal/vtime"
 	"repro/internal/xrep"
 )
@@ -77,7 +76,7 @@ func TestCorruptedMessagesNeverReachPorts(t *testing.T) {
 		}
 	}
 	st := w.Stats()
-	corrupted := w.Net().Stats().Corrupted
+	corrupted := w.Net().Counts().Corrupted
 	if st.DiscardBadFrame.Load() != corrupted {
 		t.Fatalf("BadFrame discards (%d) != corrupted packets (%d)",
 			st.DiscardBadFrame.Load(), corrupted)
@@ -120,7 +119,7 @@ func TestDuplicatedMessagesDeliveredOnce(t *testing.T) {
 
 // keepOpen is a world's transport onto a network other worlds share: closing
 // the world leaves the network up.
-type keepOpen struct{ *transport.Sim }
+type keepOpen struct{ *netsim.Network }
 
 func (keepOpen) Close() error { return nil }
 
@@ -131,10 +130,10 @@ func (keepOpen) Close() error { return nil }
 func TestRestartedProcessIsHeard(t *testing.T) {
 	net := netsim.New(vtime.NewReal(), netsim.Config{})
 	defer net.Close()
-	w, port, seen := deployCollector(t, Config{Transport: keepOpen{transport.NewSim(net)}})
+	w, port, seen := deployCollector(t, Config{Transport: keepOpen{net}})
 	defer w.Close()
 	for incarnation, sends := range []int{20, 5} {
-		cw := NewWorld(Config{Transport: keepOpen{transport.NewSim(net)}})
+		cw := NewWorld(Config{Transport: keepOpen{net}})
 		cli := cw.MustAddNode("cli")
 		_, drv, err := cli.NewDriver("d")
 		if err != nil {

@@ -127,9 +127,7 @@ type World struct {
 	cfg   Config
 	clock vtime.Clock
 	tr    transport.Transport
-	// sim is the simulator network when the transport is (or wraps) one;
-	// nil for worlds on a real transport.
-	sim *netsim.Network
+	sim   *netsim.Network // tr, when tr is the simulator
 
 	mu    sync.Mutex
 	nodes map[string]*Node
@@ -159,14 +157,11 @@ func NewWorld(cfg Config) *World {
 		nodes: make(map[string]*Node),
 		defs:  make(map[string]*GuardianDef),
 	}
-	if cfg.Transport != nil {
-		w.tr = cfg.Transport
-	} else {
-		w.tr = transport.NewSim(netsim.New(cfg.Clock, cfg.Net))
+	w.tr = cfg.Transport
+	if w.tr == nil {
+		w.tr = netsim.New(cfg.Clock, cfg.Net)
 	}
-	if src, ok := w.tr.(interface{ Network() *netsim.Network }); ok {
-		w.sim = src.Network()
-	}
+	w.sim, _ = w.tr.(*netsim.Network)
 	return w
 }
 
@@ -174,8 +169,8 @@ func NewWorld(cfg Config) *World {
 func (w *World) Clock() vtime.Clock { return w.clock }
 
 // Net exposes the simulator network for fault injection in tests and
-// experiments. It is nil when the world runs on a non-simulated transport
-// (e.g. UDP); fault-inject such worlds through a transport.Wrapper.
+// experiments. It is nil when the world's transport is not the simulator
+// itself (UDP, TCP, a wrapper); fault-inject those through a Wrapper.
 func (w *World) Net() *netsim.Network { return w.sim }
 
 // Transport returns the transport carrying the world's packets.

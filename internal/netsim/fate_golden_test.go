@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/transport"
 	"repro/internal/vtime"
 )
 
@@ -53,7 +54,7 @@ func fateCases() []fateCase {
 // fateTrace sends 150 packets of varying sizes from one sender on the
 // simulated clock, one at a time, and drains each before the next: for
 // every send it writes the copies that arrived, where and when, and the bit
-// each had flipped (-1 for none), then the final Stats.
+// each had flipped (-1 for none), then the final Counts.
 func fateTrace(t *testing.T, c fateCase) []byte {
 	t.Helper()
 	start := time.Unix(0, 0)
@@ -66,7 +67,7 @@ func fateTrace(t *testing.T, c fateCase) []byte {
 	var mu sync.Mutex
 	var sent []byte
 	var got []string
-	recorder := func(to Addr) Handler {
+	recorder := func(to Addr) transport.Handler {
 		return func(_ Addr, p []byte) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -96,11 +97,11 @@ func fateTrace(t *testing.T, c fateCase) []byte {
 		mu.Lock()
 		sent, got = p, got[:0]
 		mu.Unlock()
-		before, at := n.Stats(), clock.Since(start)
+		before, at := n.Counts(), clock.Since(start)
 		if err := n.Send("a", to, p); err != nil {
 			t.Fatal(err)
 		}
-		after := n.Stats()
+		after := n.Counts()
 		copies := 1 - int(after.Lost-before.Lost) + int(after.Duplicated-before.Duplicated)
 		// A worker arms its timer only once it has handed over every copy
 		// due, so the clock moves only while no handler runs.
@@ -125,7 +126,7 @@ func fateTrace(t *testing.T, c fateCase) []byte {
 		mu.Unlock()
 	}
 	n.Quiesce()
-	fmt.Fprintf(&out, "stats %+v\n", n.Stats())
+	fmt.Fprintf(&out, "stats %+v\n", n.Counts())
 	return out.Bytes()
 }
 

@@ -1,6 +1,9 @@
 // Package netsim simulates the communications network assumed by the paper:
 // a set of autonomous nodes connected pairwise, communicating only by
-// datagrams, with no shared memory and no delivery guarantees.
+// datagrams, with no shared memory and no delivery guarantees. A *Network is
+// a transport.Transport, the one every test and DST run uses: its
+// addresses, handlers (and their lending contract) and Send errors are
+// transport's.
 //
 // The simulator delivers best-effort: packets may be delayed, lost,
 // duplicated, corrupted, or reordered, according to per-network defaults
@@ -17,35 +20,17 @@
 package netsim
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/transport"
 	"repro/internal/vtime"
 )
 
-// Addr names a node on the network. Addresses are opaque strings; the
-// network makes no attempt to interpret them.
-type Addr string
-
-// Handler receives a datagram, one at a time per address, in queue order: on
-// the address's delivery worker, or inside the sender's Send for a packet due
-// at once to an idle address. It must return promptly — it delays later
-// packets and that sender — and no sender may hold across Send a lock it takes.
-//
-// The payload is lent: nothing else writes it until the handler returns,
-// and the network reuses its memory for a later delivery afterwards, so a
-// handler that keeps bytes copies them.
-type Handler func(from Addr, payload []byte)
-
-// Errors returned by Send.
-var (
-	ErrTooLarge      = errors.New("netsim: datagram exceeds MTU")
-	ErrUnknownSender = errors.New("netsim: sender not attached")
-	ErrEmptyPayload  = errors.New("netsim: empty payload")
-)
+// Addr is transport's: simulator addresses are the nodes' logical names.
+type Addr = transport.Addr
 
 // Config holds the fault and delay model for the network or for one
 // directed link.
@@ -75,13 +60,13 @@ type Config struct {
 	// len(payload)/BandwidthBps seconds per packet.
 	BandwidthBps int64
 	// MTU, when positive, bounds the datagram size; larger sends fail with
-	// ErrTooLarge. Fragmentation is the wire layer's job.
+	// transport.ErrTooLarge. Fragmentation is the wire layer's job.
 	MTU int
 }
 
-// Stats aggregates network-wide packet accounting. All counts are since the
-// network was created.
-type Stats struct {
+// Counts is the simulator's detailed packet accounting; Stats folds it into
+// transport's. All counts are since the network was created.
+type Counts struct {
 	Sent       int64 // datagrams accepted by Send
 	Delivered  int64 // handler invocations (includes duplicates)
 	Lost       int64 // dropped by the loss model
@@ -105,11 +90,13 @@ type Network struct {
 	cut      map[linkKey]struct{} // severed directed links
 	group    map[Addr]int         // partition group; absent = group 0
 	parted   bool
-	stats    Stats
+	stats    Counts
 	inflight int        // packets accepted but not yet delivered or dropped
 	workers  int        // delivery workers running
 	idle     *sync.Cond // broadcast when inflight or workers returns to zero
 }
+
+var _ transport.Transport = (*Network)(nil)
 
 type linkKey struct{ from, to Addr }
 
@@ -118,8 +105,8 @@ type linkKey struct{ from, to Addr }
 // address is attached or its queue is non-empty; all fields are guarded by
 // Network.mu.
 type inbox struct {
-	h       Handler  // nil while detached
-	queue   []packet // queue[head:] sorted by due; equal dues in send order
+	h       transport.Handler // nil while detached
+	queue   []packet          // queue[head:] sorted by due; equal dues in send order
 	head    int
 	running bool          // a worker goroutine owns the inbox
 	busy    bool          // a handler runs, on the worker or handed over by a sender
@@ -214,14 +201,14 @@ func (n *Network) inbox(a Addr) *inbox {
 	return b
 }
 
-// Attach registers a handler to receive datagrams addressed to a. Attaching
-// an address that is already attached replaces its handler; so does
-// attaching one that was detached with packets still in flight to it, which
-// are then delivered at their due time.
-func (n *Network) Attach(a Addr, h Handler) {
+// Attach implements transport.Transport; it never fails. Attaching an
+// address that was detached with packets still in flight to it replaces its
+// handler too, and those packets are delivered at their due time.
+func (n *Network) Attach(a Addr, h transport.Handler) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.inbox(a).h = h
+	return nil
 }
 
 // Detach removes a from the network. In-flight packets addressed to a are
@@ -256,11 +243,12 @@ func (n *Network) Attached(a Addr) bool {
 }
 
 // Close detaches every address, discards every packet still queued
-// (counted in DroppedDst) and returns once every delivery worker has exited
-// — after the handler it was running, if any, returned. It must not be
-// called from a handler. The network stays usable; a later Attach starts
-// over.
-func (n *Network) Close() {
+// (counted in DroppedDst) and returns, always nil, once every delivery
+// worker has exited — after the handler it was running, if any, returned.
+// It must not be called from a handler. The network stays usable; a later
+// Attach starts over, and until then Sends fail with ErrNotAttached. A
+// network never closed leaves one parked worker per address that received.
+func (n *Network) Close() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for a, b := range n.inboxes {
@@ -277,6 +265,7 @@ func (n *Network) Close() {
 	for n.workers > 0 {
 		n.idle.Wait()
 	}
+	return nil
 }
 
 // SetLink overrides the fault/delay model for the directed link from→to.
@@ -332,12 +321,29 @@ func (n *Network) Heal() {
 	n.group = make(map[Addr]int)
 }
 
-// Stats returns a snapshot of the packet accounting.
-func (n *Network) Stats() Stats {
+// Counts returns a snapshot of the detailed packet accounting.
+func (n *Network) Counts() Counts {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.stats
 }
+
+// Stats implements transport.Transport: every drop — loss, dead
+// destination, partition — is Dropped, and nothing is received off a wire.
+func (n *Network) Stats() transport.Stats {
+	c := n.Counts()
+	return transport.Stats{
+		Sent:       c.Sent,
+		Delivered:  c.Delivered,
+		Dropped:    c.Lost + c.DroppedDst + c.Partition,
+		Duplicated: c.Duplicated,
+		BytesSent:  c.BytesSent,
+	}
+}
+
+// Learn implements transport.Transport. Simulator addresses already are
+// names, so there is nothing to learn.
+func (n *Network) Learn(name, via Addr) {}
 
 // Quiesce blocks until no packet is in flight. Deliveries may themselves
 // trigger new sends (a handler replying), so this is a counter + condition
@@ -357,12 +363,12 @@ func (n *Network) Quiesce() {
 // once the handler has run on payload. Either way the buffer is the caller's.
 func (n *Network) Send(from, to Addr, payload []byte) error {
 	if len(payload) == 0 {
-		return ErrEmptyPayload
+		return transport.ErrEmptyPayload
 	}
 	n.mu.Lock()
 	if b := n.inboxes[from]; b == nil || b.h == nil {
 		n.mu.Unlock()
-		return ErrUnknownSender
+		return transport.ErrNotAttached
 	}
 	cfg := n.defaults
 	if ov, ok := n.links[linkKey{from, to}]; ok {
@@ -370,7 +376,7 @@ func (n *Network) Send(from, to Addr, payload []byte) error {
 	}
 	if cfg.MTU > 0 && len(payload) > cfg.MTU {
 		n.mu.Unlock()
-		return fmt.Errorf("%w: %d > MTU %d", ErrTooLarge, len(payload), cfg.MTU)
+		return fmt.Errorf("%w: %d > MTU %d", transport.ErrTooLarge, len(payload), cfg.MTU)
 	}
 	n.stats.Sent++
 	n.stats.BytesSent += int64(len(payload))

@@ -2,11 +2,14 @@ package netsim
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/transport"
 	"repro/internal/vtime"
 )
 
@@ -61,22 +64,22 @@ func TestReliableDelivery(t *testing.T) {
 func TestSenderMustBeAttached(t *testing.T) {
 	n := New(vtime.NewReal(), Config{})
 	n.Attach("b", func(Addr, []byte) {})
-	if err := n.Send("ghost", "b", []byte("x")); err != ErrUnknownSender {
-		t.Fatalf("Send from unattached = %v, want ErrUnknownSender", err)
+	if err := n.Send("ghost", "b", []byte("x")); err != transport.ErrNotAttached {
+		t.Fatalf("Send from unattached = %v, want ErrNotAttached", err)
 	}
 }
 
 func TestEmptyPayloadRejected(t *testing.T) {
 	n, _, _ := newPair(t, Config{})
-	if err := n.Send("a", "b", nil); err != ErrEmptyPayload {
+	if err := n.Send("a", "b", nil); err != transport.ErrEmptyPayload {
 		t.Fatalf("Send(nil) = %v, want ErrEmptyPayload", err)
 	}
 }
 
 func TestMTUEnforced(t *testing.T) {
 	n, _, cb := newPair(t, Config{MTU: 4})
-	if err := n.Send("a", "b", []byte("12345")); err == nil {
-		t.Fatal("oversized send succeeded, want ErrTooLarge")
+	if err := n.Send("a", "b", []byte("12345")); !errors.Is(err, transport.ErrTooLarge) {
+		t.Fatalf("oversized send = %v, want ErrTooLarge", err)
 	}
 	if err := n.Send("a", "b", []byte("1234")); err != nil {
 		t.Fatalf("MTU-sized send failed: %v", err)
@@ -94,7 +97,7 @@ func TestDetachedDestinationDrops(t *testing.T) {
 		t.Fatalf("Send to detached should accept (best-effort): %v", err)
 	}
 	n.Quiesce()
-	st := n.Stats()
+	st := n.Counts()
 	if st.DroppedDst != 1 {
 		t.Fatalf("DroppedDst = %d, want 1", st.DroppedDst)
 	}
@@ -116,7 +119,7 @@ func TestLossRateApproximate(t *testing.T) {
 	if got < total*35/100 || got > total*65/100 {
 		t.Fatalf("delivered %d of %d at 50%% loss; outside [35%%,65%%]", got, total)
 	}
-	st := n.Stats()
+	st := n.Counts()
 	if st.Lost+int64(got) != total {
 		t.Fatalf("Lost(%d)+delivered(%d) != sent(%d)", st.Lost, got, total)
 	}
@@ -131,8 +134,8 @@ func TestDuplication(t *testing.T) {
 	if cb.count() != 2 {
 		t.Fatalf("delivered %d with DupRate=1, want 2", cb.count())
 	}
-	if n.Stats().Duplicated != 1 {
-		t.Fatalf("Duplicated = %d, want 1", n.Stats().Duplicated)
+	if n.Counts().Duplicated != 1 {
+		t.Fatalf("Duplicated = %d, want 1", n.Counts().Duplicated)
 	}
 }
 
@@ -228,8 +231,8 @@ func TestPartitionBlocksCrossTraffic(t *testing.T) {
 	if cb.count() != 0 {
 		t.Fatal("packet crossed an active partition")
 	}
-	if n.Stats().Partition != 1 {
-		t.Fatalf("Partition drops = %d, want 1", n.Stats().Partition)
+	if n.Counts().Partition != 1 {
+		t.Fatalf("Partition drops = %d, want 1", n.Counts().Partition)
 	}
 	// Intra-group traffic still flows.
 	n.Attach("a2", func(Addr, []byte) {})
@@ -285,7 +288,7 @@ func TestPerLinkOverride(t *testing.T) {
 	if cb.count() != 0 {
 		t.Fatalf("lossy link delivered %d, want 0", cb.count())
 	}
-	st := n.Stats()
+	st := n.Counts()
 	if st.Lost != total {
 		t.Fatalf("Lost = %d, want %d", st.Lost, total)
 	}
@@ -352,12 +355,46 @@ func TestStatsAccounting(t *testing.T) {
 		}
 	}
 	n.Quiesce()
-	st := n.Stats()
+	st := n.Counts()
 	if st.Sent != 10 || st.Delivered != 10 {
 		t.Fatalf("Sent=%d Delivered=%d, want 10/10", st.Sent, st.Delivered)
 	}
 	if st.BytesSent != 30 {
 		t.Fatalf("BytesSent = %d, want 30", st.BytesSent)
+	}
+}
+
+// TestStatsFoldsCounts pins the transport view of the accounting over a
+// seeded exchange that loses, duplicates, partitions and sends to a dead
+// address: Stats counts every drop once in Dropped, and a packet sent is
+// delivered once, twice or dropped.
+func TestStatsFoldsCounts(t *testing.T) {
+	n := New(vtime.NewReal(), Config{Seed: 40, LossRate: 0.2, DupRate: 0.2})
+	defer n.Close()
+	for _, a := range []Addr{"a", "b", "c"} {
+		n.Attach(a, func(Addr, []byte) {})
+	}
+	n.Partition([]Addr{"a", "b"}, []Addr{"c"})
+	for i := 0; i < 100; i++ {
+		for _, to := range []Addr{"b", "c", "dead"} {
+			if err := n.Send("a", to, []byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	n.Quiesce()
+	c := n.Counts()
+	if c.Lost == 0 || c.Duplicated == 0 || c.Partition == 0 || c.DroppedDst == 0 {
+		t.Fatalf("the exchange misses a kind of drop or the duplicate: %+v", c)
+	}
+	want := transport.Stats{Sent: c.Sent, Delivered: c.Delivered,
+		Dropped: c.Lost + c.DroppedDst + c.Partition, Duplicated: c.Duplicated, BytesSent: c.BytesSent}
+	got := n.Stats()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Stats() = %+v, want %+v from %+v", got, want, c)
+	}
+	if got.Sent != 300 || got.Delivered != got.Sent-got.Dropped+got.Duplicated {
+		t.Fatalf("Stats() = %+v: 300 sent must each be delivered, duplicated or dropped", got)
 	}
 }
 
@@ -410,7 +447,7 @@ func TestConcurrentSendsSafe(t *testing.T) {
 	}
 	wg.Wait()
 	n.Quiesce()
-	st := n.Stats()
+	st := n.Counts()
 	if st.Sent != senders*per {
 		t.Fatalf("Sent = %d, want %d", st.Sent, senders*per)
 	}

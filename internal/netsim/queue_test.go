@@ -256,7 +256,7 @@ func TestSameInstantDeliveryInSendOrder(t *testing.T) {
 		waitPending(t, clock)
 		// One step delivers them all; more let a delivery that armed its
 		// timer late arrive (and be seen out of order) instead of hang.
-		for deadline := time.Now().Add(5 * time.Second); n.Stats().Delivered < senders*per && time.Now().Before(deadline); {
+		for deadline := time.Now().Add(5 * time.Second); n.Counts().Delivered < senders*per && time.Now().Before(deadline); {
 			clock.Advance(time.Millisecond)
 			time.Sleep(time.Millisecond)
 		}
@@ -299,7 +299,7 @@ func TestInFlightAcrossCrashAndRestart(t *testing.T) {
 	n.Detach("b") // crash
 	clock.Advance(10 * time.Millisecond)
 	n.Quiesce()
-	if st := n.Stats(); st.DroppedDst != 1 || st.Delivered != 0 {
+	if st := n.Counts(); st.DroppedDst != 1 || st.Delivered != 0 {
 		t.Fatalf("crash: DroppedDst=%d Delivered=%d, want 1/0", st.DroppedDst, st.Delivered)
 	}
 
@@ -315,7 +315,7 @@ func TestInFlightAcrossCrashAndRestart(t *testing.T) {
 	n.Quiesce()
 	mu.Lock()
 	defer mu.Unlock()
-	if st := n.Stats(); st.DroppedDst != 1 || st.Delivered != 1 || len(got) != 1 || got[0] != 2 {
+	if st := n.Counts(); st.DroppedDst != 1 || st.Delivered != 1 || len(got) != 1 || got[0] != 2 {
 		t.Fatalf("restart: DroppedDst=%d Delivered=%d got %v, want 1/1 [2]", st.DroppedDst, st.Delivered, got)
 	}
 }

@@ -9,7 +9,7 @@ package netsim
 // own mechanism because group-based partitions are always symmetric.
 
 // CutDirected severs the single directed link from→to: datagrams from
-// `from` to `to` are dropped (accounted as Stats.Partition) while the
+// `from` to `to` are dropped (accounted as Counts.Partition) while the
 // reverse direction keeps flowing — the asymmetric-failure shape a
 // misconfigured firewall or a saturated uplink produces, in which A can
 // hear B but B never hears A. Restore with RestoreDirected; Heal does

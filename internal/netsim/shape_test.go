@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/transport"
 	"repro/internal/vtime"
 )
 
@@ -14,7 +15,7 @@ type shapeSink struct {
 	got []string
 }
 
-func (c *shapeSink) handler() Handler {
+func (c *shapeSink) handler() transport.Handler {
 	return func(from Addr, payload []byte) {
 		c.mu.Lock()
 		c.got = append(c.got, string(payload))
@@ -50,7 +51,7 @@ func TestCutDirectedIsOneWay(t *testing.T) {
 	if got := atA.messages(); len(got) != 1 || got[0] != "b->a open" {
 		t.Fatalf("open direction delivered %v, want [b->a open]", got)
 	}
-	if s := n.Stats(); s.Partition != 1 {
+	if s := n.Counts(); s.Partition != 1 {
 		t.Fatalf("Partition count = %d, want 1", s.Partition)
 	}
 

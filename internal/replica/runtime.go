@@ -416,9 +416,10 @@ func (rt *Runtime) preSync(log string, firstSeq uint64) {
 // batch is locally durable. On followers and unattached members it is a
 // no-op (their writes are the apply path or pre-bootstrap setup). On the
 // leader it publishes the batch to the ship loop and, in quorum mode,
-// blocks until a majority holds it — or the fence closes.
-func (rt *Runtime) replicate(log string, recs []durable.Record) {
-	if len(recs) == 0 {
+// blocks until a majority holds it — or the fence closes. The batch is
+// its n records up to seq top.
+func (rt *Runtime) replicate(log string, top uint64, n int) {
+	if n == 0 {
 		return
 	}
 	rt.mu.Lock()
@@ -429,7 +430,6 @@ func (rt *Runtime) replicate(log string, recs []durable.Record) {
 	mode := rt.cfg.Mode
 	node := rt.g.Node()
 	fence := rt.fence
-	top := recs[len(recs)-1].Seq
 	rt.mu.Unlock()
 
 	node.CrashPoint(fault.BeforeShip, log)
@@ -444,7 +444,7 @@ func (rt *Runtime) replicate(log string, recs []durable.Record) {
 	}
 	rt.jobs = append(rt.jobs, job)
 	rt.stats.ShippedBatches++
-	rt.stats.ShippedRecords += int64(len(recs))
+	rt.stats.ShippedRecords += int64(n)
 	rt.mu.Unlock()
 	rt.pokeShip()
 

@@ -155,25 +155,28 @@ func (s *Store) shippable() []string {
 
 // repLog intercepts the durability boundary: records are volatile until
 // Sync, and Sync is where the batch becomes both locally durable and —
-// in quorum mode — group-durable before returning. Tracking the pending
-// batch here (not re-reading the log) keeps the replicate path
-// allocation-light and immune to concurrent readers.
+// in quorum mode — group-durable before returning. The ship loop reads
+// the records from the log, so the batch is only its numbers. Only Append
+// numbers a batch (a follower's apply path, which truncates and skips,
+// writes the inner log), so they run from first to first+n-1.
 type repLog struct {
 	st    *Store
 	name  string
 	inner durable.Log
 
-	mu      sync.Mutex
-	pending []durable.Record
+	mu    sync.Mutex
+	first uint64 // seq of the batch's first record
+	n     int    // records appended since the last Sync
 }
 
-// Append stages the record locally and remembers it for the next ship.
+// Append stages the record locally and counts it into the next ship.
 func (l *repLog) Append(data []byte) uint64 {
 	seq := l.inner.Append(data)
-	cp := make([]byte, len(data))
-	copy(cp, data)
 	l.mu.Lock()
-	l.pending = append(l.pending, durable.Record{Seq: seq, Data: cp})
+	if l.n == 0 {
+		l.first = seq
+	}
+	l.n++
 	l.mu.Unlock()
 	return seq
 }
@@ -185,20 +188,17 @@ func (l *repLog) Append(data []byte) uint64 {
 // rule can compare.
 func (l *repLog) Sync() {
 	l.mu.Lock()
-	var firstSeq uint64
-	if len(l.pending) > 0 {
-		firstSeq = l.pending[0].Seq
-	}
+	first, n := l.first, l.n
 	l.mu.Unlock()
-	if firstSeq > 0 {
-		l.st.rt.preSync(l.name, firstSeq)
+	if n > 0 {
+		l.st.rt.preSync(l.name, first)
 	}
 	l.inner.Sync()
 	l.mu.Lock()
-	batch := l.pending
-	l.pending = nil
+	first, n = l.first, l.n
+	l.n = 0
 	l.mu.Unlock()
-	l.st.rt.replicate(l.name, batch)
+	l.st.rt.replicate(l.name, first+uint64(n)-1, n)
 }
 
 // AppendSync is log-then-ack in one call: like the wrapped backends it
@@ -235,11 +235,8 @@ func (l *repLog) SkipTo(seq uint64) { l.inner.SkipTo(seq) }
 func (l *repLog) Truncate(from uint64) {
 	l.inner.Truncate(from)
 	l.mu.Lock()
-	for i, r := range l.pending {
-		if r.Seq >= from {
-			l.pending = l.pending[:i]
-			break
-		}
+	if l.n > 0 && from < l.first+uint64(l.n) {
+		l.n = int(max(from, l.first) - l.first)
 	}
 	l.mu.Unlock()
 }
@@ -248,6 +245,6 @@ func (l *repLog) Truncate(from uint64) {
 // log's loss of its volatile tail.
 func (l *repLog) crashReset() {
 	l.mu.Lock()
-	l.pending = nil
+	l.n = 0
 	l.mu.Unlock()
 }

@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"runtime"
 	"testing"
 )
@@ -57,4 +58,26 @@ func FuzzTCPFrames(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestEncodeDataLayout checks the data and control frames against the
+// layout mux.go documents, byte for byte, and that framing into a buffer
+// with room — a peer's send queue — allocates nothing.
+func TestEncodeDataLayout(t *testing.T) {
+	payload := []byte("payload bytes")
+	body := "\x06" + "\x06source" + "\x0bdestination" + string(payload)
+	want := "queued" + string(binary.BigEndian.AppendUint32(nil, uint32(len(body)))) + body
+	buf := appendData([]byte("queued"), "source", "destination", payload)
+	if string(buf) != want {
+		t.Fatalf("appendData = %x, want %x", buf, want)
+	}
+	if got := appendControl(nil, frameDeselect, "idle"); string(got) != "\x00\x00\x00\x06\x03\x04idle" {
+		t.Fatalf("appendControl(deselect) = %x", got)
+	}
+	if got := appendControl(nil, frameLinktest, "ignored"); string(got) != "\x00\x00\x00\x01\x04" {
+		t.Fatalf("appendControl(linktest) = %x", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { buf = appendData(buf[:0], "source", "destination", payload) }); n != 0 {
+		t.Fatalf("appendData into a buffer with room allocates %v times, want 0", n)
+	}
 }

@@ -1,8 +1,7 @@
-package transport
+package transport_test
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sync"
@@ -10,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/transport"
 	"repro/internal/vtime"
 )
 
@@ -21,37 +21,37 @@ import (
 // reads the payload after its inner handler has returned — guardianbench's
 // tracing transport does — still reads the bytes that were delivered.
 func TestBufferOwnership(t *testing.T) {
-	sim := func(cfg netsim.Config) *Sim { return NewSim(netsim.New(vtime.NewReal(), cfg)) }
+	sim := func(cfg netsim.Config) *netsim.Network { return netsim.New(vtime.NewReal(), cfg) }
 	cases := []struct {
 		name   string
 		copies int // deliveries per send
-		build  func(t *testing.T) (send, recv Transport)
+		build  func(t *testing.T) (send, recv transport.Transport)
 	}{
-		{"sim", 1, func(t *testing.T) (Transport, Transport) {
+		{"sim", 1, func(t *testing.T) (transport.Transport, transport.Transport) {
 			s := sim(netsim.Config{})
 			return s, s
 		}},
-		{"sim-dup", 2, func(t *testing.T) (Transport, Transport) {
+		{"sim-dup", 2, func(t *testing.T) (transport.Transport, transport.Transport) {
 			s := sim(netsim.Config{Seed: 1, DupRate: 1})
 			return s, s
 		}},
-		{"udp", 1, func(t *testing.T) (Transport, Transport) {
-			u, err := NewUDP(UDPConfig{Peers: map[Addr]string{"a": "127.0.0.1:0", "b": "127.0.0.1:0"}})
+		{"udp", 1, func(t *testing.T) (transport.Transport, transport.Transport) {
+			u, err := transport.NewUDP(transport.UDPConfig{Peers: map[transport.Addr]string{"a": "127.0.0.1:0", "b": "127.0.0.1:0"}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { _ = u.Close() })
 			return u, u
 		}},
-		{"tcp", 1, func(t *testing.T) (Transport, Transport) {
-			return tcpPair(t, nil, []Addr{"a"}, []Addr{"b"})
+		{"tcp", 1, func(t *testing.T) (transport.Transport, transport.Transport) {
+			return tcpPair(t, nil, []transport.Addr{"a"}, []transport.Addr{"b"})
 		}},
-		{"tcp-local", 1, func(t *testing.T) (Transport, Transport) {
+		{"tcp-local", 1, func(t *testing.T) (transport.Transport, transport.Transport) {
 			a, _ := tcpPair(t, nil, nil, nil)
 			return a, a
 		}},
-		{"wrapper-dup", 2, func(t *testing.T) (Transport, Transport) {
-			w := Wrap(sim(netsim.Config{}), WrapperConfig{Seed: 1, DupRate: 1})
+		{"wrapper-dup", 2, func(t *testing.T) (transport.Transport, transport.Transport) {
+			w := transport.Wrap(sim(netsim.Config{}), transport.WrapperConfig{Seed: 1, DupRate: 1})
 			return w, w
 		}},
 	}
@@ -63,15 +63,15 @@ func TestBufferOwnership(t *testing.T) {
 			var kept [][]byte
 			var changed []string
 			arrived := make(chan struct{}, sends*c.copies)
-			if err := send.Attach("a", func(Addr, []byte) {}); err != nil {
+			if err := send.Attach("a", func(transport.Addr, []byte) {}); err != nil {
 				t.Fatal(err)
 			}
-			inner := func(_ Addr, p []byte) {
+			inner := func(_ transport.Addr, p []byte) {
 				mu.Lock()
 				kept = append(kept, bytes.Clone(p)) // what outlives the handler is copied
 				mu.Unlock()
 			}
-			decorated := func(from Addr, p []byte) {
+			decorated := func(from transport.Addr, p []byte) {
 				before := bytes.Clone(p)
 				inner(from, p)
 				runtime.Gosched() // give a transport that reuses p too early the chance
@@ -128,27 +128,5 @@ func TestBufferOwnership(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestEncodeDataLayout checks the data and control frames against the
-// layout mux.go documents, byte for byte, and that framing into a buffer
-// with room — a peer's send queue — allocates nothing.
-func TestEncodeDataLayout(t *testing.T) {
-	payload := []byte("payload bytes")
-	body := "\x06" + "\x06source" + "\x0bdestination" + string(payload)
-	want := "queued" + string(binary.BigEndian.AppendUint32(nil, uint32(len(body)))) + body
-	buf := appendData([]byte("queued"), "source", "destination", payload)
-	if string(buf) != want {
-		t.Fatalf("appendData = %x, want %x", buf, want)
-	}
-	if got := appendControl(nil, frameDeselect, "idle"); string(got) != "\x00\x00\x00\x06\x03\x04idle" {
-		t.Fatalf("appendControl(deselect) = %x", got)
-	}
-	if got := appendControl(nil, frameLinktest, "ignored"); string(got) != "\x00\x00\x00\x01\x04" {
-		t.Fatalf("appendControl(linktest) = %x", got)
-	}
-	if n := testing.AllocsPerRun(100, func() { buf = appendData(buf[:0], "source", "destination", payload) }); n != 0 {
-		t.Fatalf("appendData into a buffer with room allocates %v times, want 0", n)
 	}
 }

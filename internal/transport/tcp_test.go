@@ -1,4 +1,4 @@
-package transport
+package transport_test
 
 import (
 	"bytes"
@@ -8,16 +8,18 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/transport"
 )
 
 // tcpPair builds two TCP transports that know each other: each side's
 // routing table maps every name in the other side's names list to the
 // other listener. Heartbeat and reconnect timings are compressed so
 // failure tests run in milliseconds.
-func tcpPair(t *testing.T, tune func(*TCPConfig), aNames, bNames []Addr) (*TCP, *TCP) {
+func tcpPair(t *testing.T, tune func(*transport.TCPConfig), aNames, bNames []transport.Addr) (*transport.TCP, *transport.TCP) {
 	t.Helper()
-	mk := func(seed int64) *TCP {
-		cfg := TCPConfig{
+	mk := func(seed int64) *transport.TCP {
+		cfg := transport.TCPConfig{
 			Listen:        "127.0.0.1:0",
 			Heartbeat:     50 * time.Millisecond,
 			MissThreshold: 3,
@@ -29,7 +31,7 @@ func tcpPair(t *testing.T, tune func(*TCPConfig), aNames, bNames []Addr) (*TCP, 
 		if tune != nil {
 			tune(&cfg)
 		}
-		tr, err := NewTCP(cfg)
+		tr, err := transport.NewTCP(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +55,7 @@ func tcpPair(t *testing.T, tune func(*TCPConfig), aNames, bNames []Addr) (*TCP, 
 func TestTCPRoundTripAndLearnedReply(t *testing.T) {
 	// b gets no static route to "cli": the reply must ride what Learn
 	// extracts from the observed from-address.
-	a, b := tcpPair(t, nil, nil, []Addr{"srv"})
+	a, b := tcpPair(t, nil, nil, []transport.Addr{"srv"})
 	recvCli, recvSrv := newCollector(), newCollector()
 	if err := a.Attach("cli", recvCli.handle); err != nil {
 		t.Fatal(err)
@@ -94,8 +96,8 @@ func TestTCPRoundTripAndLearnedReply(t *testing.T) {
 }
 
 func TestTCPMultiplexManyNamesOneConnection(t *testing.T) {
-	names := []Addr{"g0", "g1", "g2", "g3", "g4", "g5", "g6", "g7"}
-	a, b := tcpPair(t, nil, []Addr{"cli"}, names)
+	names := []transport.Addr{"g0", "g1", "g2", "g3", "g4", "g5", "g6", "g7"}
+	a, b := tcpPair(t, nil, []transport.Addr{"cli"}, names)
 	if err := a.Attach("cli", newCollector().handle); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +129,7 @@ func TestTCPMultiplexManyNamesOneConnection(t *testing.T) {
 
 func TestTCPLargeFrameBeyondUDPMTU(t *testing.T) {
 	const size = 4 << 20 // 4 MiB: ~64× the UDP absolute maximum
-	a, b := tcpPair(t, nil, []Addr{"cli"}, []Addr{"srv"})
+	a, b := tcpPair(t, nil, []transport.Addr{"cli"}, []transport.Addr{"srv"})
 	recv := newCollector()
 	if err := a.Attach("cli", newCollector().handle); err != nil {
 		t.Fatal(err)
@@ -147,7 +149,7 @@ func TestTCPLargeFrameBeyondUDPMTU(t *testing.T) {
 
 	// Pin the ceiling TCP removes: the very same payload is unsendable
 	// over UDP even at the protocol's absolute maximum MTU.
-	u, err := NewUDP(UDPConfig{Peers: map[Addr]string{"cli": "127.0.0.1:0"}, MTU: maxUDPDatagram})
+	u, err := transport.NewUDP(transport.UDPConfig{Peers: map[transport.Addr]string{"cli": "127.0.0.1:0"}, MTU: 65507}) // the largest UDP payload
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,13 +157,13 @@ func TestTCPLargeFrameBeyondUDPMTU(t *testing.T) {
 	if err := u.Attach("cli", newCollector().handle); err != nil {
 		t.Fatal(err)
 	}
-	if err := u.Send("cli", "srv", big); !errors.Is(err, ErrTooLarge) {
+	if err := u.Send("cli", "srv", big); !errors.Is(err, transport.ErrTooLarge) {
 		t.Fatalf("UDP send of %d bytes: err = %v, want ErrTooLarge", size, err)
 	}
 }
 
 func TestTCPReconnectAfterReset(t *testing.T) {
-	a, b := tcpPair(t, nil, []Addr{"cli"}, []Addr{"srv"})
+	a, b := tcpPair(t, nil, []transport.Addr{"cli"}, []transport.Addr{"srv"})
 	recv := newCollector()
 	if err := a.Attach("cli", newCollector().handle); err != nil {
 		t.Fatal(err)
@@ -205,10 +207,10 @@ func TestTCPReconnectAfterReset(t *testing.T) {
 func TestTCPHeartbeatDetectsStalledPeer(t *testing.T) {
 	// Freeze b's write pump entirely: its linktest acks stop too, so a's
 	// heartbeat must miss repeatedly and declare the link half-open.
-	a, b := tcpPair(t, func(c *TCPConfig) {
+	a, b := tcpPair(t, func(c *transport.TCPConfig) {
 		c.Heartbeat = 30 * time.Millisecond
 		c.MissThreshold = 2
-	}, []Addr{"cli"}, []Addr{"srv"})
+	}, []transport.Addr{"cli"}, []transport.Addr{"srv"})
 	recv := newCollector()
 	if err := a.Attach("cli", newCollector().handle); err != nil {
 		t.Fatal(err)
@@ -243,10 +245,10 @@ func TestTCPHeartbeatDetectsStalledPeer(t *testing.T) {
 }
 
 func TestTCPIdleTeardownIsCleanAndRedials(t *testing.T) {
-	a, b := tcpPair(t, func(c *TCPConfig) {
+	a, b := tcpPair(t, func(c *transport.TCPConfig) {
 		c.Heartbeat = 20 * time.Millisecond
 		c.IdleTimeout = 60 * time.Millisecond
-	}, []Addr{"cli"}, []Addr{"srv"})
+	}, []transport.Addr{"cli"}, []transport.Addr{"srv"})
 	recv := newCollector()
 	if err := a.Attach("cli", newCollector().handle); err != nil {
 		t.Fatal(err)
@@ -294,7 +296,7 @@ func TestTCPIdleTeardownIsCleanAndRedials(t *testing.T) {
 }
 
 func TestTCPSimultaneousDialConverges(t *testing.T) {
-	a, b := tcpPair(t, nil, []Addr{"cli"}, []Addr{"srv"})
+	a, b := tcpPair(t, nil, []transport.Addr{"cli"}, []transport.Addr{"srv"})
 	recvA, recvB := newCollector(), newCollector()
 	if err := a.Attach("cli", recvA.handle); err != nil {
 		t.Fatal(err)
@@ -334,7 +336,7 @@ func TestTCPSimultaneousDialConverges(t *testing.T) {
 	deadline = time.Now().Add(5 * time.Second)
 	for {
 		settled := true
-		for _, tr := range []*TCP{a, b} {
+		for _, tr := range []*transport.TCP{a, b} {
 			for _, cs := range tr.Stats().Conns {
 				if cs.State != "established" {
 					settled = false
@@ -352,7 +354,7 @@ func TestTCPSimultaneousDialConverges(t *testing.T) {
 }
 
 func TestTCPLocalShortCircuit(t *testing.T) {
-	tr, err := NewTCP(TCPConfig{Listen: "127.0.0.1:0"})
+	tr, err := transport.NewTCP(transport.TCPConfig{Listen: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,17 +379,17 @@ func TestTCPLocalShortCircuit(t *testing.T) {
 }
 
 func TestTCPSendErrors(t *testing.T) {
-	a, _ := tcpPair(t, nil, []Addr{"cli"}, []Addr{"srv"})
+	a, _ := tcpPair(t, nil, []transport.Addr{"cli"}, []transport.Addr{"srv"})
 	if err := a.Attach("cli", newCollector().handle); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Send("cli", "srv", nil); !errors.Is(err, ErrEmptyPayload) {
+	if err := a.Send("cli", "srv", nil); !errors.Is(err, transport.ErrEmptyPayload) {
 		t.Fatalf("empty payload: %v", err)
 	}
-	if err := a.Send("ghost", "srv", []byte("x")); !errors.Is(err, ErrNotAttached) {
+	if err := a.Send("ghost", "srv", []byte("x")); !errors.Is(err, transport.ErrNotAttached) {
 		t.Fatalf("unattached sender: %v", err)
 	}
-	small, err := NewTCP(TCPConfig{Listen: "127.0.0.1:0", MaxFrame: 8})
+	small, err := transport.NewTCP(transport.TCPConfig{Listen: "127.0.0.1:0", MaxFrame: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +397,7 @@ func TestTCPSendErrors(t *testing.T) {
 	if err := small.Attach("s", newCollector().handle); err != nil {
 		t.Fatal(err)
 	}
-	if err := small.Send("s", "t", []byte("123456789")); !errors.Is(err, ErrTooLarge) {
+	if err := small.Send("s", "t", []byte("123456789")); !errors.Is(err, transport.ErrTooLarge) {
 		t.Fatalf("oversized frame: %v", err)
 	}
 	// Unrouted destination is silent loss, not an error.
@@ -409,7 +411,7 @@ func TestTCPSendErrors(t *testing.T) {
 }
 
 func TestTCPDetachDiscardsInbound(t *testing.T) {
-	a, b := tcpPair(t, nil, []Addr{"cli"}, []Addr{"srv"})
+	a, b := tcpPair(t, nil, []transport.Addr{"cli"}, []transport.Addr{"srv"})
 	recv := newCollector()
 	if err := a.Attach("cli", newCollector().handle); err != nil {
 		t.Fatal(err)
@@ -438,12 +440,12 @@ func TestTCPDetachDiscardsInbound(t *testing.T) {
 }
 
 func TestTCPCloseJoinsEverything(t *testing.T) {
-	a, b := tcpPair(t, nil, []Addr{"cli"}, []Addr{"srv"})
+	a, b := tcpPair(t, nil, []transport.Addr{"cli"}, []transport.Addr{"srv"})
 	var inFlight atomic.Int32
 	if err := a.Attach("cli", newCollector().handle); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Attach("srv", func(from Addr, payload []byte) {
+	if err := b.Attach("srv", func(from transport.Addr, payload []byte) {
 		inFlight.Add(1)
 		defer inFlight.Add(-1)
 		time.Sleep(5 * time.Millisecond)
@@ -465,13 +467,13 @@ func TestTCPCloseJoinsEverything(t *testing.T) {
 	if n := inFlight.Load(); n != 0 {
 		t.Fatalf("%d handlers still running after Close", n)
 	}
-	if err := a.Send("cli", "srv", []byte("x")); !errors.Is(err, ErrClosed) {
+	if err := a.Send("cli", "srv", []byte("x")); !errors.Is(err, transport.ErrClosed) {
 		t.Fatalf("send after close: %v", err)
 	}
 }
 
 func TestTCPQuiesceWaitsForLiveQueues(t *testing.T) {
-	a, b := tcpPair(t, nil, []Addr{"cli"}, []Addr{"srv"})
+	a, b := tcpPair(t, nil, []transport.Addr{"cli"}, []transport.Addr{"srv"})
 	recv := newCollector()
 	if err := a.Attach("cli", newCollector().handle); err != nil {
 		t.Fatal(err)
@@ -494,12 +496,12 @@ func TestTCPQuiesceWaitsForLiveQueues(t *testing.T) {
 // delivered to a handler that keeps nothing allocates nothing anywhere in
 // the process — the sender's framing and the kernel round trip included.
 func TestTCPDeliveryAllocatesNothing(t *testing.T) {
-	a, b := tcpPair(t, nil, []Addr{"cli"}, []Addr{"srv"})
+	a, b := tcpPair(t, nil, []transport.Addr{"cli"}, []transport.Addr{"srv"})
 	got := make(chan struct{}, 1)
-	if err := a.Attach("cli", func(Addr, []byte) {}); err != nil {
+	if err := a.Attach("cli", func(transport.Addr, []byte) {}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Attach("srv", func(Addr, []byte) { got <- struct{}{} }); err != nil {
+	if err := b.Attach("srv", func(transport.Addr, []byte) { got <- struct{}{} }); err != nil {
 		t.Fatal(err)
 	}
 	payload := bytes.Repeat([]byte{7}, 512)

@@ -5,8 +5,9 @@
 // corruption detection, at-most-once calls) is the system's job. This
 // package pins that line down as an interface with three implementations:
 //
-//   - Sim wraps internal/netsim, the deterministic in-memory simulator
-//     every test and the DST harness run on;
+//   - internal/netsim's Network, the deterministic in-memory simulator
+//     every test and the DST harness run on (it imports this package, not
+//     the other way round);
 //   - UDP carries the same MTU-bounded datagrams over real net.UDPConn
 //     sockets, so guardians can run as separate OS processes; and
 //   - TCP multiplexes the same best-effort datagrams as length-prefixed
@@ -36,8 +37,9 @@ type Addr string
 // goroutines or, on the simulator, inside a sender's Send (so no sender may
 // hold across Send a lock its destination's handler takes). It must return
 // promptly: a blocking handler delays what is queued behind it — on the
-// simulator every later datagram to its address, on UDP what its socket's
-// receive loop would read next, on TCP the rest of its connection's stream.
+// simulator every later datagram to its address, one at a time in queue
+// order, on UDP what its socket's receive loop would read next, on TCP the
+// rest of its connection's stream.
 //
 // The payload is lent, as io.Reader lends its buffer: it is the handler's
 // until the handler returns, nothing writes it before then, and the
@@ -85,6 +87,10 @@ type Transport interface {
 	// loops drain, and further Sends fail with ErrClosed.
 	Close() error
 }
+
+// NewSim returns t. It is kept for the benchmark module, which builds its
+// simulated worlds as NewSim(netsim.New(…)); the simulator is a Transport.
+func NewSim(t Transport) Transport { return t }
 
 // Stats aggregates transport-wide packet accounting. All counts are since
 // the transport was created.

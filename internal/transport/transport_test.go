@@ -1,4 +1,4 @@
-package transport
+package transport_test
 
 import (
 	"errors"
@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/transport"
 	"repro/internal/vtime"
 )
 
@@ -14,7 +15,7 @@ import (
 type collector struct {
 	mu   sync.Mutex
 	got  [][]byte
-	from []Addr
+	from []transport.Addr
 	ch   chan struct{}
 }
 
@@ -22,7 +23,7 @@ func newCollector() *collector {
 	return &collector{ch: make(chan struct{}, 1024)}
 }
 
-func (c *collector) handle(from Addr, payload []byte) {
+func (c *collector) handle(from transport.Addr, payload []byte) {
 	buf := make([]byte, len(payload))
 	copy(buf, payload)
 	c.mu.Lock()
@@ -51,19 +52,19 @@ func (c *collector) count() int {
 }
 
 // both runs a subtest against each Transport implementation.
-func both(t *testing.T, fn func(t *testing.T, newT func(t *testing.T, names ...Addr) Transport)) {
+func both(t *testing.T, fn func(t *testing.T, newT func(t *testing.T, names ...transport.Addr) transport.Transport)) {
 	t.Run("sim", func(t *testing.T) {
-		fn(t, func(t *testing.T, names ...Addr) Transport {
-			return NewSim(netsim.New(vtime.NewReal(), netsim.Config{}))
+		fn(t, func(t *testing.T, names ...transport.Addr) transport.Transport {
+			return netsim.New(vtime.NewReal(), netsim.Config{})
 		})
 	})
 	t.Run("udp", func(t *testing.T) {
-		fn(t, func(t *testing.T, names ...Addr) Transport {
-			peers := make(map[Addr]string, len(names))
+		fn(t, func(t *testing.T, names ...transport.Addr) transport.Transport {
+			peers := make(map[transport.Addr]string, len(names))
 			for _, n := range names {
 				peers[n] = "127.0.0.1:0"
 			}
-			u, err := NewUDP(UDPConfig{Peers: peers})
+			u, err := transport.NewUDP(transport.UDPConfig{Peers: peers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,7 +75,7 @@ func both(t *testing.T, fn func(t *testing.T, newT func(t *testing.T, names ...A
 }
 
 func TestRoundTrip(t *testing.T) {
-	both(t, func(t *testing.T, newT func(t *testing.T, names ...Addr) Transport) {
+	both(t, func(t *testing.T, newT func(t *testing.T, names ...transport.Addr) transport.Transport) {
 		tr := newT(t, "a", "b")
 		recvA, recvB := newCollector(), newCollector()
 		if err := tr.Attach("a", recvA.handle); err != nil {
@@ -107,10 +108,10 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestDetachDropsInbound(t *testing.T) {
-	both(t, func(t *testing.T, newT func(t *testing.T, names ...Addr) Transport) {
+	both(t, func(t *testing.T, newT func(t *testing.T, names ...transport.Addr) transport.Transport) {
 		tr := newT(t, "a", "b")
 		recvB := newCollector()
-		if err := tr.Attach("a", func(Addr, []byte) {}); err != nil {
+		if err := tr.Attach("a", func(transport.Addr, []byte) {}); err != nil {
 			t.Fatal(err)
 		}
 		if err := tr.Attach("b", recvB.handle); err != nil {
@@ -143,30 +144,30 @@ func TestDetachDropsInbound(t *testing.T) {
 }
 
 func TestSendErrors(t *testing.T) {
-	both(t, func(t *testing.T, newT func(t *testing.T, names ...Addr) Transport) {
+	both(t, func(t *testing.T, newT func(t *testing.T, names ...transport.Addr) transport.Transport) {
 		tr := newT(t, "a", "b")
-		if err := tr.Attach("a", func(Addr, []byte) {}); err != nil {
+		if err := tr.Attach("a", func(transport.Addr, []byte) {}); err != nil {
 			t.Fatal(err)
 		}
-		if err := tr.Send("ghost", "a", []byte("x")); !errors.Is(err, ErrNotAttached) {
+		if err := tr.Send("ghost", "a", []byte("x")); !errors.Is(err, transport.ErrNotAttached) {
 			t.Fatalf("unattached sender: %v", err)
 		}
-		if err := tr.Send("a", "b", nil); !errors.Is(err, ErrEmptyPayload) {
+		if err := tr.Send("a", "b", nil); !errors.Is(err, transport.ErrEmptyPayload) {
 			t.Fatalf("empty payload: %v", err)
 		}
 	})
 }
 
 func TestUDPMTUEnforced(t *testing.T) {
-	u, err := NewUDP(UDPConfig{Peers: map[Addr]string{"a": "127.0.0.1:0"}, MTU: 512})
+	u, err := transport.NewUDP(transport.UDPConfig{Peers: map[transport.Addr]string{"a": "127.0.0.1:0"}, MTU: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer u.Close()
-	if err := u.Attach("a", func(Addr, []byte) {}); err != nil {
+	if err := u.Attach("a", func(transport.Addr, []byte) {}); err != nil {
 		t.Fatal(err)
 	}
-	if err := u.Send("a", "a", make([]byte, 513)); !errors.Is(err, ErrTooLarge) {
+	if err := u.Send("a", "a", make([]byte, 513)); !errors.Is(err, transport.ErrTooLarge) {
 		t.Fatalf("oversize: %v", err)
 	}
 	if err := u.Send("a", "a", make([]byte, 512)); err != nil {
@@ -175,12 +176,12 @@ func TestUDPMTUEnforced(t *testing.T) {
 }
 
 func TestUDPUnknownPeerCountsAsDrop(t *testing.T) {
-	u, err := NewUDP(UDPConfig{Peers: map[Addr]string{"a": "127.0.0.1:0"}})
+	u, err := transport.NewUDP(transport.UDPConfig{Peers: map[transport.Addr]string{"a": "127.0.0.1:0"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer u.Close()
-	if err := u.Attach("a", func(Addr, []byte) {}); err != nil {
+	if err := u.Attach("a", func(transport.Addr, []byte) {}); err != nil {
 		t.Fatal(err)
 	}
 	if err := u.Send("a", "nowhere", []byte("x")); err != nil {
@@ -196,13 +197,13 @@ func TestUDPUnknownPeerCountsAsDrop(t *testing.T) {
 // nothing about the client until a datagram arrives carrying its source
 // address; Learn then lets replies route.
 func TestUDPLearnRoutesReplies(t *testing.T) {
-	srv, err := NewUDP(UDPConfig{Peers: map[Addr]string{"srv": "127.0.0.1:0"}})
+	srv, err := transport.NewUDP(transport.UDPConfig{Peers: map[transport.Addr]string{"srv": "127.0.0.1:0"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 	echoed := newCollector()
-	if err := srv.Attach("srv", func(from Addr, payload []byte) {
+	if err := srv.Attach("srv", func(from transport.Addr, payload []byte) {
 		// The application layer would extract the logical name from the
 		// frame; here the test plays that role.
 		srv.Learn("cli", from)
@@ -211,7 +212,7 @@ func TestUDPLearnRoutesReplies(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cli, err := NewUDP(UDPConfig{Peers: map[Addr]string{"cli": "127.0.0.1:0"}})
+	cli, err := transport.NewUDP(transport.UDPConfig{Peers: map[transport.Addr]string{"cli": "127.0.0.1:0"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,12 +232,28 @@ func TestUDPLearnRoutesReplies(t *testing.T) {
 	}
 }
 
-func TestUDPCloseJoinsReceiveLoops(t *testing.T) {
-	u, err := NewUDP(UDPConfig{Peers: map[Addr]string{"a": "127.0.0.1:0"}, RecvWorkers: 4})
+// TestUDPLearnKnownRouteAllocatesNothing: the receive path learns the
+// sender's route on every complete message, so re-learning a route that has
+// not changed must not resolve or format an address.
+func TestUDPLearnKnownRouteAllocatesNothing(t *testing.T) {
+	u, err := transport.NewUDP(transport.UDPConfig{Peers: map[transport.Addr]string{"srv": "127.0.0.1:0"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := u.Attach("a", func(Addr, []byte) {}); err != nil {
+	defer u.Close()
+	const via = transport.Addr("127.0.0.1:9")
+	u.Learn("cli", via)
+	if n := testing.AllocsPerRun(100, func() { u.Learn("cli", via) }); n != 0 {
+		t.Fatalf("re-learning an unchanged route allocates %v times, want 0", n)
+	}
+}
+
+func TestUDPCloseJoinsReceiveLoops(t *testing.T) {
+	u, err := transport.NewUDP(transport.UDPConfig{Peers: map[transport.Addr]string{"a": "127.0.0.1:0"}, RecvWorkers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := u.Attach("a", func(transport.Addr, []byte) {}); err != nil {
 		t.Fatal(err)
 	}
 	if err := u.Close(); err != nil {
@@ -246,18 +263,18 @@ func TestUDPCloseJoinsReceiveLoops(t *testing.T) {
 	if err := u.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := u.Send("a", "a", []byte("x")); !errors.Is(err, ErrClosed) {
+	if err := u.Send("a", "a", []byte("x")); !errors.Is(err, transport.ErrClosed) {
 		t.Fatalf("send after close: %v", err)
 	}
-	if err := u.Attach("a", func(Addr, []byte) {}); !errors.Is(err, ErrClosed) {
+	if err := u.Attach("a", func(transport.Addr, []byte) {}); !errors.Is(err, transport.ErrClosed) {
 		t.Fatalf("attach after close: %v", err)
 	}
 }
 
 func TestUDPPacingSpacesBursts(t *testing.T) {
 	gap := 5 * time.Millisecond
-	u, err := NewUDP(UDPConfig{
-		Peers:      map[Addr]string{"a": "127.0.0.1:0", "b": "127.0.0.1:0"},
+	u, err := transport.NewUDP(transport.UDPConfig{
+		Peers:      map[transport.Addr]string{"a": "127.0.0.1:0", "b": "127.0.0.1:0"},
 		PaceMinGap: gap,
 	})
 	if err != nil {
@@ -265,7 +282,7 @@ func TestUDPPacingSpacesBursts(t *testing.T) {
 	}
 	defer u.Close()
 	recvB := newCollector()
-	if err := u.Attach("a", func(Addr, []byte) {}); err != nil {
+	if err := u.Attach("a", func(transport.Addr, []byte) {}); err != nil {
 		t.Fatal(err)
 	}
 	if err := u.Attach("b", recvB.handle); err != nil {

@@ -88,7 +88,7 @@ type UDP struct {
 	cfg UDPConfig
 
 	mu     sync.Mutex
-	peers  map[Addr]*net.UDPAddr // logical name -> where to send
+	peers  map[Addr]udpRoute // logical name -> where to send
 	eps    map[Addr]*udpEndpoint
 	pacers map[Addr]*pacer
 	closed bool
@@ -103,13 +103,20 @@ type UDP struct {
 	recvErrors atomic.Int64
 }
 
+// udpRoute is where a name's datagrams go, and the observed address Learn
+// took it from ("" for a configured or bound route).
+type udpRoute struct {
+	addr *net.UDPAddr
+	via  Addr
+}
+
 // NewUDP creates a UDP transport. Configured peer addresses are resolved
 // eagerly so typos surface at construction rather than as silent loss.
 func NewUDP(cfg UDPConfig) (*UDP, error) {
 	cfg = cfg.withDefaults()
 	u := &UDP{
 		cfg:    cfg,
-		peers:  make(map[Addr]*net.UDPAddr, len(cfg.Peers)),
+		peers:  make(map[Addr]udpRoute, len(cfg.Peers)),
 		eps:    make(map[Addr]*udpEndpoint),
 		pacers: make(map[Addr]*pacer),
 	}
@@ -133,7 +140,7 @@ func (u *UDP) setPeer(name Addr, hostport string) error {
 	if err != nil {
 		return fmt.Errorf("transport: peer %s: %w", name, err)
 	}
-	u.peers[name] = addr
+	u.peers[name] = udpRoute{addr: addr}
 	return nil
 }
 
@@ -170,14 +177,14 @@ func (u *UDP) Attach(a Addr, h Handler) error {
 		u.mu.Unlock()
 		return fmt.Errorf("%w: no listen address configured for %s", ErrUnknownPeer, a)
 	}
-	conn, err := net.ListenUDP("udp", bind)
+	conn, err := net.ListenUDP("udp", bind.addr)
 	if err != nil {
 		u.mu.Unlock()
 		return fmt.Errorf("transport: bind %s: %w", a, err)
 	}
 	// An ephemeral bind (port 0) resolves here; record the real address
 	// so sends from co-located peers in the same process route correctly.
-	u.peers[a] = conn.LocalAddr().(*net.UDPAddr)
+	u.peers[a] = udpRoute{addr: conn.LocalAddr().(*net.UDPAddr)}
 	ep := &udpEndpoint{conn: conn}
 	ep.handler.Store(&h)
 	u.eps[a] = ep
@@ -289,7 +296,7 @@ func (u *UDP) Send(from, to Addr, payload []byte) error {
 		time.Sleep(wait)
 	}
 	u.sent.Add(1)
-	n, err := ep.conn.WriteToUDP(payload, dst)
+	n, err := ep.conn.WriteToUDP(payload, dst.addr)
 	if err != nil {
 		u.dropped.Add(1)
 		return nil
@@ -300,22 +307,21 @@ func (u *UDP) Send(from, to Addr, payload []byte) error {
 
 // Learn implements Transport: it records where name was observed sending
 // from, so replies route without static configuration. Attached (local)
-// names are never overwritten — their entry is the bind address.
+// names are never overwritten — their entry is the bind address — and a
+// route already learned from via is kept without resolving anything, so
+// learning on every received message allocates nothing.
 func (u *UDP) Learn(name, via Addr) {
-	addr, err := net.ResolveUDPAddr("udp", string(via))
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	if _, local := u.eps[name]; local || u.peers[name].via == via {
+		return
+	}
+	addr, err := net.ResolveUDPAddr("udp", string(via)) // an observed ip:port: no lookup
 	if err != nil {
 		return
 	}
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	if _, local := u.eps[name]; local {
-		return
-	}
-	if cur, ok := u.peers[name]; ok && cur.String() == addr.String() {
-		return
-	}
 	// name was read out of a message; the table outlives it.
-	u.peers[Addr(strings.Clone(string(name)))] = addr
+	u.peers[Addr(strings.Clone(string(name)))] = udpRoute{addr, via}
 }
 
 // Stats implements Transport.
