@@ -16,21 +16,21 @@ import (
 // The reason is mandatory — the paper's invariants are load-bearing, so an
 // exemption must say why it is safe (e.g. "sealed capability, body is
 // opaque bytes"). An allow directive with no reason is itself reported by
-// the driver, and a directive that suppresses nothing is reported as
-// stale, so the suppression inventory can't rot silently.
+// Run, and a directive that suppresses nothing is reported as stale, so
+// the suppression inventory can't rot silently.
 const allowPrefix = "//lint:allow "
 
 // Allow is one parsed directive.
 type Allow struct {
 	// Pass names the analyzer being waived.
 	Pass string
-	// Reason is the justification text (may be empty; see Driver).
+	// Reason is the justification text (may be empty; Run reports that).
 	Reason string
 	// Pos is the directive's own position.
 	Pos token.Pos
 	// Line is the source line the directive occupies.
 	Line int
-	// Used is set by the driver when the directive suppresses a finding.
+	// Used is set by Run when the directive suppresses a finding.
 	Used bool
 }
 

@@ -18,7 +18,7 @@ var allowRe = regexp.MustCompile(`("?)//lint:allow\s+([A-Za-z][A-Za-z0-9]*)\b[ \
 
 // TestAllowsCarryJustifications walks every Go source file in the module
 // and fails on any //lint:allow directive with no written reason. The
-// driver reports these too (unit.ReasonlessAllows), but only
+// driver reports these too (analysis.Run), but only
 // when it runs; this test makes the rule unskippable — a suppression is a
 // reviewed decision, and the review lives in the justification text.
 func TestAllowsCarryJustifications(t *testing.T) {

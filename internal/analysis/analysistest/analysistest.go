@@ -10,8 +10,8 @@
 // The comment holds one or more Go string literals, each a regexp that must
 // match one diagnostic reported on that line. Diagnostics with no matching
 // want, and wants with no matching diagnostic, fail the test. //lint:allow
-// directives in golden files go through the same suppression filter as the
-// real drivers, so the allowlist behavior is testable too.
+// directives in golden files go through analysis.Run like the driver's, so
+// a stale or reason-less directive fails the golden test as it fails CI.
 //
 // Golden packages import the real repro packages; imports resolve from
 // export data produced by `go list -export -deps` at the module root. The
@@ -32,21 +32,12 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/load"
-	"repro/internal/analysis/unit"
 )
 
-// Run analyzes each testdata/src/<pkg> with a and matches diagnostics
-// against the // want comments.
+// Run analyzes testdata/src/<pkg> for each pkg as one run — every unit
+// through a's Run, then a's Finish over all of them, then allow hygiene —
+// and matches the findings against the // want comments.
 func Run(t *testing.T, a *analysis.Analyzer, pkgs ...string) {
-	t.Helper()
-	RunWithFinish(t, a, nil, pkgs...)
-}
-
-// RunWithFinish additionally applies a whole-program finish hook after all
-// pkgs have been analyzed (sharing one analysis.Program), merging its
-// diagnostics into the same want matching. This is how xreppair's
-// cross-package directions are golden-tested.
-func RunWithFinish(t *testing.T, a *analysis.Analyzer, finish func(*analysis.Program) []analysis.Diagnostic, pkgs ...string) {
 	t.Helper()
 	exp, err := moduleExports()
 	if err != nil {
@@ -54,9 +45,6 @@ func RunWithFinish(t *testing.T, a *analysis.Analyzer, finish func(*analysis.Pro
 	}
 
 	fset := token.NewFileSet()
-	prog := analysis.NewProgram()
-	var findings []unit.Finding
-	var allAllows []*analysis.Allow
 	var units []*load.Unit
 	for _, pkg := range pkgs {
 		dir := filepath.Join("testdata", "src", pkg)
@@ -79,27 +67,9 @@ func RunWithFinish(t *testing.T, a *analysis.Analyzer, finish func(*analysis.Pro
 			t.Fatalf("typechecking golden package %s: %v", pkg, err)
 		}
 		units = append(units, u)
-		allAllows = append(allAllows, analysis.CollectAllows(fset, u.Files)...)
-		findings = append(findings, unit.RunAnalyzers(u, []*analysis.Analyzer{a}, prog)...)
 	}
-	if finish != nil {
-		for _, d := range finish(prog) {
-			suppressed := false
-			for _, al := range allAllows {
-				if al.Suppresses(fset, a.Name, d.Pos) {
-					al.Used = true
-					suppressed = true
-					break
-				}
-			}
-			if !suppressed {
-				findings = append(findings, unit.Finding{Diagnostic: d, Pass: a.Name})
-			}
-		}
-	}
-
-	wants := collectWants(t, fset, units)
-	match(t, fset, findings, wants)
+	findings, _ := analysis.Run(units, []*analysis.Analyzer{a})
+	match(t, fset, findings, collectWants(t, fset, units))
 }
 
 // want is one expectation: a regexp that must match a diagnostic on line.
@@ -168,7 +138,7 @@ func stringLits(t *testing.T, pos token.Position, s string) []string {
 }
 
 // match pairs findings with wants one-to-one and reports the leftovers.
-func match(t *testing.T, fset *token.FileSet, findings []unit.Finding, wants []*want) {
+func match(t *testing.T, fset *token.FileSet, findings []analysis.Finding, wants []*want) {
 	t.Helper()
 	for _, f := range findings {
 		p := fset.Position(f.Pos)

@@ -181,7 +181,7 @@ func Of(pass *analysis.Pass) *Graph {
 		g.reach = nil // new summaries invalidate memoized closures
 		ex := &extractor{g: g, pkg: pass.Pkg, info: pass.TypesInfo}
 		for _, f := range pass.Files {
-			if name := pass.Fset.Position(f.Pos()).Filename; strings.HasSuffix(name, "_test.go") {
+			if pass.InTest(f.Pos()) {
 				continue
 			}
 			ex.file(f)

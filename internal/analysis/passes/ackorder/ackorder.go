@@ -44,7 +44,7 @@ var Analyzer = &analysis.Analyzer{
 	Name:   "ackorder",
 	Doc:    "require guardian replies to be dominated by the Sync that makes the acknowledged mutation durable",
 	Run:    run,
-	Finish: Finish,
+	Finish: finish,
 }
 
 func run(pass *analysis.Pass) error {
@@ -52,9 +52,9 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// Finish analyzes the whole-program graph accumulated by every package's
+// finish analyzes the whole-program graph accumulated by every package's
 // run.
-func Finish(prog *analysis.Program) []analysis.Diagnostic {
+func finish(prog *analysis.Program) []analysis.Diagnostic {
 	return analyze(callgraph.From(prog))
 }
 

@@ -8,5 +8,5 @@ import (
 )
 
 func TestAckOrder(t *testing.T) {
-	analysistest.RunWithFinish(t, ackorder.Analyzer, ackorder.Finish, "a")
+	analysistest.Run(t, ackorder.Analyzer, "a")
 }

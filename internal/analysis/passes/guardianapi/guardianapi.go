@@ -1,8 +1,7 @@
 // Package guardianapi centralizes what the analysis passes know about the
 // repro API surface: package paths, callee resolution (including the
 // root-package facade, whose exported functions are variables aliasing the
-// internal ones), and lookups for the xrep interfaces that define
-// transmissibility.
+// internal ones), and named-type lookups.
 package guardianapi
 
 import (
@@ -13,11 +12,8 @@ import (
 // Paths of the packages whose APIs the passes key on.
 const (
 	Facade   = "repro"
-	Xrep     = "repro/internal/xrep"
 	Guardian = "repro/internal/guardian"
-	Sendprim = "repro/internal/sendprim"
 	Amo      = "repro/internal/amo"
-	Airline  = "repro/internal/airline"
 )
 
 // Callee resolves who a call invokes: the defining package path, the
@@ -87,21 +83,6 @@ func FindPackage(root *types.Package, path string) *types.Package {
 	return walk(root)
 }
 
-// Iface returns the named interface type path.name reachable from root, or
-// nil when the package is not in the import graph.
-func Iface(root *types.Package, path, name string) *types.Interface {
-	p := FindPackage(root, path)
-	if p == nil {
-		return nil
-	}
-	obj := p.Scope().Lookup(name)
-	if obj == nil {
-		return nil
-	}
-	iface, _ := obj.Type().Underlying().(*types.Interface)
-	return iface
-}
-
 // IsNamed reports whether t (through one pointer) is the named type
 // path.name.
 func IsNamed(t types.Type, path, name string) bool {
@@ -114,18 +95,4 @@ func IsNamed(t types.Type, path, name string) bool {
 	}
 	obj := n.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == path && obj.Name() == name
-}
-
-// DeclaredIn reports whether t's named type is declared in pkg path (the
-// xrep value model itself is exempt from structural scrutiny: its types
-// are the external rep).
-func DeclaredIn(t types.Type, path string) bool {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	return n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == path
 }

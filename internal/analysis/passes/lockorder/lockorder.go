@@ -62,7 +62,7 @@ var Analyzer = &analysis.Analyzer{
 	Name:   "lockorder",
 	Doc:    "report blocking operations under held mutexes, re-entrant acquisitions, and lock-order cycles",
 	Run:    run,
-	Finish: Finish,
+	Finish: finish,
 }
 
 func run(pass *analysis.Pass) error {
@@ -70,9 +70,9 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// Finish analyzes the whole-program graph accumulated by every package's
+// finish analyzes the whole-program graph accumulated by every package's
 // run.
-func Finish(prog *analysis.Program) []analysis.Diagnostic {
+func finish(prog *analysis.Program) []analysis.Diagnostic {
 	return analyze(callgraph.From(prog))
 }
 

@@ -8,5 +8,5 @@ import (
 )
 
 func TestLockOrder(t *testing.T) {
-	analysistest.RunWithFinish(t, lockorder.Analyzer, lockorder.Finish, "a", "b")
+	analysistest.Run(t, lockorder.Analyzer, "a", "b")
 }

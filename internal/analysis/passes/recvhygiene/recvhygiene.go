@@ -28,7 +28,6 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/passes/guardianapi"
@@ -46,7 +45,7 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
-		if strings.HasSuffix(pass.Fset.File(f.Pos()).Name(), "_test.go") {
+		if pass.InTest(f.Pos()) {
 			continue
 		}
 		parents := collectParents(f)

@@ -47,7 +47,7 @@ var Analyzer = &analysis.Analyzer{
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
-		if name := pass.Fset.Position(f.Pos()).Filename; strings.HasSuffix(name, "_test.go") {
+		if pass.InTest(f.Pos()) {
 			continue // tests assert on protocol internals by design
 		}
 		for _, decl := range f.Decls {

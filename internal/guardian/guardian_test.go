@@ -114,7 +114,6 @@ func TestSendEncodeErrorTerminatesSend(t *testing.T) {
 		t.Fatal(err)
 	}
 	to := xrep.PortName{Node: "beta", Guardian: 5, Port: 1}
-	//lint:allow transmissible deliberate violation: the test asserts the runtime rejects a channel in a message
 	if err := drv.Send(to, "cmd", make(chan int)); err == nil {
 		t.Fatal("send of untransmittable value succeeded")
 	}
@@ -446,7 +445,6 @@ func TestGuardianStatePrivate(t *testing.T) {
 	type obj struct{ n int }
 	o := &obj{1}
 	to := xrep.PortName{Node: "alpha", Guardian: 3, Port: 1}
-	//lint:allow transmissible deliberate violation: the test asserts the runtime rejects a pointer in a message
 	if err := drv.Send(to, "x", o); err == nil {
 		t.Fatal("raw object address crossed a guardian boundary")
 	}

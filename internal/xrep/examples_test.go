@@ -308,7 +308,6 @@ func TestAssocMemDecodeRejectsMalformed(t *testing.T) {
 // provides an encode operation that always refuses.
 type forbiddenType struct{}
 
-//lint:allow xreppair deliberately unsendable (§3.3 reason 4): encode always refuses, so no decode can exist
 func (forbiddenType) XTypeName() string { return "unsendable" }
 func (forbiddenType) EncodeX() (Value, error) {
 	return nil, fmt.Errorf("unsendable: values of this type may not be transmitted")

@@ -10,11 +10,8 @@ func TestRegistryRangeOrderAndEarlyStop(t *testing.T) {
 	mk := func(tag string) DecodeFunc {
 		return func(Value) (any, error) { return tag, nil }
 	}
-	//lint:allow xreppair registry-mechanics test: synthetic names, not wire types
 	r.Register("c", mk("c"))
-	//lint:allow xreppair registry-mechanics test: synthetic names, not wire types
 	r.Register("a", mk("a"))
-	//lint:allow xreppair registry-mechanics test: synthetic names, not wire types
 	r.Register("b", mk("b"))
 
 	var names []string
@@ -42,12 +39,10 @@ func TestRegistryRangeOrderAndEarlyStop(t *testing.T) {
 
 func TestRegistryRangeReentrant(t *testing.T) {
 	r := NewRegistry()
-	//lint:allow xreppair registry-mechanics test: synthetic names, not wire types
 	r.Register("seed", func(Value) (any, error) { return nil, nil })
 	r.Range(func(name string, _ DecodeFunc) bool {
 		// Iteration works over a snapshot: mutating mid-range must not
 		// deadlock or affect this walk.
-		//lint:allow xreppair registry-mechanics test: runtime-built name exercises snapshot iteration
 		r.Register("late-"+name, func(Value) (any, error) { return nil, nil })
 		return true
 	})

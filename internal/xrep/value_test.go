@@ -343,7 +343,6 @@ func TestEncodeRejectsUntransmittable(t *testing.T) {
 	if _, err := Encode(opaque{}); err == nil {
 		t.Fatal("Encode accepted an untransmittable type")
 	}
-	//lint:allow transmissible deliberate violation: asserts Encode rejects uint64
 	if _, err := Encode(uint64(1)); err == nil {
 		t.Fatal("Encode accepted uint64 (cannot bound-check against int64 model)")
 	}
@@ -361,7 +360,6 @@ func TestEncodeAllOrder(t *testing.T) {
 }
 
 func TestEncodeAllStopsAtFirstError(t *testing.T) {
-	//lint:allow transmissible deliberate violation: asserts EncodeAll rejects a channel
 	_, err := EncodeAll(1, make(chan int), 3)
 	if err == nil {
 		t.Fatal("EncodeAll accepted an untransmittable arg")
@@ -377,7 +375,6 @@ func TestMustEncodePanics(t *testing.T) {
 			t.Fatal("MustEncode did not panic on untransmittable value")
 		}
 	}()
-	//lint:allow transmissible deliberate violation: asserts MustEncode panics on a channel
 	MustEncode(make(chan int))
 }
 
@@ -413,9 +410,7 @@ func TestRegistryUnknownType(t *testing.T) {
 
 func TestRegistryTypesSorted(t *testing.T) {
 	r := NewRegistry()
-	//lint:allow xreppair synthetic sort key for a registry-ordering test, not a wire type
 	r.Register("zeta", DecodeRectComplex)
-	//lint:allow xreppair synthetic sort key for a registry-ordering test, not a wire type
 	r.Register("alpha", DecodeRectComplex)
 	got := r.Types()
 	if !reflect.DeepEqual(got, []string{"alpha", "zeta"}) {
