@@ -18,13 +18,16 @@ import (
 )
 
 // amoCallAllocCeiling is what one at-most-once deposit may allocate, end to
-// end on both nodes: the measured 30 plus one, because guardianbench's bound
-// on call_small allocs_per_op (+3 %) is about one allocation.
-const amoCallAllocCeiling = 31
+// end on both nodes: the measured 26 plus one, because guardianbench's bound
+// on call_small allocs_per_op (+3 %) is about one allocation. It was 30
+// while the log allocated each record copy, each volatile tail and each
+// batch frame.
+const amoCallAllocCeiling = 27
 
 // amoReadAllocCeiling is what one at-most-once balance read may allocate:
-// the measured 28 plus one. It sits under amoCallAllocCeiling because a
-// read writes no records.
+// the measured 28 plus one. A read writes no records, so the log costs it
+// nothing; it sits above amoCallAllocCeiling because its reply boxes the
+// balance where a deposit's carries no value.
 const amoReadAllocCeiling = 29
 
 // sendprimCallAllocCeiling is what one sendprim.Call echo round trip may
@@ -97,11 +100,12 @@ func TestAmoReadAllocCeiling(t *testing.T) {
 
 // escrowRoundAllocCeiling is what one 2PC round against a shard branch may
 // allocate: a prepare, its yes vote, the commit and its ack, end to end on
-// both nodes — the measured 29, which repeats exactly (54 while each escrow
-// step built, marshalled and folded a record tree and each reply boxed the
-// txid again). The figure counts each round's growth of the participant's
+// both nodes — the measured 25, which repeats exactly (29 while the log
+// allocated each record copy and batch frame, 54 while each escrow step
+// built, marshalled and folded a record tree and each reply boxed the txid
+// again). The figure counts each round's growth of the participant's
 // table; it is ring_mixed's split-transfer path less the coordinator.
-const escrowRoundAllocCeiling = 29
+const escrowRoundAllocCeiling = 25
 
 // TestEscrowRoundAllocCeiling pins the participant path ring_mixed's split
 // transfers take: a driver's prepare → vote_yes → commit → ack_commit round
@@ -175,10 +179,11 @@ func TestEscrowRoundAllocCeiling(t *testing.T) {
 // crossShardTransferAllocCeiling is what one cross-shard Router.Transfer
 // may allocate, end to end on every node: the router's begin, the
 // coordinator's prepares and commits, both shards' four escrow steps, six
-// forced records and the outcome back — the measured 101, which repeats
-// exactly (185 before escrow records were written field by field and the
-// txid was boxed once per transaction).
-const crossShardTransferAllocCeiling = 101
+// forced records and the outcome back — the measured 89, which repeats
+// exactly (101 while the log allocated each record copy and batch frame,
+// 185 before escrow records were written field by field and the txid was
+// boxed once per transaction).
+const crossShardTransferAllocCeiling = 89
 
 // TestCrossShardTransferAllocCeiling pins the 2PC path ring_mixed's split
 // transfers take, coordinator included: a Router over a two-shard ring

@@ -45,7 +45,9 @@ type log struct {
 
 	nextSeq    uint64
 	volatile   []Record
+	spare      []Record        // the last forced batch's array, emptied: the next volatile tail
 	durable    []Record        // on the device past the checkpoint, ascending
+	block      []byte          // record bytes are copied into block[len:cap]; it never rewinds
 	torn       map[uint64]bool // seqs in durable that recovery's checksum scan would reject
 	checkpoint []byte
 	cpAt       uint64 // watermark: highest seq folded into the checkpoint
@@ -73,9 +75,11 @@ func (l *log) lastDurableSeq() uint64 {
 }
 
 // drop is the crash rule: the volatile tail is lost and numbering
-// resumes after the durable tail. Called with mu held.
+// resumes after the durable tail. Called with mu held. The block keeps
+// its place: a batch in flight may still be reading the bytes before it.
 func (l *log) drop() {
-	l.volatile = nil
+	clear(l.volatile)
+	l.volatile = l.volatile[:0]
 	l.nextSeq = l.lastDurableSeq()
 }
 
@@ -113,15 +117,34 @@ func (l *log) wedge(err error) {
 	panic(fmt.Errorf("durable: wal log %s: %w", l.name, err))
 }
 
+// blockSize is the size of the blocks Append copies records into; a
+// record over a quarter of it gets an allocation of its own.
+const blockSize = 4 << 10
+
 // Append implements Log.
 func (l *log) Append(data []byte) uint64 {
-	buf := make([]byte, len(data))
-	copy(buf, data)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.nextSeq++
-	l.volatile = append(l.volatile, Record{Seq: l.nextSeq, Data: buf})
+	l.volatile = append(l.volatile, Record{Seq: l.nextSeq, Data: l.own(data)})
 	return l.nextSeq
+}
+
+// own copies data into log-owned memory, called with mu held. Records
+// share a block but never its spare capacity, and the block only moves
+// forward, so bytes a device is writing with mu released are never
+// overwritten: a dropped, given-back or truncated record's bytes stay
+// dead until the block is collected.
+func (l *log) own(data []byte) []byte {
+	if len(data) > blockSize/4 {
+		return append(make([]byte, 0, len(data)), data...)
+	}
+	if cap(l.block)-len(l.block) < len(data) {
+		l.block = make([]byte, 0, blockSize)
+	}
+	off := len(l.block)
+	l.block = append(l.block, data...)
+	return l.block[off:len(l.block):len(l.block)]
 }
 
 // Sync implements Log. Without group commit every call claims the whole
@@ -158,16 +181,19 @@ func (l *log) Sync() {
 }
 
 // flush forces the volatile tail, entered with mu held and no write in
-// flight; it returns with mu released.
+// flight; it returns with mu released. Appends meanwhile fill the spare;
+// the forced batch becomes the next spare once the device is done with it.
 func (l *log) flush() {
 	batch := l.volatile
-	l.volatile = nil
+	l.volatile, l.spare = l.spare, nil
 	kept, point, err := l.dev.force(l, batch)
 	if err != nil {
 		l.wedge(err) // panics
 	}
 	l.nextSeq -= uint64(len(batch) - len(kept))
 	l.durable = append(l.durable, kept...)
+	clear(batch)
+	l.spare = batch[:0]
 	l.cond.Broadcast()
 	l.mu.Unlock()
 	l.dev.forced(l, point)
@@ -190,7 +216,7 @@ func (l *log) Checkpoint(state []byte, upTo uint64) {
 		l.mu.Unlock()
 		return
 	}
-	l.checkpoint = append([]byte(nil), state...)
+	l.checkpoint = append(l.checkpoint[:0], state...)
 	l.cpAt, l.hasCP = upTo, true
 	if err := l.dev.checkpoint(l, state, upTo); err != nil {
 		l.wedge(err) // panics
@@ -213,13 +239,21 @@ func (l *log) Checkpoint(state []byte, upTo uint64) {
 // watermark are filtered out: a crash between checkpoint install and log
 // truncation leaves such records on disk, and replaying them on top of
 // the checkpoint that already contains their effects would double-apply.
+// The records are copied into one fresh block, the caller's to keep.
 func (l *log) Recover() (checkpoint []byte, records []Record, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	size := 0
+	for _, r := range l.durable {
+		size += len(r.Data)
+	}
+	block := make([]byte, 0, size)
 	records = make([]Record, 0, len(l.durable))
 	for _, r := range l.durable {
 		if l.live(r) {
-			records = append(records, Record{Seq: r.Seq, Data: append([]byte{}, r.Data...)})
+			off := len(block)
+			block = append(block, r.Data...)
+			records = append(records, Record{Seq: r.Seq, Data: block[off:len(block):len(block)]})
 		}
 	}
 	if !l.hasCP {
@@ -276,6 +310,7 @@ func (l *log) Truncate(from uint64) {
 	for _, r := range l.durable[len(kept):] {
 		delete(l.torn, r.Seq)
 	}
+	clear(l.durable[len(kept):])
 	l.durable = kept
 	l.volatile = recordsBelow(l.volatile, from)
 	l.nextSeq = min(l.nextSeq, from-1)

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -227,8 +228,8 @@ type segment struct {
 }
 
 // walDir is one log's device: its directory of segment files and its
-// checkpoint file. The active segment is written only by the Sync
-// leader (under the log's syncing flag, not its mutex) or with the
+// checkpoint file. The active segment and frame are written only by the
+// Sync leader (under the log's syncing flag, not its mutex) or with the
 // mutex held and no write in flight.
 type walDir struct {
 	wal        *WAL
@@ -236,6 +237,7 @@ type walDir struct {
 	segs       []*segment
 	active     *os.File
 	activeSize int64
+	frame      []byte // the last file image written, reused by the next
 
 	report RecoveryReport
 }
@@ -277,11 +279,11 @@ func (d *walDir) writeAndSync(batch []Record) error {
 				return err
 			}
 		}
-		buf := encodeBatch(batch)
-		if _, err := d.active.Write(buf); err != nil {
+		d.frame = encodeBatch(d.frame, batch)
+		if _, err := d.active.Write(d.frame); err != nil {
 			return err
 		}
-		d.activeSize += int64(len(buf))
+		d.activeSize += int64(len(d.frame))
 		d.segs[len(d.segs)-1].lastSeq = batch[len(batch)-1].Seq
 	}
 	if d.active == nil {
@@ -329,11 +331,10 @@ func (d *walDir) newSegment(firstSeq uint64) error {
 // the watermark that a crash in that window left behind.
 func (d *walDir) checkpoint(l *log, state []byte, upTo uint64) error {
 	tmp := filepath.Join(d.dir, checkpointTmpName)
-	buf := make([]byte, 12+len(state))
-	binary.LittleEndian.PutUint64(buf[0:], upTo)
-	binary.LittleEndian.PutUint32(buf[8:], crc32.Checksum(state, crcTable))
-	copy(buf[12:], state)
-	if err := writeFileSync(tmp, buf); err != nil {
+	buf := binary.LittleEndian.AppendUint64(d.frame[:0], upTo)
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(state, crcTable))
+	d.frame = append(buf, state...)
+	if err := writeFileSync(tmp, d.frame); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, filepath.Join(d.dir, checkpointName)); err != nil {
@@ -414,7 +415,8 @@ func (d *walDir) cut(l *log, from uint64) error {
 			}
 		}
 		tmp := filepath.Join(d.dir, truncateTmpName)
-		if err := writeFileSync(tmp, encodeBatch(prefix)); err != nil {
+		d.frame = encodeBatch(d.frame, prefix)
+		if err := writeFileSync(tmp, d.frame); err != nil {
 			return err
 		}
 		d.wal.cfg.Crash.At(fault.MidTruncate, l.name)
@@ -517,7 +519,7 @@ func (d *walDir) readCheckpoint(l *log) error {
 	if crc32.Checksum(state, crcTable) != binary.LittleEndian.Uint32(buf[8:]) {
 		return fmt.Errorf("%w: log %s: checkpoint checksum mismatch", ErrCorrupt, l.name)
 	}
-	l.checkpoint = append([]byte(nil), state...)
+	l.checkpoint = state // buf is this open's own
 	l.cpAt = binary.LittleEndian.Uint64(buf[0:])
 	l.hasCP = true
 	return nil
@@ -592,6 +594,8 @@ func (d *walDir) scanSegment(l *log, s *segment, final bool, lastSeen *uint64) e
 		}
 		// The frame is intact; its interior is covered by the checksum,
 		// so malformation inside is a writer bug, never a torn write.
+		// Records are slices of one copy of the batch, not of the image.
+		payload = append([]byte(nil), payload...)
 		p := 0
 		for p < len(payload) {
 			if len(payload)-p < recordHeaderSize {
@@ -612,9 +616,8 @@ func (d *walDir) scanSegment(l *log, s *segment, final bool, lastSeen *uint64) e
 				// compaction left it behind.
 				d.report.Skipped++
 			} else {
-				rec := make([]byte, dlen)
-				copy(rec, payload[p+recordHeaderSize:])
-				l.durable = append(l.durable, Record{Seq: seq, Data: rec})
+				at := p + recordHeaderSize
+				l.durable = append(l.durable, Record{Seq: seq, Data: payload[at : at+dlen : at+dlen]})
 			}
 			p += recordHeaderSize + dlen
 		}
@@ -626,14 +629,14 @@ func (d *walDir) scanSegment(l *log, s *segment, final bool, lastSeen *uint64) e
 
 // --- encoding helpers ---
 
-// encodeBatch frames a batch: header (length, checksum) then each
-// record.
-func encodeBatch(batch []Record) []byte {
+// encodeBatch frames a batch into buf's storage, growing it if short:
+// header (length, checksum) then each record.
+func encodeBatch(buf []byte, batch []Record) []byte {
 	plen := 0
 	for _, r := range batch {
 		plen += recordHeaderSize + len(r.Data)
 	}
-	buf := make([]byte, batchHeaderSize+plen)
+	buf = slices.Grow(buf[:0], batchHeaderSize+plen)[:batchHeaderSize+plen]
 	off := batchHeaderSize
 	for _, r := range batch {
 		binary.LittleEndian.PutUint32(buf[off:], uint32(len(r.Data)))

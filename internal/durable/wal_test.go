@@ -583,9 +583,10 @@ func TestWALNoGroupCommitOneFsyncPerCall(t *testing.T) {
 }
 
 func TestWALSimulatedCrashDropsVolatile(t *testing.T) {
-	// In-process Crash (dst worlds run WAL-backed nodes in one process)
-	// must behave exactly like the simulated disk: volatile gone,
-	// durable intact, sequence numbers still strictly increasing.
+	// In-process Crash (guardian.Node.Crash on a WAL-backed node, as
+	// internal/tpc's recovery tests do) must behave exactly like Mem:
+	// volatile gone, durable intact, sequence numbers still strictly
+	// increasing.
 	w := openTestWAL(t, WALConfig{})
 	l := mustOpenLog(t, w, "log")
 	l.AppendSync([]byte("durable"))

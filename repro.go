@@ -20,11 +20,10 @@
 //	w.MustRegister(&repro.GuardianDef{ ... })
 //
 // The facade is deliberately only that: every name here is used by
-// example_test.go, examples/quickstart, examples/primitives, a README
-// snippet, or the guardianlint facade table. The substrates and harnesses
-// built around the primitives — transports, the WAL, replication, the
-// simulator — are reached through cmd/* and examples/*, which import
-// internal/… directly. internal/exp holds the experiment harness that
+// example_test.go, examples/quickstart, examples/primitives or a README
+// snippet. The substrates and harnesses built around the primitives —
+// transports, the WAL, replication, the simulator — are reached through
+// cmd/* and examples/*, which import internal/… directly. internal/exp holds the experiment harness that
 // regenerates every figure-level claim of the paper (see DESIGN.md and
 // EXPERIMENTS.md).
 package repro
@@ -106,8 +105,6 @@ var (
 	PrimordialPort = guardian.PrimordialPort
 	// NewRingTracer creates a bounded event tracer.
 	NewRingTracer = guardian.NewRingTracer
-	// Encode converts a Go value to the external value model.
-	Encode = xrep.Encode
 	// SyncSend is the synchronization send built on the no-wait send.
 	SyncSend = sendprim.SyncSend
 	// Call is the remote transaction send built on the no-wait send.
