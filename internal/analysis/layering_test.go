@@ -57,8 +57,7 @@ func TestLayering(t *testing.T) {
 }
 
 // group names a module package as DESIGN §8 does: repro/internal/x/... is
-// x, everything under cmd/ or examples/ is cmd/* or examples/*, and the
-// root is repro.
+// x, everything under cmd/ is cmd/*, and the root is repro.
 func group(path string) string {
 	rest, ok := strings.CutPrefix(path, "repro/")
 	switch {

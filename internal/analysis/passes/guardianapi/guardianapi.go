@@ -1,7 +1,6 @@
 // Package guardianapi centralizes what the analysis passes know about the
-// repro API surface: package paths, callee resolution (including the
-// root-package facade, whose exported functions are variables aliasing the
-// internal ones), and named-type lookups.
+// repro API surface: package paths, callee resolution and named-type
+// lookups.
 package guardianapi
 
 import (
@@ -11,15 +10,13 @@ import (
 
 // Paths of the packages whose APIs the passes key on.
 const (
-	Facade   = "repro"
 	Guardian = "repro/internal/guardian"
 	Amo      = "repro/internal/amo"
 )
 
 // Callee resolves who a call invokes: the defining package path, the
-// receiver's named type ("" for package-level functions and facade
-// variables), and the function or variable name. All empty when the callee
-// is not a simple named function, method, or package-level var.
+// receiver's named type ("" for package-level functions), and the function
+// name. All empty when the callee is not a simple named function or method.
 func Callee(info *types.Info, call *ast.CallExpr) (pkg, recv, name string) {
 	var obj types.Object
 	switch fun := ast.Unparen(call.Fun).(type) {
@@ -33,17 +30,14 @@ func Callee(info *types.Info, call *ast.CallExpr) (pkg, recv, name string) {
 	if obj == nil || obj.Pkg() == nil {
 		return "", "", ""
 	}
-	switch o := obj.(type) {
-	case *types.Func:
-		if sig, ok := o.Type().(*types.Signature); ok && sig.Recv() != nil {
-			recv = namedName(sig.Recv().Type())
-		}
-		return o.Pkg().Path(), recv, o.Name()
-	case *types.Var:
-		// Facade-style function variables (repro.SyncSend = sendprim.SyncSend).
-		return o.Pkg().Path(), "", o.Name()
+	fn, ok := obj.(*types.Func)
+	if !ok {
+		return "", "", ""
 	}
-	return "", "", ""
+	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+		recv = namedName(sig.Recv().Type())
+	}
+	return fn.Pkg().Path(), recv, fn.Name()
 }
 
 // namedName returns the name of t's named type, through one pointer.

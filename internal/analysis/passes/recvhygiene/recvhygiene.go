@@ -77,7 +77,7 @@ func chainOverNewReceiver(pass *analysis.Pass, call *ast.CallExpr) (*ast.CallExp
 	var methods []string
 	for {
 		pkg, _, name := guardianapi.Callee(pass.TypesInfo, call)
-		if name == "NewReceiver" && (pkg == guardianapi.Guardian || pkg == guardianapi.Facade) {
+		if name == "NewReceiver" && pkg == guardianapi.Guardian {
 			return call, methods
 		}
 		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)

@@ -77,10 +77,19 @@ func (l *log) lastDurableSeq() uint64 {
 // drop is the crash rule: the volatile tail is lost and numbering
 // resumes after the durable tail. Called with mu held. The block keeps
 // its place: a batch in flight may still be reading the bytes before it.
+// That batch (the WAL forces with mu released, so a crash hook in its
+// window lands here) will still become durable, so numbering resumes
+// after it instead: below the first record appended since it was
+// claimed, or where the counter stands if there is none.
 func (l *log) drop() {
+	switch {
+	case !l.syncing:
+		l.nextSeq = l.lastDurableSeq()
+	case len(l.volatile) > 0:
+		l.nextSeq = l.volatile[0].Seq - 1
+	}
 	clear(l.volatile)
 	l.volatile = l.volatile[:0]
-	l.nextSeq = l.lastDurableSeq()
 }
 
 // stopped reports whether the store was closed: a straggling process's

@@ -606,6 +606,45 @@ func TestWALSimulatedCrashDropsVolatile(t *testing.T) {
 	}
 }
 
+func TestWALCrashDuringSyncResumesAfterInFlightBatch(t *testing.T) {
+	// A crash while a Sync's write is in flight (here from the leader's
+	// own before-sync window) drops what was appended since the batch
+	// was claimed, but the batch itself still lands: numbering must
+	// resume after it, or the next record reuses its seq and a Sync
+	// acknowledges that record without writing it.
+	for _, appendInFlight := range []bool{false, true} {
+		t.Run(fmt.Sprintf("append_in_flight=%v", appendInFlight), func(t *testing.T) {
+			var w *WAL
+			var l Log
+			var crashed atomic.Bool
+			cfg := WALConfig{Crash: func(point, _ string) {
+				if point == fault.BeforeSync && crashed.CompareAndSwap(false, true) {
+					if appendInFlight {
+						l.Append([]byte("dropped"))
+					}
+					w.Crash()
+				}
+			}}
+			w = openTestWAL(t, cfg)
+			l = mustOpenLog(t, w, "log")
+			if seq := l.AppendSync([]byte("a")); seq != 1 {
+				t.Fatalf("in-flight batch seq = %d, want 1", seq)
+			}
+			if seq := l.AppendSync([]byte("b")); seq != 2 {
+				t.Fatalf("post-crash seq = %d, want 2", seq)
+			}
+			if got := l.LastDurableSeq(); got != 2 {
+				t.Fatalf("LastDurableSeq = %d, want 2", got)
+			}
+			w2 := reopen(t, w, WALConfig{})
+			_, recs, _ := mustOpenLog(t, w2, "log").Recover()
+			if len(recs) != 2 || string(recs[0].Data) != "a" || string(recs[1].Data) != "b" || recs[1].Seq != 2 {
+				t.Fatalf("records after reopen = %v, want a@1 b@2", recs)
+			}
+		})
+	}
+}
+
 func TestLogNameEscapeRoundTrip(t *testing.T) {
 	for _, name := range []string{"bank_branch-2", "_catalog", "a/b", "..", "%41", "weird name!"} {
 		esc := escapeLogName(name)

@@ -19,13 +19,14 @@
 //	pt := repro.NewPortType("echo_port").Msg("echo", repro.KindString)
 //	w.MustRegister(&repro.GuardianDef{ ... })
 //
-// The facade is deliberately only that: every name here is used by
-// example_test.go, examples/quickstart, examples/primitives or a README
-// snippet. The substrates and harnesses built around the primitives —
+// The facade is the downstream API: internal/… cannot be imported from
+// outside this module, so it is the only way another module can name a
+// World, a Process or the §3 sends. The root Examples (example_test.go)
+// check it. The substrates and harnesses built around the primitives —
 // transports, the WAL, replication, the simulator — are reached through
-// cmd/* and examples/*, which import internal/… directly. internal/exp holds the experiment harness that
-// regenerates every figure-level claim of the paper (see DESIGN.md and
-// EXPERIMENTS.md).
+// cmd/*, which imports internal/… directly. internal/exp holds the
+// experiment harness that regenerates every figure-level claim of the
+// paper (see DESIGN.md and EXPERIMENTS.md).
 package repro
 
 import (
