@@ -1,11 +1,9 @@
 // Command guardianlint checks the repository against the linguistic
 // invariants of Liskov's guardian model (SOSP 1979) that Go will not
-// enforce for us: no storage shared across guardians (confinement),
-// receive statements that own a failure or timeout arm (recvhygiene), no
+// enforce for us: no storage shared across guardians (confinement), no
 // blocking operations or ordering cycles under held mutexes (lockorder),
-// replies dominated by the Sync that makes the acknowledged mutation
-// durable (ackorder), and no internal routing vocabulary escaping to
-// clients (replyleak). Transmissibility and external-rep pairs are checked
+// and replies dominated by the Sync that makes the acknowledged mutation
+// durable (ackorder). Transmissibility and external-rep pairs are checked
 // at run time, by xrep.Encode on every send and the registry on every
 // decode (DESIGN §10).
 //
@@ -34,16 +32,12 @@ import (
 	"repro/internal/analysis/passes/ackorder"
 	"repro/internal/analysis/passes/confinement"
 	"repro/internal/analysis/passes/lockorder"
-	"repro/internal/analysis/passes/recvhygiene"
-	"repro/internal/analysis/passes/replyleak"
 )
 
 var analyzers = []*analysis.Analyzer{
 	confinement.Analyzer,
-	recvhygiene.Analyzer,
 	lockorder.Analyzer,
 	ackorder.Analyzer,
-	replyleak.Analyzer,
 }
 
 func main() {

@@ -307,6 +307,7 @@ func flightMain(ctx *guardian.Ctx) {
 	}
 	dedup := amo.NewDedup(amo.DedupOptions{})
 
+	// No failure arm: the duplicate table re-answers a retry.
 	guardian.NewReceiver(ctx.Ports[0], ctx.Ports[1]).
 		Intercept(dedup.Hook(amoExec), amo.ReqCommand).
 		When("reserve", func(pr *guardian.Process, m *guardian.Message) {
@@ -350,11 +351,6 @@ func flightMain(ctx *guardian.Ctx) {
 				}
 				_ = pr.Send(m.ReplyTo, "info", seq)
 			}
-		}).
-		WhenFailure(func(_ *guardian.Process, _ string, _ *guardian.Message) {
-			// §3.4 failure arm: a discarded message named this port as its
-			// replyto. Reservation state is already settled; the at-most-
-			// once layer re-answers a retry from its duplicate table.
 		}).
 		Loop(ctx.Proc, nil)
 }

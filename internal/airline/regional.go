@@ -150,6 +150,7 @@ func regionalMain(ctx *guardian.Ctx, recovering bool) {
 		})
 	}
 
+	// No failure arm: the regional keeps no call state; the client retries.
 	guardian.NewReceiver(ctx.Ports[0]).
 		When("reserve", func(pr *guardian.Process, m *guardian.Message) {
 			forward(pr, m, m.Args[0], m.Args[1], m.Args[2])
@@ -247,11 +248,6 @@ func regionalMain(ctx *guardian.Ctx, recovering bool) {
 			}
 			st.acl.Allow(guardian.Principal{Node: m.Str(0), Guardian: uint64(m.Int(1))}, "list_passengers")
 			reply("granted")
-		}).
-		WhenFailure(func(_ *guardian.Process, _ string, _ *guardian.Message) {
-			// §3.4 failure arm: a forward of ours named this port as its
-			// replyto and was thrown away. The client's retry (or its own
-			// timeout) owns recovery; the regional keeps no call state.
 		}).
 		Loop(ctx.Proc, nil)
 }

@@ -81,6 +81,7 @@ func uiMain(ctx *guardian.Ctx) {
 	}
 	ctx.G.SetState(st)
 	g := ctx.G
+	// No failure arm: each transaction process owns its talk with the clerk.
 	guardian.NewReceiver(ctx.Ports[0]).
 		When("begin_transaction", func(pr *guardian.Process, m *guardian.Message) {
 			if m.ReplyTo.IsZero() {
@@ -96,11 +97,6 @@ func uiMain(ctx *guardian.Ctx) {
 				doTrans(q, st, transPort, clerk, passenger)
 			})
 			_ = pr.Send(clerk, "trans", transPort.Name())
-		}).
-		WhenFailure(func(_ *guardian.Process, _ string, _ *guardian.Message) {
-			// §3.4 failure arm: a discarded message named this port as its
-			// replyto. Nothing to undo at the front desk; the transaction
-			// process owns its own conversation with the clerk.
 		}).
 		Loop(ctx.Proc, nil)
 }

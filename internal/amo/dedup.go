@@ -114,13 +114,9 @@ func (d *Dedup) Hook(h Handler) func(pr *guardian.Process, m *guardian.Message) 
 // traffic. Guardians that mix amo with native commands use Hook on their
 // own Receiver instead.
 func (d *Dedup) Serve(pr *guardian.Process, h Handler, ports ...*guardian.Port) {
+	// No failure arm: the duplicate table re-answers the client's retry.
 	guardian.NewReceiver(ports...).
 		Intercept(d.Hook(h), ReqCommand).
-		WhenFailure(func(_ *guardian.Process, _ string, _ *guardian.Message) {
-			// §3.4 failure arm: a discarded message named a serving port as
-			// its replyto. The duplicate table already holds the outcome;
-			// the client's retry re-fetches it, so drop the report.
-		}).
 		Loop(pr, nil)
 }
 

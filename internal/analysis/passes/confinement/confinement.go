@@ -28,8 +28,10 @@ import (
 	"go/types"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/passes/guardianapi"
 )
+
+// guardianPkg is the runtime package whose types the pass keys on.
+const guardianPkg = "repro/internal/guardian"
 
 // Analyzer is the pass.
 var Analyzer = &analysis.Analyzer{
@@ -46,9 +48,6 @@ var ownedTypes = map[string]bool{
 }
 
 func run(pass *analysis.Pass) error {
-	if guardianapi.FindPackage(pass.Pkg, guardianapi.Guardian) == nil && pass.Pkg.Path() != guardianapi.Guardian {
-		return nil
-	}
 	for _, f := range pass.Files {
 		assigns := collectAssigns(pass, f)
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -66,15 +65,18 @@ func run(pass *analysis.Pass) error {
 
 // checkSpawn handles g.Spawn("name", func(pr *Process) { ... }).
 func checkSpawn(pass *analysis.Pass, call *ast.CallExpr, assigns map[*types.Var]ast.Expr) {
-	pkg, recv, name := guardianapi.Callee(pass.TypesInfo, call)
-	if pkg != guardianapi.Guardian || recv != "Guardian" || name != "Spawn" || len(call.Args) < 2 {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok || len(call.Args) < 2 {
+		return
+	}
+	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Name() != "Spawn" {
+		return
+	}
+	if recv := fn.Type().(*types.Signature).Recv(); recv == nil || guardianType(recv.Type()) != "Guardian" {
 		return
 	}
 	lit, ok := ast.Unparen(call.Args[1]).(*ast.FuncLit)
-	if !ok {
-		return
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return
 	}
@@ -96,7 +98,7 @@ func checkSpawn(pass *analysis.Pass, call *ast.CallExpr, assigns map[*types.Var]
 // checkDefLit handles GuardianDef{Init: func(ctx *Ctx){...}, Recover: ...}.
 func checkDefLit(pass *analysis.Pass, lit *ast.CompositeLit) {
 	t := pass.TypesInfo.Types[lit].Type
-	if t == nil || !guardianapi.IsNamed(t, guardianapi.Guardian, "GuardianDef") {
+	if t == nil || guardianType(t) != "GuardianDef" {
 		return
 	}
 	for _, el := range lit.Elts {
@@ -150,15 +152,23 @@ func freeGuardianVars(pass *analysis.Pass, lit *ast.FuncLit) []*types.Var {
 // isOwned reports whether t (through one pointer) is a guardian-owned
 // type.
 func isOwned(t types.Type) bool {
+	return ownedTypes[guardianType(t)]
+}
+
+// guardianType names t (through one pointer) when it is a named type of
+// the guardian package, and is "" otherwise.
+func guardianType(t types.Type) string {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
 	n, ok := t.(*types.Named)
 	if !ok {
-		return false
+		return ""
 	}
-	obj := n.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == guardianapi.Guardian && ownedTypes[obj.Name()]
+	if obj := n.Obj(); obj.Pkg() != nil && obj.Pkg().Path() == guardianPkg {
+		return obj.Name()
+	}
+	return ""
 }
 
 // collectAssigns maps each singly-assigned variable in the file to its

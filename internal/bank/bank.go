@@ -539,6 +539,7 @@ func branchMain(ctx *guardian.Ctx) {
 		return OutcomeNoAccount, nil
 	}
 
+	// No failure arm: amo's retry re-sends a bounced transfer_in.
 	recv := guardian.NewReceiver(ctx.Ports[0], ctx.Ports[1])
 	if member != "" {
 		// Ring ownership filter, installed BEFORE the dedup hook so a
@@ -611,11 +612,6 @@ func branchMain(ctx *guardian.Ctx) {
 				total += b
 			}
 			_ = pr.Send(m.ReplyTo, "audit_info", int64(len(st.accounts)), total)
-		}).
-		WhenFailure(func(_ *guardian.Process, _ string, _ *guardian.Message) {
-			// §3.4 failure arm: a discarded transfer_in named this port as
-			// its replyto — the peer branch's port vanished or overflowed.
-			// The at-most-once retry loop re-sends until acknowledged.
 		})
 	sh.installArms(recv)
 	recv.Loop(ctx.Proc, nil)

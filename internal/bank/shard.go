@@ -478,7 +478,6 @@ func (sh *shardRuntime) ownershipHook() func(pr *guardian.Process, m *guardian.M
 			if o.Name != owners[0].Name {
 				// Keys straddle shards: terminal, the Router re-issues the
 				// op as a 2PC transaction. Not cached, not logged.
-				//lint:allow replyleak the shard originates the split signal; the Router consumes amo_split and re-issues the op as 2PC, so it never reaches a client
 				amo.SendReply(pr, m, amo.OutcomeSplit, nil)
 				return true
 			}

@@ -175,13 +175,10 @@ func e17EchoPair(wSrv, wCli *guardian.World) (echo xrep.PortName, drv *guardian.
 		Provides:     []*guardian.PortType{pt},
 		PortCapacity: 1024,
 		Init: func(ctx *guardian.Ctx) {
+			// No failure arm: a pong's round-trip timeout already charged the miss.
 			guardian.NewReceiver(ctx.Ports[0]).
 				When("ping", func(pr *guardian.Process, m *guardian.Message) {
 					_ = pr.Send(m.Port(1), "pong", m.Str(0))
-				}).
-				WhenFailure(func(_ *guardian.Process, _ string, _ *guardian.Message) {
-					// A pong bounced off a driver that gave up; the
-					// round-trip timeout already charged the miss.
 				}).
 				Loop(ctx.Proc, nil)
 		},

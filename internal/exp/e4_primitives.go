@@ -51,6 +51,7 @@ func e4SecondaryDef() *guardian.GuardianDef {
 		TypeName: "e4_secondary",
 		Provides: []*guardian.PortType{e4SecondaryType},
 		Init: func(ctx *guardian.Ctx) {
+			// No failure arm: the measuring client counts losses by timeout.
 			guardian.NewReceiver(ctx.Ports[0]).
 				When("handoff", func(pr *guardian.Process, m *guardian.Message) {
 					if !m.ReplyTo.IsZero() {
@@ -59,11 +60,6 @@ func e4SecondaryDef() *guardian.GuardianDef {
 				}).
 				When("handoff_to", func(pr *guardian.Process, m *guardian.Message) {
 					_ = pr.Send(m.Port(1), "resp", m.Str(0))
-				}).
-				WhenFailure(func(_ *guardian.Process, _ string, _ *guardian.Message) {
-					// §3.4 failure arm: a discarded message named this port
-					// as its replyto. The measuring client counts losses by
-					// timeout, so the report is dropped — deliberately.
 				}).
 				Loop(ctx.Proc, nil)
 		},
@@ -77,6 +73,7 @@ func e4PrimaryDef(secondary xrep.PortName) *guardian.GuardianDef {
 		Provides: []*guardian.PortType{e4PrimaryType},
 		Init: func(ctx *guardian.Ctx) {
 			batchCount := 0
+			// No failure arm: the measuring client counts losses by timeout.
 			guardian.NewReceiver(ctx.Ports[0]).
 				When("req", func(pr *guardian.Process, m *guardian.Message) {
 					if !m.ReplyTo.IsZero() {
@@ -119,11 +116,6 @@ func e4PrimaryDef(secondary xrep.PortName) *guardian.GuardianDef {
 					// Pass the requester's reply port along; the secondary
 					// answers the requester directly.
 					_ = pr.SendReplyTo(secondary, m.ReplyTo, "handoff", m.Str(0))
-				}).
-				WhenFailure(func(_ *guardian.Process, _ string, _ *guardian.Message) {
-					// §3.4 failure arm: a discarded message named this port
-					// as its replyto. The measuring client counts losses by
-					// timeout, so the report is dropped — deliberately.
 				}).
 				When("fwd_sync", func(pr *guardian.Process, m *guardian.Message) {
 					_ = sendprim.Acknowledge(pr, m)

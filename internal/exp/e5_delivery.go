@@ -138,10 +138,6 @@ func runE5LossCell(messages int, loss float64) (arrived int, reorderedPairs int,
 				When("data", func(pr *guardian.Process, m *guardian.Message) {
 					seen <- m.Int(0)
 				}).
-				WhenFailure(func(_ *guardian.Process, _ string, _ *guardian.Message) {
-					// The collector never sends; nothing to do. This cell
-					// measures loss on the data path only (§3.4).
-				}).
 				Loop(ctx.Proc, nil)
 		},
 	})

@@ -58,6 +58,7 @@ func ledgerDef(name string, logThenAck bool) *guardian.GuardianDef {
 			count += int64(len(recs))
 		}
 		sinceCP := 0
+		// No failure arm: the client re-asks on timeout.
 		guardian.NewReceiver(ctx.Ports[0]).
 			When("inc", func(pr *guardian.Process, m *guardian.Message) {
 				count++
@@ -83,11 +84,6 @@ func ledgerDef(name string, logThenAck bool) *guardian.GuardianDef {
 				if !m.ReplyTo.IsZero() {
 					_ = pr.Send(m.ReplyTo, "value", count)
 				}
-			}).
-			WhenFailure(func(_ *guardian.Process, _ string, _ *guardian.Message) {
-				// §3.4 failure arm: a discarded message named this port as
-				// its replyto. The count already moved; the client re-asks
-				// on timeout, so the report is dropped.
 			}).
 			Loop(ctx.Proc, nil)
 	}

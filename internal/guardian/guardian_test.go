@@ -260,6 +260,83 @@ func TestNoFailureWithoutReplyTo(t *testing.T) {
 	}
 }
 
+// TestMissingFailureArmDropsReport: a receive chain without WhenFailure
+// consumes a failure report silently, runs no arm for it, and keeps
+// serving the messages after it (§3.4's license to discard).
+func TestMissingFailureArmDropsReport(t *testing.T) {
+	w := NewWorld(Config{})
+	n := w.MustAddNode("n")
+	appType := NewPortType("app_port").Msg("app", xrep.KindString)
+	// Each buffer holds every send the test expects.
+	apps := make(chan string, 2)
+	rounds := make(chan int, 4)
+	w.MustRegister(&GuardianDef{
+		TypeName: "no_failure_arm",
+		Provides: []*PortType{appType},
+		Init: func(ctx *Ctx) {
+			served := 0
+			NewReceiver(ctx.Ports[0]).
+				When("app", func(pr *Process, m *Message) { apps <- m.Str(0) }).
+				Loop(ctx.Proc, func() bool {
+					rounds <- served // before each receive: messages handled so far
+					served++
+					return false
+				})
+		},
+	})
+	created, err := n.Bootstrap("no_failure_arm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, drv, err := n.NewDriver("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wait := func(ch chan int, want int) {
+		t.Helper()
+		select {
+		case got := <-ch:
+			if got != want {
+				t.Fatalf("loop round %d, want %d", got, want)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("loop never reached round %d", want)
+		}
+	}
+	wait(rounds, 0)
+
+	// A message to a guardian that does not exist is discarded, and its
+	// failure report goes to the replyto: the chain's own port.
+	ghost := xrep.PortName{Node: "n", Guardian: 424242, Port: 1}
+	if err := drv.SendReplyTo(ghost, created.Ports[0], "app", "lost"); err != nil {
+		t.Fatal(err)
+	}
+	wait(rounds, 1)
+	if got := w.Stats().FailuresSent.Load(); got != 1 {
+		t.Fatalf("FailuresSent = %d, want 1", got)
+	}
+	select {
+	case got := <-apps:
+		t.Fatalf("the failure report ran the app arm with %q", got)
+	default:
+	}
+
+	for i, want := range []string{"a1", "a2"} {
+		if err := drv.Send(created.Ports[0], "app", want); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case got := <-apps:
+			if got != want {
+				t.Fatalf("app arm saw %q, want %q", got, want)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("app arm never ran for %q", want)
+		}
+		wait(rounds, 2+i)
+	}
+}
+
 func TestPortFullDiscardsWithFailure(t *testing.T) {
 	w, a, b := newWorld(t, Config{})
 	// sinkDef never receives, so its port fills up.

@@ -71,6 +71,7 @@ func (n *Node) spawnPrimordial() {
 // primordialMain services create and ping requests until the node dies.
 func primordialMain(ctx *Ctx) {
 	n := ctx.G.node
+	// No failure arm: a creator's own timeout covers a lost answer.
 	NewReceiver(ctx.Ports[0]).
 		When("create", func(pr *Process, m *Message) {
 			defName := m.Str(0)
@@ -111,11 +112,6 @@ func primordialMain(ctx *Ctx) {
 			if !m.ReplyTo.IsZero() {
 				_ = pr.Send(m.ReplyTo, "pong")
 			}
-		}).
-		WhenFailure(func(_ *Process, _ string, _ *Message) {
-			// §3.4 failure arm: a discarded message named the primordial
-			// port as its replyto. Creation already happened (or didn't);
-			// the creator's own timeout covers the lost answer.
 		}).
 		Loop(ctx.Proc, nil)
 }

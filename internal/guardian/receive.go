@@ -112,7 +112,8 @@ func (r *Receiver) Intercept(hook func(pr *Process, m *Message) bool, commands .
 	return r
 }
 
-// WhenFailure adds the arm for the implicit system failure message.
+// WhenFailure adds the arm for the implicit system failure message. A
+// chain without it drops failure reports: §3.4's license to discard.
 func (r *Receiver) WhenFailure(body func(pr *Process, text string, m *Message)) *Receiver {
 	r.onFailure = body
 	return r

@@ -194,6 +194,7 @@ func Def() *guardian.GuardianDef {
 			reply(pr, m, OutcomeBound, version)
 		}
 
+		// No failure arm: bindings are durable; the caller's timeout recovers.
 		guardian.NewReceiver(ctx.Ports[0]).
 			When("register", func(pr *guardian.Process, m *guardian.Message) {
 				bind(pr, m, m.Str(0), m.Port(1), "")
@@ -299,11 +300,6 @@ func Def() *guardian.GuardianDef {
 				}
 				st.mu.Unlock()
 				reply(pr, m, "bindings", out)
-			}).
-			WhenFailure(func(_ *guardian.Process, _ string, _ *guardian.Message) {
-				// §3.4 failure arm: a discarded message named this port as
-				// its replyto. Bindings are already durable; the caller's
-				// timeout owns recovery, so the report is dropped.
 			}).
 			Loop(ctx.Proc, nil)
 	}

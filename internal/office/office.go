@@ -140,6 +140,7 @@ func divisionMain(ctx *guardian.Ctx) {
 		return tokenFor(st.nextID)
 	}
 
+	// No failure arm: a lost reply costs the client one re-ask.
 	guardian.NewReceiver(ctx.Ports[0]).
 		When("create_doc", func(pr *guardian.Process, m *guardian.Message) {
 			tok := store(&Document{Title: m.Str(0), Revision: 1, Body: m.Str(1)})
@@ -199,11 +200,6 @@ func divisionMain(ctx *guardian.Ctx) {
 		}).
 		When("count_docs", func(pr *guardian.Process, m *guardian.Message) {
 			reply(pr, m, "doc_count", int64(len(st.docs)))
-		}).
-		WhenFailure(func(_ *guardian.Process, _ string, _ *guardian.Message) {
-			// §3.4 failure arm: a discarded message named this port as its
-			// replyto. Documents are keyed by sealed token, so a lost reply
-			// costs the client one re-ask; drop the report.
 		}).
 		Loop(ctx.Proc, nil)
 }

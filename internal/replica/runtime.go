@@ -1021,6 +1021,7 @@ func (rt *Runtime) receiveLoop(ctx *guardian.Ctx) {
 	}
 	nop := func(*guardian.Process, *guardian.Message) {}
 
+	// No failure arm: the failure detector is heartbeat silence, not bounces.
 	guardian.NewReceiver(ctx.Ports[0], nsReply).
 		When("rep_append", mine(rt.onAppend)).
 		When("rep_checkpoint", mine(rt.onCheckpoint)).
@@ -1054,11 +1055,6 @@ func (rt *Runtime) receiveLoop(ctx *guardian.Ctx) {
 		When(nameserv.RingStaged, nop).
 		When(nameserv.RingCommitted, nop).
 		When(nameserv.RingStale, nop).
-		WhenFailure(func(_ *guardian.Process, _ string, _ *guardian.Message) {
-			// §3.4 failure arm: a send to a crashed member bounced (their
-			// primordial guardian reported the dead port). The failure
-			// detector here is heartbeat silence, not bounces: nothing to do.
-		}).
 		Loop(ctx.Proc, nil)
 }
 

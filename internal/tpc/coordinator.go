@@ -213,6 +213,7 @@ func CoordinatorDef() *guardian.GuardianDef {
 			}
 		}
 
+		// No failure arm: each transaction's process handles its own failures.
 		guardian.NewReceiver(ctx.Ports[0]).
 			When("begin", func(pr *guardian.Process, m *guardian.Message) {
 				txid := m.Str(0)
@@ -238,12 +239,6 @@ func CoordinatorDef() *guardian.GuardianDef {
 				g.Spawn("tx", func(q *guardian.Process) {
 					runTx(q, log, st, d, client, false)
 				})
-			}).
-			WhenFailure(func(_ *guardian.Process, _ string, _ *guardian.Message) {
-				// §3.4 failure arm: a discarded message named the begin
-				// port as its replyto. Per-transaction processes talk to
-				// participants on their own ports and handle their own
-				// failures; nothing to settle here.
 			}).
 			Loop(ctx.Proc, nil)
 	}

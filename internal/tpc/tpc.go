@@ -293,16 +293,12 @@ func NewParticipantDef(typeName string, factory func() Resource) *guardian.Guard
 		// Only this process writes the record scratch, and the log copies
 		// each record as it is appended.
 		var scratch []byte
+		// No failure arm: votes and acks are idempotent; the coordinator re-asks.
 		p.Install(guardian.NewReceiver(ctx.Ports[0]), func(kind, txid string, op xrep.Value) {
 			scratch = appendParticipantRecord(scratch[:0], kind, txid, op)
 			log.AppendSync(scratch)
 			_ = p.Apply(kind, txid, op) // kind is one of the table's steps
 		}).
-			WhenFailure(func(_ *guardian.Process, _ string, _ *guardian.Message) {
-				// §3.4 failure arm: a discarded message named this port as
-				// its replyto. Votes and acks are idempotent re-replies;
-				// the coordinator re-asks until settled, so drop it.
-			}).
 			Loop(ctx.Proc, nil)
 	}
 	return &guardian.GuardianDef{

@@ -109,6 +109,7 @@ func watchdogMain(ctx *guardian.Ctx) {
 			_ = pr.Send(m.ReplyTo, cmd, args...)
 		}
 	}
+	// No failure arm: a dead subscriber's bounce leaves probing unaffected.
 	guardian.NewReceiver(ctx.Ports[0]).
 		When("watch", func(pr *guardian.Process, m *guardian.Message) {
 			st.mu.Lock()
@@ -144,11 +145,6 @@ func watchdogMain(ctx *guardian.Ctx) {
 			st.subscribers = append(st.subscribers, m.Port(0))
 			st.mu.Unlock()
 			reply(pr, m, "subscribed")
-		}).
-		WhenFailure(func(_ *guardian.Process, _ string, _ *guardian.Message) {
-			// §3.4 failure arm: a discarded message named the control port
-			// as its replyto (e.g. an event to a dead subscriber sent with
-			// replyto for diagnostics). Probing state is unaffected.
 		}).
 		Loop(ctx.Proc, nil)
 }
