@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/guardian"
 	"repro/internal/sendprim"
+	"repro/internal/wire"
 	"repro/internal/xrep"
 )
 
@@ -64,9 +65,7 @@ type Caller struct {
 	pr     *guardian.Process
 	reply  *guardian.Port
 	client string
-	// clientArg is client boxed once, as every envelope's first argument.
-	clientArg xrep.Value
-	opts      CallerOptions
+	opts   CallerOptions
 
 	mu     sync.Mutex
 	inCall bool
@@ -96,12 +95,11 @@ func NewCaller(pr *guardian.Process, opts CallerOptions) (*Caller, error) {
 	}
 	opts.Metrics = orDefault(opts.Metrics)
 	return &Caller{
-		pr:        pr,
-		reply:     reply,
-		client:    client,
-		clientArg: xrep.Str(client),
-		opts:      opts,
-		rng:       rand.New(rand.NewSource(seed)),
+		pr:     pr,
+		reply:  reply,
+		client: client,
+		opts:   opts,
+		rng:    rand.New(rand.NewSource(seed)),
 	}, nil
 }
 
@@ -171,11 +169,6 @@ func (e *CallError) Unwrap() error {
 // Call is strictly sequential per Caller; a concurrent second call
 // returns ErrBusy rather than silently corrupting the session.
 func (c *Caller) Call(to xrep.PortName, command string, args ...any) (*Reply, error) {
-	encoded, err := xrep.EncodeAll(args...)
-	if err != nil {
-		return nil, err
-	}
-
 	c.mu.Lock()
 	if c.inCall {
 		c.mu.Unlock()
@@ -190,6 +183,21 @@ func (c *Caller) Call(to xrep.PortName, command string, args ...any) (*Reply, er
 		c.inCall = false
 		c.mu.Unlock()
 	}()
+
+	// The envelope [client, seq, ack, command, [args…]] is written once, held
+	// to the world's Limits field by field, and every attempt and redirect
+	// re-sends its bytes. A small one fits the scratch on the stack.
+	var scratch [128]byte
+	l := c.pr.Guardian().Node().World().Limits()
+	if err := errors.Join(l.Check(xrep.KindSeq, 5, 0), l.Check(xrep.KindString, len(c.client), 1),
+		l.CheckInt(seq), l.CheckInt(ack), l.Check(xrep.KindString, len(command), 1)); err != nil {
+		return nil, err
+	}
+	req := wire.AppendStr(wire.AppendSeqHeader(scratch[:0], 5), c.client)
+	req, err := wire.AppendArgs(wire.AppendStr(wire.AppendInt(wire.AppendInt(req, seq), ack), command), l, 1, args)
+	if err != nil {
+		return nil, err
+	}
 
 	met := c.opts.Metrics
 	met.Calls.Inc()
@@ -231,10 +239,7 @@ func (c *Caller) Call(to xrep.PortName, command string, args ...any) (*Reply, er
 			return sendprim.Abandon, xrep.PortName{}
 		},
 	}
-	// The envelope is built once, already in external-rep form, and every
-	// attempt and redirect re-sends it.
-	rm, err := x.Run(c.pr, c.reply, to, ReqCommand,
-		xrep.Seq{c.clientArg, xrep.Int(seq), xrep.Int(ack), xrep.Str(command), encoded})
+	rm, err := x.Run(c.pr, c.reply, to, ReqCommand, req)
 	if err != nil {
 		var ce *sendprim.CallError
 		if errors.As(err, &ce) {

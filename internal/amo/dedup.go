@@ -1,6 +1,7 @@
 package amo
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -141,24 +142,24 @@ func SendReply(pr *guardian.Process, m *guardian.Message, outcome string, args x
 	sendReply(pr, m, m.Int(1), outcome, args)
 }
 
-// sendReply builds the reply envelope once, in external-rep form, and
-// sends it to the request's reply port, if it named one. Best-effort, like
-// any no-wait send: a lost reply is the client's retry's problem.
+// sendReply writes the reply envelope [seq, outcome, args] field by field
+// into a scratch of its own and sends it to the request's reply port, if it
+// named one. Best-effort, like any no-wait send: a lost reply, or one the
+// world's Limits refuse, is the client's retry's problem.
 func sendReply(pr *guardian.Process, m *guardian.Message, seq int64, outcome string, args xrep.Seq) {
 	if m.ReplyTo.IsZero() {
 		return
 	}
-	outArgs := noArgs
-	if len(args) > 0 {
-		outArgs = args
+	l := pr.Guardian().Node().World().Limits()
+	if errors.Join(l.Check(xrep.KindSeq, 3, 0), l.CheckInt(seq),
+		l.Check(xrep.KindString, len(outcome), 1), l.ValidateAt(args, 1)) != nil {
+		return
 	}
-	_ = pr.SendSeq(m.ReplyTo, xrep.PortName{}, ReplyCommand,
-		xrep.Seq{xrep.Int(seq), xrep.Str(outcome), outArgs})
+	var scratch [128]byte
+	rep := wire.AppendStr(wire.AppendInt(wire.AppendSeqHeader(scratch[:0], 3), seq), outcome)
+	rep, _ = wire.AppendSeq(rep, args) // a validated sequence encodes
+	_ = pr.SendEncoded(m.ReplyTo, xrep.PortName{}, ReplyCommand, rep)
 }
-
-// noArgs is the empty argument sequence, boxed once: most replies carry
-// no arguments.
-var noArgs xrep.Value = xrep.Seq{}
 
 // SendMoved answers an envelope with the OutcomeMoved routing redirect:
 // the key's range is owned by the guardian behind owner, as of the given

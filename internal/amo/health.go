@@ -52,10 +52,6 @@ func NewHealth(g *guardian.Guardian) (*Health, error) {
 	return h, nil
 }
 
-// EventPort returns the port transition events arrive on — what Subscribe
-// registers with the watchdog.
-func (h *Health) EventPort() xrep.PortName { return h.port.Name() }
-
 // Subscribe registers the health map with a watchdog guardian's control
 // port. It is a plain remote transaction send; retrying is safe because
 // re-subscribing is idempotent from the map's point of view (duplicate

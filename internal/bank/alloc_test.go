@@ -18,21 +18,24 @@ import (
 )
 
 // amoCallAllocCeiling is what one at-most-once deposit may allocate, end to
-// end on both nodes: the measured 26 plus one, because guardianbench's bound
+// end on both nodes: the measured 16 plus one, because guardianbench's bound
 // on call_small allocs_per_op (+3 %) is about one allocation. It was 30
 // while the log allocated each record copy, each volatile tail and each
-// batch frame.
-const amoCallAllocCeiling = 27
+// batch frame, and 27 while the envelopes and the caller's arguments were
+// built of values before they were encoded.
+const amoCallAllocCeiling = 17
 
 // amoReadAllocCeiling is what one at-most-once balance read may allocate:
-// the measured 28 plus one. A read writes no records, so the log costs it
-// nothing; it sits above amoCallAllocCeiling because its reply boxes the
-// balance where a deposit's carries no value.
-const amoReadAllocCeiling = 29
+// the measured 17 plus one (29 while the envelopes were built of values). A
+// read writes no records, so the log costs it nothing; it sits above
+// amoCallAllocCeiling because its reply boxes the balance where a deposit's
+// carries no value.
+const amoReadAllocCeiling = 18
 
 // sendprimCallAllocCeiling is what one sendprim.Call echo round trip may
-// allocate, end to end on both nodes: the measured 15 plus one.
-const sendprimCallAllocCeiling = 16
+// allocate, end to end on both nodes: the measured 11 plus one (16 while
+// both sends encoded through xrep.EncodeAll).
+const sendprimCallAllocCeiling = 12
 
 // measureAmoCall opens an account on a branch behind a netsim transport,
 // then reports what one warm at-most-once call of cmd on it allocates, end
@@ -100,12 +103,12 @@ func TestAmoReadAllocCeiling(t *testing.T) {
 
 // escrowRoundAllocCeiling is what one 2PC round against a shard branch may
 // allocate: a prepare, its yes vote, the commit and its ack, end to end on
-// both nodes — the measured 25, which repeats exactly (29 while the log
-// allocated each record copy and batch frame, 54 while each escrow step
-// built, marshalled and folded a record tree and each reply boxed the txid
-// again). The figure counts each round's growth of the participant's
+// both nodes — the measured 21, which repeats exactly (25 while each send
+// encoded its arguments through xrep.EncodeAll, 29 while the log allocated
+// each record copy and batch frame, 54 while each escrow step built,
+// marshalled and folded a record tree and each reply boxed the txid again). The figure counts each round's growth of the participant's
 // table; it is ring_mixed's split-transfer path less the coordinator.
-const escrowRoundAllocCeiling = 25
+const escrowRoundAllocCeiling = 21
 
 // TestEscrowRoundAllocCeiling pins the participant path ring_mixed's split
 // transfers take: a driver's prepare → vote_yes → commit → ack_commit round
@@ -179,11 +182,11 @@ func TestEscrowRoundAllocCeiling(t *testing.T) {
 // crossShardTransferAllocCeiling is what one cross-shard Router.Transfer
 // may allocate, end to end on every node: the router's begin, the
 // coordinator's prepares and commits, both shards' four escrow steps, six
-// forced records and the outcome back — the measured 89, which repeats
-// exactly (101 while the log allocated each record copy and batch frame,
-// 185 before escrow records were written field by field and the txid was
-// boxed once per transaction).
-const crossShardTransferAllocCeiling = 89
+// forced records and the outcome back — the measured 88, which repeats
+// exactly (89 while sends encoded through xrep.EncodeAll, 101 while the log
+// allocated each record copy and batch frame, 185 before escrow records
+// were written field by field and the txid was boxed once per transaction).
+const crossShardTransferAllocCeiling = 88
 
 // TestCrossShardTransferAllocCeiling pins the 2PC path ring_mixed's split
 // transfers take, coordinator included: a Router over a two-shard ring

@@ -67,14 +67,18 @@ type bankBooks struct {
 	opsAcked  int64
 	opsFailed int64
 	tallies   []bankTally
+	routing   []string // one line per routing outcome that reached a client
 }
 
-// close copies the operation counters into the report and returns the
-// tallies as they stood when the clients finished.
+// close copies the operation counters and routing violations into the
+// report and returns the tallies as they stood when the clients finished.
 func (b *bankBooks) close(rep *Report) []bankTally {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	rep.OpsIssued, rep.OpsAcked, rep.OpsFailed = b.opsIssued, b.opsAcked, b.opsFailed
+	for _, r := range b.routing {
+		rep.addViolation("routing", "%s", r)
+	}
 	return append([]bankTally(nil), b.tallies...)
 }
 
@@ -87,13 +91,8 @@ type bankLink struct {
 	transfer func(from, to string, amt int64) (string, error)
 }
 
-// outcome flattens an at-most-once reply to its outcome command. Routing
-// outcomes are the caller's and the Router's to consume; one surfacing
-// here answered nothing, so it is booked as abandoned, not as a reply.
+// outcome flattens an at-most-once reply to its outcome command.
 func outcome(rep *amo.Reply, err error) (string, error) {
-	if err == nil && (rep.Command == amo.OutcomeMoved || rep.Command == amo.OutcomeSplit) {
-		err = fmt.Errorf("dst: routing outcome %s reached the client", rep.Command)
-	}
 	if err != nil {
 		return "", err
 	}
@@ -122,11 +121,14 @@ func routerLink(rt *bank.Router) bankLink {
 	}
 }
 
-// do issues one call and books it against tally t: issued (with the
-// deposit or withdrawal amount it would move) before the send, acked or
-// failed after. It returns the outcome, "" when there was none — which
-// also costs the ledger its certainty.
-func (b *bankBooks) do(led *clientLedger, t int, dep, wd int64, call func() (string, error)) string {
+// do issues one call of cmd on acct and books it against tally t: issued
+// (with the deposit or withdrawal amount it would move) before the send,
+// acked or failed after. It returns the outcome, "" when there was none —
+// which also costs the ledger its certainty. Routing outcomes are the amo
+// Caller's and the Router's to consume: one that reaches the client
+// answered nothing, so the call is booked as failed and the run as a
+// routing violation.
+func (b *bankBooks) do(led *clientLedger, t int, dep, wd int64, cmd, acct string, call func() (string, error)) string {
 	b.mu.Lock()
 	b.opsIssued++
 	b.tallies[t].issued++
@@ -138,6 +140,10 @@ func (b *bankBooks) do(led *clientLedger, t int, dep, wd int64, call func() (str
 
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if err == nil && (out == amo.OutcomeMoved || out == amo.OutcomeSplit) {
+		err = fmt.Errorf("%s %s: routing outcome %s reached the client", cmd, acct, out)
+		b.routing = append(b.routing, err.Error())
+	}
 	if err != nil {
 		b.opsFailed++
 		led.certain = false
@@ -160,13 +166,13 @@ func (b *bankBooks) do(led *clientLedger, t int, dep, wd int64, call func() (str
 func (b *bankBooks) fund(led *clientLedger, t int, link bankLink) {
 	led.certain = true
 	for _, acct := range []string{led.acctA, led.acctB} {
-		out := b.do(led, t, 0, 0, func() (string, error) { return link.call(acct, "open", acct) })
+		out := b.do(led, t, 0, 0, "open", acct, func() (string, error) { return link.call(acct, "open", acct) })
 		if out != bank.OutcomeOK && out != bank.OutcomeExists {
 			led.certain = false
 			return
 		}
 	}
-	out := b.do(led, t, seedFunds, 0, func() (string, error) {
+	out := b.do(led, t, seedFunds, 0, "deposit", led.acctA, func() (string, error) {
 		return link.call(led.acctA, "deposit", led.acctA, int64(seedFunds))
 	})
 	if out != bank.OutcomeOK {
@@ -193,15 +199,15 @@ func (b *bankBooks) op(led *clientLedger, t int, link bankLink, crng *rand.Rand)
 	}
 	switch {
 	case pick < 4:
-		if b.do(led, t, amt, 0, func() (string, error) { return link.call(acct, "deposit", acct, amt) }) == bank.OutcomeOK {
+		if b.do(led, t, amt, 0, "deposit", acct, func() (string, error) { return link.call(acct, "deposit", acct, amt) }) == bank.OutcomeOK {
 			*exp += amt
 		}
 	case pick < 7:
-		if b.do(led, t, 0, amt, func() (string, error) { return link.call(acct, "withdraw", acct, amt) }) == bank.OutcomeOK {
+		if b.do(led, t, 0, amt, "withdraw", acct, func() (string, error) { return link.call(acct, "withdraw", acct, amt) }) == bank.OutcomeOK {
 			*exp -= amt
 		}
 	default:
-		if b.do(led, t, 0, 0, func() (string, error) { return link.transfer(acct, other, amt) }) == bank.OutcomeOK {
+		if b.do(led, t, 0, 0, "transfer", acct, func() (string, error) { return link.transfer(acct, other, amt) }) == bank.OutcomeOK {
 			*exp -= amt
 			*oexp += amt
 		}

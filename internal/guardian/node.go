@@ -513,9 +513,10 @@ func (n *Node) failureReply(f *wire.Frame, text string) {
 		SrcGuardian: 0, // the system
 		MsgID:       n.msgID.Add(1),
 		Command:     FailureCommand,
-		Args:        xrep.Seq{xrep.Str(text)},
 	}
-	n.routeFrame(reply)
+	n.routeFrame(reply, func(dst []byte) ([]byte, error) {
+		return wire.AppendStr(wire.AppendSeqHeader(dst, 1), text), nil
+	})
 }
 
 // sendBuf is the scratch a send builds its frame and packets in.
@@ -526,14 +527,14 @@ type sendBuf struct{ frame, pkt []byte }
 // payload before then (transport.Transport.Send).
 var sendBufs = sync.Pool{New: func() any { return new(sendBuf) }}
 
-// routeFrame marshals, fragments and transmits a frame toward its
-// destination node. Local destinations bypass the network but keep the
-// marshal/unmarshal round trip, preserving value-copy semantics while
-// making intra-node communication cheap (§2.1).
-func (n *Node) routeFrame(f *wire.Frame) error {
+// routeFrame marshals, fragments and transmits a frame, its arguments
+// written by args, toward its destination node. Local destinations bypass
+// the network but keep the marshal/unmarshal round trip, preserving
+// value-copy semantics while making intra-node communication cheap (§2.1).
+func (n *Node) routeFrame(f *wire.Frame, args func(dst []byte) ([]byte, error)) error {
 	sb := sendBufs.Get().(*sendBuf)
 	defer sendBufs.Put(sb)
-	frame, err := wire.AppendFrame(sb.frame[:0], f)
+	frame, err := wire.AppendFrameWith(sb.frame[:0], f, args)
 	if err != nil {
 		return err
 	}

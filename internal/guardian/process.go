@@ -101,40 +101,54 @@ func (pr *Process) SendCheckedReplyTo(pt *PortType, to, replyTo xrep.PortName, c
 }
 
 // SendSeq is the send for a caller that already holds its arguments in
-// external-rep form (a session layer's envelope, a relayed message): step
-// 1's encoding is skipped, every other step of Send — the system-wide type
-// bounds included — is the same. A zero replyTo means none.
+// external-rep form (a relayed message's): step 1's encoding is skipped,
+// every other step of Send — the system-wide type bounds included — is the
+// same. A zero replyTo means none.
 func (pr *Process) SendSeq(to, replyTo xrep.PortName, command string, args xrep.Seq) error {
-	return pr.sendSeq(to, replyTo, nil, command, args)
+	limits := pr.g.node.world.cfg.Limits
+	return pr.sendSeq(to, replyTo, command, func(dst []byte) ([]byte, error) {
+		if err := limits.ValidateSeq(args); err != nil {
+			return nil, err
+		}
+		return wire.AppendSeq(dst, args)
+	})
+}
+
+// SendEncoded is the send for a caller that has written its arguments
+// itself — one sequence value, as wire.AppendArgs or wire's typed
+// vocabulary writes it — and held them to the world's Limits: a retrying
+// call that re-sends the same request. args is copied into the frame
+// before SendEncoded returns, so the caller may reuse it.
+func (pr *Process) SendEncoded(to, replyTo xrep.PortName, command string, args []byte) error {
+	return pr.sendSeq(to, replyTo, command, func(dst []byte) ([]byte, error) { return append(dst, args...), nil })
 }
 
 func (pr *Process) send(to, replyTo xrep.PortName, pt *PortType, command string, args ...any) error {
-	// Checked before step 1: a dead guardian's process runs no user encode
-	// code. sendSeq checks again for the callers that arrive already encoded.
-	if !pr.g.Alive() {
-		return ErrKilled
-	}
-	// §3.4 step 1: encode arguments left to right; an encode exception
-	// terminates the send.
-	enc, err := xrep.EncodeAll(args...)
-	if err != nil {
-		return err
-	}
-	return pr.sendSeq(to, replyTo, pt, command, enc)
+	limits := pr.g.node.world.cfg.Limits
+	return pr.sendSeq(to, replyTo, command, func(dst []byte) ([]byte, error) {
+		// §3.4 step 1: encode the arguments left to right, straight into
+		// the frame; an encode exception or a violated bound terminates the
+		// send.
+		start := len(dst)
+		dst, err := wire.AppendArgs(dst, limits, 0, args)
+		if err != nil || pt == nil {
+			return dst, err
+		}
+		// The receiver's check, on what it will decode.
+		v, err := wire.UnmarshalValue(dst[start:])
+		if err != nil {
+			return nil, err
+		}
+		return dst, pt.check(command, v.(xrep.Seq))
+	})
 }
 
-func (pr *Process) sendSeq(to, replyTo xrep.PortName, pt *PortType, command string, enc xrep.Seq) error {
+// sendSeq is the bottom of every send: args writes the argument sequence
+// into the frame, between its head and its tail. A dead guardian's
+// process sends nothing and runs no encode code.
+func (pr *Process) sendSeq(to, replyTo xrep.PortName, command string, args func(dst []byte) ([]byte, error)) error {
 	if !pr.g.Alive() {
 		return ErrKilled
-	}
-	limits := pr.g.node.world.cfg.Limits
-	if err := limits.ValidateSeq(enc); err != nil {
-		return err
-	}
-	if pt != nil {
-		if err := pt.check(command, enc); err != nil {
-			return err
-		}
 	}
 	f := wire.Frame{
 		Dest:        to,
@@ -142,13 +156,12 @@ func (pr *Process) sendSeq(to, replyTo xrep.PortName, pt *PortType, command stri
 		SrcGuardian: pr.g.id,
 		MsgID:       pr.g.node.msgID.Add(1),
 		Command:     command,
-		Args:        enc,
 		ReplyTo:     replyTo,
 	}
 	// §3.4 steps 2 and 3: construct the message and transmit. The process
 	// continues once the frame is built; delivery is the system's
 	// best-effort job.
-	if err := pr.g.node.routeFrame(&f); err != nil {
+	if err := pr.g.node.routeFrame(&f, args); err != nil {
 		return err
 	}
 	pr.g.node.world.stats.MessagesSent.Add(1)

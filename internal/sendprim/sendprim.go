@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/guardian"
+	"repro/internal/wire"
 	"repro/internal/xrep"
 )
 
@@ -226,10 +227,11 @@ type Exchange struct {
 	Jitter func(d time.Duration) time.Duration
 }
 
-// Run sends the request — args already in external-rep form, so every
-// attempt re-sends the same encoding — and waits for its reply. Each pass
-// of the loop is one send: attempt i's first, or a followed Redirect's.
-func (x *Exchange) Run(pr *guardian.Process, reply *guardian.Port, to xrep.PortName, command string, args xrep.Seq) (*guardian.Message, error) {
+// Run sends the request — args already encoded, as guardian's SendEncoded
+// takes them, so every attempt and redirect re-sends the same bytes — and
+// waits for its reply. Each pass of the loop is one send: attempt i's
+// first, or a followed Redirect's.
+func (x *Exchange) Run(pr *guardian.Process, reply *guardian.Port, to xrep.PortName, command string, args []byte) (*guardian.Message, error) {
 	world := pr.Guardian().Node().World()
 	clock := world.Clock()
 	timeout := x.Timeout
@@ -246,7 +248,7 @@ func (x *Exchange) Run(pr *guardian.Process, reply *guardian.Port, to xrep.PortN
 				return nil, err
 			}
 		}
-		if err := pr.SendSeq(to, reply.Name(), command, args); err != nil {
+		if err := pr.SendEncoded(to, reply.Name(), command, args); err != nil {
 			return nil, err
 		}
 		sent := clock.Now()
@@ -316,15 +318,16 @@ const replyCapacity = 4
 // failure — on exhaustion the caller knows nothing, exactly the
 // uncertainty §3.5 describes.
 func Call(pr *guardian.Process, to xrep.PortName, replyType *guardian.PortType, opts CallOptions, command string, args ...any) (*guardian.Message, error) {
+	var scratch [128]byte // a few small arguments fit; more grow onto the heap
+	req, err := wire.AppendArgs(scratch[:0], pr.Guardian().Node().World().Limits(), 0, args)
+	if err != nil {
+		return nil, err
+	}
 	reply, err := pr.Guardian().NewPort(replyType, replyCapacity)
 	if err != nil {
 		return nil, err
 	}
 	defer pr.Guardian().RemovePort(reply)
-	enc, err := xrep.EncodeAll(args...)
-	if err != nil {
-		return nil, err
-	}
 	x := Exchange{CallOptions: opts}
-	return x.Run(pr, reply, to, command, enc)
+	return x.Run(pr, reply, to, command, req)
 }

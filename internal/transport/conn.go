@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"encoding/binary"
 	"net"
 	"sync"
 	"time"
@@ -306,9 +307,12 @@ func (pc *peer) installLocked(conn net.Conn, br *bufio.Reader) bool {
 }
 
 // teardown retires generation g's connection. clean marks deliberate
-// closes (deselect, shutdown); everything else is a reset. Pending frames
-// survive: if any are queued and the transport is open, a redial starts
-// immediately — the reconnect path.
+// closes (deselect, shutdown); everything else is a reset, except on a
+// draining connection, where the peer closing is its answer to our
+// deselect. Pending data frames survive: if any are queued and the
+// transport is open, a redial starts immediately — the reconnect path.
+// Control frames die with their connection: a deselect still queued when
+// the peer's crossing one arrived would redial and end the new connection.
 func (pc *peer) teardown(g uint64, clean bool) {
 	pc.mu.Lock()
 	if pc.gen != g || pc.conn == nil {
@@ -318,18 +322,31 @@ func (pc *peer) teardown(g uint64, clean bool) {
 	conn := pc.conn
 	pc.gen++
 	pc.conn = nil
-	if !clean {
+	if !clean && pc.state != stDraining {
 		pc.stats.Resets++
 	}
 	if pc.state != stClosed {
 		pc.state = stIdle
-		if len(pc.outq) > 0 && !pc.t.closed.Load() {
+		pc.outq, pc.qframes = dataFrames(pc.outq)
+		if pc.qframes > 0 && !pc.t.closed.Load() {
 			pc.startDialLocked()
 		}
 	}
 	pc.wake.Broadcast()
 	pc.mu.Unlock()
 	_ = conn.Close()
+}
+
+// dataFrames compacts the queued frames q, in place, to its data frames
+// and counts them.
+func dataFrames(q []byte) (out []byte, n int) {
+	out = q[:0]
+	for size := 0; len(q) > 4; q = q[size:] {
+		if size = 4 + int(binary.BigEndian.Uint32(q)); q[4] == frameData {
+			out, n = append(out, q[:size]...), n+1
+		}
+	}
+	return out, n
 }
 
 // close is the transport-shutdown path: terminal state, connection closed,

@@ -81,3 +81,22 @@ func TestEncodeDataLayout(t *testing.T) {
 		t.Fatalf("appendData into a buffer with room allocates %v times, want 0", n)
 	}
 }
+
+// TestTeardownKeepsOnlyDataFrames: the queue a dead connection leaves keeps
+// its data frames, in order, and drops the control frames queued for it —
+// a deselect among them would otherwise end the redialed connection.
+func TestTeardownKeepsOnlyDataFrames(t *testing.T) {
+	q := appendControl(nil, frameDeselect, "idle")
+	q = appendData(q, "a", "b", []byte("one"))
+	q = appendControl(q, frameLinktest, "")
+	q = appendData(q, "a", "c", []byte("two"))
+	q = appendControl(q, frameLinktestAck, "")
+	want := appendData(appendData(nil, "a", "b", []byte("one")), "a", "c", []byte("two"))
+	got, n := dataFrames(q)
+	if n != 2 || !bytes.Equal(got, want) {
+		t.Fatalf("dataFrames kept %d frames %x, want 2 %x", n, got, want)
+	}
+	if got, n := dataFrames(appendControl(nil, frameDeselect, "idle")); n != 0 || len(got) != 0 {
+		t.Fatalf("a queue of control frames kept %d frames %x", n, got)
+	}
+}

@@ -46,8 +46,10 @@ var (
 const maxWireDepth = 128
 
 // AppendValue appends the wire encoding of v to dst and returns the
-// extended slice.
+// extended slice. It recurses only into itself, which keeps dst from
+// escaping: a sender may write into a buffer on its stack.
 func AppendValue(dst []byte, v xrep.Value) ([]byte, error) {
+	var elems xrep.Seq
 	switch x := v.(type) {
 	case nil, xrep.Null:
 		return append(dst, tagNull), nil
@@ -65,9 +67,9 @@ func AppendValue(dst []byte, v xrep.Value) ([]byte, error) {
 		dst = binary.AppendUvarint(dst, uint64(len(x)))
 		return append(dst, x...), nil
 	case xrep.Seq:
-		return AppendSeq(dst, x)
+		dst, elems = AppendSeqHeader(dst, len(x)), x
 	case xrep.Rec:
-		return appendElems(AppendRecHeader(dst, x.Name, len(x.Fields)), x.Fields)
+		dst, elems = AppendRecHeader(dst, x.Name, len(x.Fields)), x.Fields
 	case xrep.PortName:
 		return AppendPortName(dst, x), nil
 	case xrep.Token:
@@ -80,6 +82,13 @@ func AppendValue(dst []byte, v xrep.Value) ([]byte, error) {
 	default:
 		return nil, fmt.Errorf("wire: cannot encode %T", v)
 	}
+	var err error
+	for _, e := range elems {
+		if dst, err = AppendValue(dst, e); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
 }
 
 // The typed append vocabulary: each function writes exactly the bytes
@@ -133,14 +142,51 @@ func AppendRecHeader(dst []byte, name string, n int) []byte {
 // AppendSeq appends x under its static type: AppendValue's sequence case
 // without first boxing the slice into an xrep.Value.
 func AppendSeq(dst []byte, x xrep.Seq) ([]byte, error) {
-	return appendElems(AppendSeqHeader(dst, len(x)), x)
-}
-
-func appendElems(dst []byte, x xrep.Seq) ([]byte, error) {
+	dst = AppendSeqHeader(dst, len(x))
 	var err error
 	for _, e := range x {
 		if dst, err = AppendValue(dst, e); err != nil {
 			return nil, err
+		}
+	}
+	return dst, nil
+}
+
+// AppendArgs appends args as AppendSeq appends xrep.EncodeAll(args...): a
+// send's step 1 and its argument field in one pass, with no value tree
+// between the common Go values and the bytes. It refuses what l refuses of
+// that sequence nested depth levels down (0 for a message's argument list),
+// with the same sentinel errors, reporting the first fault left to right.
+// Like AppendValue it recurses only into itself.
+func AppendArgs(dst []byte, l xrep.Limits, depth int, args []any) ([]byte, error) {
+	if err := l.Check(xrep.KindSeq, len(args), depth); err != nil {
+		return nil, err
+	}
+	dst = AppendSeqHeader(dst, len(args))
+	depth++
+	for i, x := range args {
+		var err error
+		switch v := x.(type) {
+		case string:
+			err, dst = l.Check(xrep.KindString, len(v), depth), AppendStr(dst, v)
+		case int64:
+			err, dst = errors.Join(l.Check(xrep.KindInt, 0, depth), l.CheckInt(v)), AppendInt(dst, v)
+		case int:
+			err, dst = errors.Join(l.Check(xrep.KindInt, 0, depth), l.CheckInt(int64(v))), AppendInt(dst, int64(v))
+		case []any:
+			dst, err = AppendArgs(dst, l, depth, v)
+		default:
+			// Every other argument goes through xrep.Encode: a Value
+			// passes as itself, the rarer Go kinds are boxed on the way.
+			var val xrep.Value
+			if val, err = xrep.Encode(x); err == nil {
+				if err = l.ValidateAt(val, depth); err == nil {
+					dst, err = AppendValue(dst, val)
+				}
+			}
+		}
+		if err != nil {
+			return nil, fmt.Errorf("seq[%d]: %w", i, err)
 		}
 	}
 	return dst, nil

@@ -59,6 +59,14 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // system. A sender that reuses dst across frames encodes without
 // allocating.
 func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
+	return AppendFrameWith(dst, f, func(dst []byte) ([]byte, error) { return AppendSeq(dst, f.Args) })
+}
+
+// AppendFrameWith is AppendFrame with the arguments written by args, which
+// appends one sequence value to what it is given — as AppendArgs or
+// AppendSeq writes one — instead of f.Args. An error from args is
+// returned as is.
+func AppendFrameWith(dst []byte, f *Frame, args func(dst []byte) ([]byte, error)) ([]byte, error) {
 	start := len(dst)
 	dst = binary.BigEndian.AppendUint32(dst, frameMagic)
 	dst = append(dst, frameVersion)
@@ -74,7 +82,7 @@ func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, f.SrcGuardian)
 	dst = binary.AppendUvarint(dst, uint64(len(f.Command)))
 	dst = append(dst, f.Command...)
-	dst, err := AppendSeq(dst, f.Args)
+	dst, err := args(dst)
 	if err != nil {
 		return nil, err
 	}

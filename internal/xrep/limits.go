@@ -3,6 +3,7 @@ package xrep
 import (
 	"errors"
 	"fmt"
+	"reflect"
 )
 
 // Limits captures the system-wide type invariants of §3.3: "the meaning of
@@ -63,70 +64,66 @@ func (l Limits) CheckInt(v int64) error {
 // called by the message layer at encode time, so a violating value can
 // never leave its node.
 func (l Limits) Validate(v Value) error {
-	return l.validate(v, 0, l.maxDepth())
+	return l.ValidateAt(v, 0)
 }
 
 // ValidateSeq is Validate(s) for a sequence held under its static type, as
-// a message's argument list is: the same checks and errors, without boxing
-// s into a Value first.
+// a message's argument list is: the same checks and errors, and boxing s
+// costs nothing because the walk keeps no value it is handed.
 func (l Limits) ValidateSeq(s Seq) error {
-	return l.validateSeq(s, "", 0, l.maxDepth())
+	return l.ValidateAt(s, 0)
 }
 
-func (l Limits) maxDepth() int {
-	if l.MaxDepth == 0 {
-		return 64
-	}
-	return l.MaxDepth
-}
-
-func (l Limits) validate(v Value, depth, maxDepth int) error {
-	if v == nil {
-		return ErrNilValue
-	}
-	if maxDepth > 0 && depth > maxDepth {
-		return fmt.Errorf("%w: depth %d", ErrTooDeep, depth)
-	}
+// ValidateAt is Validate for a value nested depth levels inside what is
+// sent — a message's arguments are at 1 — so a sender that writes v into a
+// larger value holds it to the depth its place there leaves.
+func (l Limits) ValidateAt(v Value, depth int) error {
+	k, n := KindNull, 0 // KindNull stands for every kind without a size
 	switch x := v.(type) {
+	case nil:
+		return ErrNilValue
 	case Null, Bool, Real, PortName:
-		return nil
+		if l.within(k, n, depth) {
+			return nil
+		}
 	case Int:
-		return l.CheckInt(int64(x))
+		if k = KindInt; l.within(k, n, depth) {
+			return l.CheckInt(int64(x))
+		}
 	case Str:
-		if l.MaxStringLen > 0 && len(x) > l.MaxStringLen {
-			return fmt.Errorf("%w: string of %d bytes", ErrTooLong, len(x))
+		if k, n = KindString, len(x); l.within(k, n, depth) {
+			return nil
 		}
-		return nil
 	case Bytes:
-		if l.MaxStringLen > 0 && len(x) > l.MaxStringLen {
-			return fmt.Errorf("%w: bytes of %d", ErrTooLong, len(x))
+		if k, n = KindBytes, len(x); l.within(k, n, depth) {
+			return nil
 		}
-		return nil
 	case Token:
-		if l.MaxStringLen > 0 && len(x.Body) > l.MaxStringLen {
-			return fmt.Errorf("%w: token body of %d bytes", ErrTooLong, len(x.Body))
+		if k, n = KindToken, len(x.Body); l.within(k, n, depth) {
+			return nil
 		}
-		return nil
 	case Seq:
-		return l.validateSeq(x, "", depth, maxDepth)
-	case Rec:
-		if x.Name == "" {
-			return ErrEmptyName
+		if k, n = KindSeq, len(x); l.within(k, n, depth) {
+			return l.validateSeq(x, "", depth)
 		}
-		return l.validateSeq(x.Fields, x.Name, depth, maxDepth)
+	case Rec:
+		if k = KindRec; l.within(k, n, depth) {
+			if x.Name == "" {
+				return ErrEmptyName
+			}
+			return l.validateSeq(x.Fields, x.Name, depth)
+		}
 	default:
-		return fmt.Errorf("xrep: unknown value type %T", v)
+		return fmt.Errorf("xrep: unknown value type %s", reflect.TypeOf(v))
 	}
+	return l.Check(k, n, depth)
 }
 
 // validateSeq checks the elements of a sequence at nesting level depth: a
-// Seq value's own, held to MaxSeqLen, or the fields of the record rec names.
-func (l Limits) validateSeq(s Seq, rec string, depth, maxDepth int) error {
-	if rec == "" && l.MaxSeqLen > 0 && len(s) > l.MaxSeqLen {
-		return fmt.Errorf("%w: sequence of %d", ErrTooLong, len(s))
-	}
+// Seq value's own, or the fields of the record rec names.
+func (l Limits) validateSeq(s Seq, rec string, depth int) error {
 	for i, e := range s {
-		if err := l.validate(e, depth+1, maxDepth); err != nil {
+		if err := l.ValidateAt(e, depth+1); err != nil {
 			if rec == "" {
 				return fmt.Errorf("seq[%d]: %w", i, err)
 			}
@@ -134,4 +131,38 @@ func (l Limits) validateSeq(s Seq, rec string, depth, maxDepth int) error {
 		}
 	}
 	return nil
+}
+
+// Check holds one value of kind k, nested depth levels down, to the bounds
+// that need none of its contents: the nesting bound, and the size bound of
+// its kind on n — a string's, byte string's or token body's length in
+// bytes, or a sequence's element count. An integer's own bound is
+// CheckInt's. Validate is these over a whole tree; a writer that encodes Go
+// values without building the tree calls them itself.
+func (l Limits) Check(k Kind, n, depth int) error {
+	switch {
+	case l.within(k, n, depth):
+		return nil
+	case !l.within(KindNull, 0, depth):
+		return fmt.Errorf("%w: depth %d", ErrTooDeep, depth)
+	case k == KindSeq:
+		return fmt.Errorf("%w: sequence of %d", ErrTooLong, n)
+	}
+	return fmt.Errorf("%w: %s of %d bytes", ErrTooLong, k, n)
+}
+
+// within is Check's verdict without its error, small enough that the walk
+// inlines it. A MaxDepth of zero means 64, a negative one no bound; a size
+// bound of zero or less is none.
+func (l Limits) within(k Kind, n, depth int) bool {
+	if max := l.MaxDepth; max == 0 && depth > 64 || max > 0 && depth > max {
+		return false
+	}
+	switch k {
+	case KindString, KindBytes, KindToken:
+		return l.MaxStringLen <= 0 || n <= l.MaxStringLen
+	case KindSeq:
+		return l.MaxSeqLen <= 0 || n <= l.MaxSeqLen
+	}
+	return true
 }
