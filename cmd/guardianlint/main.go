@@ -1,6 +1,7 @@
 // Command guardianlint checks the repository against the linguistic
 // invariants of Liskov's guardian model (SOSP 1979) that Go will not
-// enforce for us: no storage shared across guardians (confinement), no
+// enforce for us: no guardian's storage held by another's processes
+// (confinement; a process driven by two goroutines panics at run time), no
 // blocking operations or ordering cycles under held mutexes (lockorder),
 // and replies dominated by the Sync that makes the acknowledged mutation
 // durable (ackorder). Transmissibility and external-rep pairs are checked

@@ -36,9 +36,6 @@ func NewAgent(node *guardian.Node, name string) (*Agent, error) {
 	return &Agent{proc: proc, reply: reply}, nil
 }
 
-// Process exposes the agent's process for ad-hoc sends.
-func (a *Agent) Process() *guardian.Process { return a.proc }
-
 // Principal returns the agent's access-control identity.
 func (a *Agent) Principal() guardian.Principal {
 	return guardian.Principal{Node: a.proc.Guardian().Node().Name(), Guardian: a.proc.Guardian().ID()}

@@ -1,7 +1,8 @@
 // Package a holds the lockorder goldens that need no repro imports: the
 // seeded PR 7 shape (a forced durable write under the runtime mutex),
-// channel operations in critical sections, re-entrant acquisition through
-// a call chain, and a two-class ordering cycle.
+// channel operations in critical sections (in the function itself, in a
+// literal it invokes, not in a goroutine it starts), re-entrant acquisition
+// through a call chain, and a two-class ordering cycle.
 package a
 
 import "sync"
@@ -66,6 +67,26 @@ func (r *Runtime) Guarded(ok bool) {
 func (r *Runtime) Notify(ch chan int) {
 	r.mu.Lock()
 	ch <- 1 // want `channel send with no default while a.Runtime.mu is held`
+	r.mu.Unlock()
+}
+
+// NotifyInline parks inside a directly invoked literal, which runs under
+// the caller's lock: the finding comes through the literal call.
+func (r *Runtime) NotifyInline(ch chan int) {
+	r.mu.Lock()
+	func() {
+		ch <- 1 // want `channel send with no default while a.Runtime.mu is held \(path \(Runtime\).NotifyInline → \(Runtime\).NotifyInline literal\)`
+	}()
+	r.mu.Unlock()
+}
+
+// NotifyAsync sends from a goroutine, which runs outside the lock: no
+// diagnostic.
+func (r *Runtime) NotifyAsync(ch chan int) {
+	r.mu.Lock()
+	go func() {
+		ch <- 1
+	}()
 	r.mu.Unlock()
 }
 

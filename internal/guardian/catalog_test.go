@@ -1,6 +1,7 @@
 package guardian
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -213,4 +214,62 @@ func TestCatalogRefusesCorruptGuardianLog(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("refusal should name the corruption, got: %v", err)
 	}
+}
+
+// TestStragglerAfterStoreCloseGetsInertLog: a killed guardian's straggling
+// process that opens its log after the node's WAL closed gets the inert
+// log — its writes were volatile the moment the guardian died — while a
+// live guardian whose store fails to open its log fail-stops.
+func TestStragglerAfterStoreCloseGetsInertLog(t *testing.T) {
+	w := NewWorld(walConfig(t.TempDir(), 0))
+	n := w.MustAddNode("alpha")
+	dead, _, err := n.NewDriver("straggler")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The world is closed: the guardian is dead and its store is shut.
+	l := dead.Log()
+	if a, b := l.Append([]byte("x")), l.AppendSync([]byte("y")); a != 1 || b != 2 {
+		t.Fatalf("inert log numbered appends %d, %d; want 1, 2", a, b)
+	}
+	l.Sync()
+	l.Checkpoint([]byte("state"), 2)
+	l.SkipTo(10)
+	if got := l.Append(nil); got != 11 {
+		t.Fatalf("Append after SkipTo(10) = %d, want 11", got)
+	}
+	l.Truncate(5)
+	if got := l.Append(nil); got != 5 {
+		t.Fatalf("Append after Truncate(5) = %d, want 5", got)
+	}
+	if _, _, err := l.Recover(); !errors.Is(err, durable.ErrNoCheckpoint) {
+		t.Fatalf("inert log Recover = %v, want ErrNoCheckpoint", err)
+	}
+	if l.DurableLen() != 0 || l.VolatileLen() != 0 || l.LastDurableSeq() != 0 {
+		t.Fatalf("inert log holds something: durable %d, volatile %d, last %d",
+			l.DurableLen(), l.VolatileLen(), l.LastDurableSeq())
+	}
+
+	// Fail-stop: the same failure under a live guardian panics.
+	w2 := NewWorld(walConfig(t.TempDir(), 0))
+	defer w2.Close()
+	n2 := w2.MustAddNode("beta")
+	live, _, err := n2.NewDriver("live")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n2.Store().Close(); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		r := recover()
+		if e, ok := r.(error); !ok || !strings.Contains(e.Error(), "opening log") {
+			t.Fatalf("a live guardian's failed log open recovered %v, want a fail-stop panic", r)
+		}
+	}()
+	live.Log()
+	t.Fatal("a live guardian got a log from a closed store")
 }

@@ -1,5 +1,7 @@
 package guardian
 
+import "strconv"
+
 // This file provides driver guardians: anonymous guardians whose processes
 // are driven by the caller's own goroutine. They stand in for the human
 // users at a node (the paper's reservation clerks and administrators talk
@@ -26,27 +28,13 @@ func (n *Node) NewDriver(name string) (*Guardian, *Process, error) {
 
 // ExternalProcess returns a process handle executed by the caller's own
 // goroutine rather than one spawned by the guardian. The handle obeys all
-// normal process rules (it dies with the guardian and may only receive on
-// the guardian's own ports).
+// normal process rules: it dies with the guardian, may only receive on the
+// guardian's own ports, and blocks in one goroutine at a time (another
+// goroutine takes a handle of its own).
 func (g *Guardian) ExternalProcess(name string) *Process {
 	g.mu.Lock()
 	g.nextProcID++
 	id := g.nextProcID
 	g.mu.Unlock()
-	return &Process{g: g, name: name + "/ext" + itoa(id)}
-}
-
-// itoa avoids pulling strconv into the hot path for a debug label.
-func itoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
+	return &Process{g: g, name: name + "/ext" + strconv.FormatUint(id, 10)}
 }

@@ -1,6 +1,7 @@
 package guardian
 
 import (
+	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -10,24 +11,32 @@ import (
 
 // Process is the execution of a sequential program within a guardian.
 // Processes are anonymous providers of activity: messages are never
-// addressed to them, only to their guardian's ports.
+// addressed to them, only to their guardian's ports. One goroutine drives
+// a process: a second one that blocks on it in Receive or Pause panics.
 type Process struct {
 	g    *Guardian
 	name string
 	// idle is the waiter, timer included, the process's last blocking
-	// Receive or Pause finished with, kept for its next one. Both take it
-	// with a swap, so a second goroutine waiting on the same Process finds
-	// nil and allocates its own.
+	// Receive or Pause finished with, kept for its next one; nil before
+	// the first. Both take it with a swap that leaves busy in its place.
 	idle atomic.Pointer[waiter]
 }
 
-// waiter takes the process's idle waiter, or makes one when another
-// goroutine waiting on the same Process holds it.
+// busy stands in a Process's idle slot while a blocking Receive or Pause
+// holds its waiter.
+var busy = new(waiter)
+
+// waiter takes the process's idle waiter, making the first one. A process
+// is one sequential activity (§2.1), so finding busy panics.
 func (pr *Process) waiter() *waiter {
-	if w := pr.idle.Swap(nil); w != nil {
+	switch w := pr.idle.Swap(busy); w {
+	case nil:
+		return &waiter{ch: make(chan *Message, 1)}
+	case busy:
+		panic(fmt.Sprintf("guardian: process %s of guardian %s/%d blocks in two goroutines at once", pr.name, pr.g.DefName(), pr.g.id))
+	default:
 		return w
 	}
-	return &waiter{ch: make(chan *Message, 1)}
 }
 
 // Guardian returns the process's guardian.

@@ -1,6 +1,8 @@
 package guardian
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -191,47 +193,63 @@ func TestReusedWaiterDeliverVsKill(t *testing.T) {
 	}
 }
 
-// TestTwoGoroutinesReceiveOnOneProcess: the second goroutine finds the
-// idle waiter taken and allocates its own; between them every message is
-// received exactly once.
+// TestTwoGoroutinesReceiveOnOneProcess: a process is one sequential
+// activity. While its owner blocks in Receive, a second goroutine that
+// receives or pauses on the same Process panics, naming the process and
+// its guardian, and leaves the owner's wait alone: the owner still
+// receives every message exactly once.
 func TestTwoGoroutinesReceiveOnOneProcess(t *testing.T) {
 	_, drv, ps := reuseFixture(t, 1)
 	p := ps[0]
-	const total = 20000
-	go func() {
-		for i := 0; i < total; i++ {
-			if !p.deliver(numbered(p, i)) {
-				t.Errorf("deliver %d refused", i)
-				return
-			}
-		}
-	}()
+	const rounds, batch = 20, 100
 	l := &ledger{}
 	var count atomic.Int64
-	var wg sync.WaitGroup
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for count.Load() < total {
-				m, st := drv.Receive(5*time.Millisecond, p)
-				switch {
-				case st == RecvOK && m != nil:
-					l.got(t, m)
-					count.Add(1)
-				case st == RecvTimeout && m == nil:
-				default:
-					t.Errorf("Receive returned (%v, %v)", m, st)
-					return
-				}
+	go func() {
+		for count.Load() < rounds*batch {
+			m, st := drv.Receive(30*time.Second, p)
+			if st != RecvOK || m == nil {
+				t.Errorf("owner's Receive returned (%v, %v)", m, st)
+				return
+			}
+			l.got(t, m)
+			count.Add(1)
+		}
+	}()
+	want := fmt.Sprintf("process %s of guardian _driver/%d blocks in two goroutines", drv.Name(), drv.Guardian().ID())
+	intrude := func(op string, block func()) {
+		defer func() {
+			r := recover()
+			if s, ok := r.(string); !ok || !strings.Contains(s, want) {
+				t.Fatalf("%s beside a blocked owner: recovered %v, want a panic containing %q", op, r, want)
 			}
 		}()
+		block()
 	}
-	finished := make(chan struct{})
-	go func() { wg.Wait(); close(finished) }()
-	select {
-	case <-finished:
-	case <-time.After(30 * time.Second):
-		t.Fatalf("receivers saw %d of %d messages: one was lost", count.Load(), total)
+	for r := 0; r < rounds; r++ {
+		// Every message so far is received and the owner blocks again.
+		deadline := time.Now().Add(30 * time.Second)
+		for count.Load() < int64(r*batch) || drv.idle.Load() != busy {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: the owner received %d of %d messages", r, count.Load(), r*batch)
+			}
+			time.Sleep(10 * time.Microsecond)
+		}
+		intrude("Receive", func() { drv.Receive(time.Second, p) })
+		intrude("Pause", func() { drv.Pause(time.Second) })
+		for i := 0; i < batch; i++ {
+			if !p.deliver(numbered(p, r*batch+i)) {
+				t.Fatalf("deliver %d refused", r*batch+i)
+			}
+		}
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for count.Load() < rounds*batch {
+		if time.Now().After(deadline) {
+			t.Fatalf("the owner received %d of %d messages: one was lost", count.Load(), rounds*batch)
+		}
+		time.Sleep(10 * time.Microsecond)
+	}
+	if m, st := drv.Receive(0, p); st != RecvTimeout {
+		t.Fatalf("a message beyond the %d delivered: %v", rounds*batch, m)
 	}
 }

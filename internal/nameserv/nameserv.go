@@ -338,21 +338,6 @@ func (c *Client) Register(name string, port xrep.PortName, timeout time.Duration
 	return m.Int(0), nil
 }
 
-// RegisterKeyed binds name to port under a shared management key: any
-// later caller presenting the same key may rebind the name from any node.
-// A replica group registers its service name this way so the election
-// winner — a different guardian on a different node — can take it over.
-func (c *Client) RegisterKeyed(name string, port xrep.PortName, key string, timeout time.Duration) (int64, error) {
-	m, err := c.call(timeout, "register_keyed", name, port, key)
-	if err != nil {
-		return 0, err
-	}
-	if m.Command != OutcomeBound {
-		return 0, &Error{Outcome: m.Command}
-	}
-	return m.Int(0), nil
-}
-
 // Lookup resolves name to its port and version.
 func (c *Client) Lookup(name string, timeout time.Duration) (xrep.PortName, int64, error) {
 	m, err := c.call(timeout, "lookup", name)

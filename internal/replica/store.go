@@ -139,9 +139,6 @@ func (s *Store) AppPorts() []xrep.PortName { return s.rt.appPortNames() }
 // ReplStats returns a snapshot of the member's replication counters.
 func (s *Store) ReplStats() Stats { return s.rt.statsSnapshot() }
 
-// Group returns the member's group configuration.
-func (s *Store) Group() Config { return s.rt.cfg }
-
 // shippable snapshots the wrapped store's application log names.
 func (s *Store) shippable() []string {
 	var out []string
