@@ -1,17 +1,17 @@
 // Command guardianlint checks the repository against the linguistic
 // invariants of Liskov's guardian model (SOSP 1979) that Go will not
 // enforce for us: no guardian's storage held by another's processes
-// (confinement; a process driven by two goroutines panics at run time), no
-// blocking operations or ordering cycles under held mutexes (lockorder),
-// and replies dominated by the Sync that makes the acknowledged mutation
-// durable (ackorder). Transmissibility and external-rep pairs are checked
-// at run time, by xrep.Encode on every send and the registry on every
-// decode (DESIGN §10).
+// (confinement; a process driven by two goroutines panics at run time),
+// and no blocking operations or ordering cycles under held mutexes
+// (lockorder). Transmissibility and external-rep pairs are checked at run
+// time, by xrep.Encode on every send and the registry on every decode, and
+// a reply sent ahead of its Sync by the send-unsynced crash window
+// (DESIGN §10, §11).
 //
 //	guardianlint [-allowlist] [packages]
 //
 // analyzes the packages (default ./...) in one process, including the
-// whole-program direction (lockorder/ackorder's cross-package composition)
+// whole-program direction (lockorder's cross-package composition)
 // and a staleness report for //lint:allow
 // directives, and exits 1 on findings. -allowlist prints every
 // //lint:allow directive with its justification and whether it is active,
@@ -30,7 +30,6 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/load"
-	"repro/internal/analysis/passes/ackorder"
 	"repro/internal/analysis/passes/confinement"
 	"repro/internal/analysis/passes/lockorder"
 )
@@ -38,7 +37,6 @@ import (
 var analyzers = []*analysis.Analyzer{
 	confinement.Analyzer,
 	lockorder.Analyzer,
-	ackorder.Analyzer,
 }
 
 func main() {

@@ -259,7 +259,8 @@ func parseFlags(args []string, stderr io.Writer) (*options, error) {
 // crashNeeds maps each -crash point to the flags its window needs, in the
 // order they are checked: the WAL windows need the on-disk store, the
 // replication windows a group, the handoff windows a shard on disk.
-// fault.MidTruncate and AfterPrepare are windows no -crash reaches.
+// fault.MidTruncate, AfterPrepare and SendUnsynced are windows no -crash
+// reaches.
 var crashNeeds = map[string][]string{
 	fault.BeforeSync:    {"data"},
 	fault.AfterSync:     {"data"},

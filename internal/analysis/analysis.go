@@ -60,9 +60,9 @@ type Pass struct {
 	// suppression to it.
 	Report func(Diagnostic)
 	// Program is the whole-program accumulator shared by all packages of
-	// one run. Passes that need cross-package evidence (lockorder's and
-	// ackorder's call graph) record into it and a Finish hook reports after
-	// every package has run.
+	// one run. A pass that needs cross-package evidence (lockorder's call
+	// graph) records into it and a Finish hook reports after every package
+	// has run.
 	Program *Program
 }
 

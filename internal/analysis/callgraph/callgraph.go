@@ -1,8 +1,8 @@
 // Package callgraph grows the per-package AST framework into a
 // whole-program one: it reduces every function the driver sees
 // to a summary of the events the interaction-safety passes care about —
-// lock acquisitions and releases, blocking operations, durable-log appends
-// and forced writes, client-visible reply sends, and calls — and composes
+// lock acquisitions and releases, blocking operations (forced durable
+// writes among them), and calls — and composes
 // the summaries over a CHA-style call graph so a pass can ask "what does
 // this call transitively reach?" across package boundaries.
 //
@@ -65,16 +65,6 @@ const (
 	// synchronous call helper, a durable forced write, a channel operation
 	// with no default, a WaitGroup wait.
 	KBlock
-	// KAppend is a volatile append to a log-like type: durable only after
-	// the next KSync.
-	KAppend
-	// KSync is a forced write on a log-like type (Sync, AppendSync,
-	// Checkpoint): everything appended before it is durable after it.
-	KSync
-	// KReply is a client-visible reply send: a guardian send whose
-	// destination derives from a message's ReplyTo (or an idiomatically
-	// named reply/client port), or amo.SendReply.
-	KReply
 	// KCall is a statically resolved call to a repro function or method.
 	KCall
 	// KICall is a call through an interface method, to be resolved
@@ -404,36 +394,17 @@ func (ex *extractor) call(call *ast.CallExpr) {
 			ex.emit(Event{Kind: KBlock, Pos: call.Pos(), Class: "wgwait", Detail: "sync.WaitGroup.Wait"})
 			return
 		}
-		// Log-like receivers: Append is a volatile write, Sync/AppendSync/
-		// Checkpoint are forced (blocking) writes. Recognized by shape
-		// (Append alongside Sync/AppendSync) rather than import path, so
-		// private log seams and golden-fixture logs count like durable.Log.
+		// Log-like receivers: Sync/AppendSync/Checkpoint are forced
+		// (blocking) writes. Recognized by shape (Append alongside
+		// Sync/AppendSync) rather than import path, so private log seams
+		// and golden-fixture logs count like durable.Log.
 		if logLike(sig.Recv().Type()) {
 			switch fn.Name() {
-			case "Append":
-				ex.emit(Event{Kind: KAppend, Pos: call.Pos(), Class: "append", Detail: recvName + ".Append"})
-				return
 			case "Sync", "AppendSync", "Checkpoint":
-				ex.emit(Event{Kind: KSync, Pos: call.Pos(), Class: "sync", Detail: recvName + "." + fn.Name()})
 				ex.emit(Event{Kind: KBlock, Pos: call.Pos(), Class: "sync", Detail: "forced durable write " + recvName + "." + fn.Name()})
 				return
 			}
 		}
-		// Client-visible reply sends on a guardian process.
-		if pkgPath == "repro/internal/guardian" && recvName == "Process" {
-			if idx, ok := sendDestIndex(fn.Name()); ok && idx < len(call.Args) {
-				if isReplyDest(ex.info, call.Args[idx]) {
-					ex.emit(Event{Kind: KReply, Pos: call.Pos(), Class: "reply", Detail: "Process." + fn.Name() + " to a reply port"})
-					return
-				}
-			}
-			// Other guardian sends are protocol traffic, not events.
-			return
-		}
-	}
-	if pkgPath == "repro/internal/amo" && sig != nil && sig.Recv() == nil && fn.Name() == "SendReply" {
-		ex.emit(Event{Kind: KReply, Pos: call.Pos(), Class: "reply", Detail: "amo.SendReply"})
-		return
 	}
 	if pkgPath == "repro/internal/sendprim" && sig != nil && sig.Recv() == nil && (fn.Name() == "Call" || fn.Name() == "SyncSend") {
 		ex.emit(Event{Kind: KBlock, Pos: call.Pos(), Class: "syncsend", Detail: "sendprim." + fn.Name()})
@@ -738,42 +709,6 @@ func logLike(t types.Type) bool {
 	return lookup("Append") && (lookup("Sync") || lookup("AppendSync"))
 }
 
-// sendDestIndex maps a guardian Process send method to the index of its
-// destination argument.
-func sendDestIndex(name string) (int, bool) {
-	switch name {
-	case "Send", "SendReplyTo":
-		return 0, true
-	case "SendChecked", "SendCheckedReplyTo":
-		return 1, true
-	}
-	return 0, false
-}
-
-// replyIdents are the identifier names that, by repo idiom, carry a
-// client's reply port.
-var replyIdents = map[string]bool{"replyTo": true, "client": true, "caller": true, "reply": true}
-
-// isReplyDest reports whether a send-destination expression derives from a
-// message's ReplyTo or an idiomatically named reply port.
-func isReplyDest(info *types.Info, e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			if n.Sel.Name == "ReplyTo" {
-				found = true
-			}
-		case *ast.Ident:
-			if replyIdents[n.Name] {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
 // exprString renders a short expression for class names.
 func exprString(e ast.Expr) string {
 	switch e := e.(type) {
@@ -800,26 +735,12 @@ type Site struct {
 }
 
 // Reach is the transitive effect closure of one function: every blocking
-// operation and every lock acquisition its calls can reach, and the
-// durability-ordering facts ackorder composes.
+// operation and every lock acquisition its calls can reach.
 type Reach struct {
 	// Blocks maps "detail@pos" → Site for reachable blocking operations.
 	Blocks map[string]Site
 	// Acquires maps lock class → Site for reachable acquisitions.
 	Acquires map[string]Site
-	// ReplyBeforeSync: some reply event fires before any sync event.
-	ReplyBeforeSync bool
-	// ReplyBeforeSyncSite is the offending reply (meaningful when
-	// ReplyBeforeSync).
-	ReplyBeforeSyncSite Site
-	// EndsPending: leaves an append with no later sync.
-	EndsPending bool
-	// EndsPendingSite is the dangling append.
-	EndsPendingSite Site
-	// HasSync: contains any forced write.
-	HasSync bool
-	// HasReply: contains any reply event.
-	HasReply bool
 }
 
 // maxSites bounds how many distinct blocking sites one function's closure
@@ -948,19 +869,6 @@ func (g *Graph) update(key string) bool {
 			changed = true
 		}
 	}
-	// The durability facts are recomputed from scratch each round — a
-	// callee's sync discovered on a later round must be able to RETRACT an
-	// earlier round's "ends pending" — while Blocks/Acquires only
-	// accumulate. Callee HasSync facts grow monotonically, so the mixed
-	// recomputation still reaches a fixed point.
-	var (
-		seenSync    = false
-		pending     = false
-		hasReply    = false
-		replyBefore = false
-		pendingSite Site
-		replySite   Site
-	)
 	// Lock classes this function releases before (re-)acquiring: the
 	// ownership hand-off shape. The later acquire re-takes a lock the
 	// function gave up, so it is not exported as a new acquisition a caller
@@ -979,17 +887,6 @@ func (g *Graph) update(key string) bool {
 			if !released[e.Class] {
 				addAcq(e.Class, Site{Detail: e.Detail, Pos: e.Pos})
 			}
-		case KAppend:
-			pending = true
-			pendingSite = Site{Detail: e.Detail, Pos: e.Pos}
-		case KSync:
-			seenSync, pending = true, false
-		case KReply:
-			hasReply = true
-			if !seenSync && !replyBefore {
-				replyBefore = true
-				replySite = Site{Detail: e.Detail, Pos: e.Pos}
-			}
 		case KCall, KICall:
 			for _, callee := range g.Resolve(e, sum.Key) {
 				cr := g.reach[callee]
@@ -1002,32 +899,9 @@ func (g *Graph) update(key string) bool {
 				for class, s := range cr.Acquires {
 					addAcq(class, Site{Detail: s.Detail, Pos: s.Pos, Via: callee})
 				}
-				if cr.HasReply {
-					hasReply = true
-				}
-				if cr.ReplyBeforeSync && !seenSync && !replyBefore {
-					replyBefore = true
-					replySite = Site{Detail: cr.ReplyBeforeSyncSite.Detail, Pos: cr.ReplyBeforeSyncSite.Pos, Via: callee}
-				}
-				// EndsPending describes the callee's state at its return,
-				// so it overrides the callee's internal syncs; a clean
-				// callee with a sync covers the caller's earlier appends.
-				if cr.HasSync {
-					seenSync, pending = true, false
-				}
-				if cr.EndsPending {
-					pending = true
-					pendingSite = Site{Detail: cr.EndsPendingSite.Detail, Pos: cr.EndsPendingSite.Pos, Via: callee}
-				}
 			}
 		}
 	}
-	if r.HasSync != seenSync || r.HasReply != hasReply || r.EndsPending != pending || r.ReplyBeforeSync != replyBefore {
-		changed = true
-	}
-	r.HasSync, r.HasReply = seenSync, hasReply
-	r.EndsPending, r.EndsPendingSite = pending, pendingSite
-	r.ReplyBeforeSync, r.ReplyBeforeSyncSite = replyBefore, replySite
 	return changed
 }
 

@@ -77,42 +77,6 @@ func TestResolveCHAScreensByMethodSet(t *testing.T) {
 	}
 }
 
-func TestReplyBeforeSyncComposition(t *testing.T) {
-	g := New()
-	// bad: append, reply, sync — the reply escapes before the forced write.
-	addFunc(g, "t.bad", "",
-		Event{Kind: KAppend, Detail: "Log.Append", Pos: 1},
-		Event{Kind: KReply, Detail: "amo.SendReply", Pos: 2},
-		Event{Kind: KSync, Detail: "Log.Sync", Pos: 3},
-	)
-	// good: append, sync, reply.
-	addFunc(g, "t.good", "",
-		Event{Kind: KAppend, Detail: "Log.Append", Pos: 4},
-		Event{Kind: KSync, Detail: "Log.Sync", Pos: 5},
-		Event{Kind: KReply, Detail: "amo.SendReply", Pos: 6},
-	)
-	// caller: the callee's sync covers the caller's earlier append.
-	addFunc(g, "t.caller", "",
-		Event{Kind: KAppend, Detail: "Log.Append", Pos: 7},
-		Event{Kind: KCall, Class: "t.good", Pos: 8},
-	)
-	// dangling: append with no sync anywhere.
-	addFunc(g, "t.dangling", "", Event{Kind: KAppend, Detail: "Log.Append", Pos: 9})
-
-	if r := g.ReachOf("t.bad"); !r.ReplyBeforeSync {
-		t.Fatalf("t.bad should flag reply-before-sync: %+v", r)
-	}
-	if r := g.ReachOf("t.good"); r.ReplyBeforeSync || r.EndsPending {
-		t.Fatalf("t.good should be clean: %+v", r)
-	}
-	if r := g.ReachOf("t.caller"); r.EndsPending {
-		t.Fatalf("t.caller's append is covered by callee sync: %+v", r)
-	}
-	if r := g.ReachOf("t.dangling"); !r.EndsPending {
-		t.Fatalf("t.dangling should end pending: %+v", r)
-	}
-}
-
 func TestSiteCapBounds(t *testing.T) {
 	g := New()
 	events := make([]Event, 0, maxSites*2)

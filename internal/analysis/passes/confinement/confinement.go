@@ -228,6 +228,11 @@ func rootObj(pass *analysis.Pass, v *types.Var, assigns map[*types.Var]ast.Expr)
 		if r := rootOf(pass, init, assigns, 0); r != nil {
 			return r
 		}
+		// A guardian some call returned, from an untraced helper or a
+		// lookup, is its own root; a composite literal stays unknown.
+		if _, ok := ast.Unparen(init).(*ast.CallExpr); ok {
+			return v
+		}
 		return nil
 	}
 	return v

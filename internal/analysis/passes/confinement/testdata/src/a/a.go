@@ -32,6 +32,38 @@ func viaCtx(ctx *guardian.Ctx, alien *guardian.Process) {
 	})
 }
 
+// peer looks up another guardian at n: its result traces to no variable.
+func peer(n *guardian.Node, id uint64) *guardian.Guardian {
+	g, _ := n.GuardianByID(id)
+	return g
+}
+
+// untraced captures guardians that calls returned — a helper's result and
+// a node lookup: each is its own root, so neither is the spawner's.
+func untraced(g *guardian.Guardian, id uint64) {
+	fg := peer(g.Node(), id)
+	g.Spawn("helper-result", func(pr *guardian.Process) { // want `captures fg`
+		_ = fg.State()
+	})
+	other, ok := g.Node().GuardianByID(id)
+	if !ok {
+		return
+	}
+	g.Spawn("by-id", func(pr *guardian.Process) { // want `captures other`
+		_ = other.State()
+	})
+}
+
+// ctxLiteral builds a context for its own guardian and hands it to the
+// process it spawns there, as the runtime does for Init: a composite
+// literal has no traced root, and nothing is reported.
+func ctxLiteral(g *guardian.Guardian) {
+	ctx := &guardian.Ctx{G: g}
+	g.Spawn("main", func(p *guardian.Process) {
+		ctx.Proc = p
+	})
+}
+
 // leakyDef captures a live guardian in the definition body: the
 // instantiated guardian would reach into whoever built the definition.
 func leakyDef(outer *guardian.Guardian) *guardian.GuardianDef {

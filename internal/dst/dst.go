@@ -43,6 +43,10 @@ import (
 	"repro/internal/vtime"
 )
 
+// sendUnsyncedCrashRate is the share of send-unsynced windows a crashing
+// profile crashes the sender at.
+const sendUnsyncedCrashRate = 0.25
+
 // Injectable bugs: each disables one protection the harness exists to
 // audit, as a self-test that the checkers actually have teeth.
 const (
@@ -319,15 +323,56 @@ func run(opts Options, schedule []Event, audit func(workload, *guardian.World, *
 	cfg := guardian.Config{Clock: clock, Net: opts.Profile.Net}
 	cfg.Net.Seed = streams.Net()
 
-	// Storage fault injection: every node's in-memory disk draws seeded
-	// fates at Sync. A fault fail-stops the node before its Sync
-	// returns — no acknowledgment of unsynced state can escape — and a
-	// restart a moment later forces recovery through the damage.
 	var (
 		w       *guardian.World
 		storeMu sync.Mutex
 		faulty  []*durable.Mem
 	)
+	// crashAndRestart fail-stops node where a window fired and restarts it
+	// a moment later, forcing recovery through what the crash left.
+	crashAndRestart := func(node string) {
+		n, err := w.Node(node)
+		if err != nil || !n.Alive() {
+			return
+		}
+		n.Crash()
+		go func() {
+			clock.Sleep(15 * time.Millisecond)
+			if !n.Alive() {
+				_ = n.Restart()
+			}
+		}()
+	}
+
+	// A profile that crashes nodes also crashes one, now and then, where a
+	// guardian's message has left ahead of its log's Sync: the instant an
+	// acknowledged effect is lost if the guardian acked too early. The
+	// decisions come from their own stream, so every other draw keeps its
+	// place; the window closes when the clients finish, before the audit.
+	var windowsOpen atomic.Bool
+	if opts.Profile.Crashes > 0 {
+		var windowMu sync.Mutex
+		windows := streams.Windows()
+		windowsOpen.Store(true)
+		cfg.Crash = func(node string) fault.Hook {
+			return func(point, _ string) {
+				if point != fault.SendUnsynced || !windowsOpen.Load() {
+					return
+				}
+				windowMu.Lock()
+				fire := windows.Float64() < sendUnsyncedCrashRate
+				windowMu.Unlock()
+				if fire {
+					crashAndRestart(node)
+				}
+			}
+		}
+	}
+
+	// Storage fault injection: every node's in-memory disk draws seeded
+	// fates at Sync. A fault fail-stops the node before its Sync
+	// returns — no acknowledgment of unsynced state can escape — and a
+	// restart a moment later forces recovery through the damage.
 	sw, wrapsStores := wl.(storeWrapper)
 	cfg.Store = func(node string) (durable.Store, error) {
 		var mcfg durable.MemConfig
@@ -335,20 +380,9 @@ func run(opts Options, schedule []Event, audit func(workload, *guardian.World, *
 			mcfg.FaultConfig = *sf
 			mcfg.Seed = streams.Storage(node)
 			mcfg.Crash = func(point, _ string) {
-				if point == fault.MidCheckpoint {
-					return
+				if point != fault.MidCheckpoint {
+					crashAndRestart(node)
 				}
-				n, err := w.Node(node)
-				if err != nil || !n.Alive() {
-					return
-				}
-				n.Crash()
-				go func() {
-					clock.Sleep(15 * time.Millisecond)
-					if !n.Alive() {
-						_ = n.Restart()
-					}
-				}()
 			}
 		}
 		mem := durable.NewMem(clock, mcfg)
@@ -432,6 +466,7 @@ func run(opts Options, schedule []Event, audit func(workload, *guardian.World, *
 	go func() {
 		defer done.Store(true)
 		clients.Wait()
+		windowsOpen.Store(false)
 		<-execDone
 		w.Quiesce()
 		// Quiesce covers network deliveries; give same-node dispatch

@@ -72,11 +72,9 @@ func ledgerDef(name string, logThenAck bool) *guardian.GuardianDef {
 						sinceCP = 0
 					}
 				} else {
-					//lint:allow ackorder the broken ledger is the experiment's control arm: it leaves the append volatile so e7 can measure recovery losing it
 					log.Append([]byte{1}) // volatile: no Sync before the ack
 				}
 				if !m.ReplyTo.IsZero() {
-					//lint:allow ackorder deliberately unsynced ack on the ablation arm — the violation e7 exists to demonstrate
 					_ = pr.Send(m.ReplyTo, "ok")
 				}
 			}).

@@ -141,6 +141,8 @@ const (
 	BeforeInstall = "before-install" // the destination is about to log the received range
 	AfterInstall  = "after-install"  // the install is durable, installed not yet sent
 	AfterPrepare  = "after-prepare"  // an escrow hold is durable, the yes vote not yet sent
+	// guardian send, subject the sending guardian's log.
+	SendUnsynced = "send-unsynced" // a message has left while the sender's log holds an unsynced tail
 )
 
 // Stream draws the stream faults of one send: reset its connection, stall
@@ -153,7 +155,8 @@ func (d Dice) Stream(reset, stall float64) (bool, bool) {
 // seed: the master stream's first three draws seed the network's dice, the
 // fault schedule and the workload; client i's stream is the workload seed
 // plus 7919·i; a node's storage dice are the master seed xor the FNV-1a
-// hash of its name — derived, not drawn, so storage faults move no other
+// hash of its name, and the crash-window stream the master seed xor that
+// of "crash windows" — derived, not drawn, so neither moves another
 // stream.
 type Run struct{ seed, net, schedule, work int64 }
 
@@ -173,8 +176,15 @@ func (r Run) Schedule() *rand.Rand { return stream(r.schedule) }
 func (r Run) Client(i int) *rand.Rand { return stream(r.work + 7919*int64(i)) }
 
 // Storage is the seed of node's storage dice.
-func (r Run) Storage(node string) int64 {
+func (r Run) Storage(node string) int64 { return r.derive(node) }
+
+// Windows returns the stream that decides at which named crash windows
+// the run crashes a node.
+func (r Run) Windows() *rand.Rand { return stream(r.derive("crash windows")) }
+
+// derive is the master seed xor the FNV-1a hash of label.
+func (r Run) derive(label string) int64 {
 	h := fnv.New64a()
-	h.Write([]byte(node))
+	h.Write([]byte(label))
 	return r.seed ^ int64(h.Sum64())
 }

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/durable"
+	"repro/internal/fault"
 	"repro/internal/xrep"
 )
 
@@ -59,6 +61,9 @@ type Guardian struct {
 	// Node.Takeover so a replica's new primary resumes the old primary's
 	// shipped log instead of an empty one named by its fresh id.
 	logName string
+	// log holds the durable.Log that Log() opened, once it has: the
+	// send-unsynced window reads it and never opens one itself.
+	log atomic.Value
 
 	killOnce sync.Once
 	killCh   chan struct{}
@@ -299,7 +304,21 @@ func (g *Guardian) Log() durable.Log {
 		}
 		panic(fmt.Errorf("guardian: opening log %q for %s/%d: %w", name, g.def.TypeName, g.id, err))
 	}
+	if g.log.Load() == nil {
+		g.log.Store(l)
+	}
 	return l
+}
+
+// sendUnsynced fires the send-unsynced crash window after a message has
+// left, if the guardian's log holds records no Sync has forced yet: a
+// crash here loses effects the message may have acknowledged. A crash
+// before the message leaves loses nothing acknowledged, so the window is
+// after it.
+func (g *Guardian) sendUnsynced() {
+	if l, _ := g.log.Load().(durable.Log); l != nil && l.VolatileLen() > 0 {
+		g.node.crash.At(fault.SendUnsynced, g.LogName())
+	}
 }
 
 // LogName returns the name of the log Log() opens.

@@ -154,7 +154,8 @@ func (pr *Process) send(to, replyTo xrep.PortName, pt *PortType, command string,
 
 // sendSeq is the bottom of every send: args writes the argument sequence
 // into the frame, between its head and its tail. A dead guardian's
-// process sends nothing and runs no encode code.
+// process sends nothing and runs no encode code. On a node with a crash
+// hook, the send-unsynced window follows the send.
 func (pr *Process) sendSeq(to, replyTo xrep.PortName, command string, args func(dst []byte) ([]byte, error)) error {
 	if !pr.g.Alive() {
 		return ErrKilled
@@ -175,6 +176,9 @@ func (pr *Process) sendSeq(to, replyTo xrep.PortName, command string, args func(
 	}
 	pr.g.node.world.stats.MessagesSent.Add(1)
 	pr.g.node.world.traceSend(pr.g.node.name, command, pr.g.id, to)
+	if pr.g.node.crash != nil {
+		pr.g.sendUnsynced()
+	}
 	return nil
 }
 

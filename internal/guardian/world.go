@@ -39,8 +39,9 @@ type Config struct {
 	Store func(node string) (durable.Store, error)
 	// Crash, when non-nil, builds each node's crash-window hook: the
 	// replication and shard-handoff windows of the guardians a node hosts
-	// fire it through Node.CrashPoint (the storage windows are the
-	// Store's own). Nil, or a nil hook for some node, means no hook.
+	// fire it through Node.CrashPoint, and every send fires the
+	// send-unsynced window (the storage windows are the Store's own).
+	// Nil, or a nil hook for some node, means no hook.
 	Crash func(node string) fault.Hook
 	// Limits are the system-wide type invariants enforced at send time.
 	// The zero value means DefaultLimits.

@@ -320,6 +320,28 @@ func TestInFlightAcrossCrashAndRestart(t *testing.T) {
 	}
 }
 
+// TestInFlightOutlivesItsSender: a packet handed to the network is
+// delivered at its due time although its sender crashed right after
+// sending it — the instant guardian's send-unsynced window crashes at.
+func TestInFlightOutlivesItsSender(t *testing.T) {
+	clock := vtime.NewSim(time.Unix(0, 0))
+	n := New(clock, Config{BaseLatency: 10 * time.Millisecond})
+	defer n.Close()
+	got := make(chan byte, 1)
+	n.Attach("a", func(Addr, []byte) {})
+	n.Attach("b", func(_ Addr, p []byte) { got <- p[0] })
+	if err := n.Send("a", "b", []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	waitPending(t, clock)
+	n.Detach("a") // the sender crashes
+	clock.Advance(10 * time.Millisecond)
+	n.Quiesce()
+	if st := n.Counts(); st.Delivered != 1 || len(got) != 1 || <-got != 1 {
+		t.Fatalf("Delivered=%d, want the sender's packet delivered", st.Delivered)
+	}
+}
+
 // waitPending waits until a delivery worker has armed its timer.
 func waitPending(t *testing.T, clock *vtime.Sim) {
 	t.Helper()
