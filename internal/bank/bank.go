@@ -186,15 +186,19 @@ const checkpointRec = "bank/checkpoint"
 // the applied-op table, the dedup filter's snapshot, and the shard core
 // (adopted ring, handoffs, escrow) — so the log records it folds in can
 // be compacted away. Maps are emitted in sorted order: the same state
-// always checkpoints to the same bytes. The two tables that grow with the
-// branch go from the maps to bytes; the dedup snapshot and the shard core
-// stay values their owners render.
+// always checkpoints to the same bytes. The tables that grow with the
+// branch — accounts, applied ops and the shard core's escrow transactions
+// — go from the maps to bytes, into one buffer sized for all three; only
+// the dedup snapshot stays a value its owner renders.
 func encodeCheckpoint(st *branchState, dedup *amo.Dedup, core *shardCore) []byte {
 	names := make([]string, 0, max(len(st.accounts), len(st.applied)))
-	size := 64
+	size := 64 + escrowRowSize*core.escrow.Len()
 	for a := range st.accounts {
 		names = append(names, a)
 		size += len(a) + 16
+	}
+	for id, outcome := range st.applied {
+		size += len(id) + len(outcome) + 8
 	}
 	sort.Strings(names)
 	buf := wire.AppendRecHeader(make([]byte, 0, size), checkpointRec, 4)
@@ -221,13 +225,18 @@ func encodeCheckpoint(st *branchState, dedup *amo.Dedup, core *shardCore) []byte
 	}
 	buf, err := wire.AppendValue(buf, dsnap)
 	if err == nil {
-		buf, err = wire.AppendValue(buf, core.checkpointField())
+		buf, err = core.appendCheckpoint(buf)
 	}
 	if err != nil {
 		panic(fmt.Errorf("bank: marshal checkpoint: %v", err))
 	}
 	return buf
 }
+
+// escrowRowSize is what encodeCheckpoint budgets for one escrow row: a
+// router's txid ("<client>/tx<n>", about 20 bytes), the phase, the kind,
+// an account name and an amount, with their tags and lengths.
+const escrowRowSize = 64
 
 // decodeCheckpoint is encodeCheckpoint's inverse: it loads accounts and
 // applied ops into st and returns the dedup snapshot for the amo layer

@@ -1,6 +1,7 @@
 package bank
 
 import (
+	"bytes"
 	"fmt"
 	"path/filepath"
 	"reflect"
@@ -196,7 +197,7 @@ func TestCheckpointCoversDedupSnapshot(t *testing.T) {
 }
 
 // TestShardCheckpointRoundTrip is the pure-data half of shard-mode
-// checkpointing: everything checkpointField captures must come back
+// checkpointing: everything appendCheckpoint writes must come back
 // identical through decode + restoreCheckpoint — the adopted ring,
 // installed handoffs, cut outbound handoffs (retained and acked), and
 // escrow transactions with their derived holds.
@@ -224,6 +225,10 @@ func TestShardCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := core.escrow.Restore("committed", "cli/tx2", EscrowOp("credit", "e", 10)); err != nil {
+		t.Fatal(err)
+	}
+	// An abort that overtook its prepare is logged with no operation.
+	if err := core.escrow.Apply("aborted", "cli/tx3", nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -271,8 +276,9 @@ func TestShardCheckpointRoundTrip(t *testing.T) {
 	wantRows := []escrowRow{
 		{"cli/tx1", "prepared", EscrowOp("debit", "d", 25)},
 		{"cli/tx2", "committed", EscrowOp("credit", "e", 10)},
+		{"cli/tx3", "aborted", EscrowOp("", "", 0)},
 	}
-	if got := rows(core2); !reflect.DeepEqual(got, wantRows) || !reflect.DeepEqual(got, rows(core)) {
+	if got := rows(core2); !reflect.DeepEqual(got, wantRows) {
 		t.Fatalf("escrow txns = %v, want %v", got, wantRows)
 	}
 	if st2.holds["d"] != 25 {
@@ -281,10 +287,10 @@ func TestShardCheckpointRoundTrip(t *testing.T) {
 	if st2.accounts["d"] != 100 || st2.applied["op1"] != OutcomeOK {
 		t.Fatalf("branch state lost: %v %v", st2.accounts, st2.applied)
 	}
-	// The restored core must re-encode to the identical field: a lossy
+	// The restored core must re-encode to the identical bytes: a lossy
 	// round trip would drift a little more on every checkpoint cycle.
-	if !reflect.DeepEqual(core2.checkpointField(), core.checkpointField()) {
-		t.Fatalf("re-encoded shard state differs:\n  got  %v\n  want %v", core2.checkpointField(), core.checkpointField())
+	if again := encodeCheckpoint(st2, nil, core2); !bytes.Equal(again, buf) {
+		t.Fatalf("re-encoded checkpoint differs: %d bytes, first written %d", len(again), len(buf))
 	}
 }
 
@@ -355,5 +361,39 @@ func TestShardCheckpointCompactsAndRecovers(t *testing.T) {
 	member, epoch, _, ok := ShardSnapshot(bg2)
 	if !ok || member != "s1" || epoch != 1 {
 		t.Fatalf("recovered shard state member=%q epoch=%d ok=%v, want s1/1 (ring lost with the compacted record?)", member, epoch, ok)
+	}
+}
+
+// shardCheckpointAllocCeiling is what encodeCheckpoint of a shard core may
+// allocate whatever the size of its tables: the measured 25, exact. While
+// the escrow table was built as a value tree before it was marshalled it
+// grew by about seven a row: 720 over 100 rows, 70 010 over 10 000.
+const shardCheckpointAllocCeiling = 25
+
+// TestShardCheckpointAllocCeiling pins that a shard checkpoint costs the
+// same number of allocations for 100 escrow rows as for 10 000: the rows go
+// from the participant's table to bytes, and the buffer is sized for them
+// up front. The participant never forgets a transaction, so a table that
+// allocated per row would charge every operation a share of every
+// transaction ever run.
+func TestShardCheckpointAllocCeiling(t *testing.T) {
+	r := ring.New("accounts", 0, ring.Member{Name: "s1"}, ring.Member{Name: "s2"})
+	measure := func(rows int) float64 {
+		st := &branchState{accounts: make(map[string]int64), applied: make(map[string]string)}
+		for i := 0; i < 100; i++ {
+			st.accounts[fmt.Sprintf("a%07d", i)] = int64(i)
+			st.applied[fmt.Sprintf("op-%d", i)] = OutcomeOK
+		}
+		core := newShardCore("s1", st, nil)
+		core.adopt(r)
+		core.installed["accounts/1/s2>s1"] = true
+		fillEscrow(t, core, rows)
+		return testing.AllocsPerRun(20, func() { encodeCheckpoint(st, nil, core) })
+	}
+	small, large := measure(100), measure(10_000)
+	t.Logf("encodeCheckpoint allocates %.0f times over 100 escrow rows, %.0f over 10 000", small, large)
+	if large != small || large > shardCheckpointAllocCeiling {
+		t.Errorf("encodeCheckpoint allocates %.0f times over 100 escrow rows and %.0f over 10 000, want the same and at most %d",
+			small, large, shardCheckpointAllocCeiling)
 	}
 }

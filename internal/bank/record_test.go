@@ -17,9 +17,10 @@ import (
 	"repro/internal/xrep"
 )
 
-// opRecordTree and encodeCheckpointTree are the encoders this package had
-// before records were written field by field: build the value tree, flatten
-// it. They stay here as the reference the append encoders are held to.
+// opRecordTree, encodeCheckpointTree and shardStateTree are the encoders
+// this package had before records were written field by field: build the
+// value tree, flatten it. They stay here as the reference the append
+// encoders are held to.
 func opRecordTree(t testing.TB, kind, acct string, amount int64, opID string) []byte {
 	t.Helper()
 	b, err := wire.MarshalValue(xrep.Seq{xrep.Str(kind), xrep.Str(acct), xrep.Int(amount), xrep.Str(opID)})
@@ -53,11 +54,84 @@ func encodeCheckpointTree(t testing.TB, st *branchState, dedup *amo.Dedup, core 
 	if dedup != nil {
 		dsnap = dedup.Snapshot()
 	}
-	buf, err := wire.MarshalValue(xrep.Rec{Name: checkpointRec, Fields: xrep.Seq{accounts, applied, dsnap, core.checkpointField()}})
+	buf, err := wire.MarshalValue(xrep.Rec{Name: checkpointRec, Fields: xrep.Seq{accounts, applied, dsnap, shardStateTree(core)}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return buf
+}
+
+// shardStateTree renders the shard core's state as the checkpoint's fourth
+// field: the adopted ring, installed handoff ids, cut handoffs, and escrow
+// transactions, maps in sorted order.
+func shardStateTree(c *shardCore) xrep.Value {
+	blob := ""
+	if c.ring != nil {
+		blob = string(c.ring.Marshal())
+	}
+	hids := make([]string, 0, len(c.installed))
+	for hid := range c.installed {
+		hids = append(hids, hid)
+	}
+	sort.Strings(hids)
+	installed := make(xrep.Seq, 0, len(hids))
+	for _, hid := range hids {
+		installed = append(installed, xrep.Str(hid))
+	}
+	outIDs := make([]string, 0, len(c.out))
+	for hid := range c.out {
+		outIDs = append(outIDs, hid)
+	}
+	sort.Strings(outIDs)
+	outs := make(xrep.Seq, 0, len(outIDs))
+	for _, hid := range outIDs {
+		o := c.out[hid]
+		acked := int64(0)
+		if o.acked {
+			acked = 1
+		}
+		outs = append(outs, xrep.Seq{
+			xrep.Str(hid), xrep.Str(o.dest), xrep.Str(o.blob), xrep.Int(acked), o.accounts,
+		})
+	}
+	txns := xrep.Seq{}
+	c.escrow.Each(func(txid, phase string, op xrep.Value) {
+		// An abort that had no prepare has no op, and reads as ("", "", 0).
+		f := xrep.ReadSeq(op, 3)
+		kind, acct, amount := f.Str(), f.Str(), f.Int()
+		txns = append(txns, xrep.Seq{
+			xrep.Str(txid), xrep.Str(phase), xrep.Str(kind), xrep.Str(acct), xrep.Int(amount),
+		})
+	})
+	return xrep.Seq{xrep.Str(blob), installed, outs, txns}
+}
+
+// fillEscrow gives core's participant n transactions with router-shaped
+// txids, taking turns at the four rows a table holds: a prepared debit (with
+// its hold), a committed credit, a debit aborted after its prepare, and an
+// abort that arrived with no prepare, which has no operation.
+func fillEscrow(t testing.TB, core *shardCore, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		txid := fmt.Sprintf("router-%d/2/1/tx%d", i%3, i)
+		acct := fmt.Sprintf("a%07d", i%500)
+		var err error
+		switch i % 4 {
+		case 0:
+			err = core.escrow.Apply("prepared", txid, EscrowOp("debit", acct, int64(i%97+1)))
+		case 1:
+			err = core.escrow.Restore("committed", txid, EscrowOp("credit", acct, int64(i)))
+		case 2:
+			if err = core.escrow.Apply("prepared", txid, EscrowOp("debit", acct, 7)); err == nil {
+				err = core.escrow.Apply("aborted", txid, nil)
+			}
+		case 3:
+			err = core.escrow.Apply("aborted", txid, nil)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // opFromBytes unmarshals one log record and reads it as an op record.
@@ -131,6 +205,10 @@ func TestCheckpointMatchesTree(t *testing.T) {
 		}
 	}
 
+	twoPC := newShardCore("s2", &branchState{}, nil)
+	twoPC.adopt(r)
+	fillEscrow(t, twoPC, 3000)
+
 	big := &branchState{accounts: make(map[string]int64, 50000), applied: make(map[string]string)}
 	for i := 0; i < 50000; i++ {
 		big.accounts[fmt.Sprintf("a%07d", i)] = int64(i)*1_000_003 - 1<<34
@@ -148,6 +226,7 @@ func TestCheckpointMatchesTree(t *testing.T) {
 		}, dedup, newShardCore("", nil, nil)},
 		{"shard state", &branchState{accounts: map[string]int64{"d": 100}, applied: map[string]string{}}, nil, shard},
 		{"50000 accounts", big, dedup, shard},
+		{"3000 escrow rows", &branchState{accounts: map[string]int64{"a0000001": 9}}, dedup, twoPC},
 	}
 	for _, tc := range cases {
 		want := encodeCheckpointTree(t, tc.st, tc.dedup, tc.core)
@@ -166,6 +245,49 @@ func TestCheckpointMatchesTree(t *testing.T) {
 		return bytes.Equal(encodeCheckpoint(st, nil, newShardCore("", nil, nil)), encodeCheckpointTree(t, st, nil, newShardCore("", nil, nil)))
 	}
 	if err := quick.Check(prop, nil); err != nil {
+		t.Error(err)
+	}
+	// Shard state: random installed ids, cut handoffs (retained or acked)
+	// and escrow rows in all four shapes, each key's value choosing its
+	// shape, with and without an adopted ring.
+	shardProp := func(installed []string, outs, rows map[string]int64, adopted bool) bool {
+		core := newShardCore("s1", &branchState{}, nil)
+		if adopted {
+			core.adopt(r)
+		}
+		for _, hid := range installed {
+			core.installed[hid] = true
+		}
+		for hid, bal := range outs {
+			o := &outboundHandoff{dest: hid + ">", blob: string(r.Marshal()), acked: bal%2 == 0, accounts: xrep.Seq{}}
+			if !o.acked {
+				o.accounts = accountsSeq(map[string]int64{hid: bal, hid + "+": -bal})
+			}
+			core.out[hid] = o
+		}
+		for txid, amount := range rows {
+			op := EscrowOp("debit", txid+"/acct", amount&0xffff+1)
+			var err error
+			switch amount & 3 {
+			case 0:
+				err = core.escrow.Apply("prepared", txid, op)
+			case 1:
+				err = core.escrow.Restore("committed", txid, EscrowOp("credit", txid, amount))
+			case 2:
+				if err = core.escrow.Apply("prepared", txid, op); err == nil {
+					err = core.escrow.Apply("aborted", txid, nil)
+				}
+			default:
+				err = core.escrow.Apply("aborted", txid, nil)
+			}
+			if err != nil {
+				return false
+			}
+		}
+		st := &branchState{}
+		return bytes.Equal(encodeCheckpoint(st, nil, core), encodeCheckpointTree(t, st, nil, core))
+	}
+	if err := quick.Check(shardProp, nil); err != nil {
 		t.Error(err)
 	}
 }

@@ -170,13 +170,8 @@ func seedKey(prefix string, i int) string {
 
 // accountsSeq renders a balance map as a sorted (name, balance) sequence.
 func accountsSeq(m map[string]int64) xrep.Seq {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make(xrep.Seq, 0, len(names))
-	for _, n := range names {
+	out := make(xrep.Seq, 0, len(m))
+	for _, n := range sortedKeys(m) {
 		out = append(out, xrep.Seq{xrep.Str(n), xrep.Int(m[n])})
 	}
 	return out
@@ -198,55 +193,70 @@ func readRange(blob string, accounts xrep.Seq) (map[string]int64, *ring.Ring, er
 	return m, r, err
 }
 
-// checkpointField renders the shard core's durable state for the branch
-// checkpoint: the adopted ring, installed handoff ids, cut handoffs, and
-// escrow transactions — everything a recovery would rebuild by folding the
-// compacted shard records. Maps are emitted in sorted order: same state,
-// same bytes.
-func (c *shardCore) checkpointField() xrep.Value {
+// sortedKeys returns m's keys in order: how a checkpoint writes a map so
+// that the same state always writes the same bytes.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// appendCheckpoint appends the shard core's durable state, the branch
+// checkpoint's fourth field: the adopted ring, installed handoff ids, cut
+// handoffs, and escrow transactions — everything a recovery would rebuild
+// by folding the compacted shard records. It writes the fields as
+// restoreCheckpoint reads them, with no value tree between the tables and
+// the bytes; an escrow row is (txid, phase, kind, account, amount), an
+// abort that had no prepare reading as ("", "", 0). It runs on the
+// branch's receive process, the participant's only writer, so the row
+// count it writes first is the number of rows Each hands it.
+func (c *shardCore) appendCheckpoint(buf []byte) ([]byte, error) {
 	blob := ""
 	if c.ring != nil {
 		blob = string(c.ring.Marshal())
 	}
-	hids := make([]string, 0, len(c.installed))
-	for hid := range c.installed {
-		hids = append(hids, hid)
+	buf = wire.AppendSeqHeader(buf, 4)
+	buf = wire.AppendStr(buf, blob)
+	buf = wire.AppendSeqHeader(buf, len(c.installed))
+	for _, hid := range sortedKeys(c.installed) {
+		buf = wire.AppendStr(buf, hid)
 	}
-	sort.Strings(hids)
-	installed := make(xrep.Seq, 0, len(hids))
-	for _, hid := range hids {
-		installed = append(installed, xrep.Str(hid))
-	}
-	outIDs := make([]string, 0, len(c.out))
-	for hid := range c.out {
-		outIDs = append(outIDs, hid)
-	}
-	sort.Strings(outIDs)
-	outs := make(xrep.Seq, 0, len(outIDs))
-	for _, hid := range outIDs {
+	buf = wire.AppendSeqHeader(buf, len(c.out))
+	var err error
+	for _, hid := range sortedKeys(c.out) {
 		o := c.out[hid]
 		acked := int64(0)
 		if o.acked {
 			acked = 1
 		}
-		outs = append(outs, xrep.Seq{
-			xrep.Str(hid), xrep.Str(o.dest), xrep.Str(o.blob), xrep.Int(acked), o.accounts,
-		})
+		buf = wire.AppendSeqHeader(buf, 5)
+		buf = wire.AppendStr(buf, hid)
+		buf = wire.AppendStr(buf, o.dest)
+		buf = wire.AppendStr(buf, o.blob)
+		buf = wire.AppendInt(buf, acked)
+		if buf, err = wire.AppendSeq(buf, o.accounts); err != nil {
+			return nil, err
+		}
 	}
-	txns := xrep.Seq{}
+	buf = wire.AppendSeqHeader(buf, c.escrow.Len())
 	c.escrow.Each(func(txid, phase string, op xrep.Value) {
-		// An abort that had no prepare has no op, and reads as ("", "", 0).
 		kind, acct, amount, _ := parseEscrowOp(op)
-		txns = append(txns, xrep.Seq{
-			xrep.Str(txid), xrep.Str(phase), xrep.Str(kind), xrep.Str(acct), xrep.Int(amount),
-		})
+		buf = wire.AppendSeqHeader(buf, 5)
+		buf = wire.AppendStr(buf, txid)
+		buf = wire.AppendStr(buf, phase)
+		buf = wire.AppendStr(buf, kind)
+		buf = wire.AppendStr(buf, acct)
+		buf = wire.AppendInt(buf, amount)
 	})
-	return xrep.Seq{xrep.Str(blob), installed, outs, txns}
+	return buf, nil
 }
 
-// restoreCheckpoint is checkpointField's inverse. It rebuilds the shard
-// core — and the escrow holds, which are derived from prepared debits —
-// and must run BEFORE any post-checkpoint record is folded on top, so
+// restoreCheckpoint is appendCheckpoint's inverse, given the field as
+// decodeCheckpoint reads it. It rebuilds the shard core — and the escrow
+// holds, which are derived from prepared debits — and must run BEFORE any post-checkpoint record is folded on top, so
 // tail records (an ack, a commit) find the state they refer to.
 func (c *shardCore) restoreCheckpoint(v xrep.Value) error {
 	f := xrep.ReadSeq(v, 4)
@@ -744,6 +754,9 @@ func (e escrowResource) Abort(op xrep.Value) {
 
 // parseEscrowOp decodes a 2PC escrow operation value.
 func parseEscrowOp(v xrep.Value) (kind, acct string, amount int64, ok bool) {
+	if v == nil { // the abort that had no prepare: spare the reader's error
+		return "", "", 0, false
+	}
 	f := xrep.ReadSeq(v, 3)
 	kind, acct, amount = f.Str(), f.Str(), f.Int()
 	return kind, acct, amount, f.Err() == nil && (kind == "debit" || kind == "credit")

@@ -14,7 +14,7 @@ import (
 // parseCorpusLine builds the Options for one seeds.txt entry:
 //
 //	<seed> <workload> <profile> [cpevery=N] [shards=N] [replfactor=N]
-//	[storage=syncfail,shortwrite,corrupttail]
+//	[ring=shards,joins,leaves] [storage=syncfail,shortwrite,corrupttail]
 func parseCorpusLine(line string) (Options, error) {
 	fields := strings.Fields(line)
 	if len(fields) < 3 {
@@ -46,6 +46,17 @@ func parseCorpusLine(line string) (Options, error) {
 		case "replfactor":
 			if topo.ReplFactor, err = strconv.Atoi(val); err != nil {
 				return Options{}, fmt.Errorf("bad replfactor %q: %v", val, err)
+			}
+		case "ring":
+			counts := strings.Split(val, ",")
+			if len(counts) != 3 {
+				return Options{}, fmt.Errorf("ring wants shards,joins,leaves, got %q", val)
+			}
+			opts.Ring = &RingTopology{}
+			for i, dst := range []*int{&opts.Ring.Shards, &opts.Ring.Joins, &opts.Ring.Leaves} {
+				if *dst, err = strconv.Atoi(counts[i]); err != nil {
+					return Options{}, fmt.Errorf("bad ring count %q: %v", counts[i], err)
+				}
 			}
 		case "storage":
 			rates := strings.Split(val, ",")

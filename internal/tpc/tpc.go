@@ -197,6 +197,13 @@ func (p *Participant) Txn(txid string) (phase string, op xrep.Value) {
 	return t.phase, t.op
 }
 
+// Len reports how many transactions the table holds: the rows Each visits.
+func (p *Participant) Len() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.txns)
+}
+
 // Each calls f for every transaction, in txid order, with its phase and
 // operation (nil for an abort that had no prepare, unless restored).
 func (p *Participant) Each(f func(txid, phase string, op xrep.Value)) {
