@@ -267,7 +267,7 @@ func flightMain(ctx *guardian.Ctx) {
 	// amoExec serves the at-most-once port: same operations, but executed
 	// synchronously on the session process so the dedup filter can cache
 	// the outcome before the reply leaves.
-	amoExec := func(pr *guardian.Process, req *amo.Request) (string, xrep.Seq) {
+	amoExec := func(pr *guardian.Process, req amo.Request) (string, xrep.Seq, bool) {
 		// (flight, passenger, date) or (flight, date), read left to right; a
 		// request that does not read so names no flight here.
 		f := xrep.ReadFields(req.Args, 0)
@@ -279,7 +279,7 @@ func flightMain(ctx *guardian.Ctx) {
 			date = f.Str()
 		}
 		if f.Err() != nil || no != st.flightNo {
-			return OutcomeNoSuchFlight, nil
+			return OutcomeNoSuchFlight, nil, false
 		}
 		switch req.Command {
 		case "reserve", "cancel":
@@ -291,7 +291,7 @@ func flightMain(ctx *guardian.Ctx) {
 				outcome = dd.apply(req.Command, pid, st.capacity)
 				log.AppendSync(logRecord(req.Command, pid, date))
 			})
-			return outcome, nil
+			return outcome, nil, false
 		case "list_passengers":
 			var names []string
 			withDate(pr, date, func(dd *dateData) {
@@ -301,9 +301,9 @@ func flightMain(ctx *guardian.Ctx) {
 			for i, nm := range names {
 				seq[i] = xrep.Str(nm)
 			}
-			return "info", xrep.Seq{seq}
+			return "info", xrep.Seq{seq}, true
 		}
-		return OutcomeNoSuchFlight, nil
+		return OutcomeNoSuchFlight, nil, false
 	}
 	dedup := amo.NewDedup(amo.DedupOptions{})
 

@@ -14,13 +14,16 @@
 //     plus jitter so a congested node is not melted by a retry storm, and
 //     consults an optional Health subscription as a circuit breaker —
 //     calls to a node currently marked down fail fast instead of burning
-//     the whole retry budget;
+//     the whole retry budget; a call's Reply is the reply message itself,
+//     its envelope peeled, whose values the caller already owns;
 //   - the server-side Dedup filter wraps a guardian's receive loop
-//     (via guardian.Receiver.Intercept), detects replayed request ids,
-//     re-sends the cached reply without re-executing the handler, and
-//     bounds its table with per-client high-water-mark pruning; the table
-//     can be persisted through stable.Log so at-most-once survives a crash
-//     and restart — a new application of §2.2 permanence of effect.
+//     (via guardian.Receiver.Intercept), hands each fresh Request to the
+//     Handler by value, detects replayed request ids, re-sends the cached
+//     reply without re-executing the handler, and bounds its table with
+//     per-client high-water-mark pruning; the table can be persisted
+//     through stable.Log so at-most-once survives a crash and restart — a
+//     new application of §2.2 permanence of effect. A reply the handler
+//     returns as read-only is cached but not logged.
 //
 // Requests travel in a tagged envelope on a dedicated port type, so the
 // layer composes with any guardian without changing its own port types.

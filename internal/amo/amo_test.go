@@ -22,7 +22,7 @@ const testTimeout = 5 * time.Second
 // an adding handler behind a Dedup filter, and a driver process on node
 // cli. The handler's execution count is the ground truth every
 // at-most-once assertion checks against. Besides "add" it serves "get", a
-// read it declares ReadOnly, and "stage", a misdeclared read that leaves a
+// read it declares read-only, and "stage", a misdeclared read that leaves a
 // record in its log's volatile tail.
 type fixture struct {
 	w       *guardian.World
@@ -59,21 +59,19 @@ func deploy(t *testing.T, net netsim.Config, persist bool) *fixture {
 		case f.dch <- d:
 		default:
 		}
-		d.Serve(ctx.Proc, func(pr *guardian.Process, req *amo.Request) (string, xrep.Seq) {
+		d.Serve(ctx.Proc, func(pr *guardian.Process, req amo.Request) (string, xrep.Seq, bool) {
 			f.execs.Add(1)
 			switch req.Command {
 			case "add":
 				v := f.total.Add(int64(req.Args[0].(xrep.Int)))
-				return "sum", xrep.Seq{xrep.Int(v)}
+				return "sum", xrep.Seq{xrep.Int(v)}, false
 			case "get":
-				req.ReadOnly = true
-				return "sum", xrep.Seq{xrep.Int(f.total.Load())}
+				return "sum", xrep.Seq{xrep.Int(f.total.Load())}, true
 			case "stage":
-				req.ReadOnly = true
 				ctx.G.Log().Append(stagedRec)
-				return "staged", nil
+				return "staged", nil, true
 			}
-			return "err", xrep.Seq{xrep.Str("unknown " + req.Command)}
+			return "err", xrep.Seq{xrep.Str("unknown " + req.Command)}, false
 		}, ctx.Ports[0])
 	}
 	f.w.MustRegister(&guardian.GuardianDef{

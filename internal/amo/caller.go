@@ -109,31 +109,10 @@ func (c *Caller) Client() string { return c.client }
 // Close removes the caller's reply port; the session id is retired.
 func (c *Caller) Close() { c.pr.Guardian().RemovePort(c.reply) }
 
-// Reply is a successful call's outcome: the application command and its
-// decoded arguments.
-type Reply struct {
-	Command string
-	Args    xrep.Seq
-}
-
-// Str returns reply argument i as a string; it panics on a mismatch,
-// mirroring guardian.Message.
-func (r *Reply) Str(i int) string {
-	s, ok := r.Args[i].(xrep.Str)
-	if !ok {
-		panic(fmt.Sprintf("amo: reply %s arg %d is not a string", r.Command, i))
-	}
-	return string(s)
-}
-
-// Int returns reply argument i as an integer; it panics on a mismatch.
-func (r *Reply) Int(i int) int64 {
-	n, ok := r.Args[i].(xrep.Int)
-	if !ok {
-		panic(fmt.Sprintf("amo: reply %s arg %d is not an int", r.Command, i))
-	}
-	return int64(n)
-}
+// Reply is a successful call's outcome: the reply message with its
+// envelope peeled, Command the application outcome and Args its arguments.
+// Its values are the caller's own copy, read with Message's accessors.
+type Reply = guardian.Message
 
 // CallError reports an at-most-once call that got no reply: the request id
 // and the core's account of it (per-attempt timing and, when a system
@@ -252,7 +231,8 @@ func (c *Caller) Call(to xrep.PortName, command string, args ...any) (*Reply, er
 		c.acked = seq
 	}
 	c.mu.Unlock()
-	return &Reply{Command: rm.Str(1), Args: rm.Seq(2)}, nil
+	rm.Command, rm.Args = rm.Str(1), rm.Seq(2)
+	return rm, nil
 }
 
 // beforeSend is the core's pre-send hook: the circuit breaker, and the

@@ -62,7 +62,7 @@ var amoFrontEnd = frontEnd{
 	provides: amo.ReqType,
 	serve: func(ctx *guardian.Ctx) {
 		amo.NewDedup(amo.DedupOptions{Metrics: &amo.Metrics{}}).Serve(ctx.Proc,
-			func(*guardian.Process, *amo.Request) (string, xrep.Seq) { return "done", nil }, ctx.Ports[0])
+			func(*guardian.Process, amo.Request) (string, xrep.Seq, bool) { return "done", nil, false }, ctx.Ports[0])
 	},
 	call: func(pr *guardian.Process, to xrep.PortName, o sendprim.CallOptions) error {
 		c, err := amo.NewCaller(pr, amo.CallerOptions{

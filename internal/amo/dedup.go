@@ -25,18 +25,17 @@ type Request struct {
 	// access-control principal exactly like on a raw message.
 	SrcNode     string
 	SrcGuardian uint64
-	// ReadOnly is set by the handler, never the client, to declare the
-	// command has no effect in any state (a read; not a refused withdraw,
-	// whose duplicate could succeed). Its reply is cached but not logged.
-	ReadOnly bool
 }
 
 // Handler executes one request and returns the reply's outcome command and
-// arguments. It runs on the guardian's own process, so it may use the
-// guardian's state under the guardian's usual locking discipline. It is
-// called AT MOST ONCE per request id, a ReadOnly one again after a crash:
-// replays get the cached reply.
-type Handler func(pr *guardian.Process, req *Request) (outcome string, args xrep.Seq)
+// arguments, and readOnly: the handler's, never the client's, declaration
+// that the command has no effect in any state (a read; not a refused
+// withdraw, whose duplicate could succeed). A read-only reply is cached but
+// not logged. The handler runs on the guardian's own process, so it may
+// use the guardian's state under the guardian's usual locking discipline.
+// It is called AT MOST ONCE per request id, a read-only one again after a
+// crash: replays get the cached reply.
+type Handler func(pr *guardian.Process, req Request) (outcome string, args xrep.Seq, readOnly bool)
 
 // dedupLogRec names the stable-log record that persists one executed
 // request's cached reply.
@@ -50,7 +49,7 @@ const maxPerClient = 128
 type DedupOptions struct {
 	// Log, when non-nil, persists every executed request's reply — the
 	// §2.2 log-then-reply protocol — so Recover can rebuild the table and
-	// at-most-once survives a crash. A ReadOnly request's reply is cached
+	// at-most-once survives a crash. A read-only request's reply is cached
 	// but not logged.
 	Log durable.Log
 	// Metrics receives the filter's counters. Nil means Default.
@@ -125,8 +124,8 @@ func (d *Dedup) Serve(pr *guardian.Process, h Handler, ports ...*guardian.Port) 
 // client's prune watermark. Exported so a guardian that deliberately
 // serves envelopes WITHOUT dedup (an experiment's control arm) can share
 // the wire format.
-func ParseRequest(m *guardian.Message) (req *Request, ack int64) {
-	return &Request{
+func ParseRequest(m *guardian.Message) (req Request, ack int64) {
+	return Request{
 		Client:      m.Str(0),
 		Seq:         m.Int(1),
 		Command:     m.Str(3),
@@ -216,7 +215,7 @@ func (d *Dedup) handle(pr *guardian.Process, m *guardian.Message, h Handler) {
 	d.scratch = nil
 	d.mu.Unlock()
 
-	outcome, outArgs := h(pr, req)
+	outcome, outArgs, readOnly := h(pr, req)
 	c := cached{outcome: outcome, args: outArgs}
 
 	// Log-then-reply unless nothing changed: a reply that may reflect an
@@ -224,7 +223,7 @@ func (d *Dedup) handle(pr *guardian.Process, m *guardian.Message, h Handler) {
 	// between reply and log would let a replay after recovery re-execute
 	// the handler. A read forces nothing unless the log holds a volatile
 	// tail, which the read may have observed.
-	if d.opts.Log != nil && (!req.ReadOnly || d.opts.Log.VolatileLen() > 0) {
+	if d.opts.Log != nil && (!readOnly || d.opts.Log.VolatileLen() > 0) {
 		// Append copies the record, so the scratch is free again as soon
 		// as AppendSync returns.
 		buf = appendDedupRec(buf[:0], req.Client, req.Seq, ack, c)

@@ -40,11 +40,11 @@ func TestPruneWatermarkNeverRegresses(t *testing.T) {
 	var mu sync.Mutex
 	exec := make(map[int64]int)
 	d := NewDedup(DedupOptions{})
-	hook := d.Hook(func(pr *guardian.Process, req *Request) (string, xrep.Seq) {
+	hook := d.Hook(func(pr *guardian.Process, req Request) (string, xrep.Seq, bool) {
 		mu.Lock()
 		exec[req.Seq]++
 		mu.Unlock()
-		return "ok", nil
+		return "ok", nil, false
 	})
 
 	// A well-behaved sequential client: each call acks the previous.
@@ -82,11 +82,11 @@ func TestPruneUnknownClient(t *testing.T) {
 	var mu sync.Mutex
 	exec := make(map[int64]int)
 	d := NewDedup(DedupOptions{})
-	hook := d.Hook(func(pr *guardian.Process, req *Request) (string, xrep.Seq) {
+	hook := d.Hook(func(pr *guardian.Process, req Request) (string, xrep.Seq, bool) {
 		mu.Lock()
 		exec[req.Seq]++
 		mu.Unlock()
-		return "ok", nil
+		return "ok", nil, false
 	})
 
 	// Never-seen client, watermark claimed at 1<<40.
@@ -130,14 +130,14 @@ func TestPruneUnderConcurrentReplay(t *testing.T) {
 	exec := make(map[int64]int)
 	block := make(chan struct{})
 	d := NewDedup(DedupOptions{})
-	hook := d.Hook(func(pr *guardian.Process, req *Request) (string, xrep.Seq) {
+	hook := d.Hook(func(pr *guardian.Process, req Request) (string, xrep.Seq, bool) {
 		mu.Lock()
 		exec[req.Seq]++
 		mu.Unlock()
 		if req.Seq == 10 {
 			<-block // hold seq 10 mid-execution
 		}
-		return "ok", nil
+		return "ok", nil, false
 	})
 
 	// Warm the session: seqs 1..9 answered.

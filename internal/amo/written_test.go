@@ -81,17 +81,17 @@ func echoWorld(t *testing.T, limits xrep.Limits, servers int) (tp *tap, cli, srv
 	t.Cleanup(func() { w.Close() })
 	var sum int64
 	var mu sync.Mutex
-	handle := func(pr *guardian.Process, req *Request) (string, xrep.Seq) {
+	handle := func(pr *guardian.Process, req Request) (string, xrep.Seq, bool) {
 		switch req.Command {
 		case "add":
 			mu.Lock()
 			defer mu.Unlock()
 			sum += int64(req.Args[0].(xrep.Int))
-			return "sum", xrep.Seq{xrep.Int(sum)}
+			return "sum", xrep.Seq{xrep.Int(sum)}, false
 		case "echo":
-			return "echo", req.Args
+			return "echo", req.Args, false
 		}
-		return "ok", nil
+		return "ok", nil, false
 	}
 	moved := func(pr *guardian.Process, m *guardian.Message) bool {
 		if m.Str(3) != "move" {

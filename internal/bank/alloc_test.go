@@ -18,19 +18,22 @@ import (
 )
 
 // amoCallAllocCeiling is what one at-most-once deposit may allocate, end to
-// end on both nodes: the measured 16 plus one, because guardianbench's bound
+// end on both nodes: the measured 13 plus one, because guardianbench's bound
 // on call_small allocs_per_op (+3 %) is about one allocation. It was 30
 // while the log allocated each record copy, each volatile tail and each
-// batch frame, and 27 while the envelopes and the caller's arguments were
-// built of values before they were encoded.
-const amoCallAllocCeiling = 17
+// batch frame, 27 while the envelopes and the caller's arguments were built
+// of values before they were encoded, and 16 while the filter handed its
+// handler a heap Request, the caller built a Reply of its own and the
+// deposit reply's empty argument list was boxed.
+const amoCallAllocCeiling = 14
 
 // amoReadAllocCeiling is what one at-most-once balance read may allocate:
-// the measured 17 plus one (29 while the envelopes were built of values). A
-// read writes no records, so the log costs it nothing; it sits above
-// amoCallAllocCeiling because its reply boxes the balance where a deposit's
-// carries no value.
-const amoReadAllocCeiling = 18
+// the measured 15 plus one (29 while the envelopes were built of values, 17
+// with a heap Request and Reply). A read writes no records, so the log
+// costs it nothing; it sits above amoCallAllocCeiling because its reply
+// boxes a list and the balance in it, where a deposit's empty list costs no
+// box.
+const amoReadAllocCeiling = 16
 
 // sendprimCallAllocCeiling is what one sendprim.Call echo round trip may
 // allocate, end to end on both nodes: the measured 11 plus one (16 while

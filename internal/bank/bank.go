@@ -182,16 +182,28 @@ func (st *branchState) foldOp(v xrep.Value) (bool, error) {
 // checkpointRec names the record a branch's checkpoint state marshals to.
 const checkpointRec = "bank/checkpoint"
 
-// encodeCheckpoint marshals the branch's whole durable state — accounts,
-// the applied-op table, the dedup filter's snapshot, and the shard core
+// checkpointBufs are the buffers a branch writes its checkpoints in, kept
+// from one checkpoint to the next: a Log is done with the state by the time
+// Checkpoint returns.
+type checkpointBufs struct {
+	buf   []byte
+	names []string
+}
+
+// encode marshals the branch's whole durable state — accounts, the
+// applied-op table, the dedup filter's snapshot, and the shard core
 // (adopted ring, handoffs, escrow) — so the log records it folds in can
 // be compacted away. Maps are emitted in sorted order: the same state
 // always checkpoints to the same bytes. The tables that grow with the
 // branch — accounts, applied ops and the shard core's escrow transactions
 // — go from the maps to bytes, into one buffer sized for all three; only
-// the dedup snapshot stays a value its owner renders.
-func encodeCheckpoint(st *branchState, dedup *amo.Dedup, core *shardCore) []byte {
-	names := make([]string, 0, max(len(st.accounts), len(st.applied)))
+// the dedup snapshot stays a value its owner renders. The bytes are b's
+// until the next encode.
+func (b *checkpointBufs) encode(st *branchState, dedup *amo.Dedup, core *shardCore) []byte {
+	if n := max(len(st.accounts), len(st.applied)); cap(b.names) < n {
+		b.names = make([]string, 0, n)
+	}
+	names := b.names[:0]
 	size := 64 + escrowRowSize*core.escrow.Len()
 	for a := range st.accounts {
 		names = append(names, a)
@@ -201,7 +213,10 @@ func encodeCheckpoint(st *branchState, dedup *amo.Dedup, core *shardCore) []byte
 		size += len(id) + len(outcome) + 8
 	}
 	sort.Strings(names)
-	buf := wire.AppendRecHeader(make([]byte, 0, size), checkpointRec, 4)
+	if cap(b.buf) < size {
+		b.buf = make([]byte, 0, size)
+	}
+	buf := wire.AppendRecHeader(b.buf[:0], checkpointRec, 4)
 	buf = wire.AppendSeqHeader(buf, len(names))
 	for _, a := range names {
 		buf = wire.AppendSeqHeader(buf, 2)
@@ -230,15 +245,16 @@ func encodeCheckpoint(st *branchState, dedup *amo.Dedup, core *shardCore) []byte
 	if err != nil {
 		panic(fmt.Errorf("bank: marshal checkpoint: %v", err))
 	}
+	b.buf, b.names = buf, names
 	return buf
 }
 
-// escrowRowSize is what encodeCheckpoint budgets for one escrow row: a
+// escrowRowSize is what checkpointBufs.encode budgets for one escrow row: a
 // router's txid ("<client>/tx<n>", about 20 bytes), the phase, the kind,
 // an account name and an amount, with their tags and lengths.
 const escrowRowSize = 64
 
-// decodeCheckpoint is encodeCheckpoint's inverse: it loads accounts and
+// decodeCheckpoint is checkpointBufs.encode's inverse: it loads accounts and
 // applied ops into st and returns the dedup snapshot for the amo layer
 // and the shard-state field for shardCore.restoreCheckpoint (nil for a
 // checkpoint written before the format carried shard state).
@@ -442,6 +458,7 @@ func branchMain(ctx *guardian.Ctx) {
 	// dedup records are not durable yet, and a crash would then let a
 	// client retry re-execute an effect the checkpoint already holds.
 	opsSinceCP := 0
+	var cpBufs checkpointBufs
 	maybeCheckpoint := func() {
 		if cpEvery <= 0 {
 			return
@@ -453,7 +470,7 @@ func branchMain(ctx *guardian.Ctx) {
 		opsSinceCP = 0
 		// The checkpoint captures shard state too (ring, handoffs, escrow),
 		// so compaction keeps running in shard mode.
-		log.Checkpoint(encodeCheckpoint(st, dedup, sh.shardCore), log.LastDurableSeq())
+		log.Checkpoint(cpBufs.encode(st, dedup, sh.shardCore), log.LastDurableSeq())
 	}
 
 	// mutate logs then applies (log-then-ack) and reports the outcome.
@@ -496,10 +513,10 @@ func branchMain(ctx *guardian.Ctx) {
 	// These carry NO op_id: duplicate suppression is the amo layer's job
 	// (or, in raw mode, deliberately nobody's). Effects are logged to the
 	// same op log with an empty op_id, so recovery replays them as-is.
-	amoExec := func(pr *guardian.Process, req *amo.Request) (string, xrep.Seq) {
+	amoExec := func(pr *guardian.Process, req amo.Request) (string, xrep.Seq, bool) {
 		acct, to, amount, ok := amoArgs(req.Command, req.Args)
 		if !ok {
-			return OutcomeNoAccount, nil
+			return OutcomeNoAccount, nil, false
 		}
 		switch req.Command {
 		case "open", "deposit", "withdraw":
@@ -509,7 +526,7 @@ func branchMain(ctx *guardian.Ctx) {
 			if outcome == OutcomeOK {
 				st.applies.Add(1)
 			}
-			return outcome, nil
+			return outcome, nil, false
 		case "transfer":
 			// Intra-branch move: both legs or neither, so the sufficiency
 			// check precedes any logging.
@@ -520,32 +537,32 @@ func branchMain(ctx *guardian.Ctx) {
 			bal, ok := st.accounts[acct]
 			if !ok {
 				if sh.member != "" && !sh.owned(acct) {
-					return amo.OutcomeSplit, nil
+					return amo.OutcomeSplit, nil, false
 				}
-				return OutcomeNoAccount, nil
+				return OutcomeNoAccount, nil, false
 			}
 			if _, ok := st.accounts[to]; !ok {
 				if sh.member != "" && !sh.owned(to) {
-					return amo.OutcomeSplit, nil
+					return amo.OutcomeSplit, nil, false
 				}
-				return OutcomeNoAccount, nil
+				return OutcomeNoAccount, nil, false
 			}
 			if bal-st.holds[acct] < amount {
-				return OutcomeInsufficient, nil
+				return OutcomeInsufficient, nil, false
 			}
 			log.Append(opRecord("withdraw", acct, amount, ""))
 			appendOp(opRecord("deposit", to, amount, ""))
 			st.apply("withdraw", acct, amount, "")
 			st.apply("deposit", to, amount, "")
 			st.applies.Add(1)
-			return OutcomeOK, nil
+			return OutcomeOK, nil, false
 		case "balance":
-			req.ReadOnly = true
 			if bal, ok := st.accounts[acct]; ok {
-				return "balance_is", xrep.Seq{xrep.Int(bal)}
+				return "balance_is", xrep.Seq{xrep.Int(bal)}, true
 			}
+			return OutcomeNoAccount, nil, true
 		}
-		return OutcomeNoAccount, nil
+		return OutcomeNoAccount, nil, false
 	}
 
 	// No failure arm: amo's retry re-sends a bounced transfer_in.
@@ -561,7 +578,7 @@ func branchMain(ctx *guardian.Ctx) {
 		// bare remote-transaction-send behavior of §3.5.
 		recv.Intercept(func(pr *guardian.Process, m *guardian.Message) bool {
 			req, _ := amo.ParseRequest(m)
-			outcome, out := amoExec(pr, req)
+			outcome, out, _ := amoExec(pr, req)
 			amo.SendReply(pr, m, outcome, out)
 			return true
 		}, amo.ReqCommand)

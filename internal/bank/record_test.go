@@ -61,6 +61,11 @@ func encodeCheckpointTree(t testing.TB, st *branchState, dedup *amo.Dedup, core 
 	return buf
 }
 
+// encodeCheckpoint is one branch checkpoint written into buffers of its own.
+func encodeCheckpoint(st *branchState, dedup *amo.Dedup, core *shardCore) []byte {
+	return new(checkpointBufs).encode(st, dedup, core)
+}
+
 // shardStateTree renders the shard core's state as the checkpoint's fourth
 // field: the adopted ring, installed handoff ids, cut handoffs, and escrow
 // transactions, maps in sorted order.
@@ -191,11 +196,11 @@ func TestCheckpointMatchesTree(t *testing.T) {
 	}
 
 	dedup := amo.NewDedup(amo.DedupOptions{})
-	hook := dedup.Hook(func(_ *guardian.Process, req *amo.Request) (string, xrep.Seq) {
+	hook := dedup.Hook(func(_ *guardian.Process, req amo.Request) (string, xrep.Seq, bool) {
 		if req.Seq%2 == 0 {
-			return "balance_is", xrep.Seq{xrep.Int(req.Seq << 33)}
+			return "balance_is", xrep.Seq{xrep.Int(req.Seq << 33)}, false
 		}
-		return OutcomeOK, nil
+		return OutcomeOK, nil, false
 	})
 	for seq := int64(1); seq <= 4; seq++ {
 		for _, client := range []string{"cli/2/1", "cli/1/1"} {
@@ -228,9 +233,12 @@ func TestCheckpointMatchesTree(t *testing.T) {
 		{"50000 accounts", big, dedup, shard},
 		{"3000 escrow rows", &branchState{accounts: map[string]int64{"a0000001": 9}}, dedup, twoPC},
 	}
+	// One set of buffers, as a branch keeps: each case after the largest
+	// is written over that one's bytes.
+	var bufs checkpointBufs
 	for _, tc := range cases {
 		want := encodeCheckpointTree(t, tc.st, tc.dedup, tc.core)
-		got := encodeCheckpoint(tc.st, tc.dedup, tc.core)
+		got := bufs.encode(tc.st, tc.dedup, tc.core)
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: encodeCheckpoint wrote %d bytes that differ from the tree's %d", tc.name, len(got), len(want))
 			continue

@@ -148,6 +148,24 @@ var logContract = []struct {
 		wantRecovered(t, l, "", "1:first", "2:second")
 		wantRecovered(t, openLog(t, restart(), "app"), "", "1:first", "2:second")
 	}},
+	{"a checkpoint state may be overwritten as soon as Checkpoint returns", func(t *testing.T, st durable.Store, l durable.Log, restart func() durable.Store) {
+		// How a branch checkpoints: every state is written into one reused
+		// buffer, the next one over the last.
+		l.AppendSync([]byte("a"))
+		state := append(make([]byte, 0, 16), "state@1"...)
+		l.Checkpoint(state, 1)
+		for i := range state[:cap(state)] {
+			state[:cap(state)][i] = 'X'
+		}
+		l.AppendSync([]byte("b"))
+		wantRecovered(t, l, "state@1", "2:b")
+		l = openLog(t, restart(), "app")
+		wantRecovered(t, l, "state@1", "2:b")
+		state = append(state[:0], "state@2"...)
+		l.Checkpoint(state, 2)
+		state[0] = 'X'
+		wantRecovered(t, l, "state@2")
+	}},
 	{"checkpoint folds records at or below its watermark", func(t *testing.T, st durable.Store, l durable.Log, restart func() durable.Store) {
 		for i := 1; i <= 10; i++ {
 			l.AppendSync([]byte{'a' + byte(i)})

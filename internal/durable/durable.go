@@ -71,7 +71,9 @@ type Log interface {
 	// AppendSync appends and immediately syncs — log-then-ack in one call.
 	AppendSync(data []byte) uint64
 	// Checkpoint atomically replaces the log's checkpoint with state,
-	// folding in every durable record with Seq <= upTo.
+	// folding in every durable record with Seq <= upTo. The log is done
+	// with state when Checkpoint returns, so a caller may write every
+	// checkpoint into one reused buffer.
 	Checkpoint(state []byte, upTo uint64)
 	// Recover returns the checkpoint (or ErrNoCheckpoint) and every
 	// durable record after it, in sequence order. Implementations reject

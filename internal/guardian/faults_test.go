@@ -1,12 +1,14 @@
 package guardian
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/transport"
 	"repro/internal/vtime"
 	"repro/internal/xrep"
 )
@@ -150,6 +152,69 @@ func TestRestartedProcessIsHeard(t *testing.T) {
 		}
 		cli.Crash()
 		cw.Close()
+	}
+}
+
+// idTap is a simulated network that keeps the id of every packet, by
+// destination.
+type idTap struct {
+	transport.Transport
+	mu  sync.Mutex
+	ids map[transport.Addr][]uint64
+}
+
+func (t *idTap) Send(from, to transport.Addr, p []byte) error {
+	t.mu.Lock()
+	t.ids[to] = append(t.ids[to], binary.BigEndian.Uint64(p[1:9])) // after the magic byte
+	t.mu.Unlock()
+	return t.Transport.Send(from, to, p)
+}
+
+// TestFrameIdsCountPerDestination: a node sending alternately to two peers
+// numbers each peer's frames on from its packet-id base, one by one, so
+// each receiver remembers the sender's completed ids as one run, extended
+// in place (wire.Reassembler), where ids counted across the node leave it
+// a run per message.
+func TestFrameIdsCountPerDestination(t *testing.T) {
+	clock := vtime.NewReal()
+	tp := &idTap{Transport: netsim.New(clock, netsim.Config{Seed: 1}), ids: make(map[transport.Addr][]uint64)}
+	w := NewWorld(Config{Clock: clock, Transport: tp})
+	defer w.Close()
+	pt := NewPortType("c").Msg("data", xrep.KindInt)
+	peers := []string{"b", "c"}
+	ports := make([]*Port, len(peers))
+	for i, name := range peers {
+		g, _, err := w.MustAddNode(name).NewDriver("d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ports[i] = g.MustNewPort(pt, 64)
+	}
+	_, a, err := w.MustAddNode("a").NewDriver("d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sends = 20
+	for i := 0; i < sends; i++ {
+		if err := a.Send(ports[i%2].Name(), "data", i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Quiesce()
+	base := a.Guardian().Node().pktBase
+	for i, name := range peers {
+		ids := tp.ids[transport.Addr(name)]
+		if len(ids) != sends/2 {
+			t.Fatalf("%s was sent %d packets, want %d", name, len(ids), sends/2)
+		}
+		for k, id := range ids {
+			if id != base+uint64(k+1) {
+				t.Fatalf("%s's packet ids are %v, want %d, %d, … (the base plus 1, 2, …)", name, ids, base+1, base+2)
+			}
+		}
+		if got := ports[i].Len(); got != sends/2 {
+			t.Fatalf("%s received %d messages, want %d", name, got, sends/2)
+		}
 	}
 }
 

@@ -3,8 +3,8 @@ package guardian
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/durable"
 	"repro/internal/fault"
@@ -24,8 +24,13 @@ type Node struct {
 	reg   *xrep.Registry
 	crash fault.Hook
 
-	msgID   atomic.Uint64
 	pktBase uint64 // offsets packet ids, so a restarted process's are new to its peers
+
+	// msgIDs numbers frames per destination node, so each receiver sees
+	// this node's ids consecutive and remembers them as one run
+	// (wire.Reassembler).
+	idMu   sync.Mutex
+	msgIDs map[string]*uint64
 
 	mu        sync.Mutex
 	alive     bool
@@ -87,6 +92,7 @@ func newNode(w *World, name string) (*Node, error) {
 		meta:      make(map[uint64]*guardianMeta),
 		reasm:     reasm,
 		pktBase:   uint64(w.clock.Now().UnixNano()),
+		msgIDs:    make(map[string]*uint64),
 	}, nil
 }
 
@@ -511,12 +517,25 @@ func (n *Node) failureReply(f *wire.Frame, text string) {
 		Dest:        f.ReplyTo,
 		SrcNode:     n.name,
 		SrcGuardian: 0, // the system
-		MsgID:       n.msgID.Add(1),
+		MsgID:       n.nextMsgID(f.ReplyTo.Node),
 		Command:     FailureCommand,
 	}
 	n.routeFrame(reply, func(dst []byte) ([]byte, error) {
 		return wire.AppendStr(wire.AppendSeqHeader(dst, 1), text), nil
 	})
+}
+
+// nextMsgID returns the next frame id toward node dest.
+func (n *Node) nextMsgID(dest string) uint64 {
+	n.idMu.Lock()
+	defer n.idMu.Unlock()
+	id := n.msgIDs[dest]
+	if id == nil {
+		id = new(uint64)
+		n.msgIDs[strings.Clone(dest)] = id // the name may be a message's, which the key would pin
+	}
+	*id++
+	return *id
 }
 
 // sendBuf is the scratch a send builds its frame and packets in.

@@ -164,7 +164,7 @@ func (pr *Process) sendSeq(to, replyTo xrep.PortName, command string, args func(
 		Dest:        to,
 		SrcNode:     pr.g.node.name,
 		SrcGuardian: pr.g.id,
-		MsgID:       pr.g.node.msgID.Add(1),
+		MsgID:       pr.g.node.nextMsgID(to.Node),
 		Command:     command,
 		ReplyTo:     replyTo,
 	}

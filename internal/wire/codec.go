@@ -446,9 +446,13 @@ func (d *decoder) value() xrep.Value {
 
 // seq carves a sequence from the slot slab and fills it. Its capacity is
 // its length, so appending to it copies it rather than reach the slots of
-// the sequence carved next.
+// the sequence carved next. An empty one is nil, which boxes into a Value
+// without an allocation.
 func (d *decoder) seq() xrep.Seq {
 	n := d.r.uvarint()
+	if n == 0 {
+		return nil
+	}
 	seq := xrep.Seq(d.slots[:n:n])
 	d.slots = d.slots[n:]
 	for i := range seq {

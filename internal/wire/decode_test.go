@@ -311,6 +311,45 @@ func TestAppendToDecodedSeqLeavesSiblings(t *testing.T) {
 	}
 }
 
+// TestEmptyListDecodesToNil: an empty sequence, an argument list or a
+// record's fields, decodes to a nil Seq, which boxes into a Value without
+// an allocation. It re-encodes to the bytes it came from, and an append to
+// it makes a slice of its own.
+func TestEmptyListDecodesToNil(t *testing.T) {
+	f := sampleFrame()
+	f.Args = xrep.Seq{xrep.Seq{}, xrep.Rec{Name: "r", Fields: xrep.Seq{}}, xrep.Seq{xrep.Seq{}}}
+	bare := sampleFrame()
+	bare.Args = xrep.Seq{}
+	for _, f := range []*Frame{f, bare} {
+		raw, err := f.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := UnmarshalFrame(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var empties []xrep.Seq
+		if len(f.Args) == 0 {
+			empties = append(empties, got.Args)
+		} else {
+			empties = append(empties, got.Args[0].(xrep.Seq), got.Args[1].(xrep.Rec).Fields, got.Args[2].(xrep.Seq)[0].(xrep.Seq))
+		}
+		for i, e := range empties {
+			if e != nil {
+				t.Errorf("empty list %d decoded to a non-nil %#v", i, e)
+			}
+			if grown := append(e, xrep.Str("appended")); len(grown) != 1 || len(e) != 0 {
+				t.Errorf("empty list %d: an append gave %v and left %v", i, grown, e)
+			}
+		}
+		again, err := got.Marshal()
+		if err != nil || !bytes.Equal(again, raw) {
+			t.Fatalf("%v: re-encoded to %x (%v), want %x", f.Args, again, err, raw)
+		}
+	}
+}
+
 // TestRetainedValuesSurviveLaterMessages: a Str and an inner Seq kept from
 // one message are unchanged after the next thousand messages have come
 // through the same reassembler from one reused send buffer. Every packet is

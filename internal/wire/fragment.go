@@ -212,9 +212,10 @@ type Reassembler struct {
 // idSet is one sender's recently completed message ids: runs of consecutive
 // ids, ascending in id and in completion time, for ids above every id in
 // runs, and late for the rest. Its cost depends on the order ids reach this
-// receiver: consecutive per sender-receiver pair (a node with one peer), O(1)
-// time and memory; ascending with gaps (a node numbers across its peers), a
-// 64-byte run each, appended; out of order, a map entry each. A run grows
+// receiver: consecutive per sender-receiver pair (a guardian node numbers its
+// frames per destination), O(1) time and memory; ascending with gaps (lost
+// messages, or a sender numbering across its peers), a 64-byte run each,
+// appended; out of order, a map entry each. A run grows
 // only while it spans under MaxAge/2, so dropping it once its newest id is
 // older than MaxAge keeps each id at least MaxAge and at most 2×MaxAge.
 type idSet struct {

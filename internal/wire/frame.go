@@ -18,7 +18,8 @@ type Frame struct {
 	// SrcNode is the sending node's address, used to route system failure
 	// replies and for reassembly keying.
 	SrcNode string
-	// MsgID is unique per sending node; it keys fragment reassembly.
+	// MsgID is unique per sending and receiving node pair; it keys
+	// fragment reassembly.
 	MsgID uint64
 	// SrcGuardian identifies the sending guardian on SrcNode. The runtime
 	// stamps it; receiving guardians may use it as the principal for

@@ -287,7 +287,8 @@ func TestPacketsRefusesTooManyFragments(t *testing.T) {
 // layer, so buffer churn cannot silently return: encoding into reused
 // buffers allocates nothing, and receiving into a caller-owned Frame
 // allocates only what the frame points to (the string slab, the slot
-// slab, and an interface box per string argument).
+// slab, and an interface box per string argument). An empty list adds no
+// box: it decodes to a nil Seq.
 func TestSmallFrameAllocCeilings(t *testing.T) {
 	f := sampleFrame()
 	var frameBuf, pktBuf []byte
@@ -302,30 +303,37 @@ func TestSmallFrameAllocCeilings(t *testing.T) {
 		t.Errorf("encoding a small frame into reused buffers allocates %v times, want 0", n)
 	}
 
-	const runs = 200
-	pkts := make([][]byte, runs+1) // AllocsPerRun makes one warm-up call
-	for i := range pkts {
-		f.MsgID = uint64(i + 1)
-		encode()
-		pkts[i] = bytes.Clone(pktBuf)
-	}
-	ra := NewReassembler()
-	now := time.Unix(0, 0)
-	next := 0
-	receive := func() {
-		segs, err := ra.Collect("chicago", pkts[next], now)
-		next++
-		if err != nil || segs.IsZero() {
-			t.Fatalf("Collect: %v", err)
+	receive := func() float64 {
+		const runs = 200
+		pkts := make([][]byte, runs+1) // AllocsPerRun makes one warm-up call
+		for i := range pkts {
+			f.MsgID = uint64(i + 1)
+			encode()
+			pkts[i] = bytes.Clone(pktBuf)
 		}
-		var fr Frame
-		if err := UnmarshalSegments(&fr, segs); err != nil {
-			t.Fatal(err)
-		}
+		ra := NewReassembler()
+		now := time.Unix(0, 0)
+		next := 0
+		return testing.AllocsPerRun(runs, func() {
+			segs, err := ra.Collect("chicago", pkts[next], now)
+			next++
+			if err != nil || segs.IsZero() {
+				t.Fatalf("Collect: %v", err)
+			}
+			var fr Frame
+			if err := UnmarshalSegments(&fr, segs); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 	// 4 for the frame; the rest is the completed-id table growing.
-	if n := testing.AllocsPerRun(runs, receive); n > 5 {
-		t.Errorf("receiving a small frame allocates %v times, want at most 5", n)
+	small := receive()
+	if small > 5 {
+		t.Errorf("receiving a small frame allocates %v times, want at most 5", small)
+	}
+	f.Args = append(f.Args, xrep.Seq{})
+	if n := receive(); n != small {
+		t.Errorf("receiving it with an empty list as well allocates %v times, want the same %v", n, small)
 	}
 }
 
