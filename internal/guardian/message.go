@@ -16,7 +16,9 @@ type Message struct {
 	// copy and may be kept or changed freely, but a message's values are
 	// carved from one allocation of strings and one of sequence slots, so a
 	// string or sequence kept from a message keeps that whole message
-	// reachable. Keep most of a message, or strings.Clone the small piece
+	// reachable. A message of at most 8 slots has them in the same
+	// allocation as its Message, so a sequence kept from it keeps the
+	// Message too. Keep most of a message, or strings.Clone the small piece
 	// that will outlive it (a map key, a name in a long-lived table).
 	Args xrep.Seq
 	// ReplyTo is the reply port carried by the message; zero when absent.

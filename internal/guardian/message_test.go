@@ -1,7 +1,9 @@
 package guardian
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/xrep"
 )
@@ -183,5 +185,89 @@ func TestSendChecksPortTypeOfFailureArm(t *testing.T) {
 	p := g.MustNewPort(NewPortType("t").Msg("x"), 4)
 	if err := drv.SendChecked(p.Type(), p.Name(), FailureCommand, "synthetic"); err != nil {
 		t.Fatalf("checked send of failure rejected: %v", err)
+	}
+}
+
+// slotsType takes a message of every slot count: none() has no slots, and
+// k(list) has one for list and one for each of its elements.
+var slotsType = NewPortType("slots").Msg("none").Msg("k", AnyKind)
+
+// slotsArgs is what message i of a run sends with slots sequence slots:
+// integers over 255, so that each slot holds a box of its own.
+func slotsArgs(i, slots int) (string, xrep.Seq) {
+	if slots == 0 {
+		return "none", nil
+	}
+	list := make(xrep.Seq, slots-1)
+	for j := range list {
+		list[j] = xrep.Int(1000*i + j)
+	}
+	return "k", xrep.Seq{list}
+}
+
+// TestKeptArgsOutliveLaterDeliveries: up to 8 slots, a delivery's Message
+// and its argument slots are one allocation (withSlots), and beyond that
+// two. A receiver keeps every message of 0–9 slots sent to it, over netsim
+// and locally. After all of them have arrived and a collection has run,
+// each still reads what was sent; appending to a kept argument list or to
+// the list inside it copies it, since neither has spare capacity, and
+// leaves every kept message as it was.
+func TestKeptArgsOutliveLaterDeliveries(t *testing.T) {
+	w, a, b := newWorld(t, Config{})
+	defer w.Close()
+	g, recv, err := a.NewDriver("recv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	port := g.MustNewPort(slotsType, 64)
+	_, remote, err := b.NewDriver("remote")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, via := range []struct {
+		name string
+		from *Process
+	}{{"netsim", remote}, {"local", recv}} {
+		t.Run(via.name, func(t *testing.T) {
+			var kept []*Message
+			for i := 0; i < 40; i++ {
+				cmd, args := slotsArgs(i, i%10)
+				if err := via.from.SendSeq(port.Name(), xrep.PortName{}, cmd, args); err != nil {
+					t.Fatal(err)
+				}
+				m, st := recv.Receive(5*time.Second, port)
+				if st != RecvOK {
+					t.Fatalf("message %d: %v", i, st)
+				}
+				kept = append(kept, m)
+			}
+			runtime.GC()
+			check := func(when string) {
+				t.Helper()
+				for i, m := range kept {
+					cmd, args := slotsArgs(i, i%10)
+					if m.Command != cmd || !xrep.Equal(m.Args, args) || m.Via != port || m.SrcNode != via.from.Guardian().Node().Name() {
+						t.Fatalf("%s, message %d reads %s%v from %s, want %s%v", when, i, m.Command, m.Args, m.SrcNode, cmd, args)
+					}
+				}
+			}
+			check("once all had arrived")
+			for i, m := range kept {
+				if len(m.Args) == 0 {
+					continue
+				}
+				list := m.Seq(0)
+				if cap(m.Args) != len(m.Args) || cap(list) != len(list) {
+					t.Fatalf("message %d: arguments of capacity %d for %d, list of %d for %d", i, cap(m.Args), len(m.Args), cap(list), len(list))
+				}
+				grown := append(m.Args, xrep.Int(-1))
+				grown[0] = xrep.Int(-2)
+				longer := append(list, xrep.Int(-3))
+				for j := range longer {
+					longer[j] = xrep.Int(-4)
+				}
+			}
+			check("after appending to each")
+		})
 	}
 }

@@ -446,9 +446,8 @@ func (n *Node) handlePacket(from transport.Addr, payload []byte) {
 	if segs.IsZero() {
 		return // waiting for more fragments
 	}
-	// The frame lives only until dispatchFrame has made it a Message.
 	var f wire.Frame
-	err = wire.UnmarshalSegments(&f, segs)
+	m, err := decode(&f, segs)
 	n.reasm.Release(segs)
 	if err != nil {
 		n.world.stats.DiscardBadFrame.Add(1)
@@ -457,12 +456,72 @@ func (n *Node) handlePacket(from transport.Addr, payload []byte) {
 	// A verified frame names its sender; teach the transport where that
 	// name was observed so replies route without static configuration.
 	n.world.tr.Learn(transport.Addr(f.SrcNode), from)
-	n.dispatchFrame(&f)
+	n.dispatchFrame(&f, m)
 }
 
-// dispatchFrame routes a complete, verified frame to its target port,
-// producing the §3.4 failure replies when the message must be thrown away.
-func (n *Node) dispatchFrame(f *wire.Frame) {
+// decode verifies a frame and decodes it into f, which lives only until
+// dispatchFrame has filled in the Message decode returns. Between the
+// decoder's two passes it allocates that Message together with the
+// frame's sequence slots (withSlots).
+func decode(f *wire.Frame, segs wire.Segments) (*Message, error) {
+	var r wire.FrameReader
+	k, err := r.Size(segs)
+	if err != nil {
+		return nil, err
+	}
+	m, slots := withSlots(k)
+	r.Fill(f, slots)
+	return m, nil
+}
+
+// inline is a Message followed by its frame's sequence slots, S being
+// [k]xrep.Value.
+type inline[S any] struct {
+	m Message
+	s S
+}
+
+// withSlots returns a Message and k sequence slots for one delivery. Up to
+// 8 slots they are one allocation: a Message is 104 bytes and a slot 16,
+// and size classes step by 16 bytes up to 256, so each exact fit lands in
+// the size class of the two objects it replaces and adds no byte. A frame
+// of more slots keeps a slab of its own.
+func withSlots(k int) (*Message, []xrep.Value) {
+	switch k {
+	case 0:
+		return new(Message), nil
+	case 1:
+		d := new(inline[[1]xrep.Value])
+		return &d.m, d.s[:]
+	case 2:
+		d := new(inline[[2]xrep.Value])
+		return &d.m, d.s[:]
+	case 3:
+		d := new(inline[[3]xrep.Value])
+		return &d.m, d.s[:]
+	case 4:
+		d := new(inline[[4]xrep.Value])
+		return &d.m, d.s[:]
+	case 5:
+		d := new(inline[[5]xrep.Value])
+		return &d.m, d.s[:]
+	case 6:
+		d := new(inline[[6]xrep.Value])
+		return &d.m, d.s[:]
+	case 7:
+		d := new(inline[[7]xrep.Value])
+		return &d.m, d.s[:]
+	case 8:
+		d := new(inline[[8]xrep.Value])
+		return &d.m, d.s[:]
+	}
+	return new(Message), make([]xrep.Value, k)
+}
+
+// dispatchFrame routes a complete, verified frame to its target port as
+// m, producing the §3.4 failure replies when the message must be thrown
+// away.
+func (n *Node) dispatchFrame(f *wire.Frame, m *Message) {
 	st := &n.world.stats
 	g, ok := n.guardianByID(f.Dest.Guardian)
 	if !ok {
@@ -486,7 +545,7 @@ func (n *Node) dispatchFrame(f *wire.Frame) {
 		n.failureReply(f, "message rejected: "+err.Error())
 		return
 	}
-	m := &Message{
+	*m = Message{
 		Command:     f.Command,
 		Args:        f.Args,
 		ReplyTo:     f.ReplyTo,
@@ -566,11 +625,12 @@ func (n *Node) routeFrame(f *wire.Frame, args func(dst []byte) ([]byte, error)) 
 			return ErrNodeDown
 		}
 		var local wire.Frame
-		if err := wire.UnmarshalFrameInto(&local, frame); err != nil {
+		m, err := decode(&local, wire.Contiguous(frame))
+		if err != nil {
 			n.world.stats.DiscardBadFrame.Add(1)
 			return nil
 		}
-		n.dispatchFrame(&local)
+		n.dispatchFrame(&local, m)
 		return nil
 	}
 	chunk, count, err := wire.Packets(len(frame), n.world.cfg.FragmentMTU)

@@ -340,10 +340,11 @@ type decoder struct {
 	strs  strings.Builder // the string slab, grown once
 }
 
-// beginFill ends the sizing pass: it makes the slabs that pass measured and
+// beginFill ends the sizing pass: it takes the slot slab, which holds at
+// least the slots that pass counted, makes the string slab it measured and
 // puts the cursor back at start for the fill pass.
-func (d *decoder) beginFill(start reader) {
-	d.slots = make([]xrep.Value, d.elems)
+func (d *decoder) beginFill(start reader, slots []xrep.Value) {
+	d.slots = slots
 	d.strs.Grow(int(d.strBytes))
 	d.r = start
 }
@@ -500,6 +501,6 @@ func UnmarshalValue(buf []byte) (xrep.Value, error) {
 	if d.r.err != nil {
 		return nil, d.r.err
 	}
-	d.beginFill(start)
+	d.beginFill(start, make([]xrep.Value, d.elems))
 	return d.value(), nil
 }

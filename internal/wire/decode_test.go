@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -109,14 +110,64 @@ func TestSegmentedDecodeMatchesContiguous(t *testing.T) {
 	}
 }
 
+// fillCallerSlots decodes s as a delivery does: Size, then Fill into
+// exactly the slots Size asked for. It fails t if a slot is left unused or
+// the argument list could reach past its own slots.
+func fillCallerSlots(t *testing.T, s Segments) (*Frame, error) {
+	t.Helper()
+	var r FrameReader
+	k, err := r.Size(s)
+	if err != nil {
+		return nil, err
+	}
+	slots := make([]xrep.Value, k)
+	f := new(Frame)
+	r.Fill(f, slots)
+	for i, v := range slots {
+		if v == nil {
+			t.Fatalf("slot %d of %d was left unused", i, k)
+		}
+	}
+	if cap(f.Args) != len(f.Args) {
+		t.Fatalf("the arguments have capacity %d for %d slots", cap(f.Args), len(f.Args))
+	}
+	return f, nil
+}
+
+// TestCallerSlotsMatchUnmarshalFrame: every golden frame and forty
+// generated ones, sized and filled into exactly the slots Size asked for —
+// as a delivery decodes into the slots it allocates with its Message — are
+// the frames UnmarshalFrame decodes, from contiguous bytes and from three
+// segments; and sizing a frame it accepts allocates nothing either.
+func TestCallerSlotsMatchUnmarshalFrame(t *testing.T) {
+	for n, raw := range sampleFrames(t, 40) {
+		want, err := UnmarshalFrame(raw)
+		if err != nil {
+			t.Fatalf("frame %d: %v", n, err)
+		}
+		for _, segs := range []Segments{Contiguous(raw), split(raw, len(raw)/3, 2*len(raw)/3)} {
+			got, err := fillCallerSlots(t, segs)
+			if err != nil {
+				t.Fatalf("frame %d: %v", n, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("frame %d into caller slots decoded to %+v, want %+v", n, *got, *want)
+			}
+			var r FrameReader
+			if allocs := testing.AllocsPerRun(5, func() { _, _ = r.Size(segs) }); allocs != 0 {
+				t.Fatalf("sizing frame %d allocates %v times, want 0", n, allocs)
+			}
+		}
+	}
+}
+
 // TestSegmentedDecodeRejectsAlike: every truncation of a frame, and every
 // frame with one body byte changed and the checksum recomputed, gets the
 // same verdict — the same sentinel, or the same frame — from segments as
 // from contiguous bytes.
 func TestSegmentedDecodeRejectsAlike(t *testing.T) {
 	check := func(what string, raw []byte) (rejected bool) {
-		var want Frame
-		wantErr := UnmarshalFrameInto(&want, raw)
+		want, wantErr := UnmarshalFrame(raw)
 		// Every offset of a short frame; the long golden one is sampled.
 		for i := 0; i <= len(raw); i += 1 + len(raw)/128 {
 			var got Frame
@@ -124,7 +175,7 @@ func TestSegmentedDecodeRejectsAlike(t *testing.T) {
 			if err != wantErr {
 				t.Fatalf("%s split at %d: %v, contiguous: %v", what, i, err, wantErr)
 			}
-			if err == nil && !sameFrame(&got, &want) {
+			if err == nil && !sameFrame(&got, want) {
 				t.Fatalf("%s split at %d decoded to %+v, want %+v", what, i, got, want)
 			}
 		}
@@ -142,7 +193,8 @@ func TestSegmentedDecodeRejectsAlike(t *testing.T) {
 			// Truncated inside the body, with a checksum that vouches for it.
 			cut := reseal(bytes.Clone(raw[:k]))
 			check("frame "+strconv.Itoa(n)+" resealed at "+strconv.Itoa(k), cut)
-			classes[UnmarshalFrameInto(new(Frame), cut)]++
+			_, err := UnmarshalFrame(cut)
+			classes[err]++
 		}
 		for k := 0; k < len(raw)-4; k++ {
 			for _, delta := range []byte{1, 0x80} {
@@ -153,7 +205,8 @@ func TestSegmentedDecodeRejectsAlike(t *testing.T) {
 				}
 				mut = reseal(mut)
 				check("frame "+strconv.Itoa(n)+" changed at "+strconv.Itoa(k), mut)
-				classes[UnmarshalFrameInto(new(Frame), mut)]++
+				_, err := UnmarshalFrame(mut)
+				classes[err]++
 			}
 		}
 	}
@@ -191,18 +244,25 @@ func fuzzSeeds(t *testing.T, target string) map[string][]byte {
 
 // TestRejectingAllocatesNothing: the sizing pass is the whole validation
 // and returns bare sentinels, so a frame that is refused — for its
-// checksum, or past it for its shape or its lengths — costs no allocation.
+// checksum, or past it for its shape or its lengths — costs no allocation,
+// whether FrameReader.Size refuses it alone or on behalf of a decoder
+// entry point.
 func TestRejectingAllocatesNothing(t *testing.T) {
 	rejected := 0
 	for name, seed := range fuzzSeeds(t, "FuzzUnmarshalFrame") {
-		var f Frame
-		if UnmarshalFrameInto(&f, seed) == nil {
+		if _, err := UnmarshalFrame(seed); err == nil {
 			continue
 		}
 		rejected++
-		if n := testing.AllocsPerRun(20, func() { _ = UnmarshalFrameInto(&f, seed) }); n != 0 {
+		if n := testing.AllocsPerRun(20, func() { _, _ = UnmarshalFrame(seed) }); n != 0 {
 			t.Errorf("rejecting seed %s allocates %v times, want 0", name, n)
 		}
+		var r FrameReader
+		if n := testing.AllocsPerRun(20, func() { _, _ = r.Size(Contiguous(seed)) }); n != 0 {
+			t.Errorf("sizing seed %s allocates %v times, want 0", name, n)
+		}
+		var f Frame
+		_ = UnmarshalSegments(&f, Contiguous(seed))
 		if !f.Dest.IsZero() || f.Args != nil {
 			t.Errorf("rejecting seed %s wrote to the frame: %+v", name, f)
 		}
@@ -210,6 +270,9 @@ func TestRejectingAllocatesNothing(t *testing.T) {
 		segs := split(seed, len(seed)/3, 2*len(seed)/3)
 		if n := testing.AllocsPerRun(20, func() { _ = UnmarshalSegments(&f, segs) }); n != 0 {
 			t.Errorf("rejecting seed %s in segments allocates %v times, want 0", name, n)
+		}
+		if n := testing.AllocsPerRun(20, func() { _, _ = r.Size(segs) }); n != 0 {
+			t.Errorf("sizing seed %s in segments allocates %v times, want 0", name, n)
 		}
 	}
 	if rejected < 8 {

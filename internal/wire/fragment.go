@@ -144,12 +144,15 @@ type Segments struct {
 	many []*[]byte
 }
 
+// Contiguous is the Segments of a frame in one piece, buf.
+func Contiguous(buf []byte) Segments { return Segments{one: buf} }
+
 // IsZero reports whether s is no frame: the message is not complete yet.
 func (s Segments) IsZero() bool { return s.one == nil && s.many == nil }
 
 // Bytes returns the frame in one piece: the packet's payload itself, or a
 // joined copy of the fragments', for a caller that wants the bytes rather
-// than the frame (UnmarshalSegments does not need them joined).
+// than the frame (FrameReader does not need them joined).
 func (s Segments) Bytes() []byte {
 	if s.many == nil {
 		return s.one

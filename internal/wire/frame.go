@@ -101,34 +101,59 @@ func (f *Frame) Marshal() ([]byte, error) {
 // UnmarshalFrame verifies the checksum and decodes a frame. A checksum
 // mismatch returns ErrBadChecksum; the runtime discards such messages, so a
 // corrupted message is never forwarded to its target port. The frame shares
-// no memory with buf: every string and byte value is copied out of it.
+// no memory with buf: every string and byte value is copied out of it. A
+// frame that is refused costs no allocation.
 func UnmarshalFrame(buf []byte) (*Frame, error) {
-	f := new(Frame)
-	if err := UnmarshalFrameInto(f, buf); err != nil {
+	var r FrameReader
+	n, err := r.Size(Contiguous(buf))
+	if err != nil {
 		return nil, err
 	}
+	f := new(Frame)
+	r.Fill(f, make([]xrep.Value, n))
 	return f, nil
 }
 
-// UnmarshalFrameInto is UnmarshalFrame into a Frame the caller owns, so a
-// receiver that turns the frame into something else at once need not
-// allocate it.
-func UnmarshalFrameInto(f *Frame, buf []byte) error {
-	return UnmarshalSegments(f, Segments{one: buf})
+// UnmarshalSegments is UnmarshalFrame into a Frame the caller owns, for a
+// frame as the reassembler hands it over, decoded straight from the
+// fragments that carried it. A frame that is refused leaves f untouched and
+// costs no allocation. One that is accepted is two slabs (see decoder): its
+// strings — the four header strings, every Str, record name and node name
+// in the arguments — are substrings of one allocation and its sequences
+// sub-slices of another, so retaining any one value keeps its whole message
+// reachable.
+func UnmarshalSegments(f *Frame, s Segments) error {
+	var r FrameReader
+	n, err := r.Size(s)
+	if err != nil {
+		return err
+	}
+	r.Fill(f, make([]xrep.Value, n))
+	return nil
 }
 
-// UnmarshalSegments is UnmarshalFrameInto for a frame as the reassembler
-// hands it over, decoded straight from the fragments that carried it. A
-// frame that is refused leaves f untouched and costs no allocation. One
-// that is accepted is two slabs (see decoder): its strings — the four
-// header strings, every Str, record name and node name in the arguments —
-// are substrings of one allocation and its sequences sub-slices of
-// another, so retaining any one value keeps its whole message reachable.
-func UnmarshalSegments(f *Frame, s Segments) error {
+// FrameReader decodes one frame in the decoder's two passes, so that its
+// caller can allocate the frame's sequence slots between them, together
+// with what it will keep the frame in: Size verifies the frame and says how
+// many slots it needs, and Fill decodes it into slots the caller provides.
+// The zero FrameReader is ready for Size; the segments Size was given must
+// stay readable until Fill returns.
+type FrameReader struct {
+	d     decoder
+	start reader // the body, for the fill pass
+	flags byte
+}
+
+// Size verifies s's checksum and runs the sizing pass, which is every check
+// a frame must pass, and returns how many sequence slots Fill needs: the
+// elements of every sequence in the arguments, at every nesting level. It
+// allocates nothing, whether it accepts the frame or refuses it; a checksum
+// mismatch returns ErrBadChecksum.
+func (r *FrameReader) Size(s Segments) (slots int, err error) {
 	all := s.reader()
 	body := all.remaining() - 4 // all but the trailing checksum
 	if body < 6 {
-		return ErrFrameShort
+		return 0, ErrFrameShort
 	}
 	start, crc := all.first(body), uint32(0)
 	for n := body; n > 0; {
@@ -139,16 +164,24 @@ func UnmarshalSegments(f *Frame, s Segments) error {
 	var want [4]byte
 	all.read(want[:])
 	if crc != binary.BigEndian.Uint32(want[:]) {
-		return ErrBadChecksum
+		return 0, ErrBadChecksum
 	}
-	d := decoder{r: start, limit: uint64(body)}
-	flags := d.sizeFrame()
-	if d.r.err != nil {
-		return d.r.err
+	r.d = decoder{r: start, limit: uint64(body)}
+	r.flags = r.d.sizeFrame()
+	if r.d.r.err != nil {
+		return 0, r.d.r.err
 	}
-	d.beginFill(start)
-	d.frame(f, flags)
-	return nil
+	r.start = start
+	return int(r.d.elems), nil
+}
+
+// Fill runs the fill pass over the frame Size accepted, into f. The
+// frame's sequences are carved from the first slots of slots, as many as
+// Size returned; each gets a capacity equal to its length, so appending to
+// one copies it. Its strings are one allocation of Fill's own.
+func (r *FrameReader) Fill(f *Frame, slots []xrep.Value) {
+	r.d.beginFill(r.start, slots)
+	r.d.frame(f, r.flags)
 }
 
 // sizeFrame is the sizing pass over a frame's body: every check a frame

@@ -323,10 +323,10 @@ func TestUnmarshalFrameIntoOverwritesTheFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	var f Frame
-	if err := UnmarshalFrameInto(&f, withReply); err != nil {
+	if err := UnmarshalSegments(&f, Contiguous(withReply)); err != nil {
 		t.Fatal(err)
 	}
-	if err := UnmarshalFrameInto(&f, bareRaw); err != nil {
+	if err := UnmarshalSegments(&f, Contiguous(bareRaw)); err != nil {
 		t.Fatal(err)
 	}
 	if f.Dest != bare.Dest || f.SrcNode != "s" || f.Command != "c" || !f.ReplyTo.IsZero() || len(f.Args) != 0 || f.SrcGuardian != 0 {

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -29,7 +30,8 @@ const allocSlack = 64 << 10
 // each for a 16-byte slot in the slab and a 48-byte box, 21.5× — and a
 // refused input allocates nothing at all); a frame it accepts shares no
 // memory with the input and survives AppendFrame → UnmarshalFrame; and the
-// decoder gives the same answer when the bytes arrive in three segments.
+// decoder gives the same answer when the bytes arrive in three segments, and
+// when they are sized and filled into slots of the caller's.
 func FuzzUnmarshalFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		buf := bytes.Clone(data)
@@ -37,6 +39,9 @@ func FuzzUnmarshalFrame(f *testing.F) {
 		var err error
 		if n := allocated(func() { fr, err = UnmarshalFrame(buf) }); n > allocSlack+22*uint64(len(buf)) {
 			t.Fatalf("decoding %d bytes allocated %d", len(buf), n)
+		}
+		if filled, fillErr := fillCallerSlots(t, Contiguous(buf)); fillErr != err || (err == nil && !reflect.DeepEqual(filled, fr)) {
+			t.Fatalf("into caller slots: %+v, %v; UnmarshalFrame: %+v, %v", filled, fillErr, fr, err)
 		}
 		// The same bytes arriving as three fragments get the same verdict.
 		var seg Frame
@@ -148,8 +153,9 @@ func FuzzReassemblerAdd(f *testing.F) {
 			}
 			// Whatever the fragments hold, the decoder reads it from them as
 			// it reads it joined.
-			var fromSegs, joined Frame
-			if e1, e2 := UnmarshalSegments(&fromSegs, segs), UnmarshalFrameInto(&joined, got); e1 != e2 {
+			var fromSegs Frame
+			_, e2 := UnmarshalFrame(got)
+			if e1 := UnmarshalSegments(&fromSegs, segs); e1 != e2 {
 				t.Fatalf("op %d: decoding the segments: %v, joined: %v", i, e1, e2)
 			}
 			ra.Release(segs)

@@ -387,7 +387,7 @@ func TestReassemblyAllocCeiling(t *testing.T) {
 		})
 		decoding := allocated(func() {
 			for i := 0; i < cycles; i++ {
-				_ = UnmarshalFrameInto(&got, frameBuf)
+				_ = UnmarshalSegments(&got, Contiguous(frameBuf))
 			}
 		})
 		return (float64(total) - float64(decoding)) / cycles
